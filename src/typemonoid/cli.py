@@ -177,8 +177,8 @@ def cmd_type(args) -> int:
     relations = []
     for a in range(ss.n_atoms):
         ta = eng.type_of(frozenset({a}))
-        fwd = eng.type_leq(t, ta)
-        bwd = eng.type_leq(ta, t)
+        fwd = eng.decide_leq(t, ta)
+        bwd = eng.decide_leq(ta, t)
         if fwd.verdict == LEQ and bwd.verdict == LEQ:
             rel = "="
         elif fwd.verdict == LEQ:
@@ -208,7 +208,7 @@ def cmd_equi(args) -> int:
     eng = TypeEngine(ss, _budget_from_args(args))
     p = eng.type_of(parse_set_expr(ss, args.left))
     q = eng.type_of(parse_set_expr(ss, args.right))
-    d = eng.type_eq(p, q)
+    d = eng.decide_equal(p, q)
     audit = eng.audit_decisions()
     report["decision"] = d.to_json()
     report["audit"] = audit
@@ -225,7 +225,7 @@ def cmd_paradox(args) -> int:
     eng = TypeEngine(ss, _budget_from_args(args))
     aset = parse_set_expr(ss, args.set)
     d = is_paradoxical(eng, aset)
-    null = eng.type_eq(eng.type_of(aset), eng.type_zero())
+    null = eng.decide_equal(eng.type_of(aset), eng.type_zero())
     audit = eng.audit_decisions()
     report["decision"] = d.to_json()
     report["null_type"] = null.verdict

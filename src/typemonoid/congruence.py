@@ -114,9 +114,6 @@ class ExtVec:
             return ExtVec(zero_vec(self.n))
         return ExtVec(vec_scale(k, self.finite), self.omega)
 
-    def total_finite(self) -> int:
-        return sum(self.finite)
-
     @staticmethod
     def from_vec(v: Vec) -> "ExtVec":
         return ExtVec(tuple(v))
@@ -641,7 +638,7 @@ class Congruence:
                                 "value_left": lv,
                                 "value_right": rv,
                             },
-                            Budget() if budget is None else budget,
+                            budget,
                         )
         diffs = [vec_sub(pn.finite, qn.finite)]
         if not order:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ClosureCapError
 from .monoid import InverseMonoidTable, check_inverse_monoid
-from .partial_bijection import PartialBijection, closure
+from .partial_bijection import PartialBijection, closure, monoid_closure
 from .spaces import (
     FiniteMeasurableSpace,
     StatMorphism,
@@ -39,35 +39,9 @@ def transformation_closure(
     mul[s][t] composes t first, then s, so the element-to-map assignment
     is itself the action.
     """
-    ident = tuple(range(n_points))
-    elems: List[Tuple[int, ...]] = [ident]
-    index: Dict[Tuple[int, ...], int] = {ident: 0}
-    for g in generators:
-        if tuple(g) not in index:
-            index[tuple(g)] = len(elems)
-            elems.append(tuple(g))
-    pending = list(range(len(elems)))
-    while pending:
-        i = pending.pop()
-        snapshot = len(elems)
-        for j in range(snapshot):
-            for a, b in ((i, j), (j, i)):
-                prod = tuple(elems[a][elems[b][x]] for x in range(n_points))
-                if prod not in index:
-                    if len(elems) >= cap:
-                        raise ClosureCapError(cap, len(elems))
-                    index[prod] = len(elems)
-                    elems.append(prod)
-                    pending.append(len(elems) - 1)
-    order = len(elems)
-    mul = tuple(
-        tuple(
-            index[tuple(elems[i][elems[j][x]] for x in range(n_points))]
-            for j in range(order)
-        )
-        for i in range(order)
-    )
-    return InverseMonoidTable(order=order, unit=0, mul=mul), elems
+    seed = [tuple(range(n_points))] + [tuple(g) for g in generators]
+    data, elems = monoid_closure(seed, lambda f, g: tuple(f[x] for x in g), cap)
+    return InverseMonoidTable(order=data.order, unit=data.unit, mul=data.mul), elems
 
 
 def statspace_from_maps(

@@ -26,7 +26,6 @@ from .errors import (
     AmbiguousMaximumError,
     BudgetExhaustedError,
     ContractError,
-    SpaceMismatchError,
     TypemonoidError,
 )
 from .types import TarskiType, TypeEngine
@@ -171,14 +170,6 @@ class IdempotentLattice:
         lines.append("}")
         return "\n".join(lines)
 
-    @classmethod
-    def from_order(
-        cls,
-        elements: Sequence[Hashable],
-        leq_pairs: Sequence[Tuple[Hashable, Hashable]],
-    ) -> "IdempotentLattice":
-        return cls(elements, leq_pairs)
-
 
 def m3_fixture() -> IdempotentLattice:
     """The five-element diamond M3: three incomparable middle elements.
@@ -189,7 +180,7 @@ def m3_fixture() -> IdempotentLattice:
     els = ["bot", "x", "y", "z", "top"]
     pairs = [("bot", m) for m in ("x", "y", "z")]
     pairs += [(m, "top") for m in ("x", "y", "z")]
-    return IdempotentLattice.from_order(els, pairs)
+    return IdempotentLattice(els, pairs)
 
 
 def enumerate_idempotents(
@@ -218,7 +209,9 @@ def enumerate_idempotents(
     reps: List[IdempotentElement] = []
     for c in cands:
         for r in reps:
-            d = engine.decide_equal(_as_type(engine, c), _as_type(engine, r), budget)
+            d = engine.decide_equal(
+                engine.type_of_abar(c.vec), engine.type_of_abar(r.vec), budget
+            )
             if d.verdict == EQUAL:
                 break
         else:
@@ -229,8 +222,8 @@ def enumerate_idempotents(
         for f in reps:
             if e is f:
                 continue
-            s = engine.type_of_abar(engine.abar((0,) * n, e.omega_support | f.omega_support))
-            d = engine.decide_equal(s, _as_type(engine, f), budget)
+            s = engine.type_of_abar(e.vec.add(f.vec))
+            d = engine.decide_equal(s, engine.type_of_abar(f.vec), budget)
             if d.verdict == EQUAL:
                 pairs.append((e, f))
             elif not d.is_definite():
@@ -244,10 +237,6 @@ def enumerate_idempotents(
                 "raise the budget"
             )
         raise
-
-
-def _as_type(engine: TypeEngine, e: IdempotentElement) -> TarskiType:
-    return engine.type_of_abar(engine.abar((0,) * engine.n, e.omega_support))
 
 
 def canonical_idempotent(
@@ -265,17 +254,11 @@ def canonical_idempotent(
     cand = IdempotentElement(engine.n, support)
     if cand in lattice:
         return cand
-    t = _as_type(engine, cand)
+    t = engine.type_of_abar(cand.vec)
     for f in lattice:
-        if engine.decide_equal(t, _as_type(engine, f), budget).verdict == EQUAL:
+        if engine.decide_equal(t, engine.type_of_abar(f.vec), budget).verdict == EQUAL:
             return f
     raise LatticeError(f"omega support {sorted(support)} matches no lattice element")
-
-
-def meet_idempotents(
-    lattice: IdempotentLattice, e: IdempotentElement, f: IdempotentElement
-) -> IdempotentElement:
-    return lattice.meet(e, f)
 
 
 def join_idempotents(
@@ -285,8 +268,7 @@ def join_idempotents(
     f: IdempotentElement,
 ) -> IdempotentElement:
     """Join is the sum e+f; checked to agree with the order-theoretic lub."""
-    nv = engine.omega_normalize(engine.abar((0,) * engine.n,
-                                            e.omega_support | f.omega_support))
+    nv = engine.omega_normalize(e.vec.add(f.vec))
     cand = IdempotentElement(engine.n, nv.vec.omega)
     lub = lattice.join(e, f)
     if cand != lub:
@@ -360,23 +342,16 @@ def meet_by_realizations(
     seen: List[ExtVec] = []
     for u in reps_e:
         for v in reps_f:
-            w = engine.omega_normalize(engine.abar(*_split(_ext_min(u, v)))).vec
+            w = engine.omega_normalize(_ext_min(u, v)).vec
             if w in seen:
                 continue
             # normal forms are not unique per class; dedupe by decision
-            if any(
-                engine.decide_equal(engine.abar(*_split(w)), engine.abar(*_split(x))).verdict
-                == EQUAL
-                for x in seen
-            ):
+            if any(engine.decide_equal(w, x).verdict == EQUAL for x in seen):
                 continue
             seen.append(w)
     best: List[ExtVec] = []
     for w in seen:
-        if all(
-            engine.decide_leq(engine.abar(*_split(x)), engine.abar(*_split(w))).verdict == LEQ
-            for x in seen
-        ):
+        if all(engine.decide_leq(x, w).verdict == LEQ for x in seen):
             best.append(w)
     if len(best) != 1:
         raise AmbiguousMaximumError(
@@ -390,10 +365,6 @@ def meet_by_realizations(
     return IdempotentElement(n, top.omega)
 
 
-def _split(v: ExtVec) -> Tuple[Tuple[int, ...], FrozenSet[int]]:
-    return v.finite, v.omega
-
-
 def _idempotent_representatives(
     engine: TypeEngine, e: IdempotentElement
 ) -> List[ExtVec]:
@@ -401,13 +372,12 @@ def _idempotent_representatives(
     on an idempotent representative is either absorbed or pushes the
     type above e)."""
     n = engine.n
-    target = _as_type(engine, e)
+    target = engine.type_of_abar(e.vec)
     out = []
     for r in range(n + 1):
         for combo in combinations(range(n), r):
-            w = frozenset(combo)
-            cand = ExtVec((0,) * n, w)
-            d = engine.decide_equal(engine.abar((0,) * n, w), target)
+            cand = ExtVec((0,) * n, frozenset(combo))
+            d = engine.decide_equal(cand, target)
             if d.verdict == EQUAL:
                 out.append(cand)
     return out
@@ -426,11 +396,11 @@ def idempotent_of(
     disagreement means the engine and the lattice are inconsistent.
     """
     budget = budget or engine.budget
-    nv = engine.omega_normalize(_coerce_abar(engine, alpha), budget)
+    nv = engine.omega_normalize(alpha, budget)
     cand = canonical_idempotent(engine, lattice, nv.vec.omega, budget)
     below = []
     for f in lattice:
-        d = engine.decide_leq(_as_type(engine, f), engine.type_of_abar(nv), budget)
+        d = engine.decide_leq(engine.type_of_abar(f.vec), engine.type_of_abar(nv), budget)
         if not d.is_definite():
             raise BudgetExhaustedError(f"cannot order idempotent {f} against input")
         if d.verdict == LEQ:
@@ -472,13 +442,12 @@ def isotropy_decompose(
     """Locate alpha's scale: the idempotent e with e <= alpha and no
     strictly larger idempotent below alpha."""
     budget = budget or engine.budget
-    p = _coerce_abar(engine, alpha)
-    t = engine.type_of_abar(p)
-    e = idempotent_of(engine, lattice, p, budget)
-    above = engine.decide_leq(_as_type(engine, e), t, budget)
+    t = engine.type_of_abar(alpha)
+    e = idempotent_of(engine, lattice, alpha, budget)
+    above = engine.decide_leq(engine.type_of_abar(e.vec), t, budget)
     excluded = []
     for f in lattice.strictly_above(e):
-        d = engine.decide_leq(_as_type(engine, f), t, budget)
+        d = engine.decide_leq(engine.type_of_abar(f.vec), t, budget)
         if not d.is_definite():
             raise BudgetExhaustedError(f"membership against {f} undecided")
         excluded.append((f, d))
@@ -503,18 +472,6 @@ def complete_isotropy(
     return CompletedScale(e, tuple(lattice.minimal_above(e)))
 
 
-def _coerce_abar(engine: TypeEngine, alpha):
-    if isinstance(alpha, TarskiType):
-        if alpha.space is not engine.statspace:
-            raise SpaceMismatchError("type from another space")
-        return engine.abar(alpha.rep.finite, alpha.rep.omega)
-    if isinstance(alpha, IdempotentElement):
-        return engine.abar((0,) * engine.n, alpha.omega_support)
-    if isinstance(alpha, ExtVec):
-        return engine.abar(alpha.finite, alpha.omega)
-    return alpha
-
-
 # ----- quantity groups ------------------------------------------------------
 
 
@@ -537,7 +494,7 @@ def _certify_scale(
     v: ExtVec,
     e: IdempotentElement,
 ) -> None:
-    got, _ = isotropy_decompose(engine, lattice, engine.abar(v.finite, v.omega))
+    got, _ = isotropy_decompose(engine, lattice, v)
     if got != e:
         raise ContractError(f"operand has scale {got}, expected {e}")
 
@@ -552,10 +509,10 @@ def grothendieck_diff(
     """Form the difference a - b in the quantity group of their shared
     scale.  Both operands must certify membership in the same isotropy
     monoid."""
-    va = engine.omega_normalize(_coerce_abar(engine, a)).vec
-    vb = engine.omega_normalize(_coerce_abar(engine, b)).vec
-    ea, _ = isotropy_decompose(engine, lattice, engine.abar(va.finite, va.omega))
-    eb, _ = isotropy_decompose(engine, lattice, engine.abar(vb.finite, vb.omega))
+    va = engine.omega_normalize(a).vec
+    vb = engine.omega_normalize(b).vec
+    ea, _ = isotropy_decompose(engine, lattice, va)
+    eb, _ = isotropy_decompose(engine, lattice, vb)
     if ea != eb:
         raise ContractError(f"operands live at different scales {ea} vs {eb}")
     if scale is not None and scale != ea:
@@ -568,8 +525,8 @@ def embed(
 ) -> QuantityElement:
     """The additive embedding of types into the quantity space: alpha at
     scale e maps to the pair (alpha, e)."""
-    v = engine.omega_normalize(_coerce_abar(engine, alpha)).vec
-    e, _ = isotropy_decompose(engine, lattice, engine.abar(v.finite, v.omega))
+    v = engine.omega_normalize(alpha).vec
+    e, _ = isotropy_decompose(engine, lattice, v)
     return QuantityElement(e, v, e.vec)
 
 
@@ -582,10 +539,8 @@ def quantity_eq(
     syntactic NotEqual decision is returned for them."""
     if x.scale != y.scale:
         return Decision(NOT_EQUAL, {"kind": "scale", "left": str(x.scale),
-                                    "right": str(y.scale)}, None)
-    lhs = engine.abar(*_split(x.plus)) + engine.abar(*_split(y.minus))
-    rhs = engine.abar(*_split(y.plus)) + engine.abar(*_split(x.minus))
-    return engine.decide_equal(lhs, rhs, budget)
+                                    "right": str(y.scale)}, budget or engine.budget)
+    return engine.decide_equal(x.plus.add(y.minus), y.plus.add(x.minus), budget)
 
 
 def _coarsen(
@@ -596,9 +551,7 @@ def _coarsen(
 ) -> ExtVec:
     """Push a vector up to scale e by adding the idempotent, then verify
     the result really lands in the isotropy monoid of e."""
-    w = engine.omega_normalize(
-        engine.abar(v.finite, v.omega) + engine.abar((0,) * engine.n, e.omega_support)
-    ).vec
+    w = engine.omega_normalize(v.add(e.vec)).vec
     _certify_scale(engine, lattice, w, e)
     return w
 
@@ -616,8 +569,8 @@ def quantity_add(
     xm = _coarsen(engine, lattice, x.minus, g)
     yp = _coarsen(engine, lattice, y.plus, g)
     ym = _coarsen(engine, lattice, y.minus, g)
-    plus = engine.omega_normalize(engine.abar(*_split(xp)) + engine.abar(*_split(yp))).vec
-    minus = engine.omega_normalize(engine.abar(*_split(xm)) + engine.abar(*_split(ym))).vec
+    plus = engine.omega_normalize(xp.add(yp)).vec
+    minus = engine.omega_normalize(xm.add(ym)).vec
     _certify_scale(engine, lattice, plus, g)
     _certify_scale(engine, lattice, minus, g)
     return QuantityElement(g, plus, minus)

@@ -324,7 +324,7 @@ class ExtendedRationalTarget:
 
     def eq(self, x, y) -> Decision:
         v = EQUAL if x == y else NOT_EQUAL
-        return Decision(v, {"kind": "exact", "left": str(x), "right": str(y)}, None)
+        return Decision(v, {"kind": "exact", "left": str(x), "right": str(y)}, Budget())
 
     def is_zero(self, x) -> Decision:
         return self.eq(x, Fraction(0))
@@ -499,17 +499,7 @@ def hierarchical_measure(
     largest infinity point of the completed scale below the shift."""
     if e not in lattice:
         raise ContractError(f"scale {e} not in the enumerated lattice")
-    if isinstance(atoms_or_vec, AbarElement):
-        base = atoms_or_vec
-    elif isinstance(atoms_or_vec, ExtVec):
-        base = engine.abar(atoms_or_vec.finite, atoms_or_vec.omega)
-    elif isinstance(atoms_or_vec, (frozenset, set)):
-        base = engine.abar_of_set(frozenset(atoms_or_vec))
-    else:  # tuple or list of multiplicities
-        base = engine.abar(atoms_or_vec)
-    shifted = engine.omega_normalize(
-        base + engine.abar((0,) * engine.n, e.omega_support), budget
-    )
+    shifted = engine.omega_normalize(engine._vec(atoms_or_vec).add(e.vec), budget)
     scale_of, _ = isotropy_decompose(engine, lattice, shifted, budget)
     if scale_of == e:
         return HierarchicalValue(e, "member", member=shifted.vec)
@@ -517,7 +507,7 @@ def hierarchical_measure(
     t = engine.type_of_abar(shifted)
     below = []
     for f in comp.infinities:
-        d = engine.decide_leq(engine.abar((0,) * engine.n, f.omega_support), t, budget)
+        d = engine.decide_leq(f.vec, t, budget)
         if not d.is_definite():
             raise BudgetExhaustedError(f"cannot order infinity point {f}")
         if d.verdict == LEQ:
@@ -539,10 +529,7 @@ def hierarchical_eq(
         return False
     if u.kind == "infinity":
         return u.infinity == v.infinity
-    d = engine.decide_equal(
-        engine.abar(u.member.finite, u.member.omega),
-        engine.abar(v.member.finite, v.member.omega),
-    )
+    d = engine.decide_equal(u.member, v.member)
     if not d.is_definite():
         raise BudgetExhaustedError("hierarchical value comparison undecided")
     return d.verdict == EQUAL
@@ -596,9 +583,6 @@ class TMeasureExtension:
     factorization_checked: int
     uniqueness_probe: str
 
-    def nu_bar(self, spec: TMeasureSpec, value: HierarchicalValue):
-        return evaluate_extension(spec, value)
-
 
 def extend_T_measure(
     engine: TypeEngine,
@@ -626,9 +610,7 @@ def extend_T_measure(
         a for a in range(engine.n)
         if _definite(t.is_zero(spec.assignment[a]), f"atom {a}") == EQUAL
     )
-    closed = engine.omega_normalize(
-        engine.abar((0,) * engine.n, null_atoms), budget
-    ).vec.omega
+    closed = engine.omega_normalize(ExtVec((0,) * engine.n, null_atoms), budget).vec.omega
     scale = canonical_idempotent(engine, lattice, closed, budget)
     # the scale must be the largest idempotent of extended value zero
     idempotent_values: Dict[IdempotentElement, str] = {}
@@ -720,9 +702,7 @@ def colimit_increasing(
         saturated = tuple(
             0 if i in merged else last.finite[i] for i in range(engine.n)
         )
-        limit_vec = engine.omega_normalize(
-            engine.abar(saturated, merged), budget
-        ).vec
+        limit_vec = engine.omega_normalize(ExtVec(saturated, merged), budget).vec
         unrolled = list(terms)
         for k in range(1, 4):
             unrolled.append(
@@ -740,10 +720,9 @@ def colimit_increasing(
         if not _ext_dominates(hi, lo):
             raise ContractError(f"sequence not increasing: {lo} then {hi}")
     report = {"upper_bound_checks": 0}
-    limit = engine.type_of_abar(engine.abar(limit_vec.finite, limit_vec.omega))
+    limit = engine.type_of_abar(limit_vec)
     for term in unrolled:
-        d = engine.decide_leq(engine.abar(term.finite, term.omega),
-                              engine.abar(limit_vec.finite, limit_vec.omega), budget)
+        d = engine.decide_leq(term, limit_vec, budget)
         if d.verdict != LEQ:
             raise ContractError(f"term {term} does not embed below the limit")
         report["upper_bound_checks"] += 1
@@ -766,35 +745,18 @@ def decreasing_limit_with_scale(
     """
     if not chain:
         raise ContractError("empty chain")
-    vecs = [engine.omega_normalize(_to_abar(engine, c), budget).vec for c in chain]
+    vecs = [engine.omega_normalize(c, budget).vec for c in chain]
     for hi, lo in zip(vecs, vecs[1:]):
-        d = engine.decide_leq(engine.abar(lo.finite, lo.omega),
-                              engine.abar(hi.finite, hi.omega), budget)
+        d = engine.decide_leq(lo, hi, budget)
         if d.verdict != LEQ:
             raise ContractError("chain is not decreasing")
     tail_vec = vecs[-1]
-    e, _ = isotropy_decompose(engine, lattice, engine.abar(tail_vec.finite, tail_vec.omega), budget)
-    limit_plus_e = engine.omega_normalize(
-        engine.abar(tail_vec.finite, tail_vec.omega)
-        + engine.abar((0,) * engine.n, e.omega_support),
-        budget,
-    )
-    d = engine.decide_equal(
-        limit_plus_e, engine.abar(tail_vec.finite, tail_vec.omega), budget
-    )
+    e, _ = isotropy_decompose(engine, lattice, tail_vec, budget)
+    limit_plus_e = engine.omega_normalize(tail_vec.add(e.vec), budget)
+    d = engine.decide_equal(limit_plus_e, tail_vec, budget)
     if d.verdict != EQUAL:
         raise ContractError("stabilized value is not fixed by its scale unit")
     return engine.type_of_abar(limit_plus_e), {"scale": e}
-
-
-def _to_abar(engine: TypeEngine, x) -> AbarElement:
-    if isinstance(x, AbarElement):
-        return x
-    if isinstance(x, TarskiType):
-        return engine.abar(x.rep.finite, x.rep.omega)
-    if isinstance(x, ExtVec):
-        return engine.abar(x.finite, x.omega)
-    return engine.abar(x)
 
 
 def continuity_suite(
@@ -837,16 +799,14 @@ def continuity_suite(
         prefix = [base, base + engine.abar(inc)]
         limit, _ = colimit_increasing(engine, prefix, ("periodic", inc), budget)
         expected = engine.omega_normalize(
-            engine.abar(
+            ExtVec(
                 tuple(0 if i in {(a + made) % engine.n} else base.vec.finite[i]
                       for i in range(engine.n)),
                 frozenset({(a + made) % engine.n}),
             ),
             budget,
         )
-        d = engine.decide_equal(
-            engine.abar(limit.rep.finite, limit.rep.omega), expected, budget
-        )
+        d = engine.decide_equal(limit, expected, budget)
         if d.verdict == EQUAL:
             report["below"] += 1
         else:
@@ -854,22 +814,17 @@ def continuity_suite(
         made += 1
     for e in lattice:
         # stabilizing chain: pass through the top, settle at a value of scale e
-        settle = engine.abar((0,) * engine.n, e.omega_support)
+        settle = e.vec
         if engine.n and e != lattice.top:
-            settle = settle + engine.abar(unit_vec(engine.n, _off_scale_atom(engine, e)))
-        chain = [
-            engine.abar((0,) * engine.n, lattice.top.omega_support),
-            settle,
-            settle,
-        ]
+            off = _off_scale_atom(engine, e)
+            settle = settle.add(ExtVec.from_vec(unit_vec(engine.n, off)))
+        chain = [lattice.top.vec, settle, settle]
         try:
             limit, info = decreasing_limit_with_scale(engine, lattice, chain, budget)
         except ContractError as exc:
             report["failures"].append(("above", e, str(exc)))
             continue
-        d = engine.decide_equal(
-            engine.abar(limit.rep.finite, limit.rep.omega), settle, budget
-        )
+        d = engine.decide_equal(limit, settle, budget)
         if d.verdict == EQUAL and info["scale"] == e:
             report["above"] += 1
         else:

@@ -8,9 +8,10 @@ submonoid, which `closure` materializes as a multiplication table.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import CarrierMismatchError, ClosureCapError, IncompatibleError
 
@@ -128,30 +129,30 @@ def union_compatible(maps: Sequence[PartialBijection]) -> PartialBijection:
     return PartialBijection.from_dict(carrier, merged)
 
 
-def closure(
-    generators: Sequence[PartialBijection], carrier: int, cap: int = 10000
-) -> Tuple["InverseMonoidTableData", List[PartialBijection]]:
-    """Close generators under composition and inversion, with the identity.
+def monoid_closure(
+    seed: Sequence[Hashable],
+    product: Callable[[Hashable, Hashable], Hashable],
+    cap: int,
+) -> Tuple["InverseMonoidTableData", List]:
+    """Close `seed` under `product`, as a multiplication table.
 
-    Returns raw table data (order, unit, mul) plus the element list; the
-    caller wraps it into a table object.  Work queue stops at `cap`
-    elements and raises ClosureCapError beyond it.
+    seed[0] must be the unit; repeats in the seed are dropped.  Elements
+    are numbered in first-in-first-out order of discovery: each element
+    taken from the queue is multiplied on both sides by every element
+    known at that moment.  Raises ClosureCapError rather than grow past
+    `cap` elements.
     """
-    for f in generators:
-        if f.carrier != carrier:
-            raise CarrierMismatchError("generator carrier mismatch")
-    seed = [PartialBijection.identity(carrier)]
-    for f in generators:
-        for h in (f, invert(f)):
-            if h not in seed:
-                seed.append(h)
-    elements: List[PartialBijection] = list(seed)
-    index = {f: i for i, f in enumerate(elements)}
-    queue = list(elements)
+    elements: List = []
+    index: Dict[Hashable, int] = {}
+    for f in seed:
+        if f not in index:
+            index[f] = len(elements)
+            elements.append(f)
+    queue = deque(elements)
     while queue:
-        f = queue.pop(0)
+        f = queue.popleft()
         for g in list(elements):
-            for h in (compose(f, g), compose(g, f)):
+            for h in (product(f, g), product(g, f)):
                 if h not in index:
                     if len(elements) >= cap:
                         raise ClosureCapError(cap, len(elements) + 1)
@@ -160,10 +161,28 @@ def closure(
                     queue.append(h)
     order = len(elements)
     mul = tuple(
-        tuple(index[compose(elements[i], elements[j])] for j in range(order))
+        tuple(index[product(elements[i], elements[j])] for j in range(order))
         for i in range(order)
     )
     return InverseMonoidTableData(order=order, unit=0, mul=mul), elements
+
+
+def closure(
+    generators: Sequence[PartialBijection], carrier: int, cap: int = 10000
+) -> Tuple["InverseMonoidTableData", List[PartialBijection]]:
+    """Close generators under composition and inversion, with the identity.
+
+    Returns raw table data (order, unit, mul) plus the element list; the
+    caller wraps it into a table object.  Raises ClosureCapError beyond
+    `cap` elements.
+    """
+    for f in generators:
+        if f.carrier != carrier:
+            raise CarrierMismatchError("generator carrier mismatch")
+    seed = [PartialBijection.identity(carrier)]
+    for f in generators:
+        seed += [f, invert(f)]
+    return monoid_closure(seed, compose, cap)
 
 
 @dataclass(frozen=True)

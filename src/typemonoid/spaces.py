@@ -72,12 +72,6 @@ class FiniteMeasurableSpace:
             out.add(i)
         return frozenset(out)
 
-    def points_of_atomset(self, atoms: AtomSet) -> FrozenSet[int]:
-        out: set = set()
-        for i in atoms:
-            out |= self.atoms[i]
-        return frozenset(out)
-
     def all_measurable_sets(self) -> List[AtomSet]:
         n = self.n_atoms
         return [

@@ -35,7 +35,7 @@ from .measures import (
     colimit_increasing,
     cross_check_tarski,
 )
-from .spaces import pullback
+from .spaces import compose_morphisms, identity_morphism, pullback
 from .types import TypeEngine, morphism_type_map
 
 __all__ = [
@@ -138,17 +138,9 @@ def run_theorem1_suite(
         sets = eng.statspace.space.all_measurable_sets()
         name = entry.name
 
-        tally.saw(
-            eng.decide_equal(eng.abar_of_set(frozenset()), eng.abar_zero()),
-            f"{name}: empty set measures to zero",
-        )
-        tally.check(
-            eng.decide_equal(
-                eng.abar_of_set(frozenset()), eng.abar_zero()
-            ).verdict
-            == EQUAL,
-            f"{name}: empty set measures to zero",
-        )
+        d = eng.decide_equal(eng.abar_of_set(frozenset()), eng.abar_zero())
+        tally.saw(d, f"{name}: empty set measures to zero")
+        tally.check(d.verdict == EQUAL, f"{name}: empty set measures to zero")
 
         vectors = _sample_vectors(eng, rng)
         # commutativity and disjoint additivity are identities of the
@@ -227,9 +219,6 @@ def run_theorem1_suite(
         tgt = TypeEngine(m2.target)
         f1 = morphism_type_map(m1, src, mid)
         f2 = morphism_type_map(m2, mid, tgt)
-
-        from .spaces import compose_morphisms, identity_morphism
-
         ident = morphism_type_map(identity_morphism(m1.source), src, src)
         composed = morphism_type_map(compose_morphisms(m2, m1), src, tgt)
         for batom in range(tgt.n):
@@ -283,14 +272,10 @@ def run_theorem2_suite(
 
         vectors = _sample_vectors(eng, rng, extra=8)
         scales = list(lat)
-
-        def lift(idem):
-            return eng.abar(idem.vec.finite, idem.vec.omega)
-
         for _ in range(pairs_per_space):
             e = rng.choice(scales)
-            u = rng.choice(vectors) + lift(e)
-            v = rng.choice(vectors) + lift(e)
+            u = rng.choice(vectors).vec.add(e.vec)
+            v = rng.choice(vectors).vec.add(e.vec)
             # same-scale pairs; embedding must reflect type equality
             if eng.omega_normalize(u).vec.omega != e.omega_support:
                 continue
@@ -315,7 +300,7 @@ def run_theorem2_suite(
         for e in scales:
             at_scale = []
             for p in vectors:
-                q = p + lift(e)
+                q = p.vec.add(e.vec)
                 if eng.omega_normalize(q).vec.omega == e.omega_support:
                     at_scale.append(q)
                 if len(at_scale) >= 4:

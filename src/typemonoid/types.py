@@ -79,6 +79,14 @@ def relation_basis(ss: StatSpace) -> List[MoveRelation]:
     return out
 
 
+def _pull_back(v: ExtVec, amap: Sequence[int]) -> ExtVec:
+    """Preimage of a coproduct along an atom map: coordinate b of the
+    result is coordinate amap[b] of v."""
+    fin = tuple(0 if a in v.omega else v.finite[a] for a in amap)
+    omega = frozenset(b for b, a in enumerate(amap) if a in v.omega)
+    return ExtVec(fin, omega)
+
+
 @dataclass(frozen=True)
 class AbarElement:
     """A formal coproduct of atoms: finite multiplicities plus omega atoms."""
@@ -108,7 +116,7 @@ class TarskiType:
     """An equidecomposability class, held by a normalized representative.
 
     Syntactic equality of representatives is deliberately not exposed as
-    ==; compare through the owning engine's type_eq / type_leq.
+    ==; compare through the owning engine's decide_equal / decide_leq.
     """
 
     space: StatSpace
@@ -171,10 +179,7 @@ class TypeEngine:
     # ----- formal coproducts ------------------------------------------------
 
     def abar_of_set(self, atoms: AtomSet) -> AbarElement:
-        bad = [a for a in atoms if not (0 <= a < self.n)]
-        if bad:
-            raise SpaceMismatchError(f"unknown atoms {bad}")
-        return AbarElement(self.statspace, ExtVec.from_vec(indicator(self.n, atoms)))
+        return AbarElement(self.statspace, self._vec(frozenset(atoms)))
 
     def abar_zero(self) -> AbarElement:
         return AbarElement(self.statspace, ExtVec.from_vec(zero_vec(self.n)))
@@ -182,48 +187,42 @@ class TypeEngine:
     def abar(self, finite: Sequence[int], omega: Iterable[int] = ()) -> AbarElement:
         return AbarElement(self.statspace, ExtVec(tuple(finite), frozenset(omega)))
 
-    def abar_coproduct(self, p: AbarElement, q: AbarElement) -> AbarElement:
-        return p + q
-
-    def omega_fold(self, p: AbarElement) -> AbarElement:
+    def omega_fold(self, p) -> AbarElement:
         """Countably many copies of p: omega on every supported atom."""
-        self._check(p)
-        supp = frozenset(
-            i for i in range(self.n) if p.vec.finite[i] > 0
-        ) | p.vec.omega
+        v = self._vec(p)
+        supp = frozenset(i for i in range(self.n) if v.finite[i] > 0) | v.omega
         return AbarElement(self.statspace, ExtVec(zero_vec(self.n), supp))
 
-    def abar_act(self, s: int, p: AbarElement) -> AbarElement:
+    def abar_act(self, s: int, p) -> AbarElement:
         """Transport multiplicities along the preimage of element s."""
-        self._check(p)
-        amap = self._atom_maps[s]
-        fin = tuple(
-            0 if amap[b] in p.vec.omega else p.vec.finite[amap[b]]
-            for b in range(self.n)
-        )
-        omega = frozenset(b for b in range(self.n) if amap[b] in p.vec.omega)
-        return AbarElement(self.statspace, ExtVec(fin, omega))
-
-    def _check(self, p: AbarElement) -> None:
-        if p.space != self.statspace:
-            raise SpaceMismatchError("element belongs to a different space")
+        return AbarElement(self.statspace, _pull_back(self._vec(p), self._atom_maps[s]))
 
     def _vec(self, x) -> ExtVec:
-        if isinstance(x, TarskiType):
+        """The coproduct that x stands for, checked against this space.
+
+        The one coercion of the package: every entry point of the engine,
+        and every module that needs a vector from a caller's value, goes
+        through it.  x is an ExtVec, an AbarElement or TarskiType of this
+        space, a set of atom indices, or a tuple or list of multiplicities.
+        """
+        if isinstance(x, (AbarElement, TarskiType)):
             if x.space != self.statspace:
-                raise SpaceMismatchError("type belongs to a different space")
-            return x.rep
-        if isinstance(x, AbarElement):
-            self._check(x)
-            return x.vec
-        if isinstance(x, ExtVec):
-            return x
-        raise TypeError(f"cannot interpret {type(x).__name__} as a coproduct")
+                raise SpaceMismatchError("element belongs to a different space")
+            return x.vec if isinstance(x, AbarElement) else x.rep
+        if isinstance(x, (frozenset, set)):
+            bad = [a for a in x if not (0 <= a < self.n)]
+            if bad:
+                raise SpaceMismatchError(f"unknown atoms {bad}")
+            return ExtVec.from_vec(indicator(self.n, x))
+        if isinstance(x, (tuple, list)):
+            x = ExtVec.from_vec(x)
+        if not isinstance(x, ExtVec):
+            raise TypeError(f"cannot interpret {type(x).__name__} as a coproduct")
+        if x.n != self.n:
+            raise SpaceMismatchError("vector length does not match atom count")
+        return x
 
     # ----- decisions ----------------------------------------------------------
-
-    def conserved_functionals(self) -> List[Tuple]:
-        return self.congruence.conserved_basis()
 
     def decide_equal(self, p, q, budget: Optional[Budget] = None) -> Decision:
         b = budget or self.budget
@@ -239,15 +238,14 @@ class TypeEngine:
         self.audit_log.append(AuditEntry("leq", u, v, dec))
         return dec
 
-    def omega_normalize(self, p: AbarElement, budget: Optional[Budget] = None) -> AbarElement:
-        self._check(p)
-        out, _ = self.congruence.normalize(p.vec, budget or self.budget)
+    def omega_normalize(self, p, budget: Optional[Budget] = None) -> AbarElement:
+        out, _ = self.congruence.normalize(self._vec(p), budget or self.budget)
         return AbarElement(self.statspace, out)
 
     # ----- types ---------------------------------------------------------------
 
     def type_of(self, atoms: AtomSet) -> TarskiType:
-        return self.type_of_abar(self.abar_of_set(atoms))
+        return self.type_of_abar(frozenset(atoms))
 
     def type_of_abar(self, p) -> TarskiType:
         v = self._vec(p)
@@ -262,12 +260,6 @@ class TypeEngine:
 
     def type_scale(self, k: int, a: TarskiType) -> TarskiType:
         return self.type_of_abar(self._vec(a).scale(k))
-
-    def type_eq(self, a, b, budget: Optional[Budget] = None) -> Decision:
-        return self.decide_equal(a, b, budget)
-
-    def type_leq(self, a, b, budget: Optional[Budget] = None) -> Decision:
-        return self.decide_leq(a, b, budget)
 
     # ----- realizations ---------------------------------------------------------
 
@@ -297,22 +289,14 @@ class TypeEngine:
         for j, ((s, t), pj, qj) in enumerate(
             zip(r.moves, r.left_pieces, r.right_pieces)
         ):
-            lhs = self._act_vec(s, pj)
-            rhs = self._act_vec(t, qj)
+            lhs = _pull_back(pj, self._atom_maps[s])
+            rhs = _pull_back(qj, self._atom_maps[t])
             if lhs != rhs:
                 problems.append(
                     f"move equation fails at piece {j}: "
                     f"{lhs} != {rhs} under movers ({s},{t})"
                 )
         return RealizationReport(ok=not problems, problems=problems)
-
-    def _act_vec(self, s: int, v: ExtVec) -> ExtVec:
-        amap = self._atom_maps[s]
-        fin = tuple(
-            0 if amap[b] in v.omega else v.finite[amap[b]] for b in range(self.n)
-        )
-        omega = frozenset(b for b in range(self.n) if amap[b] in v.omega)
-        return ExtVec(fin, omega)
 
     def step_realization(self, start: Vec, rel_index: int, direction: int) -> Realization:
         """The two-piece realization of a single rewrite step."""
@@ -416,19 +400,12 @@ def morphism_type_map(
     """The contravariant map on types induced by taking preimages."""
     if m.source != source_engine.statspace or m.target != target_engine.statspace:
         raise SpaceMismatchError("engines do not match the morphism endpoints")
-    n_src = source_engine.n
     tgt_atom = tuple(
         m.target.space.atom_of_point(m.point_map[next(iter(m.source.space.atoms[a]))])
-        for a in range(n_src)
+        for a in range(source_engine.n)
     )
 
     def on_types(beta: TarskiType) -> TarskiType:
-        v = target_engine._vec(beta)
-        fin = tuple(
-            0 if tgt_atom[a] in v.omega else v.finite[tgt_atom[a]]
-            for a in range(n_src)
-        )
-        omega = frozenset(a for a in range(n_src) if tgt_atom[a] in v.omega)
-        return source_engine.type_of_abar(ExtVec(fin, omega))
+        return source_engine.type_of_abar(_pull_back(target_engine._vec(beta), tgt_atom))
 
     return on_types

@@ -179,7 +179,7 @@ def test_criterion_5():
     eng = TypeEngine(ss)
     lat = enumerate_idempotents(eng)
 
-    d = eng.type_eq(eng.type_of(frozenset({1})), eng.type_zero())
+    d = eng.decide_equal(eng.type_of(frozenset({1})), eng.type_zero())
     assert d.verdict == EQUAL
 
     ideal = null_ideal(eng, lat, lat.bottom)

@@ -134,10 +134,10 @@ class TestDistributive:
         assert not ok
         assert why["law"] in ("meet-over-join", "join-over-meet")
 
-    def test_from_order_rejects_non_lattice(self):
+    def test_constructor_rejects_non_lattice(self):
         # two maximal elements: no top, join undefined
         with pytest.raises(LatticeError):
-            IdempotentLattice.from_order(["a", "b"], [])
+            IdempotentLattice(["a", "b"], [])
 
     def test_dot_export(self):
         eng, lat = engine_and_lattice(parity_space())

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from typemonoid.congruence import EQUAL, LEQ, NOT_LEQ, ExtVec, unit_vec
+from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, Budget, ExtVec, unit_vec
 from typemonoid.corpus import (
     collapse_space,
     cyclic4_space,
@@ -15,9 +15,10 @@ from typemonoid.errors import (
     ContractError,
     NormalizationImpossibleError,
 )
-from typemonoid.lattice import enumerate_idempotents
+from typemonoid.lattice import embed, enumerate_idempotents, quantity_eq
 from typemonoid.measures import (
     INF,
+    ExtendedRationalTarget,
     RationalStationaryMeasure,
     classify_T_measure,
     colimit_increasing,
@@ -180,6 +181,20 @@ class TestClassify:
         flags = classify_T_measure(spec)
         assert not flags.stationary
         assert "stationarity_witness" in flags.details
+
+
+def test_decisions_made_without_search_serialize():
+    # a scale mismatch and an exact rational comparison are decided
+    # without the engine, and still record the budget they ran under
+    eng, lat = setup_space(parity_space())
+    x = embed(eng, lat, eng.abar((1, 0, 0, 0)))
+    y = embed(eng, lat, eng.abar((0,) * 4, omega={0, 2}))
+    tight = Budget(max_states=7)
+    assert quantity_eq(eng, x, y, tight).budget is tight
+    decisions = [quantity_eq(eng, x, y), ExtendedRationalTarget().eq(Fraction(1), INF)]
+    for d in decisions:
+        assert d.verdict == NOT_EQUAL
+        assert d.to_json()["budget"]["max_states"] == Budget().max_states
 
 
 class TestHierarchical:

@@ -5,14 +5,18 @@ import pytest
 from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, Budget, ExtVec
 from typemonoid.corpus import (
     collapse_space,
+    cyclic4_space,
     one_point_space,
     parity_space,
     parity_to_two_point_morphism,
     two_point_space,
 )
 from typemonoid.errors import MalformedCertificateError, SpaceMismatchError
+from typemonoid.lattice import enumerate_idempotents, idempotent_of
+from typemonoid.measures import hierarchical_measure
 from typemonoid.spaces import StatMorphism, compose_morphisms, identity_morphism, pullback
 from typemonoid.types import (
+    AbarElement,
     Realization,
     TypeEngine,
     morphism_type_map,
@@ -99,6 +103,47 @@ class TestAbar:
         eng = parity_engine()
         out = eng.omega_fold(eng.abar((0, 2, 0, 1)))
         assert out.vec == ExtVec((0, 0, 0, 0), frozenset({1, 3}))
+
+
+class TestCoercion:
+    """Every engine entry point reads a coproduct the same way whatever
+    form it comes in, and rejects one from another space."""
+
+    OTHER = ExtVec((0, 1, 0, 0), frozenset({0, 2}))
+    OPS = {
+        "decide_equal": lambda eng, x: eng.decide_equal(x, TestCoercion.OTHER).to_json(),
+        "decide_leq": lambda eng, x: eng.decide_leq(x, TestCoercion.OTHER).to_json(),
+        "type_of_abar": lambda eng, x: eng.type_of_abar(x).rep,
+        "omega_normalize": lambda eng, x: eng.omega_normalize(x).vec,
+        "omega_fold": lambda eng, x: eng.omega_fold(x).vec,
+        "abar_act": lambda eng, x: eng.abar_act(1, x).vec,
+    }
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    @pytest.mark.parametrize(
+        "value", [ExtVec((1, 0, 2, 0)), ExtVec((0, 1, 0, 2), frozenset({0, 2}))]
+    )
+    def test_forms_agree(self, op, value):
+        eng = parity_engine()
+        t = eng.type_of_abar(value)
+        assert t.rep == value  # already normal, so all three name one vector
+        forms = [value, AbarElement(eng.statspace, value), t]
+        results = [self.OPS[op](eng, x) for x in forms]
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize("where", ["idempotent_of", "hierarchical_measure"])
+    @pytest.mark.parametrize("form", ["abar", "type"])
+    def test_foreign_space_rejected(self, where, form):
+        eng = parity_engine()
+        lat = enumerate_idempotents(eng)
+        other = TypeEngine(cyclic4_space())  # same atom count, other space
+        p = other.abar_of_set(frozenset({0}))
+        x = p if form == "abar" else other.type_of_abar(p)
+        with pytest.raises(SpaceMismatchError):
+            if where == "idempotent_of":
+                idempotent_of(eng, lat, x)
+            else:
+                hierarchical_measure(eng, lat, lat.bottom, x)
 
 
 class TestDecisions:
