@@ -21,15 +21,25 @@ paths; negative answers carry either a conserved functional (a rational
 vector annihilating every relation difference, nonnegative for order
 queries, evaluated with saturation on omega coordinates) or a fully
 saturated class enumeration; budget exhaustion yields Unknown, never a
-guess.  Witnesses are re-checked by assertion before being returned.
+guess, and names the budget that ran out.  Witnesses are re-checked by
+assertion before being returned.
+
+Class enumeration is goal directed.  A class record keeps its
+breadth-first frontier, so it can be expanded on demand and resumed by
+later queries in the same order.  A positive verdict needs one witness,
+so the search stops as soon as the target is a member (equality) or a
+member of one class dominates a member of the other (order, with both
+classes expanded in alternation).  Only a miss runs a record to
+completion, and only a complete record with nothing pruned by the
+coordinate cap or cut off by max_states is saturated and may refute.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import SpaceMismatchError
 from .lp import exact_lp_feasible, rational_kernel_basis
@@ -169,9 +179,28 @@ def _json_witness(w):
 
 @dataclass
 class ClassRecord:
+    """A congruence class explored breadth first, possibly only in part.
+
+    `frontier` holds the members not yet expanded.  `pruned` records that
+    a step left the coordinate cap box, `overflow` that max_states cut the
+    search off.  The record is complete when nothing more will be
+    expanded, and saturated when it is complete with nothing pruned or
+    cut off: only then is `members` the whole class.
+    """
+
     members: Dict[Vec, Optional[Tuple[Vec, int, int]]]  # vec -> (parent, rel, dir)
-    saturated: bool
     cap: int
+    frontier: deque = field(default_factory=deque)
+    pruned: bool = False
+    overflow: bool = False
+
+    @property
+    def complete(self) -> bool:
+        return self.overflow or not self.frontier
+
+    @property
+    def saturated(self) -> bool:
+        return not (self.frontier or self.pruned or self.overflow)
 
 
 class Congruence:
@@ -188,10 +217,28 @@ class Congruence:
         self.max_relation_norm = max(
             [max(sum(l), sum(r)) for l, r in self.relations] + [1]
         )
+        # step table: (needed, delta, relation index, direction)
+        steps = []
+        for idx, (l, r) in enumerate(self.relations):
+            if l == r:
+                continue
+            delta = tuple(rr - ll for ll, rr in zip(l, r))
+            steps.append((l, delta, idx, 1))
+            steps.append((r, tuple(-d for d in delta), idx, -1))
+        self._steps = tuple(steps)
         self._kernel: Optional[List[Tuple[Fraction, ...]]] = None
         self._closures: Dict[Tuple[Vec, int, int], ClassRecord] = {}
         self._normal_memo: Dict[tuple, Tuple[ExtVec, dict]] = {}
         self._decision_memo: Dict[tuple, Decision] = {}
+        # deterministic work counters; unknown verdicts counted per budget
+        self.stats: Dict[str, int] = {
+            "records_created": 0,
+            "records_resumed": 0,
+            "states_expanded": 0,
+            "goal_exits": 0,
+            "exhausted_coordinate_cap": 0,
+            "exhausted_max_states": 0,
+        }
 
     # ----- conserved functionals -------------------------------------------
 
@@ -231,27 +278,46 @@ class Congruence:
 
     # ----- bounded class closure -------------------------------------------
 
-    def class_closure(self, start: Vec, cap: int, max_states: int) -> ClassRecord:
-        key = (tuple(start), cap, max_states)
-        if key in self._closures:
-            return self._closures[key]
-        # step table precomputed once: (needed, delta, idx, direction)
-        if not hasattr(self, "_steps"):
-            steps = []
-            for idx, (l, r) in enumerate(self.relations):
-                if l == r:
-                    continue
-                delta = tuple(rr - ll for ll, rr in zip(l, r))
-                steps.append((l, delta, idx, 1))
-                steps.append((r, tuple(-d for d in delta), idx, -1))
-            self._steps = tuple(steps)
-        members: Dict[Vec, Optional[Tuple[Vec, int, int]]] = {tuple(start): None}
-        queue = deque([tuple(start)])
-        saturated = True
-        overflow = False
+    def class_closure(
+        self,
+        start: Vec,
+        cap: int,
+        max_states: int,
+        goal: Optional[Callable[[Vec], bool]] = None,
+        limit: Optional[int] = None,
+    ) -> ClassRecord:
+        """The memoized class record of `start`, expanded on demand.
+
+        With neither `goal` nor `limit` the record is expanded until it is
+        complete.  `goal` is called on each member this call adds; once
+        it returns true the search stops after the state being expanded.
+        `limit` bounds the states this call expands.  A later call with
+        the same (start, cap, max_states) resumes the same breadth-first
+        order, so members and parent steps never depend on how the search
+        was split into calls.
+        """
+        start = tuple(start)
+        key = (start, cap, max_states)
+        stats = self.stats
+        rec = self._closures.get(key)
+        if rec is None:
+            rec = ClassRecord(members={start: None}, cap=cap, frontier=deque([start]))
+            self._closures[key] = rec
+            stats["records_created"] += 1
+            if goal is not None and goal(start):
+                stats["goal_exits"] += 1
+                return rec
+        elif rec.complete:
+            return rec
+        else:
+            stats["records_resumed"] += 1
+        members, queue = rec.members, rec.frontier
         rng = range(self.n)
-        while queue and not overflow:
+        expanded = 0
+        hit = overflow = False
+        while queue and (limit is None or expanded < limit):
             u = queue.popleft()
+            expanded += 1
             for needed, delta, idx, direction in self._steps:
                 applicable = True
                 for i in rng:
@@ -262,18 +328,30 @@ class Congruence:
                     continue
                 v = tuple(u[i] + delta[i] for i in rng)
                 if max(v) > cap:
-                    saturated = False
+                    rec.pruned = True
                     continue
                 if v not in members:
                     if len(members) >= max_states:
-                        saturated = False
                         overflow = True
                         break
                     members[v] = (u, idx, direction)
                     queue.append(v)
-        rec = ClassRecord(members=members, saturated=saturated, cap=cap)
-        self._closures[key] = rec
+                    if goal is not None and not hit and goal(v):
+                        hit = True
+            if overflow or hit:
+                break
+        rec.overflow = overflow
+        stats["states_expanded"] += expanded
+        if hit:
+            stats["goal_exits"] += 1
         return rec
+
+    def _closure_until(self, start: Vec, target: Vec, cap: int, max_states: int) -> ClassRecord:
+        """The record of start, expanded until target is a member or it is complete."""
+        rec = self._closures.get((start, cap, max_states))
+        if rec is not None and target in rec.members:
+            return rec
+        return self.class_closure(start, cap, max_states, goal=target.__eq__)
 
     def _path_from(self, rec: ClassRecord, target: Vec) -> List[Tuple[int, int]]:
         """Steps (relation index, direction) from the closure root to target."""
@@ -323,7 +401,7 @@ class Congruence:
                 self._assert_functional(dec.witness["y"])
                 return dec
         cap = budget.cap_for(self, [u, v])
-        rec_u = self.class_closure(u, cap, budget.max_states)
+        rec_u = self._closure_until(u, v, cap, budget.max_states)
         if v in rec_u.members:
             steps = self._path_from(rec_u, v)
             assert self.replay_path(u, steps) == v
@@ -342,7 +420,7 @@ class Congruence:
                 },
                 budget,
             )
-        rec_v = self.class_closure(v, cap, budget.max_states)
+        rec_v = self._closure_until(v, u, cap, budget.max_states)
         if u in rec_v.members:  # only reachable if caps pruned asymmetrically
             steps = self._path_from(rec_v, u)
             rev = [(i, -d) for i, d in reversed(steps)]
@@ -362,11 +440,7 @@ class Congruence:
                 },
                 budget,
             )
-        return Decision(
-            UNKNOWN,
-            {"kind": "budget", "cap": cap, "max_states": budget.max_states},
-            budget,
-        )
+        return self._budget_unknown(cap, budget, rec_u, rec_v)
 
     def leq_finite(self, u: Vec, v: Vec, budget: Budget) -> Decision:
         u, v = tuple(u), tuple(v)
@@ -399,27 +473,70 @@ class Congruence:
             self._assert_functional(y, nonneg=True)
             return dec
         cap = budget.cap_for(self, [u, v])
-        rec_u = self.class_closure(u, cap, budget.max_states)
-        rec_v = self.class_closure(v, cap, budget.max_states)
-        mins_u = _minimal_elements(rec_u.members)
-        for w in rec_v.members:
-            for m in mins_u:
+        max_states = budget.max_states
+        # mins: the minimal u-side members found so far; tops: every v-side
+        # member.  A pair is compared when the later of the two is found.
+        # A u-side member above a min adds nothing, and a min dropped for a
+        # smaller one is covered by it: a top above the old is above the new.
+        mins: List[Vec] = []
+        tops: List[Vec] = []
+        found: List[Tuple[Vec, Vec]] = []
+
+        def left(m: Vec) -> bool:
+            if any(vec_geq(m, x) for x in mins):
+                return False
+            mins[:] = [x for x in mins if not vec_geq(x, m)]
+            mins.append(m)
+            for w in tops:
                 if vec_geq(w, m):
-                    dec = Decision(
-                        LEQ,
-                        {
-                            "kind": "domination",
-                            "u": m,
-                            "w": w,
-                            "gamma": vec_sub(w, m),
-                            "path_left": self._path_from(rec_u, m),
-                            "path_right": self._path_from(rec_v, w),
-                        },
-                        budget,
-                    )
-                    assert self.replay_path(u, dec.witness["path_left"]) == m
-                    assert self.replay_path(v, dec.witness["path_right"]) == w
-                    return dec
+                    found.append((m, w))
+                    return True
+            return False
+
+        def right(w: Vec) -> bool:
+            tops.append(w)
+            for m in mins:
+                if vec_geq(w, m):
+                    found.append((m, w))
+                    return True
+            return False
+
+        # pairs already in memoized records, then both classes in alternation
+        rec_u = self._closures.get((u, cap, max_states))
+        rec_v = self._closures.get((v, cap, max_states))
+        if rec_u is not None:
+            for m in rec_u.members:
+                left(m)
+        if rec_v is not None:
+            for w in rec_v.members:
+                if right(w):
+                    break
+        batch = 8
+        while not found:
+            rec_u = self.class_closure(u, cap, max_states, goal=left, limit=batch)
+            if found:
+                break
+            rec_v = self.class_closure(v, cap, max_states, goal=right, limit=batch)
+            if found or (rec_u.complete and rec_v.complete):
+                break
+            batch *= 2
+        if found:
+            m, w = found[0]
+            dec = Decision(
+                LEQ,
+                {
+                    "kind": "domination",
+                    "u": m,
+                    "w": w,
+                    "gamma": vec_sub(w, m),
+                    "path_left": self._path_from(rec_u, m),
+                    "path_right": self._path_from(rec_v, w),
+                },
+                budget,
+            )
+            assert self.replay_path(u, dec.witness["path_left"]) == m
+            assert self.replay_path(v, dec.witness["path_right"]) == w
+            return dec
         if rec_u.saturated and rec_v.saturated:
             return Decision(
                 NOT_LEQ,
@@ -430,9 +547,27 @@ class Congruence:
                 },
                 budget,
             )
+        return self._budget_unknown(cap, budget, rec_u, rec_v)
+
+    def _budget_unknown(
+        self, cap: int, budget: Budget, *records: ClassRecord
+    ) -> Decision:
+        """Unknown from complete but unsaturated records, naming the budgets hit."""
+        exhausted = []
+        if any(r.pruned for r in records):
+            exhausted.append("coordinate_cap")
+        if any(r.overflow for r in records):
+            exhausted.append("max_states")
+        for cause in exhausted:
+            self.stats["exhausted_" + cause] += 1
         return Decision(
             UNKNOWN,
-            {"kind": "budget", "cap": cap, "max_states": budget.max_states},
+            {
+                "kind": "budget",
+                "cap": cap,
+                "max_states": budget.max_states,
+                "exhausted": exhausted,
+            },
             budget,
         )
 
@@ -663,11 +798,3 @@ class Congruence:
                             budget,
                         )
         return None
-
-
-def _minimal_elements(members: Iterable[Vec]) -> List[Vec]:
-    mins: List[Vec] = []
-    for v in sorted(members, key=sum):
-        if not any(vec_geq(v, m) for m in mins):
-            mins.append(v)
-    return mins

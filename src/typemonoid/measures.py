@@ -147,14 +147,13 @@ def _valid_infinite_supports(ss: StatSpace, forbidden: FrozenSet[int]) -> List[F
     invariant (no finite atom pulls back onto I).
     """
     n = ss.n_atoms
-    atom_maps = [ss.atom_map(s) for s in range(ss.monoid.order)]
     out = []
     universe = [a for a in range(n) if a not in forbidden]
     for size in range(0, len(universe) + 1):
         for combo in itertools.combinations(universe, size):
             i_set = frozenset(combo)
             ok = True
-            for amap in atom_maps:
+            for amap in ss.atom_maps:
                 for a in i_set:
                     if not any(amap[b] == a and b in i_set for b in range(n)):
                         ok = False

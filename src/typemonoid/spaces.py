@@ -10,6 +10,7 @@ a map on atoms, which is what the type machinery consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import NotMeasurableError, SpaceMismatchError
@@ -131,6 +132,11 @@ class StatSpace:
     def n_atoms(self) -> int:
         return self.space.n_atoms
 
+    @cached_property
+    def atom_maps(self) -> Tuple[Tuple[int, ...], ...]:
+        """`atom_map(s)` for every element s, computed once per space."""
+        return tuple(self.atom_map(s) for s in range(self.monoid.order))
+
     def atom_map(self, s: int) -> Tuple[int, ...]:
         """The induced map on atoms: atom b lands inside atom_map[b]."""
         out = []
@@ -181,7 +187,7 @@ def validate_action(ss: StatSpace) -> ActionReport:
 
 def pullback(ss: StatSpace, s: int, aset: AtomSet) -> AtomSet:
     """Atoms of the preimage of a measurable set under element s."""
-    amap = ss.atom_map(s)
+    amap = ss.atom_maps[s]
     return frozenset(b for b in range(ss.n_atoms) if amap[b] in aset)
 
 

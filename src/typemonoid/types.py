@@ -71,12 +71,21 @@ def relation_basis(ss: StatSpace) -> List[MoveRelation]:
     """All atomic moves of a space, identity relations included."""
     out: List[MoveRelation] = []
     n = ss.n_atoms
-    for s in range(ss.monoid.order):
-        amap = ss.atom_map(s)
+    for s, amap in enumerate(ss.atom_maps):
         for a in range(n):
             pre = indicator(n, [b for b in range(n) if amap[b] == a])
             out.append(MoveRelation(atom=a, mover=s, lhs=unit_vec(n, a), rhs=pre))
     return out
+
+
+def _atom_set(atoms) -> AtomSet:
+    """Atom indices given as a set.  A list or tuple is refused: elsewhere
+    in the engine it stands for multiplicities, not for atoms."""
+    if not isinstance(atoms, (set, frozenset)):
+        raise TypeError(
+            f"atom indices must be a set or frozenset, not {type(atoms).__name__}"
+        )
+    return frozenset(atoms)
 
 
 def _pull_back(v: ExtVec, amap: Sequence[int]) -> ExtVec:
@@ -172,14 +181,11 @@ class TypeEngine:
         )
         self.budget = budget
         self.audit_log: List[AuditEntry] = []
-        self._atom_maps = tuple(
-            statspace.atom_map(s) for s in range(statspace.monoid.order)
-        )
 
     # ----- formal coproducts ------------------------------------------------
 
     def abar_of_set(self, atoms: AtomSet) -> AbarElement:
-        return AbarElement(self.statspace, self._vec(frozenset(atoms)))
+        return AbarElement(self.statspace, self._vec(_atom_set(atoms)))
 
     def abar_zero(self) -> AbarElement:
         return AbarElement(self.statspace, ExtVec.from_vec(zero_vec(self.n)))
@@ -195,7 +201,8 @@ class TypeEngine:
 
     def abar_act(self, s: int, p) -> AbarElement:
         """Transport multiplicities along the preimage of element s."""
-        return AbarElement(self.statspace, _pull_back(self._vec(p), self._atom_maps[s]))
+        amap = self.statspace.atom_maps[s]
+        return AbarElement(self.statspace, _pull_back(self._vec(p), amap))
 
     def _vec(self, x) -> ExtVec:
         """The coproduct that x stands for, checked against this space.
@@ -245,7 +252,7 @@ class TypeEngine:
     # ----- types ---------------------------------------------------------------
 
     def type_of(self, atoms: AtomSet) -> TarskiType:
-        return self.type_of_abar(frozenset(atoms))
+        return self.type_of_abar(_atom_set(atoms))
 
     def type_of_abar(self, p) -> TarskiType:
         v = self._vec(p)
@@ -289,8 +296,8 @@ class TypeEngine:
         for j, ((s, t), pj, qj) in enumerate(
             zip(r.moves, r.left_pieces, r.right_pieces)
         ):
-            lhs = _pull_back(pj, self._atom_maps[s])
-            rhs = _pull_back(qj, self._atom_maps[t])
+            lhs = _pull_back(pj, self.statspace.atom_maps[s])
+            rhs = _pull_back(qj, self.statspace.atom_maps[t])
             if lhs != rhs:
                 problems.append(
                     f"move equation fails at piece {j}: "

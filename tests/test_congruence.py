@@ -17,9 +17,12 @@ from typemonoid.congruence import (
     indicator,
     unit_vec,
     vec_add,
+    vec_geq,
     zero_vec,
 )
+from typemonoid.corpus import fixture_spaces, random_corpus
 from typemonoid.errors import SpaceMismatchError
+from typemonoid.types import TypeEngine
 
 
 def parity_congruence() -> Congruence:
@@ -137,6 +140,20 @@ class TestEqFinite:
         d = cong.eq_finite((1, 0), (2, 0), Budget(coordinate_cap=40, max_states=500))
         assert d.verdict == UNKNOWN
         assert d.witness["kind"] == "budget"
+        # the class has more than 500 states inside the 41 x 41 box, and
+        # steps from the edge of the box leave it
+        assert d.witness["exhausted"] == ["coordinate_cap", "max_states"]
+        assert cong.stats["exhausted_coordinate_cap"] == 1
+        assert cong.stats["exhausted_max_states"] == 1
+
+    def test_unknown_names_max_states_alone(self):
+        cong = Congruence(2, [((1, 0), (0, 2)), ((0, 1), (2, 0))])
+        d = cong.eq_finite((1, 0), (2, 0), Budget(coordinate_cap=10**6, max_states=50))
+        assert d.verdict == UNKNOWN
+        assert d.witness["exhausted"] == ["max_states"]
+        assert d.to_json()["witness"]["exhausted"] == ["max_states"]
+        assert cong.stats["exhausted_coordinate_cap"] == 0
+        assert cong.stats["exhausted_max_states"] == 1
 
 
 class TestLeqFinite:
@@ -276,6 +293,121 @@ class TestClassClosure:
         rec = cong.class_closure((1,), 5, 1000)
         assert not rec.saturated
         assert (5,) in rec.members
+
+
+def cyclic_congruence(n: int) -> Congruence:
+    """Mass moves one atom along an n-cycle: a class is every vector of
+    the same total."""
+    return Congruence(n, [(unit_vec(n, i), unit_vec(n, (i + 1) % n)) for i in range(n)])
+
+
+class TestGoalDirectedClosure:
+    def test_partial_record_is_not_saturated(self):
+        cong = cyclic_congruence(3)
+        rec = cong.class_closure((4, 0, 0), 10, 1000, limit=1)
+        assert rec.frontier and not rec.complete and not rec.saturated
+        assert cong.stats["states_expanded"] == 1
+
+    def test_resumed_record_matches_fresh(self):
+        cong = cyclic_congruence(4)
+        start = (5, 0, 1, 0)
+        cong.class_closure(start, 6, 1000, limit=3)
+        cong.class_closure(start, 6, 1000, goal=(0, 0, 0, 6).__eq__)
+        resumed = cong.class_closure(start, 6, 1000)
+        fresh = cyclic_congruence(4).class_closure(start, 6, 1000)
+        assert cong.stats["records_created"] == 1
+        assert cong.stats["records_resumed"] == 2
+        assert list(resumed.members.items()) == list(fresh.members.items())
+        assert resumed.saturated and fresh.saturated
+        assert len(fresh.members) == 84  # compositions of 6 into 4 parts
+
+    def test_equal_stops_at_witness(self):
+        full = cyclic_congruence(4).class_closure((6, 0, 0, 0), 30, 40000)
+        cong = cyclic_congruence(4)
+        d = cong.eq_finite((6, 0, 0, 0), (5, 1, 0, 0), Budget())
+        assert d.verdict == EQUAL and d.witness["kind"] == "path"
+        assert cong.stats["goal_exits"] == 1
+        assert cong.stats["states_expanded"] < len(full.members)
+        # a later query on the same class resumes the record, not a new one
+        d = cong.eq_finite((6, 0, 0, 0), (0, 0, 3, 3), Budget())
+        assert d.verdict == EQUAL
+        assert cong.stats["records_created"] == 1
+        assert cong.stats["records_resumed"] == 1
+
+    def test_leq_stops_at_domination(self):
+        cong = cyclic_congruence(4)
+        d = cong.leq_finite((0, 0, 0, 3), (5, 0, 0, 0), Budget())
+        assert d.verdict == LEQ and d.witness["kind"] == "domination"
+        full = cyclic_congruence(4).class_closure((5, 0, 0, 0), 30, 40000)
+        assert cong.stats["states_expanded"] < len(full.members)
+
+
+def _reference(cong, op, u, v, budget):
+    """The decision of a fresh congruence whose two classes were closed to
+    completion before the query, and the two complete records."""
+    ref = Congruence(cong.n, cong.relations)
+    cap = budget.cap_for(ref, [u, v])
+    recs = (ref.class_closure(u, cap, budget.max_states),
+            ref.class_closure(v, cap, budget.max_states))
+    return getattr(ref, op)(u, v, budget), recs
+
+
+def _check_witness(cong, u, v, d):
+    w = d.witness
+    if w["kind"] == "path":
+        assert cong.replay_path(u, w["steps"]) == v
+    elif w["kind"] == "domination":
+        assert cong.replay_path(u, w["path_left"]) == w["u"]
+        assert cong.replay_path(v, w["path_right"]) == w["w"]
+        assert vec_geq(w["w"], w["u"])
+
+
+def _differential_congruences():
+    """The engines' congruences on every fixture and on a seeded sample of
+    small corpus spaces, plus two whose negatives no functional sees: one
+    with finite classes (saturation) and one with infinite classes."""
+    small = [e.statspace for e in random_corpus(seed=5, count=12) if e.statspace.n_atoms <= 3]
+    spaces = list(fixture_spaces().values()) + small[:6]
+    return [TypeEngine(ss).congruence for ss in spaces] + [
+        Congruence(3, [((2, 0, 0), (0, 2, 0)), ((0, 2, 0), (0, 0, 2))]),
+        Congruence(2, [((1, 0), (0, 2)), ((0, 1), (2, 0))]),
+    ]
+
+
+@pytest.mark.parametrize(
+    "budget", [Budget(coordinate_cap=8), Budget(coordinate_cap=4, max_states=60)]
+)
+def test_goal_directed_matches_complete_closure(budget):
+    """Same verdict and witness kind as a search over complete classes.
+
+    Each congruence answers every query of its sample, so later queries
+    resume the partial records of earlier ones."""
+    rng = random.Random(11)
+    kinds = set()
+    for cong in _differential_congruences():
+        n = cong.n
+        for _ in range(40):
+            u = tuple(rng.randint(0, 2) for _ in range(n))
+            v = tuple(rng.randint(0, 2) for _ in range(n))
+            for op in ("eq_finite", "leq_finite"):
+                d = getattr(cong, op)(u, v, budget)
+                ref, (full_u, full_v) = _reference(cong, op, u, v, budget)
+                assert (d.verdict, d.witness["kind"]) == (ref.verdict, ref.witness["kind"])
+                _check_witness(cong, u, v, d)
+                kinds.add((d.verdict, d.witness["kind"]))
+                if d.witness["kind"] == "saturation":
+                    sizes = (len(full_u.members), len(full_v.members))
+                    if op == "eq_finite":
+                        assert d.witness["class_size"] in sizes
+                    else:
+                        assert d.witness["class_sizes"] == sizes
+                if d.verdict == UNKNOWN:
+                    assert d.witness["exhausted"] == ref.witness["exhausted"]
+    assert kinds >= {
+        (EQUAL, "path"), (NOT_EQUAL, "functional"), (NOT_EQUAL, "saturation"),
+        (LEQ, "domination"), (NOT_LEQ, "functional"), (NOT_LEQ, "saturation"),
+        (UNKNOWN, "budget"),
+    }
 
 
 def additive_pairs(cong, pairs, budget=Budget()):

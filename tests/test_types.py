@@ -145,6 +145,28 @@ class TestCoercion:
             else:
                 hierarchical_measure(eng, lat, lat.bottom, x)
 
+    @pytest.mark.parametrize("form", [list, tuple])
+    def test_atom_sets_must_be_sets(self, form):
+        # a list or tuple means multiplicities, so it is no atom set
+        eng = parity_engine()
+        with pytest.raises(TypeError):
+            eng.type_of(form([0, 1, 2, 3]))
+        with pytest.raises(TypeError):
+            eng.abar_of_set(form([0, 1, 2, 3]))
+
+    def test_set_and_list_readings(self):
+        eng = parity_engine()
+        lat = enumerate_idempotents(eng)
+        assert eng.type_of({0, 1, 2, 3}).rep == ExtVec((1, 1, 1, 1))
+        assert eng.abar_of_set({0, 1}).vec == ExtVec((1, 1, 0, 0))
+        assert eng.type_of_abar([0, 1, 2, 3]).rep == ExtVec((0, 1, 2, 3))
+        as_list = hierarchical_measure(eng, lat, lat.bottom, [0, 1, 2, 3])
+        as_vec = hierarchical_measure(eng, lat, lat.bottom, ExtVec((0, 1, 2, 3)))
+        as_set = hierarchical_measure(eng, lat, lat.bottom, frozenset({0, 1, 2, 3}))
+        assert as_list == as_vec
+        assert as_set == hierarchical_measure(eng, lat, lat.bottom, ExtVec((1, 1, 1, 1)))
+        assert as_list != as_set
+
 
 class TestDecisions:
     def test_parity_examples(self):
