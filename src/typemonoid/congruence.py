@@ -24,6 +24,16 @@ saturated class enumeration; budget exhaustion yields Unknown, never a
 guess, and names the budget that ran out.  Witnesses are re-checked by
 assertion before being returned.
 
+The nonnegative conserved functionals form the conserved cone
+{y >= 0 : y.(lhs - rhs) = 0}, the stationary measures.  Its extreme rays
+are computed once per congruence by the double-description method, and
+every order functional is read off them: the rays vanishing on a set Z
+generate the face of the cone zero on Z, so a y there with y.p >= 1
+exists exactly when one of those rays r has r.p > 0, and then
+y = r / (r.p).  Past RAY_LIMIT rays the cone is abandoned and such
+queries fall back to the exact simplex of `lp`, which also remains the
+engine of measure synthesis.
+
 Class enumeration is goal directed.  A class record keeps its
 breadth-first frontier, so it can be expanded on demand and resumed by
 later queries in the same order.  A positive verdict needs one witness,
@@ -36,6 +46,7 @@ coordinate cap or cut off by max_states is saturated and may refute.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -51,6 +62,14 @@ NOT_EQUAL = "not_equal"
 LEQ = "leq"
 NOT_LEQ = "not_leq"
 UNKNOWN = "unknown"
+
+# Budgets an unknown verdict can name, in the order it names them.
+BUDGET_NAMES = ("absorption_k", "coordinate_cap", "max_states")
+
+# Most extreme rays the conserved cone may have.  The double-description
+# walk is exponential in the worst case; a congruence whose cone passes
+# this many rays during the build answers order queries by the simplex.
+RAY_LIMIT = 256
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
@@ -80,6 +99,31 @@ def unit_vec(n: int, i: int) -> Vec:
 def indicator(n: int, support: Iterable[int]) -> Vec:
     s = set(support)
     return tuple(1 if j in s else 0 for j in range(n))
+
+
+def _primitive(v: Vec) -> Vec:
+    """v divided by the gcd of its entries, its first nonzero entry positive."""
+    g = math.gcd(*v)
+    if g == 0:
+        return v
+    if next(c for c in v if c) < 0:
+        g = -g
+    return tuple(c // g for c in v)
+
+
+def _minimal_support(vecs: Iterable[Vec]) -> List[Vec]:
+    """The vectors whose support contains no other's, without repeats."""
+    keyed = sorted(
+        {sum(1 << i for i, c in enumerate(v) if c): v for v in vecs}.items(),
+        key=lambda mv: (mv[0].bit_count(), mv[1]),
+    )
+    kept: List[Vec] = []
+    masks: List[int] = []
+    for mask, v in keyed:
+        if not any(m & mask == m for m in masks):
+            kept.append(v)
+            masks.append(mask)
+    return kept
 
 
 @dataclass(frozen=True)
@@ -227,6 +271,8 @@ class Congruence:
             steps.append((r, tuple(-d for d in delta), idx, -1))
         self._steps = tuple(steps)
         self._kernel: Optional[List[Tuple[Fraction, ...]]] = None
+        self._rays: Optional[List[Vec]] = None
+        self._rays_built = False
         self._closures: Dict[Tuple[Vec, int, int], ClassRecord] = {}
         self._normal_memo: Dict[tuple, Tuple[ExtVec, dict]] = {}
         self._decision_memo: Dict[tuple, Decision] = {}
@@ -236,6 +282,10 @@ class Congruence:
             "records_resumed": 0,
             "states_expanded": 0,
             "goal_exits": 0,
+            "cone_rays": 0,
+            "ray_separations": 0,
+            "lp_fallbacks": 0,
+            "exhausted_absorption_k": 0,
             "exhausted_coordinate_cap": 0,
             "exhausted_max_states": 0,
         }
@@ -260,21 +310,65 @@ class Congruence:
             (y[i] * v.finite[i] for i in range(self.n)), Fraction(0)
         )
 
+    def conserved_rays(self) -> Optional[List[Vec]]:
+        """Extreme rays of the conserved cone, or None past RAY_LIMIT.
+
+        Double description: start from the unit rays of the orthant and cut
+        by the hyperplane d.y = 0 of each distinct relation difference d.
+        A cut keeps the rays on the hyperplane and joins every pair on
+        opposite sides into one on it.  The extreme rays of
+        {y >= 0 : Ay = 0} are its elements of minimal support, so after
+        each cut only those are kept.  Rays are gcd-reduced integer
+        vectors in a fixed order.
+        """
+        if not self._rays_built:
+            self._rays_built = True
+            rays = [unit_vec(self.n, i) for i in range(self.n)]
+            for d in sorted({_primitive(d) for d in self.differences()}):
+                if len(rays) > RAY_LIMIT:
+                    break
+                on, above, below = [], [], []
+                for r in rays:
+                    s = sum(a * b for a, b in zip(d, r))
+                    if s == 0:
+                        on.append(r)
+                    else:
+                        (above if s > 0 else below).append((s, r))
+                for sp, rp in above:
+                    for sn, rn in below:
+                        on.append(_primitive(tuple(sp * b - sn * a for a, b in zip(rp, rn))))
+                rays = _minimal_support(on)
+            if len(rays) > RAY_LIMIT:
+                return None
+            rays.sort(reverse=True)
+            for r in rays:
+                self._assert_functional(r, nonneg=True)
+            self._rays = rays
+            self.stats["cone_rays"] = len(rays)
+        return self._rays
+
     def _nonneg_conserved(
-        self,
-        positive: Sequence[Fraction],
-        zero_coords: Iterable[int] = (),
-        strict_coords: Iterable[int] = (),
+        self, positive: Sequence[int], zero_coords: Iterable[int] = ()
     ) -> Optional[Tuple[Fraction, ...]]:
-        """Find y >= 0 conserved with y.positive >= 1, y zero / positive where asked."""
-        eqs = [(d, 0) for d in self.differences()]
-        for i in zero_coords:
-            eqs.append((unit_vec(self.n, i), 0))
-        ges = [(tuple(positive), 1)]
-        for i in strict_coords:
-            ges.append((unit_vec(self.n, i), Fraction(1, 1000)))
-        res = exact_lp_feasible(self.n, equalities=eqs, ge_inequalities=ges)
-        return res.point if res.feasible else None
+        """Find y >= 0 conserved with y.positive >= 1 and y zero on zero_coords."""
+        zero = tuple(zero_coords)
+        rays = self.conserved_rays()
+        if rays is None:
+            self.stats["lp_fallbacks"] += 1
+            eqs = [(d, 0) for d in self.differences()]
+            eqs += [(unit_vec(self.n, i), 0) for i in zero]
+            res = exact_lp_feasible(
+                self.n, equalities=eqs, ge_inequalities=[(tuple(positive), 1)]
+            )
+            return res.point if res.feasible else None
+        self.stats["ray_separations"] += 1
+        for r in rays:
+            if any(r[i] for i in zero):
+                continue
+            val = sum(c * x for c, x in zip(r, positive))
+            if val > 0:
+                return tuple(Fraction(c) / val for c in r)
+        return None
 
     # ----- bounded class closure -------------------------------------------
 
@@ -553,23 +647,37 @@ class Congruence:
         self, cap: int, budget: Budget, *records: ClassRecord
     ) -> Decision:
         """Unknown from complete but unsaturated records, naming the budgets hit."""
-        exhausted = []
+        causes = set()
         if any(r.pruned for r in records):
-            exhausted.append("coordinate_cap")
+            causes.add("coordinate_cap")
         if any(r.overflow for r in records):
-            exhausted.append("max_states")
-        for cause in exhausted:
-            self.stats["exhausted_" + cause] += 1
+            causes.add("max_states")
         return Decision(
             UNKNOWN,
             {
                 "kind": "budget",
                 "cap": cap,
                 "max_states": budget.max_states,
-                "exhausted": exhausted,
+                "exhausted": self._exhausted(causes),
             },
             budget,
         )
+
+    def _omega_unknown(self, budget: Budget, causes: set) -> Decision:
+        """Unknown from the omega layer, naming the budgets hit there and in
+        the finite decisions it asked."""
+        return Decision(
+            UNKNOWN,
+            {"kind": "budget", "omega": True, "exhausted": self._exhausted(causes)},
+            budget,
+        )
+
+    def _exhausted(self, causes: set) -> List[str]:
+        """The budgets in `causes` in BUDGET_NAMES order, each counted once."""
+        exhausted = [name for name in BUDGET_NAMES if name in causes]
+        for name in exhausted:
+            self.stats["exhausted_" + name] += 1
+        return exhausted
 
     def _assert_functional(self, y, nonneg: bool = False) -> None:
         for l, r in self.relations:
@@ -580,19 +688,29 @@ class Congruence:
 
     # ----- omega machinery ----------------------------------------------------
 
-    def absorbable(self, coord: int, support: FrozenSet[int], budget: Budget) -> Optional[int]:
+    def absorbable(
+        self,
+        coord: int,
+        support: FrozenSet[int],
+        budget: Budget,
+        causes: Optional[set] = None,
+    ) -> Optional[int]:
         """Least k <= absorption_k with [coord] <= k*[support], else None.
 
         k = 0 asks whether the coordinate is null ([coord] = 0); this is the
-        branch that matters when the support is empty.
+        branch that matters when the support is empty.  On None, the
+        budgets that ran out are added to `causes` when it is given.
         """
         e = unit_vec(self.n, coord)
         chi = indicator(self.n, support)
-        for k in range(0, budget.absorption_k + 1):
-            if not support and k > 0:
-                break
-            if self.leq_finite(e, vec_scale(k, chi), budget).verdict == LEQ:
+        for k in range(budget.absorption_k + 1 if support else 1):
+            dec = self.leq_finite(e, vec_scale(k, chi), budget)
+            if dec.verdict == LEQ:
                 return k
+            if causes is not None and dec.verdict == UNKNOWN:
+                causes.update(dec.witness["exhausted"])
+        if causes is not None and support:
+            causes.add("absorption_k")
         return None
 
     def support_closure(
@@ -637,7 +755,11 @@ class Congruence:
         return result
 
     def _support_absorbed_in(
-        self, support: FrozenSet[int], target: FrozenSet[int], budget: Budget
+        self,
+        support: FrozenSet[int],
+        target: FrozenSet[int],
+        budget: Budget,
+        causes: set,
     ) -> Optional[Dict[int, int]]:
         """Each omega coordinate of `support` swallowed by omega over `target`."""
         ks: Dict[int, int] = {}
@@ -645,7 +767,7 @@ class Congruence:
             if b in target:
                 ks[b] = 1
                 continue
-            k = self.absorbable(b, target, budget)
+            k = self.absorbable(b, target, budget, causes)
             if k is None:
                 return None
             ks[b] = k
@@ -674,8 +796,9 @@ class Congruence:
         if sep is not None:
             return sep
         W, V = pn.omega, qn.omega
-        into_v = self._support_absorbed_in(W, V, budget)
-        into_w = self._support_absorbed_in(V, W, budget)
+        causes: set = set()
+        into_v = self._support_absorbed_in(W, V, budget, causes)
+        into_w = self._support_absorbed_in(V, W, budget, causes)
         if into_v is not None and into_w is not None:
             union = W | V
             chi = indicator(self.n, union)
@@ -684,6 +807,8 @@ class Congruence:
                 fin = self.eq_finite(
                     vec_add(pn.finite, shift), vec_add(qn.finite, shift), budget
                 )
+                if fin.verdict == UNKNOWN:
+                    causes.update(fin.witness["exhausted"])
                 if fin.verdict == EQUAL:
                     return Decision(
                         EQUAL,
@@ -696,7 +821,8 @@ class Congruence:
                         },
                         budget,
                     )
-        return Decision(UNKNOWN, {"kind": "budget", "omega": True}, budget)
+            causes.add("absorption_k")
+        return self._omega_unknown(budget, causes)
 
     def decide_leq(self, p: ExtVec, q: ExtVec, budget: Budget = Budget()) -> Decision:
         if p.n != self.n or q.n != self.n:
@@ -718,27 +844,36 @@ class Congruence:
         sep = self._saturating_separation(pn, qn, budget, order=True)
         if sep is not None:
             return sep
-        into_v = self._support_absorbed_in(pn.omega, qn.omega, budget)
+        V = qn.omega
+        causes: set = set()
+        into_v = self._support_absorbed_in(pn.omega, V, budget, causes)
         if into_v is not None:
-            chi = indicator(self.n, qn.omega)
-            for k in range(0, budget.absorption_k + 1):
-                if not qn.omega and k > 0:
-                    break
+            # the finite mass f of p under omega on the right is absorbed
+            # outright: p' <= q.finite + k*chi_V gives p' + f <= q
+            under = {i: pn.finite[i] for i in sorted(V) if pn.finite[i]}
+            fin_p = tuple(0 if i in V else c for i, c in enumerate(pn.finite))
+            chi = indicator(self.n, V)
+            for k in range(budget.absorption_k + 1 if V else 1):
                 fin = self.leq_finite(
-                    pn.finite, vec_add(qn.finite, vec_scale(k, chi)), budget
+                    fin_p, vec_add(qn.finite, vec_scale(k, chi)), budget
                 )
+                if fin.verdict == UNKNOWN:
+                    causes.update(fin.witness["exhausted"])
                 if fin.verdict == LEQ:
                     return Decision(
                         LEQ,
                         {
                             "kind": "omega_leq",
                             "absorption": into_v,
+                            "under_omega": under,
                             "k": k,
                             "finite": fin.witness,
                         },
                         budget,
                     )
-        return Decision(UNKNOWN, {"kind": "budget", "omega": True}, budget)
+            if V:
+                causes.add("absorption_k")
+        return self._omega_unknown(budget, causes)
 
     def _saturating_separation(
         self, pn: ExtVec, qn: ExtVec, budget: Budget, order: bool

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from typemonoid import congruence
 from typemonoid.congruence import (
     EQUAL,
     LEQ,
@@ -22,6 +24,7 @@ from typemonoid.congruence import (
 )
 from typemonoid.corpus import fixture_spaces, random_corpus
 from typemonoid.errors import SpaceMismatchError
+from typemonoid.lp import exact_lp_feasible
 from typemonoid.types import TypeEngine
 
 
@@ -255,6 +258,160 @@ class TestOmega:
         cong = parity_congruence()
         with pytest.raises(SpaceMismatchError):
             cong.decide_eq(ExtVec.from_vec((1, 0)), ExtVec.from_vec((1, 0, 0, 0)))
+
+    def test_finite_mass_under_right_omega_is_absorbed(self):
+        # m*[even] <= omega*[even] for every m, past any absorption_k
+        cong = TypeEngine(fixture_spaces()["two_point"]).congruence
+        d = cong.decide_leq(
+            ExtVec((9, 0), frozenset({1})), ExtVec((0, 0), frozenset({0, 1}))
+        )
+        assert d.verdict == LEQ
+        assert d.witness["kind"] == "omega_leq"
+        assert d.witness["under_omega"] == {0: 9}
+
+    def test_omega_unknown_names_absorption_k(self):
+        cong = TypeEngine(fixture_spaces()["cyclic4"]).congruence
+        budget = Budget(absorption_k=0)
+        p = ExtVec((0, 0, 0, 0), frozenset({0, 1, 2, 3}))
+        q = ExtVec((2, 0, 0, 0), frozenset({1, 2, 3}))
+        for op in (cong.decide_eq, cong.decide_leq):
+            d = op(p, q, budget)
+            assert d.verdict == UNKNOWN and d.witness["omega"]
+            assert d.witness["exhausted"] == ["absorption_k"]
+        assert cong.stats["exhausted_absorption_k"] == 2
+
+    def test_omega_unknown_adds_inner_causes(self):
+        # [e0] or [e1] below k*[e2] is a finite leq that no functional
+        # refutes and whose classes leave every coordinate cap
+        cong = Congruence(3, [((1, 0, 0), (0, 2, 0)), ((0, 1, 0), (2, 0, 0))])
+        budget = Budget(coordinate_cap=6, max_states=30, absorption_k=2)
+        q = ExtVec((0, 0, 0), frozenset({2}))
+        # the first fails an absorption probe, the second the k loop
+        for p in (ExtVec((0, 0, 0), frozenset({0})), ExtVec.from_vec((0, 1, 0))):
+            d = cong.decide_leq(p, q, budget)
+            assert d.verdict == UNKNOWN
+            assert d.witness["exhausted"] == ["absorption_k", "coordinate_cap"]
+            assert d.to_json()["witness"]["exhausted"] == ["absorption_k", "coordinate_cap"]
+        # and the k loop of an equality
+        d = cong.decide_eq(
+            ExtVec((0, 1, 0), frozenset({2})), ExtVec((1, 0, 0), frozenset({2})), budget
+        )
+        assert d.verdict == UNKNOWN
+        assert d.witness["exhausted"] == ["absorption_k", "coordinate_cap"]
+
+
+def _lp_feasible(cong, p, zero):
+    eqs = [(d, 0) for d in cong.differences()]
+    eqs += [(unit_vec(cong.n, i), 0) for i in zero]
+    return exact_lp_feasible(cong.n, equalities=eqs, ge_inequalities=[(p, 1)]).feasible
+
+
+def _with_omega(finite, omega):
+    return ExtVec(tuple(0 if i in omega else c for i, c in enumerate(finite)), frozenset(omega))
+
+
+class TestConservedCone:
+    def _fixture_congruence(self, name):
+        return TypeEngine(fixture_spaces()[name]).congruence
+
+    def test_known_cones(self):
+        assert self._fixture_congruence("cyclic4").conserved_rays() == [(1, 1, 1, 1)]
+        assert parity_congruence().conserved_rays() == [(1, 0, 1, 0), (0, 1, 0, 1)]
+        assert self._fixture_congruence("parity").conserved_rays() == [
+            (1, 0, 1, 0),
+            (0, 1, 0, 1),
+        ]
+        # the null atom 1 carries no conserved mass
+        assert collapse_congruence().conserved_rays() == [(1, 0)]
+        assert self._fixture_congruence("collapse").conserved_rays() == [(1, 0)]
+        assert Congruence(3, []).conserved_rays() == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        # the cuts also make (1, 1, 1, 1), which is the sum of the two rays
+        cone = Congruence(4, [((0, 0, 1, 1), (1, 0, 1, 0)), ((1, 0, 1, 0), (0, 1, 0, 1))])
+        assert cone.conserved_rays() == [(1, 0, 0, 1), (0, 1, 1, 0)]
+        # x -> 2x both ways: only the zero functional is conserved
+        assert Congruence(2, [((1, 0), (0, 2)), ((0, 1), (2, 0))]).conserved_rays() == []
+
+    def test_rays_are_reduced_conserved_and_deterministic(self):
+        congs = _differential_congruences()
+        for cong in congs:
+            rays = cong.conserved_rays()
+            assert cong.stats["cone_rays"] == len(rays)
+            for r in rays:
+                assert all(isinstance(c, int) and c >= 0 for c in r)
+                assert math.gcd(*r) == 1
+                for d in cong.differences():
+                    assert sum(a * b for a, b in zip(r, d)) == 0
+            assert len(set(rays)) == len(rays)
+            assert Congruence(cong.n, cong.relations).conserved_rays() == rays
+
+    def test_feasibility_matches_simplex(self):
+        rng = random.Random(23)
+        congs = [TypeEngine(ss).congruence for ss in fixture_spaces().values()]
+        congs += [
+            TypeEngine(e.statspace).congruence
+            for e in random_corpus(seed=5, count=12)
+            if e.statspace.n_atoms <= 4
+        ][:6]
+        # random relations give larger cones than the spaces above
+        for _ in range(12):
+            n = rng.randint(3, 6)
+            congs.append(
+                Congruence(
+                    n,
+                    [
+                        tuple(tuple(rng.randint(0, 2) for _ in range(n)) for _ in "lr")
+                        for _ in range(rng.randint(1, 3))
+                    ],
+                )
+            )
+        found = 0
+        for cong in congs:
+            n = cong.n
+            for _ in range(25):
+                p = tuple(rng.randint(-2, 2) for _ in range(n))
+                zero = [i for i in range(n) if rng.random() < 0.3]
+                y = cong._nonneg_conserved(p, zero)
+                assert (y is not None) == _lp_feasible(cong, p, zero)
+                if y is not None:
+                    found += 1
+                    cong._assert_functional(y, nonneg=True)
+                    assert all(isinstance(c, Fraction) for c in y)
+                    assert sum(a * b for a, b in zip(y, p)) == 1
+                    assert all(y[i] == 0 for i in zero)
+            assert cong.stats["lp_fallbacks"] == 0
+        assert found > 0
+
+    def test_simplex_fallback_past_ray_limit(self, monkeypatch):
+        rng = random.Random(31)
+        spaces = list(fixture_spaces().values())
+        rays_first = [TypeEngine(ss).congruence for ss in spaces]
+        for cong in rays_first:
+            assert cong.conserved_rays() is not None
+        monkeypatch.setattr(congruence, "RAY_LIMIT", 0)
+        budget = Budget(coordinate_cap=8)
+        for ray_cong, ss in zip(rays_first, spaces):
+            lp_cong = TypeEngine(ss).congruence
+            assert lp_cong.conserved_rays() is None
+            n = lp_cong.n
+            for _ in range(15):
+                u = tuple(rng.randint(0, 2) for _ in range(n))
+                v = tuple(rng.randint(0, 2) for _ in range(n))
+                assert (
+                    lp_cong.leq_finite(u, v, budget).verdict
+                    == ray_cong.leq_finite(u, v, budget).verdict
+                )
+                p, q = (
+                    _with_omega(w, {i for i in range(n) if rng.random() < 0.3})
+                    for w in (u, v)
+                )
+                for op in ("decide_eq", "decide_leq"):
+                    assert (
+                        getattr(lp_cong, op)(p, q, budget).verdict
+                        == getattr(ray_cong, op)(p, q, budget).verdict
+                    )
+            assert lp_cong.stats["lp_fallbacks"] > 0
+            assert lp_cong.stats["ray_separations"] == 0
+            assert ray_cong.stats["lp_fallbacks"] == 0
 
 
 class TestExtVec:
