@@ -24,6 +24,13 @@ saturated class enumeration; budget exhaustion yields Unknown, never a
 guess, and names the budget that ran out.  Witnesses are re-checked by
 assertion before being returned.
 
+The relations enter every functional computation through one matrix: the
+distinct nonzero differences lhs - rhs, sorted, built once per
+congruence.  The conserved basis, the cone and the simplex fallback read
+it, and a functional is checked by scaling it to integers by the lcm of
+its denominators and testing it against each distinct difference in
+exact int arithmetic.
+
 The nonnegative conserved functionals form the conserved cone
 {y >= 0 : y.(lhs - rhs) = 0}, the stationary measures.  Its extreme rays
 are computed once per congruence by the double-description method, and
@@ -270,6 +277,11 @@ class Congruence:
             steps.append((l, delta, idx, 1))
             steps.append((r, tuple(-d for d in delta), idx, -1))
         self._steps = tuple(steps)
+        # the distinct nonzero relation differences, sorted: every
+        # conserved functional is computed and checked against these
+        self._diffs: Tuple[Vec, ...] = tuple(sorted(
+            {vec_sub(l, r) for l, r in self.relations if l != r}
+        ))
         self._kernel: Optional[List[Tuple[Fraction, ...]]] = None
         self._rays: Optional[List[Vec]] = None
         self._rays_built = False
@@ -292,13 +304,14 @@ class Congruence:
 
     # ----- conserved functionals -------------------------------------------
 
-    def differences(self) -> List[Vec]:
-        return [vec_sub(l, r) for l, r in self.relations if l != r]
+    def differences(self) -> Tuple[Vec, ...]:
+        """The distinct nonzero lhs - rhs, sorted."""
+        return self._diffs
 
     def conserved_basis(self) -> List[Tuple[Fraction, ...]]:
         """Basis of rational y with y.(lhs - rhs) = 0 for every relation."""
         if self._kernel is None:
-            rows = [tuple(map(Fraction, d)) for d in self.differences()]
+            rows = [tuple(map(Fraction, d)) for d in self._diffs]
             self._kernel = rational_kernel_basis(rows, self.n)
         return self._kernel
 
@@ -324,7 +337,7 @@ class Congruence:
         if not self._rays_built:
             self._rays_built = True
             rays = [unit_vec(self.n, i) for i in range(self.n)]
-            for d in sorted({_primitive(d) for d in self.differences()}):
+            for d in sorted({_primitive(d) for d in self._diffs}):
                 if len(rays) > RAY_LIMIT:
                     break
                 on, above, below = [], [], []
@@ -355,7 +368,7 @@ class Congruence:
         rays = self.conserved_rays()
         if rays is None:
             self.stats["lp_fallbacks"] += 1
-            eqs = [(d, 0) for d in self.differences()]
+            eqs = [(d, 0) for d in self._diffs]
             eqs += [(unit_vec(self.n, i), 0) for i in zero]
             res = exact_lp_feasible(
                 self.n, equalities=eqs, ge_inequalities=[(tuple(positive), 1)]
@@ -680,8 +693,17 @@ class Congruence:
         return exhausted
 
     def _assert_functional(self, y, nonneg: bool = False) -> None:
-        for l, r in self.relations:
-            s = sum(y[i] * (l[i] - r[i]) for i in range(self.n))
+        """Check y.(lhs - rhs) = 0 for every relation, and y >= 0 if asked.
+
+        y (Fractions or ints) is scaled by the lcm of its denominators to
+        an integer vector z, and z.d = 0 is checked in ints for each
+        distinct difference d: the same exact test as on y.
+        """
+        den = math.lcm(*(c.denominator for c in y))
+        z = [c.numerator * (den // c.denominator) for c in y]
+        assert len(z) == self.n, "functional has the wrong length"
+        for d in self._diffs:
+            s = sum(a * b for a, b in zip(z, d))
             assert s == 0, "functional does not annihilate a relation"
         if nonneg:
             assert all(c >= 0 for c in y), "order functional not nonnegative"

@@ -180,15 +180,6 @@ def parity_to_two_point_morphism() -> StatMorphism:
     )
 
 
-def two_point_to_one_point_morphism() -> StatMorphism:
-    return StatMorphism(
-        source=two_point_space(),
-        target=one_point_space(),
-        point_map=(0, 0),
-        fstar=(0,),
-    )
-
-
 def parity_shadow_space() -> StatSpace:
     """Two parity classes acted on trivially by the parity-space monoid."""
     src = parity_space()

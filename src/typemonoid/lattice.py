@@ -15,6 +15,11 @@ cancellative commutative monoid with unit e, and its Grothendieck group
 is the quantity group at scale e.  The disjoint union of those groups
 carries a partial addition that coarsens both summands to the join of
 their scales first.
+
+Every scale certificate is built and checked once per (engine, vector,
+budget): the lattice keeps the certificates isotropy_decompose has
+verified, so the quantity arithmetic, which certifies each operand and
+result, repeats no lattice scan.
 """
 
 from dataclasses import dataclass
@@ -107,6 +112,9 @@ class IdempotentLattice:
             raise LatticeError("lattice must have unique bottom and top")
         self.bottom: Hashable = self.elements[bots[0]]
         self.top: Hashable = self.elements[tops[0]]
+        # scale certificates by (engine, vector, budget); see isotropy_decompose
+        self._scales: Dict[tuple, Tuple[Hashable, "IsotropyCertificate"]] = {}
+        self.stats: Dict[str, int] = {"scale_certificates": 0, "scale_lookups": 0}
 
     def _bound(self, i: int, j: int, lower: bool) -> int:
         n = len(self.elements)
@@ -394,6 +402,8 @@ def idempotent_of(
     Computed as the closed omega support of the normalized
     representative, then verified maximal by scanning the whole lattice;
     disagreement means the engine and the lattice are inconsistent.
+    Every call scans; isotropy_decompose, through which the quantity
+    arithmetic asks, runs the scan once per (engine, vector, budget).
     """
     budget = budget or engine.budget
     nv = engine.omega_normalize(alpha, budget)
@@ -440,10 +450,22 @@ def isotropy_decompose(
     budget: Optional[Budget] = None,
 ) -> Tuple[IdempotentElement, IsotropyCertificate]:
     """Locate alpha's scale: the idempotent e with e <= alpha and no
-    strictly larger idempotent below alpha."""
+    strictly larger idempotent below alpha.
+
+    The certificate is built and checked once per (engine, vector,
+    budget) and kept on the lattice; a repeated call is a lookup.  The
+    first call runs idempotent_of's full lattice scan and the membership
+    checks, and a certificate that fails them is never stored.
+    """
     budget = budget or engine.budget
-    t = engine.type_of_abar(alpha)
-    e = idempotent_of(engine, lattice, alpha, budget)
+    vec = engine._vec(alpha)
+    key = (engine, vec, budget)
+    hit = lattice._scales.get(key)
+    if hit is not None:
+        lattice.stats["scale_lookups"] += 1
+        return hit
+    t = engine.type_of_abar(vec)
+    e = idempotent_of(engine, lattice, vec, budget)
     above = engine.decide_leq(engine.type_of_abar(e.vec), t, budget)
     excluded = []
     for f in lattice.strictly_above(e):
@@ -454,6 +476,8 @@ def isotropy_decompose(
     cert = IsotropyCertificate(e, t, above, excluded)
     if not cert.ok:
         raise LatticeError("isotropy membership certificate failed")
+    lattice._scales[key] = (e, cert)
+    lattice.stats["scale_certificates"] += 1
     return e, cert
 
 

@@ -46,12 +46,6 @@ class InverseMonoidTable:
     ) -> "InverseMonoidTable":
         return InverseMonoidTable(data.order, data.unit, data.mul, labels)
 
-    def prod(self, *xs: int) -> int:
-        out = self.unit
-        for x in xs:
-            out = self.mul[out][x]
-        return out
-
 
 @dataclass
 class InverseMonoidReport:

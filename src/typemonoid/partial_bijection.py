@@ -65,9 +65,6 @@ class PartialBijection:
     def __call__(self, x: int) -> Optional[int]:
         return self.as_dict().get(x)
 
-    def is_total(self) -> bool:
-        return len(self.pairs) == self.carrier
-
     def is_idempotent(self) -> bool:
         return all(s == d for s, d in self.pairs)
 

@@ -352,21 +352,17 @@ class TypeEngine:
     def audit_decisions(self) -> Dict[str, int]:
         """Re-verify every logged definite decision; raises on any violation.
 
-        Functional witnesses must annihilate all relation differences and
-        separate the inputs; path and domination witnesses must replay
-        into realizations that verify syntactically.
+        Functional witnesses must annihilate all relation differences (the
+        congruence's integer check); path and domination witnesses must
+        replay into realizations that verify syntactically.
         """
         counts = {"functional": 0, "path": 0, "domination": 0, "other": 0}
         for entry in self.audit_log:
             w = entry.decision.witness
             kind = w.get("kind")
             if kind == "functional":
-                y = w["y"]
-                for rel in self.relations:
-                    s = sum(y[i] * (rel.lhs[i] - rel.rhs[i]) for i in range(self.n))
-                    assert s == 0, "functional fails to annihilate a relation"
-                if w.get("nonnegative"):
-                    assert all(c >= 0 for c in y), "order functional has negative entry"
+                nonneg = bool(w.get("nonnegative"))
+                self.congruence._assert_functional(w["y"], nonneg=nonneg)
                 counts["functional"] += 1
             elif kind == "path":
                 self._audit_path(w["start"], w["steps"], w["end"])

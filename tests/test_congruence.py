@@ -16,6 +16,7 @@ from typemonoid.congruence import (
     Budget,
     Congruence,
     ExtVec,
+    _primitive,
     indicator,
     unit_vec,
     vec_add,
@@ -24,7 +25,7 @@ from typemonoid.congruence import (
 )
 from typemonoid.corpus import fixture_spaces, random_corpus
 from typemonoid.errors import SpaceMismatchError
-from typemonoid.lp import exact_lp_feasible
+from typemonoid.lp import exact_lp_feasible, rational_kernel_basis
 from typemonoid.types import TypeEngine
 
 
@@ -97,6 +98,84 @@ class TestConservedBasis:
 
     def test_no_relations_full_kernel(self):
         assert len(Congruence(3, []).conserved_basis()) == 3
+
+    def test_basis_of_distinct_differences_equals_raw_rows(self):
+        # a reduced row echelon form is unique for its row space, so the
+        # deduplicated matrix gives the basis of the raw, duplicated rows
+        for ss in fixture_spaces().values():
+            cong = TypeEngine(ss).congruence
+            raw = [tuple(Fraction(a - b) for a, b in zip(l, r)) for l, r in cong.relations]
+            assert cong.conserved_basis() == rational_kernel_basis(raw, cong.n)
+
+
+class TestIntegerFunctionalCheck:
+    def test_matrix_is_the_distinct_nonzero_differences(self):
+        congs = _differential_congruences() + [parity_congruence(), Congruence(3, [])]
+        for cong in congs:
+            diffs = cong.differences()
+            raw = {tuple(a - b for a, b in zip(l, r)) for l, r in cong.relations}
+            assert set(diffs) == raw - {zero_vec(cong.n)}
+            assert list(diffs) == sorted(set(diffs))
+        # duplicated and identity relations add no row
+        dup = Congruence(3, [((1, 0, 0), (0, 1, 0))] * 3 + [((0, 0, 1), (0, 0, 1))])
+        assert dup.differences() == ((1, -1, 0),)
+
+    def test_accepts_mixed_denominators_and_int_rays(self):
+        cong = parity_congruence()
+        cong._assert_functional((Fraction(1, 2), Fraction(2, 3), Fraction(1, 2), Fraction(2, 3)))
+        cong._assert_functional(
+            (Fraction(-1, 6), Fraction(5, 4), Fraction(-1, 6), Fraction(5, 4))
+        )
+        cong._assert_functional((1, 0, 1, 0), nonneg=True)
+        cong._assert_functional((Fraction(3, 7), 0, Fraction(3, 7), 0), nonneg=True)
+        with pytest.raises(AssertionError, match="not nonnegative"):
+            cong._assert_functional((Fraction(-1, 6), 0, Fraction(-1, 6), 0), nonneg=True)
+
+    def test_rejects_a_functional_missing_one_difference(self):
+        dup = Congruence(
+            3,
+            [((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (0, 0, 1)), ((1, 0, 0), (0, 1, 0))],
+        )
+        dup._assert_functional((Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)))
+        with pytest.raises(AssertionError, match="annihilate"):
+            dup._assert_functional((Fraction(1, 2), Fraction(1, 2), Fraction(1, 3)))
+        with pytest.raises(AssertionError, match="wrong length"):
+            dup._assert_functional((1, 1))
+        # on every space: a y in the kernel of every distinct difference
+        # but d (and -d) is refused
+        refused = 0
+        for cong in _differential_congruences():
+            diffs = cong.differences()
+            for d in diffs:
+                rest = [
+                    tuple(map(Fraction, e)) for e in diffs if _primitive(e) != _primitive(d)
+                ]
+                for b in rational_kernel_basis(rest, cong.n):
+                    if sum(x * c for x, c in zip(b, d)) != 0:
+                        y = tuple(c / 3 for c in b)
+                        assert all(sum(x * c for x, c in zip(y, e)) == 0 for e in rest)
+                        with pytest.raises(AssertionError, match="annihilate"):
+                            cong._assert_functional(y)
+                        refused += 1
+                        break
+        assert refused > 0
+
+    def test_tampered_witness_fails_audit(self):
+        eng = TypeEngine(fixture_spaces()["parity"])
+        d = eng.decide_equal((1, 0, 0, 0), (0, 1, 0, 0))
+        assert d.witness["kind"] == "functional"
+        eng.audit_decisions()
+        y = d.witness["y"]
+        d.witness["y"] = (y[0] + Fraction(1, 3),) + tuple(y[1:])
+        with pytest.raises(AssertionError, match="annihilate"):
+            eng.audit_decisions()
+        d.witness["y"] = y
+        eng.audit_decisions()
+        o = eng.decide_leq((1, 0, 0, 0), (0, 1, 0, 0))
+        assert o.witness["kind"] == "functional" and o.witness["nonnegative"]
+        o.witness["y"] = tuple(-c for c in o.witness["y"])
+        with pytest.raises(AssertionError, match="not nonnegative"):
+            eng.audit_decisions()
 
 
 class TestEqFinite:

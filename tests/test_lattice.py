@@ -1,16 +1,19 @@
 import itertools
+import random
 
 import pytest
 
-from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, ExtVec
+from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, Budget, ExtVec
 from typemonoid.corpus import (
     collapse_space,
     cyclic4_space,
+    fixture_spaces,
     one_point_space,
     parity_space,
     random_corpus,
+    two_point_space,
 )
-from typemonoid.errors import ContractError
+from typemonoid.errors import ContractError, SpaceMismatchError
 from typemonoid.lattice import (
     IdempotentElement,
     IdempotentLattice,
@@ -236,6 +239,81 @@ class TestIsotropy:
                 for e in lat
             )
             assert absorbed == between, (a.vec, b.vec)
+
+
+def _seeded_vectors(rng, n, count):
+    out = []
+    for _ in range(count):
+        omega = frozenset(i for i in range(n) if rng.random() < 0.3)
+        out.append(ExtVec(tuple(0 if i in omega else rng.randint(0, 2) for i in range(n)), omega))
+    return out
+
+
+class TestScaleCertificateCache:
+    def test_one_certificate_per_distinct_vector(self):
+        eng, lat = engine_and_lattice(cyclic4_space())
+        vecs = list(dict.fromkeys(_seeded_vectors(random.Random(3), eng.n, 12)))
+        k = len(vecs)
+        rng = random.Random(4)
+        calls = vecs + [rng.choice(vecs) for _ in range(50 - k)]
+        for i, v in enumerate(calls):
+            # the ExtVec and AbarElement forms of a vector are one key
+            isotropy_decompose(eng, lat, v if i % 2 else eng.abar(v.finite, v.omega))
+        assert lat.stats == {"scale_certificates": k, "scale_lookups": 50 - k}
+        # quantity arithmetic asks through the same certificates
+        x, y = embed(eng, lat, vecs[0]), embed(eng, lat, vecs[1])
+        quantity_add(eng, lat, x, y)
+        made = lat.stats["scale_certificates"]
+        quantity_add(eng, lat, x, y)
+        assert lat.stats["scale_certificates"] == made
+
+    def test_warmed_lattice_matches_fresh_engine(self):
+        rng = random.Random(17)
+        spaces = list(fixture_spaces().values())
+        spaces += [e.statspace for e in random_corpus(seed=5, count=12)][:4]
+        lookups = 0
+        for ss in spaces:
+            eng, lat = engine_and_lattice(ss)
+            vecs = _seeded_vectors(rng, eng.n, 6)
+            for v in vecs + vecs[::-1]:
+                isotropy_decompose(eng, lat, v)
+            for v in vecs:
+                embed(eng, lat, v)
+            lookups += lat.stats["scale_lookups"]
+            for v in vecs:
+                e, cert = isotropy_decompose(eng, lat, v)
+                fresh_eng, fresh_lat = engine_and_lattice(ss)
+                fe, fcert = isotropy_decompose(fresh_eng, fresh_lat, v)
+                assert e == fe and cert.scale == fcert.scale
+                assert cert.ok and fcert.ok
+                assert cert.alpha.rep == fcert.alpha.rep
+                assert cert.above_scale.verdict == fcert.above_scale.verdict
+                assert [(f, d.verdict) for f, d in cert.excluded] == [
+                    (f, d.verdict) for f, d in fcert.excluded
+                ]
+        assert lookups > 0
+
+    def test_foreign_value_raises_with_equal_vector_cached(self):
+        eng, lat = engine_and_lattice(collapse_space())
+        other = TypeEngine(two_point_space())
+        v = ExtVec((1, 0))
+        isotropy_decompose(eng, lat, v)
+        with pytest.raises(SpaceMismatchError):
+            isotropy_decompose(eng, lat, other.abar(v.finite))
+        with pytest.raises(SpaceMismatchError):
+            isotropy_decompose(eng, lat, other.type_of_abar(v))
+        isotropy_decompose(eng, lat, eng.abar(v.finite))
+        assert lat.stats == {"scale_certificates": 1, "scale_lookups": 1}
+
+    def test_budget_is_part_of_the_key(self):
+        eng, lat = engine_and_lattice(parity_space())
+        v = ExtVec((0, 1, 0, 0), frozenset({0, 2}))
+        isotropy_decompose(eng, lat, v)
+        isotropy_decompose(eng, lat, v, Budget())  # the engine's budget
+        assert lat.stats == {"scale_certificates": 1, "scale_lookups": 1}
+        e, _ = isotropy_decompose(eng, lat, v, Budget(coordinate_cap=12))
+        assert lat.stats == {"scale_certificates": 2, "scale_lookups": 1}
+        assert e == by_support(lat, 0, 2)
 
 
 class TestCompleteIsotropy:
