@@ -38,8 +38,8 @@ every order functional is read off them: the rays vanishing on a set Z
 generate the face of the cone zero on Z, so a y there with y.p >= 1
 exists exactly when one of those rays r has r.p > 0, and then
 y = r / (r.p).  Past RAY_LIMIT rays the cone is abandoned and such
-queries fall back to the exact simplex of `lp`, which also remains the
-engine of measure synthesis.
+queries fall back to the exact simplex of `lp`.  Measure synthesis
+reads its all-finite stage off the same rays.
 
 Class enumeration is goal directed.  A class record keeps its
 breadth-first frontier, so it can be expanded on demand and resumed by

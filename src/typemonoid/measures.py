@@ -1,15 +1,21 @@
 """Stationary measures: synthesis, paradox checks, monoid-valued
 measures, hierarchical measures, and the limit laws.
 
-The classical side is exact rational linear programming.  A stationary
-measure normalized on E solves the system { x >= 0, x(preimage of a
-under s) = x(a) for all s and atoms a, x(E) = 1 }.  Infinite values are
-handled by staging: a subset I of atoms may be declared infinite only
-when (a) every atom of I keeps an infinite preimage under every
-symmetry and (b) I is forward-invariant under every atom map; the
-finite LP is then re-solved on the complement with the relations that
-touch I removed.  Stages are tried in increasing size of I, so the
-returned measure is deterministic.
+The classical side is exact rational arithmetic.  A stationary measure
+normalized on E solves the system { x >= 0, x(preimage of a under s) =
+x(a) for all s and atoms a, x(E) = 1 }.  Its finite solutions are the
+nonnegative conserved functionals of the space's congruence, so the
+all-finite stage is read off the extreme rays of the conserved cone: a
+solution exists exactly when some ray r has r(E) > 0, and then
+x = r / r(E).  Exact rational linear programming runs only where the
+cone gives no answer: when no ray fits, for the Farkas certificate,
+and past RAY_LIMIT rays.  Infinite values are handled by staging: a
+subset I of atoms may be declared infinite only when (a) every atom of
+I keeps an infinite preimage under every symmetry and (b) I is
+forward-invariant under every atom map; the finite LP is then
+re-solved on the complement with the relation differences that touch
+I removed.  Stages are tried in increasing size of I, so the returned
+measure is deterministic.
 
 The monoid-valued side works with an abstract measure target: either a
 finitely presented commutative monoid driven by the congruence engine,
@@ -87,15 +93,22 @@ class RationalStationaryMeasure:
         return sum((self.finite_values[a] for a in atoms), Fraction(0))
 
     def check(self) -> List[str]:
-        """Stationarity over every measurable set and every symmetry."""
+        """Stationarity for every symmetry, checked on single atoms.
+
+        This is the check over every measurable set: preimages of
+        disjoint atoms are disjoint, so finite values add up, and the
+        preimage of A meets the infinite atoms exactly when the preimage
+        of some atom of A does.
+        """
         ss = self.statspace
         problems = []
         for s in range(ss.monoid.order):
-            for aset in ss.space.all_measurable_sets():
-                pre = pullback(ss, s, aset)
-                if self.value(pre) != self.value(aset):
+            for a in range(ss.n_atoms):
+                atom = frozenset({a})
+                pre = pullback(ss, s, atom)
+                if self.value(pre) != self.value(atom):
                     problems.append(
-                        f"s={s} A={sorted(aset)}: value {self.value(aset)} "
+                        f"s={s} A={[a]}: value {self.value(atom)} "
                         f"!= preimage value {self.value(pre)}"
                     )
         return problems
@@ -127,16 +140,6 @@ def is_paradoxical(engine: TypeEngine, atoms: AtomSet,
         if back.verdict == NOT_EQUAL:
             raise ContractError("2[E] <= [E] but 2[E] != [E]: order is broken")
     return d
-
-
-def _relation_rows(ss: StatSpace) -> List[Tuple[int, ...]]:
-    """Coefficient rows (rhs - lhs) of the atomic stationarity equations."""
-    rows = []
-    for r in relation_basis(ss):
-        row = tuple(b - a for a, b in zip(r.lhs, r.rhs))
-        if any(row):
-            rows.append(row)
-    return rows
 
 
 def _valid_infinite_supports(ss: StatSpace, forbidden: FrozenSet[int]) -> List[FrozenSet[int]]:
@@ -179,11 +182,15 @@ def synthesize_classical_measure(
 ) -> Union[Optional[RationalStationaryMeasure], SynthesisReport]:
     """Search for a stationary measure with value exactly 1 on the given set.
 
-    All-finite system first, then infinite stages over eligible atom
-    subsets in increasing size.  Returns None (or a report of every
+    All-finite stage first, read off the conserved cone: the first ray r
+    with r(E) > 0, in the cone's fixed order, gives the measure r / r(E).
+    When no ray fits, or the cone is past RAY_LIMIT, the stage is the
+    exact LP; so are the infinite stages over eligible atom subsets, in
+    increasing size.  Each stage is reported with the method that
+    decided it ("cone" or "lp").  Returns None (or a report of every
     failed stage with its infeasibility certificate) when no stage is
     feasible, which by the existence theorem happens exactly for
-    paradoxical sets.
+    paradoxical sets.  A returned measure has passed `check`.
     """
     e_set = frozenset(atoms)
     if not e_set:
@@ -191,36 +198,44 @@ def synthesize_classical_measure(
     if any(not (0 <= a < ss.n_atoms) for a in e_set):
         raise SpaceMismatchError("unknown atom in normalization set")
     n = ss.n_atoms
-    rows = _relation_rows(ss)
+    cong = Congruence(n, [(r.lhs, r.rhs) for r in relation_basis(ss)])
+    rays = cong.conserved_rays()
     stages = []
     for i_set in _valid_infinite_supports(ss, forbidden=e_set):
-        finite_atoms = [a for a in range(n) if a not in i_set]
-        col_of = {a: j for j, a in enumerate(finite_atoms)}
-        equalities = []
-        for row in rows:
-            if any(row[a] != 0 for a in i_set):
-                continue  # relation touches the infinite block
-            coeffs = [row[a] for a in finite_atoms]
-            if any(coeffs):
-                equalities.append((coeffs, 0))
-        norm = [1 if a in e_set else 0 for a in finite_atoms]
-        equalities.append((norm, 1))
-        res = exact_lp_feasible(len(finite_atoms), equalities=equalities)
-        if res.feasible:
-            values = [Fraction(0)] * n
-            for a in finite_atoms:
-                values[a] = res.point[col_of[a]]
-            m = RationalStationaryMeasure(ss, tuple(values), i_set)
-            bad = m.check()
-            if bad:
-                raise ContractError(f"synthesized measure fails invariants: {bad}")
-            if want_report:
-                stages.append({"infinite": sorted(i_set), "feasible": True})
-                return SynthesisReport(m, stages)
-            return m
-        stages.append(
-            {"infinite": sorted(i_set), "feasible": False, "farkas": res.farkas}
-        )
+        values, method = None, "lp"
+        if not i_set and rays is not None:
+            for r in rays:
+                mass = sum(r[a] for a in e_set)
+                if mass > 0:
+                    values, method = tuple(Fraction(c, mass) for c in r), "cone"
+                    break
+        if values is None:
+            finite_atoms = [a for a in range(n) if a not in i_set]
+            equalities = [
+                ([d[a] for a in finite_atoms], 0)
+                for d in cong.differences()
+                if not any(d[a] for a in i_set)
+            ]
+            equalities.append(([1 if a in e_set else 0 for a in finite_atoms], 1))
+            res = exact_lp_feasible(len(finite_atoms), equalities=equalities)
+            if not res.feasible:
+                stages.append({"infinite": sorted(i_set), "feasible": False,
+                               "method": "lp", "farkas": res.farkas})
+                continue
+            if not i_set and rays is not None:
+                raise ContractError("LP finds a measure that no cone ray gives")
+            point = iter(res.point)
+            values = tuple(
+                Fraction(0) if a in i_set else next(point) for a in range(n)
+            )
+        m = RationalStationaryMeasure(ss, values, i_set)
+        bad = m.check()
+        if bad:
+            raise ContractError(f"synthesized measure fails invariants: {bad}")
+        if want_report:
+            stages.append({"infinite": sorted(i_set), "feasible": True, "method": method})
+            return SynthesisReport(m, stages)
+        return m
     if want_report:
         return SynthesisReport(None, stages)
     return None

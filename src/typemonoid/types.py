@@ -353,8 +353,11 @@ class TypeEngine:
         """Re-verify every logged definite decision; raises on any violation.
 
         Functional witnesses must annihilate all relation differences (the
-        congruence's integer check); path and domination witnesses must
-        replay into realizations that verify syntactically.
+        congruence's integer check) and, between finite sides, separate
+        them: y.left != y.right for equality (equal to the recorded
+        separation), y.left > y.right for order.  Path and domination
+        witnesses must replay into realizations that verify
+        syntactically.
         """
         counts = {"functional": 0, "path": 0, "domination": 0, "other": 0}
         for entry in self.audit_log:
@@ -363,6 +366,8 @@ class TypeEngine:
             if kind == "functional":
                 nonneg = bool(w.get("nonnegative"))
                 self.congruence._assert_functional(w["y"], nonneg=nonneg)
+                if entry.left.is_finite() and entry.right.is_finite():
+                    _audit_separation(entry)
                 counts["functional"] += 1
             elif kind == "path":
                 self._audit_path(w["start"], w["steps"], w["end"])
@@ -393,6 +398,19 @@ class TypeEngine:
             assert r.left_whole.finite == cur
             cur = r.right_whole.finite
         assert cur == tuple(end), "path does not reach its claimed endpoint"
+
+
+def _audit_separation(entry: AuditEntry) -> None:
+    """A functional witness between finite sides tells them apart."""
+    w = entry.decision.witness
+    pairs = zip(w["y"], entry.left.finite, entry.right.finite)
+    sep = sum(c * (l - r) for c, l, r in pairs if c and l != r)
+    if entry.op == "eq":
+        assert sep != 0, "functional does not separate the classes"
+        if "separation" in w:
+            assert sep == w["separation"], "separation does not match"
+    else:
+        assert sep > 0, "functional does not separate the classes"
 
 
 def morphism_type_map(

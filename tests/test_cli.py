@@ -245,12 +245,14 @@ class TestMeasure:
         assert code == 0
         assert doc["invariants"] == "checked"
         assert doc["measure"]["finite"]["0"] == "1/2"
+        assert doc["stages"] == [{"infinite": [], "feasible": True, "method": "cone"}]
 
     def test_collapse_null_atom_infeasible(self, files, capsys):
         code, doc, _ = run_json(capsys, ["measure", files["collapse"], "1"])
         assert code == 0
         assert "measure" not in doc
         assert all(not st["feasible"] for st in doc["stages"])
+        assert all(st["method"] == "lp" for st in doc["stages"])
 
     def test_empty_set_rejected(self, files, capsys):
         code, _, err = run(capsys, ["measure", files["parity"], ""])

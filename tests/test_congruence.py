@@ -177,6 +177,26 @@ class TestIntegerFunctionalCheck:
         with pytest.raises(AssertionError, match="not nonnegative"):
             eng.audit_decisions()
 
+    def test_zero_functional_fails_audit(self):
+        # the zero vector annihilates every relation and is nonnegative,
+        # so only the separation check can refuse it
+        eng = TypeEngine(fixture_spaces()["parity"])
+        d = eng.decide_equal((1, 0, 0, 0), (0, 1, 0, 0))
+        o = eng.decide_leq((1, 0, 0, 0), (0, 1, 0, 0))
+        assert d.witness["kind"] == o.witness["kind"] == "functional"
+        eng.audit_decisions()
+        for w in (d.witness, o.witness):
+            y = w["y"]
+            w["y"] = tuple(Fraction(0) for _ in y)
+            with pytest.raises(AssertionError, match="does not separate"):
+                eng.audit_decisions()
+            w["y"] = y
+        eng.audit_decisions()
+        sep = d.witness["separation"]
+        d.witness["separation"] = sep + 1
+        with pytest.raises(AssertionError, match="separation does not match"):
+            eng.audit_decisions()
+
 
 class TestEqFinite:
     def test_syntactic(self):

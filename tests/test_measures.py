@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import pytest
 
+from typemonoid import congruence
 from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, Budget, ExtVec, unit_vec
 from typemonoid.corpus import (
     collapse_space,
     cyclic4_space,
+    fixture_spaces,
     one_point_space,
     parity_space,
     random_corpus,
@@ -36,6 +38,7 @@ from typemonoid.measures import (
     tarski_T_measure,
     zero_T_measure,
 )
+from typemonoid.spaces import pullback
 from typemonoid.types import TypeEngine
 
 
@@ -119,6 +122,112 @@ class TestSynthesize:
             m = synthesize_classical_measure(ss, frozenset(range(ss.n_atoms)))
             if m is not None:
                 assert not m.check(), entry.name
+
+
+def _unstationary_sets(m):
+    """Reference for RationalStationaryMeasure.check: every (s, A) over all
+    2^n measurable sets whose preimage value differs from its value."""
+    ss = m.statspace
+    return [
+        (s, aset)
+        for s in range(ss.monoid.order)
+        for aset in ss.space.all_measurable_sets()
+        if m.value(pullback(ss, s, aset)) != m.value(aset)
+    ]
+
+
+def _tampered(m):
+    """Each finite value perturbed in turn, and each finite atom moved into
+    the infinite block in turn."""
+    vals = m.finite_values
+    out = []
+    for a in range(len(vals)):
+        if a in m.infinite_atoms:
+            continue
+        bumped = vals[:a] + (vals[a] + Fraction(1, 3),) + vals[a + 1:]
+        out.append(RationalStationaryMeasure(m.statspace, bumped, m.infinite_atoms))
+        out.append(RationalStationaryMeasure(m.statspace, vals, m.infinite_atoms | {a}))
+    return out
+
+
+def _nonempty_sets(ss):
+    return [s for s in ss.space.all_measurable_sets() if s]
+
+
+def _differential_spaces():
+    return list(fixture_spaces().values()) + [
+        e.statspace for e in random_corpus(seed=5)
+    ]
+
+
+class TestCheck:
+    def test_perturbed_value_flagged(self):
+        ss = parity_space()
+        m = synthesize_classical_measure(ss, frozenset(range(4)))
+        vals = m.finite_values
+        bad = RationalStationaryMeasure(
+            ss, (vals[0] + Fraction(1, 7),) + vals[1:], m.infinite_atoms
+        )
+        assert bad.check()
+
+    def test_non_invariant_infinite_atom_flagged(self):
+        ss = parity_space()
+        # the swap moves atom 0, so {0} alone is not forward invariant
+        assert any(amap[0] != 0 for amap in ss.atom_maps)
+        bad = RationalStationaryMeasure(ss, (Fraction(0),) * 4, frozenset({0}))
+        assert bad.check()
+
+    def test_agrees_with_all_sets_oracle(self):
+        flagged = clean = 0
+        for ss in _differential_spaces():
+            measures = set()
+            for e_set in _nonempty_sets(ss):
+                m = synthesize_classical_measure(ss, e_set)
+                if m is not None:
+                    measures.add(m)
+            for m in measures:
+                assert not m.check() and not _unstationary_sets(m)
+                for t in _tampered(m):
+                    bad = bool(t.check())
+                    assert bad == bool(_unstationary_sets(t))
+                    flagged += bad
+                    clean += not bad
+        assert flagged > 0 and clean > 0
+
+
+class TestConeStage:
+    def test_cone_matches_lp(self, monkeypatch):
+        def run_all():
+            out = []
+            for ss in _differential_spaces():
+                for e_set in _nonempty_sets(ss):
+                    rep = synthesize_classical_measure(ss, e_set, want_report=True)
+                    if rep.measure is not None:
+                        assert rep.measure.value(e_set) == 1
+                        assert not rep.measure.check()
+                    stages = [
+                        {k: v for k, v in st.items() if k != "method"}
+                        for st in rep.stages
+                    ]
+                    out.append((rep.measure is not None, stages))
+            return out
+
+        by_cone = run_all()
+        monkeypatch.setattr(congruence, "RAY_LIMIT", 0)
+        by_lp = run_all()
+        assert by_cone == by_lp
+        assert any(exists for exists, _ in by_cone)
+        assert not all(exists for exists, _ in by_cone)
+
+    def test_stage_methods(self, monkeypatch):
+        rep = synthesize_classical_measure(parity_space(), frozenset(range(4)), True)
+        assert rep.stages == [{"infinite": [], "feasible": True, "method": "cone"}]
+        rep = synthesize_classical_measure(collapse_space(), frozenset({1}), True)
+        assert rep.measure is None
+        assert {st["method"] for st in rep.stages} == {"lp"}
+        monkeypatch.setattr(congruence, "RAY_LIMIT", 0)
+        rep = synthesize_classical_measure(parity_space(), frozenset(range(4)), True)
+        assert rep.stages == [{"infinite": [], "feasible": True, "method": "lp"}]
 
 
 class TestTarskiCrossCheck:
