@@ -11,16 +11,22 @@ piece rearrangement.  Chains and sums of realizations are again
 realizations, which is precisely closure under transitivity and addition.
 
 Elements may in addition carry omega multiplicities (an omega support),
-with saturating arithmetic: omega + k = omega.  These are compared through
-bounded absorption: omega copies of atom b are absorbed by omega copies of
-a support W as soon as [b] <= k * [W] for some finite k, since an
-idempotent swallows everything below it.
+with saturating arithmetic: omega + k = omega.  Omega copies of atom b are
+absorbed by omega copies of a support W exactly when [b] <= k * [W] for
+some finite k, and that holds exactly when b lies in the support closure
+U(W): the least atom set containing W such that, for every relation
+(l, r), supp(l) is inside U exactly when supp(r) is.  Weighting the atoms
+of U by 0 and the others by infinity is a stationary measure (Tarski's
+{0, inf} measures), which gives one direction; the derivation of each
+added atom gives the other.  U(W) is a Horn-clause fixpoint, computed by
+forward chaining, and the same measure refutes p <= q whenever p has an
+atom outside U(supp q).
 
 Verdicts are three valued.  Positive answers carry replayable rewrite
-paths; negative answers carry either a conserved functional (a rational
-vector annihilating every relation difference, nonnegative for order
-queries, evaluated with saturation on omega coordinates) or a fully
-saturated class enumeration; budget exhaustion yields Unknown, never a
+paths; negative answers carry a conserved functional (a rational vector
+annihilating every relation difference, nonnegative for order queries,
+evaluated with saturation on omega coordinates), a closed support, or a
+fully saturated class enumeration; budget exhaustion yields Unknown, never a
 guess, and names the budget that ran out.  Witnesses are re-checked by
 assertion before being returned.
 
@@ -108,6 +114,10 @@ def indicator(n: int, support: Iterable[int]) -> Vec:
     return tuple(1 if j in s else 0 for j in range(n))
 
 
+def _supp(v: Vec) -> FrozenSet[int]:
+    return frozenset(i for i, c in enumerate(v) if c)
+
+
 def _primitive(v: Vec) -> Vec:
     """v divided by the gcd of its entries, its first nonzero entry positive."""
     g = math.gcd(*v)
@@ -157,6 +167,10 @@ class ExtVec:
 
     def is_zero(self) -> bool:
         return not self.omega and not any(self.finite)
+
+    def support(self) -> FrozenSet[int]:
+        """The atoms with finite or omega mass."""
+        return _supp(self.finite) | self.omega
 
     def add(self, other: "ExtVec") -> "ExtVec":
         if other.n != self.n:
@@ -282,11 +296,22 @@ class Congruence:
         self._diffs: Tuple[Vec, ...] = tuple(sorted(
             {vec_sub(l, r) for l, r in self.relations if l != r}
         ))
+        # the Horn clauses of the support closure: each distinct
+        # (supp lhs, supp rhs) with two different sides, with the first
+        # relation index that has it
+        supports: Dict[Tuple[FrozenSet[int], FrozenSet[int]], int] = {}
+        for idx, (l, r) in enumerate(self.relations):
+            supports.setdefault((_supp(l), _supp(r)), idx)
+        self._support_pairs = tuple(
+            (idx, left, right) for (left, right), idx in supports.items()
+            if left != right
+        )
         self._kernel: Optional[List[Tuple[Fraction, ...]]] = None
         self._rays: Optional[List[Vec]] = None
         self._rays_built = False
         self._closures: Dict[Tuple[Vec, int, int], ClassRecord] = {}
-        self._normal_memo: Dict[tuple, Tuple[ExtVec, dict]] = {}
+        self._support_memo: Dict[FrozenSet[int], Tuple[FrozenSet[int], dict]] = {}
+        self._normal_memo: Dict[ExtVec, Tuple[ExtVec, dict]] = {}
         self._decision_memo: Dict[tuple, Decision] = {}
         # deterministic work counters; unknown verdicts counted per budget
         self.stats: Dict[str, int] = {
@@ -710,61 +735,48 @@ class Congruence:
 
     # ----- omega machinery ----------------------------------------------------
 
-    def absorbable(
-        self,
-        coord: int,
-        support: FrozenSet[int],
-        budget: Budget,
-        causes: Optional[set] = None,
-    ) -> Optional[int]:
-        """Least k <= absorption_k with [coord] <= k*[support], else None.
+    def support_closure(self, support: FrozenSet[int]) -> Tuple[FrozenSet[int], dict]:
+        """U(support): the least atom set containing `support` such that,
+        for every relation (l, r), supp(l) is inside it exactly when
+        supp(r) is.
 
-        k = 0 asks whether the coordinate is null ([coord] = 0); this is the
-        branch that matters when the support is empty.  On None, the
-        budgets that ran out are added to `causes` when it is given.
+        b is in U(W) exactly when [b] <= k*[W] for some finite k.  The
+        certificate maps each added atom, in insertion order, to the
+        (relation index, direction) that forced it in: direction 1 when
+        supp(lhs) was already inside and supp(rhs) was added, -1 for the
+        converse.  Memoized per support.
         """
-        e = unit_vec(self.n, coord)
-        chi = indicator(self.n, support)
-        for k in range(budget.absorption_k + 1 if support else 1):
-            dec = self.leq_finite(e, vec_scale(k, chi), budget)
-            if dec.verdict == LEQ:
-                return k
-            if causes is not None and dec.verdict == UNKNOWN:
-                causes.update(dec.witness["exhausted"])
-        if causes is not None and support:
-            causes.add("absorption_k")
-        return None
-
-    def support_closure(
-        self, support: FrozenSet[int], budget: Budget
-    ) -> Tuple[FrozenSet[int], dict]:
-        """Close an omega support under bounded absorption."""
+        support = frozenset(support)
+        hit = self._support_memo.get(support)
+        if hit is not None:
+            return hit
         closed = set(support)
-        added: Dict[int, int] = {}
+        added: Dict[int, Tuple[int, int]] = {}
         changed = True
         while changed:
             changed = False
-            for b in range(self.n):
-                if b in closed:
-                    continue
-                k = self.absorbable(b, frozenset(closed), budget)
-                if k is not None:
-                    closed.add(b)
-                    added[b] = k
-                    changed = True
-        return frozenset(closed), {"added": added}
+            for idx, left, right in self._support_pairs:
+                for given, forced, direction in ((left, right, 1), (right, left, -1)):
+                    if given <= closed and not forced <= closed:
+                        for b in sorted(forced - closed):
+                            added[b] = (idx, direction)
+                        closed |= forced
+                        changed = True
+        result = (frozenset(closed), {"added": added})
+        self._support_memo[support] = result
+        return result
 
-    def normalize(self, v: ExtVec, budget: Budget) -> Tuple[ExtVec, dict]:
+    def normalize(self, v: ExtVec) -> Tuple[ExtVec, dict]:
         """Omega-support closure followed by absorption of trapped finite mass.
 
         Identity on purely finite vectors; idempotent by construction.
         """
         if v.is_finite():
             return v, {"kind": "identity"}
-        key = (v, budget.absorption_k, budget.coordinate_cap, budget.max_states)
-        if key in self._normal_memo:
-            return self._normal_memo[key]
-        closed, cert = self.support_closure(v.omega, budget)
+        hit = self._normal_memo.get(v)
+        if hit is not None:
+            return hit
+        closed, cert = self.support_closure(v.omega)
         fin = tuple(0 if i in closed else v.finite[i] for i in range(self.n))
         absorbed = {
             i: v.finite[i]
@@ -773,27 +785,8 @@ class Congruence:
         }
         out = ExtVec(fin, closed)
         result = (out, {"kind": "normalized", "closure": cert, "absorbed": absorbed})
-        self._normal_memo[key] = result
+        self._normal_memo[v] = result
         return result
-
-    def _support_absorbed_in(
-        self,
-        support: FrozenSet[int],
-        target: FrozenSet[int],
-        budget: Budget,
-        causes: set,
-    ) -> Optional[Dict[int, int]]:
-        """Each omega coordinate of `support` swallowed by omega over `target`."""
-        ks: Dict[int, int] = {}
-        for b in support:
-            if b in target:
-                ks[b] = 1
-                continue
-            k = self.absorbable(b, target, budget, causes)
-            if k is None:
-                return None
-            ks[b] = k
-        return ks
 
     # ----- extended decisions --------------------------------------------------
 
@@ -808,20 +801,21 @@ class Congruence:
         return hit
 
     def _decide_eq_impl(self, p: ExtVec, q: ExtVec, budget: Budget) -> Decision:
-        pn, pcert = self.normalize(p, budget)
-        qn, qcert = self.normalize(q, budget)
+        pn, _ = self.normalize(p)
+        qn, _ = self.normalize(q)
         if pn.is_finite() and qn.is_finite():
             return self.eq_finite(pn.finite, qn.finite, budget)
         if pn == qn:
             return Decision(EQUAL, {"kind": "syntactic-normalized"}, budget)
         sep = self._saturating_separation(pn, qn, budget, order=False)
+        if sep is None:
+            sep = self._support_refutation(p, q, budget, order=False)
         if sep is not None:
             return sep
         W, V = pn.omega, qn.omega
         causes: set = set()
-        into_v = self._support_absorbed_in(W, V, budget, causes)
-        into_w = self._support_absorbed_in(V, W, budget, causes)
-        if into_v is not None and into_w is not None:
+        # a finite side's omega set is empty, not closed: compare closures
+        if self.support_closure(W)[0] == self.support_closure(V)[0]:
             union = W | V
             chi = indicator(self.n, union)
             for k in range(0, budget.absorption_k + 1):
@@ -838,12 +832,11 @@ class Congruence:
                             "kind": "omega_equal",
                             "support": union,
                             "k": k,
-                            "mutual_absorption": [into_v, into_w],
                             "finite": fin.witness,
                         },
                         budget,
                     )
-            causes.add("absorption_k")
+        causes.add("absorption_k")
         return self._omega_unknown(budget, causes)
 
     def decide_leq(self, p: ExtVec, q: ExtVec, budget: Budget = Budget()) -> Decision:
@@ -857,19 +850,20 @@ class Congruence:
         return hit
 
     def _decide_leq_impl(self, p: ExtVec, q: ExtVec, budget: Budget) -> Decision:
-        pn, _ = self.normalize(p, budget)
-        qn, _ = self.normalize(q, budget)
+        pn, _ = self.normalize(p)
+        qn, _ = self.normalize(q)
         if pn.is_zero():
             return Decision(LEQ, {"kind": "zero-bottom"}, budget)
         if pn.is_finite() and qn.is_finite():
             return self.leq_finite(pn.finite, qn.finite, budget)
         sep = self._saturating_separation(pn, qn, budget, order=True)
+        if sep is None:
+            sep = self._support_refutation(p, q, budget, order=True)
         if sep is not None:
             return sep
         V = qn.omega
         causes: set = set()
-        into_v = self._support_absorbed_in(pn.omega, V, budget, causes)
-        if into_v is not None:
+        if pn.omega <= self.support_closure(V)[0]:
             # the finite mass f of p under omega on the right is absorbed
             # outright: p' <= q.finite + k*chi_V gives p' + f <= q
             under = {i: pn.finite[i] for i in sorted(V) if pn.finite[i]}
@@ -886,16 +880,35 @@ class Congruence:
                         LEQ,
                         {
                             "kind": "omega_leq",
-                            "absorption": into_v,
                             "under_omega": under,
                             "k": k,
                             "finite": fin.witness,
                         },
                         budget,
                     )
-            if V:
-                causes.add("absorption_k")
+        causes.add("absorption_k")
         return self._omega_unknown(budget, causes)
+
+    def _support_refutation(
+        self, p: ExtVec, q: ExtVec, budget: Budget, order: bool
+    ) -> Optional[Decision]:
+        """A closed support U = U(supp q) with an atom of p outside it.
+
+        The measure 0 on the atoms of U and infinity elsewhere is
+        stationary and gives q the value 0 and p the value infinity, so
+        p <= q fails.  For equality the two sides are also tried swapped.
+        """
+        sides = [(p, q)] if order else [(p, q), (q, p)]
+        for x, y in sides:
+            closed, _ = self.support_closure(y.support())
+            outside = sorted(x.support() - closed)
+            if outside:
+                return Decision(
+                    NOT_LEQ if order else NOT_EQUAL,
+                    {"kind": "support", "closed": closed, "outside": outside},
+                    budget,
+                )
+        return None
 
     def _saturating_separation(
         self, pn: ExtVec, qn: ExtVec, budget: Budget, order: bool

@@ -3,11 +3,14 @@
 Idempotent types (e with e+e = e) of a finite space all arise as the
 omega-fold of some measurable set: an idempotent absorbs itself, so it
 absorbs countably many copies of any of its finite representatives, and
-conversely omega of anything is idempotent.  Enumerating omega vectors
-over all atom subsets and normalizing therefore lists every idempotent.
-That completeness argument is a lemma of the construction, not an
-assumption; `enumerate_idempotents` cross-checks the resulting order
-against the engine's decisions pair by pair.
+conversely omega of anything is idempotent.  Omega over W equals omega
+over V exactly when the support closures U(W) and U(V) agree, and
+omega over W lies below omega over V exactly when W is inside U(V): the
+{0, inf} measure of a closed support is stationary, and an atom of U(V)
+sits below a finite multiple of V.  So the idempotents are the closed
+supports, ordered by inclusion, and each has one normal form: the
+closure, except that the closure of the empty support (the null atoms,
+which lie in every closed support) is written as the empty support.
 
 On top of the lattice sit the isotropy slices: for each idempotent e,
 the types whose largest idempotent below them is exactly e form a
@@ -71,7 +74,6 @@ class IdempotentLattice:
         self,
         elements: Sequence[Hashable],
         leq_pairs: Sequence[Tuple[Hashable, Hashable]],
-        undecided_pairs: Sequence[Tuple[Hashable, Hashable]] = (),
     ):
         self.elements: Tuple[Hashable, ...] = tuple(elements)
         self.index: Dict[Hashable, int] = {e: i for i, e in enumerate(self.elements)}
@@ -99,7 +101,6 @@ class IdempotentLattice:
                         f"order not antisymmetric: {self.elements[i]} ~ {self.elements[j]}"
                     )
         self._rel = rel
-        self.undecided_pairs = tuple(undecided_pairs)
         self._meet = [[-1] * n for _ in range(n)]
         self._join = [[-1] * n for _ in range(n)]
         for i in range(n):
@@ -191,82 +192,37 @@ def m3_fixture() -> IdempotentLattice:
     return IdempotentLattice(els, pairs)
 
 
-def enumerate_idempotents(
-    engine: TypeEngine, budget: Optional[Budget] = None
-) -> IdempotentLattice:
+def enumerate_idempotents(engine: TypeEngine) -> IdempotentLattice:
     """List all idempotent types of the space as a bounded lattice.
 
-    Candidates are omega vectors over every atom subset; normalization
-    closes the support, and distinct closed supports are still compared
-    through decide_equal before being accepted as distinct lattice
-    elements.  The order is read off decide_equal(e+f, f).
+    The elements are the canonical idempotents of every atom subset, and
+    the order is inclusion of their supports.
     """
-    budget = budget or engine.budget
-    cong = engine.congruence
     n = engine.n
-    by_support: Dict[FrozenSet[int], IdempotentElement] = {}
-    for r in range(n + 1):
-        for combo in combinations(range(n), r):
-            w = frozenset(combo)
-            nv, _ = cong.normalize(ExtVec((0,) * n, w), budget)
-            if nv.omega not in by_support:
-                by_support[nv.omega] = IdempotentElement(n, nv.omega)
-    cands = sorted(by_support.values(), key=lambda e: (len(e.omega_support),
-                                                       sorted(e.omega_support)))
-    # merge candidates the engine considers equal despite distinct supports
-    reps: List[IdempotentElement] = []
-    for c in cands:
-        for r in reps:
-            d = engine.decide_equal(
-                engine.type_of_abar(c.vec), engine.type_of_abar(r.vec), budget
-            )
-            if d.verdict == EQUAL:
-                break
-        else:
-            reps.append(c)
-    pairs = []
-    undecided = []
-    for e in reps:
-        for f in reps:
-            if e is f:
-                continue
-            s = engine.type_of_abar(e.vec.add(f.vec))
-            d = engine.decide_equal(s, engine.type_of_abar(f.vec), budget)
-            if d.verdict == EQUAL:
-                pairs.append((e, f))
-            elif not d.is_definite():
-                undecided.append((e, f))
-    try:
-        return IdempotentLattice(reps, pairs, undecided_pairs=undecided)
-    except LatticeError:
-        if undecided:
-            raise BudgetExhaustedError(
-                f"idempotent order has {len(undecided)} undecided pairs; "
-                "raise the budget"
-            )
-        raise
+    elements = sorted(
+        {
+            canonical_idempotent(engine, frozenset(combo))
+            for r in range(n + 1)
+            for combo in combinations(range(n), r)
+        },
+        key=lambda e: (len(e.omega_support), sorted(e.omega_support)),
+    )
+    pairs = [
+        (e, f) for e in elements for f in elements
+        if e.omega_support <= f.omega_support
+    ]
+    return IdempotentLattice(elements, pairs)
 
 
-def canonical_idempotent(
-    engine: TypeEngine,
-    lattice: IdempotentLattice,
-    support: FrozenSet[int],
-    budget: Optional[Budget] = None,
-) -> IdempotentElement:
-    """The lattice element equal to omega over `support`.
-
-    Normal forms are not unique across a class (a null atom may or may
-    not sit in a closed support), so membership must go through
-    decide_equal rather than support equality.
-    """
-    cand = IdempotentElement(engine.n, support)
-    if cand in lattice:
-        return cand
-    t = engine.type_of_abar(cand.vec)
-    for f in lattice:
-        if engine.decide_equal(t, engine.type_of_abar(f.vec), budget).verdict == EQUAL:
-            return f
-    raise LatticeError(f"omega support {sorted(support)} matches no lattice element")
+def canonical_idempotent(engine: TypeEngine, support: FrozenSet[int]) -> IdempotentElement:
+    """The idempotent equal to omega over `support`: omega over its
+    support closure, with the closure of the empty support written as
+    the empty support (the bottom)."""
+    cong = engine.congruence
+    closed, _ = cong.support_closure(support)
+    if closed == cong.support_closure(frozenset())[0]:
+        closed = frozenset()
+    return IdempotentElement(engine.n, closed)
 
 
 def join_idempotents(
@@ -369,7 +325,7 @@ def meet_by_realizations(
     if any(v for v in top.finite):
         raise LatticeError(f"maximal intersection {top} is not an idempotent")
     if lattice is not None:
-        return canonical_idempotent(engine, lattice, top.omega)
+        return canonical_idempotent(engine, top.omega)
     return IdempotentElement(n, top.omega)
 
 
@@ -406,8 +362,8 @@ def idempotent_of(
     arithmetic asks, runs the scan once per (engine, vector, budget).
     """
     budget = budget or engine.budget
-    nv = engine.omega_normalize(alpha, budget)
-    cand = canonical_idempotent(engine, lattice, nv.vec.omega, budget)
+    nv = engine.omega_normalize(alpha)
+    cand = canonical_idempotent(engine, nv.vec.omega)
     below = []
     for f in lattice:
         d = engine.decide_leq(engine.type_of_abar(f.vec), engine.type_of_abar(nv), budget)

@@ -297,12 +297,7 @@ class FPMonoidTarget:
         return x.scale(k)
 
     def omega(self, x: ExtVec) -> ExtVec:
-        support = frozenset(
-            i for i in range(x.n) if x.finite[i] != 0
-        ) | x.omega
-        out, _ = self.congruence.normalize(
-            ExtVec((0,) * x.n, support), self.budget
-        )
+        out, _ = self.congruence.normalize(ExtVec((0,) * x.n, x.support()))
         return out
 
     def eq(self, x: ExtVec, y: ExtVec) -> Decision:
@@ -513,7 +508,7 @@ def hierarchical_measure(
     largest infinity point of the completed scale below the shift."""
     if e not in lattice:
         raise ContractError(f"scale {e} not in the enumerated lattice")
-    shifted = engine.omega_normalize(engine._vec(atoms_or_vec).add(e.vec), budget)
+    shifted = engine.omega_normalize(engine._vec(atoms_or_vec).add(e.vec))
     scale_of, _ = isotropy_decompose(engine, lattice, shifted, budget)
     if scale_of == e:
         return HierarchicalValue(e, "member", member=shifted.vec)
@@ -624,8 +619,7 @@ def extend_T_measure(
         a for a in range(engine.n)
         if _definite(t.is_zero(spec.assignment[a]), f"atom {a}") == EQUAL
     )
-    closed = engine.omega_normalize(ExtVec((0,) * engine.n, null_atoms), budget).vec.omega
-    scale = canonical_idempotent(engine, lattice, closed, budget)
+    scale = canonical_idempotent(engine, null_atoms)
     # the scale must be the largest idempotent of extended value zero
     idempotent_values: Dict[IdempotentElement, str] = {}
     for f in lattice:
@@ -702,7 +696,7 @@ def colimit_increasing(
     """
     if not prefix:
         raise ContractError("prefix must be nonempty")
-    terms = [engine.omega_normalize(p, budget).vec for p in prefix]
+    terms = [engine.omega_normalize(p).vec for p in prefix]
     if tail[0] == "constant":
         limit_vec = terms[-1]
         unrolled = terms + [terms[-1]] * 2
@@ -716,7 +710,7 @@ def colimit_increasing(
         saturated = tuple(
             0 if i in merged else last.finite[i] for i in range(engine.n)
         )
-        limit_vec = engine.omega_normalize(ExtVec(saturated, merged), budget).vec
+        limit_vec = engine.omega_normalize(ExtVec(saturated, merged)).vec
         unrolled = list(terms)
         for k in range(1, 4):
             unrolled.append(
@@ -759,14 +753,14 @@ def decreasing_limit_with_scale(
     """
     if not chain:
         raise ContractError("empty chain")
-    vecs = [engine.omega_normalize(c, budget).vec for c in chain]
+    vecs = [engine.omega_normalize(c).vec for c in chain]
     for hi, lo in zip(vecs, vecs[1:]):
         d = engine.decide_leq(lo, hi, budget)
         if d.verdict != LEQ:
             raise ContractError("chain is not decreasing")
     tail_vec = vecs[-1]
     e, _ = isotropy_decompose(engine, lattice, tail_vec, budget)
-    limit_plus_e = engine.omega_normalize(tail_vec.add(e.vec), budget)
+    limit_plus_e = engine.omega_normalize(tail_vec.add(e.vec))
     d = engine.decide_equal(limit_plus_e, tail_vec, budget)
     if d.verdict != EQUAL:
         raise ContractError("stabilized value is not fixed by its scale unit")
@@ -818,7 +812,6 @@ def continuity_suite(
                       for i in range(engine.n)),
                 frozenset({(a + made) % engine.n}),
             ),
-            budget,
         )
         d = engine.decide_equal(limit, expected, budget)
         if d.verdict == EQUAL:

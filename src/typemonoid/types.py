@@ -195,8 +195,7 @@ class TypeEngine:
 
     def omega_fold(self, p) -> AbarElement:
         """Countably many copies of p: omega on every supported atom."""
-        v = self._vec(p)
-        supp = frozenset(i for i in range(self.n) if v.finite[i] > 0) | v.omega
+        supp = self._vec(p).support()
         return AbarElement(self.statspace, ExtVec(zero_vec(self.n), supp))
 
     def abar_act(self, s: int, p) -> AbarElement:
@@ -245,8 +244,8 @@ class TypeEngine:
         self.audit_log.append(AuditEntry("leq", u, v, dec))
         return dec
 
-    def omega_normalize(self, p, budget: Optional[Budget] = None) -> AbarElement:
-        out, _ = self.congruence.normalize(self._vec(p), budget or self.budget)
+    def omega_normalize(self, p) -> AbarElement:
+        out, _ = self.congruence.normalize(self._vec(p))
         return AbarElement(self.statspace, out)
 
     # ----- types ---------------------------------------------------------------
@@ -256,7 +255,7 @@ class TypeEngine:
 
     def type_of_abar(self, p) -> TarskiType:
         v = self._vec(p)
-        out, _ = self.congruence.normalize(v, self.budget)
+        out, _ = self.congruence.normalize(v)
         return TarskiType(self.statspace, out)
 
     def type_zero(self) -> TarskiType:
@@ -357,9 +356,10 @@ class TypeEngine:
         them: y.left != y.right for equality (equal to the recorded
         separation), y.left > y.right for order.  Path and domination
         witnesses must replay into realizations that verify
-        syntactically.
+        syntactically.  Support witnesses must name a closed support that
+        contains one side and misses the listed atoms of the other.
         """
-        counts = {"functional": 0, "path": 0, "domination": 0, "other": 0}
+        counts = {"functional": 0, "path": 0, "domination": 0, "support": 0, "other": 0}
         for entry in self.audit_log:
             w = entry.decision.witness
             kind = w.get("kind")
@@ -382,6 +382,9 @@ class TypeEngine:
                 if w["path_right"]:
                     self._audit_path(entry.right.finite, w["path_right"], top)
                 counts["domination"] += 1
+            elif kind == "support":
+                self._audit_support(entry)
+                counts["support"] += 1
             elif kind == "omega_equal" and w["finite"].get("kind") == "path":
                 inner = w["finite"]
                 self._audit_path(inner["start"], inner["steps"], inner["end"])
@@ -389,6 +392,23 @@ class TypeEngine:
             else:
                 counts["other"] += 1
         return counts
+
+    def _audit_support(self, entry: AuditEntry) -> None:
+        """One pass over the relations: the witness's support is closed,
+        holds the right side (either side for equality), and misses the
+        listed atoms of the other."""
+        w = entry.decision.witness
+        closed = w["closed"]
+        for rel in self.relations:
+            lhs_in = all(i in closed for i, c in enumerate(rel.lhs) if c)
+            rhs_in = all(i in closed for i, c in enumerate(rel.rhs) if c)
+            assert lhs_in == rhs_in, "support is not closed under a relation"
+        x, y = entry.left, entry.right
+        if entry.op == "eq" and not y.support() <= closed:
+            x, y = y, x
+        assert y.support() <= closed, "support misses the bounding side"
+        outside = set(w["outside"])
+        assert outside and outside <= x.support() - closed, "listed atoms not outside"
 
     def _audit_path(self, start, steps, end) -> None:
         cur = tuple(start)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -294,17 +295,17 @@ class TestOmega:
     def test_normalize_finite_identity(self):
         cong = parity_congruence()
         v = ExtVec.from_vec((1, 2, 0, 0))
-        out, cert = cong.normalize(v, Budget())
+        out, cert = cong.normalize(v)
         assert out == v and cert["kind"] == "identity"
 
     def test_parity_closure_even(self):
         cong = parity_congruence()
-        out, cert = cong.normalize(ExtVec((0, 0, 0, 0), frozenset({0})), Budget())
+        out, cert = cong.normalize(ExtVec((0, 0, 0, 0), frozenset({0})))
         assert out.omega == frozenset({0, 2})
 
     def test_collapse_null_joins_support(self):
         cong = collapse_congruence()
-        out, _ = cong.normalize(ExtVec((0, 0), frozenset({0})), Budget())
+        out, _ = cong.normalize(ExtVec((0, 0), frozenset({0})))
         assert out.omega == frozenset({0, 1})
 
     def test_omega_absorbs_even_not_odd(self):
@@ -338,12 +339,15 @@ class TestOmega:
         d = cong.decide_leq(ExtVec.from_vec((0, 1, 0, 0)), e_even)
         assert d.verdict == NOT_LEQ
 
-    def test_absorbable_values(self):
+    def test_support_closure_values(self):
         cong = parity_congruence()
-        assert cong.absorbable(2, frozenset({0}), Budget()) == 1
-        assert cong.absorbable(1, frozenset({0}), Budget()) is None
+        closed, cert = cong.support_closure(frozenset({0}))
+        assert 2 in closed and 1 not in closed
+        _replay_support_closure(cong, frozenset({0}), closed, cert)
         col = collapse_congruence()
-        assert col.absorbable(1, frozenset(), Budget()) == 0
+        closed, cert = col.support_closure(frozenset())
+        assert 1 in closed
+        _replay_support_closure(col, frozenset(), closed, cert)
 
     def test_same_class_omega_vectors(self):
         cong = parity_congruence()
@@ -368,35 +372,106 @@ class TestOmega:
         assert d.witness["kind"] == "omega_leq"
         assert d.witness["under_omega"] == {0: 9}
 
-    def test_omega_unknown_names_absorption_k(self):
+    def test_cyclic4_closed_supports_decide_at_absorption_k_zero(self):
+        # the closed supports of cyclic4 are all or nothing, so q's three
+        # omega atoms absorb its finite mass with no k loop
         cong = TypeEngine(fixture_spaces()["cyclic4"]).congruence
         budget = Budget(absorption_k=0)
         p = ExtVec((0, 0, 0, 0), frozenset({0, 1, 2, 3}))
         q = ExtVec((2, 0, 0, 0), frozenset({1, 2, 3}))
-        for op in (cong.decide_eq, cong.decide_leq):
-            d = op(p, q, budget)
-            assert d.verdict == UNKNOWN and d.witness["omega"]
-            assert d.witness["exhausted"] == ["absorption_k"]
-        assert cong.stats["exhausted_absorption_k"] == 2
+        assert cong.decide_eq(p, q, budget).verdict == EQUAL
+        assert cong.decide_leq(p, q, budget).verdict == LEQ
+        assert cong.stats["exhausted_absorption_k"] == 0
 
     def test_omega_unknown_adds_inner_causes(self):
-        # [e0] or [e1] below k*[e2] is a finite leq that no functional
-        # refutes and whose classes leave every coordinate cap
         cong = Congruence(3, [((1, 0, 0), (0, 2, 0)), ((0, 1, 0), (2, 0, 0))])
         budget = Budget(coordinate_cap=6, max_states=30, absorption_k=2)
         q = ExtVec((0, 0, 0), frozenset({2}))
-        # the first fails an absorption probe, the second the k loop
-        for p in (ExtVec((0, 0, 0), frozenset({0})), ExtVec.from_vec((0, 1, 0))):
+        # U({2}) = {2}: atoms 0 and 1 lie outside it
+        for p, outside in (
+            (ExtVec((0, 0, 0), frozenset({0})), [0]),
+            (ExtVec.from_vec((0, 1, 0)), [1]),
+        ):
             d = cong.decide_leq(p, q, budget)
-            assert d.verdict == UNKNOWN
-            assert d.witness["exhausted"] == ["absorption_k", "coordinate_cap"]
-            assert d.to_json()["witness"]["exhausted"] == ["absorption_k", "coordinate_cap"]
-        # and the k loop of an equality
+            assert d.verdict == NOT_LEQ
+            assert d.witness == {"kind": "support", "closed": frozenset({2}), "outside": outside}
+        # [e1] + k*[e2] = [e0] + k*[e2] is a finite eq that no functional
+        # refutes and whose classes leave every coordinate cap
         d = cong.decide_eq(
             ExtVec((0, 1, 0), frozenset({2})), ExtVec((1, 0, 0), frozenset({2})), budget
         )
         assert d.verdict == UNKNOWN
         assert d.witness["exhausted"] == ["absorption_k", "coordinate_cap"]
+        assert d.to_json()["witness"]["exhausted"] == ["absorption_k", "coordinate_cap"]
+
+    def test_absorption_past_absorption_k(self):
+        # [e0] = [10 e1] is below no k*[e1] with k <= 8, yet e0 is in U({1})
+        cong = Congruence(2, [((1, 0), (0, 10))])
+        d = cong.decide_leq(ExtVec((0, 0), frozenset({0})), ExtVec((0, 0), frozenset({1})))
+        assert d.verdict == LEQ
+
+    def test_support_refutes_what_no_functional_does(self):
+        # no conserved functional is positive on atom 1, and atom 1 is
+        # outside U({2}) = {2}; probes of eq_finite((0, 1, k), (0, 0, k))
+        # would all refute, but only up to absorption_k
+        cong = Congruence(3, [((1, 0, 0), (0, 2, 0)), ((0, 1, 0), (2, 0, 0))])
+        budget = Budget(coordinate_cap=6, max_states=30, absorption_k=2)
+        d = cong.decide_eq(ExtVec((0, 1, 0), frozenset({2})), ExtVec((0, 0, 0), frozenset({2})), budget)
+        assert d.verdict == NOT_EQUAL
+        assert d.witness == {"kind": "support", "closed": frozenset({2}), "outside": [1]}
+
+
+def _replay_support_closure(cong, support, closed, cert):
+    """Re-derive a support closure from its certificate, then check that
+    the result is closed under every relation."""
+    cur = set(support)
+    for b, (idx, direction) in cert["added"].items():
+        l, r = cong.relations[idx]
+        given, forced = (l, r) if direction == 1 else (r, l)
+        assert all(i in cur for i, c in enumerate(given) if c)
+        assert forced[b] and b not in cur
+        cur.add(b)
+    assert cur == closed
+    for l, r in cong.relations:
+        assert all(i in cur for i, c in enumerate(l) if c) == all(
+            i in cur for i, c in enumerate(r) if c
+        )
+
+
+def _bounded_absorption_closure(cong, support, budget=Budget(absorption_k=8)):
+    """Close a support by search: add b while [b] <= k*[closed] for some
+    k <= absorption_k (k = 0 only when the support is empty), through
+    leq_finite."""
+    closed = set(support)
+    changed = True
+    while changed:
+        changed = False
+        for b in range(cong.n):
+            if b in closed:
+                continue
+            chi = indicator(cong.n, closed)
+            for k in range(budget.absorption_k + 1 if closed else 1):
+                if cong.leq_finite(unit_vec(cong.n, b), tuple(k * c for c in chi), budget).verdict == LEQ:
+                    closed.add(b)
+                    changed = True
+                    break
+    return frozenset(closed)
+
+
+class TestSupportClosureOracle:
+    def test_matches_bounded_absorption(self):
+        spaces = list(fixture_spaces().values()) + [e.statspace for e in random_corpus(seed=5)]
+        checked = 0
+        for ss in spaces:
+            cong = TypeEngine(ss).congruence
+            for r in range(cong.n + 1):
+                for combo in itertools.combinations(range(cong.n), r):
+                    w = frozenset(combo)
+                    closed, cert = cong.support_closure(w)
+                    assert closed == _bounded_absorption_closure(cong, w), (ss, w)
+                    _replay_support_closure(cong, w, closed, cert)
+                    checked += 1
+        assert checked > 500
 
 
 def _lp_feasible(cong, p, zero):
@@ -716,6 +791,6 @@ class TestAlgebraicLaws:
         cong = parity_congruence()
         for supp in [frozenset({0}), frozenset({1}), frozenset({0, 1})]:
             v = ExtVec((0, 0, 1, 0) if 0 not in supp else (0, 0, 0, 0), supp)
-            once, _ = cong.normalize(v, Budget())
-            twice, _ = cong.normalize(once, Budget())
+            once, _ = cong.normalize(v)
+            twice, _ = cong.normalize(once)
             assert once == twice

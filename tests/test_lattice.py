@@ -166,7 +166,7 @@ class TestIdempotentOf:
     def test_null_support_canonicalizes_to_bottom(self):
         eng, lat = engine_and_lattice(collapse_space())
         assert idempotent_of(eng, lat, eng.abar((0, 0), omega={1})) == lat.bottom
-        assert canonical_idempotent(eng, lat, frozenset({1})) == lat.bottom
+        assert canonical_idempotent(eng, frozenset({1})) == lat.bottom
 
 
 class TestIsotropy:
@@ -443,3 +443,32 @@ class TestCorpusLattices:
                 for f in lat:
                     got = meet_by_realizations(eng, e, f, lattice=lat)
                     assert got == lat.meet(e, f), (entry.name, e, f)
+
+
+class TestLatticeOracle:
+    """The lattice read off support closures against the engine's
+    decisions: e <= f is decide_equal(e + f, f), and omega over a support
+    equals exactly one element, its canonical idempotent."""
+
+    @staticmethod
+    def _spaces():
+        return list(fixture_spaces().values()) + [e.statspace for e in random_corpus(seed=5)]
+
+    def test_order_is_decided_absorption(self):
+        for ss in self._spaces():
+            eng, lat = engine_and_lattice(ss)
+            for e in lat:
+                for f in lat:
+                    d = eng.decide_equal(e.vec.add(f.vec), f.vec)
+                    assert d.is_definite()
+                    assert (d.verdict == EQUAL) == (e.omega_support <= f.omega_support), (e, f)
+                    assert lat.leq(e, f) == (e.omega_support <= f.omega_support)
+
+    def test_canonical_idempotent_matches_decided_scan(self):
+        for ss in self._spaces():
+            eng, lat = engine_and_lattice(ss)
+            for r in range(eng.n + 1):
+                for combo in itertools.combinations(range(eng.n), r):
+                    w = ExtVec((0,) * eng.n, frozenset(combo))
+                    equal = [f for f in lat if eng.decide_equal(w, f.vec).verdict == EQUAL]
+                    assert equal == [canonical_idempotent(eng, frozenset(combo))], (ss, combo)

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, Budget, ExtVec
+from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, Budget, Decision, ExtVec
 from typemonoid.corpus import (
     collapse_space,
     cyclic4_space,
@@ -17,6 +17,7 @@ from typemonoid.measures import hierarchical_measure
 from typemonoid.spaces import StatMorphism, compose_morphisms, identity_morphism, pullback
 from typemonoid.types import (
     AbarElement,
+    AuditEntry,
     Realization,
     TypeEngine,
     morphism_type_map,
@@ -383,6 +384,30 @@ class TestAudit:
         eng.decide_leq(eng.abar((3, 0)), top)
         eng.decide_equal(eng.abar((0, 1)), eng.abar_zero())
         eng.audit_decisions()
+
+    def test_audit_support_witness(self):
+        # no space here needs a support refutation (every non-null atom
+        # carries a finite stationary measure), so build one directly: the
+        # odd atom 1 lies outside U({0}) = {0, 2}
+        eng = parity_engine()
+        p, q = eng.abar((0, 1, 0, 0)).vec, eng.abar((0,) * 4, omega={0}).vec
+        good = {"kind": "support", "closed": frozenset({0, 2}), "outside": [1]}
+        for op, order in (("leq", True), ("eq", False)):
+            d = eng.congruence._support_refutation(p, q, Budget(), order)
+            assert d.witness == good
+            eng.audit_log.append(AuditEntry(op, p, q, d))
+        # an equality refutation holds with the sides swapped
+        eng.audit_log.append(AuditEntry("eq", q, p, d))
+        assert eng.audit_decisions()["support"] == 3
+        for tampered, op, left, right in (
+            ({**good, "closed": frozenset({0})}, "leq", p, q),  # not closed
+            ({**good, "outside": [0]}, "leq", p, q),  # listed atom inside
+            ({**good, "outside": []}, "leq", p, q),  # nothing listed
+            (good, "leq", q, p),  # order refuted the wrong way round
+        ):
+            eng.audit_log[:] = [AuditEntry(op, left, right, Decision(NOT_LEQ, tampered, Budget()))]
+            with pytest.raises(AssertionError):
+                eng.audit_decisions()
 
 
 class TestMorphismTypeMap:
