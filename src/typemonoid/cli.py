@@ -10,6 +10,7 @@ appear only under `--timings`.
 """
 
 import argparse
+import functools
 import sys
 import time
 from typing import List, Optional
@@ -40,7 +41,7 @@ from .spaces import validate_action
 from .suites import SUITES, corpus_with_fixtures
 from .types import TypeEngine
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -51,7 +52,6 @@ def _budget_from_args(args) -> Budget:
     return Budget(
         coordinate_cap=args.coordinate_cap,
         max_states=args.max_states,
-        absorption_k=args.absorption_k,
     )
 
 
@@ -62,7 +62,6 @@ def _base_report(args, command: str) -> dict:
         "budget": {
             "coordinate_cap": args.coordinate_cap,
             "max_states": args.max_states,
-            "absorption_k": args.absorption_k,
         },
         "verdicts": [],
     }
@@ -346,6 +345,7 @@ def cmd_corpus(args) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="typemonoid",
@@ -357,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--timings", action="store_true", help="include wall-clock timings"
     )
     ap.add_argument("--max-states", type=int, default=40000, metavar="N")
-    ap.add_argument("--absorption-k", type=int, default=8, metavar="K")
     ap.add_argument(
         "--coordinate-cap",
         type=int,

@@ -22,12 +22,26 @@ added atom gives the other.  U(W) is a Horn-clause fixpoint, computed by
 forward chaining, and the same measure refutes p <= q whenever p has an
 atom outside U(supp q).
 
+Since omega*U + a = omega*U for every a in N^U, the finite parts of an
+omega query only matter up to x + a ~ y + b with a, b in N^U.  That
+relation is the congruence generated by the relations and e_u ~ 0 for u
+in U, which on vectors zero on U is the congruence whose relations have
+the coordinates of U zeroed: the quotient by U.  So once the omega
+supports agree, one finite decision in the quotient covers every shift
+by mass on U at once, and a positive answer there proves the omega
+query.  Its paths are lifted back by the least a in N^U that makes each
+step apply here, so an omega witness replays against the original
+relations.  A negative quotient verdict is no refutation of the omega
+query, which then ends in Unknown.
+
 Verdicts are three valued.  Positive answers carry replayable rewrite
 paths; negative answers carry a conserved functional (a rational vector
 annihilating every relation difference, nonnegative for order queries,
 evaluated with saturation on omega coordinates), a closed support, or a
 fully saturated class enumeration; budget exhaustion yields Unknown, never a
-guess, and names the budget that ran out.  Witnesses are re-checked by
+guess, and names the budget that ran out.  An omega Unknown names the
+budgets its finite decision ran out of, and none when the supports do
+not match or the quotient refuted.  Witnesses are re-checked by
 assertion before being returned.
 
 The relations enter every functional computation through one matrix: the
@@ -77,7 +91,7 @@ NOT_LEQ = "not_leq"
 UNKNOWN = "unknown"
 
 # Budgets an unknown verdict can name, in the order it names them.
-BUDGET_NAMES = ("absorption_k", "coordinate_cap", "max_states")
+BUDGET_NAMES = ("coordinate_cap", "max_states")
 
 # Most extreme rays the conserved cone may have.  The double-description
 # walk is exponential in the worst case; a congruence whose cone passes
@@ -112,6 +126,10 @@ def unit_vec(n: int, i: int) -> Vec:
 def indicator(n: int, support: Iterable[int]) -> Vec:
     s = set(support)
     return tuple(1 if j in s else 0 for j in range(n))
+
+
+def zero_on(v: Vec, coords: FrozenSet[int]) -> Vec:
+    return tuple(0 if i in coords else c for i, c in enumerate(v))
 
 
 def _supp(v: Vec) -> FrozenSet[int]:
@@ -196,11 +214,12 @@ class ExtVec:
 
 @dataclass(frozen=True)
 class Budget:
-    """Search limits; None coordinate_cap means the per-query default."""
+    """Limits of the finite class search; None coordinate_cap means the
+    per-query default.  The omega layer has no budget of its own: an omega
+    query runs one finite decision, under these limits."""
 
     coordinate_cap: Optional[int] = None
     max_states: int = 40000
-    absorption_k: int = 8
 
     def cap_for(self, cong: "Congruence", inputs: Sequence[Vec]) -> int:
         if self.coordinate_cap is not None:
@@ -225,7 +244,6 @@ class Decision:
             "budget": {
                 "coordinate_cap": self.budget.coordinate_cap,
                 "max_states": self.budget.max_states,
-                "absorption_k": self.budget.absorption_k,
             },
         }
 
@@ -312,6 +330,7 @@ class Congruence:
         self._closures: Dict[Tuple[Vec, int, int], ClassRecord] = {}
         self._support_memo: Dict[FrozenSet[int], Tuple[FrozenSet[int], dict]] = {}
         self._normal_memo: Dict[ExtVec, Tuple[ExtVec, dict]] = {}
+        self._quotients: Dict[FrozenSet[int], "Congruence"] = {}
         self._decision_memo: Dict[tuple, Decision] = {}
         # deterministic work counters; unknown verdicts counted per budget
         self.stats: Dict[str, int] = {
@@ -322,7 +341,6 @@ class Congruence:
             "cone_rays": 0,
             "ray_separations": 0,
             "lp_fallbacks": 0,
-            "exhausted_absorption_k": 0,
             "exhausted_coordinate_cap": 0,
             "exhausted_max_states": 0,
         }
@@ -513,7 +531,7 @@ class Congruence:
         u, v = tuple(u), tuple(v)
         if u == v:
             return Decision(EQUAL, {"kind": "syntactic"}, budget)
-        key = ("eqf", u, v, budget.absorption_k, budget.coordinate_cap, budget.max_states)
+        key = ("eqf", u, v, budget.coordinate_cap, budget.max_states)
         hit = self._decision_memo.get(key)
         if hit is None:
             hit = self._eq_finite_impl(u, v, budget)
@@ -589,7 +607,7 @@ class Congruence:
                 },
                 budget,
             )
-        key = ("leqf", u, v, budget.absorption_k, budget.coordinate_cap, budget.max_states)
+        key = ("leqf", u, v, budget.coordinate_cap, budget.max_states)
         hit = self._decision_memo.get(key)
         if hit is None:
             hit = self._leq_finite_impl(u, v, budget)
@@ -701,12 +719,12 @@ class Congruence:
             budget,
         )
 
-    def _omega_unknown(self, budget: Budget, causes: set) -> Decision:
-        """Unknown from the omega layer, naming the budgets hit there and in
-        the finite decisions it asked."""
+    def _omega_unknown(self, budget: Budget, causes: Sequence[str] = ()) -> Decision:
+        """Unknown from the omega layer, naming the budgets its finite
+        decision ran out of."""
         return Decision(
             UNKNOWN,
-            {"kind": "budget", "omega": True, "exhausted": self._exhausted(causes)},
+            {"kind": "budget", "omega": True, "exhausted": self._exhausted(set(causes))},
             budget,
         )
 
@@ -777,7 +795,7 @@ class Congruence:
         if hit is not None:
             return hit
         closed, cert = self.support_closure(v.omega)
-        fin = tuple(0 if i in closed else v.finite[i] for i in range(self.n))
+        fin = zero_on(v.finite, closed)
         absorbed = {
             i: v.finite[i]
             for i in closed
@@ -788,12 +806,50 @@ class Congruence:
         self._normal_memo[v] = result
         return result
 
+    def _quotient(self, U: FrozenSet[int]) -> "Congruence":
+        """The congruence with the coordinates in U zeroed in every relation.
+
+        It keeps n and the relation indices.  On vectors zero on U, x ~ y
+        there exactly when x + a ~ y + b here for some a, b in N^U: both
+        are the congruence generated by the relations and e_u ~ 0 for u in
+        U.  Memoized per U; the empty set gives self.
+        """
+        if not U:
+            return self
+        quotient = self._quotients.get(U)
+        if quotient is None:
+            quotient = Congruence(
+                self.n, [(zero_on(l, U), zero_on(r, U)) for l, r in self.relations]
+            )
+            self._quotients[U] = quotient
+        return quotient
+
+    def _lift(
+        self, start: Vec, steps: Sequence[Tuple[int, int]], U: FrozenSet[int]
+    ) -> Tuple[Vec, Vec]:
+        """Lift a path of the quotient by U: the least start + a, a in N^U,
+        from which every step applies here, and the end it reaches."""
+        cur = list(start)
+        extra = [0] * self.n
+        for idx, direction in steps:
+            l, r = self.relations[idx]
+            need, give = (l, r) if direction == 1 else (r, l)
+            for i in U:
+                if cur[i] < need[i]:
+                    extra[i] += need[i] - cur[i]
+                    cur[i] = need[i]
+            cur = [c - a + b for c, a, b in zip(cur, need, give)]
+        lifted = vec_add(start, tuple(extra))
+        end = tuple(cur)
+        assert self.replay_path(lifted, steps) == end
+        return lifted, end
+
     # ----- extended decisions --------------------------------------------------
 
     def decide_eq(self, p: ExtVec, q: ExtVec, budget: Budget = Budget()) -> Decision:
         if p.n != self.n or q.n != self.n:
             raise SpaceMismatchError("dimension mismatch")
-        key = ("eq", p, q, budget.absorption_k, budget.coordinate_cap, budget.max_states)
+        key = ("eq", p, q, budget.coordinate_cap, budget.max_states)
         hit = self._decision_memo.get(key)
         if hit is None:
             hit = self._decide_eq_impl(p, q, budget)
@@ -812,37 +868,30 @@ class Congruence:
             sep = self._support_refutation(p, q, budget, order=False)
         if sep is not None:
             return sep
-        W, V = pn.omega, qn.omega
-        causes: set = set()
         # a finite side's omega set is empty, not closed: compare closures
-        if self.support_closure(W)[0] == self.support_closure(V)[0]:
-            union = W | V
-            chi = indicator(self.n, union)
-            for k in range(0, budget.absorption_k + 1):
-                shift = vec_scale(k, chi)
-                fin = self.eq_finite(
-                    vec_add(pn.finite, shift), vec_add(qn.finite, shift), budget
-                )
-                if fin.verdict == UNKNOWN:
-                    causes.update(fin.witness["exhausted"])
-                if fin.verdict == EQUAL:
-                    return Decision(
-                        EQUAL,
-                        {
-                            "kind": "omega_equal",
-                            "support": union,
-                            "k": k,
-                            "finite": fin.witness,
-                        },
-                        budget,
-                    )
-        causes.add("absorption_k")
-        return self._omega_unknown(budget, causes)
+        U = self.support_closure(pn.omega)[0]
+        if U != self.support_closure(qn.omega)[0]:
+            return self._omega_unknown(budget)
+        pf, qf = zero_on(pn.finite, U), zero_on(qn.finite, U)
+        fin = self._quotient(U).eq_finite(pf, qf, budget)
+        if fin.verdict != EQUAL:
+            return self._omega_unknown(budget, fin.witness.get("exhausted", ()))
+        steps = fin.witness.get("steps", [])
+        start, end = self._lift(pf, steps, U)
+        return Decision(
+            EQUAL,
+            {
+                "kind": "omega_equal",
+                "support": U,
+                "finite": {"kind": "path", "start": start, "end": end, "steps": steps},
+            },
+            budget,
+        )
 
     def decide_leq(self, p: ExtVec, q: ExtVec, budget: Budget = Budget()) -> Decision:
         if p.n != self.n or q.n != self.n:
             raise SpaceMismatchError("dimension mismatch")
-        key = ("leq", p, q, budget.absorption_k, budget.coordinate_cap, budget.max_states)
+        key = ("leq", p, q, budget.coordinate_cap, budget.max_states)
         hit = self._decision_memo.get(key)
         if hit is None:
             hit = self._decide_leq_impl(p, q, budget)
@@ -861,33 +910,40 @@ class Congruence:
             sep = self._support_refutation(p, q, budget, order=True)
         if sep is not None:
             return sep
+        # V is closed when q has omega mass; when q is finite, U(V) = U(empty)
+        # holds the atoms worth nothing, and p's omega set must lie inside it
         V = qn.omega
-        causes: set = set()
-        if pn.omega <= self.support_closure(V)[0]:
-            # the finite mass f of p under omega on the right is absorbed
-            # outright: p' <= q.finite + k*chi_V gives p' + f <= q
-            under = {i: pn.finite[i] for i in sorted(V) if pn.finite[i]}
-            fin_p = tuple(0 if i in V else c for i, c in enumerate(pn.finite))
-            chi = indicator(self.n, V)
-            for k in range(budget.absorption_k + 1 if V else 1):
-                fin = self.leq_finite(
-                    fin_p, vec_add(qn.finite, vec_scale(k, chi)), budget
-                )
-                if fin.verdict == UNKNOWN:
-                    causes.update(fin.witness["exhausted"])
-                if fin.verdict == LEQ:
-                    return Decision(
-                        LEQ,
-                        {
-                            "kind": "omega_leq",
-                            "under_omega": under,
-                            "k": k,
-                            "finite": fin.witness,
-                        },
-                        budget,
-                    )
-        causes.add("absorption_k")
-        return self._omega_unknown(budget, causes)
+        U = self.support_closure(V)[0]
+        if not pn.omega <= U:
+            return self._omega_unknown(budget)
+        # the finite mass of p under omega on the right is absorbed outright
+        under = {i: pn.finite[i] for i in sorted(V) if pn.finite[i]}
+        pf = zero_on(pn.finite, V)
+        fin = self._quotient(V).leq_finite(pf, qn.finite, budget)
+        if fin.verdict != LEQ:
+            return self._omega_unknown(budget, fin.witness.get("exhausted", ()))
+        w = fin.witness
+        start_left, m = self._lift(pf, w["path_left"], V)
+        start_right, top = self._lift(qn.finite, w["path_right"], V)
+        return Decision(
+            LEQ,
+            {
+                "kind": "omega_leq",
+                "support": U,
+                "under_omega": under,
+                "finite": {
+                    "kind": "domination",
+                    "start_left": start_left,
+                    "start_right": start_right,
+                    "u": m,
+                    "w": top,
+                    "gamma": vec_sub(zero_on(top, U), zero_on(m, U)),
+                    "path_left": w["path_left"],
+                    "path_right": w["path_right"],
+                },
+            },
+            budget,
+        )
 
     def _support_refutation(
         self, p: ExtVec, q: ExtVec, budget: Budget, order: bool

@@ -51,6 +51,7 @@ from .congruence import (
     vec_add,
     vec_geq,
     vec_sub,
+    zero_on,
     zero_vec,
 )
 from .errors import MalformedCertificateError, SpaceMismatchError
@@ -357,7 +358,11 @@ class TypeEngine:
         separation), y.left > y.right for order.  Path and domination
         witnesses must replay into realizations that verify
         syntactically.  Support witnesses must name a closed support that
-        contains one side and misses the listed atoms of the other.
+        contains one side and misses the listed atoms of the other.  Omega
+        witnesses must name the closed support that omega on the sides
+        spans, and a lifted path or domination whose ends match the two
+        finite parts off that support: omega on the support absorbs the
+        rest.
         """
         counts = {"functional": 0, "path": 0, "domination": 0, "support": 0, "other": 0}
         for entry in self.audit_log:
@@ -373,25 +378,33 @@ class TypeEngine:
                 self._audit_path(w["start"], w["steps"], w["end"])
                 counts["path"] += 1
             elif kind == "domination":
-                m = w["u"]
-                top = w["w"]
-                assert vec_geq(top, m), "dominating member does not dominate"
-                assert vec_add(m, w["gamma"]) == tuple(top), "gamma mismatch"
-                if w["path_left"]:
-                    self._audit_path(entry.left.finite, w["path_left"], m)
-                if w["path_right"]:
-                    self._audit_path(entry.right.finite, w["path_right"], top)
+                self._audit_domination(w, entry.left.finite, entry.right.finite)
                 counts["domination"] += 1
             elif kind == "support":
                 self._audit_support(entry)
                 counts["support"] += 1
-            elif kind == "omega_equal" and w["finite"].get("kind") == "path":
+            elif kind == "omega_equal":
                 inner = w["finite"]
+                self._audit_omega_support(entry, inner["start"], inner["end"])
                 self._audit_path(inner["start"], inner["steps"], inner["end"])
                 counts["path"] += 1
+            elif kind == "omega_leq":
+                inner = w["finite"]
+                left, right = inner["start_left"], inner["start_right"]
+                support = self._audit_omega_support(entry, left, right)
+                self._audit_domination(inner, left, right, support)
+                counts["domination"] += 1
             else:
                 counts["other"] += 1
         return counts
+
+    def _assert_closed(self, closed: FrozenSet[int]) -> None:
+        """For every relation, supp(lhs) is inside `closed` exactly when
+        supp(rhs) is."""
+        for rel in self.relations:
+            lhs_in = all(i in closed for i, c in enumerate(rel.lhs) if c)
+            rhs_in = all(i in closed for i, c in enumerate(rel.rhs) if c)
+            assert lhs_in == rhs_in, "support is not closed under a relation"
 
     def _audit_support(self, entry: AuditEntry) -> None:
         """One pass over the relations: the witness's support is closed,
@@ -399,16 +412,40 @@ class TypeEngine:
         listed atoms of the other."""
         w = entry.decision.witness
         closed = w["closed"]
-        for rel in self.relations:
-            lhs_in = all(i in closed for i, c in enumerate(rel.lhs) if c)
-            rhs_in = all(i in closed for i, c in enumerate(rel.rhs) if c)
-            assert lhs_in == rhs_in, "support is not closed under a relation"
+        self._assert_closed(closed)
         x, y = entry.left, entry.right
         if entry.op == "eq" and not y.support() <= closed:
             x, y = y, x
         assert y.support() <= closed, "support misses the bounding side"
         outside = set(w["outside"])
         assert outside and outside <= x.support() - closed, "listed atoms not outside"
+
+    def _audit_omega_support(self, entry: AuditEntry, left: Vec, right: Vec) -> FrozenSet[int]:
+        """The support of an omega witness: closed, the support closure of
+        the right omega set (and of the left one for equality, which for
+        order need only lie inside it), and off it `left` and `right` are
+        the two finite parts.  A larger closed set would absorb mass that
+        omega on the sides does not."""
+        support = entry.decision.witness["support"]
+        self._assert_closed(support)
+        closure = self.congruence.support_closure
+        assert closure(entry.right.omega)[0] == support, "support is not the right closure"
+        if entry.op == "eq":
+            assert closure(entry.left.omega)[0] == support, "support is not the left closure"
+        else:
+            assert entry.left.omega <= support, "support misses the left omega set"
+        assert zero_on(left, support) == zero_on(entry.left.finite, support), "left start is off"
+        assert zero_on(right, support) == zero_on(entry.right.finite, support), "right start is off"
+        return support
+
+    def _audit_domination(self, w: dict, left: Vec, right: Vec, support=frozenset()) -> None:
+        """Both paths replay from `left` and `right`, and off `support` the
+        right member is the left one plus a nonnegative gamma."""
+        m, top = zero_on(w["u"], support), zero_on(w["w"], support)
+        assert vec_geq(top, m), "dominating member does not dominate"
+        assert vec_add(m, w["gamma"]) == top, "gamma mismatch"
+        self._audit_path(left, w["path_left"], w["u"])
+        self._audit_path(right, w["path_right"], w["w"])
 
     def _audit_path(self, start, steps, end) -> None:
         cur = tuple(start)

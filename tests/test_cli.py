@@ -167,11 +167,11 @@ class TestSpaceCheck:
     def test_json_report_fields(self, files, capsys):
         code, doc, _ = run_json(capsys, ["space-check", files["parity"]])
         assert code == 0
-        assert doc["schema_version"] == 1
+        assert doc["schema_version"] == 2
         assert doc["command"] == "space-check"
         assert doc["monoid"]["valid"] is True
         assert doc["action"]["valid"] is True
-        assert doc["budget"]["max_states"] == 40000
+        assert doc["budget"] == {"coordinate_cap": None, "max_states": 40000}
 
 
 class TestType:

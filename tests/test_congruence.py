@@ -27,7 +27,7 @@ from typemonoid.congruence import (
 from typemonoid.corpus import fixture_spaces, random_corpus
 from typemonoid.errors import SpaceMismatchError
 from typemonoid.lp import exact_lp_feasible, rational_kernel_basis
-from typemonoid.types import TypeEngine
+from typemonoid.types import AuditEntry, TypeEngine
 
 
 def parity_congruence() -> Congruence:
@@ -363,7 +363,7 @@ class TestOmega:
             cong.decide_eq(ExtVec.from_vec((1, 0)), ExtVec.from_vec((1, 0, 0, 0)))
 
     def test_finite_mass_under_right_omega_is_absorbed(self):
-        # m*[even] <= omega*[even] for every m, past any absorption_k
+        # m*[even] <= omega*[even] for every m
         cong = TypeEngine(fixture_spaces()["two_point"]).congruence
         d = cong.decide_leq(
             ExtVec((9, 0), frozenset({1})), ExtVec((0, 0), frozenset({0, 1}))
@@ -372,20 +372,18 @@ class TestOmega:
         assert d.witness["kind"] == "omega_leq"
         assert d.witness["under_omega"] == {0: 9}
 
-    def test_cyclic4_closed_supports_decide_at_absorption_k_zero(self):
+    def test_cyclic4_closed_supports_absorb_finite_mass(self):
         # the closed supports of cyclic4 are all or nothing, so q's three
-        # omega atoms absorb its finite mass with no k loop
+        # omega atoms absorb its finite mass
         cong = TypeEngine(fixture_spaces()["cyclic4"]).congruence
-        budget = Budget(absorption_k=0)
         p = ExtVec((0, 0, 0, 0), frozenset({0, 1, 2, 3}))
         q = ExtVec((2, 0, 0, 0), frozenset({1, 2, 3}))
-        assert cong.decide_eq(p, q, budget).verdict == EQUAL
-        assert cong.decide_leq(p, q, budget).verdict == LEQ
-        assert cong.stats["exhausted_absorption_k"] == 0
+        assert cong.decide_eq(p, q).verdict == EQUAL
+        assert cong.decide_leq(p, q).verdict == LEQ
 
     def test_omega_unknown_adds_inner_causes(self):
         cong = Congruence(3, [((1, 0, 0), (0, 2, 0)), ((0, 1, 0), (2, 0, 0))])
-        budget = Budget(coordinate_cap=6, max_states=30, absorption_k=2)
+        budget = Budget(coordinate_cap=6, max_states=30)
         q = ExtVec((0, 0, 0), frozenset({2}))
         # U({2}) = {2}: atoms 0 and 1 lie outside it
         for p, outside in (
@@ -395,27 +393,57 @@ class TestOmega:
             d = cong.decide_leq(p, q, budget)
             assert d.verdict == NOT_LEQ
             assert d.witness == {"kind": "support", "closed": frozenset({2}), "outside": outside}
-        # [e1] + k*[e2] = [e0] + k*[e2] is a finite eq that no functional
-        # refutes and whose classes leave every coordinate cap
+        # [e1] = [e0] in the quotient by {2} is a finite eq that no
+        # functional refutes and whose classes leave every coordinate cap
         d = cong.decide_eq(
             ExtVec((0, 1, 0), frozenset({2})), ExtVec((1, 0, 0), frozenset({2})), budget
         )
         assert d.verdict == UNKNOWN
-        assert d.witness["exhausted"] == ["absorption_k", "coordinate_cap"]
-        assert d.to_json()["witness"]["exhausted"] == ["absorption_k", "coordinate_cap"]
+        assert d.witness["exhausted"] == ["coordinate_cap"]
+        assert d.to_json()["witness"]["exhausted"] == ["coordinate_cap"]
 
-    def test_absorption_past_absorption_k(self):
+    def test_absorption_needs_ten_copies(self):
         # [e0] = [10 e1] is below no k*[e1] with k <= 8, yet e0 is in U({1})
         cong = Congruence(2, [((1, 0), (0, 10))])
         d = cong.decide_leq(ExtVec((0, 0), frozenset({0})), ExtVec((0, 0), frozenset({1})))
         assert d.verdict == LEQ
 
+    def test_quotient_decides_what_no_shift_does(self):
+        # e0 + k e1 and e2 + k e1 differ by 10 in the conserved e1 - 10 e2
+        # for every k, but omega*e1 absorbs the 10 e1 of one step
+        cong = Congruence(3, [((1, 0, 0), (0, 10, 1))])
+        p = ExtVec((1, 0, 0), frozenset({1}))
+        q = ExtVec((0, 0, 1), frozenset({1}))
+        d = cong.decide_eq(p, q)
+        assert d.verdict == EQUAL
+        assert d.witness == {
+            "kind": "omega_equal",
+            "support": frozenset({1}),
+            "finite": {"kind": "path", "start": (1, 0, 0), "end": (0, 10, 1), "steps": [(0, 1)]},
+        }
+        d = cong.decide_leq(p, q)
+        assert d.verdict == LEQ and d.witness["kind"] == "omega_leq"
+        _check_lifted(cong, "eq", p, q, cong.decide_eq(p, q))
+        _check_lifted(cong, "leq", p, q, d)
+        # no shift decides the equality; the order needs k = 10
+        assert _shift_oracle(cong, "eq", p, q, Budget(), k_max=64) == UNKNOWN
+        assert _shift_oracle(cong, "leq", p, q, Budget()) == UNKNOWN
+        assert _shift_oracle(cong, "leq", p, q, Budget(), k_max=10) == LEQ
+
+    def test_quotient_refutation_is_unknown(self):
+        # (1,1,0) is alone in its class of the quotient by {2}, which
+        # refutes by saturation; that is no refutation of the omega query
+        cong = Congruence(3, [((1, 2, 2), (2, 2, 2))])
+        d = cong.decide_eq(ExtVec((1, 1, 0), frozenset({2})), ExtVec((2, 1, 0), frozenset({2})))
+        assert d.verdict == UNKNOWN
+        assert d.witness["exhausted"] == []
+
     def test_support_refutes_what_no_functional_does(self):
         # no conserved functional is positive on atom 1, and atom 1 is
-        # outside U({2}) = {2}; probes of eq_finite((0, 1, k), (0, 0, k))
-        # would all refute, but only up to absorption_k
+        # outside U({2}) = {2}; the quotient by {2} refutes
+        # (0, 1, 0) = (0, 0, 0) too, but that is no refutation here
         cong = Congruence(3, [((1, 0, 0), (0, 2, 0)), ((0, 1, 0), (2, 0, 0))])
-        budget = Budget(coordinate_cap=6, max_states=30, absorption_k=2)
+        budget = Budget(coordinate_cap=6, max_states=30)
         d = cong.decide_eq(ExtVec((0, 1, 0), frozenset({2})), ExtVec((0, 0, 0), frozenset({2})), budget)
         assert d.verdict == NOT_EQUAL
         assert d.witness == {"kind": "support", "closed": frozenset({2}), "outside": [1]}
@@ -438,9 +466,12 @@ def _replay_support_closure(cong, support, closed, cert):
         )
 
 
-def _bounded_absorption_closure(cong, support, budget=Budget(absorption_k=8)):
+ABSORPTION_K = 8
+
+
+def _bounded_absorption_closure(cong, support, budget=Budget()):
     """Close a support by search: add b while [b] <= k*[closed] for some
-    k <= absorption_k (k = 0 only when the support is empty), through
+    k <= ABSORPTION_K (k = 0 only when the support is empty), through
     leq_finite."""
     closed = set(support)
     changed = True
@@ -450,7 +481,7 @@ def _bounded_absorption_closure(cong, support, budget=Budget(absorption_k=8)):
             if b in closed:
                 continue
             chi = indicator(cong.n, closed)
-            for k in range(budget.absorption_k + 1 if closed else 1):
+            for k in range(ABSORPTION_K + 1 if closed else 1):
                 if cong.leq_finite(unit_vec(cong.n, b), tuple(k * c for c in chi), budget).verdict == LEQ:
                     closed.add(b)
                     changed = True
@@ -472,6 +503,132 @@ class TestSupportClosureOracle:
                     _replay_support_closure(cong, w, closed, cert)
                     checked += 1
         assert checked > 500
+
+
+def _shift_oracle(cong, op, p, q, budget, k_max=ABSORPTION_K):
+    """An omega eq or leq decided by searching over finite shifts.
+
+    After the same refutations as the engine, p = q holds when
+    pf + k*chi ~ qf + k*chi, with chi the union of the omega sets, and
+    p <= q when pf <= qf + k*chi_V, for some k <= k_max; past that the
+    answer is unknown.  Runs on a fresh copy of the congruence."""
+    cong = Congruence(cong.n, cong.relations)
+    order = op == "leq"
+    pn, _ = cong.normalize(p)
+    qn, _ = cong.normalize(q)
+    assert not (pn.is_finite() and qn.is_finite()), "not an omega query"
+    if order and pn.is_zero():
+        return LEQ
+    if not order and pn == qn:
+        return EQUAL
+    sep = cong._saturating_separation(pn, qn, budget, order)
+    if sep is None:
+        sep = cong._support_refutation(p, q, budget, order)
+    if sep is not None:
+        return sep.verdict
+    W, V = pn.omega, qn.omega
+    if not order and cong.support_closure(W)[0] == cong.support_closure(V)[0]:
+        chi = indicator(cong.n, W | V)
+        for k in range(k_max + 1):
+            shift = tuple(k * c for c in chi)
+            if cong.eq_finite(vec_add(pn.finite, shift), vec_add(qn.finite, shift), budget).verdict == EQUAL:
+                return EQUAL
+    if order and pn.omega <= cong.support_closure(V)[0]:
+        fin_p = tuple(0 if i in V else c for i, c in enumerate(pn.finite))
+        chi = indicator(cong.n, V)
+        for k in range(k_max + 1 if V else 1):
+            shift = tuple(k * c for c in chi)
+            if cong.leq_finite(fin_p, vec_add(qn.finite, shift), budget).verdict == LEQ:
+                return LEQ
+    return UNKNOWN
+
+
+def _check_lifted(cong, op, p, q, d):
+    """An omega witness names a closed support holding both omega sets,
+    its paths replay against cong's own relations, and their ends match p
+    and q off the support."""
+    w = d.witness
+    support, inner = w["support"], w["finite"]
+    assert cong.support_closure(support)[0] == support
+    assert p.omega | q.omega <= support
+
+    def off(v):
+        return tuple(0 if i in support else c for i, c in enumerate(v))
+
+    if op == "eq":
+        assert w["kind"] == "omega_equal"
+        assert off(inner["start"]) == off(p.finite)
+        assert off(inner["end"]) == off(q.finite)
+        assert cong.replay_path(inner["start"], inner["steps"]) == inner["end"]
+    else:
+        assert w["kind"] == "omega_leq"
+        assert off(inner["start_left"]) == off(p.finite)
+        assert off(inner["start_right"]) == off(q.finite)
+        assert cong.replay_path(inner["start_left"], inner["path_left"]) == inner["u"]
+        assert cong.replay_path(inner["start_right"], inner["path_right"]) == inner["w"]
+        assert vec_add(off(inner["u"]), inner["gamma"]) == off(inner["w"])
+        assert vec_geq(off(inner["w"]), off(inner["u"]))
+
+
+def _random_omega_pair(rng, n):
+    """Two extended vectors over n atoms, at least one with omega mass."""
+    out = []
+    for _ in range(2):
+        omega = frozenset(i for i in range(n) if rng.random() < 0.3)
+        out.append(ExtVec(tuple(0 if i in omega else rng.randint(0, 2) for i in range(n)), omega))
+    if not (out[0].omega or out[1].omega):
+        j = rng.randrange(n)
+        out[0] = ExtVec(tuple(0 if i == j else c for i, c in enumerate(out[0].finite)), frozenset({j}))
+    return out
+
+
+class TestShiftOracle:
+    """The quotient decision against the bounded search over shifts: every
+    positive of the search is positive, no definite verdict contradicts
+    it, and every lifted witness replays."""
+
+    def _compare(self, cong, op, p, q, budget, tally):
+        d = (cong.decide_eq if op == "eq" else cong.decide_leq)(p, q, budget)
+        ref = _shift_oracle(cong, op, p, q, budget)
+        if ref != UNKNOWN:
+            assert d.verdict == ref, (cong.relations, op, p, q)
+        if d.verdict != UNKNOWN:
+            assert ref in (d.verdict, UNKNOWN), (cong.relations, op, p, q)
+        if d.witness["kind"] in ("omega_equal", "omega_leq"):
+            _check_lifted(cong, op, p, q, d)
+            tally[op] += 1
+        return d
+
+    def test_spaces(self):
+        rng = random.Random(5)
+        tally = {"eq": 0, "leq": 0}
+        spaces = list(fixture_spaces().values()) + [e.statspace for e in random_corpus(seed=5)]
+        for ss in spaces:
+            eng = TypeEngine(ss)
+            for _ in range(6):
+                p, q = _random_omega_pair(rng, eng.n)
+                for op in ("eq", "leq"):
+                    d = self._compare(eng.congruence, op, p, q, Budget(), tally)
+                    eng.audit_log.append(AuditEntry(op, p, q, d))
+            eng.audit_decisions()
+        assert tally["eq"] > 0 and tally["leq"] > 0
+
+    def test_random_congruences(self):
+        rng = random.Random(7)
+        budget = Budget(coordinate_cap=8, max_states=2000)
+        tally = {"eq": 0, "leq": 0}
+        for _ in range(60):
+            n = rng.randint(2, 3)
+            rels = [
+                (tuple(rng.randint(0, 2) for _ in range(n)), tuple(rng.randint(0, 2) for _ in range(n)))
+                for _ in range(rng.randint(1, 3))
+            ]
+            cong = Congruence(n, rels)
+            for _ in range(8):
+                p, q = _random_omega_pair(rng, n)
+                for op in ("eq", "leq"):
+                    self._compare(cong, op, p, q, budget, tally)
+        assert tally["eq"] > 0 and tally["leq"] > 0
 
 
 def _lp_feasible(cong, p, zero):

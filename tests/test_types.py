@@ -410,6 +410,34 @@ class TestAudit:
                 eng.audit_decisions()
 
 
+    def test_audit_omega_witnesses(self):
+        # in the quotient by the odd atoms U({1}) = {1, 3}, e0 and e2 are
+        # one step apart; the lifted witnesses replay in the space itself
+        eng = parity_engine()
+        p, q = eng.abar((1, 0, 0, 0), omega={1}).vec, eng.abar((0, 0, 1, 0), omega={3}).vec
+        eq, leq = eng.decide_equal(p, q), eng.decide_leq(p, q)
+        assert (eq.verdict, eq.witness["kind"]) == (EQUAL, "omega_equal")
+        assert (leq.verdict, leq.witness["kind"]) == (LEQ, "omega_leq")
+        assert eq.witness["support"] == leq.witness["support"] == frozenset({1, 3})
+        assert eq.witness["finite"]["steps"]
+        counts = eng.audit_decisions()
+        assert (counts["path"], counts["domination"], counts["other"]) == (1, 1, 0)
+        inner = leq.witness["finite"]
+        for op, d, tampered in (
+            ("eq", eq, {**eq.witness, "support": frozenset({1})}),  # not closed
+            ("eq", eq, {**eq.witness, "support": frozenset()}),  # misses the omega sets
+            # closed and holding both omega sets, but it absorbs e0 and e2
+            ("eq", eq, {**eq.witness, "support": frozenset({0, 1, 2, 3})}),
+            ("leq", leq, {**leq.witness, "support": frozenset({0, 1, 2, 3})}),
+            ("eq", eq, {**eq.witness, "finite": {**eq.witness["finite"], "start": (0, 0, 1, 0)}}),
+            ("leq", leq, {**leq.witness, "finite": {**inner, "start_right": (1, 0, 0, 0)}}),
+            ("leq", leq, {**leq.witness, "finite": {**inner, "gamma": (1, 0, 0, 0)}}),
+        ):
+            eng.audit_log[:] = [AuditEntry(op, p, q, Decision(d.verdict, tampered, Budget()))]
+            with pytest.raises(AssertionError):
+                eng.audit_decisions()
+
+
 class TestMorphismTypeMap:
     def test_identity_is_identity(self):
         eng = parity_engine()
