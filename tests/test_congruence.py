@@ -372,9 +372,9 @@ class TestOmega:
         assert d.witness["kind"] == "omega_leq"
         assert d.witness["under_omega"] == {0: 9}
 
-    def test_cyclic4_closed_supports_absorb_finite_mass(self):
+    def test_cyclic4_closed_supports_decide_at_absorption_k_zero(self):
         # the closed supports of cyclic4 are all or nothing, so q's three
-        # omega atoms absorb its finite mass
+        # omega atoms absorb its finite mass with no shift loop
         cong = TypeEngine(fixture_spaces()["cyclic4"]).congruence
         p = ExtVec((0, 0, 0, 0), frozenset({0, 1, 2, 3}))
         q = ExtVec((2, 0, 0, 0), frozenset({1, 2, 3}))
@@ -402,7 +402,7 @@ class TestOmega:
         assert d.witness["exhausted"] == ["coordinate_cap"]
         assert d.to_json()["witness"]["exhausted"] == ["coordinate_cap"]
 
-    def test_absorption_needs_ten_copies(self):
+    def test_absorption_past_absorption_k(self):
         # [e0] = [10 e1] is below no k*[e1] with k <= 8, yet e0 is in U({1})
         cong = Congruence(2, [((1, 0), (0, 10))])
         d = cong.decide_leq(ExtVec((0, 0), frozenset({0})), ExtVec((0, 0), frozenset({1})))
