@@ -261,11 +261,7 @@ def cmd_measure(args) -> int:
             lines.append(f"  mu({label}) = {val}")
     else:
         _set_verdict(report, "measure_exists", "definite")
-        lines = [f"infeasible at every stage ({len(syn.stages)} tried)"]
-        for st in syn.stages:
-            lines.append(
-                f"  infinite block {st['infinite']}: Farkas certificate {st['farkas']}"
-            )
+        lines = [f"infeasible: Farkas certificate {syn.stages[0]['farkas']}"]
     return _emit(args, report, lines, started)
 
 

@@ -59,7 +59,7 @@ generate the face of the cone zero on Z, so a y there with y.p >= 1
 exists exactly when one of those rays r has r.p > 0, and then
 y = r / (r.p).  Past RAY_LIMIT rays the cone is abandoned and such
 queries fall back to the exact simplex of `lp`.  Measure synthesis
-reads its all-finite stage off the same rays.
+is the same query with p the indicator of the normalizing set.
 
 Class enumeration is goal directed.  A class record keeps its
 breadth-first frontier, so it can be expanded on demand and resumed by
@@ -571,7 +571,9 @@ class Congruence:
                 budget,
             )
         rec_v = self._closure_until(v, u, cap, budget.max_states)
-        if u in rec_v.members:  # only reachable if caps pruned asymmetrically
+        # both records search the same cap box, whose steps are reversible,
+        # so v's record reaches u only when max_states cut u's record off
+        if u in rec_v.members:
             steps = self._path_from(rec_v, u)
             rev = [(i, -d) for i, d in reversed(steps)]
             assert self.replay_path(u, rev) == v

@@ -44,6 +44,23 @@ def transformation_closure(
     return InverseMonoidTable(order=data.order, unit=data.unit, mul=data.mul), elems
 
 
+def _labelled_table(data, elems: Sequence, generators: Sequence,
+                    gen_labels: Sequence[str]) -> InverseMonoidTable:
+    """The closed monoid with labels: "1" for the unit, gen_labels[k] for
+    generator k (unless an earlier label took its element), and "s<i>"
+    for every other element i."""
+    labels = ["s%d" % i for i in range(data.order)]
+    labels[data.unit] = "1"
+    if gen_labels:
+        for k, g in enumerate(generators):
+            gi = elems.index(g)
+            if labels[gi] == "s%d" % gi:
+                labels[gi] = gen_labels[k]
+    return InverseMonoidTable(
+        order=data.order, unit=data.unit, mul=data.mul, labels=tuple(labels)
+    )
+
+
 def statspace_from_maps(
     points: Sequence[str],
     atoms: Sequence[Sequence[int]],
@@ -54,16 +71,7 @@ def statspace_from_maps(
     """Build a StatSpace from total generator maps, closing the monoid."""
     space = build_space(points, atoms)
     table, elems = transformation_closure(generators, len(points), cap=cap)
-    labels = ["s%d" % i for i in range(table.order)]
-    labels[table.unit] = "1"
-    for k, g in enumerate(generators):
-        if gen_labels:
-            gi = elems.index(tuple(g))
-            if labels[gi] == "s%d" % gi:
-                labels[gi] = gen_labels[k]
-    table = InverseMonoidTable(
-        order=table.order, unit=table.unit, mul=table.mul, labels=tuple(labels)
-    )
+    table = _labelled_table(table, elems, [tuple(g) for g in generators], gen_labels)
     return StatSpace(space=space, monoid=table, action=tuple(elems))
 
 
@@ -91,16 +99,7 @@ def statspace_from_partial_maps(
             raise ValueError("sink point must avoid generator domains and images")
     space = build_space(points, atoms)
     data, elems = closure(list(generators), len(points), cap=cap)
-    labels = ["s%d" % i for i in range(data.order)]
-    labels[data.unit] = "1"
-    for k, g in enumerate(generators):
-        if gen_labels:
-            gi = elems.index(g)
-            if labels[gi] == "s%d" % gi:
-                labels[gi] = gen_labels[k]
-    table = InverseMonoidTable(
-        order=data.order, unit=data.unit, mul=data.mul, labels=tuple(labels)
-    )
+    table = _labelled_table(data, elems, generators, gen_labels)
     action = tuple(totalize(f, sink) for f in elems)
     return StatSpace(space=space, monoid=table, action=action)
 

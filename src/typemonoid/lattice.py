@@ -19,10 +19,12 @@ is the quantity group at scale e.  The disjoint union of those groups
 carries a partial addition that coarsens both summands to the join of
 their scales first.
 
-Every scale certificate is built and checked once per (engine, vector,
-budget): the lattice keeps the certificates isotropy_decompose has
-verified, so the quantity arithmetic, which certifies each operand and
-result, repeats no lattice scan.
+A scale is read off the support closure and certified by order
+queries against the idempotents strictly above it, not found by a scan
+of the lattice.  Every scale certificate is built and checked once per
+(engine, vector, budget): the lattice keeps the certificates
+isotropy_decompose has verified, so the quantity arithmetic, which
+certifies each operand and result, repeats no order query.
 """
 
 from dataclasses import dataclass
@@ -353,34 +355,9 @@ def idempotent_of(
     alpha,
     budget: Optional[Budget] = None,
 ) -> IdempotentElement:
-    """The unique maximal idempotent below alpha.
-
-    Computed as the closed omega support of the normalized
-    representative, then verified maximal by scanning the whole lattice;
-    disagreement means the engine and the lattice are inconsistent.
-    Every call scans; isotropy_decompose, through which the quantity
-    arithmetic asks, runs the scan once per (engine, vector, budget).
-    """
-    budget = budget or engine.budget
-    nv = engine.omega_normalize(alpha)
-    cand = canonical_idempotent(engine, nv.vec.omega)
-    below = []
-    for f in lattice:
-        d = engine.decide_leq(engine.type_of_abar(f.vec), engine.type_of_abar(nv), budget)
-        if not d.is_definite():
-            raise BudgetExhaustedError(f"cannot order idempotent {f} against input")
-        if d.verdict == LEQ:
-            below.append(f)
-    maxima = [f for f in below if all(lattice.leq(g, f) for g in below)]
-    if len(maxima) != 1:
-        raise AmbiguousMaximumError(
-            f"{len(maxima)} maximal idempotents below input: {maxima}"
-        )
-    if maxima[0] != cand:
-        raise LatticeError(
-            f"support closure gives {cand} but lattice scan gives {maxima[0]}"
-        )
-    return cand
+    """The unique maximal idempotent below alpha: the scale that
+    isotropy_decompose certifies."""
+    return isotropy_decompose(engine, lattice, alpha, budget)[0]
 
 
 @dataclass
@@ -408,10 +385,16 @@ def isotropy_decompose(
     """Locate alpha's scale: the idempotent e with e <= alpha and no
     strictly larger idempotent below alpha.
 
+    e is the canonical idempotent of the closed omega support of
+    alpha's normal form.  The certificate checks e <= alpha and that no
+    idempotent strictly above e is below alpha, and that is enough for
+    e to be the largest idempotent below alpha: if g <= alpha too, then
+    alpha + e + g = alpha, so the join e + g is below alpha, and it is
+    not strictly above e, so g <= e.
+
     The certificate is built and checked once per (engine, vector,
-    budget) and kept on the lattice; a repeated call is a lookup.  The
-    first call runs idempotent_of's full lattice scan and the membership
-    checks, and a certificate that fails them is never stored.
+    budget) and kept on the lattice; a repeated call is a lookup.  A
+    certificate that fails its checks is never stored.
     """
     budget = budget or engine.budget
     vec = engine._vec(alpha)
@@ -421,7 +404,9 @@ def isotropy_decompose(
         lattice.stats["scale_lookups"] += 1
         return hit
     t = engine.type_of_abar(vec)
-    e = idempotent_of(engine, lattice, vec, budget)
+    e = canonical_idempotent(engine, t.rep.omega)
+    if e not in lattice:
+        raise LatticeError(f"support closure gives {e}, which is not in the lattice")
     above = engine.decide_leq(engine.type_of_abar(e.vec), t, budget)
     excluded = []
     for f in lattice.strictly_above(e):

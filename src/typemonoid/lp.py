@@ -30,44 +30,30 @@ def exact_lp_feasible(
     n_vars: int,
     equalities: Sequence[Tuple[Sequence, object]] = (),
     ge_inequalities: Sequence[Tuple[Sequence, object]] = (),
-    le_inequalities: Sequence[Tuple[Sequence, object]] = (),
 ) -> LPResult:
-    """Feasibility of {x >= 0, Ax = b, Cx >= d, Ex <= f} over the rationals.
+    """Feasibility of {x >= 0, Ax = b, Cx >= d} over the rationals.
 
     On success returns a rational point.  On failure returns Farkas
-    multipliers y (one per constraint row, in the order equalities,
-    ge-rows, le-rows) such that the aggregated constraint
-    sum_i y_i * row_i has nonpositive coefficients on every variable but a
-    positive right-hand side, which no x >= 0 can satisfy.  Signs: y is
-    free on equalities, y >= 0 on ge-rows, y <= 0 on le-rows.
+    multipliers y (one per constraint row, equalities first, then
+    ge-rows) such that the aggregated constraint sum_i y_i * row_i has
+    nonpositive coefficients on every variable but a positive right-hand
+    side, which no x >= 0 can satisfy.  Signs: y is free on equalities
+    and y >= 0 on ge-rows.  A row Ex <= f is the ge-row -Ex >= -f.
     """
     eq = [_as_fraction_row(c, r) for c, r in equalities]
     ge = [_as_fraction_row(c, r) for c, r in ge_inequalities]
-    le = [_as_fraction_row(c, r) for c, r in le_inequalities]
     rows: List[List[Fraction]] = []
     rhs: List[Fraction] = []
-    n_slack = len(ge) + len(le)
-    # columns: x (n_vars) | slacks (n_slack); ge rows get -slack, le rows +slack
-    slack_at = 0
-    kinds: List[str] = []
+    n_slack = len(ge)
+    # columns: x (n_vars) | slacks (n_slack); each ge row gets -slack
     for coeffs, b in eq:
         rows.append(list(coeffs) + [Fraction(0)] * n_slack)
         rhs.append(b)
-        kinds.append("eq")
-    for coeffs, b in ge:
+    for slack_at, (coeffs, b) in enumerate(ge):
         row = list(coeffs) + [Fraction(0)] * n_slack
         row[n_vars + slack_at] = Fraction(-1)
-        slack_at += 1
         rows.append(row)
         rhs.append(b)
-        kinds.append("ge")
-    for coeffs, b in le:
-        row = list(coeffs) + [Fraction(0)] * n_slack
-        row[n_vars + slack_at] = Fraction(1)
-        slack_at += 1
-        rows.append(row)
-        rhs.append(b)
-        kinds.append("le")
     m = len(rows)
     n_total = n_vars + n_slack
     if m == 0:
@@ -144,8 +130,6 @@ def exact_lp_feasible(
             assert sum(c * v for c, v in zip(coeffs, point)) == b
         for (coeffs, b) in ge:
             assert sum(c * v for c, v in zip(coeffs, point)) >= b
-        for (coeffs, b) in le:
-            assert sum(c * v for c, v in zip(coeffs, point)) <= b
         assert all(v >= 0 for v in point)
         return LPResult(True, point)
 
@@ -158,17 +142,15 @@ def exact_lp_feasible(
     # audit the certificate exactly before returning it
     agg = [Fraction(0)] * n_vars
     agg_rhs = Fraction(0)
-    all_rows = eq + ge + le
+    all_rows = eq + ge
     for i, (coeffs, b) in enumerate(all_rows):
         for j in range(n_vars):
             agg[j] += y[i] * coeffs[j]
         agg_rhs += y[i] * b
     assert all(c <= 0 for c in agg), "farkas aggregation not nonpositive"
     assert agg_rhs > 0, "farkas rhs not positive"
-    for i in range(len(eq), len(eq) + len(ge)):
+    for i in range(len(eq), len(all_rows)):
         assert y[i] >= 0, "farkas sign on ge row"
-    for i in range(len(eq) + len(ge), len(all_rows)):
-        assert y[i] <= 0, "farkas sign on le row"
     return LPResult(False, farkas=tuple(y))
 
 

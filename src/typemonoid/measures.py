@@ -5,17 +5,23 @@ The classical side is exact rational arithmetic.  A stationary measure
 normalized on E solves the system { x >= 0, x(preimage of a under s) =
 x(a) for all s and atoms a, x(E) = 1 }.  Its finite solutions are the
 nonnegative conserved functionals of the space's congruence, so the
-all-finite stage is read off the extreme rays of the conserved cone: a
-solution exists exactly when some ray r has r(E) > 0, and then
-x = r / r(E).  Exact rational linear programming runs only where the
-cone gives no answer: when no ray fits, for the Farkas certificate,
-and past RAY_LIMIT rays.  Infinite values are handled by staging: a
-subset I of atoms may be declared infinite only when (a) every atom of
-I keeps an infinite preimage under every symmetry and (b) I is
-forward-invariant under every atom map; the finite LP is then
-re-solved on the complement with the relation differences that touch
-I removed.  Stages are tried in increasing size of I, so the returned
-measure is deterministic.
+measure is read off the extreme rays of the conserved cone: a solution
+exists exactly when some ray r has r(E) > 0, and then x = r / r(E).
+Exact rational linear programming runs only where the cone gives no
+answer: past RAY_LIMIT rays, and for the Farkas certificate when no
+ray fits.
+
+Infinite values never help.  Suppose a measure is infinite on a set I
+of atoms outside E and finite on the rest, J.  Stationarity forces I
+to be forward invariant: an atom of I mapped into J would give an atom
+of J an infinite preimage.  So under each symmetry s the preimages of
+the atoms of J lie in J, and summing their stationarity equations shows
+that the atoms of J which s maps into I carry total value 0.  Setting
+the measure to 0 on I therefore keeps it stationary, with the same
+value 1 on E (Tarski 1938, "Algebraische Fassung des Massproblems").
+So the all-finite system alone decides existence, and a synthesized
+measure has no infinite atom; measures with infinite atoms are still
+built by hand and checked by `check`.
 
 The monoid-valued side works with an abstract measure target: either a
 finitely presented commutative monoid driven by the congruence engine,
@@ -142,35 +148,6 @@ def is_paradoxical(engine: TypeEngine, atoms: AtomSet,
     return d
 
 
-def _valid_infinite_supports(ss: StatSpace, forbidden: FrozenSet[int]) -> List[FrozenSet[int]]:
-    """Atom subsets eligible to carry infinite mass, smallest first.
-
-    I qualifies when every atom of I has a preimage meeting I under
-    every symmetry (its infinite value is reproduced) and I is forward
-    invariant (no finite atom pulls back onto I).
-    """
-    n = ss.n_atoms
-    out = []
-    universe = [a for a in range(n) if a not in forbidden]
-    for size in range(0, len(universe) + 1):
-        for combo in itertools.combinations(universe, size):
-            i_set = frozenset(combo)
-            ok = True
-            for amap in ss.atom_maps:
-                for a in i_set:
-                    if not any(amap[b] == a and b in i_set for b in range(n)):
-                        ok = False
-                        break
-                if not ok:
-                    break
-                if any(amap[b] not in i_set for b in i_set):
-                    ok = False
-                    break
-            if ok:
-                out.append(i_set)
-    return out
-
-
 @dataclass
 class SynthesisReport:
     measure: Optional[RationalStationaryMeasure]
@@ -182,15 +159,14 @@ def synthesize_classical_measure(
 ) -> Union[Optional[RationalStationaryMeasure], SynthesisReport]:
     """Search for a stationary measure with value exactly 1 on the given set.
 
-    All-finite stage first, read off the conserved cone: the first ray r
-    with r(E) > 0, in the cone's fixed order, gives the measure r / r(E).
-    When no ray fits, or the cone is past RAY_LIMIT, the stage is the
-    exact LP; so are the infinite stages over eligible atom subsets, in
-    increasing size.  Each stage is reported with the method that
-    decided it ("cone" or "lp").  Returns None (or a report of every
-    failed stage with its infeasibility certificate) when no stage is
-    feasible, which by the existence theorem happens exactly for
-    paradoxical sets.  A returned measure has passed `check`.
+    The measure is a nonnegative conserved functional y with y(E) > 0,
+    scaled to y / y(E): read off the conserved cone as the first ray r
+    with r(E) > 0 in the cone's fixed order, or past RAY_LIMIT found by
+    the exact LP.  The report has one stage, with the method that
+    decided it ("cone" or "lp").  Returns None (or a report whose stage
+    carries the LP's infeasibility certificate) when no functional fits,
+    which by the existence theorem happens exactly for paradoxical
+    sets.  A returned measure has passed `check`.
     """
     e_set = frozenset(atoms)
     if not e_set:
@@ -199,46 +175,24 @@ def synthesize_classical_measure(
         raise SpaceMismatchError("unknown atom in normalization set")
     n = ss.n_atoms
     cong = Congruence(n, [(r.lhs, r.rhs) for r in relation_basis(ss)])
-    rays = cong.conserved_rays()
-    stages = []
-    for i_set in _valid_infinite_supports(ss, forbidden=e_set):
-        values, method = None, "lp"
-        if not i_set and rays is not None:
-            for r in rays:
-                mass = sum(r[a] for a in e_set)
-                if mass > 0:
-                    values, method = tuple(Fraction(c, mass) for c in r), "cone"
-                    break
-        if values is None:
-            finite_atoms = [a for a in range(n) if a not in i_set]
-            equalities = [
-                ([d[a] for a in finite_atoms], 0)
-                for d in cong.differences()
-                if not any(d[a] for a in i_set)
-            ]
-            equalities.append(([1 if a in e_set else 0 for a in finite_atoms], 1))
-            res = exact_lp_feasible(len(finite_atoms), equalities=equalities)
-            if not res.feasible:
-                stages.append({"infinite": sorted(i_set), "feasible": False,
-                               "method": "lp", "farkas": res.farkas})
-                continue
-            if not i_set and rays is not None:
-                raise ContractError("LP finds a measure that no cone ray gives")
-            point = iter(res.point)
-            values = tuple(
-                Fraction(0) if a in i_set else next(point) for a in range(n)
-            )
-        m = RationalStationaryMeasure(ss, values, i_set)
-        bad = m.check()
-        if bad:
-            raise ContractError(f"synthesized measure fails invariants: {bad}")
-        if want_report:
-            stages.append({"infinite": sorted(i_set), "feasible": True, "method": method})
-            return SynthesisReport(m, stages)
-        return m
+    target = indicator(n, e_set)
+    y = cong._nonneg_conserved(target)
+    if y is None:
+        equalities = [(d, 0) for d in cong.differences()] + [(target, 1)]
+        res = exact_lp_feasible(n, equalities=equalities)
+        if res.feasible:
+            raise ContractError("LP finds a measure that no conserved functional gives")
+        stage = {"infinite": [], "feasible": False, "method": "lp", "farkas": res.farkas}
+        return SynthesisReport(None, [stage]) if want_report else None
+    mass = sum(y[a] for a in e_set)
+    m = RationalStationaryMeasure(ss, tuple(c / mass for c in y), frozenset())
+    bad = m.check()
+    if bad:
+        raise ContractError(f"synthesized measure fails invariants: {bad}")
     if want_report:
-        return SynthesisReport(None, stages)
-    return None
+        method = "cone" if cong.conserved_rays() is not None else "lp"
+        return SynthesisReport(m, [{"infinite": [], "feasible": True, "method": method}])
+    return m
 
 
 @dataclass

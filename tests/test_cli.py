@@ -251,8 +251,13 @@ class TestMeasure:
         code, doc, _ = run_json(capsys, ["measure", files["collapse"], "1"])
         assert code == 0
         assert "measure" not in doc
-        assert all(not st["feasible"] for st in doc["stages"])
-        assert all(st["method"] == "lp" for st in doc["stages"])
+        assert len(doc["stages"]) == 1
+        (st,) = doc["stages"]
+        assert st["infinite"] == [] and not st["feasible"] and st["method"] == "lp"
+        assert st["farkas"]
+        code, out, _ = run(capsys, ["measure", files["collapse"], "1"])
+        assert code == 0
+        assert out.splitlines()[0].startswith("infeasible: Farkas certificate")
 
     def test_empty_set_rejected(self, files, capsys):
         code, _, err = run(capsys, ["measure", files["parity"], ""])

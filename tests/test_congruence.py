@@ -258,6 +258,22 @@ class TestEqFinite:
         assert cong.stats["exhausted_coordinate_cap"] == 0
         assert cong.stats["exhausted_max_states"] == 1
 
+    def test_reverse_path_when_max_states_cuts_u_off(self):
+        # u's record fills max_states before it reaches v; v's record, with
+        # the same cap, finds u, and the path is reversed
+        cong = Congruence(2, [((2, 1), (0, 2)), ((1, 2), (0, 1)), ((1, 0), (1, 2))])
+        u, v = (2, 3), (1, 3)
+        d = cong.eq_finite(u, v, Budget(coordinate_cap=20, max_states=20))
+        assert d.verdict == EQUAL
+        assert d.witness["kind"] == "path"
+        assert (d.witness["start"], d.witness["end"]) == (u, v)
+        assert cong.replay_path(u, d.witness["steps"]) == v
+        made = cong.stats["records_created"]
+        rec_u = cong.class_closure(u, 20, 20)  # the record the decision built
+        assert cong.stats["records_created"] == made
+        assert rec_u.overflow and not rec_u.pruned
+        assert v not in rec_u.members
+
 
 class TestLeqFinite:
     def test_zero_bottom(self):

@@ -168,6 +168,40 @@ class TestIdempotentOf:
         assert idempotent_of(eng, lat, eng.abar((0, 0), omega={1})) == lat.bottom
         assert canonical_idempotent(eng, frozenset({1})) == lat.bottom
 
+    def test_certified_scale_matches_lattice_scan(self):
+        rng = random.Random(11)
+        spaces = list(fixture_spaces().values())
+        spaces += [e.statspace for e in random_corpus(seed=5)]
+        for ss in spaces:
+            eng, lat = engine_and_lattice(ss)
+            vecs = _seeded_vectors(rng, eng.n, 6)
+            vecs += [ExtVec((0,) * eng.n, e.omega_support) for e in lat]
+            for v in vecs:
+                assert idempotent_of(eng, lat, v) == _scanned_scale(eng, lat, v), (ss, v)
+
+    def test_scale_outside_the_lattice_raises(self):
+        # the parity engine puts omega over {0, 2} at the scale {0, 2},
+        # which the lattice of the cyclic space does not contain
+        eng = TypeEngine(parity_space())
+        _, cyclic_lat = engine_and_lattice(cyclic4_space())
+        with pytest.raises(LatticeError):
+            isotropy_decompose(eng, cyclic_lat, ExtVec((0,) * 4, frozenset({0, 2})))
+
+
+def _scanned_scale(eng, lat, alpha):
+    """The largest idempotent below alpha, found by ordering every
+    idempotent of the lattice against alpha."""
+    t = eng.type_of_abar(alpha)
+    below = []
+    for f in lat:
+        d = eng.decide_leq(eng.type_of_abar(f.vec), t)
+        assert d.is_definite()
+        if d.verdict == LEQ:
+            below.append(f)
+    maxima = [f for f in below if all(lat.leq(g, f) for g in below)]
+    assert len(maxima) == 1
+    return maxima[0]
+
 
 class TestIsotropy:
     def test_zero(self):

@@ -23,22 +23,20 @@ class TestFeasible:
         assert res.point == (F(1, 2), F(1, 2))
 
     def test_infeasible_with_certificate(self):
-        res = exact_lp_feasible(
-            1, ge_inequalities=[((1,), 1)], le_inequalities=[((1,), 0)]
-        )
+        # x >= 1 and x <= 0, the second written as -x >= 0
+        res = exact_lp_feasible(1, ge_inequalities=[((1,), 1), ((-1,), 0)])
         assert not res.feasible
         assert res.farkas is not None
-        y_ge, y_le = res.farkas
-        assert y_ge >= 0 and y_le <= 0
-        # aggregated: (y_ge + y_le) x >= y_ge * 1 + y_le * 0 must be absurd
-        assert y_ge + y_le <= 0
-        assert y_ge * 1 + y_le * 0 > 0
+        y_lo, y_hi = res.farkas
+        assert y_lo >= 0 and y_hi >= 0
+        # aggregated: (y_lo - y_hi) x >= y_lo * 1 + y_hi * 0 must be absurd
+        assert y_lo - y_hi <= 0
+        assert y_lo * 1 + y_hi * 0 > 0
 
     def test_inequalities_slack(self):
         res = exact_lp_feasible(
             2,
-            ge_inequalities=[((1, 0), 2)],
-            le_inequalities=[((1, 1), 5)],
+            ge_inequalities=[((1, 0), 2), ((-1, -1), -5)],  # x0 + x1 <= 5
         )
         assert res.feasible
         x = res.point
@@ -79,7 +77,8 @@ class TestRandomSystems:
     @settings(max_examples=120, deadline=None)
     def test_verdict_is_self_certifying(self, sys_):
         n, eq, ge, le = sys_
-        res = exact_lp_feasible(n, eq, ge, le)
+        # each row c.x <= b goes in as -c.x >= -b
+        res = exact_lp_feasible(n, eq, ge + [([-c for c in cs], -b) for cs, b in le])
         if res.feasible:
             x = res.point
             assert all(v >= 0 for v in x)
@@ -92,12 +91,10 @@ class TestRandomSystems:
         else:
             y = res.farkas
             assert y is not None
-            rows = list(eq) + list(ge) + list(le)
+            rows = list(eq) + list(ge) + [([-c for c in cs], -b) for cs, b in le]
             assert len(y) == len(rows)
-            for i, yi in enumerate(y[len(eq):len(eq) + len(ge)]):
+            for yi in y[len(eq):]:
                 assert yi >= 0
-            for yi in y[len(eq) + len(ge):]:
-                assert yi <= 0
             agg = [F(0)] * n
             agg_rhs = F(0)
             for yi, (coeffs, b) in zip(y, rows):

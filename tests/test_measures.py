@@ -1,9 +1,19 @@
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from typemonoid import congruence
-from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, Budget, ExtVec, unit_vec
+from typemonoid.congruence import (
+    EQUAL,
+    LEQ,
+    NOT_EQUAL,
+    NOT_LEQ,
+    Budget,
+    Congruence,
+    ExtVec,
+    unit_vec,
+)
 from typemonoid.corpus import (
     collapse_space,
     cyclic4_space,
@@ -11,6 +21,7 @@ from typemonoid.corpus import (
     one_point_space,
     parity_space,
     random_corpus,
+    statspace_from_partial_maps,
 )
 from typemonoid.errors import (
     AmbiguousMaximumError,
@@ -38,8 +49,10 @@ from typemonoid.measures import (
     tarski_T_measure,
     zero_T_measure,
 )
-from typemonoid.spaces import pullback
-from typemonoid.types import TypeEngine
+from typemonoid.lp import exact_lp_feasible
+from typemonoid.partial_bijection import PartialBijection
+from typemonoid.spaces import build_space, pullback, with_trivial_symmetry
+from typemonoid.types import TypeEngine, relation_basis
 
 
 def setup_space(ss):
@@ -95,8 +108,9 @@ class TestSynthesize:
         ss = collapse_space()
         rep = synthesize_classical_measure(ss, frozenset({1}), want_report=True)
         assert rep.measure is None
+        assert len(rep.stages) == 1
         assert all(not st["feasible"] for st in rep.stages)
-        assert any(st["farkas"] is not None for st in rep.stages)
+        assert all(st["farkas"] is not None for st in rep.stages)
 
     def test_measure_value_inf(self):
         ss = parity_space()
@@ -107,14 +121,23 @@ class TestSynthesize:
         assert m.value(frozenset({1, 3})) == 0
         assert not m.check()  # infinite evens, zero odds is stationary
 
-    def test_infinite_stage_used(self):
-        # one-point space plus nothing forces mu(X)=1 finitely; build a
-        # two-orbit space where one orbit must go infinite:
-        # collapse relation makes x0 = x0 + x1, so normalizing on atom 1
-        # fails at every stage; normalizing on atom 0 works finitely.
+    def test_mixed_set_needs_no_infinite_stage(self):
+        # the collapse relation makes x0 = x0 + x1, so normalizing on atom
+        # 1 fails; on {0, 1} the null atom takes 0 and atom 0 takes 1,
+        # all finite
         ss = collapse_space()
         m = synthesize_classical_measure(ss, frozenset({0, 1}))
         assert m is not None and m.value(frozenset({0, 1})) == 1
+        assert m.infinite_atoms == frozenset()
+
+    def test_trivial_symmetry_20_atoms_one_stage(self):
+        # 2^19 subsets would be eligible infinite supports; synthesis
+        # walks none of them
+        n = 20
+        ss = with_trivial_symmetry(build_space([str(i) for i in range(n)], [[i] for i in range(n)]))
+        rep = synthesize_classical_measure(ss, frozenset({0}), want_report=True)
+        assert rep.measure.value(frozenset({0})) == 1
+        assert rep.stages == [{"infinite": [], "feasible": True, "method": "cone"}]
 
     def test_invariants_on_corpus_samples(self):
         for entry in random_corpus(count=12):
@@ -228,6 +251,105 @@ class TestConeStage:
         monkeypatch.setattr(congruence, "RAY_LIMIT", 0)
         rep = synthesize_classical_measure(parity_space(), frozenset(range(4)), True)
         assert rep.stages == [{"infinite": [], "feasible": True, "method": "lp"}]
+
+
+def _valid_infinite_supports(ss, forbidden):
+    """Atom subsets eligible to carry infinite mass, smallest first: every
+    atom of I has a preimage meeting I under every symmetry, and I is
+    forward invariant.  Walks every subset of the atoms outside
+    `forbidden`."""
+    n = ss.n_atoms
+    out = []
+    universe = [a for a in range(n) if a not in forbidden]
+    for size in range(len(universe) + 1):
+        for combo in itertools.combinations(universe, size):
+            i_set = frozenset(combo)
+            if all(
+                all(any(amap[b] == a and b in i_set for b in range(n)) for a in i_set)
+                and all(amap[b] in i_set for b in i_set)
+                for amap in ss.atom_maps
+            ):
+                out.append(i_set)
+    return out
+
+
+def _staged_synthesis(ss, e_set):
+    """Reference synthesis by stages: the all-finite stage read off the
+    cone (or the LP when no ray fits), then one exact LP per eligible
+    infinite support, in increasing size.  Returns (measure, stages)."""
+    n = ss.n_atoms
+    cong = Congruence(n, [(r.lhs, r.rhs) for r in relation_basis(ss)])
+    rays = cong.conserved_rays()
+    stages = []
+    for i_set in _valid_infinite_supports(ss, e_set):
+        values, method = None, "lp"
+        if not i_set and rays is not None:
+            for r in rays:
+                mass = sum(r[a] for a in e_set)
+                if mass > 0:
+                    values, method = tuple(Fraction(c, mass) for c in r), "cone"
+                    break
+        if values is None:
+            finite_atoms = [a for a in range(n) if a not in i_set]
+            equalities = [
+                ([d[a] for a in finite_atoms], 0)
+                for d in cong.differences()
+                if not any(d[a] for a in i_set)
+            ]
+            equalities.append(([1 if a in e_set else 0 for a in finite_atoms], 1))
+            res = exact_lp_feasible(len(finite_atoms), equalities=equalities)
+            if not res.feasible:
+                stages.append({"infinite": sorted(i_set), "feasible": False,
+                               "method": "lp", "farkas": res.farkas})
+                continue
+            point = iter(res.point)
+            values = tuple(Fraction(0) if a in i_set else next(point) for a in range(n))
+        stages.append({"infinite": sorted(i_set), "feasible": True, "method": method})
+        return RationalStationaryMeasure(ss, values, i_set), stages
+    return None, stages
+
+
+def _pshift_space(n):
+    """Points 0..n-1 and a sink n, singleton atoms, partial shift i -> i+1."""
+    return statspace_from_partial_maps(
+        points=[str(i) for i in range(n + 1)],
+        atoms=[[i] for i in range(n + 1)],
+        generators=[PartialBijection.from_dict(n + 1, {i: i + 1 for i in range(n - 1)})],
+        sink=n,
+    )
+
+
+class TestStagedOracle:
+    """Synthesis in one stage against the staged search it replaced."""
+
+    def test_one_stage_decides_what_the_stages_did(self):
+        failed = infinite_tried = 0
+        for ss in _differential_spaces() + [_pshift_space(4)]:
+            cong = Congruence(ss.n_atoms, [(r.lhs, r.rhs) for r in relation_basis(ss)])
+            closed = [
+                u for u in ss.space.all_measurable_sets()
+                if cong.support_closure(u)[0] == u
+            ]
+            everything = frozenset(range(ss.n_atoms))
+            for e_set in _nonempty_sets(ss):
+                want, old_stages = _staged_synthesis(ss, e_set)
+                rep = synthesize_classical_measure(ss, e_set, want_report=True)
+                assert (rep.measure is None) == (want is None)
+                if want is not None:
+                    assert rep.measure.finite_values == want.finite_values
+                    assert rep.measure.infinite_atoms == want.infinite_atoms == frozenset()
+                assert rep.stages[0] == old_stages[0]
+                assert len(rep.stages) == 1
+                # the eligible infinite supports are the complements of the
+                # closed supports containing E
+                assert set(_valid_infinite_supports(ss, e_set)) == {
+                    everything - u for u in closed if e_set <= u
+                }
+                if want is None:
+                    failed += 1
+                    infinite_tried += len(old_stages) > 1
+                    assert "farkas" in rep.stages[0]
+        assert failed > 0 and infinite_tried > 0
 
 
 class TestTarskiCrossCheck:
