@@ -49,7 +49,9 @@ distinct nonzero differences lhs - rhs, sorted, built once per
 congruence.  The conserved basis, the cone and the simplex fallback read
 it, and a functional is checked by scaling it to integers by the lcm of
 its denominators and testing it against each distinct difference in
-exact int arithmetic.
+exact int arithmetic.  The basis itself is eliminated in integers from
+that matrix, and an equality separation is evaluated in integers from
+the basis vectors scaled the same way.
 
 The nonnegative conserved functionals form the conserved cone
 {y >= 0 : y.(lhs - rhs) = 0}, the stationary measures.  Its extreme rays
@@ -80,7 +82,7 @@ from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import SpaceMismatchError
-from .lp import exact_lp_feasible, rational_kernel_basis
+from .lp import exact_lp_feasible, integer_scaling, rational_kernel_basis
 
 Vec = Tuple[int, ...]
 
@@ -325,6 +327,7 @@ class Congruence:
             if left != right
         )
         self._kernel: Optional[List[Tuple[Fraction, ...]]] = None
+        self._kernel_ints: Optional[List[Tuple[List[int], int]]] = None
         self._rays: Optional[List[Vec]] = None
         self._rays_built = False
         self._closures: Dict[Tuple[Vec, int, int], ClassRecord] = {}
@@ -341,6 +344,8 @@ class Congruence:
             "cone_rays": 0,
             "ray_separations": 0,
             "lp_fallbacks": 0,
+            "kernel_rows": 0,
+            "kernel_rank": 0,
             "exhausted_coordinate_cap": 0,
             "exhausted_max_states": 0,
         }
@@ -352,11 +357,19 @@ class Congruence:
         return self._diffs
 
     def conserved_basis(self) -> List[Tuple[Fraction, ...]]:
-        """Basis of rational y with y.(lhs - rhs) = 0 for every relation."""
+        """Basis of rational y with y.(lhs - rhs) = 0 for every relation,
+        eliminated in integers from the distinct differences."""
         if self._kernel is None:
-            rows = [tuple(map(Fraction, d)) for d in self._diffs]
-            self._kernel = rational_kernel_basis(rows, self.n)
+            self._kernel = rational_kernel_basis(self._diffs, self.n)
+            self.stats["kernel_rows"] = len(self._diffs)
+            self.stats["kernel_rank"] = self.n - len(self._kernel)
         return self._kernel
+
+    def _integer_basis(self) -> List[Tuple[List[int], int]]:
+        """Each basis vector y as (z, den) with z = den * y in integers."""
+        if self._kernel_ints is None:
+            self._kernel_ints = [integer_scaling(y) for y in self.conserved_basis()]
+        return self._kernel_ints
 
     def functional_value(self, y: Sequence[Fraction], v: ExtVec):
         """Saturating evaluation; returns a Fraction or the string 'inf'."""
@@ -540,12 +553,12 @@ class Congruence:
 
     def _eq_finite_impl(self, u: Vec, v: Vec, budget: Budget) -> Decision:
         diff = vec_sub(u, v)
-        for y in self.conserved_basis():
-            val = sum(y[i] * diff[i] for i in range(self.n))
+        for y, (z, den) in zip(self.conserved_basis(), self._integer_basis()):
+            val = sum(a * b for a, b in zip(z, diff))
             if val != 0:
                 dec = Decision(
                     NOT_EQUAL,
-                    {"kind": "functional", "y": tuple(y), "separation": val},
+                    {"kind": "functional", "y": y, "separation": Fraction(val, den)},
                     budget,
                 )
                 self._assert_functional(dec.witness["y"])
@@ -744,8 +757,7 @@ class Congruence:
         an integer vector z, and z.d = 0 is checked in ints for each
         distinct difference d: the same exact test as on y.
         """
-        den = math.lcm(*(c.denominator for c in y))
-        z = [c.numerator * (den // c.denominator) for c in y]
+        z, _ = integer_scaling(y)
         assert len(z) == self.n, "functional has the wrong length"
         for d in self._diffs:
             s = sum(a * b for a, b in zip(z, d))

@@ -4,10 +4,15 @@ Variables are implicitly nonnegative.  Constraints are equalities and
 inequalities with Fraction coefficients; infeasibility comes with a Farkas
 certificate that is re-checked by assertion before being returned, so no
 floating point ever touches a verdict.
+
+The kernel basis of a matrix (the conserved functionals of a congruence)
+is computed by Gauss-Jordan elimination in Python ints; Fractions appear
+only in the basis it returns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
@@ -154,34 +159,68 @@ def exact_lp_feasible(
     return LPResult(False, farkas=tuple(y))
 
 
+def integer_scaling(row: Sequence) -> Tuple[List[int], int]:
+    """(z, den): den is the lcm of the denominators of the row and
+    z = den * row in integers.  An all-int row is taken as it is."""
+    if all(type(c) is int for c in row):
+        return list(row), 1
+    fr = [Fraction(c) for c in row]
+    den = math.lcm(*(c.denominator for c in fr))
+    return [c.numerator * (den // c.denominator) for c in fr], den
+
+
+def _cancel(row: List[int], pivot_row: List[int], c: int) -> List[int]:
+    """p*row - q*pivot_row, with q/p the ratio at column c, divided by its gcd."""
+    p, q = pivot_row[c], row[c]
+    out = [p * a - q * b for a, b in zip(row, pivot_row)]
+    g = math.gcd(*out)
+    return [v // g for v in out] if g > 1 else out
+
+
 def rational_kernel_basis(
-    rows: Sequence[Sequence[Fraction]], n_cols: int
+    rows: Sequence[Sequence], n_cols: int
 ) -> List[Tuple[Fraction, ...]]:
-    """Basis of {y : row . y = 0 for every row}, by Gaussian elimination."""
-    mat = [list(map(Fraction, r)) for r in rows if any(r)]
-    pivots: List[int] = []
-    r = 0
+    """Basis of {y : row . y = 0 for every row}, read off the reduced row
+    echelon form: one vector per free column fc, with y[fc] = 1, zero on
+    the other free columns.
+
+    Gauss-Jordan runs fraction-free in integers, as in Bareiss 1968,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", but dividing by the gcd of the row: each row is scaled
+    to integers (an all-int row is taken as it is), a row is cleared at a
+    pivot column by p*row - q*pivot_row and divided by its gcd, and a row
+    is dropped as soon as it is zero.  Fractions are built only for the
+    output, each entry as -row[fc] / row[pc] of a pivot row.  The reduced
+    row echelon form is unique for its row space, so the basis is the one
+    that Gauss-Jordan over the rationals gives.
+    """
+    mat = [integer_scaling(r)[0] for r in rows if any(r)]
+    pivots: List[Tuple[int, List[int]]] = []
     for c in range(n_cols):
-        sel = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if not mat:
+            break
+        sel = next((i for i, row in enumerate(mat) if row[c]), None)
         if sel is None:
             continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = Fraction(1) / mat[r][c]
-        mat[r] = [v * inv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                coef = mat[i][c]
-                mat[i] = [a - coef * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free = [c for c in range(n_cols) if c not in pivots]
+        prow = mat.pop(sel)
+        rest = []
+        for row in mat:
+            if row[c]:
+                row = _cancel(row, prow, c)
+                if not any(row):
+                    continue
+            rest.append(row)
+        mat = rest
+        pivots = [(pc, _cancel(row, prow, c) if row[c] else row) for pc, row in pivots]
+        pivots.append((c, prow))
+    pivot_cols = {pc for pc, _ in pivots}
     basis = []
-    for fc in free:
+    for fc in range(n_cols):
+        if fc in pivot_cols:
+            continue
         y = [Fraction(0)] * n_cols
         y[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            y[pc] = -mat[i][fc]
+        for pc, row in pivots:
+            y[pc] = Fraction(-row[fc], row[pc])
         basis.append(tuple(y))
     return basis

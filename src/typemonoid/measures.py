@@ -173,24 +173,40 @@ def synthesize_classical_measure(
         raise NormalizationImpossibleError("cannot normalize on the empty set")
     if any(not (0 <= a < ss.n_atoms) for a in e_set):
         raise SpaceMismatchError("unknown atom in normalization set")
+    cong = Congruence(ss.n_atoms, [(r.lhs, r.rhs) for r in relation_basis(ss)])
+    return _synthesize(cong, ss, e_set, want_report)
+
+
+def _synthesize(
+    cong: Congruence, ss: StatSpace, e_set: FrozenSet[int], want_report: bool
+) -> Union[Optional[RationalStationaryMeasure], SynthesisReport]:
+    """`synthesize_classical_measure` on the space's congruence `cong`.
+
+    With the cone, the first fitting ray gives the measure and the LP
+    runs only for the Farkas certificate.  Past RAY_LIMIT one LP with
+    x(E) = 1 decides: its point is the measure, or its Farkas vector the
+    certificate.
+    """
     n = ss.n_atoms
-    cong = Congruence(n, [(r.lhs, r.rhs) for r in relation_basis(ss)])
     target = indicator(n, e_set)
-    y = cong._nonneg_conserved(target)
+    by_cone = cong.conserved_rays() is not None
+    y = cong._nonneg_conserved(target) if by_cone else None
     if y is None:
         equalities = [(d, 0) for d in cong.differences()] + [(target, 1)]
         res = exact_lp_feasible(n, equalities=equalities)
-        if res.feasible:
+        if not res.feasible:
+            stage = {"infinite": [], "feasible": False, "method": "lp", "farkas": res.farkas}
+            return SynthesisReport(None, [stage]) if want_report else None
+        if by_cone:
             raise ContractError("LP finds a measure that no conserved functional gives")
-        stage = {"infinite": [], "feasible": False, "method": "lp", "farkas": res.farkas}
-        return SynthesisReport(None, [stage]) if want_report else None
+        y = res.point
     mass = sum(y[a] for a in e_set)
     m = RationalStationaryMeasure(ss, tuple(c / mass for c in y), frozenset())
     bad = m.check()
     if bad:
         raise ContractError(f"synthesized measure fails invariants: {bad}")
     if want_report:
-        method = "cone" if cong.conserved_rays() is not None else "lp"
+        method = "cone" if by_cone else "lp"
         return SynthesisReport(m, [{"infinite": [], "feasible": True, "method": method}])
     return m
 
@@ -224,7 +240,7 @@ def cross_check_tarski(engine: TypeEngine, atoms: AtomSet,
             note="normalization impossible: set has null type",
         )
     d = is_paradoxical(engine, e_set, budget)
-    m = synthesize_classical_measure(engine.statspace, e_set)
+    m = _synthesize(engine.congruence, engine.statspace, e_set, False)
     if not d.is_definite():
         return TarskiCrossCheck(e_set, False, d, m, None, note="paradox verdict unknown")
     consistent = (m is not None) == (d.verdict == NOT_LEQ)

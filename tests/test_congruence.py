@@ -24,10 +24,12 @@ from typemonoid.congruence import (
     vec_geq,
     zero_vec,
 )
-from typemonoid.corpus import fixture_spaces, random_corpus
+from typemonoid.corpus import collapse_space, fixture_spaces, random_corpus, statspace_from_maps
 from typemonoid.errors import SpaceMismatchError
 from typemonoid.lp import exact_lp_feasible, rational_kernel_basis
 from typemonoid.types import AuditEntry, TypeEngine
+
+from kernel_oracle import fraction_kernel_basis
 
 
 def parity_congruence() -> Congruence:
@@ -107,6 +109,30 @@ class TestConservedBasis:
             cong = TypeEngine(ss).congruence
             raw = [tuple(Fraction(a - b) for a, b in zip(l, r)) for l, r in cong.relations]
             assert cong.conserved_basis() == rational_kernel_basis(raw, cong.n)
+
+    def test_basis_equals_fraction_oracle(self):
+        spaces = list(fixture_spaces().values())
+        for seed in (1, 2, 5, 7, 2024):
+            spaces += [e.statspace for e in random_corpus(seed=seed)]
+        for ss in spaces:
+            cong = TypeEngine(ss).congruence
+            assert cong.conserved_basis() == fraction_kernel_basis(cong.differences(), cong.n)
+
+    def test_kernel_counters(self):
+        cong = TypeEngine(collapse_space()).congruence
+        assert (cong.stats["kernel_rows"], cong.stats["kernel_rank"]) == (0, 0)
+        cong.conserved_basis()
+        cong.conserved_basis()
+        assert (cong.stats["kernel_rows"], cong.stats["kernel_rank"]) == (2, 1)
+        # the 8-cycle: every e_a - e_b with a != b, conserved only by the total
+        cyclic8 = statspace_from_maps(
+            points=[str(i) for i in range(8)],
+            atoms=[[i] for i in range(8)],
+            generators=[tuple((i + 1) % 8 for i in range(8))],
+        )
+        cong = TypeEngine(cyclic8).congruence
+        assert len(cong.conserved_basis()) == 1
+        assert (cong.stats["kernel_rows"], cong.stats["kernel_rank"]) == (56, 7)
 
 
 class TestIntegerFunctionalCheck:
@@ -217,6 +243,27 @@ class TestEqFinite:
         d = cong.eq_finite((1, 0, 0, 0), (0, 1, 0, 0), Budget())
         assert d.verdict == NOT_EQUAL
         assert d.witness["kind"] == "functional"
+
+    def test_functional_witness_is_first_separating_oracle_vector(self):
+        budget = Budget(coordinate_cap=4, max_states=200)
+        separated = fractional = 0
+        # two copies of atom 0 make one of atom 1: the basis is (1/2, 1)
+        congs = _differential_congruences() + [Congruence(2, [((2, 0), (0, 1))])]
+        for cong in congs:
+            oracle = fraction_kernel_basis(cong.differences(), cong.n)
+            vecs = list(itertools.product(range(3), repeat=cong.n))
+            for u, v in itertools.product(vecs, repeat=2):
+                d = cong.eq_finite(u, v, budget)
+                if d.witness["kind"] != "functional":
+                    continue
+                separated += 1
+                diff = [a - b for a, b in zip(u, v)]
+                y = next(y for y in oracle if sum(a * b for a, b in zip(y, diff)) != 0)
+                assert d.witness["y"] == y
+                sep = d.witness["separation"]
+                assert type(sep) is Fraction and sep == sum(a * b for a, b in zip(y, diff))
+                fractional += sep.denominator > 1
+        assert separated > 0 and fractional > 0
 
     def test_collapse_null_atom(self):
         cong = collapse_congruence()

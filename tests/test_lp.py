@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from typemonoid.lp import exact_lp_feasible, rational_kernel_basis
 
+from kernel_oracle import fraction_kernel_basis
+
 
 F = Fraction
 
@@ -138,3 +140,52 @@ class TestKernelBasis:
         # dimension law: rank + nullity = 3
         rank = 3 - len(basis)
         assert 0 <= rank <= min(3, len(rows)) or not rows
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Rows over n_cols in 0..8, with zero rows, duplicate rows and rows
+    that combine two others (so the matrix is rank-deficient), as ints
+    or as Fractions with mixed denominators."""
+    n = draw(st.integers(0, 8))
+    entry = st.integers(-4, 4)
+    base = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=6))
+    rows = list(base)
+    if base:
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(base) - 1))
+            j = draw(st.integers(0, len(base) - 1))
+            a, b = draw(entry), draw(entry)
+            rows.append([a * x + b * y for x, y in zip(base[i], base[j])])
+    rows += [[0] * n] * draw(st.integers(0, 2))
+    if rows:
+        rows += [rows[k] for k in draw(st.lists(st.integers(0, len(rows) - 1), max_size=2))]
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        return [tuple(F(x, draw(st.integers(1, 6))) for x in r) for r in rows], n
+    return [tuple(r) for r in rows], n
+
+
+class TestIntegerKernelAgainstFractionOracle:
+    @given(kernel_matrices())
+    @settings(max_examples=400, deadline=None)
+    def test_same_basis_as_fraction_gauss_jordan(self, matrix):
+        rows, n = matrix
+        assert rational_kernel_basis(rows, n) == fraction_kernel_basis(rows, n)
+
+    def test_edge_shapes(self):
+        cases = [
+            ([], 0),
+            ([()], 0),
+            ([(0, 0, 0)], 3),
+            ([(2, 4), (1, 2), (1, 2)], 2),
+            ([(0, 3, -6), (0, 0, 0), (0, -1, 2)], 3),
+            ([(F(1, 2), F(1, 3)), (3, 2)], 2),
+        ]
+        for rows, n in cases:
+            assert rational_kernel_basis(rows, n) == fraction_kernel_basis(rows, n)
+        assert rational_kernel_basis([(F(1, 2), F(1, 3)), (3, 2)], 2) == [(F(-2, 3), F(1))]
+
+    def test_output_entries_are_fractions(self):
+        basis = rational_kernel_basis([(2, -4, 0, 6), (1, -2, 1, 0)], 4)
+        assert basis and all(type(c) is F for y in basis for c in y)

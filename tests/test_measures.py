@@ -252,6 +252,25 @@ class TestConeStage:
         rep = synthesize_classical_measure(parity_space(), frozenset(range(4)), True)
         assert rep.stages == [{"infinite": [], "feasible": True, "method": "lp"}]
 
+    def test_one_lp_past_ray_limit(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return exact_lp_feasible(*args, **kwargs)
+
+        monkeypatch.setattr(congruence, "RAY_LIMIT", 0)
+        monkeypatch.setattr(congruence, "exact_lp_feasible", counting)
+        monkeypatch.setattr("typemonoid.measures.exact_lp_feasible", counting)
+        rep = synthesize_classical_measure(collapse_space(), frozenset({1}), True)
+        assert rep.measure is None and "farkas" in rep.stages[0]
+        assert len(calls) == 1
+        # a feasible LP's point is the measure
+        e_set = frozenset({0, 1})
+        rep = synthesize_classical_measure(parity_space(), e_set, True)
+        assert rep.measure.value(e_set) == 1 and not rep.measure.check()
+        assert len(calls) == 2
+
 
 def _valid_infinite_supports(ss, forbidden):
     """Atom subsets eligible to carry infinite mass, smallest first: every
@@ -361,6 +380,22 @@ class TestTarskiCrossCheck:
             rep = cross_check_tarski(eng, e_set)
             assert not rep.null_type
             assert rep.consistent is True, e_set
+
+    def test_measure_read_off_the_engine_congruence(self, monkeypatch):
+        checked = 0
+        for ss in _differential_spaces():
+            eng = TypeEngine(ss)
+            sets = [s for s in ss.space.all_measurable_sets() if s]
+            expected = {s: synthesize_classical_measure(ss, s) for s in sets}
+            # a rebuilt congruence would fail here
+            monkeypatch.setattr("typemonoid.measures.Congruence", None)
+            for s in sets:
+                rep = cross_check_tarski(eng, s)
+                if not rep.null_type:
+                    assert rep.measure == expected[s]
+                    checked += 1
+            monkeypatch.undo()
+        assert checked > 0
 
     def test_collapse_cases(self):
         eng = TypeEngine(collapse_space())
