@@ -12,6 +12,13 @@ supports, ordered by inclusion, and each has one normal form: the
 closure, except that the closure of the empty support (the null atoms,
 which lie in every closed support) is written as the empty support.
 
+The lattice is built from the closure operator U alone.  Closed sets
+are closed under intersection, so meet is intersection, join is the
+closure of the union, and every closed set is reached from U({}) by
+one-atom steps U(e + {b}): L closed sets cost at most L*n closures,
+not the 2^n of a walk over every atom subset.  The minimal steps from e
+are its upper covers.
+
 On top of the lattice sit the isotropy slices: for each idempotent e,
 the types whose largest idempotent below them is exactly e form a
 cancellative commutative monoid with unit e, and its Grothendieck group
@@ -20,29 +27,30 @@ carries a partial addition that coarsens both summands to the join of
 their scales first.
 
 A scale is read off the support closure and certified by order
-queries against the idempotents strictly above it, not found by a scan
-of the lattice.  Every scale certificate is built and checked once per
+queries against the upper covers of it, not found by a scan of the
+lattice.  Every scale certificate is built and checked once per
 (engine, vector, budget): the lattice keeps the certificates
 isotropy_decompose has verified, so the quantity arithmetic, which
 certifies each operand and result, repeats no order query.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, Budget, Decision, ExtVec
-from .errors import (
-    AmbiguousMaximumError,
-    BudgetExhaustedError,
-    ContractError,
-    TypemonoidError,
-)
+from .congruence import LEQ, NOT_EQUAL, NOT_LEQ, Budget, Decision, ExtVec
+from .errors import BudgetExhaustedError, ContractError, TypemonoidError
 from .types import TarskiType, TypeEngine
+
+# Most closed sets a scale lattice may have.  A space with trivial
+# symmetry has 2^n of them; past this many the walk stops with a
+# LatticeError instead of filling L x L tables.
+LATTICE_LIMIT = 256
 
 
 class LatticeError(TypemonoidError):
-    """The enumerated order fails to be a (bounded) lattice."""
+    """A scale lattice that cannot be built or used: its closure system
+    has more than LATTICE_LIMIT closed sets, or a scale certificate
+    names or needs an idempotent the lattice does not hold."""
 
 
 @dataclass(frozen=True)
@@ -64,75 +72,66 @@ class IdempotentElement:
 
 
 class IdempotentLattice:
-    """A finite bounded lattice, given by its elements and order.
+    """The lattice of closed sets of a closure operator on atoms 0..n-1.
 
-    Used both for enumerated idempotent lattices (elements are
-    IdempotentElement) and for hand-built fixtures (elements are any
-    hashable labels).  Construction verifies the poset axioms and that
-    every pair has a unique greatest lower and least upper bound.
+    `closure` maps an atom set to the least closed set holding it.  The
+    walk starts at the bottom closure({}) and takes every one-atom step
+    closure(e + {b}), b not in e, from every closed set e it reaches.
+    That reaches every closed set f: f above e holds some b outside e,
+    and the step closure(e + {b}) lies inside f.  The upper covers of e
+    are the minimal steps from it.  The order is inclusion, meet is
+    intersection and join is the closure of the union; a closure system
+    is always a bounded lattice, so there is nothing to check.  More
+    than LATTICE_LIMIT closed sets raise LatticeError before any table
+    is built.
+
+    Elements are IdempotentElement values in canonical_idempotent form:
+    the closed set, except that the bottom is written as the empty
+    support.  They are listed by size, then by atoms.
     """
 
-    def __init__(
-        self,
-        elements: Sequence[Hashable],
-        leq_pairs: Sequence[Tuple[Hashable, Hashable]],
-    ):
-        self.elements: Tuple[Hashable, ...] = tuple(elements)
-        self.index: Dict[Hashable, int] = {e: i for i, e in enumerate(self.elements)}
-        if len(self.index) != len(self.elements):
-            raise LatticeError("duplicate elements")
-        n = len(self.elements)
-        rel = [[False] * n for _ in range(n)]
-        for i in range(n):
-            rel[i][i] = True
-        for a, b in leq_pairs:
-            rel[self.index[a]][self.index[b]] = True
-        # transitive closure; antisymmetry check afterwards
-        for k in range(n):
-            for i in range(n):
-                if rel[i][k]:
-                    row_k = rel[k]
-                    row_i = rel[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rel[i][j] and rel[j][i]:
-                    raise LatticeError(
-                        f"order not antisymmetric: {self.elements[i]} ~ {self.elements[j]}"
-                    )
-        self._rel = rel
-        self._meet = [[-1] * n for _ in range(n)]
-        self._join = [[-1] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                self._meet[i][j] = self._bound(i, j, lower=True)
-                self._join[i][j] = self._bound(i, j, lower=False)
-        bots = [i for i in range(n) if all(rel[i][j] for j in range(n))]
-        tops = [i for i in range(n) if all(rel[j][i] for j in range(n))]
-        if len(bots) != 1 or len(tops) != 1:
-            raise LatticeError("lattice must have unique bottom and top")
-        self.bottom: Hashable = self.elements[bots[0]]
-        self.top: Hashable = self.elements[tops[0]]
-        # scale certificates by (engine, vector, budget); see isotropy_decompose
-        self._scales: Dict[tuple, Tuple[Hashable, "IsotropyCertificate"]] = {}
-        self.stats: Dict[str, int] = {"scale_certificates": 0, "scale_lookups": 0}
+    def __init__(self, n: int, closure: Callable[[FrozenSet[int]], FrozenSet[int]]):
+        base = closure(frozenset())
+        steps: Dict[FrozenSet[int], Set[FrozenSet[int]]] = {base: set()}
+        todo = [base]
+        while todo:
+            e = todo.pop()
+            for b in range(n):
+                if b in e:
+                    continue
+                f = closure(e | {b})
+                steps[e].add(f)
+                if f not in steps:
+                    if len(steps) == LATTICE_LIMIT:
+                        raise LatticeError(
+                            f"more than LATTICE_LIMIT = {LATTICE_LIMIT} closed supports"
+                        )
+                    steps[f] = set()
+                    todo.append(f)
 
-    def _bound(self, i: int, j: int, lower: bool) -> int:
-        n = len(self.elements)
-        if lower:
-            cands = [k for k in range(n) if self._rel[k][i] and self._rel[k][j]]
-            best = [k for k in cands if all(self._rel[c][k] for c in cands)]
-        else:
-            cands = [k for k in range(n) if self._rel[i][k] and self._rel[j][k]]
-            best = [k for k in cands if all(self._rel[k][c] for c in cands)]
-        if len(best) != 1:
-            kind = "glb" if lower else "lub"
-            raise LatticeError(
-                f"no unique {kind} for {self.elements[i]}, {self.elements[j]}"
-            )
-        return best[0]
+        def canonical(s: FrozenSet[int]) -> FrozenSet[int]:
+            return frozenset() if s == base else s
+
+        sets = sorted(steps, key=lambda s: (len(canonical(s)), sorted(canonical(s))))
+        pos = {s: i for i, s in enumerate(sets)}
+        self.elements: Tuple[IdempotentElement, ...] = tuple(
+            IdempotentElement(n, canonical(s)) for s in sets
+        )
+        self.index: Dict[IdempotentElement, int] = {e: i for i, e in enumerate(self.elements)}
+        self.bottom = self.elements[0]
+        self.top = self.elements[-1]
+        self._meet = [[pos[a & b] for b in sets] for a in sets]
+        self._join = [
+            [pos[a | b] if a | b in pos else pos[closure(a | b)] for b in sets]
+            for a in sets
+        ]
+        self._covers = [
+            sorted(pos[f] for f in steps[e] if not any(g < f for g in steps[e]))
+            for e in sets
+        ]
+        # scale certificates by (engine, vector, budget); see isotropy_decompose
+        self._scales: Dict[tuple, Tuple[IdempotentElement, "IsotropyCertificate"]] = {}
+        self.stats: Dict[str, int] = {"scale_certificates": 0, "scale_lookups": 0}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -140,37 +139,24 @@ class IdempotentLattice:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, x: Hashable) -> bool:
+    def __contains__(self, x: IdempotentElement) -> bool:
         return x in self.index
 
-    def leq(self, a: Hashable, b: Hashable) -> bool:
-        return self._rel[self.index[a]][self.index[b]]
+    def leq(self, a: IdempotentElement, b: IdempotentElement) -> bool:
+        return a.omega_support <= b.omega_support
 
-    def meet(self, a: Hashable, b: Hashable) -> Hashable:
+    def meet(self, a: IdempotentElement, b: IdempotentElement) -> IdempotentElement:
         return self.elements[self._meet[self.index[a]][self.index[b]]]
 
-    def join(self, a: Hashable, b: Hashable) -> Hashable:
+    def join(self, a: IdempotentElement, b: IdempotentElement) -> IdempotentElement:
         return self.elements[self._join[self.index[a]][self.index[b]]]
 
-    def strictly_above(self, a: Hashable) -> List[Hashable]:
-        i = self.index[a]
-        return [self.elements[j] for j in range(len(self.elements))
-                if self._rel[i][j] and i != j]
+    def minimal_above(self, a: IdempotentElement) -> List[IdempotentElement]:
+        """The upper covers of a."""
+        return [self.elements[j] for j in self._covers[self.index[a]]]
 
-    def minimal_above(self, a: Hashable) -> List[Hashable]:
-        ups = self.strictly_above(a)
-        return [f for f in ups
-                if not any(self.leq(g, f) and g != f for g in ups)]
-
-    def covers(self) -> List[Tuple[Hashable, Hashable]]:
-        out = []
-        for a in self.elements:
-            for b in self.strictly_above(a):
-                between = [c for c in self.elements
-                           if c not in (a, b) and self.leq(a, c) and self.leq(c, b)]
-                if not between:
-                    out.append((a, b))
-        return out
+    def covers(self) -> List[Tuple[IdempotentElement, IdempotentElement]]:
+        return [(a, b) for a in self.elements for b in self.minimal_above(a)]
 
     def to_dot(self, name: str = "scales") -> str:
         lines = [f"digraph {name} {{", "  rankdir=BT;"]
@@ -182,38 +168,11 @@ class IdempotentLattice:
         return "\n".join(lines)
 
 
-def m3_fixture() -> IdempotentLattice:
-    """The five-element diamond M3: three incomparable middle elements.
-
-    Modular but not distributive; exists only as a test fixture, no
-    finite space here produces it.
-    """
-    els = ["bot", "x", "y", "z", "top"]
-    pairs = [("bot", m) for m in ("x", "y", "z")]
-    pairs += [(m, "top") for m in ("x", "y", "z")]
-    return IdempotentLattice(els, pairs)
-
-
 def enumerate_idempotents(engine: TypeEngine) -> IdempotentLattice:
-    """List all idempotent types of the space as a bounded lattice.
-
-    The elements are the canonical idempotents of every atom subset, and
-    the order is inclusion of their supports.
-    """
-    n = engine.n
-    elements = sorted(
-        {
-            canonical_idempotent(engine, frozenset(combo))
-            for r in range(n + 1)
-            for combo in combinations(range(n), r)
-        },
-        key=lambda e: (len(e.omega_support), sorted(e.omega_support)),
-    )
-    pairs = [
-        (e, f) for e in elements for f in elements
-        if e.omega_support <= f.omega_support
-    ]
-    return IdempotentLattice(elements, pairs)
+    """All idempotent types of the space: the lattice of its closed
+    supports under the support closure U."""
+    closure = engine.congruence.support_closure
+    return IdempotentLattice(engine.n, lambda support: closure(support)[0])
 
 
 def canonical_idempotent(engine: TypeEngine, support: FrozenSet[int]) -> IdempotentElement:
@@ -225,21 +184,6 @@ def canonical_idempotent(engine: TypeEngine, support: FrozenSet[int]) -> Idempot
     if closed == cong.support_closure(frozenset())[0]:
         closed = frozenset()
     return IdempotentElement(engine.n, closed)
-
-
-def join_idempotents(
-    engine: TypeEngine,
-    lattice: IdempotentLattice,
-    e: IdempotentElement,
-    f: IdempotentElement,
-) -> IdempotentElement:
-    """Join is the sum e+f; checked to agree with the order-theoretic lub."""
-    nv = engine.omega_normalize(e.vec.add(f.vec))
-    cand = IdempotentElement(engine.n, nv.vec.omega)
-    lub = lattice.join(e, f)
-    if cand != lub:
-        raise LatticeError(f"join mismatch: sum gives {cand}, order gives {lub}")
-    return cand
 
 
 def check_distributive(lattice: IdempotentLattice) -> Tuple[bool, Optional[dict]]:
@@ -264,91 +208,6 @@ def check_distributive(lattice: IdempotentLattice) -> Tuple[bool, Optional[dict]
     return True, None
 
 
-def _ext_min(u: ExtVec, v: ExtVec) -> ExtVec:
-    """Componentwise intersection: min on finite values, omega wins only
-    against omega."""
-    n = u.n
-    fin = [0] * n
-    om = set()
-    for i in range(n):
-        ui = None if i in u.omega else u.finite[i]
-        vi = None if i in v.omega else v.finite[i]
-        if ui is None and vi is None:
-            om.add(i)
-        elif ui is None:
-            fin[i] = vi
-        elif vi is None:
-            fin[i] = ui
-        else:
-            fin[i] = min(ui, vi)
-    return ExtVec(tuple(fin), frozenset(om))
-
-
-def meet_by_realizations(
-    engine: TypeEngine,
-    e: IdempotentElement,
-    f: IdempotentElement,
-    lattice: Optional[IdempotentLattice] = None,
-    pair_cap: int = 4096,
-) -> IdempotentElement:
-    """Oracle meet: maximize the intersection type over representative pairs.
-
-    Representatives of an idempotent are bounded omega vectors in its
-    class; intersections are componentwise minima.  The maximum of the
-    collected intersection types under the type order is returned and
-    must be unique among the candidates.  Exponential; small spaces only.
-    """
-    n = engine.n
-    reps_e = _idempotent_representatives(engine, e)
-    reps_f = _idempotent_representatives(engine, f)
-    if len(reps_e) * len(reps_f) > pair_cap:
-        raise BudgetExhaustedError(
-            f"{len(reps_e)}x{len(reps_f)} representative pairs exceed cap {pair_cap}"
-        )
-    seen: List[ExtVec] = []
-    for u in reps_e:
-        for v in reps_f:
-            w = engine.omega_normalize(_ext_min(u, v)).vec
-            if w in seen:
-                continue
-            # normal forms are not unique per class; dedupe by decision
-            if any(engine.decide_equal(w, x).verdict == EQUAL for x in seen):
-                continue
-            seen.append(w)
-    best: List[ExtVec] = []
-    for w in seen:
-        if all(engine.decide_leq(x, w).verdict == LEQ for x in seen):
-            best.append(w)
-    if len(best) != 1:
-        raise AmbiguousMaximumError(
-            f"intersection types have {len(best)} maxima under the type order"
-        )
-    top = best[0]
-    if any(v for v in top.finite):
-        raise LatticeError(f"maximal intersection {top} is not an idempotent")
-    if lattice is not None:
-        return canonical_idempotent(engine, top.omega)
-    return IdempotentElement(n, top.omega)
-
-
-def _idempotent_representatives(
-    engine: TypeEngine, e: IdempotentElement
-) -> List[ExtVec]:
-    """All omega vectors in the class of e (no finite parts: finite mass
-    on an idempotent representative is either absorbed or pushes the
-    type above e)."""
-    n = engine.n
-    target = engine.type_of_abar(e.vec)
-    out = []
-    for r in range(n + 1):
-        for combo in combinations(range(n), r):
-            cand = ExtVec((0,) * n, frozenset(combo))
-            d = engine.decide_equal(cand, target)
-            if d.verdict == EQUAL:
-                out.append(cand)
-    return out
-
-
 def idempotent_of(
     engine: TypeEngine,
     lattice: IdempotentLattice,
@@ -362,7 +221,8 @@ def idempotent_of(
 
 @dataclass
 class IsotropyCertificate:
-    """Membership evidence: alpha sits at scale e and at no finer one."""
+    """Membership evidence: alpha sits at scale e and at no finer one.
+    `excluded` refutes each upper cover of e below alpha."""
 
     scale: IdempotentElement
     alpha: TarskiType
@@ -387,10 +247,13 @@ def isotropy_decompose(
 
     e is the canonical idempotent of the closed omega support of
     alpha's normal form.  The certificate checks e <= alpha and that no
-    idempotent strictly above e is below alpha, and that is enough for
-    e to be the largest idempotent below alpha: if g <= alpha too, then
-    alpha + e + g = alpha, so the join e + g is below alpha, and it is
-    not strictly above e, so g <= e.
+    upper cover of e is below alpha.  That excludes every f strictly
+    above e: f holds an atom b outside e, so the step U(e + {b}) lies
+    inside f and some cover g of e lies inside that step, and g <= f <=
+    alpha would contradict g's exclusion.  And it is enough for e to be
+    the largest idempotent below alpha: if g <= alpha too, then alpha +
+    e + g = alpha, so the join e + g is below alpha, and it is not
+    strictly above e, so g <= e.
 
     The certificate is built and checked once per (engine, vector,
     budget) and kept on the lattice; a repeated call is a lookup.  A
@@ -409,7 +272,7 @@ def isotropy_decompose(
         raise LatticeError(f"support closure gives {e}, which is not in the lattice")
     above = engine.decide_leq(engine.type_of_abar(e.vec), t, budget)
     excluded = []
-    for f in lattice.strictly_above(e):
+    for f in lattice.minimal_above(e):
         d = engine.decide_leq(engine.type_of_abar(f.vec), t, budget)
         if not d.is_definite():
             raise BudgetExhaustedError(f"membership against {f} undecided")
@@ -420,21 +283,6 @@ def isotropy_decompose(
     lattice._scales[key] = (e, cert)
     lattice.stats["scale_certificates"] += 1
     return e, cert
-
-
-@dataclass
-class CompletedScale:
-    """The isotropy monoid at e together with its infinity points: the
-    minimal idempotents strictly above e."""
-
-    scale: IdempotentElement
-    infinities: Tuple[IdempotentElement, ...]
-
-
-def complete_isotropy(
-    lattice: IdempotentLattice, e: IdempotentElement
-) -> CompletedScale:
-    return CompletedScale(e, tuple(lattice.minimal_above(e)))
 
 
 # ----- quantity groups ------------------------------------------------------

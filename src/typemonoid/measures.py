@@ -65,7 +65,6 @@ from .lattice import (
     IdempotentLattice,
     LatticeError,
     canonical_idempotent,
-    complete_isotropy,
     isotropy_decompose,
 )
 from .lp import exact_lp_feasible
@@ -475,17 +474,17 @@ def hierarchical_measure(
 ) -> HierarchicalValue:
     """The canonical measure at scale e: shift the type by e; if the
     result stays at scale e it is the value, otherwise the value is the
-    largest infinity point of the completed scale below the shift."""
+    largest infinity point of the completed scale below the shift.  The
+    infinity points of scale e are its upper covers in the lattice."""
     if e not in lattice:
         raise ContractError(f"scale {e} not in the enumerated lattice")
     shifted = engine.omega_normalize(engine._vec(atoms_or_vec).add(e.vec))
     scale_of, _ = isotropy_decompose(engine, lattice, shifted, budget)
     if scale_of == e:
         return HierarchicalValue(e, "member", member=shifted.vec)
-    comp = complete_isotropy(lattice, e)
     t = engine.type_of_abar(shifted)
     below = []
-    for f in comp.infinities:
+    for f in lattice.minimal_above(e):
         d = engine.decide_leq(f.vec, t, budget)
         if not d.is_definite():
             raise BudgetExhaustedError(f"cannot order infinity point {f}")

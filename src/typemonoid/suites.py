@@ -36,7 +36,7 @@ from .measures import (
     cross_check_tarski,
 )
 from .spaces import compose_morphisms, identity_morphism, pullback
-from .types import TypeEngine, morphism_type_map
+from .types import AUDIT_KINDS, TypeEngine, morphism_type_map
 
 __all__ = [
     "corpus_with_fixtures",
@@ -421,7 +421,7 @@ def run_soundness_audit(
     tally = _Tally("soundness")
     rng = random.Random(seed)
     entries = corpus_with_fixtures() if entries is None else list(entries)
-    totals = {"functional": 0, "path": 0, "domination": 0, "support": 0, "other": 0}
+    totals = dict.fromkeys(AUDIT_KINDS, 0)
     for entry in entries:
         tally.enter_space(entry)
         eng = TypeEngine(entry.statspace)

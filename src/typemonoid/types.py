@@ -156,6 +156,12 @@ class RealizationReport:
         return self.ok
 
 
+# Witness kinds audit_decisions counts; "other" is the kinds it cannot re-check.
+AUDIT_KINDS = (
+    "functional", "path", "domination", "support", "syntactic", "zero-bottom", "other",
+)
+
+
 @dataclass
 class AuditEntry:
     op: str  # "eq" | "leq"
@@ -362,9 +368,10 @@ class TypeEngine:
         witnesses must name the closed support that omega on the sides
         spans, and a lifted path or domination whose ends match the two
         finite parts off that support: omega on the support absorbs the
-        rest.
+        rest.  A syntactic equality needs two equal finite sides, and a
+        zero-bottom order a left side that normalizes to zero.
         """
-        counts = {"functional": 0, "path": 0, "domination": 0, "support": 0, "other": 0}
+        counts = dict.fromkeys(AUDIT_KINDS, 0)
         for entry in self.audit_log:
             w = entry.decision.witness
             kind = w.get("kind")
@@ -394,6 +401,13 @@ class TypeEngine:
                 support = self._audit_omega_support(entry, left, right)
                 self._audit_domination(inner, left, right, support)
                 counts["domination"] += 1
+            elif kind == "syntactic":
+                assert entry.left.is_finite() and entry.left == entry.right, "sides differ"
+                counts["syntactic"] += 1
+            elif kind == "zero-bottom":
+                left, _ = self.congruence.normalize(entry.left)
+                assert entry.op == "leq" and left.is_zero(), "left side is not zero"
+                counts["zero-bottom"] += 1
             else:
                 counts["other"] += 1
         return counts

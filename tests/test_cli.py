@@ -280,6 +280,19 @@ class TestLattice:
         assert text.startswith("digraph")
         assert '"bot"' in text
 
+    @pytest.mark.parametrize("command", [["lattice"], ["type", "0"]])
+    def test_too_many_closed_supports(self, capsys, tmp_path, command):
+        # twenty atoms and no symmetry: 2^20 closed supports
+        p = tmp_path / "trivial20.json"
+        p.write_text(json.dumps({
+            "points": [str(i) for i in range(20)],
+            "atoms": [[i] for i in range(20)],
+            "generators": [{str(i): i for i in range(20)}],
+        }))
+        code, _, err = run(capsys, [command[0], str(p), *command[1:]])
+        assert code == 1
+        assert "LATTICE_LIMIT = 256" in err
+
 
 class TestCertVerify:
     def test_builtin_galileo(self, files, capsys):

@@ -15,26 +15,26 @@ from typemonoid.corpus import (
 )
 from typemonoid.errors import ContractError, SpaceMismatchError
 from typemonoid.lattice import (
-    IdempotentElement,
+    LATTICE_LIMIT,
     IdempotentLattice,
     LatticeError,
     canonical_idempotent,
     check_distributive,
-    complete_isotropy,
     embed,
     enumerate_idempotents,
     grothendieck_diff,
     idempotent_of,
     isotropy_decompose,
-    join_idempotents,
-    m3_fixture,
-    meet_by_realizations,
     quantity_add,
     quantity_eq,
     quantity_neg,
     quantity_zero,
 )
+from typemonoid.serial import space_from_dict
+from typemonoid.spaces import build_space, with_trivial_symmetry
 from typemonoid.types import TypeEngine
+
+from lattice_oracle import enumerate_by_subsets, join_idempotents, meet_by_realizations
 
 
 def engine_and_lattice(ss):
@@ -121,7 +121,7 @@ class TestMeetJoin:
             eng, lat = engine_and_lattice(ss)
             for e in lat:
                 for f in lat:
-                    got = meet_by_realizations(eng, e, f, lattice=lat)
+                    got = meet_by_realizations(eng, e, f)
                     assert got == lat.meet(e, f), (ss.space.atom_labels, e, f)
 
 
@@ -133,14 +133,12 @@ class TestDistributive:
             assert ok, why
 
     def test_m3_counterexample(self):
-        ok, why = check_distributive(m3_fixture())
+        # the diamond M3: on three points, any two atoms close to all three
+        lat = IdempotentLattice(3, lambda s: s if len(s) <= 1 else frozenset(range(3)))
+        assert len(lat) == 5 and len(lat.minimal_above(lat.bottom)) == 3
+        ok, why = check_distributive(lat)
         assert not ok
         assert why["law"] in ("meet-over-join", "join-over-meet")
-
-    def test_constructor_rejects_non_lattice(self):
-        # two maximal elements: no top, join undefined
-        with pytest.raises(LatticeError):
-            IdempotentLattice(["a", "b"], [])
 
     def test_dot_export(self):
         eng, lat = engine_and_lattice(parity_space())
@@ -230,7 +228,7 @@ class TestIsotropy:
                 ).verdict == LEQ
                 finer = any(
                     eng.decide_leq(eng.abar((0,) * eng.n, f.omega_support), t).verdict == LEQ
-                    for f in lat.strictly_above(e)
+                    for f in lat if e != f and lat.leq(e, f)
                 )
                 if above and not finer:
                     cells.append(e)
@@ -351,19 +349,17 @@ class TestScaleCertificateCache:
 
 
 class TestCompleteIsotropy:
+    """The infinity points of a scale are its upper covers."""
+
     def test_one_point(self):
         eng, lat = engine_and_lattice(one_point_space())
-        comp = complete_isotropy(lat, lat.bottom)
-        assert comp.infinities == (lat.top,)
+        assert lat.minimal_above(lat.bottom) == [lat.top]
 
     def test_parity(self):
         eng, lat = engine_and_lattice(parity_space())
-        assert set(complete_isotropy(lat, lat.bottom).infinities) == {
-            by_support(lat, 0, 2),
-            by_support(lat, 1, 3),
-        }
-        assert complete_isotropy(lat, by_support(lat, 0, 2)).infinities == (lat.top,)
-        assert complete_isotropy(lat, lat.top).infinities == ()
+        assert lat.minimal_above(lat.bottom) == [by_support(lat, 0, 2), by_support(lat, 1, 3)]
+        assert lat.minimal_above(by_support(lat, 0, 2)) == [lat.top]
+        assert lat.minimal_above(lat.top) == []
 
 
 class TestQuantity:
@@ -475,7 +471,7 @@ class TestCorpusLattices:
             lat = enumerate_idempotents(eng)
             for e in lat:
                 for f in lat:
-                    got = meet_by_realizations(eng, e, f, lattice=lat)
+                    got = meet_by_realizations(eng, e, f)
                     assert got == lat.meet(e, f), (entry.name, e, f)
 
 
@@ -506,3 +502,68 @@ class TestLatticeOracle:
                     w = ExtVec((0,) * eng.n, frozenset(combo))
                     equal = [f for f in lat if eng.decide_equal(w, f.vec).verdict == EQUAL]
                     assert equal == [canonical_idempotent(eng, frozenset(combo))], (ss, combo)
+
+
+def trivial_space(n):
+    """n singleton atoms and no symmetry: every atom set is closed."""
+    return with_trivial_symmetry(build_space([str(i) for i in range(n)], [[i] for i in range(n)]))
+
+
+def cyclic_space(n):
+    """n singleton atoms rotated by one generator."""
+    return space_from_dict({
+        "points": [str(i) for i in range(n)],
+        "atoms": [[i] for i in range(n)],
+        "generators": [{str(i): (i + 1) % n for i in range(n)}],
+    })
+
+
+class TestClosureWalk:
+    """The lattice walked by one-atom closure steps against the oracle
+    that closes every atom subset and builds a generic poset."""
+
+    def test_differential_against_subset_oracle(self):
+        spaces = list(fixture_spaces().values())
+        for seed in (1, 2, 5, 7, 2024):
+            spaces += [e.statspace for e in random_corpus(seed=seed)]
+        for ss in spaces:
+            eng, lat = engine_and_lattice(ss)
+            ref = enumerate_by_subsets(TypeEngine(ss))
+            assert lat.elements == ref.elements, ss
+            assert (lat.bottom, lat.top) == (ref.bottom, ref.top)
+            for e in lat:
+                assert lat.minimal_above(e) == ref.minimal_above(e)
+                for f in lat:
+                    assert lat.leq(e, f) == ref.leq(e, f)
+                    assert lat.meet(e, f) == ref.meet(e, f)
+                    assert lat.join(e, f) == ref.join(e, f)
+            assert lat.covers() == ref.covers()
+            assert lat.to_dot() == ref.to_dot()
+
+    def test_certificates_exclude_exactly_the_covers(self):
+        rng = random.Random(23)
+        spaces = list(fixture_spaces().values())
+        spaces += [e.statspace for e in random_corpus(seed=7, count=12)]
+        for ss in spaces:
+            eng, lat = engine_and_lattice(ss)
+            vecs = _seeded_vectors(rng, eng.n, 6) + [e.vec for e in lat]
+            for v in vecs:
+                e, cert = isotropy_decompose(eng, lat, v)
+                assert [f for f, _ in cert.excluded] == lat.minimal_above(e)
+
+    def test_walk_closes_at_most_L_times_n_sets(self):
+        eng = TypeEngine(cyclic_space(16))
+        memo = eng.congruence._support_memo
+        before = len(memo)
+        lat = enumerate_idempotents(eng)
+        assert len(lat) == 2
+        assert len(memo) - before <= len(lat) * eng.n + 1
+
+    def test_size_guard(self):
+        with pytest.raises(LatticeError, match=str(LATTICE_LIMIT)):
+            enumerate_idempotents(TypeEngine(trivial_space(20)))
+
+    def test_eight_atoms_stay_inside_the_guard(self):
+        lat = enumerate_idempotents(TypeEngine(trivial_space(8)))
+        assert len(lat) == LATTICE_LIMIT == 256
+        assert len(lat.minimal_above(lat.bottom)) == 8

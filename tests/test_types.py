@@ -409,6 +409,25 @@ class TestAudit:
             with pytest.raises(AssertionError):
                 eng.audit_decisions()
 
+    def test_audit_trivial_witnesses(self):
+        eng = collapse_engine()
+        one, null = eng.abar((1, 0)).vec, eng.abar((0, 0), omega={1}).vec
+        assert eng.decide_equal(one, one).witness == {"kind": "syntactic"}
+        assert eng.decide_leq(eng.abar_zero(), one).witness == {"kind": "zero-bottom"}
+        counts = eng.audit_decisions()
+        assert (counts["syntactic"], counts["zero-bottom"], counts["other"]) == (1, 1, 0)
+        syntactic, zero = {"kind": "syntactic"}, {"kind": "zero-bottom"}
+        for op, left, right, verdict, tampered in (
+            ("eq", one, eng.abar((2, 0)).vec, EQUAL, syntactic),  # sides differ
+            ("eq", null, null, EQUAL, syntactic),  # equal, but not finite
+            ("leq", one, one, LEQ, zero),  # left side is not zero
+            ("leq", null, one, LEQ, zero),  # omega on the null atom stays omega
+            ("eq", eng.abar_zero().vec, eng.abar_zero().vec, EQUAL, zero),  # not an order
+        ):
+            eng.audit_log[:] = [AuditEntry(op, left, right, Decision(verdict, tampered, Budget()))]
+            with pytest.raises(AssertionError):
+                eng.audit_decisions()
+
 
     def test_audit_omega_witnesses(self):
         # in the quotient by the odd atoms U({1}) = {1, 3}, e0 and e2 are
