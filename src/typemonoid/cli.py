@@ -15,7 +15,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .congruence import Budget, EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, UNKNOWN
+from .congruence import Budget, EQUAL, LEQ, NOT_LEQ, UNKNOWN
 from .certificates import (
     builtin_f2_duplication,
     builtin_galileo,
@@ -160,8 +160,7 @@ def cmd_type(args) -> int:
     eng = TypeEngine(ss, budget)
     aset = parse_set_expr(ss, args.set)
     t = eng.type_of(aset)
-    lat = enumerate_idempotents(eng)
-    scale = idempotent_of(eng, lat, t)
+    scale = idempotent_of(eng, t)
     report["set"] = sorted(aset)
     report["representative"] = {
         "finite": list(t.rep.finite),

@@ -9,10 +9,6 @@ class CarrierMismatchError(TypemonoidError):
     """Two partial maps live on carriers of different sizes."""
 
 
-class IncompatibleError(TypemonoidError):
-    """Union of partial bijections requested for an incompatible family."""
-
-
 class ClosureCapError(TypemonoidError):
     """Monoid closure exceeded the element cap."""
 

@@ -1,4 +1,4 @@
-"""Idempotent scale lattice and quantity groups.
+"""Idempotent scales, the scale lattice, and quantity groups.
 
 Idempotent types (e with e+e = e) of a finite space all arise as the
 omega-fold of some measurable set: an idempotent absorbs itself, so it
@@ -12,45 +12,48 @@ supports, ordered by inclusion, and each has one normal form: the
 closure, except that the closure of the empty support (the null atoms,
 which lie in every closed support) is written as the empty support.
 
-The lattice is built from the closure operator U alone.  Closed sets
-are closed under intersection, so meet is intersection, join is the
-closure of the union, and every closed set is reached from U({}) by
-one-atom steps U(e + {b}): L closed sets cost at most L*n closures,
-not the 2^n of a walk over every atom subset.  The minimal steps from e
-are its upper covers.
+The scale of a value, the largest idempotent below it, is read off the
+support closure of its omega support and certified by order queries
+against the upper covers of that scale.  A cover of a closed set e is a
+minimal one-atom step U(e + {b}), so a scale and its certificate need
+U(e) and at most n steps, never the whole lattice.  The engine keeps
+every scale certificate it has checked, by (vector, budget), so the
+quantity arithmetic, which certifies each operand and result, repeats
+no order query.
 
-On top of the lattice sit the isotropy slices: for each idempotent e,
+IdempotentLattice enumerates every scale, for the code that ranges over
+all of them.  Closed sets are closed under intersection, so meet is
+intersection and join is the closure of the union, and every closed set
+is reached from U({}) by upper covers: L closed sets cost at most L*n
+closures, not the 2^n of a walk over every atom subset.
+
+On top of the scales sit the isotropy slices: for each idempotent e,
 the types whose largest idempotent below them is exactly e form a
 cancellative commutative monoid with unit e, and its Grothendieck group
 is the quantity group at scale e.  The disjoint union of those groups
 carries a partial addition that coarsens both summands to the join of
 their scales first.
-
-A scale is read off the support closure and certified by order
-queries against the upper covers of it, not found by a scan of the
-lattice.  Every scale certificate is built and checked once per
-(engine, vector, budget): the lattice keeps the certificates
-isotropy_decompose has verified, so the quantity arithmetic, which
-certifies each operand and result, repeats no order query.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .congruence import LEQ, NOT_EQUAL, NOT_LEQ, Budget, Decision, ExtVec
 from .errors import BudgetExhaustedError, ContractError, TypemonoidError
 from .types import TarskiType, TypeEngine
 
+Closure = Callable[[FrozenSet[int]], FrozenSet[int]]
+
 # Most closed sets a scale lattice may have.  A space with trivial
 # symmetry has 2^n of them; past this many the walk stops with a
-# LatticeError instead of filling L x L tables.
+# LatticeError.  Certifying one scale is not bounded by it.
 LATTICE_LIMIT = 256
 
 
 class LatticeError(TypemonoidError):
-    """A scale lattice that cannot be built or used: its closure system
-    has more than LATTICE_LIMIT closed sets, or a scale certificate
-    names or needs an idempotent the lattice does not hold."""
+    """A scale lattice with more than LATTICE_LIMIT closed sets, a scale
+    certificate that fails its checks, or a shifted value with no
+    infinity point of its scale below it."""
 
 
 @dataclass(frozen=True)
@@ -71,67 +74,79 @@ class IdempotentElement:
         return f"w[{atoms}]"
 
 
+def _element_order(s: FrozenSet[int]):
+    return len(s), sorted(s)
+
+
+def upper_covers(n: int, closure: Closure, e: IdempotentElement) -> List[IdempotentElement]:
+    """The upper covers of e among the closed sets of `closure`: the
+    minimal one-atom steps closure(e + {b}), b outside e, by size, then
+    by atoms.
+
+    Every closed f strictly above e holds some b outside e, and the step
+    closure(e + {b}) lies inside f, so some cover lies inside f.  A step
+    is never the bottom, so each cover is its own canonical form.
+    """
+    closed = closure(e.omega_support)
+    steps = {closure(closed | {b}) for b in range(n) if b not in closed}
+    minimal = [f for f in steps if not any(g < f for g in steps)]
+    return [IdempotentElement(n, f) for f in sorted(minimal, key=_element_order)]
+
+
+def _support_closure(engine: TypeEngine) -> Closure:
+    support_closure = engine.congruence.support_closure
+    return lambda support: support_closure(support)[0]
+
+
+def scale_covers(engine: TypeEngine, e: IdempotentElement) -> List[IdempotentElement]:
+    """The upper covers of scale e under the engine's support closure."""
+    return upper_covers(engine.n, _support_closure(engine), e)
+
+
 class IdempotentLattice:
     """The lattice of closed sets of a closure operator on atoms 0..n-1.
 
     `closure` maps an atom set to the least closed set holding it.  The
-    walk starts at the bottom closure({}) and takes every one-atom step
-    closure(e + {b}), b not in e, from every closed set e it reaches.
-    That reaches every closed set f: f above e holds some b outside e,
-    and the step closure(e + {b}) lies inside f.  The upper covers of e
-    are the minimal steps from it.  The order is inclusion, meet is
-    intersection and join is the closure of the union; a closure system
-    is always a bounded lattice, so there is nothing to check.  More
-    than LATTICE_LIMIT closed sets raise LatticeError before any table
-    is built.
+    walk starts at the bottom closure({}) and takes the upper covers of
+    every closed set it reaches, which reaches every closed set.  The
+    order is inclusion, meet is intersection and join is the closure of
+    the union; a closure system is always a bounded lattice, so there is
+    nothing to check.  More than LATTICE_LIMIT closed sets raise
+    LatticeError.
 
     Elements are IdempotentElement values in canonical_idempotent form:
     the closed set, except that the bottom is written as the empty
-    support.  They are listed by size, then by atoms.
+    support.  They are listed by size, then by atoms; `closed` lists
+    their closed sets in the same order.
     """
 
-    def __init__(self, n: int, closure: Callable[[FrozenSet[int]], FrozenSet[int]]):
-        base = closure(frozenset())
-        steps: Dict[FrozenSet[int], Set[FrozenSet[int]]] = {base: set()}
-        todo = [base]
+    def __init__(self, n: int, closure: Closure):
+        self.n = n
+        self.closure = closure
+        self._base = closure(frozenset())
+        bottom = IdempotentElement(n, frozenset())
+        self._covers: Dict[IdempotentElement, List[IdempotentElement]] = {}
+        seen = {bottom}
+        todo = [bottom]
         while todo:
             e = todo.pop()
-            for b in range(n):
-                if b in e:
-                    continue
-                f = closure(e | {b})
-                steps[e].add(f)
-                if f not in steps:
-                    if len(steps) == LATTICE_LIMIT:
+            self._covers[e] = upper_covers(n, closure, e)
+            for f in self._covers[e]:
+                if f not in seen:
+                    if len(seen) == LATTICE_LIMIT:
                         raise LatticeError(
                             f"more than LATTICE_LIMIT = {LATTICE_LIMIT} closed supports"
                         )
-                    steps[f] = set()
+                    seen.add(f)
                     todo.append(f)
-
-        def canonical(s: FrozenSet[int]) -> FrozenSet[int]:
-            return frozenset() if s == base else s
-
-        sets = sorted(steps, key=lambda s: (len(canonical(s)), sorted(canonical(s))))
-        pos = {s: i for i, s in enumerate(sets)}
         self.elements: Tuple[IdempotentElement, ...] = tuple(
-            IdempotentElement(n, canonical(s)) for s in sets
+            sorted(self._covers, key=lambda e: _element_order(e.omega_support))
         )
-        self.index: Dict[IdempotentElement, int] = {e: i for i, e in enumerate(self.elements)}
+        self.closed: Tuple[FrozenSet[int], ...] = tuple(
+            e.omega_support or self._base for e in self.elements
+        )
         self.bottom = self.elements[0]
         self.top = self.elements[-1]
-        self._meet = [[pos[a & b] for b in sets] for a in sets]
-        self._join = [
-            [pos[a | b] if a | b in pos else pos[closure(a | b)] for b in sets]
-            for a in sets
-        ]
-        self._covers = [
-            sorted(pos[f] for f in steps[e] if not any(g < f for g in steps[e]))
-            for e in sets
-        ]
-        # scale certificates by (engine, vector, budget); see isotropy_decompose
-        self._scales: Dict[tuple, Tuple[IdempotentElement, "IsotropyCertificate"]] = {}
-        self.stats: Dict[str, int] = {"scale_certificates": 0, "scale_lookups": 0}
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -140,23 +155,26 @@ class IdempotentLattice:
         return iter(self.elements)
 
     def __contains__(self, x: IdempotentElement) -> bool:
-        return x in self.index
+        return x in self._covers
+
+    def _element(self, closed: FrozenSet[int]) -> IdempotentElement:
+        return IdempotentElement(self.n, frozenset() if closed == self._base else closed)
 
     def leq(self, a: IdempotentElement, b: IdempotentElement) -> bool:
         return a.omega_support <= b.omega_support
 
     def meet(self, a: IdempotentElement, b: IdempotentElement) -> IdempotentElement:
-        return self.elements[self._meet[self.index[a]][self.index[b]]]
+        return self._element(a.omega_support & b.omega_support)
 
     def join(self, a: IdempotentElement, b: IdempotentElement) -> IdempotentElement:
-        return self.elements[self._join[self.index[a]][self.index[b]]]
+        return self._element(self.closure(a.omega_support | b.omega_support))
 
     def minimal_above(self, a: IdempotentElement) -> List[IdempotentElement]:
         """The upper covers of a."""
-        return [self.elements[j] for j in self._covers[self.index[a]]]
+        return list(self._covers[a])
 
     def covers(self) -> List[Tuple[IdempotentElement, IdempotentElement]]:
-        return [(a, b) for a in self.elements for b in self.minimal_above(a)]
+        return [(a, b) for a in self.elements for b in self._covers[a]]
 
     def to_dot(self, name: str = "scales") -> str:
         lines = [f"digraph {name} {{", "  rankdir=BT;"]
@@ -171,8 +189,7 @@ class IdempotentLattice:
 def enumerate_idempotents(engine: TypeEngine) -> IdempotentLattice:
     """All idempotent types of the space: the lattice of its closed
     supports under the support closure U."""
-    closure = engine.congruence.support_closure
-    return IdempotentLattice(engine.n, lambda support: closure(support)[0])
+    return IdempotentLattice(engine.n, _support_closure(engine))
 
 
 def canonical_idempotent(engine: TypeEngine, support: FrozenSet[int]) -> IdempotentElement:
@@ -187,36 +204,40 @@ def canonical_idempotent(engine: TypeEngine, support: FrozenSet[int]) -> Idempot
 
 
 def check_distributive(lattice: IdempotentLattice) -> Tuple[bool, Optional[dict]]:
-    """Test both distributive laws and both absorption laws exhaustively."""
-    for a in lattice:
-        for b in lattice:
-            if lattice.meet(a, lattice.join(a, b)) != a:
-                return False, {"law": "absorption-meet", "a": a, "b": b}
-            if lattice.join(a, lattice.meet(a, b)) != a:
-                return False, {"law": "absorption-join", "a": a, "b": b}
-            for c in lattice:
-                lhs = lattice.meet(a, lattice.join(b, c))
-                rhs = lattice.join(lattice.meet(a, b), lattice.meet(a, c))
+    """Test both distributive laws and both absorption laws exhaustively,
+    on the closed sets: meet is intersection, join the closure of the
+    union.  A counterexample names lattice elements."""
+    close = lattice.closure
+    element = dict(zip(lattice.closed, lattice.elements))
+    for a in lattice.closed:
+        for b in lattice.closed:
+            ab = close(a | b)
+            if a & ab != a:
+                return False, {"law": "absorption-meet", "a": element[a], "b": element[b]}
+            if close(a | (a & b)) != a:
+                return False, {"law": "absorption-join", "a": element[a], "b": element[b]}
+            for c in lattice.closed:
+                lhs = a & close(b | c)
+                rhs = close((a & b) | (a & c))
                 if lhs != rhs:
-                    return False, {"law": "meet-over-join", "a": a, "b": b, "c": c,
-                                   "lhs": lhs, "rhs": rhs}
-                lhs = lattice.join(a, lattice.meet(b, c))
-                rhs = lattice.meet(lattice.join(a, b), lattice.join(a, c))
+                    return False, {"law": "meet-over-join", "a": element[a], "b": element[b],
+                                   "c": element[c], "lhs": element[lhs], "rhs": element[rhs]}
+                lhs = close(a | (b & c))
+                rhs = ab & close(a | c)
                 if lhs != rhs:
-                    return False, {"law": "join-over-meet", "a": a, "b": b, "c": c,
-                                   "lhs": lhs, "rhs": rhs}
+                    return False, {"law": "join-over-meet", "a": element[a], "b": element[b],
+                                   "c": element[c], "lhs": element[lhs], "rhs": element[rhs]}
     return True, None
 
 
 def idempotent_of(
     engine: TypeEngine,
-    lattice: IdempotentLattice,
     alpha,
     budget: Optional[Budget] = None,
 ) -> IdempotentElement:
     """The unique maximal idempotent below alpha: the scale that
     isotropy_decompose certifies."""
-    return isotropy_decompose(engine, lattice, alpha, budget)[0]
+    return isotropy_decompose(engine, alpha, budget)[0]
 
 
 @dataclass
@@ -238,7 +259,6 @@ class IsotropyCertificate:
 
 def isotropy_decompose(
     engine: TypeEngine,
-    lattice: IdempotentLattice,
     alpha,
     budget: Optional[Budget] = None,
 ) -> Tuple[IdempotentElement, IsotropyCertificate]:
@@ -248,31 +268,29 @@ def isotropy_decompose(
     e is the canonical idempotent of the closed omega support of
     alpha's normal form.  The certificate checks e <= alpha and that no
     upper cover of e is below alpha.  That excludes every f strictly
-    above e: f holds an atom b outside e, so the step U(e + {b}) lies
-    inside f and some cover g of e lies inside that step, and g <= f <=
-    alpha would contradict g's exclusion.  And it is enough for e to be
-    the largest idempotent below alpha: if g <= alpha too, then alpha +
-    e + g = alpha, so the join e + g is below alpha, and it is not
-    strictly above e, so g <= e.
+    above e: some cover g of e lies inside f (see upper_covers), and
+    g <= f <= alpha would contradict g's exclusion.  And it is enough
+    for e to be the largest idempotent below alpha: if g <= alpha too,
+    then alpha + e + g = alpha, so the join e + g is below alpha, and it
+    is not strictly above e, so g <= e.  Only U(e) and the one-atom
+    steps from it are computed, so no lattice is needed.
 
-    The certificate is built and checked once per (engine, vector,
-    budget) and kept on the lattice; a repeated call is a lookup.  A
-    certificate that fails its checks is never stored.
+    The certificate is built and checked once per (vector, budget) and
+    kept on the engine; a repeated call is a lookup, counted in
+    engine.stats.  A certificate that fails its checks is never stored.
     """
     budget = budget or engine.budget
     vec = engine._vec(alpha)
-    key = (engine, vec, budget)
-    hit = lattice._scales.get(key)
+    key = (vec, budget)
+    hit = engine._scales.get(key)
     if hit is not None:
-        lattice.stats["scale_lookups"] += 1
+        engine.stats["scale_lookups"] += 1
         return hit
     t = engine.type_of_abar(vec)
     e = canonical_idempotent(engine, t.rep.omega)
-    if e not in lattice:
-        raise LatticeError(f"support closure gives {e}, which is not in the lattice")
     above = engine.decide_leq(engine.type_of_abar(e.vec), t, budget)
     excluded = []
-    for f in lattice.minimal_above(e):
+    for f in scale_covers(engine, e):
         d = engine.decide_leq(engine.type_of_abar(f.vec), t, budget)
         if not d.is_definite():
             raise BudgetExhaustedError(f"membership against {f} undecided")
@@ -280,8 +298,8 @@ def isotropy_decompose(
     cert = IsotropyCertificate(e, t, above, excluded)
     if not cert.ok:
         raise LatticeError("isotropy membership certificate failed")
-    lattice._scales[key] = (e, cert)
-    lattice.stats["scale_certificates"] += 1
+    engine._scales[key] = (e, cert)
+    engine.stats["scale_certificates"] += 1
     return e, cert
 
 
@@ -301,20 +319,14 @@ class QuantityElement:
         return f"{self.scale} | {self.plus} - {self.minus}"
 
 
-def _certify_scale(
-    engine: TypeEngine,
-    lattice: IdempotentLattice,
-    v: ExtVec,
-    e: IdempotentElement,
-) -> None:
-    got, _ = isotropy_decompose(engine, lattice, v)
+def _certify_scale(engine: TypeEngine, v: ExtVec, e: IdempotentElement) -> None:
+    got, _ = isotropy_decompose(engine, v)
     if got != e:
         raise ContractError(f"operand has scale {got}, expected {e}")
 
 
 def grothendieck_diff(
     engine: TypeEngine,
-    lattice: IdempotentLattice,
     a,
     b,
     scale: Optional[IdempotentElement] = None,
@@ -324,8 +336,8 @@ def grothendieck_diff(
     monoid."""
     va = engine.omega_normalize(a).vec
     vb = engine.omega_normalize(b).vec
-    ea, _ = isotropy_decompose(engine, lattice, va)
-    eb, _ = isotropy_decompose(engine, lattice, vb)
+    ea, _ = isotropy_decompose(engine, va)
+    eb, _ = isotropy_decompose(engine, vb)
     if ea != eb:
         raise ContractError(f"operands live at different scales {ea} vs {eb}")
     if scale is not None and scale != ea:
@@ -333,13 +345,11 @@ def grothendieck_diff(
     return QuantityElement(ea, va, vb)
 
 
-def embed(
-    engine: TypeEngine, lattice: IdempotentLattice, alpha
-) -> QuantityElement:
+def embed(engine: TypeEngine, alpha) -> QuantityElement:
     """The additive embedding of types into the quantity space: alpha at
     scale e maps to the pair (alpha, e)."""
     v = engine.omega_normalize(alpha).vec
-    e, _ = isotropy_decompose(engine, lattice, v)
+    e, _ = isotropy_decompose(engine, v)
     return QuantityElement(e, v, e.vec)
 
 
@@ -356,36 +366,28 @@ def quantity_eq(
     return engine.decide_equal(x.plus.add(y.minus), y.plus.add(x.minus), budget)
 
 
-def _coarsen(
-    engine: TypeEngine,
-    lattice: IdempotentLattice,
-    v: ExtVec,
-    e: IdempotentElement,
-) -> ExtVec:
+def _coarsen(engine: TypeEngine, v: ExtVec, e: IdempotentElement) -> ExtVec:
     """Push a vector up to scale e by adding the idempotent, then verify
     the result really lands in the isotropy monoid of e."""
     w = engine.omega_normalize(v.add(e.vec)).vec
-    _certify_scale(engine, lattice, w, e)
+    _certify_scale(engine, w, e)
     return w
 
 
 def quantity_add(
-    engine: TypeEngine,
-    lattice: IdempotentLattice,
-    x: QuantityElement,
-    y: QuantityElement,
+    engine: TypeEngine, x: QuantityElement, y: QuantityElement
 ) -> QuantityElement:
     """Add two quantity elements, coarsening both to the join of their
-    scales first."""
-    g = lattice.join(x.scale, y.scale)
-    xp = _coarsen(engine, lattice, x.plus, g)
-    xm = _coarsen(engine, lattice, x.minus, g)
-    yp = _coarsen(engine, lattice, y.plus, g)
-    ym = _coarsen(engine, lattice, y.minus, g)
+    scales first: the canonical idempotent of the union of the supports."""
+    g = canonical_idempotent(engine, x.scale.omega_support | y.scale.omega_support)
+    xp = _coarsen(engine, x.plus, g)
+    xm = _coarsen(engine, x.minus, g)
+    yp = _coarsen(engine, y.plus, g)
+    ym = _coarsen(engine, y.minus, g)
     plus = engine.omega_normalize(xp.add(yp)).vec
     minus = engine.omega_normalize(xm.add(ym)).vec
-    _certify_scale(engine, lattice, plus, g)
-    _certify_scale(engine, lattice, minus, g)
+    _certify_scale(engine, plus, g)
+    _certify_scale(engine, minus, g)
     return QuantityElement(g, plus, minus)
 
 

@@ -66,6 +66,7 @@ from .lattice import (
     LatticeError,
     canonical_idempotent,
     isotropy_decompose,
+    scale_covers,
 )
 from .lp import exact_lp_feasible
 from .spaces import AtomSet, StatSpace, pullback
@@ -354,19 +355,6 @@ def tarski_T_measure(engine: TypeEngine) -> TMeasureSpec:
     return TMeasureSpec(engine.statspace, target, assignment)
 
 
-def measure_to_T_spec(measure: RationalStationaryMeasure) -> TMeasureSpec:
-    assignment = tuple(
-        INF if a in measure.infinite_atoms else measure.finite_values[a]
-        for a in range(measure.statspace.n_atoms)
-    )
-    return TMeasureSpec(measure.statspace, ExtendedRationalTarget(), assignment)
-
-
-def zero_T_measure(ss: StatSpace) -> TMeasureSpec:
-    return TMeasureSpec(ss, ExtendedRationalTarget(),
-                        (Fraction(0),) * ss.n_atoms)
-
-
 @dataclass
 class TMeasureFlags:
     stationary: bool
@@ -467,7 +455,6 @@ class HierarchicalValue:
 
 def hierarchical_measure(
     engine: TypeEngine,
-    lattice: IdempotentLattice,
     e: IdempotentElement,
     atoms_or_vec,
     budget: Optional[Budget] = None,
@@ -475,16 +462,18 @@ def hierarchical_measure(
     """The canonical measure at scale e: shift the type by e; if the
     result stays at scale e it is the value, otherwise the value is the
     largest infinity point of the completed scale below the shift.  The
-    infinity points of scale e are its upper covers in the lattice."""
-    if e not in lattice:
-        raise ContractError(f"scale {e} not in the enumerated lattice")
+    infinity points of scale e are its upper covers.  An e that is not
+    a scale of the engine's space, in canonical form, is refused."""
+    in_range = all(0 <= a < engine.n for a in e.omega_support)
+    if not in_range or canonical_idempotent(engine, e.omega_support) != e:
+        raise ContractError(f"{e} is not a scale of the space")
     shifted = engine.omega_normalize(engine._vec(atoms_or_vec).add(e.vec))
-    scale_of, _ = isotropy_decompose(engine, lattice, shifted, budget)
+    scale_of, _ = isotropy_decompose(engine, shifted, budget)
     if scale_of == e:
         return HierarchicalValue(e, "member", member=shifted.vec)
     t = engine.type_of_abar(shifted)
     below = []
-    for f in lattice.minimal_above(e):
+    for f in scale_covers(engine, e):
         d = engine.decide_leq(f.vec, t, budget)
         if not d.is_definite():
             raise BudgetExhaustedError(f"cannot order infinity point {f}")
@@ -492,7 +481,7 @@ def hierarchical_measure(
             below.append(f)
     if not below:
         raise LatticeError("shifted value escapes the scale with no infinity below")
-    maxima = [f for f in below if all(lattice.leq(g, f) for g in below)]
+    maxima = [f for f in below if all(g.omega_support <= f.omega_support for g in below)]
     if len(maxima) != 1:
         raise AmbiguousMaximumError(
             f"{len(below)} infinity points below the value, no unique maximum"
@@ -513,34 +502,15 @@ def hierarchical_eq(
     return d.verdict == EQUAL
 
 
-def null_ideal(
-    engine: TypeEngine,
-    lattice: IdempotentLattice,
-    e: IdempotentElement,
-) -> List[FrozenSet[int]]:
+def null_ideal(engine: TypeEngine, e: IdempotentElement) -> List[FrozenSet[int]]:
     """Measurable sets whose hierarchical value at e is the scale zero."""
     zero = HierarchicalValue(e, "member", member=ExtVec((0,) * engine.n, e.omega_support))
     out = []
     for aset in engine.statspace.space.all_measurable_sets():
-        val = hierarchical_measure(engine, lattice, e, aset)
+        val = hierarchical_measure(engine, e, aset)
         if val.kind == "member" and hierarchical_eq(engine, val, zero):
             out.append(aset)
     return out
-
-
-def check_null_ideal_closure(ideal: Sequence[FrozenSet[int]]) -> List[str]:
-    problems = []
-    members = set(ideal)
-    for n_set in members:
-        for r in range(len(n_set) + 1):
-            for sub in itertools.combinations(sorted(n_set), r):
-                if frozenset(sub) not in members:
-                    problems.append(f"subset {sub} of {sorted(n_set)} missing")
-    for a in members:
-        for b in members:
-            if (a | b) not in members:
-                problems.append(f"union of {sorted(a)} and {sorted(b)} missing")
-    return problems
 
 
 # ----- extension of monoid-valued measures -------------------------------------
@@ -601,7 +571,7 @@ def extend_T_measure(
             )
     checked = 0
     for aset in engine.statspace.space.all_measurable_sets():
-        mv = hierarchical_measure(engine, lattice, scale, aset, budget)
+        mv = hierarchical_measure(engine, scale, aset, budget)
         lhs = evaluate_extension(spec, mv)
         rhs = spec.value_of_atoms(aset)
         if _definite(t.eq(lhs, rhs), f"factorization on {sorted(aset)}") != EQUAL:
@@ -617,7 +587,7 @@ def extend_T_measure(
         a_star = non_null[0]
         broke = False
         for aset in engine.statspace.space.all_measurable_sets():
-            mv = hierarchical_measure(engine, lattice, scale, aset, budget)
+            mv = hierarchical_measure(engine, scale, aset, budget)
             if mv.kind == "member":
                 perturbed = spec.value_of_ext(
                     mv.member.add(ExtVec.from_vec(unit_vec(engine.n, a_star)))
@@ -708,7 +678,6 @@ def colimit_increasing(
 
 def decreasing_limit_with_scale(
     engine: TypeEngine,
-    lattice: IdempotentLattice,
     chain: Sequence,
     budget: Optional[Budget] = None,
 ) -> Tuple[TarskiType, dict]:
@@ -728,7 +697,7 @@ def decreasing_limit_with_scale(
         if d.verdict != LEQ:
             raise ContractError("chain is not decreasing")
     tail_vec = vecs[-1]
-    e, _ = isotropy_decompose(engine, lattice, tail_vec, budget)
+    e, _ = isotropy_decompose(engine, tail_vec, budget)
     limit_plus_e = engine.omega_normalize(tail_vec.add(e.vec))
     d = engine.decide_equal(limit_plus_e, tail_vec, budget)
     if d.verdict != EQUAL:
@@ -796,7 +765,7 @@ def continuity_suite(
             settle = settle.add(ExtVec.from_vec(unit_vec(engine.n, off)))
         chain = [lattice.top.vec, settle, settle]
         try:
-            limit, info = decreasing_limit_with_scale(engine, lattice, chain, budget)
+            limit, info = decreasing_limit_with_scale(engine, chain, budget)
         except ContractError as exc:
             report["failures"].append(("above", e, str(exc)))
             continue

@@ -7,15 +7,11 @@ table fails.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .errors import InvalidTableError
-from .partial_bijection import (
-    InverseMonoidTableData,
-    PartialBijection,
-    compose,
-)
+from .partial_bijection import PartialBijection
 
 
 @dataclass(frozen=True)
@@ -39,12 +35,6 @@ class InverseMonoidTable:
                 raise ValueError("multiplication entries out of range")
         if not (0 <= self.unit < self.order):
             raise ValueError("unit index out of range")
-
-    @staticmethod
-    def from_data(
-        data: InverseMonoidTableData, labels: Tuple[str, ...] = ()
-    ) -> "InverseMonoidTable":
-        return InverseMonoidTable(data.order, data.unit, data.mul, labels)
 
 
 @dataclass
@@ -139,11 +129,6 @@ def natural_partial_order(table: InverseMonoidTable) -> Tuple[Tuple[bool, ...], 
         for e in rep.idempotents:
             leq[mul[t][e]][t] = True
     return tuple(tuple(row) for row in leq)
-
-
-def idempotent_meet(table: InverseMonoidTable, e: int, f: int) -> int:
-    """Greatest lower bound of two idempotents: their product."""
-    return table.mul[e][f]
 
 
 def wagner_preston(table: InverseMonoidTable) -> Dict[int, PartialBijection]:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .errors import CarrierMismatchError, ClosureCapError, IncompatibleError
+from .errors import CarrierMismatchError, ClosureCapError
 
 Pairs = Tuple[Tuple[int, int], ...]
 
@@ -107,23 +107,6 @@ def is_compatible(f: PartialBijection, g: PartialBijection) -> bool:
         compose(f, invert(g)).is_idempotent()
         and compose(invert(f), g).is_idempotent()
     )
-
-
-def union_compatible(maps: Sequence[PartialBijection]) -> PartialBijection:
-    """Union of a pairwise compatible family; raises IncompatibleError else."""
-    if not maps:
-        raise ValueError("empty family has no carrier")
-    carrier = maps[0].carrier
-    for i, f in enumerate(maps):
-        for g in maps[i + 1 :]:
-            if not is_compatible(f, g):
-                raise IncompatibleError(f"maps {f.pairs} and {g.pairs} clash")
-    merged: Dict[int, int] = {}
-    for f in maps:
-        if f.carrier != carrier:
-            raise CarrierMismatchError("mixed carriers in family")
-        merged.update(f.pairs)
-    return PartialBijection.from_dict(carrier, merged)
 
 
 def monoid_closure(

@@ -9,9 +9,9 @@ a map on atoms, which is what the type machinery consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import NotMeasurableError, SpaceMismatchError
 from .monoid import (
@@ -58,20 +58,6 @@ class FiniteMeasurableSpace:
             if p in a:
                 return i
         raise ValueError(f"point {p} not in any atom")
-
-    def atoms_of_pointset(self, pts: FrozenSet[int]) -> AtomSet:
-        """Atom indices of a measurable point set; raises if not measurable."""
-        out = set()
-        rest = set(pts)
-        while rest:
-            i = self.atom_of_point(next(iter(rest)))
-            if not self.atoms[i] <= pts:
-                raise NotMeasurableError(
-                    f"point set {sorted(pts)} splits atom {self.atom_labels[i]}"
-                )
-            rest -= self.atoms[i]
-            out.add(i)
-        return frozenset(out)
 
     def all_measurable_sets(self) -> List[AtomSet]:
         n = self.n_atoms

@@ -10,7 +10,7 @@ runner and the acceptance tests share these implementations.
 """
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from .congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, UNKNOWN
 from .corpus import (
@@ -282,8 +282,8 @@ def run_theorem2_suite(
             if eng.omega_normalize(v).vec.omega != e.omega_support:
                 continue
             try:
-                qu = embed(eng, lat, u)
-                qv = embed(eng, lat, v)
+                qu = embed(eng, u)
+                qv = embed(eng, v)
             except (TypemonoidError, AmbiguousMaximumError) as exc:
                 tally.report["failures"].append(f"{name}: embed failed: {exc}")
                 continue
@@ -308,25 +308,25 @@ def run_theorem2_suite(
             if len(at_scale) < 2:
                 continue
             xs = [
-                grothendieck_diff(eng, lat, at_scale[i], at_scale[(i + 1) % len(at_scale)])
+                grothendieck_diff(eng, at_scale[i], at_scale[(i + 1) % len(at_scale)])
                 for i in range(len(at_scale))
             ]
             z = quantity_zero(eng, e)
             for i, x in enumerate(xs):
                 y = xs[(i + 1) % len(xs)]
                 w = xs[(i + 2) % len(xs)]
-                d = quantity_eq(eng, quantity_add(eng, lat, x, y), quantity_add(eng, lat, y, x))
+                d = quantity_eq(eng, quantity_add(eng, x, y), quantity_add(eng, y, x))
                 tally.saw(d, f"{name}: quantity commutativity")
                 tally.check(d.verdict == EQUAL, f"{name}: quantity commutativity")
-                lhs = quantity_add(eng, lat, quantity_add(eng, lat, x, y), w)
-                rhs = quantity_add(eng, lat, x, quantity_add(eng, lat, y, w))
+                lhs = quantity_add(eng, quantity_add(eng, x, y), w)
+                rhs = quantity_add(eng, x, quantity_add(eng, y, w))
                 d = quantity_eq(eng, lhs, rhs)
                 tally.saw(d, f"{name}: quantity associativity")
                 tally.check(d.verdict == EQUAL, f"{name}: quantity associativity")
-                d = quantity_eq(eng, quantity_add(eng, lat, x, z), x)
+                d = quantity_eq(eng, quantity_add(eng, x, z), x)
                 tally.saw(d, f"{name}: quantity unit")
                 tally.check(d.verdict == EQUAL, f"{name}: quantity unit")
-                d = quantity_eq(eng, quantity_add(eng, lat, x, quantity_neg(x)), z)
+                d = quantity_eq(eng, quantity_add(eng, x, quantity_neg(x)), z)
                 tally.saw(d, f"{name}: quantity inverse")
                 tally.check(d.verdict == EQUAL, f"{name}: quantity inverse")
     return tally.finish()

@@ -36,11 +36,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .congruence import (
-    EQUAL,
-    LEQ,
-    NOT_EQUAL,
-    NOT_LEQ,
-    UNKNOWN,
     Budget,
     Congruence,
     Decision,
@@ -55,7 +50,7 @@ from .congruence import (
     zero_vec,
 )
 from .errors import MalformedCertificateError, SpaceMismatchError
-from .spaces import AtomSet, StatMorphism, StatSpace, pullback
+from .spaces import AtomSet, StatMorphism, StatSpace
 
 
 @dataclass(frozen=True)
@@ -188,6 +183,9 @@ class TypeEngine:
         )
         self.budget = budget
         self.audit_log: List[AuditEntry] = []
+        # scale certificates by (vector, budget); see lattice.isotropy_decompose
+        self._scales: Dict[tuple, tuple] = {}
+        self.stats: Dict[str, int] = {"scale_certificates": 0, "scale_lookups": 0}
 
     # ----- formal coproducts ------------------------------------------------
 
@@ -204,11 +202,6 @@ class TypeEngine:
         """Countably many copies of p: omega on every supported atom."""
         supp = self._vec(p).support()
         return AbarElement(self.statspace, ExtVec(zero_vec(self.n), supp))
-
-    def abar_act(self, s: int, p) -> AbarElement:
-        """Transport multiplicities along the preimage of element s."""
-        amap = self.statspace.atom_maps[s]
-        return AbarElement(self.statspace, _pull_back(self._vec(p), amap))
 
     def _vec(self, x) -> ExtVec:
         """The coproduct that x stands for, checked against this space.
@@ -312,33 +305,24 @@ class TypeEngine:
         return RealizationReport(ok=not problems, problems=problems)
 
     def step_realization(self, start: Vec, rel_index: int, direction: int) -> Realization:
-        """The two-piece realization of a single rewrite step."""
+        """The two-piece realization of a single rewrite step: direction 1
+        rewrites lhs to rhs, -1 rhs to lhs."""
         rel = self.relations[rel_index]
         unit = self.statspace.monoid.unit
         if direction == 1:
-            if not vec_geq(start, rel.lhs):
-                raise MalformedCertificateError("step does not apply")
-            end = vec_add(vec_sub(start, rel.lhs), rel.rhs)
-            rest = vec_sub(start, rel.lhs)
-            return Realization(
-                space=self.statspace,
-                left_whole=ExtVec.from_vec(start),
-                right_whole=ExtVec.from_vec(end),
-                left_pieces=(ExtVec.from_vec(rel.lhs), ExtVec.from_vec(rest)),
-                right_pieces=(ExtVec.from_vec(rel.rhs), ExtVec.from_vec(rest)),
-                moves=((rel.mover, unit), (unit, unit)),
-            )
-        if not vec_geq(start, rel.rhs):
-            raise MalformedCertificateError("reverse step does not apply")
-        end = vec_add(vec_sub(start, rel.rhs), rel.lhs)
-        rest = vec_sub(start, rel.rhs)
+            src, dst, movers = rel.lhs, rel.rhs, (rel.mover, unit)
+        else:
+            src, dst, movers = rel.rhs, rel.lhs, (unit, rel.mover)
+        if not vec_geq(start, src):
+            raise MalformedCertificateError(f"step ({rel_index}, {direction}) does not apply")
+        rest = vec_sub(start, src)
         return Realization(
             space=self.statspace,
             left_whole=ExtVec.from_vec(start),
-            right_whole=ExtVec.from_vec(end),
-            left_pieces=(ExtVec.from_vec(rel.rhs), ExtVec.from_vec(rest)),
-            right_pieces=(ExtVec.from_vec(rel.lhs), ExtVec.from_vec(rest)),
-            moves=((unit, rel.mover), (unit, unit)),
+            right_whole=ExtVec.from_vec(vec_add(rest, dst)),
+            left_pieces=(ExtVec.from_vec(src), ExtVec.from_vec(rest)),
+            right_pieces=(ExtVec.from_vec(dst), ExtVec.from_vec(rest)),
+            moves=(movers, (unit, unit)),
         )
 
     def realizations_from_path(

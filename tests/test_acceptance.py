@@ -20,8 +20,9 @@ from typemonoid.congruence import EQUAL
 from typemonoid.corpus import fixture_spaces, random_corpus
 from typemonoid.lattice import enumerate_idempotents
 from typemonoid.measures import (
+    ExtendedRationalTarget,
+    TMeasureSpec,
     extend_T_measure,
-    measure_to_T_spec,
     null_ideal,
     synthesize_classical_measure,
 )
@@ -182,7 +183,7 @@ def test_criterion_5():
     d = eng.decide_equal(eng.type_of(frozenset({1})), eng.type_zero())
     assert d.verdict == EQUAL
 
-    ideal = null_ideal(eng, lat, lat.bottom)
+    ideal = null_ideal(eng, lat.bottom)
     assert sorted(ideal, key=sorted) == [frozenset(), frozenset({1})]
 
     m = synthesize_classical_measure(ss, frozenset({0, 1}))
@@ -190,7 +191,8 @@ def test_criterion_5():
     assert m.finite_values == (1, 0)
     assert m.infinite_atoms == frozenset()
 
-    ext = extend_T_measure(eng, lat, measure_to_T_spec(m))
+    spec = TMeasureSpec(ss, ExtendedRationalTarget(), m.finite_values)
+    ext = extend_T_measure(eng, lat, spec)
     assert ext.factorization_checked == len(ss.space.all_measurable_sets())
     # omega over the null atom is the zero class, so the scale is bottom
     assert ext.scale == lat.bottom

@@ -280,8 +280,8 @@ class TestLattice:
         assert text.startswith("digraph")
         assert '"bot"' in text
 
-    @pytest.mark.parametrize("command", [["lattice"], ["type", "0"]])
-    def test_too_many_closed_supports(self, capsys, tmp_path, command):
+    @staticmethod
+    def trivial20(tmp_path):
         # twenty atoms and no symmetry: 2^20 closed supports
         p = tmp_path / "trivial20.json"
         p.write_text(json.dumps({
@@ -289,9 +289,20 @@ class TestLattice:
             "atoms": [[i] for i in range(20)],
             "generators": [{str(i): i for i in range(20)}],
         }))
-        code, _, err = run(capsys, [command[0], str(p), *command[1:]])
+        return str(p)
+
+    @pytest.mark.parametrize("command", [["lattice"]])
+    def test_too_many_closed_supports(self, capsys, tmp_path, command):
+        code, _, err = run(capsys, [command[0], self.trivial20(tmp_path), *command[1:]])
         assert code == 1
         assert "LATTICE_LIMIT = 256" in err
+
+    def test_type_needs_no_lattice(self, capsys, tmp_path):
+        # one scale is certified against its covers, whatever the lattice size
+        code, doc, _ = run_json(capsys, ["type", self.trivial20(tmp_path), "0"])
+        assert code == 0
+        assert doc["scale"] == "bot"
+        assert [r["relation"] for r in doc["atom_relations"]] == ["="] + ["incomparable"] * 19
 
 
 class TestCertVerify:

@@ -29,6 +29,7 @@ from typemonoid.lattice import (
     quantity_eq,
     quantity_neg,
     quantity_zero,
+    scale_covers,
 )
 from typemonoid.serial import space_from_dict
 from typemonoid.spaces import build_space, with_trivial_symmetry
@@ -140,6 +141,27 @@ class TestDistributive:
         assert not ok
         assert why["law"] in ("meet-over-join", "join-over-meet")
 
+    def test_each_law_pair_reports_its_own_counterexample(self):
+        # the pentagon N5 as closed sets: {1} closes to {0, 1}, so the
+        # step to w[0,1] from the bottom is no cover
+        closed = [frozenset(), frozenset({0}), frozenset({2}), frozenset({0, 1}), frozenset({0, 1, 2})]
+        n5 = IdempotentLattice(3, lambda s: min((c for c in closed if s <= c), key=len))
+        assert [str(e) for e in n5.minimal_above(n5.bottom)] == ["w[0]", "w[2]"]
+        assert len(n5.covers()) == 5
+        ok, why = check_distributive(n5)
+        assert not ok
+        assert {k: str(v) for k, v in why.items()} == {
+            "law": "join-over-meet", "a": "w[0]", "b": "w[2]", "c": "w[0,1]",
+            "lhs": "w[0]", "rhs": "w[0,1]",
+        }
+        m3 = IdempotentLattice(3, lambda s: s if len(s) <= 1 else frozenset(range(3)))
+        ok, why = check_distributive(m3)
+        assert not ok
+        assert {k: str(v) for k, v in why.items()} == {
+            "law": "meet-over-join", "a": "w[0]", "b": "w[1]", "c": "w[2]",
+            "lhs": "w[0]", "rhs": "bot",
+        }
+
     def test_dot_export(self):
         eng, lat = engine_and_lattice(parity_space())
         dot = lat.to_dot()
@@ -150,20 +172,20 @@ class TestDistributive:
 class TestIdempotentOf:
     def test_finite_vector_scale_zero(self):
         eng, lat = engine_and_lattice(parity_space())
-        assert idempotent_of(eng, lat, eng.abar((2, 1, 0, 0))) == lat.bottom
+        assert idempotent_of(eng, eng.abar((2, 1, 0, 0))) == lat.bottom
 
     def test_parity_mixed(self):
         eng, lat = engine_and_lattice(parity_space())
-        got = idempotent_of(eng, lat, eng.abar((0, 1, 0, 0), omega={0, 2}))
+        got = idempotent_of(eng, eng.abar((0, 1, 0, 0), omega={0, 2}))
         assert got == by_support(lat, 0, 2)
 
     def test_top(self):
         eng, lat = engine_and_lattice(parity_space())
-        assert idempotent_of(eng, lat, eng.abar((0,) * 4, omega=range(4))) == lat.top
+        assert idempotent_of(eng, eng.abar((0,) * 4, omega=range(4))) == lat.top
 
     def test_null_support_canonicalizes_to_bottom(self):
         eng, lat = engine_and_lattice(collapse_space())
-        assert idempotent_of(eng, lat, eng.abar((0, 0), omega={1})) == lat.bottom
+        assert idempotent_of(eng, eng.abar((0, 0), omega={1})) == lat.bottom
         assert canonical_idempotent(eng, frozenset({1})) == lat.bottom
 
     def test_certified_scale_matches_lattice_scan(self):
@@ -175,15 +197,7 @@ class TestIdempotentOf:
             vecs = _seeded_vectors(rng, eng.n, 6)
             vecs += [ExtVec((0,) * eng.n, e.omega_support) for e in lat]
             for v in vecs:
-                assert idempotent_of(eng, lat, v) == _scanned_scale(eng, lat, v), (ss, v)
-
-    def test_scale_outside_the_lattice_raises(self):
-        # the parity engine puts omega over {0, 2} at the scale {0, 2},
-        # which the lattice of the cyclic space does not contain
-        eng = TypeEngine(parity_space())
-        _, cyclic_lat = engine_and_lattice(cyclic4_space())
-        with pytest.raises(LatticeError):
-            isotropy_decompose(eng, cyclic_lat, ExtVec((0,) * 4, frozenset({0, 2})))
+                assert idempotent_of(eng, v) == _scanned_scale(eng, lat, v), (ss, v)
 
 
 def _scanned_scale(eng, lat, alpha):
@@ -204,15 +218,15 @@ def _scanned_scale(eng, lat, alpha):
 class TestIsotropy:
     def test_zero(self):
         eng, lat = engine_and_lattice(parity_space())
-        e, cert = isotropy_decompose(eng, lat, eng.abar_zero())
+        e, cert = isotropy_decompose(eng, eng.abar_zero())
         assert e == lat.bottom and cert.ok
 
     def test_parity_cells(self):
         eng, lat = engine_and_lattice(parity_space())
         e_even = by_support(lat, 0, 2)
-        e, cert = isotropy_decompose(eng, lat, eng.abar((0, 1, 0, 0), omega={0, 2}))
+        e, cert = isotropy_decompose(eng, eng.abar((0, 1, 0, 0), omega={0, 2}))
         assert e == e_even and cert.ok
-        e, _ = isotropy_decompose(eng, lat, eng.abar((0,) * 4, omega=range(4)))
+        e, _ = isotropy_decompose(eng, eng.abar((0,) * 4, omega=range(4)))
         assert e == lat.top
 
     def test_every_type_lands_in_exactly_one_cell(self):
@@ -233,7 +247,7 @@ class TestIsotropy:
                 if above and not finer:
                     cells.append(e)
             assert len(cells) == 1
-            assert cells[0] == isotropy_decompose(eng, lat, p)[0]
+            assert cells[0] == isotropy_decompose(eng, p)[0]
 
     def test_cancellativity_within_cell(self):
         eng, lat = engine_and_lattice(parity_space())
@@ -283,21 +297,21 @@ def _seeded_vectors(rng, n, count):
 
 class TestScaleCertificateCache:
     def test_one_certificate_per_distinct_vector(self):
-        eng, lat = engine_and_lattice(cyclic4_space())
+        eng = TypeEngine(cyclic4_space())
         vecs = list(dict.fromkeys(_seeded_vectors(random.Random(3), eng.n, 12)))
         k = len(vecs)
         rng = random.Random(4)
         calls = vecs + [rng.choice(vecs) for _ in range(50 - k)]
         for i, v in enumerate(calls):
             # the ExtVec and AbarElement forms of a vector are one key
-            isotropy_decompose(eng, lat, v if i % 2 else eng.abar(v.finite, v.omega))
-        assert lat.stats == {"scale_certificates": k, "scale_lookups": 50 - k}
+            isotropy_decompose(eng, v if i % 2 else eng.abar(v.finite, v.omega))
+        assert eng.stats == {"scale_certificates": k, "scale_lookups": 50 - k}
         # quantity arithmetic asks through the same certificates
-        x, y = embed(eng, lat, vecs[0]), embed(eng, lat, vecs[1])
-        quantity_add(eng, lat, x, y)
-        made = lat.stats["scale_certificates"]
-        quantity_add(eng, lat, x, y)
-        assert lat.stats["scale_certificates"] == made
+        x, y = embed(eng, vecs[0]), embed(eng, vecs[1])
+        quantity_add(eng, x, y)
+        made = eng.stats["scale_certificates"]
+        quantity_add(eng, x, y)
+        assert eng.stats["scale_certificates"] == made
 
     def test_warmed_lattice_matches_fresh_engine(self):
         rng = random.Random(17)
@@ -305,17 +319,17 @@ class TestScaleCertificateCache:
         spaces += [e.statspace for e in random_corpus(seed=5, count=12)][:4]
         lookups = 0
         for ss in spaces:
-            eng, lat = engine_and_lattice(ss)
+            eng = TypeEngine(ss)
             vecs = _seeded_vectors(rng, eng.n, 6)
             for v in vecs + vecs[::-1]:
-                isotropy_decompose(eng, lat, v)
+                isotropy_decompose(eng, v)
             for v in vecs:
-                embed(eng, lat, v)
-            lookups += lat.stats["scale_lookups"]
+                embed(eng, v)
+            lookups += eng.stats["scale_lookups"]
             for v in vecs:
-                e, cert = isotropy_decompose(eng, lat, v)
-                fresh_eng, fresh_lat = engine_and_lattice(ss)
-                fe, fcert = isotropy_decompose(fresh_eng, fresh_lat, v)
+                e, cert = isotropy_decompose(eng, v)
+                fresh_eng = TypeEngine(ss)
+                fe, fcert = isotropy_decompose(fresh_eng, v)
                 assert e == fe and cert.scale == fcert.scale
                 assert cert.ok and fcert.ok
                 assert cert.alpha.rep == fcert.alpha.rep
@@ -326,26 +340,26 @@ class TestScaleCertificateCache:
         assert lookups > 0
 
     def test_foreign_value_raises_with_equal_vector_cached(self):
-        eng, lat = engine_and_lattice(collapse_space())
+        eng = TypeEngine(collapse_space())
         other = TypeEngine(two_point_space())
         v = ExtVec((1, 0))
-        isotropy_decompose(eng, lat, v)
+        isotropy_decompose(eng, v)
         with pytest.raises(SpaceMismatchError):
-            isotropy_decompose(eng, lat, other.abar(v.finite))
+            isotropy_decompose(eng, other.abar(v.finite))
         with pytest.raises(SpaceMismatchError):
-            isotropy_decompose(eng, lat, other.type_of_abar(v))
-        isotropy_decompose(eng, lat, eng.abar(v.finite))
-        assert lat.stats == {"scale_certificates": 1, "scale_lookups": 1}
+            isotropy_decompose(eng, other.type_of_abar(v))
+        isotropy_decompose(eng, eng.abar(v.finite))
+        assert eng.stats == {"scale_certificates": 1, "scale_lookups": 1}
 
     def test_budget_is_part_of_the_key(self):
-        eng, lat = engine_and_lattice(parity_space())
+        eng = TypeEngine(parity_space())
         v = ExtVec((0, 1, 0, 0), frozenset({0, 2}))
-        isotropy_decompose(eng, lat, v)
-        isotropy_decompose(eng, lat, v, Budget())  # the engine's budget
-        assert lat.stats == {"scale_certificates": 1, "scale_lookups": 1}
-        e, _ = isotropy_decompose(eng, lat, v, Budget(coordinate_cap=12))
-        assert lat.stats == {"scale_certificates": 2, "scale_lookups": 1}
-        assert e == by_support(lat, 0, 2)
+        isotropy_decompose(eng, v)
+        isotropy_decompose(eng, v, Budget())  # the engine's budget
+        assert eng.stats == {"scale_certificates": 1, "scale_lookups": 1}
+        e, _ = isotropy_decompose(eng, v, Budget(coordinate_cap=12))
+        assert eng.stats == {"scale_certificates": 2, "scale_lookups": 1}
+        assert e.omega_support == frozenset({0, 2})
 
 
 class TestCompleteIsotropy:
@@ -364,22 +378,22 @@ class TestCompleteIsotropy:
 
 class TestQuantity:
     def test_grothendieck_cancellation(self):
-        eng, lat = engine_and_lattice(parity_space())
-        x = grothendieck_diff(eng, lat, eng.abar((2, 1, 0, 0)), eng.abar((1, 1, 0, 0)))
-        y = grothendieck_diff(eng, lat, eng.abar((1, 0, 0, 0)), eng.abar_zero())
+        eng = TypeEngine(parity_space())
+        x = grothendieck_diff(eng, eng.abar((2, 1, 0, 0)), eng.abar((1, 1, 0, 0)))
+        y = grothendieck_diff(eng, eng.abar((1, 0, 0, 0)), eng.abar_zero())
         assert quantity_eq(eng, x, y).verdict == EQUAL
 
     def test_cross_scale_rejected(self):
-        eng, lat = engine_and_lattice(parity_space())
+        eng = TypeEngine(parity_space())
         with pytest.raises(ContractError):
             grothendieck_diff(
-                eng, lat, eng.abar((1, 0, 0, 0)), eng.abar((0,) * 4, omega={0, 2})
+                eng, eng.abar((1, 0, 0, 0)), eng.abar((0,) * 4, omega={0, 2})
             )
 
     def test_scale_mismatch_not_equal(self):
-        eng, lat = engine_and_lattice(parity_space())
-        x = embed(eng, lat, eng.abar((1, 0, 0, 0)))
-        y = embed(eng, lat, eng.abar((0,) * 4, omega={0, 2}))
+        eng = TypeEngine(parity_space())
+        x = embed(eng, eng.abar((1, 0, 0, 0)))
+        y = embed(eng, eng.abar((0,) * 4, omega={0, 2}))
         d = quantity_eq(eng, x, y)
         assert d.verdict == NOT_EQUAL and d.witness["kind"] == "scale"
 
@@ -387,39 +401,39 @@ class TestQuantity:
         eng, lat = engine_and_lattice(parity_space())
         vals = [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)]
         elems = [
-            grothendieck_diff(eng, lat, eng.abar(a), eng.abar(b))
+            grothendieck_diff(eng, eng.abar(a), eng.abar(b))
             for a, b in itertools.product(vals, repeat=2)
         ]
         zero = quantity_zero(eng, lat.bottom)
         for x in elems[:4]:
-            assert quantity_eq(eng, quantity_add(eng, lat, x, zero), x).verdict == EQUAL
-            inv = quantity_add(eng, lat, x, quantity_neg(x))
+            assert quantity_eq(eng, quantity_add(eng, x, zero), x).verdict == EQUAL
+            inv = quantity_add(eng, x, quantity_neg(x))
             assert quantity_eq(eng, inv, zero).verdict == EQUAL
         for x, y in itertools.combinations(elems[:4], 2):
-            lhs = quantity_add(eng, lat, x, y)
-            rhs = quantity_add(eng, lat, y, x)
+            lhs = quantity_add(eng, x, y)
+            rhs = quantity_add(eng, y, x)
             assert quantity_eq(eng, lhs, rhs).verdict == EQUAL
         x, y, z = elems[0], elems[3], elems[5]
-        lhs = quantity_add(eng, lat, quantity_add(eng, lat, x, y), z)
-        rhs = quantity_add(eng, lat, x, quantity_add(eng, lat, y, z))
+        lhs = quantity_add(eng, quantity_add(eng, x, y), z)
+        rhs = quantity_add(eng, x, quantity_add(eng, y, z))
         assert quantity_eq(eng, lhs, rhs).verdict == EQUAL
 
     def test_regularity(self):
-        eng, lat = engine_and_lattice(parity_space())
-        x = grothendieck_diff(eng, lat, eng.abar((2, 0, 0, 0)), eng.abar((0, 1, 0, 0)))
-        back = quantity_add(eng, lat, quantity_add(eng, lat, x, quantity_neg(x)), x)
+        eng = TypeEngine(parity_space())
+        x = grothendieck_diff(eng, eng.abar((2, 0, 0, 0)), eng.abar((0, 1, 0, 0)))
+        back = quantity_add(eng, quantity_add(eng, x, quantity_neg(x)), x)
         assert quantity_eq(eng, back, x).verdict == EQUAL
 
     def test_cross_scale_addition_coarsens(self):
         eng, lat = engine_and_lattice(parity_space())
-        x = embed(eng, lat, eng.abar((0, 1, 0, 0), omega={0, 2}))
-        y = embed(eng, lat, eng.abar((1, 0, 0, 0), omega={1, 3}))
-        s = quantity_add(eng, lat, x, y)
+        x = embed(eng, eng.abar((0, 1, 0, 0), omega={0, 2}))
+        y = embed(eng, eng.abar((1, 0, 0, 0), omega={1, 3}))
+        s = quantity_add(eng, x, y)
         assert s.scale == lat.top
         assert quantity_eq(eng, s, quantity_zero(eng, lat.top)).verdict == EQUAL
 
     def test_embed_additive(self):
-        eng, lat = engine_and_lattice(parity_space())
+        eng = TypeEngine(parity_space())
         samples = [
             eng.abar((1, 0, 0, 0)),
             eng.abar((0, 2, 0, 0)),
@@ -427,12 +441,12 @@ class TestQuantity:
             eng.abar((0,) * 4, omega={1, 3}),
         ]
         for a, b in itertools.product(samples, repeat=2):
-            lhs = embed(eng, lat, a + b)
-            rhs = quantity_add(eng, lat, embed(eng, lat, a), embed(eng, lat, b))
+            lhs = embed(eng, a + b)
+            rhs = quantity_add(eng, embed(eng, a), embed(eng, b))
             assert quantity_eq(eng, lhs, rhs).verdict == EQUAL
 
     def test_embed_injective_on_samples(self):
-        eng, lat = engine_and_lattice(parity_space())
+        eng = TypeEngine(parity_space())
         samples = [
             eng.abar((0, 0, 0, 0)),
             eng.abar((1, 0, 0, 0)),
@@ -446,7 +460,7 @@ class TestQuantity:
         for a, b in itertools.combinations(samples, 2):
             same_type = eng.decide_equal(a, b).verdict == EQUAL
             same_embed = quantity_eq(
-                eng, embed(eng, lat, a), embed(eng, lat, b)
+                eng, embed(eng, a), embed(eng, b)
             ).verdict == EQUAL
             assert same_type == same_embed, (a.vec, b.vec)
 
@@ -548,8 +562,33 @@ class TestClosureWalk:
             eng, lat = engine_and_lattice(ss)
             vecs = _seeded_vectors(rng, eng.n, 6) + [e.vec for e in lat]
             for v in vecs:
-                e, cert = isotropy_decompose(eng, lat, v)
+                e, cert = isotropy_decompose(eng, v)
                 assert [f for f, _ in cert.excluded] == lat.minimal_above(e)
+
+    def test_scale_covers_and_joins_match_the_lattice(self):
+        # what one scale needs is read off the support closure alone
+        spaces = list(fixture_spaces().values())
+        for seed in (1, 2, 5, 7, 2024):
+            spaces += [e.statspace for e in random_corpus(seed=seed)]
+        for ss in spaces:
+            eng, lat = engine_and_lattice(ss)
+            ref = enumerate_by_subsets(TypeEngine(ss))
+            for e in lat:
+                assert scale_covers(eng, e) == lat.minimal_above(e) == ref.minimal_above(e)
+                for f in lat:
+                    joined = canonical_idempotent(eng, e.omega_support | f.omega_support)
+                    assert joined == lat.join(e, f) == ref.join(e, f)
+
+    def test_scale_needs_no_lattice(self):
+        # 2^20 closed supports, yet a scale is certified against at most 20 covers
+        eng = TypeEngine(trivial_space(20))
+        e, cert = isotropy_decompose(eng, eng.abar_of_set({0}))
+        assert e.omega_support == frozenset() and len(cert.excluded) == 20
+        e, cert = isotropy_decompose(eng, eng.abar((1,) + (0,) * 19, omega={3, 5}))
+        assert e.omega_support == frozenset({3, 5}) and cert.ok
+        assert [f.omega_support for f, _ in cert.excluded] == [
+            frozenset({3, 5, b}) for b in range(20) if b not in (3, 5)
+        ]
 
     def test_walk_closes_at_most_L_times_n_sets(self):
         eng = TypeEngine(cyclic_space(16))

@@ -28,11 +28,12 @@ from typemonoid.errors import (
     ContractError,
     NormalizationImpossibleError,
 )
-from typemonoid.lattice import embed, enumerate_idempotents, quantity_eq
+from typemonoid.lattice import IdempotentElement, embed, enumerate_idempotents, quantity_eq
 from typemonoid.measures import (
     INF,
     ExtendedRationalTarget,
     RationalStationaryMeasure,
+    TMeasureSpec,
     classify_T_measure,
     colimit_increasing,
     continuity_suite,
@@ -42,12 +43,9 @@ from typemonoid.measures import (
     hierarchical_eq,
     hierarchical_measure,
     is_paradoxical,
-    measure_to_T_spec,
     null_ideal,
-    check_null_ideal_closure,
     synthesize_classical_measure,
     tarski_T_measure,
-    zero_T_measure,
 )
 from typemonoid.lp import exact_lp_feasible
 from typemonoid.partial_bijection import PartialBijection
@@ -62,6 +60,36 @@ def setup_space(ss):
 
 def by_support(lat, *atoms):
     return next(e for e in lat if e.omega_support == frozenset(atoms))
+
+
+def measure_to_T_spec(measure):
+    """A classical measure as a measure valued in the extended rationals."""
+    assignment = tuple(
+        INF if a in measure.infinite_atoms else measure.finite_values[a]
+        for a in range(measure.statspace.n_atoms)
+    )
+    return TMeasureSpec(measure.statspace, ExtendedRationalTarget(), assignment)
+
+
+def zero_T_measure(ss):
+    return TMeasureSpec(ss, ExtendedRationalTarget(), (Fraction(0),) * ss.n_atoms)
+
+
+def check_null_ideal_closure(ideal):
+    """Where a null ideal fails to be an ideal: a missing subset of a
+    member, or a missing union of two members."""
+    problems = []
+    members = set(ideal)
+    for n_set in members:
+        for r in range(len(n_set) + 1):
+            for sub in itertools.combinations(sorted(n_set), r):
+                if frozenset(sub) not in members:
+                    problems.append(f"subset {sub} of {sorted(n_set)} missing")
+    for a in members:
+        for b in members:
+            if (a | b) not in members:
+                problems.append(f"union of {sorted(a)} and {sorted(b)} missing")
+    return problems
 
 
 class TestIsParadoxical:
@@ -452,9 +480,9 @@ class TestClassify:
 def test_decisions_made_without_search_serialize():
     # a scale mismatch and an exact rational comparison are decided
     # without the engine, and still record the budget they ran under
-    eng, lat = setup_space(parity_space())
-    x = embed(eng, lat, eng.abar((1, 0, 0, 0)))
-    y = embed(eng, lat, eng.abar((0,) * 4, omega={0, 2}))
+    eng = TypeEngine(parity_space())
+    x = embed(eng, eng.abar((1, 0, 0, 0)))
+    y = embed(eng, eng.abar((0,) * 4, omega={0, 2}))
     tight = Budget(max_states=7)
     assert quantity_eq(eng, x, y, tight).budget is tight
     decisions = [quantity_eq(eng, x, y), ExtendedRationalTarget().eq(Fraction(1), INF)]
@@ -467,27 +495,27 @@ class TestHierarchical:
     def test_empty_is_scale_zero(self):
         eng, lat = setup_space(parity_space())
         for e in lat:
-            v = hierarchical_measure(eng, lat, e, frozenset())
+            v = hierarchical_measure(eng, e, frozenset())
             assert v.kind == "member"
-            zero = hierarchical_measure(eng, lat, e, frozenset())
+            zero = hierarchical_measure(eng, e, frozenset())
             assert hierarchical_eq(eng, v, zero)
 
     def test_parity_scale_zero_counts(self):
         eng, lat = setup_space(parity_space())
-        v = hierarchical_measure(eng, lat, lat.bottom, frozenset({0, 1, 2}))
+        v = hierarchical_measure(eng, lat.bottom, frozenset({0, 1, 2}))
         assert v.kind == "member"
         assert v.member.finite in ((2, 1, 0, 0), (0, 1, 2, 0), (1, 1, 1, 0))
 
     def test_collapse_null_at_top_scale(self):
         eng, lat = setup_space(collapse_space())
-        v = hierarchical_measure(eng, lat, lat.top, frozenset({1}))
+        v = hierarchical_measure(eng, lat.top, frozenset({1}))
         assert v.kind == "member"
-        zero = hierarchical_measure(eng, lat, lat.top, frozenset())
+        zero = hierarchical_measure(eng, lat.top, frozenset())
         assert hierarchical_eq(eng, v, zero)
 
     def test_infinity_case(self):
         eng, lat = setup_space(parity_space())
-        v = hierarchical_measure(eng, lat, lat.bottom, ExtVec((0,) * 4, frozenset({0, 2})))
+        v = hierarchical_measure(eng, lat.bottom, ExtVec((0,) * 4, frozenset({0, 2})))
         assert v.kind == "infinity"
         assert v.infinity == by_support(lat, 0, 2)
 
@@ -495,15 +523,33 @@ class TestHierarchical:
         eng, lat = setup_space(parity_space())
         with pytest.raises(AmbiguousMaximumError):
             hierarchical_measure(
-                eng, lat, lat.bottom, ExtVec((0,) * 4, frozenset(range(4)))
+                eng, lat.bottom, ExtVec((0,) * 4, frozenset(range(4)))
             )
+
+    def test_non_scale_rejected(self):
+        # a scale is a closed support in canonical form: {0} closes to
+        # {0, 2} on parity, the null atom 1 of collapse is written as
+        # the bottom, and w[0,2] of parity is no scale of the cyclic space
+        parity = TypeEngine(parity_space())
+        collapse = TypeEngine(collapse_space())
+        cyclic = TypeEngine(cyclic4_space())
+        for eng, e in [
+            (parity, IdempotentElement(4, frozenset({0}))),
+            (parity, IdempotentElement(3, frozenset())),
+            (parity, IdempotentElement(4, frozenset({0, 1, 2, 3, 7}))),
+            (collapse, IdempotentElement(2, frozenset({1}))),
+            (cyclic, by_support(enumerate_idempotents(parity), 0, 2)),
+        ]:
+            with pytest.raises(ContractError, match="not a scale"):
+                hierarchical_measure(eng, e, frozenset())
+        assert hierarchical_measure(parity, IdempotentElement(4, frozenset({0, 2})), frozenset())
 
     def test_additive_on_disjoint(self):
         eng, lat = setup_space(parity_space())
         a, b = frozenset({0}), frozenset({1, 2})
-        va = hierarchical_measure(eng, lat, lat.bottom, a)
-        vb = hierarchical_measure(eng, lat, lat.bottom, b)
-        vab = hierarchical_measure(eng, lat, lat.bottom, a | b)
+        va = hierarchical_measure(eng, lat.bottom, a)
+        vb = hierarchical_measure(eng, lat.bottom, b)
+        vab = hierarchical_measure(eng, lat.bottom, a | b)
         s = va.member.add(vb.member)
         assert eng.decide_equal(
             eng.abar(s.finite, s.omega), eng.abar(vab.member.finite, vab.member.omega)
@@ -517,8 +563,8 @@ class TestHierarchical:
         for e in lat:
             for s in range(ss.monoid.order):
                 for aset in ss.space.all_measurable_sets():
-                    v1 = hierarchical_measure(eng, lat, e, aset)
-                    v2 = hierarchical_measure(eng, lat, e, pullback(ss, s, aset))
+                    v1 = hierarchical_measure(eng, e, aset)
+                    v2 = hierarchical_measure(eng, e, pullback(ss, s, aset))
                     assert hierarchical_eq(eng, v1, v2)
 
     def test_image_idempotents_extremal(self):
@@ -527,7 +573,7 @@ class TestHierarchical:
         # values of m_{e_even} on measurable sets: either scale zero or
         # members of the slice; their idempotent parts all equal the scale
         for aset in eng.statspace.space.all_measurable_sets():
-            v = hierarchical_measure(eng, lat, e_even, aset)
+            v = hierarchical_measure(eng, e_even, aset)
             assert v.kind == "member"
             assert v.member.omega == frozenset({0, 2})
 
@@ -535,16 +581,16 @@ class TestHierarchical:
 class TestNullIdeal:
     def test_parity_faithful(self):
         eng, lat = setup_space(parity_space())
-        assert null_ideal(eng, lat, lat.bottom) == [frozenset()]
+        assert null_ideal(eng, lat.bottom) == [frozenset()]
 
     def test_collapse(self):
         eng, lat = setup_space(collapse_space())
-        ideal = null_ideal(eng, lat, lat.bottom)
+        ideal = null_ideal(eng, lat.bottom)
         assert set(ideal) == {frozenset(), frozenset({1})}
 
     def test_parity_even_scale(self):
         eng, lat = setup_space(parity_space())
-        ideal = null_ideal(eng, lat, by_support(lat, 0, 2))
+        ideal = null_ideal(eng, by_support(lat, 0, 2))
         assert set(ideal) == {
             frozenset(),
             frozenset({0}),
@@ -556,7 +602,7 @@ class TestNullIdeal:
         for ss in (parity_space(), collapse_space(), cyclic4_space()):
             eng, lat = setup_space(ss)
             for e in lat:
-                ideal = null_ideal(eng, lat, e)
+                ideal = null_ideal(eng, e)
                 assert not check_null_ideal_closure(ideal), (ss, e)
 
 
@@ -660,7 +706,7 @@ class TestDecreasing:
             settle,
             settle,
         ]
-        t, info = decreasing_limit_with_scale(eng, lat, chain)
+        t, info = decreasing_limit_with_scale(eng, chain)
         assert info["scale"] == e_even
         expected = eng.type_of_abar(settle + eng.abar((0,) * 4, omega={0, 2}))
         assert eng.decide_equal(t, expected).verdict == EQUAL
@@ -668,15 +714,15 @@ class TestDecreasing:
     def test_finite_stabilization_scale_zero(self):
         eng, lat = setup_space(parity_space())
         chain = [eng.abar((2, 1, 0, 0)), eng.abar((1, 1, 0, 0)), eng.abar((1, 1, 0, 0))]
-        t, info = decreasing_limit_with_scale(eng, lat, chain)
+        t, info = decreasing_limit_with_scale(eng, chain)
         assert info["scale"] == lat.bottom
         assert eng.decide_equal(t, eng.type_of_abar(eng.abar((1, 1, 0, 0)))).verdict == EQUAL
 
     def test_non_decreasing_rejected(self):
-        eng, lat = setup_space(parity_space())
+        eng = TypeEngine(parity_space())
         with pytest.raises(ContractError):
             decreasing_limit_with_scale(
-                eng, lat, [eng.abar((1, 0, 0, 0)), eng.abar((2, 0, 0, 0))]
+                eng, [eng.abar((1, 0, 0, 0)), eng.abar((2, 0, 0, 0))]
             )
 
 

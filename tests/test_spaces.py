@@ -14,7 +14,7 @@ from typemonoid.corpus import (
     statspace_from_maps,
     two_point_space,
 )
-from typemonoid.errors import NotMeasurableError, SpaceMismatchError
+from typemonoid.errors import SpaceMismatchError
 from typemonoid.monoid import InverseMonoidTable
 from typemonoid.spaces import (
     StatMorphism,
@@ -57,13 +57,6 @@ class TestBuildSpace:
     def test_empty_block_rejected(self):
         with pytest.raises(ValueError):
             build_space(["0"], [[0], []])
-
-    def test_atoms_of_pointset(self):
-        sp = build_space(["0", "1", "2"], [[0, 1], [2]])
-        assert sp.atoms_of_pointset(frozenset({0, 1})) == frozenset({0})
-        assert sp.atoms_of_pointset(frozenset({0, 1, 2})) == frozenset({0, 1})
-        with pytest.raises(NotMeasurableError):
-            sp.atoms_of_pointset(frozenset({0}))
 
     def test_all_measurable_sets(self):
         sp = build_space(["0", "1"], [[0], [1]])

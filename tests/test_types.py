@@ -20,6 +20,7 @@ from typemonoid.types import (
     AuditEntry,
     Realization,
     TypeEngine,
+    _pull_back,
     morphism_type_map,
     relation_basis,
 )
@@ -31,6 +32,12 @@ def parity_engine():
 
 def collapse_engine():
     return TypeEngine(collapse_space())
+
+
+def abar_act(eng, s, p):
+    """The action of s on formal coproducts: multiplicities move along
+    the preimage of s."""
+    return AbarElement(eng.statspace, _pull_back(eng._vec(p), eng.statspace.atom_maps[s]))
 
 
 def g_elem(ss, point_map):
@@ -82,22 +89,22 @@ class TestAbar:
     def test_act_unit(self):
         eng = parity_engine()
         p = eng.abar((2, 1, 0, 0))
-        assert eng.abar_act(eng.statspace.monoid.unit, p).vec == p.vec
+        assert abar_act(eng, eng.statspace.monoid.unit, p).vec == p.vec
 
     def test_act_collapse(self):
         eng = collapse_engine()
-        out = eng.abar_act(1, eng.abar_of_set(frozenset({0})))
+        out = abar_act(eng, 1, eng.abar_of_set(frozenset({0})))
         assert out.vec.finite == (1, 1)
 
     def test_act_parity_transports_multiplicity(self):
         eng = parity_engine()
         g1 = g_elem(eng.statspace, (2, 1, 0, 3))
-        out = eng.abar_act(g1, eng.abar((2, 0, 0, 0)))
+        out = abar_act(eng, g1, eng.abar((2, 0, 0, 0)))
         assert out.vec.finite == (0, 0, 2, 0)
 
     def test_act_moves_omega(self):
         eng = collapse_engine()
-        out = eng.abar_act(1, eng.abar((0, 0), omega={0}))
+        out = abar_act(eng, 1, eng.abar((0, 0), omega={0}))
         assert out.vec.omega == frozenset({0, 1})
 
     def test_omega_fold(self):
@@ -117,7 +124,7 @@ class TestCoercion:
         "type_of_abar": lambda eng, x: eng.type_of_abar(x).rep,
         "omega_normalize": lambda eng, x: eng.omega_normalize(x).vec,
         "omega_fold": lambda eng, x: eng.omega_fold(x).vec,
-        "abar_act": lambda eng, x: eng.abar_act(1, x).vec,
+        "abar_act": lambda eng, x: abar_act(eng, 1, x).vec,
     }
 
     @pytest.mark.parametrize("op", sorted(OPS))
@@ -142,9 +149,9 @@ class TestCoercion:
         x = p if form == "abar" else other.type_of_abar(p)
         with pytest.raises(SpaceMismatchError):
             if where == "idempotent_of":
-                idempotent_of(eng, lat, x)
+                idempotent_of(eng, x)
             else:
-                hierarchical_measure(eng, lat, lat.bottom, x)
+                hierarchical_measure(eng, lat.bottom, x)
 
     @pytest.mark.parametrize("form", [list, tuple])
     def test_atom_sets_must_be_sets(self, form):
@@ -161,11 +168,11 @@ class TestCoercion:
         assert eng.type_of({0, 1, 2, 3}).rep == ExtVec((1, 1, 1, 1))
         assert eng.abar_of_set({0, 1}).vec == ExtVec((1, 1, 0, 0))
         assert eng.type_of_abar([0, 1, 2, 3]).rep == ExtVec((0, 1, 2, 3))
-        as_list = hierarchical_measure(eng, lat, lat.bottom, [0, 1, 2, 3])
-        as_vec = hierarchical_measure(eng, lat, lat.bottom, ExtVec((0, 1, 2, 3)))
-        as_set = hierarchical_measure(eng, lat, lat.bottom, frozenset({0, 1, 2, 3}))
+        as_list = hierarchical_measure(eng, lat.bottom, [0, 1, 2, 3])
+        as_vec = hierarchical_measure(eng, lat.bottom, ExtVec((0, 1, 2, 3)))
+        as_set = hierarchical_measure(eng, lat.bottom, frozenset({0, 1, 2, 3}))
         assert as_list == as_vec
-        assert as_set == hierarchical_measure(eng, lat, lat.bottom, ExtVec((1, 1, 1, 1)))
+        assert as_set == hierarchical_measure(eng, lat.bottom, ExtVec((1, 1, 1, 1)))
         assert as_list != as_set
 
 
@@ -363,6 +370,21 @@ class TestRealizations:
             assert eng.verify_realization(r).ok
         assert rs[0].left_whole.finite == (2, 1, 0, 0)
         assert rs[-1].right_whole.finite == (0, 1, 2, 0)
+
+    @pytest.mark.parametrize("space", [cyclic4_space, collapse_space])
+    def test_single_steps_verify_both_ways(self, space):
+        # the rotation is no involution, so a reverse step with its movers
+        # swapped would not replay
+        eng = TypeEngine(space())
+        for i, rel in enumerate(eng.relations):
+            start = tuple(a + b for a, b in zip(rel.lhs, rel.rhs))
+            for direction, (src, dst) in ((1, (rel.lhs, rel.rhs)), (-1, (rel.rhs, rel.lhs))):
+                r = eng.step_realization(start, i, direction)
+                assert eng.verify_realization(r).ok, (i, direction)
+                rest = tuple(a - b for a, b in zip(start, src))
+                assert r.right_whole.finite == tuple(a + b for a, b in zip(rest, dst))
+            with pytest.raises(MalformedCertificateError):
+                eng.step_realization((0,) * eng.n, i, 1)
 
 
 class TestAudit:
