@@ -65,12 +65,15 @@ is the same query with p the indicator of the normalizing set.
 
 Class enumeration is goal directed.  A class record keeps its
 breadth-first frontier, so it can be expanded on demand and resumed by
-later queries in the same order.  A positive verdict needs one witness,
-so the search stops as soon as the target is a member (equality) or a
-member of one class dominates a member of the other (order, with both
-classes expanded in alternation).  Only a miss runs a record to
-completion, and only a complete record with nothing pruned by the
-coordinate cap or cut off by max_states is saturated and may refute.
+later queries in the same order.  Equality and order run one search:
+the records of both sides are expanded in turn, in doubling batches,
+and each new member of one is compared with the members of the other.
+A positive verdict needs one witness, so the search stops at the first
+shared member (equality: the path from u to it, then back to v) or the
+first member of one class dominating a member of the other (order).
+Only a miss runs the records to completion, and only a complete record
+with nothing pruned by the coordinate cap or cut off by max_states is
+saturated and may refute.
 """
 
 from __future__ import annotations
@@ -509,13 +512,6 @@ class Congruence:
             stats["goal_exits"] += 1
         return rec
 
-    def _closure_until(self, start: Vec, target: Vec, cap: int, max_states: int) -> ClassRecord:
-        """The record of start, expanded until target is a member or it is complete."""
-        rec = self._closures.get((start, cap, max_states))
-        if rec is not None and target in rec.members:
-            return rec
-        return self.class_closure(start, cap, max_states, goal=target.__eq__)
-
     def _path_from(self, rec: ClassRecord, target: Vec) -> List[Tuple[int, int]]:
         """Steps (relation index, direction) from the closure root to target."""
         steps: List[Tuple[int, int]] = []
@@ -564,45 +560,42 @@ class Congruence:
                 self._assert_functional(dec.witness["y"])
                 return dec
         cap = budget.cap_for(self, [u, v])
-        rec_u = self._closure_until(u, v, cap, budget.max_states)
-        if v in rec_u.members:
-            steps = self._path_from(rec_u, v)
+        # the members of each record so far, its root from the start: the
+        # classes are equal once the two share a member
+        seen_u, seen_v = {u}, {v}
+        found: List[Vec] = []
+
+        def meets(mine: set, other: set) -> Callable[[Vec], bool]:
+            def goal(m: Vec) -> bool:
+                mine.add(m)
+                if m in other:
+                    found.append(m)
+                    return True
+                return False
+            return goal
+
+        rec_u, rec_v = self._search_pair(
+            u, v, cap, budget.max_states, meets(seen_u, seen_v), meets(seen_v, seen_u),
+            lambda rec: bool(found) or rec.saturated,
+        )
+        if found:
+            m = found[0]
+            # a side's record is not made when the other met its root first
+            ahead = [] if m == u else self._path_from(rec_u, m)
+            back = [] if m == v else self._path_from(rec_v, m)
+            steps = ahead + [(i, -d) for i, d in reversed(back)]
             assert self.replay_path(u, steps) == v
             return Decision(
                 EQUAL,
                 {"kind": "path", "start": u, "end": v, "steps": steps},
                 budget,
             )
-        if rec_u.saturated:
+        # u's record first: v's is not made when u's saturated at once
+        rec = rec_u if rec_u.saturated else rec_v
+        if rec.saturated:
             return Decision(
                 NOT_EQUAL,
-                {
-                    "kind": "saturation",
-                    "class_size": len(rec_u.members),
-                    "cap": cap,
-                },
-                budget,
-            )
-        rec_v = self._closure_until(v, u, cap, budget.max_states)
-        # both records search the same cap box, whose steps are reversible,
-        # so v's record reaches u only when max_states cut u's record off
-        if u in rec_v.members:
-            steps = self._path_from(rec_v, u)
-            rev = [(i, -d) for i, d in reversed(steps)]
-            assert self.replay_path(u, rev) == v
-            return Decision(
-                EQUAL,
-                {"kind": "path", "start": u, "end": v, "steps": rev},
-                budget,
-            )
-        if rec_v.saturated:
-            return Decision(
-                NOT_EQUAL,
-                {
-                    "kind": "saturation",
-                    "class_size": len(rec_v.members),
-                    "cap": cap,
-                },
+                {"kind": "saturation", "class_size": len(rec.members), "cap": cap},
                 budget,
             )
         return self._budget_unknown(cap, budget, rec_u, rec_v)
@@ -666,25 +659,9 @@ class Congruence:
                     return True
             return False
 
-        # pairs already in memoized records, then both classes in alternation
-        rec_u = self._closures.get((u, cap, max_states))
-        rec_v = self._closures.get((v, cap, max_states))
-        if rec_u is not None:
-            for m in rec_u.members:
-                left(m)
-        if rec_v is not None:
-            for w in rec_v.members:
-                if right(w):
-                    break
-        batch = 8
-        while not found:
-            rec_u = self.class_closure(u, cap, max_states, goal=left, limit=batch)
-            if found:
-                break
-            rec_v = self.class_closure(v, cap, max_states, goal=right, limit=batch)
-            if found or (rec_u.complete and rec_v.complete):
-                break
-            batch *= 2
+        rec_u, rec_v = self._search_pair(
+            u, v, cap, max_states, left, right, lambda rec: bool(found)
+        )
         if found:
             m, w = found[0]
             dec = Decision(
@@ -713,6 +690,42 @@ class Congruence:
                 budget,
             )
         return self._budget_unknown(cap, budget, rec_u, rec_v)
+
+    def _search_pair(
+        self,
+        u: Vec,
+        v: Vec,
+        cap: int,
+        max_states: int,
+        left: Callable[[Vec], bool],
+        right: Callable[[Vec], bool],
+        stop: Callable[[ClassRecord], bool],
+    ) -> List[Optional[ClassRecord]]:
+        """The class records of u and v, expanded in turn until `stop`
+        holds or both are complete.
+
+        `left` and `right` are the goals of u's and v's records: each is
+        called on the members already memoized, then on every member its
+        record adds.  A goal met by a memoized member ends the search at
+        once; after that, `stop` is asked of the record just expanded and
+        must hold once a goal is met.  The records take doubling batches
+        of 8, 16, ... states.  A record is None when the search ended
+        before it was made.
+        """
+        sides = ((u, left), (v, right))
+        recs = [self._closures.get((start, cap, max_states)) for start, _ in sides]
+        for rec, (_, goal) in zip(recs, sides):
+            if rec is not None and any(map(goal, rec.members)):
+                return recs
+        batch = 8
+        while True:
+            for i, (start, goal) in enumerate(sides):
+                recs[i] = self.class_closure(start, cap, max_states, goal=goal, limit=batch)
+                if stop(recs[i]):
+                    return recs
+            if recs[0].complete and recs[1].complete:
+                return recs
+            batch *= 2
 
     def _budget_unknown(
         self, cap: int, budget: Budget, *records: ClassRecord
@@ -985,56 +998,35 @@ class Congruence:
     ) -> Optional[Decision]:
         """Nonnegative conserved functional separating under saturation.
 
-        For equality: any of val(p) = inf > val(q), val(q) = inf > val(p),
-        or finite values differing.  For order (p <= q refuted): val(p)
-        must exceed val(q), so only inf-on-p or finite comparison apply.
+        Each candidate asks for a y >= 0, conserved, with y.positive >= 1
+        and y zero on a set, and any such y separates.  Positive on p's
+        omega set W and zero on q's, V, gives val(p) = inf > val(q);
+        zero on W and V with y.(p - q) >= 1 gives finite values with
+        val(p) > val(q).  For equality the swapped candidates are tried
+        too; for order (p <= q refuted) only these two apply.
         """
-        n = self.n
         W, V = pn.omega, qn.omega
-        candidates: List[Tuple[Tuple[int, ...], Tuple[int, ...]]] = []
+        candidates: List[Tuple[Vec, FrozenSet[int]]] = []
         if W:
-            candidates.append((indicator(n, W), tuple(V)))
+            candidates.append((indicator(self.n, W), V))
         if not order and V:
-            candidates.append((indicator(n, V), tuple(W)))
-        for positive, zero_supp in candidates:
-            y = self._nonneg_conserved(positive, zero_coords=set(zero_supp))
-            if y is not None:
-                self._assert_functional(y, nonneg=True)
-                lv = self.functional_value(y, pn)
-                rv = self.functional_value(y, qn)
-                if (lv == "inf") != (rv == "inf"):
-                    if not order or lv == "inf":
-                        return Decision(
-                            NOT_LEQ if order else NOT_EQUAL,
-                            {
-                                "kind": "functional",
-                                "y": y,
-                                "nonnegative": True,
-                                "value_left": lv,
-                                "value_right": rv,
-                            },
-                            budget,
-                        )
-        diffs = [vec_sub(pn.finite, qn.finite)]
+            candidates.append((indicator(self.n, V), W))
+        candidates.append((vec_sub(pn.finite, qn.finite), W | V))
         if not order:
-            diffs.append(vec_sub(qn.finite, pn.finite))
-        for d in diffs:
-            y = self._nonneg_conserved(d, zero_coords=set(W | V))
+            candidates.append((vec_sub(qn.finite, pn.finite), W | V))
+        for positive, zero in candidates:
+            y = self._nonneg_conserved(positive, zero_coords=zero)
             if y is not None:
                 self._assert_functional(y, nonneg=True)
-                lv = self.functional_value(y, pn)
-                rv = self.functional_value(y, qn)
-                if lv != rv and lv != "inf" and rv != "inf":
-                    if not order or lv > rv:
-                        return Decision(
-                            NOT_LEQ if order else NOT_EQUAL,
-                            {
-                                "kind": "functional",
-                                "y": y,
-                                "nonnegative": True,
-                                "value_left": lv,
-                                "value_right": rv,
-                            },
-                            budget,
-                        )
+                return Decision(
+                    NOT_LEQ if order else NOT_EQUAL,
+                    {
+                        "kind": "functional",
+                        "y": y,
+                        "nonnegative": True,
+                        "value_left": self.functional_value(y, pn),
+                        "value_right": self.functional_value(y, qn),
+                    },
+                    budget,
+                )
         return None

@@ -31,8 +31,8 @@ On top of the scales sit the isotropy slices: for each idempotent e,
 the types whose largest idempotent below them is exactly e form a
 cancellative commutative monoid with unit e, and its Grothendieck group
 is the quantity group at scale e.  The disjoint union of those groups
-carries a partial addition that coarsens both summands to the join of
-their scales first.
+carries an addition that lands at the join of the two scales: the sum
+of the summands plus the join's idempotent.
 """
 
 from dataclasses import dataclass
@@ -51,9 +51,8 @@ LATTICE_LIMIT = 256
 
 
 class LatticeError(TypemonoidError):
-    """A scale lattice with more than LATTICE_LIMIT closed sets, a scale
-    certificate that fails its checks, or a shifted value with no
-    infinity point of its scale below it."""
+    """A scale lattice with more than LATTICE_LIMIT closed sets, or a
+    scale certificate that fails its checks."""
 
 
 @dataclass(frozen=True)
@@ -325,12 +324,7 @@ def _certify_scale(engine: TypeEngine, v: ExtVec, e: IdempotentElement) -> None:
         raise ContractError(f"operand has scale {got}, expected {e}")
 
 
-def grothendieck_diff(
-    engine: TypeEngine,
-    a,
-    b,
-    scale: Optional[IdempotentElement] = None,
-) -> QuantityElement:
+def grothendieck_diff(engine: TypeEngine, a, b) -> QuantityElement:
     """Form the difference a - b in the quantity group of their shared
     scale.  Both operands must certify membership in the same isotropy
     monoid."""
@@ -340,8 +334,6 @@ def grothendieck_diff(
     eb, _ = isotropy_decompose(engine, vb)
     if ea != eb:
         raise ContractError(f"operands live at different scales {ea} vs {eb}")
-    if scale is not None and scale != ea:
-        raise ContractError(f"operands have scale {ea}, expected {scale}")
     return QuantityElement(ea, va, vb)
 
 
@@ -366,26 +358,20 @@ def quantity_eq(
     return engine.decide_equal(x.plus.add(y.minus), y.plus.add(x.minus), budget)
 
 
-def _coarsen(engine: TypeEngine, v: ExtVec, e: IdempotentElement) -> ExtVec:
-    """Push a vector up to scale e by adding the idempotent, then verify
-    the result really lands in the isotropy monoid of e."""
-    w = engine.omega_normalize(v.add(e.vec)).vec
-    _certify_scale(engine, w, e)
-    return w
-
-
 def quantity_add(
     engine: TypeEngine, x: QuantityElement, y: QuantityElement
 ) -> QuantityElement:
-    """Add two quantity elements, coarsening both to the join of their
-    scales first: the canonical idempotent of the union of the supports."""
+    """Add two quantity elements at the join g of their scales, the
+    canonical idempotent of the union of the supports: plus is
+    x.plus + y.plus + g and minus the same, each certified at scale g.
+
+    Coarsening each operand to g first gives the same sums, since
+    normalizing commutes with addition and g + g = g, and no other
+    failure: an idempotent strictly above g below x.plus + g is below
+    the sum too, so the sum's certificate fails as well."""
     g = canonical_idempotent(engine, x.scale.omega_support | y.scale.omega_support)
-    xp = _coarsen(engine, x.plus, g)
-    xm = _coarsen(engine, x.minus, g)
-    yp = _coarsen(engine, y.plus, g)
-    ym = _coarsen(engine, y.minus, g)
-    plus = engine.omega_normalize(xp.add(yp)).vec
-    minus = engine.omega_normalize(xm.add(ym)).vec
+    plus = engine.omega_normalize(x.plus.add(y.plus).add(g.vec)).vec
+    minus = engine.omega_normalize(x.minus.add(y.minus).add(g.vec)).vec
     _certify_scale(engine, plus, g)
     _certify_scale(engine, minus, g)
     return QuantityElement(g, plus, minus)

@@ -63,7 +63,6 @@ from .errors import (
 from .lattice import (
     IdempotentElement,
     IdempotentLattice,
-    LatticeError,
     canonical_idempotent,
     isotropy_decompose,
     scale_covers,
@@ -461,32 +460,29 @@ def hierarchical_measure(
 ) -> HierarchicalValue:
     """The canonical measure at scale e: shift the type by e; if the
     result stays at scale e it is the value, otherwise the value is the
-    largest infinity point of the completed scale below the shift.  The
-    infinity points of scale e are its upper covers.  An e that is not
-    a scale of the engine's space, in canonical form, is refused."""
+    infinity point of the completed scale below the shift.  The infinity
+    points of scale e are its upper covers.  An e that is not a scale of
+    the engine's space, in canonical form, is refused.
+
+    The infinity points below the shift are the covers of e inside its
+    certified scale s: a cover f below the shift has f + s below it too,
+    so f + s = s by the certificate, and s, strictly above e, holds at
+    least one cover.  Covers form an antichain, so the value exists
+    exactly when one cover lies inside s, and AmbiguousMaximumError is
+    raised otherwise."""
     in_range = all(0 <= a < engine.n for a in e.omega_support)
     if not in_range or canonical_idempotent(engine, e.omega_support) != e:
         raise ContractError(f"{e} is not a scale of the space")
     shifted = engine.omega_normalize(engine._vec(atoms_or_vec).add(e.vec))
-    scale_of, _ = isotropy_decompose(engine, shifted, budget)
-    if scale_of == e:
+    s, _ = isotropy_decompose(engine, shifted, budget)
+    if s == e:
         return HierarchicalValue(e, "member", member=shifted.vec)
-    t = engine.type_of_abar(shifted)
-    below = []
-    for f in scale_covers(engine, e):
-        d = engine.decide_leq(f.vec, t, budget)
-        if not d.is_definite():
-            raise BudgetExhaustedError(f"cannot order infinity point {f}")
-        if d.verdict == LEQ:
-            below.append(f)
-    if not below:
-        raise LatticeError("shifted value escapes the scale with no infinity below")
-    maxima = [f for f in below if all(g.omega_support <= f.omega_support for g in below)]
-    if len(maxima) != 1:
+    below = [f for f in scale_covers(engine, e) if f.omega_support <= s.omega_support]
+    if len(below) != 1:
         raise AmbiguousMaximumError(
             f"{len(below)} infinity points below the value, no unique maximum"
         )
-    return HierarchicalValue(e, "infinity", infinity=maxima[0])
+    return HierarchicalValue(e, "infinity", infinity=below[0])
 
 
 def hierarchical_eq(
@@ -569,7 +565,7 @@ def extend_T_measure(
             raise ContractError(
                 f"idempotent {f} has zero value iff below the scale; got {is_z}"
             )
-    checked = 0
+    values = []
     for aset in engine.statspace.space.all_measurable_sets():
         mv = hierarchical_measure(engine, scale, aset, budget)
         lhs = evaluate_extension(spec, mv)
@@ -578,7 +574,7 @@ def extend_T_measure(
             raise ContractError(
                 f"factorization fails on {sorted(aset)}: {lhs} != {rhs}"
             )
-        checked += 1
+        values.append((aset, mv))
     # uniqueness probe: shift the factor map by one non-null atom and
     # watch the factorization break somewhere
     probe = "no non-null atom; factor map trivially unique"
@@ -586,8 +582,7 @@ def extend_T_measure(
     if non_null:
         a_star = non_null[0]
         broke = False
-        for aset in engine.statspace.space.all_measurable_sets():
-            mv = hierarchical_measure(engine, scale, aset, budget)
+        for aset, mv in values:
             if mv.kind == "member":
                 perturbed = spec.value_of_ext(
                     mv.member.add(ExtVec.from_vec(unit_vec(engine.n, a_star)))
@@ -602,7 +597,7 @@ def extend_T_measure(
         if not broke:
             raise ContractError("perturbed factor map also factorizes; not unique")
         probe = f"perturbation by atom {a_star} breaks the factorization"
-    return TMeasureExtension(scale, idempotent_values, checked, probe)
+    return TMeasureExtension(scale, idempotent_values, len(values), probe)
 
 
 # ----- limits -----------------------------------------------------------------

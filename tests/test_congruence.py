@@ -694,6 +694,100 @@ class TestShiftOracle:
         assert tally["eq"] > 0 and tally["leq"] > 0
 
 
+def _one_sided_eq(cong, u, v, budget):
+    """Finite equality by the one-sided search: a conserved vector of the
+    Fraction basis with y.u != y.v refutes; otherwise u's class is
+    expanded until it holds v, then v's until it holds u, and a
+    saturated class that misses the other side refutes.  `cong` should
+    be a copy that only this oracle searches."""
+    if u == v:
+        return EQUAL
+    if any(sum(a * (b - c) for a, b, c in zip(y, u, v)) for y in cong.conserved_basis()):
+        return NOT_EQUAL
+    cap = budget.cap_for(cong, [u, v])
+    for start, target in ((u, v), (v, u)):
+        rec = cong.class_closure(start, cap, budget.max_states, goal=target.__eq__)
+        if target in rec.members:
+            return EQUAL
+        if rec.saturated:
+            return NOT_EQUAL
+    return UNKNOWN
+
+
+def _walk(cong, rng, u, steps):
+    """The end of up to `steps` random applicable relation steps from u."""
+    for _ in range(steps):
+        moves = [
+            (a, b)
+            for l, r in cong.relations
+            for a, b in ((l, r), (r, l))
+            if vec_geq(u, a)
+        ]
+        if not moves:
+            break
+        a, b = rng.choice(moves)
+        u = tuple(c - x + y for c, x, y in zip(u, a, b))
+    return u
+
+
+class TestOneSidedOracle:
+    """The two-sided class search against the one-sided search it
+    replaced: every definite verdict of the oracle is reproduced, and
+    every path replays (and, on spaces, passes the soundness audit)."""
+
+    def _pairs(self, cong, rng):
+        for _ in range(3):
+            u = tuple(rng.randint(0, 2) for _ in range(cong.n))
+            yield u, tuple(rng.randint(0, 2) for _ in range(cong.n))
+            yield u, _walk(cong, rng, u, rng.randint(1, 6))
+
+    def _compare(self, cong, oracle, u, v, budget, tally):
+        d = cong.eq_finite(u, v, budget)
+        ref = _one_sided_eq(oracle, u, v, budget)
+        if ref != UNKNOWN:
+            assert d.verdict == ref, (cong.relations, u, v)
+        kind = (d.verdict, d.witness["kind"])
+        tally[kind] = tally.get(kind, 0) + 1
+        if d.witness["kind"] == "path":
+            assert cong.replay_path(u, d.witness["steps"]) == v
+        return d
+
+    def test_spaces(self):
+        rng = random.Random(14)
+        budget = Budget(max_states=400)
+        spaces = list(fixture_spaces().values())
+        for seed in (1, 2, 5, 7, 2024):
+            spaces += [e.statspace for e in random_corpus(seed=seed)]
+        tally = {}
+        for ss in spaces:
+            eng = TypeEngine(ss)
+            oracle = Congruence(eng.n, eng.congruence.relations)
+            for u, v in self._pairs(eng.congruence, rng):
+                d = self._compare(eng.congruence, oracle, u, v, budget, tally)
+                eng.audit_log.append(AuditEntry("eq", ExtVec(u), ExtVec(v), d))
+            eng.audit_decisions()
+        assert tally[(EQUAL, "path")] > 100 and tally[(NOT_EQUAL, "functional")] > 100
+
+    def test_random_congruences(self):
+        rng = random.Random(7)
+        budget = Budget(coordinate_cap=8, max_states=2000)
+        tally = {}
+        for _ in range(60):
+            n = rng.randint(2, 3)
+            rels = [
+                (tuple(rng.randint(0, 2) for _ in range(n)), tuple(rng.randint(0, 2) for _ in range(n)))
+                for _ in range(rng.randint(1, 3))
+            ]
+            cong = Congruence(n, rels)
+            oracle = Congruence(n, rels)
+            for u, v in self._pairs(cong, rng):
+                self._compare(cong, oracle, u, v, budget, tally)
+        assert tally.keys() >= {
+            (EQUAL, "path"), (NOT_EQUAL, "functional"), (NOT_EQUAL, "saturation"),
+            (UNKNOWN, "budget"),
+        }
+
+
 def _lp_feasible(cong, p, zero):
     eqs = [(d, 0) for d in cong.differences()]
     eqs += [(unit_vec(cong.n, i), 0) for i in zero]
@@ -877,13 +971,34 @@ class TestGoalDirectedClosure:
         cong = cyclic_congruence(4)
         d = cong.eq_finite((6, 0, 0, 0), (5, 1, 0, 0), Budget())
         assert d.verdict == EQUAL and d.witness["kind"] == "path"
+        # u's first state reaches v before v's record is made
         assert cong.stats["goal_exits"] == 1
+        assert cong.stats["records_created"] == 1
         assert cong.stats["states_expanded"] < len(full.members)
-        # a later query on the same class resumes the record, not a new one
+        # a later query on the same class resumes u's record, and only the
+        # new right side gets a record of its own
         d = cong.eq_finite((6, 0, 0, 0), (0, 0, 3, 3), Budget())
         assert d.verdict == EQUAL
-        assert cong.stats["records_created"] == 1
-        assert cong.stats["records_resumed"] == 1
+        assert cong.stats["records_created"] == 2
+        assert cong.stats["records_resumed"] == 3
+        assert cong.stats["states_expanded"] < len(full.members)
+
+    def test_classes_meet_in_the_middle(self):
+        # a 7-atom partial space where v lies past max_states in u's
+        # breadth-first order and u past it in v's, but the two records
+        # share a member after 721 states between them
+        ss = random_corpus(seed=12, count=60, max_atoms=8, max_order=60, small_count=0)[50].statspace
+        relations = TypeEngine(ss).congruence.relations
+        u, v = (3, 5, 6, 4, 4, 4, 4), (6, 5, 4, 2, 4, 3, 4)
+        cong = Congruence(ss.n_atoms, relations)
+        d = cong.eq_finite(u, v, Budget())
+        assert d.verdict == EQUAL and d.witness["kind"] == "path"
+        assert cong.replay_path(u, d.witness["steps"]) == v
+        assert cong.stats["states_expanded"] == 721
+        assert cong.stats["goal_exits"] == 1
+        small = Budget(max_states=5000)
+        assert Congruence(ss.n_atoms, relations).eq_finite(u, v, small).verdict == EQUAL
+        assert _one_sided_eq(Congruence(ss.n_atoms, relations), u, v, small) == UNKNOWN
 
     def test_leq_stops_at_domination(self):
         cong = cyclic_congruence(4)

@@ -18,6 +18,7 @@ from typemonoid.lattice import (
     LATTICE_LIMIT,
     IdempotentLattice,
     LatticeError,
+    QuantityElement,
     canonical_idempotent,
     check_distributive,
     embed,
@@ -463,6 +464,56 @@ class TestQuantity:
                 eng, embed(eng, a), embed(eng, b)
             ).verdict == EQUAL
             assert same_type == same_embed, (a.vec, b.vec)
+
+
+def _coarsened_add(eng, x, y):
+    """quantity_add by coarsening each of the four operands to the join g
+    of the two scales and certifying it there, then adding and
+    certifying both sums."""
+    g = canonical_idempotent(eng, x.scale.omega_support | y.scale.omega_support)
+
+    def at_g(v):
+        got, _ = isotropy_decompose(eng, v)
+        if got != g:
+            raise ContractError(f"operand has scale {got}, expected {g}")
+        return v
+
+    def coarsen(v):
+        return at_g(eng.omega_normalize(v.add(g.vec)).vec)
+
+    plus = at_g(eng.omega_normalize(coarsen(x.plus).add(coarsen(y.plus))).vec)
+    minus = at_g(eng.omega_normalize(coarsen(x.minus).add(coarsen(y.minus))).vec)
+    return QuantityElement(g, plus, minus)
+
+
+class TestQuantityAddOracle:
+    def test_sums_match_coarsening_first(self):
+        """quantity_add gives the coarsen-first sums and raises on the same
+        inputs, on embedded elements and on pairs claiming a random scale."""
+        rng = random.Random(23)
+        spaces = list(fixture_spaces().values())
+        spaces += [e.statspace for e in random_corpus(seed=5, count=12) if e.statspace.n_atoms <= 3]
+        outcomes = set()
+        for ss in spaces:
+            eng, lat = engine_and_lattice(ss)
+            vecs = _seeded_vectors(rng, eng.n, 6)
+            elems = [embed(eng, v) for v in vecs]
+            elems += [
+                QuantityElement(rng.choice(lat.elements), eng.omega_normalize(a).vec,
+                                eng.omega_normalize(b).vec)
+                for a, b in zip(vecs, reversed(vecs))
+            ]
+            for x, y in itertools.product(elems, repeat=2):
+                try:
+                    want = _coarsened_add(eng, x, y)
+                except ContractError:
+                    with pytest.raises(ContractError):
+                        quantity_add(eng, x, y)
+                    outcomes.add("raises")
+                    continue
+                assert quantity_add(eng, x, y) == want, (ss, x, y)
+                outcomes.add("sum")
+        assert outcomes == {"sum", "raises"}
 
 
 class TestCorpusLattices:

@@ -28,10 +28,18 @@ from typemonoid.errors import (
     ContractError,
     NormalizationImpossibleError,
 )
-from typemonoid.lattice import IdempotentElement, embed, enumerate_idempotents, quantity_eq
+from typemonoid.lattice import (
+    IdempotentElement,
+    embed,
+    enumerate_idempotents,
+    isotropy_decompose,
+    quantity_eq,
+    scale_covers,
+)
 from typemonoid.measures import (
     INF,
     ExtendedRationalTarget,
+    HierarchicalValue,
     RationalStationaryMeasure,
     TMeasureSpec,
     classify_T_measure,
@@ -489,6 +497,52 @@ def test_decisions_made_without_search_serialize():
     for d in decisions:
         assert d.verdict == NOT_EQUAL
         assert d.to_json()["budget"]["max_states"] == Budget().max_states
+
+
+def _hierarchical_by_order(eng, e, x, budget=None):
+    """hierarchical_measure with the infinity point found by ordering
+    every cover of e against the shift and keeping the greatest."""
+    shifted = eng.omega_normalize(eng._vec(x).add(e.vec))
+    if isotropy_decompose(eng, shifted, budget)[0] == e:
+        return HierarchicalValue(e, "member", member=shifted.vec)
+    t = eng.type_of_abar(shifted)
+    below = []
+    for f in scale_covers(eng, e):
+        d = eng.decide_leq(f.vec, t, budget)
+        assert d.is_definite()
+        if d.verdict == LEQ:
+            below.append(f)
+    assert below, "a value above its scale has an infinity point below it"
+    maxima = [f for f in below if all(g.omega_support <= f.omega_support for g in below)]
+    if len(maxima) != 1:
+        raise AmbiguousMaximumError(f"{len(below)} infinity points below the value")
+    return HierarchicalValue(e, "infinity", infinity=maxima[0])
+
+
+class TestHierarchicalOracle:
+    def test_matches_ordering_every_cover(self):
+        """Every scale, on every measurable set and on vectors with omega
+        mass: the same value, or AmbiguousMaximumError from both."""
+        spaces = list(fixture_spaces().values())
+        spaces += [e.statspace for e in random_corpus(seed=5, count=12) if e.statspace.n_atoms <= 3]
+        kinds = set()
+        for ss in spaces:
+            eng, lat = setup_space(ss)
+            xs = list(ss.space.all_measurable_sets())
+            xs += [ExtVec(tuple(0 if i in f.omega_support else 1 for i in range(eng.n)),
+                          f.omega_support) for f in lat]
+            for e in lat:
+                for x in xs:
+                    try:
+                        want = _hierarchical_by_order(eng, e, x)
+                    except AmbiguousMaximumError:
+                        with pytest.raises(AmbiguousMaximumError):
+                            hierarchical_measure(eng, e, x)
+                        kinds.add("ambiguous")
+                        continue
+                    assert hierarchical_measure(eng, e, x) == want, (ss, e, x)
+                    kinds.add(want.kind)
+        assert kinds == {"member", "infinity", "ambiguous"}
 
 
 class TestHierarchical:
