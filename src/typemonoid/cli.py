@@ -246,7 +246,8 @@ def cmd_measure(args) -> int:
     report = _base_report(args, "measure")
     ss = load_space(args.space)
     aset = parse_set_expr(ss, args.set)
-    syn = synthesize_classical_measure(ss, aset, want_report=True)
+    eng = TypeEngine(ss, _budget_from_args(args))
+    syn = synthesize_classical_measure(eng, aset, want_report=True)
     report["stages"] = syn.stages
     if syn.measure is not None:
         m = syn.measure

@@ -219,9 +219,10 @@ class ExtVec:
 
 @dataclass(frozen=True)
 class Budget:
-    """Limits of the finite class search; None coordinate_cap means the
-    per-query default.  The omega layer has no budget of its own: an omega
-    query runs one finite decision, under these limits."""
+    """Limits of the finite class search, set once per congruence; None
+    coordinate_cap means the per-query default.  The omega layer has no
+    budget of its own: an omega query runs one finite decision, in the
+    quotient, under these limits."""
 
     coordinate_cap: Optional[int] = None
     max_states: int = 40000
@@ -292,10 +293,15 @@ class ClassRecord:
 
 
 class Congruence:
-    """The congruence on N^n generated by `relations`, with decision memoes."""
+    """The congruence on N^n generated by `relations`, with decision memoes.
 
-    def __init__(self, n: int, relations: Sequence[Tuple[Vec, Vec]]):
+    Every decision runs under `budget`, and every Decision records it."""
+
+    def __init__(
+        self, n: int, relations: Sequence[Tuple[Vec, Vec]], budget: Budget = Budget()
+    ):
         self.n = n
+        self.budget = budget
         self.relations: List[Tuple[Vec, Vec]] = [
             (tuple(l), tuple(r)) for l, r in relations
         ]
@@ -335,7 +341,7 @@ class Congruence:
         self._rays_built = False
         self._closures: Dict[Tuple[Vec, int, int], ClassRecord] = {}
         self._support_memo: Dict[FrozenSet[int], Tuple[FrozenSet[int], dict]] = {}
-        self._normal_memo: Dict[ExtVec, Tuple[ExtVec, dict]] = {}
+        self._normal_memo: Dict[ExtVec, ExtVec] = {}
         self._quotients: Dict[FrozenSet[int], "Congruence"] = {}
         self._decision_memo: Dict[tuple, Decision] = {}
         # deterministic work counters; unknown verdicts counted per budget
@@ -475,8 +481,6 @@ class Congruence:
                 return rec
         elif rec.complete:
             return rec
-        else:
-            stats["records_resumed"] += 1
         members, queue = rec.members, rec.frontier
         rng = range(self.n)
         expanded = 0
@@ -536,18 +540,18 @@ class Congruence:
 
     # ----- finite decisions --------------------------------------------------
 
-    def eq_finite(self, u: Vec, v: Vec, budget: Budget) -> Decision:
+    def eq_finite(self, u: Vec, v: Vec) -> Decision:
         u, v = tuple(u), tuple(v)
         if u == v:
-            return Decision(EQUAL, {"kind": "syntactic"}, budget)
-        key = ("eqf", u, v, budget.coordinate_cap, budget.max_states)
+            return Decision(EQUAL, {"kind": "syntactic"}, self.budget)
+        key = ("eqf", u, v)
         hit = self._decision_memo.get(key)
         if hit is None:
-            hit = self._eq_finite_impl(u, v, budget)
+            hit = self._eq_finite_impl(u, v)
             self._decision_memo[key] = hit
         return hit
 
-    def _eq_finite_impl(self, u: Vec, v: Vec, budget: Budget) -> Decision:
+    def _eq_finite_impl(self, u: Vec, v: Vec) -> Decision:
         diff = vec_sub(u, v)
         for y, (z, den) in zip(self.conserved_basis(), self._integer_basis()):
             val = sum(a * b for a, b in zip(z, diff))
@@ -555,11 +559,11 @@ class Congruence:
                 dec = Decision(
                     NOT_EQUAL,
                     {"kind": "functional", "y": y, "separation": Fraction(val, den)},
-                    budget,
+                    self.budget,
                 )
                 self._assert_functional(dec.witness["y"])
                 return dec
-        cap = budget.cap_for(self, [u, v])
+        cap = self.budget.cap_for(self, [u, v])
         # the members of each record so far, its root from the start: the
         # classes are equal once the two share a member
         seen_u, seen_v = {u}, {v}
@@ -575,7 +579,7 @@ class Congruence:
             return goal
 
         rec_u, rec_v = self._search_pair(
-            u, v, cap, budget.max_states, meets(seen_u, seen_v), meets(seen_v, seen_u),
+            u, v, cap, meets(seen_u, seen_v), meets(seen_v, seen_u),
             lambda rec: bool(found) or rec.saturated,
         )
         if found:
@@ -588,7 +592,7 @@ class Congruence:
             return Decision(
                 EQUAL,
                 {"kind": "path", "start": u, "end": v, "steps": steps},
-                budget,
+                self.budget,
             )
         # u's record first: v's is not made when u's saturated at once
         rec = rec_u if rec_u.saturated else rec_v
@@ -596,11 +600,11 @@ class Congruence:
             return Decision(
                 NOT_EQUAL,
                 {"kind": "saturation", "class_size": len(rec.members), "cap": cap},
-                budget,
+                self.budget,
             )
-        return self._budget_unknown(cap, budget, rec_u, rec_v)
+        return self._budget_unknown(cap, rec_u, rec_v)
 
-    def leq_finite(self, u: Vec, v: Vec, budget: Budget) -> Decision:
+    def leq_finite(self, u: Vec, v: Vec) -> Decision:
         u, v = tuple(u), tuple(v)
         if vec_geq(v, u):
             return Decision(
@@ -613,25 +617,24 @@ class Congruence:
                     "path_left": [],
                     "path_right": [],
                 },
-                budget,
+                self.budget,
             )
-        key = ("leqf", u, v, budget.coordinate_cap, budget.max_states)
+        key = ("leqf", u, v)
         hit = self._decision_memo.get(key)
         if hit is None:
-            hit = self._leq_finite_impl(u, v, budget)
+            hit = self._leq_finite_impl(u, v)
             self._decision_memo[key] = hit
         return hit
 
-    def _leq_finite_impl(self, u: Vec, v: Vec, budget: Budget) -> Decision:
+    def _leq_finite_impl(self, u: Vec, v: Vec) -> Decision:
         y = self._nonneg_conserved(vec_sub(u, v))
         if y is not None:
             dec = Decision(
-                NOT_LEQ, {"kind": "functional", "y": y, "nonnegative": True}, budget
+                NOT_LEQ, {"kind": "functional", "y": y, "nonnegative": True}, self.budget
             )
             self._assert_functional(y, nonneg=True)
             return dec
-        cap = budget.cap_for(self, [u, v])
-        max_states = budget.max_states
+        cap = self.budget.cap_for(self, [u, v])
         # mins: the minimal u-side members found so far; tops: every v-side
         # member.  A pair is compared when the later of the two is found.
         # A u-side member above a min adds nothing, and a min dropped for a
@@ -660,7 +663,7 @@ class Congruence:
             return False
 
         rec_u, rec_v = self._search_pair(
-            u, v, cap, max_states, left, right, lambda rec: bool(found)
+            u, v, cap, left, right, lambda rec: bool(found)
         )
         if found:
             m, w = found[0]
@@ -674,7 +677,7 @@ class Congruence:
                     "path_left": self._path_from(rec_u, m),
                     "path_right": self._path_from(rec_v, w),
                 },
-                budget,
+                self.budget,
             )
             assert self.replay_path(u, dec.witness["path_left"]) == m
             assert self.replay_path(v, dec.witness["path_right"]) == w
@@ -687,16 +690,15 @@ class Congruence:
                     "class_sizes": (len(rec_u.members), len(rec_v.members)),
                     "cap": cap,
                 },
-                budget,
+                self.budget,
             )
-        return self._budget_unknown(cap, budget, rec_u, rec_v)
+        return self._budget_unknown(cap, rec_u, rec_v)
 
     def _search_pair(
         self,
         u: Vec,
         v: Vec,
         cap: int,
-        max_states: int,
         left: Callable[[Vec], bool],
         right: Callable[[Vec], bool],
         stop: Callable[[ClassRecord], bool],
@@ -710,16 +712,21 @@ class Congruence:
         once; after that, `stop` is asked of the record just expanded and
         must hold once a goal is met.  The records take doubling batches
         of 8, 16, ... states.  A record is None when the search ended
-        before it was made.
+        before it was made.  A memoized record still unfinished counts
+        once in stats["records_resumed"] when the search expands it.
         """
         sides = ((u, left), (v, right))
+        max_states = self.budget.max_states
         recs = [self._closures.get((start, cap, max_states)) for start, _ in sides]
         for rec, (_, goal) in zip(recs, sides):
             if rec is not None and any(map(goal, rec.members)):
                 return recs
+        unfinished = [rec is not None and not rec.complete for rec in recs]
         batch = 8
         while True:
             for i, (start, goal) in enumerate(sides):
+                self.stats["records_resumed"] += unfinished[i]
+                unfinished[i] = False
                 recs[i] = self.class_closure(start, cap, max_states, goal=goal, limit=batch)
                 if stop(recs[i]):
                     return recs
@@ -727,9 +734,7 @@ class Congruence:
                 return recs
             batch *= 2
 
-    def _budget_unknown(
-        self, cap: int, budget: Budget, *records: ClassRecord
-    ) -> Decision:
+    def _budget_unknown(self, cap: int, *records: ClassRecord) -> Decision:
         """Unknown from complete but unsaturated records, naming the budgets hit."""
         causes = set()
         if any(r.pruned for r in records):
@@ -741,19 +746,19 @@ class Congruence:
             {
                 "kind": "budget",
                 "cap": cap,
-                "max_states": budget.max_states,
+                "max_states": self.budget.max_states,
                 "exhausted": self._exhausted(causes),
             },
-            budget,
+            self.budget,
         )
 
-    def _omega_unknown(self, budget: Budget, causes: Sequence[str] = ()) -> Decision:
+    def _omega_unknown(self, causes: Sequence[str] = ()) -> Decision:
         """Unknown from the omega layer, naming the budgets its finite
         decision ran out of."""
         return Decision(
             UNKNOWN,
             {"kind": "budget", "omega": True, "exhausted": self._exhausted(set(causes))},
-            budget,
+            self.budget,
         )
 
     def _exhausted(self, causes: set) -> List[str]:
@@ -811,27 +816,19 @@ class Congruence:
         self._support_memo[support] = result
         return result
 
-    def normalize(self, v: ExtVec) -> Tuple[ExtVec, dict]:
+    def normalize(self, v: ExtVec) -> ExtVec:
         """Omega-support closure followed by absorption of trapped finite mass.
 
         Identity on purely finite vectors; idempotent by construction.
         """
         if v.is_finite():
-            return v, {"kind": "identity"}
-        hit = self._normal_memo.get(v)
-        if hit is not None:
-            return hit
-        closed, cert = self.support_closure(v.omega)
-        fin = zero_on(v.finite, closed)
-        absorbed = {
-            i: v.finite[i]
-            for i in closed
-            if v.finite[i] != 0 and i not in v.omega
-        }
-        out = ExtVec(fin, closed)
-        result = (out, {"kind": "normalized", "closure": cert, "absorbed": absorbed})
-        self._normal_memo[v] = result
-        return result
+            return v
+        out = self._normal_memo.get(v)
+        if out is None:
+            closed, _ = self.support_closure(v.omega)
+            out = ExtVec(zero_on(v.finite, closed), closed)
+            self._normal_memo[v] = out
+        return out
 
     def _quotient(self, U: FrozenSet[int]) -> "Congruence":
         """The congruence with the coordinates in U zeroed in every relation.
@@ -839,14 +836,17 @@ class Congruence:
         It keeps n and the relation indices.  On vectors zero on U, x ~ y
         there exactly when x + a ~ y + b here for some a, b in N^U: both
         are the congruence generated by the relations and e_u ~ 0 for u in
-        U.  Memoized per U; the empty set gives self.
+        U.  It decides under this congruence's budget.  Memoized per U; the
+        empty set gives self.
         """
         if not U:
             return self
         quotient = self._quotients.get(U)
         if quotient is None:
             quotient = Congruence(
-                self.n, [(zero_on(l, U), zero_on(r, U)) for l, r in self.relations]
+                self.n,
+                [(zero_on(l, U), zero_on(r, U)) for l, r in self.relations],
+                self.budget,
             )
             self._quotients[U] = quotient
         return quotient
@@ -873,36 +873,35 @@ class Congruence:
 
     # ----- extended decisions --------------------------------------------------
 
-    def decide_eq(self, p: ExtVec, q: ExtVec, budget: Budget = Budget()) -> Decision:
+    def decide_eq(self, p: ExtVec, q: ExtVec) -> Decision:
         if p.n != self.n or q.n != self.n:
             raise SpaceMismatchError("dimension mismatch")
-        key = ("eq", p, q, budget.coordinate_cap, budget.max_states)
+        key = ("eq", p, q)
         hit = self._decision_memo.get(key)
         if hit is None:
-            hit = self._decide_eq_impl(p, q, budget)
+            hit = self._decide_eq_impl(p, q)
             self._decision_memo[key] = hit
         return hit
 
-    def _decide_eq_impl(self, p: ExtVec, q: ExtVec, budget: Budget) -> Decision:
-        pn, _ = self.normalize(p)
-        qn, _ = self.normalize(q)
+    def _decide_eq_impl(self, p: ExtVec, q: ExtVec) -> Decision:
+        pn, qn = self.normalize(p), self.normalize(q)
         if pn.is_finite() and qn.is_finite():
-            return self.eq_finite(pn.finite, qn.finite, budget)
+            return self.eq_finite(pn.finite, qn.finite)
         if pn == qn:
-            return Decision(EQUAL, {"kind": "syntactic-normalized"}, budget)
-        sep = self._saturating_separation(pn, qn, budget, order=False)
+            return Decision(EQUAL, {"kind": "syntactic-normalized"}, self.budget)
+        sep = self._saturating_separation(pn, qn, order=False)
         if sep is None:
-            sep = self._support_refutation(p, q, budget, order=False)
+            sep = self._support_refutation(p, q, order=False)
         if sep is not None:
             return sep
         # a finite side's omega set is empty, not closed: compare closures
         U = self.support_closure(pn.omega)[0]
         if U != self.support_closure(qn.omega)[0]:
-            return self._omega_unknown(budget)
+            return self._omega_unknown()
         pf, qf = zero_on(pn.finite, U), zero_on(qn.finite, U)
-        fin = self._quotient(U).eq_finite(pf, qf, budget)
+        fin = self._quotient(U).eq_finite(pf, qf)
         if fin.verdict != EQUAL:
-            return self._omega_unknown(budget, fin.witness.get("exhausted", ()))
+            return self._omega_unknown(fin.witness.get("exhausted", ()))
         steps = fin.witness.get("steps", [])
         start, end = self._lift(pf, steps, U)
         return Decision(
@@ -912,29 +911,28 @@ class Congruence:
                 "support": U,
                 "finite": {"kind": "path", "start": start, "end": end, "steps": steps},
             },
-            budget,
+            self.budget,
         )
 
-    def decide_leq(self, p: ExtVec, q: ExtVec, budget: Budget = Budget()) -> Decision:
+    def decide_leq(self, p: ExtVec, q: ExtVec) -> Decision:
         if p.n != self.n or q.n != self.n:
             raise SpaceMismatchError("dimension mismatch")
-        key = ("leq", p, q, budget.coordinate_cap, budget.max_states)
+        key = ("leq", p, q)
         hit = self._decision_memo.get(key)
         if hit is None:
-            hit = self._decide_leq_impl(p, q, budget)
+            hit = self._decide_leq_impl(p, q)
             self._decision_memo[key] = hit
         return hit
 
-    def _decide_leq_impl(self, p: ExtVec, q: ExtVec, budget: Budget) -> Decision:
-        pn, _ = self.normalize(p)
-        qn, _ = self.normalize(q)
+    def _decide_leq_impl(self, p: ExtVec, q: ExtVec) -> Decision:
+        pn, qn = self.normalize(p), self.normalize(q)
         if pn.is_zero():
-            return Decision(LEQ, {"kind": "zero-bottom"}, budget)
+            return Decision(LEQ, {"kind": "zero-bottom"}, self.budget)
         if pn.is_finite() and qn.is_finite():
-            return self.leq_finite(pn.finite, qn.finite, budget)
-        sep = self._saturating_separation(pn, qn, budget, order=True)
+            return self.leq_finite(pn.finite, qn.finite)
+        sep = self._saturating_separation(pn, qn, order=True)
         if sep is None:
-            sep = self._support_refutation(p, q, budget, order=True)
+            sep = self._support_refutation(p, q, order=True)
         if sep is not None:
             return sep
         # V is closed when q has omega mass; when q is finite, U(V) = U(empty)
@@ -942,13 +940,13 @@ class Congruence:
         V = qn.omega
         U = self.support_closure(V)[0]
         if not pn.omega <= U:
-            return self._omega_unknown(budget)
+            return self._omega_unknown()
         # the finite mass of p under omega on the right is absorbed outright
         under = {i: pn.finite[i] for i in sorted(V) if pn.finite[i]}
         pf = zero_on(pn.finite, V)
-        fin = self._quotient(V).leq_finite(pf, qn.finite, budget)
+        fin = self._quotient(V).leq_finite(pf, qn.finite)
         if fin.verdict != LEQ:
-            return self._omega_unknown(budget, fin.witness.get("exhausted", ()))
+            return self._omega_unknown(fin.witness.get("exhausted", ()))
         w = fin.witness
         start_left, m = self._lift(pf, w["path_left"], V)
         start_right, top = self._lift(qn.finite, w["path_right"], V)
@@ -969,12 +967,10 @@ class Congruence:
                     "path_right": w["path_right"],
                 },
             },
-            budget,
+            self.budget,
         )
 
-    def _support_refutation(
-        self, p: ExtVec, q: ExtVec, budget: Budget, order: bool
-    ) -> Optional[Decision]:
+    def _support_refutation(self, p: ExtVec, q: ExtVec, order: bool) -> Optional[Decision]:
         """A closed support U = U(supp q) with an atom of p outside it.
 
         The measure 0 on the atoms of U and infinity elsewhere is
@@ -989,12 +985,12 @@ class Congruence:
                 return Decision(
                     NOT_LEQ if order else NOT_EQUAL,
                     {"kind": "support", "closed": closed, "outside": outside},
-                    budget,
+                    self.budget,
                 )
         return None
 
     def _saturating_separation(
-        self, pn: ExtVec, qn: ExtVec, budget: Budget, order: bool
+        self, pn: ExtVec, qn: ExtVec, order: bool
     ) -> Optional[Decision]:
         """Nonnegative conserved functional separating under saturation.
 
@@ -1027,6 +1023,6 @@ class Congruence:
                         "value_left": self.functional_value(y, pn),
                         "value_right": self.functional_value(y, qn),
                     },
-                    budget,
+                    self.budget,
                 )
         return None

@@ -17,9 +17,9 @@ support closure of its omega support and certified by order queries
 against the upper covers of that scale.  A cover of a closed set e is a
 minimal one-atom step U(e + {b}), so a scale and its certificate need
 U(e) and at most n steps, never the whole lattice.  The engine keeps
-every scale certificate it has checked, by (vector, budget), so the
-quantity arithmetic, which certifies each operand and result, repeats
-no order query.
+every scale certificate it has checked, by vector, so the quantity
+arithmetic, which certifies each operand and result, repeats no order
+query.  Every order query runs under the engine's budget.
 
 IdempotentLattice enumerates every scale, for the code that ranges over
 all of them.  Closed sets are closed under intersection, so meet is
@@ -38,7 +38,7 @@ of the summands plus the join's idempotent.
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from .congruence import LEQ, NOT_EQUAL, NOT_LEQ, Budget, Decision, ExtVec
+from .congruence import LEQ, NOT_EQUAL, NOT_LEQ, Decision, ExtVec
 from .errors import BudgetExhaustedError, ContractError, TypemonoidError
 from .types import TarskiType, TypeEngine
 
@@ -229,14 +229,10 @@ def check_distributive(lattice: IdempotentLattice) -> Tuple[bool, Optional[dict]
     return True, None
 
 
-def idempotent_of(
-    engine: TypeEngine,
-    alpha,
-    budget: Optional[Budget] = None,
-) -> IdempotentElement:
+def idempotent_of(engine: TypeEngine, alpha) -> IdempotentElement:
     """The unique maximal idempotent below alpha: the scale that
     isotropy_decompose certifies."""
-    return isotropy_decompose(engine, alpha, budget)[0]
+    return isotropy_decompose(engine, alpha)[0]
 
 
 @dataclass
@@ -257,9 +253,7 @@ class IsotropyCertificate:
 
 
 def isotropy_decompose(
-    engine: TypeEngine,
-    alpha,
-    budget: Optional[Budget] = None,
+    engine: TypeEngine, alpha
 ) -> Tuple[IdempotentElement, IsotropyCertificate]:
     """Locate alpha's scale: the idempotent e with e <= alpha and no
     strictly larger idempotent below alpha.
@@ -274,30 +268,29 @@ def isotropy_decompose(
     is not strictly above e, so g <= e.  Only U(e) and the one-atom
     steps from it are computed, so no lattice is needed.
 
-    The certificate is built and checked once per (vector, budget) and
-    kept on the engine; a repeated call is a lookup, counted in
-    engine.stats.  A certificate that fails its checks is never stored.
+    The certificate is built and checked once per vector, under the
+    engine's budget, and kept on the engine; a repeated call is a lookup,
+    counted in engine.stats.  A certificate that fails its checks is
+    never stored.
     """
-    budget = budget or engine.budget
     vec = engine._vec(alpha)
-    key = (vec, budget)
-    hit = engine._scales.get(key)
+    hit = engine._scales.get(vec)
     if hit is not None:
         engine.stats["scale_lookups"] += 1
         return hit
     t = engine.type_of_abar(vec)
     e = canonical_idempotent(engine, t.rep.omega)
-    above = engine.decide_leq(engine.type_of_abar(e.vec), t, budget)
+    above = engine.decide_leq(engine.type_of_abar(e.vec), t)
     excluded = []
     for f in scale_covers(engine, e):
-        d = engine.decide_leq(engine.type_of_abar(f.vec), t, budget)
+        d = engine.decide_leq(engine.type_of_abar(f.vec), t)
         if not d.is_definite():
             raise BudgetExhaustedError(f"membership against {f} undecided")
         excluded.append((f, d))
     cert = IsotropyCertificate(e, t, above, excluded)
     if not cert.ok:
         raise LatticeError("isotropy membership certificate failed")
-    engine._scales[key] = (e, cert)
+    engine._scales[vec] = (e, cert)
     engine.stats["scale_certificates"] += 1
     return e, cert
 
@@ -345,17 +338,14 @@ def embed(engine: TypeEngine, alpha) -> QuantityElement:
     return QuantityElement(e, v, e.vec)
 
 
-def quantity_eq(
-    engine: TypeEngine, x: QuantityElement, y: QuantityElement,
-    budget: Optional[Budget] = None,
-) -> Decision:
+def quantity_eq(engine: TypeEngine, x: QuantityElement, y: QuantityElement) -> Decision:
     """Grothendieck equality at a shared scale: plus_x + minus_y equals
     plus_y + minus_x.  Elements of different scales are never equal; a
     syntactic NotEqual decision is returned for them."""
     if x.scale != y.scale:
         return Decision(NOT_EQUAL, {"kind": "scale", "left": str(x.scale),
-                                    "right": str(y.scale)}, budget or engine.budget)
-    return engine.decide_equal(x.plus.add(y.minus), y.plus.add(x.minus), budget)
+                                    "right": str(y.scale)}, engine.budget)
+    return engine.decide_equal(x.plus.add(y.minus), y.plus.add(x.minus))
 
 
 def quantity_add(

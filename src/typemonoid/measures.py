@@ -69,7 +69,7 @@ from .lattice import (
 )
 from .lp import exact_lp_feasible
 from .spaces import AtomSet, StatSpace, pullback
-from .types import AbarElement, TarskiType, TypeEngine, relation_basis
+from .types import AbarElement, TarskiType, TypeEngine
 
 INF = "inf"
 
@@ -130,8 +130,7 @@ class RationalStationaryMeasure:
         }
 
 
-def is_paradoxical(engine: TypeEngine, atoms: AtomSet,
-                   budget: Optional[Budget] = None) -> Decision:
+def is_paradoxical(engine: TypeEngine, atoms: AtomSet) -> Decision:
     """Decide whether the set duplicates itself: two copies fit inside one.
 
     The empty set (and any null-type set) is degenerately paradoxical
@@ -139,9 +138,9 @@ def is_paradoxical(engine: TypeEngine, atoms: AtomSet,
     should test for null type separately.
     """
     t = engine.type_of(frozenset(atoms))
-    d = engine.decide_leq(engine.type_scale(2, t), t, budget)
+    d = engine.decide_leq(engine.type_scale(2, t), t)
     if d.verdict == LEQ:
-        back = engine.decide_equal(engine.type_scale(2, t), t, budget)
+        back = engine.decide_equal(engine.type_scale(2, t), t)
         if back.verdict == NOT_EQUAL:
             raise ContractError("2[E] <= [E] but 2[E] != [E]: order is broken")
     return d
@@ -154,39 +153,30 @@ class SynthesisReport:
 
 
 def synthesize_classical_measure(
-    ss: StatSpace, atoms: AtomSet, want_report: bool = False
+    engine: TypeEngine, atoms: AtomSet, want_report: bool = False
 ) -> Union[Optional[RationalStationaryMeasure], SynthesisReport]:
-    """Search for a stationary measure with value exactly 1 on the given set.
+    """Search for a stationary measure on the engine's space with value
+    exactly 1 on the given set.
 
-    The measure is a nonnegative conserved functional y with y(E) > 0,
-    scaled to y / y(E): read off the conserved cone as the first ray r
-    with r(E) > 0 in the cone's fixed order, or past RAY_LIMIT found by
-    the exact LP.  The report has one stage, with the method that
-    decided it ("cone" or "lp").  Returns None (or a report whose stage
-    carries the LP's infeasibility certificate) when no functional fits,
-    which by the existence theorem happens exactly for paradoxical
-    sets.  A returned measure has passed `check`.
+    The measure is a nonnegative conserved functional y of
+    engine.congruence with y(E) > 0, scaled to y / y(E): read off the
+    conserved cone as the first ray r with r(E) > 0 in the cone's fixed
+    order, and the LP then runs only for the Farkas certificate.  Past
+    RAY_LIMIT one exact LP with x(E) = 1 decides: its point is the
+    measure, or its Farkas vector the certificate.  The report has one
+    stage, with the method that decided it ("cone" or "lp").  Returns
+    None (or a report whose stage carries the LP's infeasibility
+    certificate) when no functional fits, which by the existence theorem
+    happens exactly for paradoxical sets.  A returned measure has passed
+    `check`.
     """
     e_set = frozenset(atoms)
     if not e_set:
         raise NormalizationImpossibleError("cannot normalize on the empty set")
-    if any(not (0 <= a < ss.n_atoms) for a in e_set):
-        raise SpaceMismatchError("unknown atom in normalization set")
-    cong = Congruence(ss.n_atoms, [(r.lhs, r.rhs) for r in relation_basis(ss)])
-    return _synthesize(cong, ss, e_set, want_report)
-
-
-def _synthesize(
-    cong: Congruence, ss: StatSpace, e_set: FrozenSet[int], want_report: bool
-) -> Union[Optional[RationalStationaryMeasure], SynthesisReport]:
-    """`synthesize_classical_measure` on the space's congruence `cong`.
-
-    With the cone, the first fitting ray gives the measure and the LP
-    runs only for the Farkas certificate.  Past RAY_LIMIT one LP with
-    x(E) = 1 decides: its point is the measure, or its Farkas vector the
-    certificate.
-    """
+    ss, cong = engine.statspace, engine.congruence
     n = ss.n_atoms
+    if any(not (0 <= a < n) for a in e_set):
+        raise SpaceMismatchError("unknown atom in normalization set")
     target = indicator(n, e_set)
     by_cone = cong.conserved_rays() is not None
     y = cong._nonneg_conserved(target) if by_cone else None
@@ -220,8 +210,7 @@ class TarskiCrossCheck:
     note: str = ""
 
 
-def cross_check_tarski(engine: TypeEngine, atoms: AtomSet,
-                       budget: Optional[Budget] = None) -> TarskiCrossCheck:
+def cross_check_tarski(engine: TypeEngine, atoms: AtomSet) -> TarskiCrossCheck:
     """Existence of a normalized measure against the paradox verdict.
 
     Null-type sets are excluded from the biconditional: they admit no
@@ -232,14 +221,14 @@ def cross_check_tarski(engine: TypeEngine, atoms: AtomSet,
     if not e_set:
         raise NormalizationImpossibleError("empty set")
     t = engine.type_of(e_set)
-    nullness = engine.decide_equal(t, engine.type_zero(), budget)
+    nullness = engine.decide_equal(t, engine.type_zero())
     if nullness.verdict == EQUAL:
         return TarskiCrossCheck(
             e_set, True, None, None, None,
             note="normalization impossible: set has null type",
         )
-    d = is_paradoxical(engine, e_set, budget)
-    m = _synthesize(engine.congruence, engine.statspace, e_set, False)
+    d = is_paradoxical(engine, e_set)
+    m = synthesize_classical_measure(engine, e_set)
     if not d.is_definite():
         return TarskiCrossCheck(e_set, False, d, m, None, note="paradox verdict unknown")
     consistent = (m is not None) == (d.verdict == NOT_LEQ)
@@ -251,12 +240,12 @@ def cross_check_tarski(engine: TypeEngine, atoms: AtomSet,
 
 class FPMonoidTarget:
     """Measure values in a finitely presented commutative monoid, with
-    equality decided by the congruence engine.  Countable self-sums stay
-    inside the presented monoid's completion (omega vectors)."""
+    equality decided by the congruence engine under its budget.  Countable
+    self-sums stay inside the presented monoid's completion (omega
+    vectors)."""
 
-    def __init__(self, congruence: Congruence, budget: Budget = Budget()):
+    def __init__(self, congruence: Congruence):
         self.congruence = congruence
-        self.budget = budget
         self.zero = ExtVec.from_vec(zero_vec(congruence.n))
 
     def add(self, x: ExtVec, y: ExtVec) -> ExtVec:
@@ -266,11 +255,10 @@ class FPMonoidTarget:
         return x.scale(k)
 
     def omega(self, x: ExtVec) -> ExtVec:
-        out, _ = self.congruence.normalize(ExtVec((0,) * x.n, x.support()))
-        return out
+        return self.congruence.normalize(ExtVec((0,) * x.n, x.support()))
 
     def eq(self, x: ExtVec, y: ExtVec) -> Decision:
-        return self.congruence.decide_eq(x, y, self.budget)
+        return self.congruence.decide_eq(x, y)
 
     def is_zero(self, x: ExtVec) -> Decision:
         return self.eq(x, self.zero)
@@ -347,7 +335,7 @@ class TMeasureSpec:
 
 def tarski_T_measure(engine: TypeEngine) -> TMeasureSpec:
     """The universal example: each atom is sent to its own type."""
-    target = FPMonoidTarget(engine.congruence, engine.budget)
+    target = FPMonoidTarget(engine.congruence)
     assignment = tuple(
         ExtVec.from_vec(unit_vec(engine.n, a)) for a in range(engine.n)
     )
@@ -456,7 +444,6 @@ def hierarchical_measure(
     engine: TypeEngine,
     e: IdempotentElement,
     atoms_or_vec,
-    budget: Optional[Budget] = None,
 ) -> HierarchicalValue:
     """The canonical measure at scale e: shift the type by e; if the
     result stays at scale e it is the value, otherwise the value is the
@@ -474,7 +461,7 @@ def hierarchical_measure(
     if not in_range or canonical_idempotent(engine, e.omega_support) != e:
         raise ContractError(f"{e} is not a scale of the space")
     shifted = engine.omega_normalize(engine._vec(atoms_or_vec).add(e.vec))
-    s, _ = isotropy_decompose(engine, shifted, budget)
+    s, _ = isotropy_decompose(engine, shifted)
     if s == e:
         return HierarchicalValue(e, "member", member=shifted.vec)
     below = [f for f in scale_covers(engine, e) if f.omega_support <= s.omega_support]
@@ -532,7 +519,6 @@ def extend_T_measure(
     engine: TypeEngine,
     lattice: IdempotentLattice,
     spec: TMeasureSpec,
-    budget: Optional[Budget] = None,
 ) -> TMeasureExtension:
     """Factor an aparadoxical monotone measure through the hierarchical
     measure at its null scale.
@@ -567,7 +553,7 @@ def extend_T_measure(
             )
     values = []
     for aset in engine.statspace.space.all_measurable_sets():
-        mv = hierarchical_measure(engine, scale, aset, budget)
+        mv = hierarchical_measure(engine, scale, aset)
         lhs = evaluate_extension(spec, mv)
         rhs = spec.value_of_atoms(aset)
         if _definite(t.eq(lhs, rhs), f"factorization on {sorted(aset)}") != EQUAL:
@@ -618,7 +604,6 @@ def colimit_increasing(
     engine: TypeEngine,
     prefix: Sequence[AbarElement],
     tail: Tuple,
-    budget: Optional[Budget] = None,
 ) -> Tuple[TarskiType, dict]:
     """Limit of an increasing sequence given as a finite prefix plus a
     tail schema: ("constant",) repeats the last prefix element,
@@ -664,7 +649,7 @@ def colimit_increasing(
     report = {"upper_bound_checks": 0}
     limit = engine.type_of_abar(limit_vec)
     for term in unrolled:
-        d = engine.decide_leq(term, limit_vec, budget)
+        d = engine.decide_leq(term, limit_vec)
         if d.verdict != LEQ:
             raise ContractError(f"term {term} does not embed below the limit")
         report["upper_bound_checks"] += 1
@@ -672,9 +657,7 @@ def colimit_increasing(
 
 
 def decreasing_limit_with_scale(
-    engine: TypeEngine,
-    chain: Sequence,
-    budget: Optional[Budget] = None,
+    engine: TypeEngine, chain: Sequence
 ) -> Tuple[TarskiType, dict]:
     """Limit of a decreasing type chain that is eventually constant
     inside one isotropy slice.
@@ -688,13 +671,13 @@ def decreasing_limit_with_scale(
         raise ContractError("empty chain")
     vecs = [engine.omega_normalize(c).vec for c in chain]
     for hi, lo in zip(vecs, vecs[1:]):
-        d = engine.decide_leq(lo, hi, budget)
+        d = engine.decide_leq(lo, hi)
         if d.verdict != LEQ:
             raise ContractError("chain is not decreasing")
     tail_vec = vecs[-1]
-    e, _ = isotropy_decompose(engine, tail_vec, budget)
+    e, _ = isotropy_decompose(engine, tail_vec)
     limit_plus_e = engine.omega_normalize(tail_vec.add(e.vec))
-    d = engine.decide_equal(limit_plus_e, tail_vec, budget)
+    d = engine.decide_equal(limit_plus_e, tail_vec)
     if d.verdict != EQUAL:
         raise ContractError("stabilized value is not fixed by its scale unit")
     return engine.type_of_abar(limit_plus_e), {"scale": e}
@@ -704,7 +687,6 @@ def continuity_suite(
     engine: TypeEngine,
     lattice: IdempotentLattice,
     schemas_below: int = 20,
-    budget: Optional[Budget] = None,
 ) -> dict:
     """The four limit laws of the canonical measure on one space.
 
@@ -719,14 +701,14 @@ def continuity_suite(
     for a_set in sets:
         for b_set in sets:
             if a_set <= b_set:
-                d = engine.decide_leq(engine.type_of(a_set), engine.type_of(b_set), budget)
+                d = engine.decide_leq(engine.type_of(a_set), engine.type_of(b_set))
                 if d.verdict == LEQ:
                     report["monotone"] += 1
                 else:
                     report["failures"].append(("monotone", a_set, b_set, d.verdict))
             union = engine.type_of(a_set | b_set)
             bound = engine.type_add(engine.type_of(a_set), engine.type_of(b_set))
-            d = engine.decide_leq(union, bound, budget)
+            d = engine.decide_leq(union, bound)
             if d.verdict == LEQ:
                 report["subadditive"] += 1
             else:
@@ -738,7 +720,7 @@ def continuity_suite(
         base = engine.abar_of_set(frozenset({a}))
         inc = unit_vec(engine.n, (a + made) % engine.n)
         prefix = [base, base + engine.abar(inc)]
-        limit, _ = colimit_increasing(engine, prefix, ("periodic", inc), budget)
+        limit, _ = colimit_increasing(engine, prefix, ("periodic", inc))
         expected = engine.omega_normalize(
             ExtVec(
                 tuple(0 if i in {(a + made) % engine.n} else base.vec.finite[i]
@@ -746,7 +728,7 @@ def continuity_suite(
                 frozenset({(a + made) % engine.n}),
             ),
         )
-        d = engine.decide_equal(limit, expected, budget)
+        d = engine.decide_equal(limit, expected)
         if d.verdict == EQUAL:
             report["below"] += 1
         else:
@@ -760,11 +742,11 @@ def continuity_suite(
             settle = settle.add(ExtVec.from_vec(unit_vec(engine.n, off)))
         chain = [lattice.top.vec, settle, settle]
         try:
-            limit, info = decreasing_limit_with_scale(engine, chain, budget)
+            limit, info = decreasing_limit_with_scale(engine, chain)
         except ContractError as exc:
             report["failures"].append(("above", e, str(exc)))
             continue
-        d = engine.decide_equal(limit, settle, budget)
+        d = engine.decide_equal(limit, settle)
         if d.verdict == EQUAL and info["scale"] == e:
             report["above"] += 1
         else:

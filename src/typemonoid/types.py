@@ -33,7 +33,7 @@ preimages only, which is what stationarity of measures quantifies over.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .congruence import (
     Budget,
@@ -153,7 +153,8 @@ class RealizationReport:
 
 # Witness kinds audit_decisions counts; "other" is the kinds it cannot re-check.
 AUDIT_KINDS = (
-    "functional", "path", "domination", "support", "syntactic", "zero-bottom", "other",
+    "functional", "path", "domination", "support", "syntactic", "syntactic-normalized",
+    "zero-bottom", "other",
 )
 
 
@@ -179,13 +180,17 @@ class TypeEngine:
         self.n = statspace.n_atoms
         self.relations = relation_basis(statspace)
         self.congruence = Congruence(
-            self.n, [(r.lhs, r.rhs) for r in self.relations]
+            self.n, [(r.lhs, r.rhs) for r in self.relations], budget
         )
-        self.budget = budget
         self.audit_log: List[AuditEntry] = []
-        # scale certificates by (vector, budget); see lattice.isotropy_decompose
-        self._scales: Dict[tuple, tuple] = {}
+        # scale certificates by vector; see lattice.isotropy_decompose
+        self._scales: Dict[ExtVec, tuple] = {}
         self.stats: Dict[str, int] = {"scale_certificates": 0, "scale_lookups": 0}
+
+    @property
+    def budget(self) -> Budget:
+        """The budget every decision of this engine runs under."""
+        return self.congruence.budget
 
     # ----- formal coproducts ------------------------------------------------
 
@@ -230,23 +235,20 @@ class TypeEngine:
 
     # ----- decisions ----------------------------------------------------------
 
-    def decide_equal(self, p, q, budget: Optional[Budget] = None) -> Decision:
-        b = budget or self.budget
+    def decide_equal(self, p, q) -> Decision:
         u, v = self._vec(p), self._vec(q)
-        dec = self.congruence.decide_eq(u, v, b)
+        dec = self.congruence.decide_eq(u, v)
         self.audit_log.append(AuditEntry("eq", u, v, dec))
         return dec
 
-    def decide_leq(self, p, q, budget: Optional[Budget] = None) -> Decision:
-        b = budget or self.budget
+    def decide_leq(self, p, q) -> Decision:
         u, v = self._vec(p), self._vec(q)
-        dec = self.congruence.decide_leq(u, v, b)
+        dec = self.congruence.decide_leq(u, v)
         self.audit_log.append(AuditEntry("leq", u, v, dec))
         return dec
 
     def omega_normalize(self, p) -> AbarElement:
-        out, _ = self.congruence.normalize(self._vec(p))
-        return AbarElement(self.statspace, out)
+        return AbarElement(self.statspace, self.congruence.normalize(self._vec(p)))
 
     # ----- types ---------------------------------------------------------------
 
@@ -254,9 +256,7 @@ class TypeEngine:
         return self.type_of_abar(_atom_set(atoms))
 
     def type_of_abar(self, p) -> TarskiType:
-        v = self._vec(p)
-        out, _ = self.congruence.normalize(v)
-        return TarskiType(self.statspace, out)
+        return TarskiType(self.statspace, self.congruence.normalize(self._vec(p)))
 
     def type_zero(self) -> TarskiType:
         return TarskiType(self.statspace, ExtVec.from_vec(zero_vec(self.n)))
@@ -352,8 +352,10 @@ class TypeEngine:
         witnesses must name the closed support that omega on the sides
         spans, and a lifted path or domination whose ends match the two
         finite parts off that support: omega on the support absorbs the
-        rest.  A syntactic equality needs two equal finite sides, and a
-        zero-bottom order a left side that normalizes to zero.
+        rest.  A syntactic equality needs two equal finite sides, a
+        normalized one two sides with omega mass and the same normal form,
+        and a zero-bottom order a left side that normalizes to zero.  Every
+        support closure these use is checked by `_checked_closure`.
         """
         counts = dict.fromkeys(AUDIT_KINDS, 0)
         for entry in self.audit_log:
@@ -388,8 +390,15 @@ class TypeEngine:
             elif kind == "syntactic":
                 assert entry.left.is_finite() and entry.left == entry.right, "sides differ"
                 counts["syntactic"] += 1
+            elif kind == "syntactic-normalized":
+                left, right = entry.left, entry.right
+                assert entry.op == "eq" and left.omega and right.omega, "a side is finite"
+                U = self._checked_closure(left.omega)
+                assert self._checked_closure(right.omega) == U, "omega closures differ"
+                assert zero_on(left.finite, U) == zero_on(right.finite, U), "finite parts differ"
+                counts["syntactic-normalized"] += 1
             elif kind == "zero-bottom":
-                left, _ = self.congruence.normalize(entry.left)
+                left = self.congruence.normalize(entry.left)
                 assert entry.op == "leq" and left.is_zero(), "left side is not zero"
                 counts["zero-bottom"] += 1
             else:
@@ -403,6 +412,23 @@ class TypeEngine:
             lhs_in = all(i in closed for i, c in enumerate(rel.lhs) if c)
             rhs_in = all(i in closed for i, c in enumerate(rel.rhs) if c)
             assert lhs_in == rhs_in, "support is not closed under a relation"
+
+    def _checked_closure(self, support: FrozenSet[int]) -> FrozenSet[int]:
+        """U(support), checked without trusting `support_closure`: each
+        atom of its derivation is forced by its relation and direction once
+        the given side is inside, so the result lies in every closed set
+        holding `support`, and the result is closed."""
+        closed, cert = self.congruence.support_closure(support)
+        inside = set(support)
+        for b, (idx, direction) in cert["added"].items():
+            rel = self.relations[idx]
+            given, forced = (rel.lhs, rel.rhs) if direction == 1 else (rel.rhs, rel.lhs)
+            assert all(i in inside for i, c in enumerate(given) if c), "given side not inside"
+            assert forced[b], "atom not forced by its relation"
+            inside.add(b)
+        assert inside == closed, "derivation does not reach the closure"
+        self._assert_closed(closed)
+        return closed
 
     def _audit_support(self, entry: AuditEntry) -> None:
         """One pass over the relations: the witness's support is closed,
@@ -425,11 +451,10 @@ class TypeEngine:
         the two finite parts.  A larger closed set would absorb mass that
         omega on the sides does not."""
         support = entry.decision.witness["support"]
-        self._assert_closed(support)
-        closure = self.congruence.support_closure
-        assert closure(entry.right.omega)[0] == support, "support is not the right closure"
+        closure = self._checked_closure
+        assert closure(entry.right.omega) == support, "support is not the right closure"
         if entry.op == "eq":
-            assert closure(entry.left.omega)[0] == support, "support is not the left closure"
+            assert closure(entry.left.omega) == support, "support is not the left closure"
         else:
             assert entry.left.omega <= support, "support misses the left omega set"
         assert zero_on(left, support) == zero_on(entry.left.finite, support), "left start is off"

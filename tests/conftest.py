@@ -9,6 +9,9 @@ import re
 
 from typemonoid.congruence import Budget
 
+# A small pinned coordinate cap: a speedup for engine_equal's first try
+FAST_BUDGET = Budget(coordinate_cap=24)
+
 CRITERIA = {
     1: "type addition/order/measure laws over the generated corpus",
     2: "equality decisions match the independent completion oracle",
@@ -23,12 +26,13 @@ CRITERIA = {
 }
 
 
-def engine_equal(eng, p, q, fast_cap: int = 24):
-    """Engine equality with a small pinned cap, falling back to the
-    default budget when the pinned search is inconclusive.  A pinned cap
-    can only widen the Unknown band, never flip a definite verdict, so
-    this is a speedup and nothing else."""
-    d = eng.decide_equal(eng.abar(p), eng.abar(q), Budget(coordinate_cap=fast_cap))
+def engine_equal(fast, eng, p, q):
+    """Engine equality decided first by `fast`, an engine of the same
+    space under FAST_BUDGET, falling back to `eng` and its default budget
+    when the pinned search is inconclusive.  A pinned cap can only widen
+    the Unknown band, never flip a definite verdict, so this is a speedup
+    and nothing else."""
+    d = fast.decide_equal(fast.abar(p), fast.abar(q))
     if not d.is_definite():
         d = eng.decide_equal(eng.abar(p), eng.abar(q))
     return d

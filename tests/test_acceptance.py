@@ -7,7 +7,7 @@ below.
 
 import itertools
 
-from conftest import engine_equal
+from conftest import FAST_BUDGET, engine_equal
 from oracle_kb import oracle_for_space
 
 from typemonoid.certificates import (
@@ -88,12 +88,12 @@ def test_criterion_2():
     pairs_checked = 0
     for entry in entries:
         ss = entry.statspace
-        eng = TypeEngine(ss)
+        eng, fast = TypeEngine(ss), TypeEngine(ss, FAST_BUDGET)
         oracle = oracle_for_space(ss)
         vecs = list(itertools.product(range(4), repeat=ss.n_atoms))
         for i, p in enumerate(vecs):
             for q in vecs[i:]:
-                d = engine_equal(eng, p, q)
+                d = engine_equal(fast, eng, p, q)
                 assert d.is_definite(), (entry.name, p, q)
                 assert (d.verdict == EQUAL) == oracle.eq(p, q), (entry.name, p, q)
                 pairs_checked += 1
@@ -118,7 +118,7 @@ def test_criterion_4():
     At each middle scale the types collapse to N; at the top, to a
     point."""
     ss = fixture_spaces()["parity"]
-    eng = TypeEngine(ss)
+    eng, fast = TypeEngine(ss), TypeEngine(ss, FAST_BUDGET)
     lat = enumerate_idempotents(eng)
 
     assert len(lat) == 4
@@ -147,7 +147,7 @@ def test_criterion_4():
     vecs = list(itertools.product(range(3), repeat=4))
     for i, p in enumerate(vecs):  # faithful and injective on a cube
         for q in vecs[i:]:
-            d = engine_equal(eng, p, q)
+            d = engine_equal(fast, eng, p, q)
             assert d.is_definite(), (p, q)
             assert (phi(p) == phi(q)) == (d.verdict == EQUAL), (p, q)
 
@@ -186,7 +186,7 @@ def test_criterion_5():
     ideal = null_ideal(eng, lat.bottom)
     assert sorted(ideal, key=sorted) == [frozenset(), frozenset({1})]
 
-    m = synthesize_classical_measure(ss, frozenset({0, 1}))
+    m = synthesize_classical_measure(eng, frozenset({0, 1}))
     assert m is not None
     assert m.finite_values == (1, 0)
     assert m.infinite_atoms == frozenset()

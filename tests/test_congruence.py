@@ -228,19 +228,19 @@ class TestIntegerFunctionalCheck:
 class TestEqFinite:
     def test_syntactic(self):
         cong = parity_congruence()
-        d = cong.eq_finite((1, 2, 0, 0), (1, 2, 0, 0), Budget())
+        d = cong.eq_finite((1, 2, 0, 0), (1, 2, 0, 0))
         assert d.verdict == EQUAL and d.witness["kind"] == "syntactic"
 
     def test_parity_one_move(self):
         cong = parity_congruence()
-        d = cong.eq_finite((1, 0, 0, 0), (0, 0, 1, 0), Budget())
+        d = cong.eq_finite((1, 0, 0, 0), (0, 0, 1, 0))
         assert d.verdict == EQUAL
         assert d.witness["kind"] == "path"
         assert len(d.witness["steps"]) == 1
 
     def test_parity_not_equal(self):
         cong = parity_congruence()
-        d = cong.eq_finite((1, 0, 0, 0), (0, 1, 0, 0), Budget())
+        d = cong.eq_finite((1, 0, 0, 0), (0, 1, 0, 0))
         assert d.verdict == NOT_EQUAL
         assert d.witness["kind"] == "functional"
 
@@ -248,12 +248,12 @@ class TestEqFinite:
         budget = Budget(coordinate_cap=4, max_states=200)
         separated = fractional = 0
         # two copies of atom 0 make one of atom 1: the basis is (1/2, 1)
-        congs = _differential_congruences() + [Congruence(2, [((2, 0), (0, 1))])]
+        congs = _differential_congruences(budget) + [Congruence(2, [((2, 0), (0, 1))], budget)]
         for cong in congs:
             oracle = fraction_kernel_basis(cong.differences(), cong.n)
             vecs = list(itertools.product(range(3), repeat=cong.n))
             for u, v in itertools.product(vecs, repeat=2):
-                d = cong.eq_finite(u, v, budget)
+                d = cong.eq_finite(u, v)
                 if d.witness["kind"] != "functional":
                     continue
                 separated += 1
@@ -267,27 +267,29 @@ class TestEqFinite:
 
     def test_collapse_null_atom(self):
         cong = collapse_congruence()
-        d = cong.eq_finite((0, 1), (0, 0), Budget())
+        d = cong.eq_finite((0, 1), (0, 0))
         assert d.verdict == EQUAL
 
     def test_path_replays(self):
         cong = parity_congruence()
-        d = cong.eq_finite((2, 1, 0, 0), (0, 1, 2, 0), Budget())
+        d = cong.eq_finite((2, 1, 0, 0), (0, 1, 2, 0))
         assert d.verdict == EQUAL
         assert cong.replay_path((2, 1, 0, 0), d.witness["steps"]) == (0, 1, 2, 0)
 
     def test_saturation_negative(self):
         # single atom, no relations: distinct vectors have singleton classes
         cong = Congruence(1, [])
-        d = cong.eq_finite((1,), (2,), Budget())
+        d = cong.eq_finite((1,), (2,))
         assert d.verdict == NOT_EQUAL
 
     def test_honest_unknown(self):
         # mass maps x -> 2x between the two coordinates: the only rational
         # conserved functional is zero, classes are infinite, and the real
         # invariant (sum mod 3) is invisible to the linear probes
-        cong = Congruence(2, [((1, 0), (0, 2)), ((0, 1), (2, 0))])
-        d = cong.eq_finite((1, 0), (2, 0), Budget(coordinate_cap=40, max_states=500))
+        cong = Congruence(
+            2, [((1, 0), (0, 2)), ((0, 1), (2, 0))], Budget(coordinate_cap=40, max_states=500)
+        )
+        d = cong.eq_finite((1, 0), (2, 0))
         assert d.verdict == UNKNOWN
         assert d.witness["kind"] == "budget"
         # the class has more than 500 states inside the 41 x 41 box, and
@@ -297,8 +299,10 @@ class TestEqFinite:
         assert cong.stats["exhausted_max_states"] == 1
 
     def test_unknown_names_max_states_alone(self):
-        cong = Congruence(2, [((1, 0), (0, 2)), ((0, 1), (2, 0))])
-        d = cong.eq_finite((1, 0), (2, 0), Budget(coordinate_cap=10**6, max_states=50))
+        cong = Congruence(
+            2, [((1, 0), (0, 2)), ((0, 1), (2, 0))], Budget(coordinate_cap=10**6, max_states=50)
+        )
+        d = cong.eq_finite((1, 0), (2, 0))
         assert d.verdict == UNKNOWN
         assert d.witness["exhausted"] == ["max_states"]
         assert d.to_json()["witness"]["exhausted"] == ["max_states"]
@@ -308,9 +312,13 @@ class TestEqFinite:
     def test_reverse_path_when_max_states_cuts_u_off(self):
         # u's record fills max_states before it reaches v; v's record, with
         # the same cap, finds u, and the path is reversed
-        cong = Congruence(2, [((2, 1), (0, 2)), ((1, 2), (0, 1)), ((1, 0), (1, 2))])
+        cong = Congruence(
+            2,
+            [((2, 1), (0, 2)), ((1, 2), (0, 1)), ((1, 0), (1, 2))],
+            Budget(coordinate_cap=20, max_states=20),
+        )
         u, v = (2, 3), (1, 3)
-        d = cong.eq_finite(u, v, Budget(coordinate_cap=20, max_states=20))
+        d = cong.eq_finite(u, v)
         assert d.verdict == EQUAL
         assert d.witness["kind"] == "path"
         assert (d.witness["start"], d.witness["end"]) == (u, v)
@@ -330,13 +338,13 @@ class TestLeqFinite:
 
     def test_subset_domination(self):
         cong = parity_congruence()
-        d = cong.leq_finite((1, 0, 0, 0), (1, 1, 0, 0), Budget())
+        d = cong.leq_finite((1, 0, 0, 0), (1, 1, 0, 0))
         assert d.verdict == LEQ
         assert d.witness["gamma"] == (0, 1, 0, 0)
 
     def test_parity_not_leq(self):
         cong = parity_congruence()
-        d = cong.leq_finite((1, 0, 1, 0), (1, 0, 0, 0), Budget())
+        d = cong.leq_finite((1, 0, 1, 0), (1, 0, 0, 0))
         assert d.verdict == NOT_LEQ
         assert d.witness["kind"] == "functional"
         y = d.witness["y"]
@@ -345,12 +353,12 @@ class TestLeqFinite:
     def test_domination_through_moves(self):
         # [{2}] <= [{0,1}] needs the move 2 -> 0 before domination shows
         cong = parity_congruence()
-        d = cong.leq_finite((0, 0, 1, 0), (1, 1, 0, 0), Budget())
+        d = cong.leq_finite((0, 0, 1, 0), (1, 1, 0, 0))
         assert d.verdict == LEQ
 
     def test_collapse_null_leq(self):
         cong = collapse_congruence()
-        d = cong.leq_finite((0, 3), (0, 0), Budget())
+        d = cong.leq_finite((0, 3), (0, 0))
         assert d.verdict == LEQ
 
 
@@ -358,17 +366,16 @@ class TestOmega:
     def test_normalize_finite_identity(self):
         cong = parity_congruence()
         v = ExtVec.from_vec((1, 2, 0, 0))
-        out, cert = cong.normalize(v)
-        assert out == v and cert["kind"] == "identity"
+        assert cong.normalize(v) == v
 
     def test_parity_closure_even(self):
         cong = parity_congruence()
-        out, cert = cong.normalize(ExtVec((0, 0, 0, 0), frozenset({0})))
+        out = cong.normalize(ExtVec((0, 0, 0, 0), frozenset({0})))
         assert out.omega == frozenset({0, 2})
 
     def test_collapse_null_joins_support(self):
         cong = collapse_congruence()
-        out, _ = cong.normalize(ExtVec((0, 0), frozenset({0})))
+        out = cong.normalize(ExtVec((0, 0), frozenset({0})))
         assert out.omega == frozenset({0, 1})
 
     def test_omega_absorbs_even_not_odd(self):
@@ -445,24 +452,25 @@ class TestOmega:
         assert cong.decide_leq(p, q).verdict == LEQ
 
     def test_omega_unknown_adds_inner_causes(self):
-        cong = Congruence(3, [((1, 0, 0), (0, 2, 0)), ((0, 1, 0), (2, 0, 0))])
         budget = Budget(coordinate_cap=6, max_states=30)
+        cong = Congruence(3, [((1, 0, 0), (0, 2, 0)), ((0, 1, 0), (2, 0, 0))], budget)
         q = ExtVec((0, 0, 0), frozenset({2}))
         # U({2}) = {2}: atoms 0 and 1 lie outside it
         for p, outside in (
             (ExtVec((0, 0, 0), frozenset({0})), [0]),
             (ExtVec.from_vec((0, 1, 0)), [1]),
         ):
-            d = cong.decide_leq(p, q, budget)
+            d = cong.decide_leq(p, q)
             assert d.verdict == NOT_LEQ
             assert d.witness == {"kind": "support", "closed": frozenset({2}), "outside": outside}
         # [e1] = [e0] in the quotient by {2} is a finite eq that no
         # functional refutes and whose classes leave every coordinate cap
         d = cong.decide_eq(
-            ExtVec((0, 1, 0), frozenset({2})), ExtVec((1, 0, 0), frozenset({2})), budget
+            ExtVec((0, 1, 0), frozenset({2})), ExtVec((1, 0, 0), frozenset({2}))
         )
         assert d.verdict == UNKNOWN
         assert d.witness["exhausted"] == ["coordinate_cap"]
+        assert d.budget is budget
         assert d.to_json()["witness"]["exhausted"] == ["coordinate_cap"]
 
     def test_absorption_past_absorption_k(self):
@@ -489,9 +497,9 @@ class TestOmega:
         _check_lifted(cong, "eq", p, q, cong.decide_eq(p, q))
         _check_lifted(cong, "leq", p, q, d)
         # no shift decides the equality; the order needs k = 10
-        assert _shift_oracle(cong, "eq", p, q, Budget(), k_max=64) == UNKNOWN
-        assert _shift_oracle(cong, "leq", p, q, Budget()) == UNKNOWN
-        assert _shift_oracle(cong, "leq", p, q, Budget(), k_max=10) == LEQ
+        assert _shift_oracle(cong, "eq", p, q, k_max=64) == UNKNOWN
+        assert _shift_oracle(cong, "leq", p, q) == UNKNOWN
+        assert _shift_oracle(cong, "leq", p, q, k_max=10) == LEQ
 
     def test_quotient_refutation_is_unknown(self):
         # (1,1,0) is alone in its class of the quotient by {2}, which
@@ -505,9 +513,10 @@ class TestOmega:
         # no conserved functional is positive on atom 1, and atom 1 is
         # outside U({2}) = {2}; the quotient by {2} refutes
         # (0, 1, 0) = (0, 0, 0) too, but that is no refutation here
-        cong = Congruence(3, [((1, 0, 0), (0, 2, 0)), ((0, 1, 0), (2, 0, 0))])
-        budget = Budget(coordinate_cap=6, max_states=30)
-        d = cong.decide_eq(ExtVec((0, 1, 0), frozenset({2})), ExtVec((0, 0, 0), frozenset({2})), budget)
+        cong = Congruence(
+            3, [((1, 0, 0), (0, 2, 0)), ((0, 1, 0), (2, 0, 0))], Budget(coordinate_cap=6, max_states=30)
+        )
+        d = cong.decide_eq(ExtVec((0, 1, 0), frozenset({2})), ExtVec((0, 0, 0), frozenset({2})))
         assert d.verdict == NOT_EQUAL
         assert d.witness == {"kind": "support", "closed": frozenset({2}), "outside": [1]}
 
@@ -532,7 +541,7 @@ def _replay_support_closure(cong, support, closed, cert):
 ABSORPTION_K = 8
 
 
-def _bounded_absorption_closure(cong, support, budget=Budget()):
+def _bounded_absorption_closure(cong, support):
     """Close a support by search: add b while [b] <= k*[closed] for some
     k <= ABSORPTION_K (k = 0 only when the support is empty), through
     leq_finite."""
@@ -545,7 +554,7 @@ def _bounded_absorption_closure(cong, support, budget=Budget()):
                 continue
             chi = indicator(cong.n, closed)
             for k in range(ABSORPTION_K + 1 if closed else 1):
-                if cong.leq_finite(unit_vec(cong.n, b), tuple(k * c for c in chi), budget).verdict == LEQ:
+                if cong.leq_finite(unit_vec(cong.n, b), tuple(k * c for c in chi)).verdict == LEQ:
                     closed.add(b)
                     changed = True
                     break
@@ -568,25 +577,25 @@ class TestSupportClosureOracle:
         assert checked > 500
 
 
-def _shift_oracle(cong, op, p, q, budget, k_max=ABSORPTION_K):
+def _shift_oracle(cong, op, p, q, k_max=ABSORPTION_K):
     """An omega eq or leq decided by searching over finite shifts.
 
     After the same refutations as the engine, p = q holds when
     pf + k*chi ~ qf + k*chi, with chi the union of the omega sets, and
     p <= q when pf <= qf + k*chi_V, for some k <= k_max; past that the
-    answer is unknown.  Runs on a fresh copy of the congruence."""
-    cong = Congruence(cong.n, cong.relations)
+    answer is unknown.  Runs on a fresh copy of the congruence, under its
+    budget."""
+    cong = Congruence(cong.n, cong.relations, cong.budget)
     order = op == "leq"
-    pn, _ = cong.normalize(p)
-    qn, _ = cong.normalize(q)
+    pn, qn = cong.normalize(p), cong.normalize(q)
     assert not (pn.is_finite() and qn.is_finite()), "not an omega query"
     if order and pn.is_zero():
         return LEQ
     if not order and pn == qn:
         return EQUAL
-    sep = cong._saturating_separation(pn, qn, budget, order)
+    sep = cong._saturating_separation(pn, qn, order)
     if sep is None:
-        sep = cong._support_refutation(p, q, budget, order)
+        sep = cong._support_refutation(p, q, order)
     if sep is not None:
         return sep.verdict
     W, V = pn.omega, qn.omega
@@ -594,14 +603,14 @@ def _shift_oracle(cong, op, p, q, budget, k_max=ABSORPTION_K):
         chi = indicator(cong.n, W | V)
         for k in range(k_max + 1):
             shift = tuple(k * c for c in chi)
-            if cong.eq_finite(vec_add(pn.finite, shift), vec_add(qn.finite, shift), budget).verdict == EQUAL:
+            if cong.eq_finite(vec_add(pn.finite, shift), vec_add(qn.finite, shift)).verdict == EQUAL:
                 return EQUAL
     if order and pn.omega <= cong.support_closure(V)[0]:
         fin_p = tuple(0 if i in V else c for i, c in enumerate(pn.finite))
         chi = indicator(cong.n, V)
         for k in range(k_max + 1 if V else 1):
             shift = tuple(k * c for c in chi)
-            if cong.leq_finite(fin_p, vec_add(qn.finite, shift), budget).verdict == LEQ:
+            if cong.leq_finite(fin_p, vec_add(qn.finite, shift)).verdict == LEQ:
                 return LEQ
     return UNKNOWN
 
@@ -650,9 +659,9 @@ class TestShiftOracle:
     positive of the search is positive, no definite verdict contradicts
     it, and every lifted witness replays."""
 
-    def _compare(self, cong, op, p, q, budget, tally):
-        d = (cong.decide_eq if op == "eq" else cong.decide_leq)(p, q, budget)
-        ref = _shift_oracle(cong, op, p, q, budget)
+    def _compare(self, cong, op, p, q, tally):
+        d = (cong.decide_eq if op == "eq" else cong.decide_leq)(p, q)
+        ref = _shift_oracle(cong, op, p, q)
         if ref != UNKNOWN:
             assert d.verdict == ref, (cong.relations, op, p, q)
         if d.verdict != UNKNOWN:
@@ -671,7 +680,7 @@ class TestShiftOracle:
             for _ in range(6):
                 p, q = _random_omega_pair(rng, eng.n)
                 for op in ("eq", "leq"):
-                    d = self._compare(eng.congruence, op, p, q, Budget(), tally)
+                    d = self._compare(eng.congruence, op, p, q, tally)
                     eng.audit_log.append(AuditEntry(op, p, q, d))
             eng.audit_decisions()
         assert tally["eq"] > 0 and tally["leq"] > 0
@@ -686,20 +695,22 @@ class TestShiftOracle:
                 (tuple(rng.randint(0, 2) for _ in range(n)), tuple(rng.randint(0, 2) for _ in range(n)))
                 for _ in range(rng.randint(1, 3))
             ]
-            cong = Congruence(n, rels)
+            cong = Congruence(n, rels, budget)
             for _ in range(8):
                 p, q = _random_omega_pair(rng, n)
                 for op in ("eq", "leq"):
-                    self._compare(cong, op, p, q, budget, tally)
+                    self._compare(cong, op, p, q, tally)
         assert tally["eq"] > 0 and tally["leq"] > 0
 
 
-def _one_sided_eq(cong, u, v, budget):
+def _one_sided_eq(cong, u, v):
     """Finite equality by the one-sided search: a conserved vector of the
     Fraction basis with y.u != y.v refutes; otherwise u's class is
     expanded until it holds v, then v's until it holds u, and a
-    saturated class that misses the other side refutes.  `cong` should
-    be a copy that only this oracle searches."""
+    saturated class that misses the other side refutes, all under the
+    budget of `cong`, which should be a copy that only this oracle
+    searches."""
+    budget = cong.budget
     if u == v:
         return EQUAL
     if any(sum(a * (b - c) for a, b, c in zip(y, u, v)) for y in cong.conserved_basis()):
@@ -741,9 +752,9 @@ class TestOneSidedOracle:
             yield u, tuple(rng.randint(0, 2) for _ in range(cong.n))
             yield u, _walk(cong, rng, u, rng.randint(1, 6))
 
-    def _compare(self, cong, oracle, u, v, budget, tally):
-        d = cong.eq_finite(u, v, budget)
-        ref = _one_sided_eq(oracle, u, v, budget)
+    def _compare(self, cong, oracle, u, v, tally):
+        d = cong.eq_finite(u, v)
+        ref = _one_sided_eq(oracle, u, v)
         if ref != UNKNOWN:
             assert d.verdict == ref, (cong.relations, u, v)
         kind = (d.verdict, d.witness["kind"])
@@ -760,10 +771,10 @@ class TestOneSidedOracle:
             spaces += [e.statspace for e in random_corpus(seed=seed)]
         tally = {}
         for ss in spaces:
-            eng = TypeEngine(ss)
-            oracle = Congruence(eng.n, eng.congruence.relations)
+            eng = TypeEngine(ss, budget)
+            oracle = Congruence(eng.n, eng.congruence.relations, budget)
             for u, v in self._pairs(eng.congruence, rng):
-                d = self._compare(eng.congruence, oracle, u, v, budget, tally)
+                d = self._compare(eng.congruence, oracle, u, v, tally)
                 eng.audit_log.append(AuditEntry("eq", ExtVec(u), ExtVec(v), d))
             eng.audit_decisions()
         assert tally[(EQUAL, "path")] > 100 and tally[(NOT_EQUAL, "functional")] > 100
@@ -778,10 +789,10 @@ class TestOneSidedOracle:
                 (tuple(rng.randint(0, 2) for _ in range(n)), tuple(rng.randint(0, 2) for _ in range(n)))
                 for _ in range(rng.randint(1, 3))
             ]
-            cong = Congruence(n, rels)
-            oracle = Congruence(n, rels)
+            cong = Congruence(n, rels, budget)
+            oracle = Congruence(n, rels, budget)
             for u, v in self._pairs(cong, rng):
-                self._compare(cong, oracle, u, v, budget, tally)
+                self._compare(cong, oracle, u, v, tally)
         assert tally.keys() >= {
             (EQUAL, "path"), (NOT_EQUAL, "functional"), (NOT_EQUAL, "saturation"),
             (UNKNOWN, "budget"),
@@ -872,21 +883,21 @@ class TestConservedCone:
     def test_simplex_fallback_past_ray_limit(self, monkeypatch):
         rng = random.Random(31)
         spaces = list(fixture_spaces().values())
-        rays_first = [TypeEngine(ss).congruence for ss in spaces]
+        budget = Budget(coordinate_cap=8)
+        rays_first = [TypeEngine(ss, budget).congruence for ss in spaces]
         for cong in rays_first:
             assert cong.conserved_rays() is not None
         monkeypatch.setattr(congruence, "RAY_LIMIT", 0)
-        budget = Budget(coordinate_cap=8)
         for ray_cong, ss in zip(rays_first, spaces):
-            lp_cong = TypeEngine(ss).congruence
+            lp_cong = TypeEngine(ss, budget).congruence
             assert lp_cong.conserved_rays() is None
             n = lp_cong.n
             for _ in range(15):
                 u = tuple(rng.randint(0, 2) for _ in range(n))
                 v = tuple(rng.randint(0, 2) for _ in range(n))
                 assert (
-                    lp_cong.leq_finite(u, v, budget).verdict
-                    == ray_cong.leq_finite(u, v, budget).verdict
+                    lp_cong.leq_finite(u, v).verdict
+                    == ray_cong.leq_finite(u, v).verdict
                 )
                 p, q = (
                     _with_omega(w, {i for i in range(n) if rng.random() < 0.3})
@@ -894,8 +905,8 @@ class TestConservedCone:
                 )
                 for op in ("decide_eq", "decide_leq"):
                     assert (
-                        getattr(lp_cong, op)(p, q, budget).verdict
-                        == getattr(ray_cong, op)(p, q, budget).verdict
+                        getattr(lp_cong, op)(p, q).verdict
+                        == getattr(ray_cong, op)(p, q).verdict
                     )
             assert lp_cong.stats["lp_fallbacks"] > 0
             assert lp_cong.stats["ray_separations"] == 0
@@ -961,7 +972,8 @@ class TestGoalDirectedClosure:
         resumed = cong.class_closure(start, 6, 1000)
         fresh = cyclic_congruence(4).class_closure(start, 6, 1000)
         assert cong.stats["records_created"] == 1
-        assert cong.stats["records_resumed"] == 2
+        # resumptions are counted per query, and no query ran
+        assert cong.stats["records_resumed"] == 0
         assert list(resumed.members.items()) == list(fresh.members.items())
         assert resumed.saturated and fresh.saturated
         assert len(fresh.members) == 84  # compositions of 6 into 4 parts
@@ -969,18 +981,19 @@ class TestGoalDirectedClosure:
     def test_equal_stops_at_witness(self):
         full = cyclic_congruence(4).class_closure((6, 0, 0, 0), 30, 40000)
         cong = cyclic_congruence(4)
-        d = cong.eq_finite((6, 0, 0, 0), (5, 1, 0, 0), Budget())
+        d = cong.eq_finite((6, 0, 0, 0), (5, 1, 0, 0))
         assert d.verdict == EQUAL and d.witness["kind"] == "path"
         # u's first state reaches v before v's record is made
         assert cong.stats["goal_exits"] == 1
         assert cong.stats["records_created"] == 1
         assert cong.stats["states_expanded"] < len(full.members)
-        # a later query on the same class resumes u's record, and only the
-        # new right side gets a record of its own
-        d = cong.eq_finite((6, 0, 0, 0), (0, 0, 3, 3), Budget())
+        # a later query on the same class resumes u's record, once however
+        # many batches it takes, and only the new right side gets a record
+        # of its own
+        d = cong.eq_finite((6, 0, 0, 0), (0, 0, 3, 3))
         assert d.verdict == EQUAL
         assert cong.stats["records_created"] == 2
-        assert cong.stats["records_resumed"] == 3
+        assert cong.stats["records_resumed"] == 1
         assert cong.stats["states_expanded"] < len(full.members)
 
     def test_classes_meet_in_the_middle(self):
@@ -991,31 +1004,33 @@ class TestGoalDirectedClosure:
         relations = TypeEngine(ss).congruence.relations
         u, v = (3, 5, 6, 4, 4, 4, 4), (6, 5, 4, 2, 4, 3, 4)
         cong = Congruence(ss.n_atoms, relations)
-        d = cong.eq_finite(u, v, Budget())
+        d = cong.eq_finite(u, v)
         assert d.verdict == EQUAL and d.witness["kind"] == "path"
         assert cong.replay_path(u, d.witness["steps"]) == v
         assert cong.stats["states_expanded"] == 721
         assert cong.stats["goal_exits"] == 1
         small = Budget(max_states=5000)
-        assert Congruence(ss.n_atoms, relations).eq_finite(u, v, small).verdict == EQUAL
-        assert _one_sided_eq(Congruence(ss.n_atoms, relations), u, v, small) == UNKNOWN
+        assert Congruence(ss.n_atoms, relations, small).eq_finite(u, v).verdict == EQUAL
+        assert _one_sided_eq(Congruence(ss.n_atoms, relations, small), u, v) == UNKNOWN
 
     def test_leq_stops_at_domination(self):
         cong = cyclic_congruence(4)
-        d = cong.leq_finite((0, 0, 0, 3), (5, 0, 0, 0), Budget())
+        d = cong.leq_finite((0, 0, 0, 3), (5, 0, 0, 0))
         assert d.verdict == LEQ and d.witness["kind"] == "domination"
         full = cyclic_congruence(4).class_closure((5, 0, 0, 0), 30, 40000)
         assert cong.stats["states_expanded"] < len(full.members)
 
 
-def _reference(cong, op, u, v, budget):
-    """The decision of a fresh congruence whose two classes were closed to
-    completion before the query, and the two complete records."""
-    ref = Congruence(cong.n, cong.relations)
+def _reference(cong, op, u, v):
+    """The decision of a fresh congruence under the same budget whose two
+    classes were closed to completion before the query, and the two
+    complete records."""
+    budget = cong.budget
+    ref = Congruence(cong.n, cong.relations, budget)
     cap = budget.cap_for(ref, [u, v])
     recs = (ref.class_closure(u, cap, budget.max_states),
             ref.class_closure(v, cap, budget.max_states))
-    return getattr(ref, op)(u, v, budget), recs
+    return getattr(ref, op)(u, v), recs
 
 
 def _check_witness(cong, u, v, d):
@@ -1028,15 +1043,16 @@ def _check_witness(cong, u, v, d):
         assert vec_geq(w["w"], w["u"])
 
 
-def _differential_congruences():
-    """The engines' congruences on every fixture and on a seeded sample of
-    small corpus spaces, plus two whose negatives no functional sees: one
-    with finite classes (saturation) and one with infinite classes."""
+def _differential_congruences(budget=Budget()):
+    """The engines' congruences under `budget` on every fixture and on a
+    seeded sample of small corpus spaces, plus two whose negatives no
+    functional sees: one with finite classes (saturation) and one with
+    infinite classes."""
     small = [e.statspace for e in random_corpus(seed=5, count=12) if e.statspace.n_atoms <= 3]
     spaces = list(fixture_spaces().values()) + small[:6]
-    return [TypeEngine(ss).congruence for ss in spaces] + [
-        Congruence(3, [((2, 0, 0), (0, 2, 0)), ((0, 2, 0), (0, 0, 2))]),
-        Congruence(2, [((1, 0), (0, 2)), ((0, 1), (2, 0))]),
+    return [TypeEngine(ss, budget).congruence for ss in spaces] + [
+        Congruence(3, [((2, 0, 0), (0, 2, 0)), ((0, 2, 0), (0, 0, 2))], budget),
+        Congruence(2, [((1, 0), (0, 2)), ((0, 1), (2, 0))], budget),
     ]
 
 
@@ -1050,14 +1066,14 @@ def test_goal_directed_matches_complete_closure(budget):
     resume the partial records of earlier ones."""
     rng = random.Random(11)
     kinds = set()
-    for cong in _differential_congruences():
+    for cong in _differential_congruences(budget):
         n = cong.n
         for _ in range(40):
             u = tuple(rng.randint(0, 2) for _ in range(n))
             v = tuple(rng.randint(0, 2) for _ in range(n))
             for op in ("eq_finite", "leq_finite"):
-                d = getattr(cong, op)(u, v, budget)
-                ref, (full_u, full_v) = _reference(cong, op, u, v, budget)
+                d = getattr(cong, op)(u, v)
+                ref, (full_u, full_v) = _reference(cong, op, u, v)
                 assert (d.verdict, d.witness["kind"]) == (ref.verdict, ref.witness["kind"])
                 _check_witness(cong, u, v, d)
                 kinds.add((d.verdict, d.witness["kind"]))
@@ -1076,12 +1092,12 @@ def test_goal_directed_matches_complete_closure(budget):
     }
 
 
-def additive_pairs(cong, pairs, budget=Budget()):
+def additive_pairs(cong, pairs):
     for (p1, q1), (p2, q2) in pairs:
-        d1 = cong.eq_finite(p1, q1, budget)
-        d2 = cong.eq_finite(p2, q2, budget)
+        d1 = cong.eq_finite(p1, q1)
+        d2 = cong.eq_finite(p2, q2)
         if d1.verdict == EQUAL and d2.verdict == EQUAL:
-            d = cong.eq_finite(vec_add(p1, p2), vec_add(q1, q2), budget)
+            d = cong.eq_finite(vec_add(p1, p2), vec_add(q1, q2))
             assert d.verdict == EQUAL
 
 
@@ -1108,17 +1124,17 @@ class TestAlgebraicLaws:
         cong = Congruence(n, relations)
         u = tuple(data.draw(st.integers(0, 2)) for _ in range(n))
         v = tuple(data.draw(st.integers(0, 2)) for _ in range(n))
-        d_uv = cong.eq_finite(u, v, Budget())
-        d_vu = cong.eq_finite(v, u, Budget())
+        d_uv = cong.eq_finite(u, v)
+        d_vu = cong.eq_finite(v, u)
         # symmetry of definite verdicts
         if d_uv.verdict != UNKNOWN and d_vu.verdict != UNKNOWN:
             assert d_uv.verdict == d_vu.verdict
         # u <= u + w always
         w = tuple(data.draw(st.integers(0, 1)) for _ in range(n))
-        assert cong.leq_finite(u, vec_add(u, w), Budget()).verdict == LEQ
+        assert cong.leq_finite(u, vec_add(u, w)).verdict == LEQ
         # order antisymmetry at the decision level
-        luv = cong.leq_finite(u, v, Budget())
-        lvu = cong.leq_finite(v, u, Budget())
+        luv = cong.leq_finite(u, v)
+        lvu = cong.leq_finite(v, u)
         if luv.verdict == LEQ and lvu.verdict == LEQ:
             assert d_uv.verdict == EQUAL
 
@@ -1126,6 +1142,6 @@ class TestAlgebraicLaws:
         cong = parity_congruence()
         for supp in [frozenset({0}), frozenset({1}), frozenset({0, 1})]:
             v = ExtVec((0, 0, 1, 0) if 0 not in supp else (0, 0, 0, 0), supp)
-            once, _ = cong.normalize(v)
-            twice, _ = cong.normalize(once)
+            once = cong.normalize(v)
+            twice = cong.normalize(once)
             assert once == twice

@@ -352,16 +352,6 @@ class TestScaleCertificateCache:
         isotropy_decompose(eng, eng.abar(v.finite))
         assert eng.stats == {"scale_certificates": 1, "scale_lookups": 1}
 
-    def test_budget_is_part_of_the_key(self):
-        eng = TypeEngine(parity_space())
-        v = ExtVec((0, 1, 0, 0), frozenset({0, 2}))
-        isotropy_decompose(eng, v)
-        isotropy_decompose(eng, v, Budget())  # the engine's budget
-        assert eng.stats == {"scale_certificates": 1, "scale_lookups": 1}
-        e, _ = isotropy_decompose(eng, v, Budget(coordinate_cap=12))
-        assert eng.stats == {"scale_certificates": 2, "scale_lookups": 1}
-        assert e.omega_support == frozenset({0, 2})
-
 
 class TestCompleteIsotropy:
     """The infinity points of a scale are its upper covers."""

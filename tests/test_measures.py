@@ -121,11 +121,11 @@ class TestIsParadoxical:
 class TestSynthesize:
     def test_empty_rejected(self):
         with pytest.raises(NormalizationImpossibleError):
-            synthesize_classical_measure(parity_space(), frozenset())
+            synthesize_classical_measure(TypeEngine(parity_space()), frozenset())
 
     def test_parity_whole_space(self):
         ss = parity_space()
-        m = synthesize_classical_measure(ss, frozenset(range(4)))
+        m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(4)))
         assert m is not None
         assert not m.check()
         assert m.value(frozenset(range(4))) == 1
@@ -135,14 +135,14 @@ class TestSynthesize:
 
     def test_collapse_main_atom(self):
         ss = collapse_space()
-        m = synthesize_classical_measure(ss, frozenset({0}))
+        m = synthesize_classical_measure(TypeEngine(ss), frozenset({0}))
         assert m is not None
         assert m.finite_values == (Fraction(1), Fraction(0))
         assert m.infinite_atoms == frozenset()
 
     def test_collapse_null_atom_fails(self):
         ss = collapse_space()
-        rep = synthesize_classical_measure(ss, frozenset({1}), want_report=True)
+        rep = synthesize_classical_measure(TypeEngine(ss), frozenset({1}), want_report=True)
         assert rep.measure is None
         assert len(rep.stages) == 1
         assert all(not st["feasible"] for st in rep.stages)
@@ -162,7 +162,7 @@ class TestSynthesize:
         # 1 fails; on {0, 1} the null atom takes 0 and atom 0 takes 1,
         # all finite
         ss = collapse_space()
-        m = synthesize_classical_measure(ss, frozenset({0, 1}))
+        m = synthesize_classical_measure(TypeEngine(ss), frozenset({0, 1}))
         assert m is not None and m.value(frozenset({0, 1})) == 1
         assert m.infinite_atoms == frozenset()
 
@@ -171,14 +171,14 @@ class TestSynthesize:
         # walks none of them
         n = 20
         ss = with_trivial_symmetry(build_space([str(i) for i in range(n)], [[i] for i in range(n)]))
-        rep = synthesize_classical_measure(ss, frozenset({0}), want_report=True)
+        rep = synthesize_classical_measure(TypeEngine(ss), frozenset({0}), want_report=True)
         assert rep.measure.value(frozenset({0})) == 1
         assert rep.stages == [{"infinite": [], "feasible": True, "method": "cone"}]
 
     def test_invariants_on_corpus_samples(self):
         for entry in random_corpus(count=12):
             ss = entry.statspace
-            m = synthesize_classical_measure(ss, frozenset(range(ss.n_atoms)))
+            m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(ss.n_atoms)))
             if m is not None:
                 assert not m.check(), entry.name
 
@@ -222,7 +222,7 @@ def _differential_spaces():
 class TestCheck:
     def test_perturbed_value_flagged(self):
         ss = parity_space()
-        m = synthesize_classical_measure(ss, frozenset(range(4)))
+        m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(4)))
         vals = m.finite_values
         bad = RationalStationaryMeasure(
             ss, (vals[0] + Fraction(1, 7),) + vals[1:], m.infinite_atoms
@@ -240,8 +240,9 @@ class TestCheck:
         flagged = clean = 0
         for ss in _differential_spaces():
             measures = set()
+            eng = TypeEngine(ss)
             for e_set in _nonempty_sets(ss):
-                m = synthesize_classical_measure(ss, e_set)
+                m = synthesize_classical_measure(eng, e_set)
                 if m is not None:
                     measures.add(m)
             for m in measures:
@@ -259,8 +260,9 @@ class TestConeStage:
         def run_all():
             out = []
             for ss in _differential_spaces():
+                eng = TypeEngine(ss)
                 for e_set in _nonempty_sets(ss):
-                    rep = synthesize_classical_measure(ss, e_set, want_report=True)
+                    rep = synthesize_classical_measure(eng, e_set, want_report=True)
                     if rep.measure is not None:
                         assert rep.measure.value(e_set) == 1
                         assert not rep.measure.check()
@@ -279,13 +281,13 @@ class TestConeStage:
         assert not all(exists for exists, _ in by_cone)
 
     def test_stage_methods(self, monkeypatch):
-        rep = synthesize_classical_measure(parity_space(), frozenset(range(4)), True)
+        rep = synthesize_classical_measure(TypeEngine(parity_space()), frozenset(range(4)), True)
         assert rep.stages == [{"infinite": [], "feasible": True, "method": "cone"}]
-        rep = synthesize_classical_measure(collapse_space(), frozenset({1}), True)
+        rep = synthesize_classical_measure(TypeEngine(collapse_space()), frozenset({1}), True)
         assert rep.measure is None
         assert {st["method"] for st in rep.stages} == {"lp"}
         monkeypatch.setattr(congruence, "RAY_LIMIT", 0)
-        rep = synthesize_classical_measure(parity_space(), frozenset(range(4)), True)
+        rep = synthesize_classical_measure(TypeEngine(parity_space()), frozenset(range(4)), True)
         assert rep.stages == [{"infinite": [], "feasible": True, "method": "lp"}]
 
     def test_one_lp_past_ray_limit(self, monkeypatch):
@@ -298,12 +300,12 @@ class TestConeStage:
         monkeypatch.setattr(congruence, "RAY_LIMIT", 0)
         monkeypatch.setattr(congruence, "exact_lp_feasible", counting)
         monkeypatch.setattr("typemonoid.measures.exact_lp_feasible", counting)
-        rep = synthesize_classical_measure(collapse_space(), frozenset({1}), True)
+        rep = synthesize_classical_measure(TypeEngine(collapse_space()), frozenset({1}), True)
         assert rep.measure is None and "farkas" in rep.stages[0]
         assert len(calls) == 1
         # a feasible LP's point is the measure
         e_set = frozenset({0, 1})
-        rep = synthesize_classical_measure(parity_space(), e_set, True)
+        rep = synthesize_classical_measure(TypeEngine(parity_space()), e_set, True)
         assert rep.measure.value(e_set) == 1 and not rep.measure.check()
         assert len(calls) == 2
 
@@ -386,9 +388,10 @@ class TestStagedOracle:
                 if cong.support_closure(u)[0] == u
             ]
             everything = frozenset(range(ss.n_atoms))
+            eng = TypeEngine(ss)
             for e_set in _nonempty_sets(ss):
                 want, old_stages = _staged_synthesis(ss, e_set)
-                rep = synthesize_classical_measure(ss, e_set, want_report=True)
+                rep = synthesize_classical_measure(eng, e_set, want_report=True)
                 assert (rep.measure is None) == (want is None)
                 if want is not None:
                     assert rep.measure.finite_values == want.finite_values
@@ -422,7 +425,8 @@ class TestTarskiCrossCheck:
         for ss in _differential_spaces():
             eng = TypeEngine(ss)
             sets = [s for s in ss.space.all_measurable_sets() if s]
-            expected = {s: synthesize_classical_measure(ss, s) for s in sets}
+            fresh = TypeEngine(ss)
+            expected = {s: synthesize_classical_measure(fresh, s) for s in sets}
             # a rebuilt congruence would fail here
             monkeypatch.setattr("typemonoid.measures.Congruence", None)
             for s in sets:
@@ -465,7 +469,7 @@ class TestClassify:
 
     def test_rational_measure_always_aparadoxical(self):
         ss = parity_space()
-        m = synthesize_classical_measure(ss, frozenset(range(4)))
+        m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(4)))
         flags = classify_T_measure(measure_to_T_spec(m))
         assert flags.stationary and flags.monotone and flags.aparadoxical
 
@@ -491,24 +495,23 @@ def test_decisions_made_without_search_serialize():
     eng = TypeEngine(parity_space())
     x = embed(eng, eng.abar((1, 0, 0, 0)))
     y = embed(eng, eng.abar((0,) * 4, omega={0, 2}))
-    tight = Budget(max_states=7)
-    assert quantity_eq(eng, x, y, tight).budget is tight
+    assert quantity_eq(eng, x, y).budget is eng.budget
     decisions = [quantity_eq(eng, x, y), ExtendedRationalTarget().eq(Fraction(1), INF)]
     for d in decisions:
         assert d.verdict == NOT_EQUAL
         assert d.to_json()["budget"]["max_states"] == Budget().max_states
 
 
-def _hierarchical_by_order(eng, e, x, budget=None):
+def _hierarchical_by_order(eng, e, x):
     """hierarchical_measure with the infinity point found by ordering
     every cover of e against the shift and keeping the greatest."""
     shifted = eng.omega_normalize(eng._vec(x).add(e.vec))
-    if isotropy_decompose(eng, shifted, budget)[0] == e:
+    if isotropy_decompose(eng, shifted)[0] == e:
         return HierarchicalValue(e, "member", member=shifted.vec)
     t = eng.type_of_abar(shifted)
     below = []
     for f in scale_covers(eng, e):
-        d = eng.decide_leq(f.vec, t, budget)
+        d = eng.decide_leq(f.vec, t)
         assert d.is_definite()
         if d.verdict == LEQ:
             below.append(f)
@@ -664,7 +667,7 @@ class TestExtension:
     def test_collapse_factorization(self):
         ss = collapse_space()
         eng, lat = setup_space(ss)
-        m = synthesize_classical_measure(ss, frozenset({0}))
+        m = synthesize_classical_measure(TypeEngine(ss), frozenset({0}))
         ext = extend_T_measure(eng, lat, measure_to_T_spec(m))
         assert ext.scale == lat.bottom
         assert ext.factorization_checked == 4
@@ -685,7 +688,7 @@ class TestExtension:
         # complement
         ss = parity_space()
         eng, lat = setup_space(ss)
-        m = synthesize_classical_measure(ss, frozenset(range(4)))
+        m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(4)))
         nulls = frozenset(a for a in range(4) if m.finite_values[a] == 0)
         ext = extend_T_measure(eng, lat, measure_to_T_spec(m))
         assert ext.scale.omega_support == nulls

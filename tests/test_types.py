@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, Budget, Decision, ExtVec
+from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, UNKNOWN, Budget, Decision, ExtVec
 from typemonoid.corpus import (
     collapse_space,
     cyclic4_space,
@@ -415,7 +415,7 @@ class TestAudit:
         p, q = eng.abar((0, 1, 0, 0)).vec, eng.abar((0,) * 4, omega={0}).vec
         good = {"kind": "support", "closed": frozenset({0, 2}), "outside": [1]}
         for op, order in (("leq", True), ("eq", False)):
-            d = eng.congruence._support_refutation(p, q, Budget(), order)
+            d = eng.congruence._support_refutation(p, q, order)
             assert d.witness == good
             eng.audit_log.append(AuditEntry(op, p, q, d))
         # an equality refutation holds with the sides swapped
@@ -450,6 +450,62 @@ class TestAudit:
             with pytest.raises(AssertionError):
                 eng.audit_decisions()
 
+    def test_audit_syntactic_normalized(self):
+        # omega on the even atoms absorbs finite even mass: both sides
+        # normalize to omega on {0, 2}
+        eng = parity_engine()
+        p, q = eng.abar((0,) * 4, omega={0}).vec, eng.abar((0, 0, 2, 0), omega={0}).vec
+        assert eng.decide_equal(p, q).witness == {"kind": "syntactic-normalized"}
+        counts = eng.audit_decisions()
+        assert (counts["syntactic-normalized"], counts["other"]) == (1, 0)
+        odd, witness = eng.abar((0,) * 4, omega={1}).vec, {"kind": "syntactic-normalized"}
+        null = collapse_engine().abar((0, 0), omega={1}).vec
+        for engine, op, left, right in (
+            (eng, "eq", p, odd),  # different closures
+            (eng, "eq", eng.abar((0, 1, 0, 0), omega={0}).vec, q),  # odd mass stays
+            (eng, "leq", p, q),  # not an equality
+            (eng, "eq", eng.abar((1, 0, 0, 0)).vec, eng.abar((1, 0, 0, 0)).vec),  # finite
+            # omega on the null atom is the zero type, but the zero vector
+            # is finite and normalizes to itself
+            (collapse_engine(), "eq", null, ExtVec((0, 0))),
+        ):
+            engine.audit_log[:] = [AuditEntry(op, left, right, Decision(EQUAL, witness, Budget()))]
+            with pytest.raises(AssertionError):
+                engine.audit_decisions()
+
+    def test_audit_rejects_forged_closure_derivations(self):
+        # U({0}) = {0, 2} in the parity space, derived by one swap move
+        eng = parity_engine()
+        p, q = eng.abar((0,) * 4, omega={0}).vec, eng.abar((0, 0, 2, 0), omega={0}).vec
+        d = eng.decide_equal(p, q)
+        memo = eng.congruence._support_memo
+        closed, cert = memo[frozenset({0})]
+        ((b, (idx, direction)),) = cert["added"].items()
+        assert (closed, b) == (frozenset({0, 2}), 2)
+        odd = next(i for i, r in enumerate(eng.relations) if r.lhs[1] and r.rhs[3])
+        for forged_closed, added, message in (
+            (closed, {b: (idx, -direction)}, "given side"),
+            (closed, {}, "does not reach"),  # atom 2 underived
+            (closed, {b: (idx, direction), 1: (idx, direction)}, "not forced"),
+            (frozenset({0, 1, 2, 3}), {b: (idx, direction), 3: (odd, 1)}, "given side"),
+            (frozenset({0}), {}, "not closed"),  # the derivation holds
+        ):
+            memo[frozenset({0})] = (forged_closed, {"added": added})
+            eng.audit_log[:] = [AuditEntry("eq", p, q, d)]
+            with pytest.raises(AssertionError, match=message):
+                eng.audit_decisions()
+        # the omega witnesses check their support closures the same way
+        memo[frozenset({0})] = (closed, cert)
+        p, q = eng.abar((1, 0, 0, 0), omega={1}).vec, eng.abar((0, 0, 1, 0), omega={3}).vec
+        eq, leq = eng.decide_equal(p, q), eng.decide_leq(p, q)
+        eng.audit_decisions()
+        for odd_atom in (1, 3):
+            closed, _ = memo[frozenset({odd_atom})]
+            memo[frozenset({odd_atom})] = (closed, {"added": {}})
+        for op, dec in (("eq", eq), ("leq", leq)):
+            eng.audit_log[:] = [AuditEntry(op, p, q, dec)]
+            with pytest.raises(AssertionError, match="derivation"):
+                eng.audit_decisions()
 
     def test_audit_omega_witnesses(self):
         # in the quotient by the odd atoms U({1}) = {1, 3}, e0 and e2 are
