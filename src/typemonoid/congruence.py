@@ -79,6 +79,7 @@ saturated and may refute.
 from __future__ import annotations
 
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -168,18 +169,29 @@ def _minimal_support(vecs: Iterable[Vec]) -> List[Vec]:
 
 @dataclass(frozen=True)
 class ExtVec:
-    """Finite multiplicities plus an omega support, disjoint by invariant."""
+    """Finite multiplicities plus an omega support.
+
+    Invariant, checked on construction: every finite multiplicity is
+    nonnegative (else ValueError "negative multiplicity"), every omega
+    coordinate lies in 0..n-1 (else ValueError "omega coordinate out of
+    range"), and the finite multiplicity of an omega coordinate is 0
+    (else ValueError "finite multiplicity on an omega coordinate").
+    """
 
     finite: Vec
     omega: FrozenSet[int] = frozenset()
 
     def __post_init__(self):
-        if any(self.finite[i] != 0 for i in self.omega):
-            raise ValueError("finite multiplicity on an omega coordinate")
-        if any(m < 0 for m in self.finite):
+        finite = self.finite
+        if finite and min(finite) < 0:
             raise ValueError("negative multiplicity")
-        if any(not (0 <= i < len(self.finite)) for i in self.omega):
-            raise ValueError("omega coordinate out of range")
+        if self.omega:
+            n = len(finite)
+            for i in self.omega:
+                if not 0 <= i < n:
+                    raise ValueError("omega coordinate out of range")
+                if finite[i]:
+                    raise ValueError("finite multiplicity on an omega coordinate")
 
     @property
     def n(self) -> int:
@@ -196,14 +208,16 @@ class ExtVec:
         return _supp(self.finite) | self.omega
 
     def add(self, other: "ExtVec") -> "ExtVec":
-        if other.n != self.n:
+        a, b = self.finite, other.finite
+        if len(a) != len(b):
             raise SpaceMismatchError("dimension mismatch")
         om = self.omega | other.omega
-        fin = tuple(
-            0 if i in om else self.finite[i] + other.finite[i]
-            for i in range(self.n)
-        )
-        return ExtVec(fin, om)
+        if not om:
+            return ExtVec(tuple(map(operator.add, a, b)))
+        fin = list(map(operator.add, a, b))
+        for i in om:
+            fin[i] = 0
+        return ExtVec(tuple(fin), om)
 
     def scale(self, k: int) -> "ExtVec":
         if k < 0:
@@ -321,10 +335,15 @@ class Congruence:
             steps.append((r, tuple(-d for d in delta), idx, -1))
         self._steps = tuple(steps)
         # the distinct nonzero relation differences, sorted: every
-        # conserved functional is computed and checked against these
+        # conserved functional is computed from these
         self._diffs: Tuple[Vec, ...] = tuple(sorted(
             {vec_sub(l, r) for l, r in self.relations if l != r}
         ))
+        # the same differences as sparse (index, coefficient) rows, which
+        # every functional is checked against
+        self._diff_rows: Tuple[Tuple[Tuple[int, int], ...], ...] = tuple(
+            tuple((i, c) for i, c in enumerate(d) if c) for d in self._diffs
+        )
         # the Horn clauses of the support closure: each distinct
         # (supp lhs, supp rhs) with two different sides, with the first
         # relation index that has it
@@ -381,12 +400,12 @@ class Congruence:
         return self._kernel_ints
 
     def functional_value(self, y: Sequence[Fraction], v: ExtVec):
-        """Saturating evaluation; returns a Fraction or the string 'inf'."""
+        """Saturating evaluation; returns a Fraction or the string 'inf'.
+        A finite value is summed in ints over the integer scaling of y."""
         if any(y[i] != 0 for i in v.omega):
             return "inf"
-        return sum(
-            (y[i] * v.finite[i] for i in range(self.n)), Fraction(0)
-        )
+        z, den = integer_scaling(y)
+        return Fraction(sum(a * b for a, b in zip(z, v.finite)), den)
 
     def conserved_rays(self) -> Optional[List[Vec]]:
         """Extreme rays of the conserved cone, or None past RAY_LIMIT.
@@ -412,6 +431,11 @@ class Congruence:
                         on.append(r)
                     else:
                         (above if s > 0 else below).append((s, r))
+                if not (above and below):
+                    # no ray straddles the cut: the rays on it are extreme
+                    # rays of the face it leaves, so there is nothing to drop
+                    rays = on
+                    continue
                 for sp, rp in above:
                     for sn, rn in below:
                         on.append(_primitive(tuple(sp * b - sn * a for a, b in zip(rp, rn))))
@@ -445,7 +469,7 @@ class Congruence:
                 continue
             val = sum(c * x for c, x in zip(r, positive))
             if val > 0:
-                return tuple(Fraction(c) / val for c in r)
+                return tuple(Fraction(c, val) for c in r)
         return None
 
     # ----- bounded class closure -------------------------------------------
@@ -773,12 +797,14 @@ class Congruence:
 
         y (Fractions or ints) is scaled by the lcm of its denominators to
         an integer vector z, and z.d = 0 is checked in ints for each
-        distinct difference d: the same exact test as on y.
+        distinct difference d, read as its sparse row: the same exact test
+        as on y, against every difference and not a basis of their span,
+        so the check does not rest on the elimination.
         """
         z, _ = integer_scaling(y)
         assert len(z) == self.n, "functional has the wrong length"
-        for d in self._diffs:
-            s = sum(a * b for a, b in zip(z, d))
+        for row in self._diff_rows:
+            s = sum(z[i] * c for i, c in row)
             assert s == 0, "functional does not annihilate a relation"
         if nonneg:
             assert all(c >= 0 for c in y), "order functional not nonnegative"

@@ -36,6 +36,7 @@ of the summands plus the join's idempotent.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .congruence import LEQ, NOT_EQUAL, NOT_LEQ, Decision, ExtVec
@@ -62,7 +63,7 @@ class IdempotentElement:
     n: int
     omega_support: FrozenSet[int]
 
-    @property
+    @cached_property
     def vec(self) -> ExtVec:
         return ExtVec((0,) * self.n, self.omega_support)
 

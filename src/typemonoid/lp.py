@@ -164,7 +164,7 @@ def integer_scaling(row: Sequence) -> Tuple[List[int], int]:
     z = den * row in integers.  An all-int row is taken as it is."""
     if all(type(c) is int for c in row):
         return list(row), 1
-    fr = [Fraction(c) for c in row]
+    fr = [c if type(c) is Fraction else Fraction(c) for c in row]
     den = math.lcm(*(c.denominator for c in fr))
     return [c.numerator * (den // c.denominator) for c in fr], den
 

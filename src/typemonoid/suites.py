@@ -89,10 +89,12 @@ class _Tally:
                 self.report["failures"].append(f"{where}: unknown on a fixture")
         return decision.verdict
 
-    def check(self, ok: bool, where: str):
+    def check(self, ok: bool, where: str, *args):
+        """Count a check; on failure record `where`, formatted with `args`
+        when there are any.  The message is built only for a failure."""
         self.report["checks"] += 1
         if not ok:
-            self.report["failures"].append(where)
+            self.report["failures"].append(where.format(*args) if args else where)
 
     def finish(self) -> Dict:
         checks = self.report["checks"]
@@ -160,18 +162,18 @@ def run_theorem1_suite(
                     eng.abar_of_set(a | b),
                 )
                 tally.saw(d, f"{name}: additivity")
-                tally.check(d.verdict == EQUAL, f"{name}: additivity {a} {b}")
+                tally.check(d.verdict == EQUAL, "{}: additivity {} {}", name, a, b)
 
         for a in sets[: pair_cap // 4]:
             p = eng.abar_of_set(a)
             fold = eng.omega_fold(p)
             d = eng.decide_equal(fold + fold, fold)
             tally.saw(d, f"{name}: omega-fold absorbs itself")
-            tally.check(d.verdict == EQUAL, f"{name}: omega-fold absorbs itself {a}")
+            tally.check(d.verdict == EQUAL, "{}: omega-fold absorbs itself {}", name, a)
             d = eng.decide_equal(fold + p, fold)
             tally.saw(d, f"{name}: omega-fold absorbs a summand")
             tally.check(
-                d.verdict == EQUAL, f"{name}: omega-fold absorbs a summand {a}"
+                d.verdict == EQUAL, "{}: omega-fold absorbs a summand {}", name, a
             )
 
         for s in range(eng.statspace.monoid.order):
@@ -182,7 +184,7 @@ def run_theorem1_suite(
                 )
                 tally.saw(d, f"{name}: stationarity")
                 tally.check(
-                    d.verdict == EQUAL, f"{name}: stationarity s={s} A={sorted(a)}"
+                    d.verdict == EQUAL, "{}: stationarity s={} A={}", name, s, sorted(a)
                 )
 
         pairs = [
@@ -197,7 +199,7 @@ def run_theorem1_suite(
                 d = eng.decide_equal(p, q)
                 v = tally.saw(d, f"{name}: antisymmetry")
                 tally.check(
-                    v != NOT_EQUAL, f"{name}: antisymmetry broken at {p}, {q}"
+                    v != NOT_EQUAL, "{}: antisymmetry broken at {}, {}", name, p, q
                 )
 
         for p, q in pairs[: pair_cap // 3]:
@@ -208,7 +210,7 @@ def run_theorem1_suite(
                 if base.verdict in _DEFINITE and scaled.verdict in _DEFINITE:
                     tally.check(
                         base.verdict == scaled.verdict,
-                        f"{name}: {k}-cancellation broken at {p}, {q}",
+                        "{}: {}-cancellation broken at {}, {}", name, k, p, q,
                     )
 
     # cofunctor laws over composable morphism pairs
@@ -268,7 +270,7 @@ def run_theorem2_suite(
             continue
 
         distributive, counterexample = check_distributive(lat)
-        tally.check(distributive, f"{name}: distributivity {counterexample}")
+        tally.check(distributive, "{}: distributivity {}", name, counterexample)
 
         vectors = _sample_vectors(eng, rng, extra=8)
         scales = list(lat)
@@ -294,7 +296,7 @@ def run_theorem2_suite(
             if qd.verdict in _DEFINITE and td.verdict in _DEFINITE:
                 tally.check(
                     (qd.verdict == EQUAL) == (td.verdict == EQUAL),
-                    f"{name}: embed not injective at {u}, {v}",
+                    "{}: embed not injective at {}, {}", name, u, v,
                 )
 
         for e in scales:

@@ -67,10 +67,14 @@ def relation_basis(ss: StatSpace) -> List[MoveRelation]:
     """All atomic moves of a space, identity relations included."""
     out: List[MoveRelation] = []
     n = ss.n_atoms
+    units = [unit_vec(n, a) for a in range(n)]
     for s, amap in enumerate(ss.atom_maps):
+        # one pass over the atom map: b lies in the preimage of amap[b]
+        pre = [[0] * n for _ in range(n)]
+        for b, a in enumerate(amap):
+            pre[a][b] = 1
         for a in range(n):
-            pre = indicator(n, [b for b in range(n) if amap[b] == a])
-            out.append(MoveRelation(atom=a, mover=s, lhs=unit_vec(n, a), rhs=pre))
+            out.append(MoveRelation(atom=a, mover=s, lhs=units[a], rhs=tuple(pre[a])))
     return out
 
 
@@ -216,6 +220,8 @@ class TypeEngine:
         through it.  x is an ExtVec, an AbarElement or TarskiType of this
         space, a set of atom indices, or a tuple or list of multiplicities.
         """
+        if type(x) is ExtVec and len(x.finite) == self.n:
+            return x
         if isinstance(x, (AbarElement, TarskiType)):
             if x.space != self.statspace:
                 raise SpaceMismatchError("element belongs to a different space")

@@ -925,6 +925,22 @@ class TestExtVec:
         with pytest.raises(ValueError):
             ExtVec((1, 1), frozenset({1}))
 
+    @pytest.mark.parametrize("omega", [{2}, {5}, {-1}, {1, 9}])
+    def test_omega_out_of_range_rejected(self, omega):
+        # the range is checked before the coordinate is read, so an index
+        # past the end is a ValueError, not an IndexError
+        with pytest.raises(ValueError, match="omega coordinate out of range"):
+            ExtVec((1, 0), frozenset(omega))
+
+    def test_negative_multiplicity_rejected(self):
+        with pytest.raises(ValueError, match="negative multiplicity"):
+            ExtVec((1, -1))
+
+    def test_add_without_omega(self):
+        assert ExtVec((1, 0, 2)).add(ExtVec((0, 3, 1))) == ExtVec((1, 3, 3))
+        with pytest.raises(SpaceMismatchError):
+            ExtVec((1, 0)).add(ExtVec((1, 0, 0)))
+
     def test_scale(self):
         v = ExtVec((2, 0), frozenset({1}))
         assert v.scale(3).finite == (6, 0)

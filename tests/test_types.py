@@ -74,6 +74,12 @@ class TestAbar:
         with pytest.raises(SpaceMismatchError):
             parity_engine().abar_of_set(frozenset({9}))
 
+    def test_omega_out_of_range(self):
+        eng = collapse_engine()
+        for omega in ([5], [-1]):
+            with pytest.raises(ValueError, match="omega coordinate out of range"):
+                eng.abar((1, 0), omega)
+
     def test_coproduct(self):
         eng = parity_engine()
         p = eng.abar_of_set(frozenset({0}))
