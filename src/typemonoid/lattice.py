@@ -322,8 +322,8 @@ def grothendieck_diff(engine: TypeEngine, a, b) -> QuantityElement:
     """Form the difference a - b in the quantity group of their shared
     scale.  Both operands must certify membership in the same isotropy
     monoid."""
-    va = engine.omega_normalize(a).vec
-    vb = engine.omega_normalize(b).vec
+    va = engine.omega_normalize(a)
+    vb = engine.omega_normalize(b)
     ea, _ = isotropy_decompose(engine, va)
     eb, _ = isotropy_decompose(engine, vb)
     if ea != eb:
@@ -334,7 +334,7 @@ def grothendieck_diff(engine: TypeEngine, a, b) -> QuantityElement:
 def embed(engine: TypeEngine, alpha) -> QuantityElement:
     """The additive embedding of types into the quantity space: alpha at
     scale e maps to the pair (alpha, e)."""
-    v = engine.omega_normalize(alpha).vec
+    v = engine.omega_normalize(alpha)
     e, _ = isotropy_decompose(engine, v)
     return QuantityElement(e, v, e.vec)
 
@@ -361,8 +361,8 @@ def quantity_add(
     failure: an idempotent strictly above g below x.plus + g is below
     the sum too, so the sum's certificate fails as well."""
     g = canonical_idempotent(engine, x.scale.omega_support | y.scale.omega_support)
-    plus = engine.omega_normalize(x.plus.add(y.plus).add(g.vec)).vec
-    minus = engine.omega_normalize(x.minus.add(y.minus).add(g.vec)).vec
+    plus = engine.omega_normalize(x.plus.add(y.plus).add(g.vec))
+    minus = engine.omega_normalize(x.minus.add(y.minus).add(g.vec))
     _certify_scale(engine, plus, g)
     _certify_scale(engine, minus, g)
     return QuantityElement(g, plus, minus)

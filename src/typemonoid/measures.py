@@ -36,6 +36,7 @@ parameter, not a completeness claim.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
@@ -103,18 +104,33 @@ class RationalStationaryMeasure:
         This is the check over every measurable set: preimages of
         disjoint atoms are disjoint, so finite values add up, and the
         preimage of A meets the infinite atoms exactly when the preimage
-        of some atom of A does.
+        of some atom of A does.  The values are scaled once to integers
+        over their common denominator, and one pass over each atom map
+        sums the preimage of every atom.
         """
         ss = self.statspace
+        n, inf = ss.n_atoms, self.infinite_atoms
+        den = math.lcm(*(v.denominator for v in self.finite_values))
+        ints = [v.numerator * (den // v.denominator) for v in self.finite_values]
         problems = []
-        for s in range(ss.monoid.order):
-            for a in range(ss.n_atoms):
-                atom = frozenset({a})
-                pre = pullback(ss, s, atom)
-                if self.value(pre) != self.value(atom):
+        for s, amap in enumerate(ss.atom_maps):
+            sums = [0] * n
+            meets_inf = [False] * n
+            for b, a in enumerate(amap):
+                if b in inf:
+                    meets_inf[a] = True
+                else:
+                    sums[a] += ints[b]
+            for a in range(n):
+                if a in inf:
+                    ok = meets_inf[a]
+                else:
+                    ok = not meets_inf[a] and sums[a] == ints[a]
+                if not ok:
+                    atom = frozenset({a})
                     problems.append(
                         f"s={s} A={[a]}: value {self.value(atom)} "
-                        f"!= preimage value {self.value(pre)}"
+                        f"!= preimage value {self.value(pullback(ss, s, atom))}"
                     )
         return problems
 
@@ -463,7 +479,7 @@ def hierarchical_measure(
     shifted = engine.omega_normalize(engine._vec(atoms_or_vec).add(e.vec))
     s, _ = isotropy_decompose(engine, shifted)
     if s == e:
-        return HierarchicalValue(e, "member", member=shifted.vec)
+        return HierarchicalValue(e, "member", member=shifted)
     below = [f for f in scale_covers(engine, e) if f.omega_support <= s.omega_support]
     if len(below) != 1:
         raise AmbiguousMaximumError(
@@ -615,7 +631,7 @@ def colimit_increasing(
     """
     if not prefix:
         raise ContractError("prefix must be nonempty")
-    terms = [engine.omega_normalize(p).vec for p in prefix]
+    terms = [engine.omega_normalize(p) for p in prefix]
     if tail[0] == "constant":
         limit_vec = terms[-1]
         unrolled = terms + [terms[-1]] * 2
@@ -629,7 +645,7 @@ def colimit_increasing(
         saturated = tuple(
             0 if i in merged else last.finite[i] for i in range(engine.n)
         )
-        limit_vec = engine.omega_normalize(ExtVec(saturated, merged)).vec
+        limit_vec = engine.omega_normalize(ExtVec(saturated, merged))
         unrolled = list(terms)
         for k in range(1, 4):
             unrolled.append(
@@ -669,7 +685,7 @@ def decreasing_limit_with_scale(
     """
     if not chain:
         raise ContractError("empty chain")
-    vecs = [engine.omega_normalize(c).vec for c in chain]
+    vecs = [engine.omega_normalize(c) for c in chain]
     for hi, lo in zip(vecs, vecs[1:]):
         d = engine.decide_leq(lo, hi)
         if d.verdict != LEQ:

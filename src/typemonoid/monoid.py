@@ -120,6 +120,31 @@ def require_valid(table: InverseMonoidTable) -> InverseMonoidReport:
     return rep
 
 
+def generating_set(table: InverseMonoidTable) -> List[int]:
+    """Elements that generate the monoid, read off its table.
+
+    Elements are scanned in index order, and one is taken when the ones
+    taken before it do not generate it: it is missing from the closure of
+    the unit under right multiplication by them.  The unit is never taken.
+    """
+    mul = table.mul
+    gens: List[int] = []
+    reached = {table.unit}
+    for s in range(table.order):
+        if s in reached:
+            continue
+        gens.append(s)
+        # the old closure is closed under the old generators; only its
+        # products with s and what they reach are new
+        todo = [mul[x][s] for x in reached]
+        while todo:
+            y = todo.pop()
+            if y not in reached:
+                reached.add(y)
+                todo.extend(mul[y][g] for g in gens)
+    return gens
+
+
 def natural_partial_order(table: InverseMonoidTable) -> Tuple[Tuple[bool, ...], ...]:
     """Matrix of s <= t, where s <= t iff s = t e for some idempotent e."""
     rep = require_valid(table)

@@ -119,7 +119,9 @@ def monoid_closure(
     seed[0] must be the unit; repeats in the seed are dropped.  Elements
     are numbered in first-in-first-out order of discovery: each element
     taken from the queue is multiplied on both sides by every element
-    known at that moment.  Raises ClosureCapError rather than grow past
+    known at that moment.  That meets every pair of elements, so each
+    product is computed once, while closing, and the table is read off
+    the products met.  Raises ClosureCapError rather than grow past
     `cap` elements.
     """
     elements: List = []
@@ -128,22 +130,29 @@ def monoid_closure(
         if f not in index:
             index[f] = len(elements)
             elements.append(f)
-    queue = deque(elements)
+    queue = deque(range(len(elements)))
+    table: Dict[Tuple[int, int], int] = {}
+
+    def meet(i: int, j: int) -> None:
+        if (i, j) in table:
+            return
+        h = product(elements[i], elements[j])
+        k = index.get(h)
+        if k is None:
+            if len(elements) >= cap:
+                raise ClosureCapError(cap, len(elements) + 1)
+            k = index[h] = len(elements)
+            elements.append(h)
+            queue.append(k)
+        table[i, j] = k
+
     while queue:
-        f = queue.popleft()
-        for g in list(elements):
-            for h in (product(f, g), product(g, f)):
-                if h not in index:
-                    if len(elements) >= cap:
-                        raise ClosureCapError(cap, len(elements) + 1)
-                    index[h] = len(elements)
-                    elements.append(h)
-                    queue.append(h)
+        i = queue.popleft()
+        for j in range(len(elements)):
+            meet(i, j)
+            meet(j, i)
     order = len(elements)
-    mul = tuple(
-        tuple(index[product(elements[i], elements[j])] for j in range(order))
-        for i in range(order)
-    )
+    mul = tuple(tuple(table[i, j] for j in range(order)) for i in range(order))
     return InverseMonoidTableData(order=order, unit=0, mul=mul), elements
 
 

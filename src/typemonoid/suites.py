@@ -279,9 +279,9 @@ def run_theorem2_suite(
             u = rng.choice(vectors).vec.add(e.vec)
             v = rng.choice(vectors).vec.add(e.vec)
             # same-scale pairs; embedding must reflect type equality
-            if eng.omega_normalize(u).vec.omega != e.omega_support:
+            if eng.omega_normalize(u).omega != e.omega_support:
                 continue
-            if eng.omega_normalize(v).vec.omega != e.omega_support:
+            if eng.omega_normalize(v).omega != e.omega_support:
                 continue
             try:
                 qu = embed(eng, u)
@@ -303,7 +303,7 @@ def run_theorem2_suite(
             at_scale = []
             for p in vectors:
                 q = p.vec.add(e.vec)
-                if eng.omega_normalize(q).vec.omega == e.omega_support:
+                if eng.omega_normalize(q).omega == e.omega_support:
                     at_scale.append(q)
                 if len(at_scale) >= 4:
                     break

@@ -7,7 +7,7 @@ On a finite space with finitely many symmetries this equivalence, on
 finite-multiplicity vectors, is exactly the commutative-monoid congruence
 generated by the atomic moves
 
-    [atom a]  ~  [preimage of a under s]      (one relation per (s, a)).
+    [atom a]  ~  [preimage of a under s]      (s in the monoid, a an atom).
 
 Why atomic moves generate everything: preimages preserve disjoint unions,
 so a one-piece move of any measurable set is the coproduct of the moves
@@ -17,6 +17,16 @@ image as a move by s followed by the reverse move by t, so single-mover
 relations suffice; sums and chains of realizations are realizations.
 Hence the reflexive-transitive-additive closure of the atomic moves and
 the full equidecomposability relation agree wherever both are defined.
+
+Why the moves of a generating set are enough: the action composes, so
+pre_st(a) = pre_t(pre_s(a)), and the preimages under t of the disjoint
+atoms of pre_s(a) are disjoint.  Hence [a] ~ [pre_s(a)] followed by the
+move by t of each atom of pre_s(a) reaches [pre_st(a)], and by induction
+on a word in the generators every atomic move is a chain of generator
+moves (Redei 1965, "The theory of finitely generated commutative
+semigroups").  The unit moves nothing, and a move whose two sides agree
+adds nothing, so `relation_basis` keeps one relation per distinct
+nontrivial (generator, atom) move: n of them on an n-cycle, not n^2.
 
 The order alpha <= beta means beta = alpha + gamma for some type gamma.
 On representatives this is equivalent to: some member of beta's class
@@ -50,6 +60,7 @@ from .congruence import (
     zero_vec,
 )
 from .errors import MalformedCertificateError, SpaceMismatchError
+from .monoid import generating_set
 from .spaces import AtomSet, StatMorphism, StatSpace
 
 
@@ -64,17 +75,27 @@ class MoveRelation:
 
 
 def relation_basis(ss: StatSpace) -> List[MoveRelation]:
-    """All atomic moves of a space, identity relations included."""
+    """The distinct nontrivial moves of a generating set of the monoid.
+
+    For each generator g in `generating_set` order and each atom a, in
+    order, the move [a] ~ [pre_g(a)] is kept unless its two sides agree or
+    an earlier generator gave the same pair.  Path witnesses name these
+    moves by their index.
+    """
     out: List[MoveRelation] = []
+    seen = set()
     n = ss.n_atoms
     units = [unit_vec(n, a) for a in range(n)]
-    for s, amap in enumerate(ss.atom_maps):
+    for g in generating_set(ss.monoid):
         # one pass over the atom map: b lies in the preimage of amap[b]
         pre = [[0] * n for _ in range(n)]
-        for b, a in enumerate(amap):
+        for b, a in enumerate(ss.atom_maps[g]):
             pre[a][b] = 1
         for a in range(n):
-            out.append(MoveRelation(atom=a, mover=s, lhs=units[a], rhs=tuple(pre[a])))
+            rhs = tuple(pre[a])
+            if rhs != units[a] and (a, rhs) not in seen:
+                seen.add((a, rhs))
+                out.append(MoveRelation(atom=a, mover=g, lhs=units[a], rhs=rhs))
     return out
 
 
@@ -253,8 +274,10 @@ class TypeEngine:
         self.audit_log.append(AuditEntry("leq", u, v, dec))
         return dec
 
-    def omega_normalize(self, p) -> AbarElement:
-        return AbarElement(self.statspace, self.congruence.normalize(self._vec(p)))
+    def omega_normalize(self, p) -> ExtVec:
+        """The normal form of p: omega on the support closure of its omega
+        atoms, and finite multiplicities off it."""
+        return self.congruence.normalize(self._vec(p))
 
     # ----- types ---------------------------------------------------------------
 

@@ -5,7 +5,9 @@ the actual pytest outcomes of tests/test_acceptance.py, so the block
 can never disagree with the run itself.
 """
 
+import importlib.util
 import re
+from pathlib import Path
 
 from typemonoid.congruence import Budget
 
@@ -36,6 +38,24 @@ def engine_equal(fast, eng, p, q):
     if not d.is_definite():
         d = eng.decide_equal(eng.abar(p), eng.abar(q))
     return d
+
+
+def differential_spaces():
+    """(name, StatSpace) for the fixtures, the spaces of the benchmark's
+    `queries` workload and the default random corpus at seeds 1, 2, 5, 7
+    and 2024."""
+    from typemonoid.corpus import fixture_spaces, random_corpus
+    from typemonoid.serial import space_from_dict
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    out = [(f"fixture {name}", ss) for name, ss in fixture_spaces().items()]
+    out += [(f"query {stem}", space_from_dict(doc)) for stem, doc in inputs.space_docs().items()]
+    for seed in (1, 2, 5, 7, 2024):
+        out += [(f"seed {seed} {e.name}", e.statspace) for e in random_corpus(seed=seed)]
+    return out
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

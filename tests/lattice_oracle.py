@@ -148,7 +148,7 @@ def enumerate_by_subsets(engine: TypeEngine) -> PosetLattice:
 def join_idempotents(engine: TypeEngine, lattice, e, f) -> IdempotentElement:
     """Join is the sum e+f; checked to agree with the lattice's join."""
     nv = engine.omega_normalize(e.vec.add(f.vec))
-    cand = IdempotentElement(engine.n, nv.vec.omega)
+    cand = IdempotentElement(engine.n, nv.omega)
     lub = lattice.join(e, f)
     if cand != lub:
         raise LatticeError(f"join mismatch: sum gives {cand}, order gives {lub}")
@@ -197,7 +197,7 @@ def meet_by_realizations(
     seen: List[ExtVec] = []
     for u in reps_e:
         for v in reps_f:
-            w = engine.omega_normalize(_ext_min(u, v)).vec
+            w = engine.omega_normalize(_ext_min(u, v))
             if w in seen:
                 continue
             # normal forms are not unique per class; dedupe by decision

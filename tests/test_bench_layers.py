@@ -2,15 +2,19 @@
 
 perfbench/layers.py patches its targets by name and reports a missing
 one as absent instead of failing, which drops that layer's metrics from
-a traced run.  A rename or deletion in the package must fail here.
+a traced run.  A rename or deletion in the package must fail here, and
+so must an observer that no longer reads what the package returns.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import typemonoid.cli  # noqa: F401  (loads every module a layer names)
+from typemonoid import suites
 
-LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS_PY = ROOT / "perfbench" / "layers.py"
 
 
 def _load_layers():
@@ -28,3 +32,22 @@ def test_every_layer_target_resolves():
         if layers._resolve(modname, qualname) is None
     ]
     assert missing == []
+
+
+def test_traced_suites_emit_every_listed_metric():
+    layers = _load_layers()
+    entry = next(e for e in suites.corpus_with_fixtures(count=0) if e.name == "fixture_parity")
+    tracer = layers.Tracer()
+    patch = layers.install(tracer)
+    try:
+        for run in (suites.run_theorem1_suite, suites.run_soundness_audit,
+                    suites.run_theorem2_suite):
+            assert run([entry])["failures"] == []
+    finally:
+        patch.undo()
+    assert patch.absent == []
+    assert tracer.calls["suites.run"] == 3
+    assert tracer.counts["types.engine.relations"] > 0
+    emitted = set(layers.layer_metrics(tracer)) | {"trace.overhead_s"}
+    listed = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert [m["name"] for m in listed if m["name"] not in emitted] == []

@@ -469,10 +469,10 @@ def _coarsened_add(eng, x, y):
         return v
 
     def coarsen(v):
-        return at_g(eng.omega_normalize(v.add(g.vec)).vec)
+        return at_g(eng.omega_normalize(v.add(g.vec)))
 
-    plus = at_g(eng.omega_normalize(coarsen(x.plus).add(coarsen(y.plus))).vec)
-    minus = at_g(eng.omega_normalize(coarsen(x.minus).add(coarsen(y.minus))).vec)
+    plus = at_g(eng.omega_normalize(coarsen(x.plus).add(coarsen(y.plus))))
+    minus = at_g(eng.omega_normalize(coarsen(x.minus).add(coarsen(y.minus))))
     return QuantityElement(g, plus, minus)
 
 
@@ -489,8 +489,8 @@ class TestQuantityAddOracle:
             vecs = _seeded_vectors(rng, eng.n, 6)
             elems = [embed(eng, v) for v in vecs]
             elems += [
-                QuantityElement(rng.choice(lat.elements), eng.omega_normalize(a).vec,
-                                eng.omega_normalize(b).vec)
+                QuantityElement(rng.choice(lat.elements), eng.omega_normalize(a),
+                                eng.omega_normalize(b))
                 for a, b in zip(vecs, reversed(vecs))
             ]
             for x, y in itertools.product(elems, repeat=2):

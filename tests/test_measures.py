@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -209,6 +210,21 @@ def _tampered(m):
     return out
 
 
+def _per_pair_problems(m):
+    """Reference for the text of RationalStationaryMeasure.check: one
+    pullback and one Fraction sum per (s, atom)."""
+    ss = m.statspace
+    out = []
+    for s in range(ss.monoid.order):
+        for a in range(ss.n_atoms):
+            atom = frozenset({a})
+            pre = pullback(ss, s, atom)
+            if m.value(pre) != m.value(atom):
+                out.append(f"s={s} A={[a]}: value {m.value(atom)} "
+                           f"!= preimage value {m.value(pre)}")
+    return out
+
+
 def _nonempty_sets(ss):
     return [s for s in ss.space.all_measurable_sets() if s]
 
@@ -253,6 +269,31 @@ class TestCheck:
                     flagged += bad
                     clean += not bad
         assert flagged > 0 and clean > 0
+
+
+    def test_problems_match_the_per_pair_check(self, monkeypatch):
+        rng = random.Random(5)
+        values = (Fraction(0), Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(5, 4))
+        stationary, flagged = [], 0
+        for ss in _differential_spaces():
+            n = ss.n_atoms
+            m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(n)))
+            if m is not None:
+                stationary.append(m)
+            for _ in range(4):
+                vals = tuple(rng.choice(values) for _ in range(n))
+                inf = frozenset(a for a in range(n) if rng.random() < 0.25)
+                t = RationalStationaryMeasure(ss, vals, inf)
+                problems = t.check()
+                assert problems == _per_pair_problems(t), (ss, vals, inf)
+                flagged += bool(problems)
+        assert flagged > 0 and stationary
+
+        def no_value(self, atoms):
+            raise AssertionError("value read on a passing check")
+
+        monkeypatch.setattr(RationalStationaryMeasure, "value", no_value)
+        assert all(m.check() == [] for m in stationary)
 
 
 class TestConeStage:
@@ -507,7 +548,7 @@ def _hierarchical_by_order(eng, e, x):
     every cover of e against the shift and keeping the greatest."""
     shifted = eng.omega_normalize(eng._vec(x).add(e.vec))
     if isotropy_decompose(eng, shifted)[0] == e:
-        return HierarchicalValue(e, "member", member=shifted.vec)
+        return HierarchicalValue(e, "member", member=shifted)
     t = eng.type_of_abar(shifted)
     below = []
     for f in scale_covers(eng, e):

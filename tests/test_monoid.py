@@ -6,6 +6,7 @@ from typemonoid.errors import InvalidTableError
 from typemonoid.monoid import (
     InverseMonoidTable,
     check_inverse_monoid,
+    generating_set,
     natural_partial_order,
     trivial_monoid,
     wagner_preston,
@@ -118,6 +119,35 @@ class TestCheck:
                 for b in range(table.order):
                     ab = table.mul[a][b]
                     assert rep.star[ab] == table.mul[rep.star[b]][rep.star[a]]
+
+
+def _generated(table, gens):
+    """Every product of the given elements, the empty one included."""
+    reached, todo = {table.unit}, [table.unit]
+    while todo:
+        x = todo.pop()
+        for g in gens:
+            if table.mul[x][g] not in reached:
+                reached.add(table.mul[x][g])
+                todo.append(table.mul[x][g])
+    return reached
+
+
+class TestGeneratingSet:
+    def test_generates_and_no_generator_is_redundant_before_it(self):
+        cyclic = InverseMonoidTable(5, 0, tuple(
+            tuple((i + j) % 5 for j in range(5)) for i in range(5)))
+        assert generating_set(cyclic) == [1]
+        assert generating_set(trivial_monoid()) == []
+        tables = [cyclic, table_of(symmetric_inverse_monoid(3)[0])]
+        tables += [table_of_closure([PartialBijection(3, ((0, 1),)),
+                                     PartialBijection(3, ((1, 2), (2, 0)))], 3)[0]]
+        for table in tables:
+            gens = generating_set(table)
+            assert table.unit not in gens and gens == sorted(gens)
+            assert _generated(table, gens) == set(range(table.order))
+            for k, g in enumerate(gens):
+                assert g not in _generated(table, gens[:k])
 
 
 class TestNaturalPartialOrder:

@@ -4,10 +4,11 @@ import itertools
 
 import pytest
 
+from conftest import differential_spaces
 from oracle_kb import CongruenceOracle, OracleError, oracle_for_space, relations_from_space
-from typemonoid.congruence import EQUAL, NOT_EQUAL
+from typemonoid.congruence import EQUAL, NOT_EQUAL, Congruence
 from typemonoid.corpus import fixture_spaces, random_corpus
-from typemonoid.types import TypeEngine, relation_basis
+from typemonoid.types import TypeEngine
 
 
 class TestCompletion:
@@ -54,13 +55,33 @@ class TestCompletion:
 
 
 class TestRelationExtraction:
-    def test_matches_library_basis_on_fixtures(self):
-        # same multiset of (lhs, rhs) pairs, derived without the library
-        for name, ss in fixture_spaces().items():
+    def test_generator_basis_generates_every_move(self):
+        # the engine keeps only generator moves; the oracle derives every
+        # (element, atom) move from the raw action, and the two must
+        # present the same congruence
+        for name, ss in differential_spaces():
             n, rels = relations_from_space(ss)
             assert n == ss.n_atoms
-            lib = sorted((r.lhs, r.rhs) for r in relation_basis(ss))
-            assert sorted(rels) == lib, name
+            eng = TypeEngine(ss)
+            lib = {(r.lhs, r.rhs) for r in eng.relations}
+            assert len(lib) == len(eng.relations), name
+            assert all(l != r for l, r in lib), name
+            assert lib <= set(rels), name
+            for lhs, rhs in rels:
+                if lhs == rhs:
+                    continue
+                d = eng.decide_equal(lhs, rhs)
+                assert d.verdict == EQUAL and d.witness["kind"] == "path", (name, lhs, rhs)
+                eng._audit_path(lhs, d.witness["steps"], rhs)
+            full = Congruence(n, rels)
+            if n <= 6:
+                for k in range(n + 1):
+                    for subset in itertools.combinations(range(n), k):
+                        U = frozenset(subset)
+                        assert (eng.congruence.support_closure(U)[0]
+                                == full.support_closure(U)[0]), (name, U)
+            assert eng.congruence.conserved_basis() == full.conserved_basis(), name
+            assert eng.congruence.conserved_rays() == full.conserved_rays(), name
 
 
 def _pairs(n: int, top: int):

@@ -1,9 +1,14 @@
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import differential_spaces
+from typemonoid import corpus, partial_bijection
 from typemonoid.errors import CarrierMismatchError, ClosureCapError
 from typemonoid.partial_bijection import (
+    InverseMonoidTableData,
     PartialBijection,
     all_partial_bijections,
     closure,
@@ -30,6 +35,33 @@ def union_compatible(maps):
     for f in maps:
         merged.update(f.pairs)
     return PartialBijection.from_dict(maps[0].carrier, merged)
+
+
+def _pairwise_closure(seed, product, cap):
+    """Reference for monoid_closure: the same discovery order, recomputing
+    a product every time a pair is met, then once more for the table."""
+    elements, index = [], {}
+    for f in seed:
+        if f not in index:
+            index[f] = len(elements)
+            elements.append(f)
+    queue = deque(elements)
+    while queue:
+        f = queue.popleft()
+        for g in list(elements):
+            for h in (product(f, g), product(g, f)):
+                if h not in index:
+                    if len(elements) >= cap:
+                        raise ClosureCapError(cap, len(elements) + 1)
+                    index[h] = len(elements)
+                    elements.append(h)
+                    queue.append(h)
+    order = len(elements)
+    mul = tuple(
+        tuple(index[product(elements[i], elements[j])] for j in range(order))
+        for i in range(order)
+    )
+    return InverseMonoidTableData(order=order, unit=0, mul=mul), elements
 
 
 def partial_bijections(carrier=3):
@@ -120,6 +152,31 @@ class TestClosure:
         index = {f: i for i, f in enumerate(elems)}
         for f in elems:
             assert invert(f) in index
+
+
+    def test_table_matches_the_pairwise_reference(self, monkeypatch):
+        # every closure behind the fixtures, the query spaces and the
+        # random corpora numbers its elements and fills its table as the
+        # reference does, and gives up at the same cap
+        real = partial_bijection.monoid_closure
+        closed = []
+
+        def checked(seed, product, cap):
+            try:
+                got = real(seed, product, cap)
+            except ClosureCapError as err:
+                with pytest.raises(ClosureCapError) as ref:
+                    _pairwise_closure(seed, product, cap)
+                assert ref.value.args == err.args
+                raise
+            assert got == _pairwise_closure(seed, product, cap)
+            closed.append(got[0].order)
+            return got
+
+        monkeypatch.setattr(partial_bijection, "monoid_closure", checked)
+        monkeypatch.setattr(corpus, "monoid_closure", checked)
+        spaces = differential_spaces()
+        assert len(closed) >= len(spaces) and max(closed) > 8
 
 
 class TestSymmetricInverseMonoid:
