@@ -4,7 +4,8 @@ Every subcommand builds a report dict with stable field names
 (`schema_version`, `command`, `budget`, `verdicts`, plus per-command
 payload) and prints it as text, or as JSON under `--json`.  Exit codes:
 0 all verdicts definite, 2 an Unknown verdict or exhausted budget,
-1 input error (parse failure, invalid space, rejected certificate).
+1 input error (usage error, parse failure, invalid space, rejected
+certificate).
 Output is deterministic for fixed inputs and flags; wall-clock timings
 appear only under `--timings`.
 """
@@ -13,6 +14,7 @@ import argparse
 import functools
 import sys
 import time
+from dataclasses import asdict
 from typing import List, Optional
 
 from .congruence import Budget, EQUAL, LEQ, NOT_LEQ, UNKNOWN
@@ -41,28 +43,18 @@ from .spaces import validate_action
 from .suites import SUITES, corpus_with_fixtures
 from .types import TypeEngine
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNKNOWN = 2
 
 
-def _budget_from_args(args) -> Budget:
-    return Budget(
-        coordinate_cap=args.coordinate_cap,
-        max_states=args.max_states,
-    )
-
-
 def _base_report(args, command: str) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": command,
-        "budget": {
-            "coordinate_cap": args.coordinate_cap,
-            "max_states": args.max_states,
-        },
+        "budget": asdict(args.budget),
         "verdicts": [],
     }
 
@@ -156,8 +148,7 @@ def cmd_type(args) -> int:
     started = time.perf_counter()
     report = _base_report(args, "type")
     ss = load_space(args.space)
-    budget = _budget_from_args(args)
-    eng = TypeEngine(ss, budget)
+    eng = TypeEngine(ss, args.budget)
     aset = parse_set_expr(ss, args.set)
     t = eng.type_of(aset)
     scale = idempotent_of(eng, t)
@@ -203,7 +194,7 @@ def cmd_equi(args) -> int:
     started = time.perf_counter()
     report = _base_report(args, "equi")
     ss = load_space(args.space)
-    eng = TypeEngine(ss, _budget_from_args(args))
+    eng = TypeEngine(ss, args.budget)
     p = eng.type_of(parse_set_expr(ss, args.left))
     q = eng.type_of(parse_set_expr(ss, args.right))
     d = eng.decide_equal(p, q)
@@ -220,7 +211,7 @@ def cmd_paradox(args) -> int:
     started = time.perf_counter()
     report = _base_report(args, "paradox")
     ss = load_space(args.space)
-    eng = TypeEngine(ss, _budget_from_args(args))
+    eng = TypeEngine(ss, args.budget)
     aset = parse_set_expr(ss, args.set)
     d = is_paradoxical(eng, aset)
     null = eng.decide_equal(eng.type_of(aset), eng.type_zero())
@@ -246,7 +237,7 @@ def cmd_measure(args) -> int:
     report = _base_report(args, "measure")
     ss = load_space(args.space)
     aset = parse_set_expr(ss, args.set)
-    eng = TypeEngine(ss, _budget_from_args(args))
+    eng = TypeEngine(ss, args.budget)
     syn = synthesize_classical_measure(eng, aset, want_report=True)
     report["stages"] = syn.stages
     if syn.measure is not None:
@@ -269,7 +260,7 @@ def cmd_lattice(args) -> int:
     started = time.perf_counter()
     report = _base_report(args, "lattice")
     ss = load_space(args.space)
-    eng = TypeEngine(ss, _budget_from_args(args))
+    eng = TypeEngine(ss, args.budget)
     lat = enumerate_idempotents(eng)
     elements = [str(e) for e in lat]
     covers = [(str(a), str(b)) for a, b in lat.covers()]
@@ -352,13 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument(
         "--timings", action="store_true", help="include wall-clock timings"
     )
-    ap.add_argument("--max-states", type=int, default=40000, metavar="N")
     ap.add_argument(
-        "--coordinate-cap",
+        "--max-states",
         type=int,
-        default=None,
-        metavar="C",
-        help="override the per-query coordinate cap",
+        default=Budget().max_states,
+        metavar="N",
+        help="most members of one class search",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
@@ -415,7 +405,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its help (code 0) or a usage error
+        return EXIT_INPUT if exc.code else EXIT_OK
+    args.budget = Budget(max_states=args.max_states)
     try:
         return args.func(args)
     except (SpaceFormatError, MalformedCertificateError) as exc:

@@ -39,9 +39,9 @@ paths; negative answers carry a conserved functional (a rational vector
 annihilating every relation difference, nonnegative for order queries,
 evaluated with saturation on omega coordinates), a closed support, or a
 fully saturated class enumeration; budget exhaustion yields Unknown, never a
-guess, and names the budget that ran out.  An omega Unknown names the
-budgets its finite decision ran out of, and none when the supports do
-not match or the quotient refuted.  Witnesses are re-checked by
+guess, and names the budget that ran out.  An omega Unknown names
+max_states when its finite decision ran out of it, and nothing when the
+supports do not match or the quotient refuted.  Witnesses are re-checked by
 assertion before being returned.
 
 The relations enter every functional computation through one matrix: the
@@ -72,8 +72,9 @@ A positive verdict needs one witness, so the search stops at the first
 shared member (equality: the path from u to it, then back to v) or the
 first member of one class dominating a member of the other (order).
 Only a miss runs the records to completion, and only a complete record
-with nothing pruned by the coordinate cap or cut off by max_states is
-saturated and may refute.
+that max_states did not cut off is saturated and may refute.  max_states
+is the search's only bound, so a class-search Unknown always has a record
+it cut off, and always names max_states.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -95,9 +96,6 @@ NOT_EQUAL = "not_equal"
 LEQ = "leq"
 NOT_LEQ = "not_leq"
 UNKNOWN = "unknown"
-
-# Budgets an unknown verdict can name, in the order it names them.
-BUDGET_NAMES = ("coordinate_cap", "max_states")
 
 # Most extreme rays the conserved cone may have.  The double-description
 # walk is exponential in the worst case; a congruence whose cone passes
@@ -233,19 +231,12 @@ class ExtVec:
 
 @dataclass(frozen=True)
 class Budget:
-    """Limits of the finite class search, set once per congruence; None
-    coordinate_cap means the per-query default.  The omega layer has no
-    budget of its own: an omega query runs one finite decision, in the
-    quotient, under these limits."""
+    """The limit of the finite class search, set once per congruence: a
+    class record holds at most max_states members.  The omega layer has
+    no budget of its own: an omega query runs one finite decision, in the
+    quotient, under this limit."""
 
-    coordinate_cap: Optional[int] = None
     max_states: int = 40000
-
-    def cap_for(self, cong: "Congruence", inputs: Sequence[Vec]) -> int:
-        if self.coordinate_cap is not None:
-            return self.coordinate_cap
-        total = sum(sum(v) for v in inputs)
-        return total + 4 * cong.max_relation_norm * cong.n
 
 
 @dataclass
@@ -261,10 +252,7 @@ class Decision:
         return {
             "verdict": self.verdict,
             "witness": _json_witness(self.witness),
-            "budget": {
-                "coordinate_cap": self.budget.coordinate_cap,
-                "max_states": self.budget.max_states,
-            },
+            "budget": asdict(self.budget),
         }
 
 
@@ -284,17 +272,14 @@ def _json_witness(w):
 class ClassRecord:
     """A congruence class explored breadth first, possibly only in part.
 
-    `frontier` holds the members not yet expanded.  `pruned` records that
-    a step left the coordinate cap box, `overflow` that max_states cut the
-    search off.  The record is complete when nothing more will be
-    expanded, and saturated when it is complete with nothing pruned or
-    cut off: only then is `members` the whole class.
+    `frontier` holds the members not yet expanded, and `overflow` records
+    that max_states cut the search off.  The record is complete when
+    nothing more will be expanded, and saturated when it is complete and
+    not cut off: only then is `members` the whole class.
     """
 
     members: Dict[Vec, Optional[Tuple[Vec, int, int]]]  # vec -> (parent, rel, dir)
-    cap: int
     frontier: deque = field(default_factory=deque)
-    pruned: bool = False
     overflow: bool = False
 
     @property
@@ -303,7 +288,7 @@ class ClassRecord:
 
     @property
     def saturated(self) -> bool:
-        return not (self.frontier or self.pruned or self.overflow)
+        return not (self.frontier or self.overflow)
 
 
 class Congruence:
@@ -322,9 +307,6 @@ class Congruence:
         for l, r in self.relations:
             if len(l) != n or len(r) != n:
                 raise SpaceMismatchError("relation dimension mismatch")
-        self.max_relation_norm = max(
-            [max(sum(l), sum(r)) for l, r in self.relations] + [1]
-        )
         # step table: (needed, delta, relation index, direction)
         steps = []
         for idx, (l, r) in enumerate(self.relations):
@@ -358,7 +340,7 @@ class Congruence:
         self._kernel_ints: Optional[List[Tuple[List[int], int]]] = None
         self._rays: Optional[List[Vec]] = None
         self._rays_built = False
-        self._closures: Dict[Tuple[Vec, int, int], ClassRecord] = {}
+        self._closures: Dict[Vec, ClassRecord] = {}
         self._support_memo: Dict[FrozenSet[int], Tuple[FrozenSet[int], dict]] = {}
         self._normal_memo: Dict[ExtVec, ExtVec] = {}
         self._quotients: Dict[FrozenSet[int], "Congruence"] = {}
@@ -374,7 +356,6 @@ class Congruence:
             "lp_fallbacks": 0,
             "kernel_rows": 0,
             "kernel_rank": 0,
-            "exhausted_coordinate_cap": 0,
             "exhausted_max_states": 0,
         }
 
@@ -477,8 +458,7 @@ class Congruence:
     def class_closure(
         self,
         start: Vec,
-        cap: int,
-        max_states: int,
+        *,
         goal: Optional[Callable[[Vec], bool]] = None,
         limit: Optional[int] = None,
     ) -> ClassRecord:
@@ -487,18 +467,17 @@ class Congruence:
         With neither `goal` nor `limit` the record is expanded until it is
         complete.  `goal` is called on each member this call adds; once
         it returns true the search stops after the state being expanded.
-        `limit` bounds the states this call expands.  A later call with
-        the same (start, cap, max_states) resumes the same breadth-first
-        order, so members and parent steps never depend on how the search
-        was split into calls.
+        `limit` bounds the states this call expands, and the budget's
+        max_states the members of the record.  A later call with the same
+        start resumes the same breadth-first order, so members and parent
+        steps never depend on how the search was split into calls.
         """
         start = tuple(start)
-        key = (start, cap, max_states)
         stats = self.stats
-        rec = self._closures.get(key)
+        rec = self._closures.get(start)
         if rec is None:
-            rec = ClassRecord(members={start: None}, cap=cap, frontier=deque([start]))
-            self._closures[key] = rec
+            rec = ClassRecord(members={start: None}, frontier=deque([start]))
+            self._closures[start] = rec
             stats["records_created"] += 1
             if goal is not None and goal(start):
                 stats["goal_exits"] += 1
@@ -506,6 +485,7 @@ class Congruence:
         elif rec.complete:
             return rec
         members, queue = rec.members, rec.frontier
+        max_states = self.budget.max_states
         rng = range(self.n)
         expanded = 0
         hit = overflow = False
@@ -521,9 +501,6 @@ class Congruence:
                 if not applicable:
                     continue
                 v = tuple(u[i] + delta[i] for i in rng)
-                if max(v) > cap:
-                    rec.pruned = True
-                    continue
                 if v not in members:
                     if len(members) >= max_states:
                         overflow = True
@@ -587,7 +564,6 @@ class Congruence:
                 )
                 self._assert_functional(dec.witness["y"])
                 return dec
-        cap = self.budget.cap_for(self, [u, v])
         # the members of each record so far, its root from the start: the
         # classes are equal once the two share a member
         seen_u, seen_v = {u}, {v}
@@ -603,7 +579,7 @@ class Congruence:
             return goal
 
         rec_u, rec_v = self._search_pair(
-            u, v, cap, meets(seen_u, seen_v), meets(seen_v, seen_u),
+            u, v, meets(seen_u, seen_v), meets(seen_v, seen_u),
             lambda rec: bool(found) or rec.saturated,
         )
         if found:
@@ -623,10 +599,10 @@ class Congruence:
         if rec.saturated:
             return Decision(
                 NOT_EQUAL,
-                {"kind": "saturation", "class_size": len(rec.members), "cap": cap},
+                {"kind": "saturation", "class_size": len(rec.members)},
                 self.budget,
             )
-        return self._budget_unknown(cap, rec_u, rec_v)
+        return self._budget_unknown()
 
     def leq_finite(self, u: Vec, v: Vec) -> Decision:
         u, v = tuple(u), tuple(v)
@@ -658,7 +634,6 @@ class Congruence:
             )
             self._assert_functional(y, nonneg=True)
             return dec
-        cap = self.budget.cap_for(self, [u, v])
         # mins: the minimal u-side members found so far; tops: every v-side
         # member.  A pair is compared when the later of the two is found.
         # A u-side member above a min adds nothing, and a min dropped for a
@@ -687,7 +662,7 @@ class Congruence:
             return False
 
         rec_u, rec_v = self._search_pair(
-            u, v, cap, left, right, lambda rec: bool(found)
+            u, v, left, right, lambda rec: bool(found)
         )
         if found:
             m, w = found[0]
@@ -712,17 +687,15 @@ class Congruence:
                 {
                     "kind": "saturation",
                     "class_sizes": (len(rec_u.members), len(rec_v.members)),
-                    "cap": cap,
                 },
                 self.budget,
             )
-        return self._budget_unknown(cap, rec_u, rec_v)
+        return self._budget_unknown()
 
     def _search_pair(
         self,
         u: Vec,
         v: Vec,
-        cap: int,
         left: Callable[[Vec], bool],
         right: Callable[[Vec], bool],
         stop: Callable[[ClassRecord], bool],
@@ -740,8 +713,7 @@ class Congruence:
         once in stats["records_resumed"] when the search expands it.
         """
         sides = ((u, left), (v, right))
-        max_states = self.budget.max_states
-        recs = [self._closures.get((start, cap, max_states)) for start, _ in sides]
+        recs = [self._closures.get(start) for start, _ in sides]
         for rec, (_, goal) in zip(recs, sides):
             if rec is not None and any(map(goal, rec.members)):
                 return recs
@@ -751,46 +723,41 @@ class Congruence:
             for i, (start, goal) in enumerate(sides):
                 self.stats["records_resumed"] += unfinished[i]
                 unfinished[i] = False
-                recs[i] = self.class_closure(start, cap, max_states, goal=goal, limit=batch)
+                recs[i] = self.class_closure(start, goal=goal, limit=batch)
                 if stop(recs[i]):
                     return recs
             if recs[0].complete and recs[1].complete:
                 return recs
             batch *= 2
 
-    def _budget_unknown(self, cap: int, *records: ClassRecord) -> Decision:
-        """Unknown from complete but unsaturated records, naming the budgets hit."""
-        causes = set()
-        if any(r.pruned for r in records):
-            causes.add("coordinate_cap")
-        if any(r.overflow for r in records):
-            causes.add("max_states")
+    def _budget_unknown(self) -> Decision:
+        """Unknown from complete but unsaturated records: max_states cut
+        one of them off."""
         return Decision(
             UNKNOWN,
             {
                 "kind": "budget",
-                "cap": cap,
                 "max_states": self.budget.max_states,
-                "exhausted": self._exhausted(causes),
+                "exhausted": self._exhausted(True),
             },
             self.budget,
         )
 
-    def _omega_unknown(self, causes: Sequence[str] = ()) -> Decision:
-        """Unknown from the omega layer, naming the budgets its finite
-        decision ran out of."""
+    def _omega_unknown(self, overflowed: bool = False) -> Decision:
+        """Unknown from the omega layer, naming max_states when its finite
+        decision ran out of it."""
         return Decision(
             UNKNOWN,
-            {"kind": "budget", "omega": True, "exhausted": self._exhausted(set(causes))},
+            {"kind": "budget", "omega": True, "exhausted": self._exhausted(overflowed)},
             self.budget,
         )
 
-    def _exhausted(self, causes: set) -> List[str]:
-        """The budgets in `causes` in BUDGET_NAMES order, each counted once."""
-        exhausted = [name for name in BUDGET_NAMES if name in causes]
-        for name in exhausted:
-            self.stats["exhausted_" + name] += 1
-        return exhausted
+    def _exhausted(self, overflowed: bool) -> List[str]:
+        """["max_states"] when a search overflowed, counted once; else []."""
+        if not overflowed:
+            return []
+        self.stats["exhausted_max_states"] += 1
+        return ["max_states"]
 
     def _assert_functional(self, y, nonneg: bool = False) -> None:
         """Check y.(lhs - rhs) = 0 for every relation, and y >= 0 if asked.
@@ -927,7 +894,7 @@ class Congruence:
         pf, qf = zero_on(pn.finite, U), zero_on(qn.finite, U)
         fin = self._quotient(U).eq_finite(pf, qf)
         if fin.verdict != EQUAL:
-            return self._omega_unknown(fin.witness.get("exhausted", ()))
+            return self._omega_unknown(fin.verdict == UNKNOWN)
         steps = fin.witness.get("steps", [])
         start, end = self._lift(pf, steps, U)
         return Decision(
@@ -972,7 +939,7 @@ class Congruence:
         pf = zero_on(pn.finite, V)
         fin = self._quotient(V).leq_finite(pf, qn.finite)
         if fin.verdict != LEQ:
-            return self._omega_unknown(fin.witness.get("exhausted", ()))
+            return self._omega_unknown(fin.verdict == UNKNOWN)
         w = fin.witness
         start_left, m = self._lift(pf, w["path_left"], V)
         start_right, top = self._lift(qn.finite, w["path_right"], V)

@@ -9,11 +9,6 @@ import importlib.util
 import re
 from pathlib import Path
 
-from typemonoid.congruence import Budget
-
-# A small pinned coordinate cap: a speedup for engine_equal's first try
-FAST_BUDGET = Budget(coordinate_cap=24)
-
 CRITERIA = {
     1: "type addition/order/measure laws over the generated corpus",
     2: "equality decisions match the independent completion oracle",
@@ -26,18 +21,6 @@ CRITERIA = {
     9: "partial-bijection representation faithful; I(2)=7, I(3)=34",
     10: "soundness audit: every definite verdict re-verifies",
 }
-
-
-def engine_equal(fast, eng, p, q):
-    """Engine equality decided first by `fast`, an engine of the same
-    space under FAST_BUDGET, falling back to `eng` and its default budget
-    when the pinned search is inconclusive.  A pinned cap can only widen
-    the Unknown band, never flip a definite verdict, so this is a speedup
-    and nothing else."""
-    d = fast.decide_equal(fast.abar(p), fast.abar(q))
-    if not d.is_definite():
-        d = eng.decide_equal(eng.abar(p), eng.abar(q))
-    return d
 
 
 def differential_spaces():

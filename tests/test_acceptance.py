@@ -7,7 +7,6 @@ below.
 
 import itertools
 
-from conftest import FAST_BUDGET, engine_equal
 from oracle_kb import oracle_for_space
 
 from typemonoid.certificates import (
@@ -88,12 +87,12 @@ def test_criterion_2():
     pairs_checked = 0
     for entry in entries:
         ss = entry.statspace
-        eng, fast = TypeEngine(ss), TypeEngine(ss, FAST_BUDGET)
+        eng = TypeEngine(ss)
         oracle = oracle_for_space(ss)
         vecs = list(itertools.product(range(4), repeat=ss.n_atoms))
         for i, p in enumerate(vecs):
             for q in vecs[i:]:
-                d = engine_equal(fast, eng, p, q)
+                d = eng.decide_equal(eng.abar(p), eng.abar(q))
                 assert d.is_definite(), (entry.name, p, q)
                 assert (d.verdict == EQUAL) == oracle.eq(p, q), (entry.name, p, q)
                 pairs_checked += 1
@@ -118,7 +117,7 @@ def test_criterion_4():
     At each middle scale the types collapse to N; at the top, to a
     point."""
     ss = fixture_spaces()["parity"]
-    eng, fast = TypeEngine(ss), TypeEngine(ss, FAST_BUDGET)
+    eng = TypeEngine(ss)
     lat = enumerate_idempotents(eng)
 
     assert len(lat) == 4
@@ -147,7 +146,7 @@ def test_criterion_4():
     vecs = list(itertools.product(range(3), repeat=4))
     for i, p in enumerate(vecs):  # faithful and injective on a cube
         for q in vecs[i:]:
-            d = engine_equal(fast, eng, p, q)
+            d = eng.decide_equal(eng.abar(p), eng.abar(q))
             assert d.is_definite(), (p, q)
             assert (phi(p) == phi(q)) == (d.verdict == EQUAL), (p, q)
 

@@ -54,7 +54,7 @@ def test_omega_quotient_decision_names_the_engine_budget():
     assert (d.verdict, d.witness["kind"]) == (UNKNOWN, "budget")
     assert d.witness["exhausted"] == ["max_states"]
     assert d.budget is tight.budget
-    assert d.to_json()["budget"] == {"coordinate_cap": None, "max_states": 1}
+    assert d.to_json()["budget"] == {"max_states": 1}
     U = frozenset({1, 3})
     assert tight.congruence._quotient(U).budget is tight.budget
     full = TypeEngine(ss)

@@ -167,11 +167,11 @@ class TestSpaceCheck:
     def test_json_report_fields(self, files, capsys):
         code, doc, _ = run_json(capsys, ["space-check", files["parity"]])
         assert code == 0
-        assert doc["schema_version"] == 2
+        assert doc["schema_version"] == 3
         assert doc["command"] == "space-check"
         assert doc["monoid"]["valid"] is True
         assert doc["action"]["valid"] is True
-        assert doc["budget"] == {"coordinate_cap": None, "max_states": 40000}
+        assert doc["budget"] == {"max_states": 40000}
 
 
 class TestType:
@@ -378,6 +378,31 @@ class TestDeterminism:
         code1, out1, _ = run(capsys, args)
         code2, out2, _ = run(capsys, args)
         assert out1 == out2
+
+
+class TestUsage:
+    """A usage error is an input error (exit 1), never the Unknown exit 2."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--bogus", "lattice", "f.json"],
+            ["--coordinate-cap", "3", "lattice", "f.json"],
+            ["no-such-command"],
+            ["equi", "f.json", "0"],
+        ],
+        ids=["unknown-flag", "removed-flag", "unknown-subcommand", "missing-argument"],
+    )
+    def test_usage_error_exits_1(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "error:" in err
+
+    def test_help_exits_0(self, capsys):
+        code, out, _ = run(capsys, ["--help"])
+        assert code == 0
+        assert "--max-states" in out and "--coordinate-cap" not in out
 
 
 class TestSerialEdges:

@@ -247,7 +247,7 @@ class TestEqFinite:
         assert d.witness["kind"] == "functional"
 
     def test_functional_witness_is_first_separating_oracle_vector(self):
-        budget = Budget(coordinate_cap=4, max_states=200)
+        budget = Budget(max_states=200)
         separated = fractional = 0
         # two copies of atom 0 make one of atom 1: the basis is (1/2, 1)
         congs = _differential_congruences(budget) + [Congruence(2, [((2, 0), (0, 1))], budget)]
@@ -288,36 +288,20 @@ class TestEqFinite:
         # mass maps x -> 2x between the two coordinates: the only rational
         # conserved functional is zero, classes are infinite, and the real
         # invariant (sum mod 3) is invisible to the linear probes
-        cong = Congruence(
-            2, [((1, 0), (0, 2)), ((0, 1), (2, 0))], Budget(coordinate_cap=40, max_states=500)
-        )
+        cong = Congruence(2, [((1, 0), (0, 2)), ((0, 1), (2, 0))], Budget(max_states=500))
         d = cong.eq_finite((1, 0), (2, 0))
         assert d.verdict == UNKNOWN
-        assert d.witness["kind"] == "budget"
-        # the class has more than 500 states inside the 41 x 41 box, and
-        # steps from the edge of the box leave it
-        assert d.witness["exhausted"] == ["coordinate_cap", "max_states"]
-        assert cong.stats["exhausted_coordinate_cap"] == 1
-        assert cong.stats["exhausted_max_states"] == 1
-
-    def test_unknown_names_max_states_alone(self):
-        cong = Congruence(
-            2, [((1, 0), (0, 2)), ((0, 1), (2, 0))], Budget(coordinate_cap=10**6, max_states=50)
-        )
-        d = cong.eq_finite((1, 0), (2, 0))
-        assert d.verdict == UNKNOWN
-        assert d.witness["exhausted"] == ["max_states"]
+        assert d.witness == {"kind": "budget", "max_states": 500, "exhausted": ["max_states"]}
         assert d.to_json()["witness"]["exhausted"] == ["max_states"]
-        assert cong.stats["exhausted_coordinate_cap"] == 0
         assert cong.stats["exhausted_max_states"] == 1
 
     def test_reverse_path_when_max_states_cuts_u_off(self):
-        # u's record fills max_states before it reaches v; v's record, with
-        # the same cap, finds u, and the path is reversed
+        # u's record fills max_states before it reaches v; v's record
+        # finds u, and the path is reversed
         cong = Congruence(
             2,
             [((2, 1), (0, 2)), ((1, 2), (0, 1)), ((1, 0), (1, 2))],
-            Budget(coordinate_cap=20, max_states=20),
+            Budget(max_states=20),
         )
         u, v = (2, 3), (1, 3)
         d = cong.eq_finite(u, v)
@@ -326,9 +310,9 @@ class TestEqFinite:
         assert (d.witness["start"], d.witness["end"]) == (u, v)
         assert cong.replay_path(u, d.witness["steps"]) == v
         made = cong.stats["records_created"]
-        rec_u = cong.class_closure(u, 20, 20)  # the record the decision built
+        rec_u = cong.class_closure(u)  # the record the decision built
         assert cong.stats["records_created"] == made
-        assert rec_u.overflow and not rec_u.pruned
+        assert rec_u.overflow
         assert v not in rec_u.members
 
 
@@ -454,7 +438,7 @@ class TestOmega:
         assert cong.decide_leq(p, q).verdict == LEQ
 
     def test_omega_unknown_adds_inner_causes(self):
-        budget = Budget(coordinate_cap=6, max_states=30)
+        budget = Budget(max_states=30)
         cong = Congruence(3, [((1, 0, 0), (0, 2, 0)), ((0, 1, 0), (2, 0, 0))], budget)
         q = ExtVec((0, 0, 0), frozenset({2}))
         # U({2}) = {2}: atoms 0 and 1 lie outside it
@@ -466,14 +450,14 @@ class TestOmega:
             assert d.verdict == NOT_LEQ
             assert d.witness == {"kind": "support", "closed": frozenset({2}), "outside": outside}
         # [e1] = [e0] in the quotient by {2} is a finite eq that no
-        # functional refutes and whose classes leave every coordinate cap
+        # functional refutes and whose classes are infinite
         d = cong.decide_eq(
             ExtVec((0, 1, 0), frozenset({2})), ExtVec((1, 0, 0), frozenset({2}))
         )
         assert d.verdict == UNKNOWN
-        assert d.witness["exhausted"] == ["coordinate_cap"]
+        assert d.witness["exhausted"] == ["max_states"]
         assert d.budget is budget
-        assert d.to_json()["witness"]["exhausted"] == ["coordinate_cap"]
+        assert d.to_json()["witness"]["exhausted"] == ["max_states"]
 
     def test_absorption_past_absorption_k(self):
         # [e0] = [10 e1] is below no k*[e1] with k <= 8, yet e0 is in U({1})
@@ -516,7 +500,7 @@ class TestOmega:
         # outside U({2}) = {2}; the quotient by {2} refutes
         # (0, 1, 0) = (0, 0, 0) too, but that is no refutation here
         cong = Congruence(
-            3, [((1, 0, 0), (0, 2, 0)), ((0, 1, 0), (2, 0, 0))], Budget(coordinate_cap=6, max_states=30)
+            3, [((1, 0, 0), (0, 2, 0)), ((0, 1, 0), (2, 0, 0))], Budget(max_states=30)
         )
         d = cong.decide_eq(ExtVec((0, 1, 0), frozenset({2})), ExtVec((0, 0, 0), frozenset({2})))
         assert d.verdict == NOT_EQUAL
@@ -689,7 +673,7 @@ class TestShiftOracle:
 
     def test_random_congruences(self):
         rng = random.Random(7)
-        budget = Budget(coordinate_cap=8, max_states=2000)
+        budget = Budget(max_states=100)
         tally = {"eq": 0, "leq": 0}
         for _ in range(60):
             n = rng.randint(2, 3)
@@ -712,14 +696,12 @@ def _one_sided_eq(cong, u, v):
     saturated class that misses the other side refutes, all under the
     budget of `cong`, which should be a copy that only this oracle
     searches."""
-    budget = cong.budget
     if u == v:
         return EQUAL
     if any(sum(a * (b - c) for a, b, c in zip(y, u, v)) for y in cong.conserved_basis()):
         return NOT_EQUAL
-    cap = budget.cap_for(cong, [u, v])
     for start, target in ((u, v), (v, u)):
-        rec = cong.class_closure(start, cap, budget.max_states, goal=target.__eq__)
+        rec = cong.class_closure(start, goal=target.__eq__)
         if target in rec.members:
             return EQUAL
         if rec.saturated:
@@ -783,7 +765,7 @@ class TestOneSidedOracle:
 
     def test_random_congruences(self):
         rng = random.Random(7)
-        budget = Budget(coordinate_cap=8, max_states=2000)
+        budget = Budget(max_states=100)
         tally = {}
         for _ in range(60):
             n = rng.randint(2, 3)
@@ -885,7 +867,7 @@ class TestConservedCone:
     def test_simplex_fallback_past_ray_limit(self, monkeypatch):
         rng = random.Random(31)
         spaces = list(fixture_spaces().values())
-        budget = Budget(coordinate_cap=8)
+        budget = Budget(max_states=200)
         rays_first = [TypeEngine(ss, budget).congruence for ss in spaces]
         for cong in rays_first:
             assert cong.conserved_rays() is not None
@@ -952,21 +934,22 @@ class TestExtVec:
 class TestClassClosure:
     def test_memoized(self):
         cong = parity_congruence()
-        a = cong.class_closure((1, 1, 0, 0), 10, 1000)
-        b = cong.class_closure((1, 1, 0, 0), 10, 1000)
+        a = cong.class_closure((1, 1, 0, 0))
+        b = cong.class_closure((1, 1, 0, 0))
         assert a is b
 
     def test_class_contents(self):
         cong = parity_congruence()
-        rec = cong.class_closure((1, 0, 0, 0), 8, 1000)
+        rec = cong.class_closure((1, 0, 0, 0))
         assert set(rec.members) == {(1, 0, 0, 0), (0, 0, 1, 0)}
         assert rec.saturated
 
-    def test_cap_prunes(self):
-        cong = Congruence(1, [((1,), (2,))])
-        rec = cong.class_closure((1,), 5, 1000)
-        assert not rec.saturated
-        assert (5,) in rec.members
+    def test_max_states_overflows(self):
+        # (1,) ~ (2,) puts every positive multiple of the atom in one class
+        cong = Congruence(1, [((1,), (2,))], Budget(max_states=5))
+        rec = cong.class_closure((1,))
+        assert rec.overflow and rec.complete and not rec.saturated
+        assert list(rec.members) == [(1,), (2,), (3,), (4,), (5,)]
 
 
 def cyclic_congruence(n: int) -> Congruence:
@@ -978,17 +961,17 @@ def cyclic_congruence(n: int) -> Congruence:
 class TestGoalDirectedClosure:
     def test_partial_record_is_not_saturated(self):
         cong = cyclic_congruence(3)
-        rec = cong.class_closure((4, 0, 0), 10, 1000, limit=1)
+        rec = cong.class_closure((4, 0, 0), limit=1)
         assert rec.frontier and not rec.complete and not rec.saturated
         assert cong.stats["states_expanded"] == 1
 
     def test_resumed_record_matches_fresh(self):
         cong = cyclic_congruence(4)
         start = (5, 0, 1, 0)
-        cong.class_closure(start, 6, 1000, limit=3)
-        cong.class_closure(start, 6, 1000, goal=(0, 0, 0, 6).__eq__)
-        resumed = cong.class_closure(start, 6, 1000)
-        fresh = cyclic_congruence(4).class_closure(start, 6, 1000)
+        cong.class_closure(start, limit=3)
+        cong.class_closure(start, goal=(0, 0, 0, 6).__eq__)
+        resumed = cong.class_closure(start)
+        fresh = cyclic_congruence(4).class_closure(start)
         assert cong.stats["records_created"] == 1
         # resumptions are counted per query, and no query ran
         assert cong.stats["records_resumed"] == 0
@@ -997,7 +980,7 @@ class TestGoalDirectedClosure:
         assert len(fresh.members) == 84  # compositions of 6 into 4 parts
 
     def test_equal_stops_at_witness(self):
-        full = cyclic_congruence(4).class_closure((6, 0, 0, 0), 30, 40000)
+        full = cyclic_congruence(4).class_closure((6, 0, 0, 0))
         cong = cyclic_congruence(4)
         d = cong.eq_finite((6, 0, 0, 0), (5, 1, 0, 0))
         assert d.verdict == EQUAL and d.witness["kind"] == "path"
@@ -1036,7 +1019,7 @@ class TestGoalDirectedClosure:
         cong = cyclic_congruence(4)
         d = cong.leq_finite((0, 0, 0, 3), (5, 0, 0, 0))
         assert d.verdict == LEQ and d.witness["kind"] == "domination"
-        full = cyclic_congruence(4).class_closure((5, 0, 0, 0), 30, 40000)
+        full = cyclic_congruence(4).class_closure((5, 0, 0, 0))
         assert cong.stats["states_expanded"] < len(full.members)
 
 
@@ -1044,11 +1027,8 @@ def _reference(cong, op, u, v):
     """The decision of a fresh congruence under the same budget whose two
     classes were closed to completion before the query, and the two
     complete records."""
-    budget = cong.budget
-    ref = Congruence(cong.n, cong.relations, budget)
-    cap = budget.cap_for(ref, [u, v])
-    recs = (ref.class_closure(u, cap, budget.max_states),
-            ref.class_closure(v, cap, budget.max_states))
+    ref = Congruence(cong.n, cong.relations, cong.budget)
+    recs = (ref.class_closure(u), ref.class_closure(v))
     return getattr(ref, op)(u, v), recs
 
 
@@ -1076,7 +1056,7 @@ def _differential_congruences(budget=Budget()):
 
 
 @pytest.mark.parametrize(
-    "budget", [Budget(coordinate_cap=8), Budget(coordinate_cap=4, max_states=60)]
+    "budget", [Budget(max_states=150), Budget(max_states=60)]
 )
 def test_goal_directed_matches_complete_closure(budget):
     """Same verdict and witness kind as a search over complete classes.
