@@ -292,6 +292,15 @@ class TestEqFinite:
         d = cong.eq_finite((1, 0), (2, 0))
         assert d.verdict == UNKNOWN
         assert d.witness == {"kind": "budget", "max_states": 500, "exhausted": ["max_states"]}
+        assert cong.stats["exhausted_max_states"] == 1
+
+    def test_unknown_names_max_states_alone(self):
+        # a smaller budget on the same infinite class: the verdict and its
+        # JSON form name max_states, the only budget a class search has
+        cong = Congruence(2, [((1, 0), (0, 2)), ((0, 1), (2, 0))], Budget(max_states=50))
+        d = cong.eq_finite((1, 0), (2, 0))
+        assert d.verdict == UNKNOWN
+        assert d.witness["exhausted"] == ["max_states"]
         assert d.to_json()["witness"]["exhausted"] == ["max_states"]
         assert cong.stats["exhausted_max_states"] == 1
 
