@@ -311,7 +311,7 @@ def cmd_corpus(args) -> int:
     started = time.perf_counter()
     report = _base_report(args, "corpus")
     entries = corpus_with_fixtures(seed=args.seed, count=args.count)
-    summary = SUITES[args.suite](entries)
+    summary = SUITES[args.suite](entries, budget=args.budget)
     report["summary"] = summary
     _set_verdict(
         report, args.suite, "definite" if not summary["unknown"] else UNKNOWN

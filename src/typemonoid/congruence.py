@@ -41,17 +41,19 @@ evaluated with saturation on omega coordinates), a closed support, or a
 fully saturated class enumeration; budget exhaustion yields Unknown, never a
 guess, and names the budget that ran out.  An omega Unknown names
 max_states when its finite decision ran out of it, and nothing when the
-supports do not match or the quotient refuted.  Witnesses are re-checked by
-assertion before being returned.
+supports do not match or the quotient refuted.  Witnesses are checked by
+assertion before they are first returned: a path by replay, a functional
+once, when it is built.
 
 The relations enter every functional computation through one matrix: the
 distinct nonzero differences lhs - rhs, sorted, built once per
 congruence.  The conserved basis, the cone and the simplex fallback read
 it, and a functional is checked by scaling it to integers by the lcm of
 its denominators and testing it against each distinct difference in
-exact int arithmetic.  The basis itself is eliminated in integers from
-that matrix, and an equality separation is evaluated in integers from
-the basis vectors scaled the same way.
+exact int arithmetic.  A functional is built, scaled and checked once
+per congruence and carries its scaling (a `Functional`), so a separation
+or a saturating value is evaluated in integers with no second check.
+The basis itself is eliminated in integers from that matrix.
 
 The nonnegative conserved functionals form the conserved cone
 {y >= 0 : y.(lhs - rhs) = 0}, the stationary measures.  Its extreme rays
@@ -84,7 +86,9 @@ import operator
 from collections import deque
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from .errors import SpaceMismatchError
 from .lp import exact_lp_feasible, integer_scaling, rational_kernel_basis
@@ -174,6 +178,11 @@ class ExtVec:
     coordinate lies in 0..n-1 (else ValueError "omega coordinate out of
     range"), and the finite multiplicity of an omega coordinate is 0
     (else ValueError "finite multiplicity on an omega coordinate").
+
+    The hash, that of (finite, omega), is computed once on construction:
+    the memos of normalization, decisions and scale certificates hash a
+    value on every lookup.  It is kept outside the fields, so equality,
+    repr and asdict see only finite and omega.
     """
 
     finite: Vec
@@ -190,6 +199,10 @@ class ExtVec:
                     raise ValueError("omega coordinate out of range")
                 if finite[i]:
                     raise ValueError("finite multiplicity on an omega coordinate")
+        object.__setattr__(self, "_hash", hash((finite, self.omega)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n(self) -> int:
@@ -227,6 +240,16 @@ class ExtVec:
     @staticmethod
     def from_vec(v: Vec) -> "ExtVec":
         return ExtVec(tuple(v))
+
+
+class Functional(NamedTuple):
+    """A conserved functional y with its integer scaling: den is the lcm
+    of y's denominators and z = den * y.  Built only by
+    `Congruence._functional`, which checks y before returning it."""
+
+    y: Tuple[Fraction, ...]
+    z: Tuple[int, ...]
+    den: int
 
 
 @dataclass(frozen=True)
@@ -336,10 +359,11 @@ class Congruence:
             (idx, left, right) for (left, right), idx in supports.items()
             if left != right
         )
-        self._kernel: Optional[List[Tuple[Fraction, ...]]] = None
-        self._kernel_ints: Optional[List[Tuple[List[int], int]]] = None
+        self._kernel: Optional[List[Functional]] = None
         self._rays: Optional[List[Vec]] = None
         self._rays_built = False
+        # the checked functional rays[i] / val, keyed by (i, val)
+        self._ray_functionals: Dict[Tuple[int, int], Functional] = {}
         self._closures: Dict[Vec, ClassRecord] = {}
         self._support_memo: Dict[FrozenSet[int], Tuple[FrozenSet[int], dict]] = {}
         self._normal_memo: Dict[ExtVec, ExtVec] = {}
@@ -354,6 +378,7 @@ class Congruence:
             "cone_rays": 0,
             "ray_separations": 0,
             "lp_fallbacks": 0,
+            "functionals_built": 0,
             "kernel_rows": 0,
             "kernel_rank": 0,
             "exhausted_max_states": 0,
@@ -367,26 +392,35 @@ class Congruence:
 
     def conserved_basis(self) -> List[Tuple[Fraction, ...]]:
         """Basis of rational y with y.(lhs - rhs) = 0 for every relation,
-        eliminated in integers from the distinct differences."""
+        eliminated in integers from the distinct differences.
+
+        Each basis vector is checked by `_assert_functional` once, when
+        the basis is built; an equality refutation hands it out as it is,
+        and `TypeEngine.audit_decisions` checks every logged witness
+        again."""
+        return [f.y for f in self._basis_functionals()]
+
+    def _basis_functionals(self) -> List[Functional]:
         if self._kernel is None:
-            self._kernel = rational_kernel_basis(self._diffs, self.n)
+            basis = rational_kernel_basis(self._diffs, self.n)
             self.stats["kernel_rows"] = len(self._diffs)
-            self.stats["kernel_rank"] = self.n - len(self._kernel)
+            self.stats["kernel_rank"] = self.n - len(basis)
+            self._kernel = [self._functional(y) for y in basis]
         return self._kernel
 
-    def _integer_basis(self) -> List[Tuple[List[int], int]]:
-        """Each basis vector y as (z, den) with z = den * y in integers."""
-        if self._kernel_ints is None:
-            self._kernel_ints = [integer_scaling(y) for y in self.conserved_basis()]
-        return self._kernel_ints
+    def _functional(self, y: Sequence, nonneg: bool = False) -> Functional:
+        """y as a Functional, after `_assert_functional` has checked it."""
+        z, den = self._assert_functional(y, nonneg=nonneg)
+        self.stats["functionals_built"] += 1
+        return Functional(tuple(y), tuple(z), den)
 
-    def functional_value(self, y: Sequence[Fraction], v: ExtVec):
+    def functional_value(self, f: Functional, v: ExtVec):
         """Saturating evaluation; returns a Fraction or the string 'inf'.
-        A finite value is summed in ints over the integer scaling of y."""
+        A finite value is summed in ints over the carried scaling z / den."""
+        y = f.y
         if any(y[i] != 0 for i in v.omega):
             return "inf"
-        z, den = integer_scaling(y)
-        return Fraction(sum(a * b for a, b in zip(z, v.finite)), den)
+        return Fraction(sum(a * b for a, b in zip(f.z, v.finite)), f.den)
 
     def conserved_rays(self) -> Optional[List[Vec]]:
         """Extreme rays of the conserved cone, or None past RAY_LIMIT.
@@ -432,8 +466,16 @@ class Congruence:
 
     def _nonneg_conserved(
         self, positive: Sequence[int], zero_coords: Iterable[int] = ()
-    ) -> Optional[Tuple[Fraction, ...]]:
-        """Find y >= 0 conserved with y.positive >= 1 and y zero on zero_coords."""
+    ) -> Optional[Functional]:
+        """Find y >= 0 conserved with y.positive >= 1 and y zero on zero_coords.
+
+        On the cone, y = r / (r.positive) for the first ray r that fits,
+        built and checked by `_assert_functional` once per (ray, value)
+        and then returned from a memo; the rays themselves were checked
+        when the cone was built.  Past RAY_LIMIT each call solves the
+        simplex and checks its point.  `TypeEngine.audit_decisions` checks
+        every logged witness again.
+        """
         zero = tuple(zero_coords)
         rays = self.conserved_rays()
         if rays is None:
@@ -443,14 +485,18 @@ class Congruence:
             res = exact_lp_feasible(
                 self.n, equalities=eqs, ge_inequalities=[(tuple(positive), 1)]
             )
-            return res.point if res.feasible else None
+            return self._functional(res.point, nonneg=True) if res.feasible else None
         self.stats["ray_separations"] += 1
-        for r in rays:
+        for idx, r in enumerate(rays):
             if any(r[i] for i in zero):
                 continue
             val = sum(c * x for c, x in zip(r, positive))
             if val > 0:
-                return tuple(Fraction(c, val) for c in r)
+                f = self._ray_functionals.get((idx, val))
+                if f is None:
+                    f = self._functional(tuple(Fraction(c, val) for c in r), nonneg=True)
+                    self._ray_functionals[idx, val] = f
+                return f
         return None
 
     # ----- bounded class closure -------------------------------------------
@@ -554,16 +600,14 @@ class Congruence:
 
     def _eq_finite_impl(self, u: Vec, v: Vec) -> Decision:
         diff = vec_sub(u, v)
-        for y, (z, den) in zip(self.conserved_basis(), self._integer_basis()):
-            val = sum(a * b for a, b in zip(z, diff))
+        for f in self._basis_functionals():
+            val = sum(a * b for a, b in zip(f.z, diff))
             if val != 0:
-                dec = Decision(
+                return Decision(
                     NOT_EQUAL,
-                    {"kind": "functional", "y": y, "separation": Fraction(val, den)},
+                    {"kind": "functional", "y": f.y, "separation": Fraction(val, f.den)},
                     self.budget,
                 )
-                self._assert_functional(dec.witness["y"])
-                return dec
         # the members of each record so far, its root from the start: the
         # classes are equal once the two share a member
         seen_u, seen_v = {u}, {v}
@@ -627,13 +671,11 @@ class Congruence:
         return hit
 
     def _leq_finite_impl(self, u: Vec, v: Vec) -> Decision:
-        y = self._nonneg_conserved(vec_sub(u, v))
-        if y is not None:
-            dec = Decision(
-                NOT_LEQ, {"kind": "functional", "y": y, "nonnegative": True}, self.budget
+        f = self._nonneg_conserved(vec_sub(u, v))
+        if f is not None:
+            return Decision(
+                NOT_LEQ, {"kind": "functional", "y": f.y, "nonnegative": True}, self.budget
             )
-            self._assert_functional(y, nonneg=True)
-            return dec
         # mins: the minimal u-side members found so far; tops: every v-side
         # member.  A pair is compared when the later of the two is found.
         # A u-side member above a min adds nothing, and a min dropped for a
@@ -759,22 +801,25 @@ class Congruence:
         self.stats["exhausted_max_states"] += 1
         return ["max_states"]
 
-    def _assert_functional(self, y, nonneg: bool = False) -> None:
-        """Check y.(lhs - rhs) = 0 for every relation, and y >= 0 if asked.
+    def _assert_functional(self, y, nonneg: bool = False) -> Tuple[List[int], int]:
+        """Check y.(lhs - rhs) = 0 for every relation, and y >= 0 if asked;
+        return the integer scaling (z, den) the check used.
 
         y (Fractions or ints) is scaled by the lcm of its denominators to
         an integer vector z, and z.d = 0 is checked in ints for each
         distinct difference d, read as its sparse row: the same exact test
         as on y, against every difference and not a basis of their span,
-        so the check does not rest on the elimination.
+        so the check does not rest on the elimination.  Nothing here is
+        memoized: the audit runs it in full on every witness.
         """
-        z, _ = integer_scaling(y)
+        z, den = integer_scaling(y)
         assert len(z) == self.n, "functional has the wrong length"
         for row in self._diff_rows:
             s = sum(z[i] * c for i, c in row)
             assert s == 0, "functional does not annihilate a relation"
         if nonneg:
             assert all(c >= 0 for c in y), "order functional not nonnegative"
+        return z, den
 
     # ----- omega machinery ----------------------------------------------------
 
@@ -1004,17 +1049,16 @@ class Congruence:
         if not order:
             candidates.append((vec_sub(qn.finite, pn.finite), W | V))
         for positive, zero in candidates:
-            y = self._nonneg_conserved(positive, zero_coords=zero)
-            if y is not None:
-                self._assert_functional(y, nonneg=True)
+            f = self._nonneg_conserved(positive, zero_coords=zero)
+            if f is not None:
                 return Decision(
                     NOT_LEQ if order else NOT_EQUAL,
                     {
                         "kind": "functional",
-                        "y": y,
+                        "y": f.y,
                         "nonnegative": True,
-                        "value_left": self.functional_value(y, pn),
-                        "value_right": self.functional_value(y, qn),
+                        "value_left": self.functional_value(f, pn),
+                        "value_right": self.functional_value(f, qn),
                     },
                     self.budget,
                 )

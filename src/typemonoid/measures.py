@@ -195,7 +195,8 @@ def synthesize_classical_measure(
         raise SpaceMismatchError("unknown atom in normalization set")
     target = indicator(n, e_set)
     by_cone = cong.conserved_rays() is not None
-    y = cong._nonneg_conserved(target) if by_cone else None
+    found = cong._nonneg_conserved(target) if by_cone else None
+    y = None if found is None else found.y
     if y is None:
         equalities = [(d, 0) for d in cong.differences()] + [(target, 1)]
         res = exact_lp_feasible(n, equalities=equalities)

@@ -1,7 +1,8 @@
 """Corpus-wide property suites.
 
 Each runner replays one of the headline structure theorems over a
-family of spaces and returns a plain report dict with stable keys:
+family of spaces, under the search budget given as `budget` to every
+engine it builds, and returns a plain report dict with stable keys:
 `checks` (decisions attempted), `failures` (human-readable strings,
 empty on success), `unknown` (indefinite verdicts), `unknown_rate`,
 and `fixture_unknown` (indefinite verdicts on the named fixtures,
@@ -12,7 +13,7 @@ runner and the acceptance tests share these implementations.
 import random
 from typing import Dict, List, Optional, Sequence
 
-from .congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, UNKNOWN
+from .congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, UNKNOWN, Budget
 from .corpus import (
     CorpusEntry,
     corpus_morphism_pairs,
@@ -130,13 +131,15 @@ def run_theorem1_suite(
     seed: int = 5,
     pair_cap: int = 40,
     morphism_limit: int = 12,
+    *,
+    budget: Budget = Budget(),
 ) -> Dict:
     tally = _Tally("theorem1")
     rng = random.Random(seed)
     entries = corpus_with_fixtures() if entries is None else list(entries)
     for entry in entries:
         tally.enter_space(entry)
-        eng = TypeEngine(entry.statspace)
+        eng = TypeEngine(entry.statspace, budget)
         sets = eng.statspace.space.all_measurable_sets()
         name = entry.name
 
@@ -216,9 +219,9 @@ def run_theorem1_suite(
     # cofunctor laws over composable morphism pairs
     pairs = corpus_morphism_pairs(entries, limit=morphism_limit)
     for m2, m1 in pairs:
-        src = TypeEngine(m1.source)
-        mid = TypeEngine(m1.target)
-        tgt = TypeEngine(m2.target)
+        src = TypeEngine(m1.source, budget)
+        mid = TypeEngine(m1.target, budget)
+        tgt = TypeEngine(m2.target, budget)
         f1 = morphism_type_map(m1, src, mid)
         f2 = morphism_type_map(m2, mid, tgt)
         ident = morphism_type_map(identity_morphism(m1.source), src, src)
@@ -255,13 +258,15 @@ def run_theorem2_suite(
     entries: Optional[Sequence[CorpusEntry]] = None,
     seed: int = 9,
     pairs_per_space: int = 100,
+    *,
+    budget: Budget = Budget(),
 ) -> Dict:
     tally = _Tally("theorem2")
     rng = random.Random(seed)
     entries = corpus_with_fixtures() if entries is None else list(entries)
     for entry in entries:
         tally.enter_space(entry)
-        eng = TypeEngine(entry.statspace)
+        eng = TypeEngine(entry.statspace, budget)
         name = entry.name
         try:
             lat = enumerate_idempotents(eng)
@@ -341,6 +346,8 @@ def run_theorem2_suite(
 def run_theorem3_suite(
     entries: Optional[Sequence[CorpusEntry]] = None,
     schemas_below: int = 20,
+    *,
+    budget: Budget = Budget(),
 ) -> Dict:
     tally = _Tally("theorem3")
     if entries is None:
@@ -350,7 +357,7 @@ def run_theorem3_suite(
         ]
     for entry in entries:
         tally.enter_space(entry)
-        eng = TypeEngine(entry.statspace)
+        eng = TypeEngine(entry.statspace, budget)
         name = entry.name
         try:
             lat = enumerate_idempotents(eng)
@@ -381,6 +388,8 @@ def run_theorem3_suite(
 
 def run_tarski_suite(
     entries: Optional[Sequence[CorpusEntry]] = None,
+    *,
+    budget: Budget = Budget(),
 ) -> Dict:
     tally = _Tally("tarski")
     entries = corpus_with_fixtures() if entries is None else list(entries)
@@ -388,7 +397,7 @@ def run_tarski_suite(
     tally.report["null_type_sets"] = 0
     for entry in entries:
         tally.enter_space(entry)
-        eng = TypeEngine(entry.statspace)
+        eng = TypeEngine(entry.statspace, budget)
         for aset in eng.statspace.space.all_measurable_sets():
             if not aset:
                 continue
@@ -419,6 +428,8 @@ def run_soundness_audit(
     entries: Optional[Sequence[CorpusEntry]] = None,
     seed: int = 13,
     queries_per_space: int = 20,
+    *,
+    budget: Budget = Budget(),
 ) -> Dict:
     tally = _Tally("soundness")
     rng = random.Random(seed)
@@ -426,7 +437,7 @@ def run_soundness_audit(
     totals = dict.fromkeys(AUDIT_KINDS, 0)
     for entry in entries:
         tally.enter_space(entry)
-        eng = TypeEngine(entry.statspace)
+        eng = TypeEngine(entry.statspace, budget)
         vectors = _sample_vectors(eng, rng)
         for _ in range(queries_per_space):
             p, q = rng.choice(vectors), rng.choice(vectors)

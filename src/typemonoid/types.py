@@ -208,6 +208,7 @@ class TypeEngine:
             self.n, [(r.lhs, r.rhs) for r in self.relations], budget
         )
         self.audit_log: List[AuditEntry] = []
+        self._set_elements: Dict[FrozenSet[int], AbarElement] = {}
         # scale certificates by vector; see lattice.isotropy_decompose
         self._scales: Dict[ExtVec, tuple] = {}
         self.stats: Dict[str, int] = {"scale_certificates": 0, "scale_lookups": 0}
@@ -220,7 +221,13 @@ class TypeEngine:
     # ----- formal coproducts ------------------------------------------------
 
     def abar_of_set(self, atoms: AtomSet) -> AbarElement:
-        return AbarElement(self.statspace, self._vec(_atom_set(atoms)))
+        """The coproduct of a set of atoms, built once per set."""
+        atoms = _atom_set(atoms)
+        hit = self._set_elements.get(atoms)
+        if hit is None:
+            hit = AbarElement(self.statspace, self._vec(atoms))
+            self._set_elements[atoms] = hit
+        return hit
 
     def abar_zero(self) -> AbarElement:
         return AbarElement(self.statspace, ExtVec.from_vec(zero_vec(self.n)))
@@ -240,11 +247,13 @@ class TypeEngine:
         and every module that needs a vector from a caller's value, goes
         through it.  x is an ExtVec, an AbarElement or TarskiType of this
         space, a set of atom indices, or a tuple or list of multiplicities.
+        An element of this engine's own space object is taken without
+        comparing spaces; one of an equal space object is compared.
         """
         if type(x) is ExtVec and len(x.finite) == self.n:
             return x
         if isinstance(x, (AbarElement, TarskiType)):
-            if x.space != self.statspace:
+            if x.space is not self.statspace and x.space != self.statspace:
                 raise SpaceMismatchError("element belongs to a different space")
             return x.vec if isinstance(x, AbarElement) else x.rep
         if isinstance(x, (frozenset, set)):
@@ -372,7 +381,9 @@ class TypeEngine:
         """Re-verify every logged definite decision; raises on any violation.
 
         Functional witnesses must annihilate all relation differences (the
-        congruence's integer check) and, between finite sides, separate
+        congruence's integer check, run here in full on every logged
+        witness although the congruence ran it once when it built the
+        functional) and, between finite sides, separate
         them: y.left != y.right for equality (equal to the recorded
         separation), y.left > y.right for order.  Path and domination
         witnesses must replay into realizations that verify

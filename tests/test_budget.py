@@ -1,7 +1,9 @@
 """The search budget is set once, when a congruence or engine is built.
 
 Every decision, the omega layer's quotient decisions included, runs
-under that budget and records it; no other callable takes one.
+under that budget and records it.  Besides the constructors, only the
+corpus suite runners take one, and they hand it to every engine they
+build; no decision takes one.
 """
 
 import importlib
@@ -36,10 +38,16 @@ def test_only_constructors_take_a_budget():
     assert "typemonoid.congruence.Congruence.decide_eq" in seen
     assert "typemonoid.measures.synthesize_classical_measure" in seen
     takers = [q for q, f in seen.items() if "budget" in inspect.signature(f).parameters]
-    # a Decision records the budget it ran under
+    # a Decision records the budget it ran under; a suite runner passes
+    # its budget to the engines it builds
     assert takers == [
         "typemonoid.congruence.Decision.__init__",
         "typemonoid.congruence.Congruence.__init__",
+        "typemonoid.suites.run_theorem1_suite",
+        "typemonoid.suites.run_theorem2_suite",
+        "typemonoid.suites.run_theorem3_suite",
+        "typemonoid.suites.run_tarski_suite",
+        "typemonoid.suites.run_soundness_audit",
         "typemonoid.types.TypeEngine.__init__",
     ]
 

@@ -366,6 +366,15 @@ class TestCorpus:
         assert code == 0
         assert doc["summary"]["agreements"] > 0
 
+    def test_max_states_reaches_the_suites(self, capsys):
+        # one member per class record: the audit's class searches run out
+        code, doc, _ = run_json(
+            capsys, ["--max-states", "1", "corpus", "--suite", "soundness", "--count", "0"]
+        )
+        assert doc["budget"] == {"max_states": 1}
+        assert doc["summary"]["unknown"] > 0
+        assert doc["verdicts"] == [{"name": "soundness", "verdict": "unknown"}]
+
 
 class TestDeterminism:
     def test_type_output_stable(self, files, capsys):

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -27,6 +29,7 @@ from typemonoid.congruence import (
 from typemonoid.corpus import collapse_space, fixture_spaces, random_corpus, statspace_from_maps
 from typemonoid.errors import SpaceMismatchError
 from typemonoid.lp import exact_lp_feasible, rational_kernel_basis
+from typemonoid.serial import report_to_json
 from typemonoid.types import AuditEntry, TypeEngine
 
 from kernel_oracle import fraction_kernel_basis
@@ -205,6 +208,23 @@ class TestIntegerFunctionalCheck:
         o.witness["y"] = tuple(-c for c in o.witness["y"])
         with pytest.raises(AssertionError, match="not nonnegative"):
             eng.audit_decisions()
+
+    def test_audit_does_not_trust_the_functional_memo(self):
+        # e0 <= e1 and e2 <= e3 are refuted by the same (ray, value): the
+        # even ray (1, 0, 1, 0) over 1, built once and shared
+        eng = TypeEngine(fixture_spaces()["parity"])
+        first = eng.decide_leq((1, 0, 0, 0), (0, 1, 0, 0))
+        second = eng.decide_leq((0, 0, 1, 0), (0, 0, 0, 1))
+        assert first.witness["y"] is second.witness["y"]
+        built = eng.congruence.stats["functionals_built"]
+        assert built == 1
+        eng.audit_decisions()
+        # a nonnegative y that moves mass across the swap e0 ~ e2
+        first.witness["y"] = (1, 0, 0, 0)
+        with pytest.raises(AssertionError, match="annihilate"):
+            eng.audit_decisions()
+        # the audit builds no functional and reads none from the memo
+        assert eng.congruence.stats["functionals_built"] == built
 
     def test_zero_functional_fails_audit(self):
         # the zero vector annihilates every relation and is nonnegative,
@@ -862,16 +882,39 @@ class TestConservedCone:
             for _ in range(25):
                 p = tuple(rng.randint(-2, 2) for _ in range(n))
                 zero = [i for i in range(n) if rng.random() < 0.3]
-                y = cong._nonneg_conserved(p, zero)
-                assert (y is not None) == _lp_feasible(cong, p, zero)
-                if y is not None:
+                f = cong._nonneg_conserved(p, zero)
+                assert (f is not None) == _lp_feasible(cong, p, zero)
+                if f is not None:
                     found += 1
+                    y = f.y
                     cong._assert_functional(y, nonneg=True)
+                    assert list(f.z) == [c * f.den for c in y]
                     assert all(isinstance(c, Fraction) for c in y)
                     assert sum(a * b for a, b in zip(y, p)) == 1
                     assert all(y[i] == 0 for i in zero)
             assert cong.stats["lp_fallbacks"] == 0
         assert found > 0
+
+    def test_each_functional_is_built_once(self):
+        cong = parity_congruence()
+        # the same ray and value: the same checked functional, built once
+        f = cong._nonneg_conserved((1, -1, 0, 0))
+        assert f.y == (1, 0, 1, 0) and (f.z, f.den) == ((1, 0, 1, 0), 1)
+        assert cong._nonneg_conserved((0, 0, 1, -1)) is f
+        assert cong.stats["functionals_built"] == 1
+        # the same ray at another value is another functional
+        g = cong._nonneg_conserved((2, -1, 0, 0))
+        assert g.y == (Fraction(1, 2), 0, Fraction(1, 2), 0) and (g.z, g.den) == ((1, 0, 1, 0), 2)
+        assert cong.stats["functionals_built"] == 2
+        # the kernel rows are built with the basis, and a refutation
+        # hands one out without building another
+        basis = cong.conserved_basis()
+        assert cong.stats["functionals_built"] == 2 + len(basis)
+        for u, v in (((1, 0, 0, 0), (0, 1, 0, 0)), ((2, 0, 0, 0), (0, 0, 0, 1))):
+            d = cong.eq_finite(u, v)
+            assert d.witness["kind"] == "functional"
+            assert any(d.witness["y"] is y for y in basis)
+        assert cong.stats["functionals_built"] == 2 + len(basis)
 
     def test_simplex_fallback_past_ray_limit(self, monkeypatch):
         rng = random.Random(31)
@@ -938,6 +981,36 @@ class TestExtVec:
         v = ExtVec((2, 0), frozenset({1}))
         assert v.scale(3).finite == (6, 0)
         assert v.scale(0).is_zero()
+
+    def test_equal_values_hash_equal(self):
+        for forms in (
+            [
+                ExtVec((2, 0, 4)),
+                ExtVec.from_vec([2, 0, 4]),
+                ExtVec((1, 0, 1)).add(ExtVec((1, 0, 3))),
+                ExtVec((1, 0, 2)).scale(2),
+                dataclasses.replace(ExtVec((9, 9, 9)), finite=(2, 0, 4)),
+            ],
+            [
+                ExtVec((2, 0, 0), frozenset({2})),
+                ExtVec((1, 0, 0), frozenset({2})).add(ExtVec((1, 0, 5))),
+                ExtVec((1, 0, 0), frozenset({2})).scale(2),
+                dataclasses.replace(ExtVec((2, 0, 0)), omega=frozenset({2})),
+            ],
+        ):
+            v = forms[0]
+            assert hash(v) == hash((v.finite, v.omega))
+            for w in forms[1:]:
+                assert w == v and hash(w) == hash(v)
+            assert len(set(forms)) == 1
+
+    def test_stored_hash_is_no_field(self):
+        v = ExtVec((2, 0, 0), frozenset({2}))
+        assert dataclasses.asdict(v) == {"finite": (2, 0, 0), "omega": frozenset({2})}
+        assert repr(v) == "ExtVec(finite=(2, 0, 0), omega=frozenset({2}))"
+        assert json.loads(report_to_json({"value": v})) == {
+            "value": {"finite": [2, 0, 0], "omega": [2]}
+        }
 
 
 class TestClassClosure:

@@ -1,3 +1,8 @@
+import pytest
+
+from typemonoid import suites
+from typemonoid.congruence import Budget
+from typemonoid.corpus import CorpusEntry, parity_space
 from typemonoid.suites import _Tally
 
 
@@ -21,3 +26,20 @@ def test_check_formats_only_on_failure():
         f"s: distributivity {({'law': 'absorption-meet'})}",
         "s: plain {braces} kept",
     ]
+
+
+@pytest.mark.parametrize("name", sorted(suites.SUITES))
+def test_every_engine_runs_under_the_given_budget(monkeypatch, name):
+    budget = Budget(max_states=123)
+    seen = []
+
+    class Recording(suites.TypeEngine):
+        def __init__(self, statspace, budget=Budget()):
+            super().__init__(statspace, budget)
+            seen.append(budget)
+
+    monkeypatch.setattr(suites, "TypeEngine", Recording)
+    entry = CorpusEntry(name="parity", statspace=parity_space(), kind="random")
+    suites.SUITES[name]([entry], budget=budget)
+    # theorem1 also builds an engine per end of each morphism pair
+    assert seen and all(b is budget for b in seen)

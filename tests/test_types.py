@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -71,8 +72,10 @@ class TestAbar:
         assert eng.abar_of_set(frozenset(range(4))).vec.finite == (1, 1, 1, 1)
 
     def test_unknown_atom(self):
-        with pytest.raises(SpaceMismatchError):
-            parity_engine().abar_of_set(frozenset({9}))
+        eng = parity_engine()
+        for atoms in ({9}, frozenset({9}), {0, 9}):
+            with pytest.raises(SpaceMismatchError):
+                eng.abar_of_set(atoms)
 
     def test_omega_out_of_range(self):
         eng = collapse_engine()
@@ -140,12 +143,15 @@ class TestCoercion:
     def test_forms_agree(self, op, value):
         eng = parity_engine()
         t = eng.type_of_abar(value)
-        assert t.rep == value  # already normal, so all three name one vector
-        forms = [value, AbarElement(eng.statspace, value), t]
+        assert t.rep == value  # already normal, so every form names one vector
+        # an equal copy of the space is the same space, checked by ==
+        copy = dataclasses.replace(eng.statspace)
+        assert copy is not eng.statspace
+        forms = [value, AbarElement(eng.statspace, value), t, AbarElement(copy, value)]
         results = [self.OPS[op](eng, x) for x in forms]
-        assert results[0] == results[1] == results[2]
+        assert results[0] == results[1] == results[2] == results[3]
 
-    @pytest.mark.parametrize("where", ["idempotent_of", "hierarchical_measure"])
+    @pytest.mark.parametrize("where", ["idempotent_of", "hierarchical_measure", "decide_equal"])
     @pytest.mark.parametrize("form", ["abar", "type"])
     def test_foreign_space_rejected(self, where, form):
         eng = parity_engine()
@@ -156,6 +162,8 @@ class TestCoercion:
         with pytest.raises(SpaceMismatchError):
             if where == "idempotent_of":
                 idempotent_of(eng, x)
+            elif where == "decide_equal":
+                eng.decide_equal(x, eng.abar_zero())
             else:
                 hierarchical_measure(eng, lat.bottom, x)
 
@@ -165,14 +173,16 @@ class TestCoercion:
         eng = parity_engine()
         with pytest.raises(TypeError):
             eng.type_of(form([0, 1, 2, 3]))
-        with pytest.raises(TypeError):
-            eng.abar_of_set(form([0, 1, 2, 3]))
+        for _ in range(2):  # a refusal is not remembered as a value
+            with pytest.raises(TypeError):
+                eng.abar_of_set(form([0, 1, 2, 3]))
 
     def test_set_and_list_readings(self):
         eng = parity_engine()
         lat = enumerate_idempotents(eng)
         assert eng.type_of({0, 1, 2, 3}).rep == ExtVec((1, 1, 1, 1))
         assert eng.abar_of_set({0, 1}).vec == ExtVec((1, 1, 0, 0))
+        assert eng.abar_of_set(frozenset({0, 1})) == eng.abar_of_set({1, 0})
         assert eng.type_of_abar([0, 1, 2, 3]).rep == ExtVec((0, 1, 2, 3))
         as_list = hierarchical_measure(eng, lat.bottom, [0, 1, 2, 3])
         as_vec = hierarchical_measure(eng, lat.bottom, ExtVec((0, 1, 2, 3)))
