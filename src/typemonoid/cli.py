@@ -30,7 +30,7 @@ from .errors import (
     TypemonoidError,
 )
 from .lattice import enumerate_idempotents, idempotent_of
-from .measures import is_paradoxical, synthesize_classical_measure
+from .measures import PARADOX_LIMIT, is_paradoxical, synthesize_classical_measure
 from .monoid import check_inverse_monoid
 from .serial import (
     SpaceFormatError,
@@ -43,7 +43,7 @@ from .spaces import validate_action
 from .suites import SUITES, corpus_with_fixtures
 from .types import TypeEngine
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -239,7 +239,9 @@ def cmd_measure(args) -> int:
     aset = parse_set_expr(ss, args.set)
     eng = TypeEngine(ss, args.budget)
     syn = synthesize_classical_measure(eng, aset, want_report=True)
+    audit = eng.audit_decisions()
     report["stages"] = syn.stages
+    report["audit"] = audit
     if syn.measure is not None:
         m = syn.measure
         report["measure"] = m.to_json()
@@ -252,7 +254,16 @@ def cmd_measure(args) -> int:
             lines.append(f"  mu({label}) = {val}")
     else:
         _set_verdict(report, "measure_exists", "definite")
-        lines = [f"infeasible: Farkas certificate {syn.stages[0]['farkas']}"]
+        (st,) = syn.stages
+        if st["k"] is None:
+            _set_verdict(report, "paradox_certificate", UNKNOWN)
+            lines = [f"infeasible: no paradox certificate within PARADOX_LIMIT = "
+                     f"{PARADOX_LIMIT} copies"]
+        else:
+            k = st["k"]
+            lines = [f"infeasible: paradox certificate {k + 1}[E] <= {k}[E]",
+                     f"witness {st['witness']['witness']}"]
+    lines.append(f"audit replayed: {audit}")
     return _emit(args, report, lines, started)
 
 

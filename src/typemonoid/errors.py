@@ -46,5 +46,10 @@ class AmbiguousMaximumError(TypemonoidError):
     """A unique maximum was required but incomparable maxima exist."""
 
 
+class UnitGroupError(TypemonoidError):
+    """The answer needs the unit group of a measure target, which is not
+    computed."""
+
+
 class ContractError(TypemonoidError):
     """A documented precondition does not hold."""

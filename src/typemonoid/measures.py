@@ -1,15 +1,19 @@
 """Stationary measures: synthesis, paradox checks, monoid-valued
 measures, hierarchical measures, and the limit laws.
 
-The classical side is exact rational arithmetic.  A stationary measure
-normalized on E solves the system { x >= 0, x(preimage of a under s) =
-x(a) for all s and atoms a, x(E) = 1 }.  Its finite solutions are the
-nonnegative conserved functionals of the space's congruence, so the
-measure is read off the extreme rays of the conserved cone: a solution
-exists exactly when some ray r has r(E) > 0, and then x = r / r(E).
-Exact rational linear programming runs only where the cone gives no
-answer: past RAY_LIMIT rays, and for the Farkas certificate when no
-ray fits.
+The classical side is exact rational arithmetic, and each answer is one
+decision of the engine.  A stationary measure normalized on E solves the
+system { x >= 0, x(preimage of a under s) = x(a) for all s and atoms a,
+x(E) = 1 }.  Its finite solutions are the nonnegative conserved
+functionals of the space's congruence scaled to x(E) = 1, and such a
+functional is exactly what refutes 2[E] <= [E]: the engine asks the
+conserved cone (or the simplex past RAY_LIMIT) for a y >= 0 with
+y.(2e_E - e_E) = y(E) >= 1.  So synthesis decides 2[E] <= [E]; a
+`functional` refutation y gives the measure y / y(E).  Otherwise no
+measure exists, and the certificate is the domination witness of the
+least k <= PARADOX_LIMIT with (k+1)[E] <= k[E] (Tarski's theorem: a set
+carries a normalized measure exactly when no k+1 copies of it fit in k).
+It is sound on its own: a measure with mu(E) = 1 would give k+1 <= k.
 
 Infinite values never help.  Suppose a measure is infinite on a set I
 of atoms outside E and finite on the rest, J.  Stationarity forces I
@@ -27,12 +31,30 @@ The monoid-valued side works with an abstract measure target: either a
 finitely presented commutative monoid driven by the congruence engine,
 or the extended nonnegative rationals.  Classification (stationary /
 monotone / aparadoxical) and the extension of a measure through the
-hierarchical measure at its null scale both reduce to target equality
-decisions.
+hierarchical measure at its null scale both reduce to target decisions,
+each flag by an exact rule:
 
-Monotonicity is decided by a bounded search for a nonzero combination
-of atom values that collapses to zero; the bound is a documented
-parameter, not a completeness claim.
+- Stationarity is checked on a generating set of the monoid.  The action
+  composes, pre_st = pre_t o pre_s, and the preimages under t of the
+  disjoint atoms of pre_s(a) are disjoint, so a measure stationary under
+  s and t is stationary under st.  Every element before the first
+  failing one is generated by passing generators, so the first failing
+  element is itself a generator.
+- Monotonicity.  A combination of atom values that sums to zero uses
+  only unit values (x + y = 0 makes x a unit), so a measure whose
+  non-null atoms have no unit value is monotone.  `is_unit` is exact on
+  both targets: a rational is a unit when it is 0, and an element of a
+  finitely presented monoid when its support lies in U(empty), the
+  support closure theorem with W empty.  When a non-null atom a has a
+  unit value, the identity assignment of `tarski_T_measure` gives the
+  zero combination outright: the domination witness of x_a <= 0 is
+  e_a + gamma ~ 0.  Any other assignment would need the unit group of
+  the target, which is not computed, and raises `UnitGroupError`.
+- Aparadoxicality is checked on single atoms.  omega is additive, so the
+  idempotent omega(mu E) is the sum of omega(x_a) over the atoms a of E;
+  when each term is zero or absorbs the top and every atom value, so
+  does the sum, since absorption by one summand is absorption by the
+  sum.  Some set fails exactly when some single atom does.
 """
 
 import itertools
@@ -50,8 +72,8 @@ from .congruence import (
     Congruence,
     Decision,
     ExtVec,
-    indicator,
     unit_vec,
+    vec_add,
     zero_vec,
 )
 from .errors import (
@@ -60,6 +82,7 @@ from .errors import (
     ContractError,
     NormalizationImpossibleError,
     SpaceMismatchError,
+    UnitGroupError,
 )
 from .lattice import (
     IdempotentElement,
@@ -68,11 +91,17 @@ from .lattice import (
     isotropy_decompose,
     scale_covers,
 )
-from .lp import exact_lp_feasible
+from .monoid import generating_set
 from .spaces import AtomSet, StatSpace, pullback
 from .types import AbarElement, TarskiType, TypeEngine
 
 INF = "inf"
+
+# Most copies the paradox certificate of a set without a measure may use:
+# synthesis looks for the least k <= PARADOX_LIMIT with (k+1)[E] <= k[E].
+# Each k is one order decision under the engine's budget; a set whose
+# certificate needs more says so in its report instead of guessing.
+PARADOX_LIMIT = 8
 
 
 # ----- classical rational measures -------------------------------------------
@@ -174,45 +203,48 @@ def synthesize_classical_measure(
     """Search for a stationary measure on the engine's space with value
     exactly 1 on the given set.
 
-    The measure is a nonnegative conserved functional y of
-    engine.congruence with y(E) > 0, scaled to y / y(E): read off the
-    conserved cone as the first ray r with r(E) > 0 in the cone's fixed
-    order, and the LP then runs only for the Farkas certificate.  Past
-    RAY_LIMIT one exact LP with x(E) = 1 decides: its point is the
-    measure, or its Farkas vector the certificate.  The report has one
-    stage, with the method that decided it ("cone" or "lp").  Returns
-    None (or a report whose stage carries the LP's infeasibility
-    certificate) when no functional fits, which by the existence theorem
-    happens exactly for paradoxical sets.  A returned measure has passed
-    `check`.
+    One engine decision answers: 2[E] <= [E], through `decide_leq`, so it
+    is logged and audited.  A `functional` refutation y is a nonnegative
+    conserved functional with y(E) >= 1, and the measure is y / y(E): on
+    the conserved cone y comes from the first ray r with r(E) > 0, so the
+    measure is r / r(E); past RAY_LIMIT it is the simplex's point.  The
+    report has one stage, with the method that decided it ("cone" or
+    "lp").  A returned measure has passed `check`.
+
+    Without such a y no measure exists, and the function returns None,
+    or a report whose stage carries the paradox certificate: the least
+    k <= PARADOX_LIMIT for which (k+1)[E] <= k[E] decides `leq`, with
+    that decision (method "paradox").  If no k up to the bound decides
+    `leq`, the stage has k None and names PARADOX_LIMIT under
+    `exhausted`.
     """
     e_set = frozenset(atoms)
     if not e_set:
         raise NormalizationImpossibleError("cannot normalize on the empty set")
-    ss, cong = engine.statspace, engine.congruence
-    n = ss.n_atoms
-    if any(not (0 <= a < n) for a in e_set):
+    ss = engine.statspace
+    if any(not (0 <= a < ss.n_atoms) for a in e_set):
         raise SpaceMismatchError("unknown atom in normalization set")
-    target = indicator(n, e_set)
-    by_cone = cong.conserved_rays() is not None
-    found = cong._nonneg_conserved(target) if by_cone else None
-    y = None if found is None else found.y
-    if y is None:
-        equalities = [(d, 0) for d in cong.differences()] + [(target, 1)]
-        res = exact_lp_feasible(n, equalities=equalities)
-        if not res.feasible:
-            stage = {"infinite": [], "feasible": False, "method": "lp", "farkas": res.farkas}
-            return SynthesisReport(None, [stage]) if want_report else None
-        if by_cone:
-            raise ContractError("LP finds a measure that no conserved functional gives")
-        y = res.point
+    t = engine.type_of(e_set)
+    d = engine.decide_leq(engine.type_scale(2, t), t)
+    if d.witness.get("kind") != "functional":
+        stage = {"infinite": [], "feasible": False, "method": "paradox",
+                 "k": None, "witness": None, "exhausted": "PARADOX_LIMIT"}
+        for k in range(1, PARADOX_LIMIT + 1):
+            if k > 1:
+                d = engine.decide_leq(engine.type_scale(k + 1, t), engine.type_scale(k, t))
+            if d.verdict == LEQ:
+                stage = {"infinite": [], "feasible": False, "method": "paradox",
+                         "k": k, "witness": d.to_json()}
+                break
+        return SynthesisReport(None, [stage]) if want_report else None
+    y = d.witness["y"]
     mass = sum(y[a] for a in e_set)
     m = RationalStationaryMeasure(ss, tuple(c / mass for c in y), frozenset())
     bad = m.check()
     if bad:
         raise ContractError(f"synthesized measure fails invariants: {bad}")
     if want_report:
-        method = "cone" if by_cone else "lp"
+        method = "lp" if engine.congruence.conserved_rays() is None else "cone"
         return SynthesisReport(m, [{"infinite": [], "feasible": True, "method": method}])
     return m
 
@@ -280,6 +312,10 @@ class FPMonoidTarget:
     def is_zero(self, x: ExtVec) -> Decision:
         return self.eq(x, self.zero)
 
+    def is_unit(self, x: ExtVec) -> bool:
+        """x + y ~ 0 for some y: every atom of x lies in U(empty)."""
+        return x.support() <= self.congruence.support_closure(frozenset())[0]
+
     def describe(self) -> str:
         return f"fp-monoid({self.congruence.n} generators)"
 
@@ -311,6 +347,9 @@ class ExtendedRationalTarget:
 
     def is_zero(self, x) -> Decision:
         return self.eq(x, Fraction(0))
+
+    def is_unit(self, x) -> bool:
+        return x == 0
 
     def describe(self) -> str:
         return "extended-rationals"
@@ -373,21 +412,40 @@ def _definite(d: Decision, what: str) -> str:
     return d.verdict
 
 
-def classify_T_measure(spec: TMeasureSpec, mult_bound: int = 3) -> TMeasureFlags:
-    """Stationarity on atomic moves; monotonicity as triviality of the
-    unit group of the image; aparadoxicality as extremality of every
-    idempotent reachable from the image by countable self-sums.
+def _unit_witness(spec: TMeasureSpec, a: int) -> dict:
+    """A zero combination of atom values that uses atom a, whose value is
+    a unit.  Under the identity assignment the domination witness of
+    x_a <= 0 gives it: e_a + gamma ~ u + gamma = w ~ 0."""
+    n, t = spec.statspace.n_atoms, spec.target
+    identity = tuple(ExtVec.from_vec(unit_vec(n, b)) for b in range(n))
+    if not isinstance(t, FPMonoidTarget) or spec.assignment != identity:
+        raise UnitGroupError(
+            f"atom {a} has a unit value; deciding monotonicity needs the unit "
+            "group of the target (ROADMAP item 4)"
+        )
+    d = t.congruence.decide_leq(spec.assignment[a], t.zero)
+    if _definite(d, f"unit value of atom {a}") != LEQ:
+        raise ContractError(f"unit value of atom {a} is not below zero")
+    combination = vec_add(unit_vec(n, a), d.witness["gamma"])
+    zero = t.is_zero(ExtVec.from_vec(combination))
+    if _definite(zero, f"zero combination {combination}") != EQUAL:
+        raise ContractError(f"combination {combination} is not zero")
+    return {"atom": a, "combination": combination, "decision": zero.to_json()}
 
-    The unit-group search is bounded: it scans nonzero multiplicity
-    vectors up to `mult_bound` per atom for a combination that is zero
-    in the target while containing a non-null atom.
+
+def classify_T_measure(spec: TMeasureSpec) -> TMeasureFlags:
+    """Stationarity on a generating set of the monoid; monotonicity from
+    the units of the target; aparadoxicality as extremality of the
+    idempotent each single atom reaches by countable self-sums.  The
+    module docstring gives the argument for each rule.
     """
     ss = spec.statspace
     t = spec.target
+    n = ss.n_atoms
     details: Dict[str, object] = {}
     stationary = True
-    for s in range(ss.monoid.order):
-        for a in range(ss.n_atoms):
+    for s in generating_set(ss.monoid):
+        for a in range(n):
             pre = pullback(ss, s, frozenset({a}))
             d = t.eq(spec.value_of_atoms(pre), spec.assignment[a])
             if _definite(d, f"stationarity s={s} a={a}") != EQUAL:
@@ -397,43 +455,34 @@ def classify_T_measure(spec: TMeasureSpec, mult_bound: int = 3) -> TMeasureFlags
         if not stationary:
             break
 
-    null_atom = [
-        _definite(t.is_zero(spec.assignment[a]), f"null atom {a}") == EQUAL
-        for a in range(ss.n_atoms)
-    ]
     monotone = True
-    for vec in itertools.product(range(mult_bound + 1), repeat=ss.n_atoms):
-        if not any(vec):
+    for a in range(n):
+        if not t.is_unit(spec.assignment[a]):
             continue
-        if all(null_atom[a] for a in range(ss.n_atoms) if vec[a]):
+        if _definite(t.is_zero(spec.assignment[a]), f"null atom {a}") == EQUAL:
             continue
-        d = t.is_zero(spec.value_of_vec(vec))
-        if _definite(d, f"unit search {vec}") == EQUAL:
-            monotone = False
-            details["unit_witness"] = {"combination": vec}
-            break
+        monotone = False
+        details["unit_witness"] = _unit_witness(spec, a)
+        break
 
     aparadoxical = True
-    top = t.omega(spec.value_of_vec((1,) * ss.n_atoms))
-    for r in range(ss.n_atoms + 1):
-        for combo in itertools.combinations(range(ss.n_atoms), r):
-            e_val = t.omega(spec.value_of_vec(indicator(ss.n_atoms, frozenset(combo))))
-            if _definite(t.is_zero(e_val), f"idempotent of {combo}") == EQUAL:
-                continue
-            absorbing = _definite(
-                t.eq(t.add(e_val, top), e_val), f"absorbency of {combo}"
-            ) == EQUAL and all(
-                _definite(
-                    t.eq(t.add(e_val, spec.assignment[a]), e_val),
-                    f"absorbency of {combo} on atom {a}",
-                ) == EQUAL
-                for a in range(ss.n_atoms)
-            )
-            if not absorbing:
-                aparadoxical = False
-                details["interior_idempotent"] = {"support": list(combo)}
-                break
-        if not aparadoxical:
+    top = t.omega(spec.value_of_vec((1,) * n))
+    for a in range(n):
+        e_val = t.omega(spec.assignment[a])
+        if _definite(t.is_zero(e_val), f"idempotent of atom {a}") == EQUAL:
+            continue
+        absorbing = _definite(
+            t.eq(t.add(e_val, top), e_val), f"absorbency of atom {a}"
+        ) == EQUAL and all(
+            _definite(
+                t.eq(t.add(e_val, spec.assignment[b]), e_val),
+                f"absorbency of atom {a} on atom {b}",
+            ) == EQUAL
+            for b in range(n)
+        )
+        if not absorbing:
+            aparadoxical = False
+            details["interior_idempotent"] = {"support": [a]}
             break
     return TMeasureFlags(stationary, monotone, aparadoxical, details)
 
@@ -545,7 +594,7 @@ def extend_T_measure(
     values.  The factorization is checked on every measurable set, and
     uniqueness is probed against one perturbed alternative factor map.
     """
-    if spec.statspace is not engine.statspace:
+    if spec.statspace is not engine.statspace and spec.statspace != engine.statspace:
         raise SpaceMismatchError("measure and engine live on different spaces")
     flags = classify_T_measure(spec)
     if not (flags.stationary and flags.monotone and flags.aparadoxical):

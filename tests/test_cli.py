@@ -167,7 +167,7 @@ class TestSpaceCheck:
     def test_json_report_fields(self, files, capsys):
         code, doc, _ = run_json(capsys, ["space-check", files["parity"]])
         assert code == 0
-        assert doc["schema_version"] == 3
+        assert doc["schema_version"] == 4
         assert doc["command"] == "space-check"
         assert doc["monoid"]["valid"] is True
         assert doc["action"]["valid"] is True
@@ -253,11 +253,32 @@ class TestMeasure:
         assert "measure" not in doc
         assert len(doc["stages"]) == 1
         (st,) = doc["stages"]
-        assert st["infinite"] == [] and not st["feasible"] and st["method"] == "lp"
-        assert st["farkas"]
+        assert st["infinite"] == [] and not st["feasible"] and st["method"] == "paradox"
+        assert st["k"] == 1 and st["witness"]["verdict"] == "leq"
+        assert doc["audit"]["domination"] == 1
         code, out, _ = run(capsys, ["measure", files["collapse"], "1"])
         assert code == 0
-        assert out.splitlines()[0].startswith("infeasible: Farkas certificate")
+        assert out.splitlines()[0] == "infeasible: paradox certificate 2[E] <= 1[E]"
+
+    def test_feasible_measure_has_an_audit_block(self, files, capsys):
+        code, doc, _ = run_json(capsys, ["measure", files["parity"], "0,1,2,3"])
+        assert code == 0
+        assert doc["audit"]["functional"] == 1 and doc["audit"]["other"] == 0
+        code, out, _ = run(capsys, ["measure", files["parity"], "0,1,2,3"])
+        assert out.splitlines()[-1].startswith("audit replayed: ")
+
+    def test_paradox_limit_exhausted_exits_2(self, files, capsys):
+        # one class member per search decides no (k+1)[E] <= k[E]
+        argv = ["--max-states", "1", "measure", files["collapse"], "1"]
+        code, doc, _ = run_json(capsys, argv)
+        assert code == 2
+        assert "measure" not in doc
+        (st,) = doc["stages"]
+        assert st["k"] is None and st["exhausted"] == "PARADOX_LIMIT"
+        assert {"name": "measure_exists", "verdict": "definite"} in doc["verdicts"]
+        assert {"name": "paradox_certificate", "verdict": "unknown"} in doc["verdicts"]
+        code, out, _ = run(capsys, argv)
+        assert code == 2 and "PARADOX_LIMIT" in out.splitlines()[0]
 
     def test_empty_set_rejected(self, files, capsys):
         code, _, err = run(capsys, ["measure", files["parity"], ""])

@@ -22,12 +22,15 @@ from typemonoid.corpus import (
     one_point_space,
     parity_space,
     random_corpus,
+    statspace_from_maps,
     statspace_from_partial_maps,
 )
 from typemonoid.errors import (
     AmbiguousMaximumError,
     ContractError,
     NormalizationImpossibleError,
+    SpaceMismatchError,
+    UnitGroupError,
 )
 from typemonoid.lattice import (
     IdempotentElement,
@@ -39,7 +42,9 @@ from typemonoid.lattice import (
 )
 from typemonoid.measures import (
     INF,
+    PARADOX_LIMIT,
     ExtendedRationalTarget,
+    FPMonoidTarget,
     HierarchicalValue,
     RationalStationaryMeasure,
     TMeasureSpec,
@@ -143,11 +148,14 @@ class TestSynthesize:
 
     def test_collapse_null_atom_fails(self):
         ss = collapse_space()
-        rep = synthesize_classical_measure(TypeEngine(ss), frozenset({1}), want_report=True)
+        eng = TypeEngine(ss)
+        rep = synthesize_classical_measure(eng, frozenset({1}), want_report=True)
         assert rep.measure is None
-        assert len(rep.stages) == 1
-        assert all(not st["feasible"] for st in rep.stages)
-        assert all(st["farkas"] is not None for st in rep.stages)
+        (st,) = rep.stages
+        assert not st["feasible"] and st["method"] == "paradox" and st["k"] == 1
+        assert st["witness"]["verdict"] == LEQ
+        assert st["witness"]["witness"]["kind"] == "domination"
+        assert eng.audit_decisions()["domination"] == 1
 
     def test_measure_value_inf(self):
         ss = parity_space()
@@ -326,7 +334,7 @@ class TestConeStage:
         assert rep.stages == [{"infinite": [], "feasible": True, "method": "cone"}]
         rep = synthesize_classical_measure(TypeEngine(collapse_space()), frozenset({1}), True)
         assert rep.measure is None
-        assert {st["method"] for st in rep.stages} == {"lp"}
+        assert {st["method"] for st in rep.stages} == {"paradox"}
         monkeypatch.setattr(congruence, "RAY_LIMIT", 0)
         rep = synthesize_classical_measure(TypeEngine(parity_space()), frozenset(range(4)), True)
         assert rep.stages == [{"infinite": [], "feasible": True, "method": "lp"}]
@@ -340,9 +348,8 @@ class TestConeStage:
 
         monkeypatch.setattr(congruence, "RAY_LIMIT", 0)
         monkeypatch.setattr(congruence, "exact_lp_feasible", counting)
-        monkeypatch.setattr("typemonoid.measures.exact_lp_feasible", counting)
         rep = synthesize_classical_measure(TypeEngine(collapse_space()), frozenset({1}), True)
-        assert rep.measure is None and "farkas" in rep.stages[0]
+        assert rep.measure is None and rep.stages[0]["method"] == "paradox"
         assert len(calls) == 1
         # a feasible LP's point is the measure
         e_set = frozenset({0, 1})
@@ -437,8 +444,16 @@ class TestStagedOracle:
                 if want is not None:
                     assert rep.measure.finite_values == want.finite_values
                     assert rep.measure.infinite_atoms == want.infinite_atoms == frozenset()
-                assert rep.stages[0] == old_stages[0]
-                assert len(rep.stages) == 1
+                # the reference certifies a set without a measure by a
+                # Farkas vector, synthesis by a paradox witness
+                (st,) = rep.stages
+                if want is not None:
+                    assert st == old_stages[0]
+                else:
+                    assert {k: st[k] for k in ("infinite", "feasible")} == {
+                        k: old_stages[0][k] for k in ("infinite", "feasible")
+                    }
+                    assert "farkas" in old_stages[0]
                 # the eligible infinite supports are the complements of the
                 # closed supports containing E
                 assert set(_valid_infinite_supports(ss, e_set)) == {
@@ -447,8 +462,98 @@ class TestStagedOracle:
                 if want is None:
                     failed += 1
                     infinite_tried += len(old_stages) > 1
-                    assert "farkas" in rep.stages[0]
+                    assert st["method"] == "paradox" and st["k"] is not None
+            # every paradox witness replays
+            assert eng.audit_decisions()["other"] == 0
         assert failed > 0 and infinite_tried > 0
+
+
+def _certificate_spaces():
+    """The fixtures, five random corpora and the partial shifts."""
+    spaces = list(fixture_spaces().values())
+    for seed in (1, 2, 5, 7, 2024):
+        spaces += [e.statspace for e in random_corpus(seed=seed)]
+    return spaces + [_pshift_space(n) for n in (2, 3, 4)]
+
+
+def _certificate_sets(ss):
+    """Every nonempty set up to five atoms; past that the singletons and
+    the whole set."""
+    n = ss.n_atoms
+    if n <= 5:
+        return _nonempty_sets(ss)
+    return [frozenset({a}) for a in range(n)] + [frozenset(range(n))]
+
+
+class TestSynthesisCertificates:
+    """Each nonempty set gets exactly one certificate: a measure read off
+    the cone, or a paradox witness that the audit replays."""
+
+    def test_one_checked_certificate_per_set(self):
+        measures = paradoxes = 0
+        for ss in _certificate_spaces():
+            eng = TypeEngine(ss)
+            rays = eng.congruence.conserved_rays()
+            for e_set in _certificate_sets(ss):
+                rep = synthesize_classical_measure(eng, e_set, want_report=True)
+                (st,) = rep.stages
+                ray = next((r for r in rays if sum(r[a] for a in e_set) > 0), None)
+                assert (rep.measure is None) == (ray is None)
+                if rep.measure is not None:
+                    mass = sum(ray[a] for a in e_set)
+                    assert rep.measure.finite_values == tuple(Fraction(c, mass) for c in ray)
+                    assert st == {"infinite": [], "feasible": True, "method": "cone"}
+                    measures += 1
+                else:
+                    assert st["method"] == "paradox" and not st["feasible"]
+                    k = st["k"]
+                    assert st["witness"]["verdict"] == LEQ
+                    t = eng.type_of(e_set)
+                    d = eng.decide_leq(eng.type_scale(k + 1, t), eng.type_scale(k, t))
+                    assert d.to_json() == st["witness"]
+                    paradoxes += 1
+            audit = eng.audit_decisions()
+            assert audit["other"] == 0
+        assert measures > 0 and paradoxes > 0
+
+    def test_existence_unchanged_past_ray_limit(self, monkeypatch):
+        spaces = _certificate_spaces()
+        by_cone = {}
+        for i, ss in enumerate(spaces):
+            eng = TypeEngine(ss)
+            for e_set in _certificate_sets(ss):
+                by_cone[i, e_set] = synthesize_classical_measure(eng, e_set) is not None
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return exact_lp_feasible(*args, **kwargs)
+
+        monkeypatch.setattr(congruence, "RAY_LIMIT", 0)
+        monkeypatch.setattr(congruence, "exact_lp_feasible", counting)
+        for i, ss in enumerate(spaces):
+            eng = TypeEngine(ss)
+            for e_set in _certificate_sets(ss):
+                before = len(calls)
+                rep = synthesize_classical_measure(eng, e_set, want_report=True)
+                assert len(calls) - before <= 1
+                assert (rep.measure is not None) == by_cone[i, e_set]
+                if rep.measure is not None:
+                    assert rep.stages[0]["method"] == "lp"
+                    assert rep.measure.value(e_set) == 1 and not rep.measure.check()
+        assert calls
+
+    def test_paradox_limit_exhausted_names_the_bound(self):
+        # one class member per search decides no (k+1)[E] <= k[E]
+        eng = TypeEngine(collapse_space(), Budget(max_states=1))
+        rep = synthesize_classical_measure(eng, frozenset({1}), want_report=True)
+        assert rep.measure is None
+        assert rep.stages == [{"infinite": [], "feasible": False, "method": "paradox",
+                               "k": None, "witness": None, "exhausted": "PARADOX_LIMIT"}]
+        assert all(e.decision.verdict == "unknown" for e in eng.audit_log)
+        assert len(eng.audit_log) == PARADOX_LIMIT
+        # existence is still decided: the measure exists off the budget
+        assert synthesize_classical_measure(eng, frozenset({0})) is not None
 
 
 class TestTarskiCrossCheck:
@@ -494,6 +599,68 @@ class TestTarskiCrossCheck:
         assert rep.paradox.verdict == NOT_LEQ
 
 
+def _definite_verdict(d):
+    assert d.is_definite()
+    return d.verdict
+
+
+def _reference_classify(spec, mult_bound=3):
+    """The bounded scans classification used before its exact rules:
+    stationarity over every monoid element, a zero combination among all
+    multiplicity vectors up to `mult_bound` per atom, and the absorbing
+    test on the idempotent of every atom subset, smallest first.
+    Returns (stationary, monotone, aparadoxical, details)."""
+    ss, t = spec.statspace, spec.target
+    n = ss.n_atoms
+    details = {}
+    stationary = True
+    for s in range(ss.monoid.order):
+        for a in range(n):
+            pre = pullback(ss, s, frozenset({a}))
+            if _definite_verdict(t.eq(spec.value_of_atoms(pre), spec.assignment[a])) != EQUAL:
+                stationary = False
+                details["stationarity_witness"] = {"s": s, "atom": a}
+                break
+        if not stationary:
+            break
+    null_atom = [_definite_verdict(t.is_zero(spec.assignment[a])) == EQUAL for a in range(n)]
+    monotone = True
+    for vec in itertools.product(range(mult_bound + 1), repeat=n):
+        if not any(vec) or all(null_atom[a] for a in range(n) if vec[a]):
+            continue
+        if _definite_verdict(t.is_zero(spec.value_of_vec(vec))) == EQUAL:
+            monotone = False
+            details["unit_witness"] = {"combination": vec}
+            break
+    aparadoxical = True
+    top = t.omega(spec.value_of_vec((1,) * n))
+    for combo in itertools.chain.from_iterable(
+        itertools.combinations(range(n), r) for r in range(n + 1)
+    ):
+        e_val = t.omega(spec.value_of_vec(tuple(int(a in combo) for a in range(n))))
+        if _definite_verdict(t.is_zero(e_val)) == EQUAL:
+            continue
+        absorbing = _definite_verdict(t.eq(t.add(e_val, top), e_val)) == EQUAL and all(
+            _definite_verdict(t.eq(t.add(e_val, spec.assignment[a]), e_val)) == EQUAL
+            for a in range(n)
+        )
+        if not absorbing:
+            aparadoxical = False
+            details["interior_idempotent"] = {"support": list(combo)}
+            break
+    return stationary, monotone, aparadoxical, details
+
+
+def _unit_congruence():
+    """e0 ~ e1 + e2 and e0 ~ 0: atom 0 is null, and e1, e2 are units
+    that are not null, since e1 + e2 ~ 0."""
+    return Congruence(3, [((1, 0, 0), (0, 1, 1)), ((1, 0, 0), (0, 0, 0))])
+
+
+def _three_atom_trivial_space():
+    return with_trivial_symmetry(build_space(["0", "1", "2"], [[0], [1], [2]]))
+
+
 class TestClassify:
     def test_tarski_measure_parity(self):
         eng = TypeEngine(parity_space())
@@ -528,6 +695,70 @@ class TestClassify:
         flags = classify_T_measure(spec)
         assert not flags.stationary
         assert "stationarity_witness" in flags.details
+
+    def test_matches_the_bounded_scans(self):
+        specs = []
+        spaces = list(fixture_spaces().values())
+        for seed in (1, 2, 5, 7, 2024):
+            spaces += [e.statspace for e in random_corpus(seed=seed)]
+        for ss in spaces:
+            if ss.n_atoms > 4:
+                continue
+            eng = TypeEngine(ss)
+            specs.append(tarski_T_measure(eng))
+            m = synthesize_classical_measure(eng, frozenset(range(ss.n_atoms)))
+            if m is not None:
+                specs.append(measure_to_T_spec(m))
+            specs.append(measure_to_T_spec(
+                RationalStationaryMeasure(ss, (Fraction(1),) * ss.n_atoms, frozenset())
+            ))
+        flagged = set()
+        for spec in specs:
+            flags = classify_T_measure(spec)
+            got = (flags.stationary, flags.monotone, flags.aparadoxical, flags.details)
+            assert got == _reference_classify(spec)
+            flagged |= {k for k in ("stationary", "aparadoxical") if not getattr(flags, k)}
+        assert len(specs) > 200 and flagged == {"stationary", "aparadoxical"}
+
+    def test_unit_value_not_monotone(self):
+        ss = _three_atom_trivial_space()
+        target = FPMonoidTarget(_unit_congruence())
+        identity = tuple(ExtVec.from_vec(unit_vec(3, a)) for a in range(3))
+        flags = classify_T_measure(TMeasureSpec(ss, target, identity))
+        assert flags.stationary and not flags.monotone
+        w = flags.details["unit_witness"]
+        assert w["atom"] == 1 and w["combination"] == (0, 1, 1)
+        assert w["decision"]["verdict"] == EQUAL
+        assert target.is_zero(ExtVec.from_vec(w["combination"])).verdict == EQUAL
+        # the scan agrees, and finds the same combination first
+        assert _reference_classify(TMeasureSpec(ss, target, identity))[3] == {
+            "unit_witness": {"combination": (0, 1, 1)}
+        }
+
+    def test_unit_value_off_the_identity_assignment_raises(self):
+        ss = _three_atom_trivial_space()
+        target = FPMonoidTarget(_unit_congruence())
+        swapped = tuple(ExtVec.from_vec(unit_vec(3, a)) for a in (0, 2, 1))
+        with pytest.raises(UnitGroupError, match="unit group"):
+            classify_T_measure(TMeasureSpec(ss, target, swapped))
+
+    def test_eight_atoms_take_few_decisions(self):
+        n = 8
+        ss = statspace_from_maps(
+            points=[str(i) for i in range(n)],
+            atoms=[[i] for i in range(n)],
+            # two 4-cycles, so an atom's idempotent misses the other orbit
+            generators=[(1, 2, 3, 0, 5, 6, 7, 4)],
+        )
+        spec = tarski_T_measure(TypeEngine(ss))
+        calls = []
+        eq = spec.target.eq
+        spec.target.eq = lambda x, y: calls.append(1) or eq(x, y)
+        flags = classify_T_measure(spec)
+        assert flags.stationary and flags.monotone and not flags.aparadoxical
+        assert flags.details == {"interior_idempotent": {"support": [0]}}
+        # the scans took 4^8 zero tests for monotonicity alone
+        assert len(calls) <= n * (n + 3)
 
 
 def test_decisions_made_without_search_serialize():
@@ -756,6 +987,18 @@ class TestExtension:
         ext = extend_T_measure(eng, lat, measure_to_T_spec(m))
         assert ext.scale == lat.bottom
         assert ext.idempotent_values[by_support(lat, 0, 2)] == "infinite"
+
+    def test_spec_on_an_equal_copy_of_the_space(self):
+        ss, copy = collapse_space(), collapse_space()
+        assert ss is not copy and ss == copy
+        eng, lat = setup_space(ss)
+        m = synthesize_classical_measure(TypeEngine(ss), frozenset({0}))
+        m_copy = synthesize_classical_measure(TypeEngine(copy), frozenset({0}))
+        ext = extend_T_measure(eng, lat, measure_to_T_spec(m))
+        assert extend_T_measure(eng, lat, measure_to_T_spec(m_copy)) == ext
+        other = synthesize_classical_measure(TypeEngine(parity_space()), frozenset(range(4)))
+        with pytest.raises(SpaceMismatchError):
+            extend_T_measure(eng, lat, measure_to_T_spec(other))
 
 
 class TestColimit:
