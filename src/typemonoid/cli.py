@@ -43,7 +43,7 @@ from .spaces import validate_action
 from .suites import SUITES, corpus_with_fixtures
 from .types import TypeEngine
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -257,8 +257,8 @@ def cmd_measure(args) -> int:
         (st,) = syn.stages
         if st["k"] is None:
             _set_verdict(report, "paradox_certificate", UNKNOWN)
-            lines = [f"infeasible: no paradox certificate within PARADOX_LIMIT = "
-                     f"{PARADOX_LIMIT} copies"]
+            lines = [f"infeasible: no paradox certificate, {st['exhausted']} exhausted "
+                     f"(PARADOX_LIMIT = {PARADOX_LIMIT} copies)"]
         else:
             k = st["k"]
             lines = [f"infeasible: paradox certificate {k + 1}[E] <= {k}[E]",
@@ -355,11 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--timings", action="store_true", help="include wall-clock timings"
     )
     ap.add_argument(
-        "--max-states",
+        "--max-rules",
         type=int,
-        default=Budget().max_states,
+        default=Budget().max_rules,
         metavar="N",
-        help="most members of one class search",
+        help="most rules one completion adds, and monomials one order closure adds",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
@@ -421,7 +421,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         # argparse has printed its help (code 0) or a usage error
         return EXIT_INPUT if exc.code else EXIT_OK
-    args.budget = Budget(max_states=args.max_states)
+    args.budget = Budget(max_rules=args.max_rules)
     try:
         return args.func(args)
     except (SpaceFormatError, MalformedCertificateError) as exc:

@@ -37,13 +37,13 @@ query, which then ends in Unknown.
 Verdicts are three valued.  Positive answers carry replayable rewrite
 paths; negative answers carry a conserved functional (a rational vector
 annihilating every relation difference, nonnegative for order queries,
-evaluated with saturation on omega coordinates), a closed support, or a
-fully saturated class enumeration; budget exhaustion yields Unknown, never a
-guess, and names the budget that ran out.  An omega Unknown names
-max_states when its finite decision ran out of it, and nothing when the
-supports do not match or the quotient refuted.  Witnesses are checked by
-assertion before they are first returned: a path by replay, a functional
-once, when it is built.
+evaluated with saturation on omega coordinates), a closed support, or
+normal forms under the completed relations; budget exhaustion yields
+Unknown, never a guess, and names the budget that ran out.  An omega
+Unknown names max_rules when its finite decision ran out of it, and
+nothing when the supports do not match or the quotient refuted.
+Witnesses are checked by assertion before they are first returned: a
+path by replay, a functional once, when it is built.
 
 The relations enter every functional computation through one matrix: the
 distinct nonzero differences lhs - rhs, sorted, built once per
@@ -65,18 +65,18 @@ y = r / (r.p).  Past RAY_LIMIT rays the cone is abandoned and such
 queries fall back to the exact simplex of `lp`.  Measure synthesis
 is the same query with p the indicator of the normalizing set.
 
-Class enumeration is goal directed.  A class record keeps its
-breadth-first frontier, so it can be expanded on demand and resumed by
-later queries in the same order.  Equality and order run one search:
-the records of both sides are expanded in turn, in doubling batches,
-and each new member of one is compared with the members of the other.
-A positive verdict needs one witness, so the search stops at the first
-shared member (equality: the path from u to it, then back to v) or the
-first member of one class dominating a member of the other (order).
-Only a miss runs the records to completion, and only a complete record
-that max_states did not cut off is saturated and may refute.  max_states
-is the search's only bound, so a class-search Unknown always has a record
-it cut off, and always names max_states.
+A finite equality or order that no functional refutes is decided from
+a completed presentation (Knuth & Bendix 1970, "Simple word problems in
+universal algebras", read for commutative monoids as in Eisenbud &
+Sturmfels 1996, "Binomial ideals"), built once per congruence (and per
+quotient).  Every vector then has one normal form, and u ~ v exactly
+when the two agree; u <= v exactly when x^v lies in the ideal I + <x^u>
+of the monoid algebra, that is, when NF(v) lies above one of its
+minimal monomials.  Rules and monomials carry the relation steps that
+derive them, so a positive verdict is a replayable path; a negative one
+names normal forms, which the audit checks with the rules.  Completion
+can take exponential space: max_rules bounds the rules it adds, and
+separately the monomials one order closure adds.
 """
 
 from __future__ import annotations
@@ -84,11 +84,11 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from fractions import Fraction
-from typing import (
-    Callable, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
-)
+from itertools import compress
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import SpaceMismatchError
 from .lp import exact_lp_feasible, integer_scaling, rational_kernel_basis
@@ -108,15 +108,15 @@ RAY_LIMIT = 256
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(operator.add, u, v))
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(operator.sub, u, v))
 
 
 def vec_geq(u: Vec, v: Vec) -> bool:
-    return all(a >= b for a, b in zip(u, v))
+    return all(map(operator.ge, u, v))
 
 
 def vec_scale(k: int, u: Vec) -> Vec:
@@ -141,7 +141,7 @@ def zero_on(v: Vec, coords: FrozenSet[int]) -> Vec:
 
 
 def _supp(v: Vec) -> FrozenSet[int]:
-    return frozenset(i for i, c in enumerate(v) if c)
+    return frozenset(compress(range(len(v)), v))
 
 
 def _primitive(v: Vec) -> Vec:
@@ -254,12 +254,13 @@ class Functional(NamedTuple):
 
 @dataclass(frozen=True)
 class Budget:
-    """The limit of the finite class search, set once per congruence: a
-    class record holds at most max_states members.  The omega layer has
-    no budget of its own: an omega query runs one finite decision, in the
-    quotient, under this limit."""
+    """The one limit of the finite layer, set once per congruence: the
+    completion of the relations adds at most max_rules rules, and the order
+    closure of one left side at most max_rules monomials.  Both counts
+    depend on the input alone, never on the order of the queries.  An
+    omega query runs one finite decision, in the quotient, under it."""
 
-    max_states: int = 40000
+    max_rules: int = 100
 
 
 @dataclass
@@ -291,27 +292,27 @@ def _json_witness(w):
     return w
 
 
+class Rule(NamedTuple):
+    """A pair lhs -> rhs with relation steps (index, direction) from lhs to
+    rhs; in a completed rule lhs is the larger in the degree-lex order."""
+
+    lhs: Vec
+    rhs: Vec
+    steps: Tuple[Tuple[int, int], ...]
+
+
+def _reverse(steps: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """The steps walked back from the end they reach."""
+    return [(idx, -direction) for idx, direction in reversed(steps)]
+
+
 @dataclass
 class ClassRecord:
-    """A congruence class explored breadth first, possibly only in part.
-
-    `frontier` holds the members not yet expanded, and `overflow` records
-    that max_states cut the search off.  The record is complete when
-    nothing more will be expanded, and saturated when it is complete and
-    not cut off: only then is `members` the whole class.
-    """
+    """A class searched breadth first: saturated when the search ran to
+    completion, so that `members` is the whole class."""
 
     members: Dict[Vec, Optional[Tuple[Vec, int, int]]]  # vec -> (parent, rel, dir)
-    frontier: deque = field(default_factory=deque)
-    overflow: bool = False
-
-    @property
-    def complete(self) -> bool:
-        return self.overflow or not self.frontier
-
-    @property
-    def saturated(self) -> bool:
-        return not (self.frontier or self.overflow)
+    saturated: bool
 
 
 class Congruence:
@@ -330,15 +331,6 @@ class Congruence:
         for l, r in self.relations:
             if len(l) != n or len(r) != n:
                 raise SpaceMismatchError("relation dimension mismatch")
-        # step table: (needed, delta, relation index, direction)
-        steps = []
-        for idx, (l, r) in enumerate(self.relations):
-            if l == r:
-                continue
-            delta = tuple(rr - ll for ll, rr in zip(l, r))
-            steps.append((l, delta, idx, 1))
-            steps.append((r, tuple(-d for d in delta), idx, -1))
-        self._steps = tuple(steps)
         # the distinct nonzero relation differences, sorted: every
         # conserved functional is computed from these
         self._diffs: Tuple[Vec, ...] = tuple(sorted(
@@ -364,6 +356,7 @@ class Congruence:
         self._rays_built = False
         # the checked functional rays[i] / val, keyed by (i, val)
         self._ray_functionals: Dict[Tuple[int, int], Functional] = {}
+        self._ideals: Dict[Vec, Optional[List[Tuple[Vec, Vec, List]]]] = {}
         self._closures: Dict[Vec, ClassRecord] = {}
         self._support_memo: Dict[FrozenSet[int], Tuple[FrozenSet[int], dict]] = {}
         self._normal_memo: Dict[ExtVec, ExtVec] = {}
@@ -371,17 +364,17 @@ class Congruence:
         self._decision_memo: Dict[tuple, Decision] = {}
         # deterministic work counters; unknown verdicts counted per budget
         self.stats: Dict[str, int] = {
-            "records_created": 0,
-            "records_resumed": 0,
-            "states_expanded": 0,
-            "goal_exits": 0,
+            "rules_added": 0,
+            "critical_pairs": 0,
+            "monomials_added": 0,
+            "longest_path": 0,
             "cone_rays": 0,
             "ray_separations": 0,
             "lp_fallbacks": 0,
             "functionals_built": 0,
             "kernel_rows": 0,
             "kernel_rank": 0,
-            "exhausted_max_states": 0,
+            "exhausted_max_rules": 0,
         }
 
     # ----- conserved functionals -------------------------------------------
@@ -499,80 +492,197 @@ class Congruence:
                 return f
         return None
 
-    # ----- bounded class closure -------------------------------------------
+    # ----- completion ----------------------------------------------------------
 
-    def class_closure(
-        self,
-        start: Vec,
-        *,
-        goal: Optional[Callable[[Vec], bool]] = None,
-        limit: Optional[int] = None,
-    ) -> ClassRecord:
-        """The memoized class record of `start`, expanded on demand.
+    @cached_property
+    def _deltas(self) -> Dict[Tuple[int, int], Vec]:
+        """What one step (relation index, direction) adds to a vector."""
+        out = {}
+        for idx, (l, r) in enumerate(self.relations):
+            if l != r:
+                out[idx, 1], out[idx, -1] = vec_sub(r, l), vec_sub(l, r)
+        return out
 
-        With neither `goal` nor `limit` the record is expanded until it is
-        complete.  `goal` is called on each member this call adds; once
-        it returns true the search stops after the state being expanded.
-        `limit` bounds the states this call expands, and the budget's
-        max_states the members of the record.  A later call with the same
-        start resumes the same breadth-first order, so members and parent
-        steps never depend on how the search was split into calls.
+    @cached_property
+    def _rules(self) -> Optional[List[Rule]]:
+        """The relations completed under the degree-lex order, or None past
+        max_rules additions; built on the first finite query that no
+        functional refutes.
+
+        A pair is reduced to normal forms on both sides and, if they
+        differ, oriented into a rule; the rules whose sides it reduces go
+        back to work, and its critical pair with each rule (both rewrite
+        max(l1, l2)) is queued.  A pair carries relation steps from its
+        first side to its second: a critical pair the reversed steps of one
+        parent, then the other's; a reduced pair the normal-form steps of
+        its sides around its own."""
+        rules: List[Rule] = []
+        work = [Rule(l, r, ((idx, 1),)) for idx, (l, r) in enumerate(self.relations) if l != r]
+        while work:
+            l, r, path = work.pop()
+            l, to_l = self._reduce(l, rules)
+            r, to_r = self._reduce(r, rules)
+            if l == r:
+                continue
+            path = _reverse(to_l) + list(path) + to_r
+            if (sum(l), l) < (sum(r), r):  # the degree-lex order
+                l, r, path = r, l, _reverse(path)
+            if self.stats["rules_added"] == self.budget.max_rules:
+                return None
+            self.stats["rules_added"] += 1
+            new = Rule(l, r, tuple(self._loop_free(l, path)))
+            touched = [vec_geq(x.lhs, l) or vec_geq(x.rhs, l) for x in rules]
+            work += [x for x, t in zip(rules, touched) if t]
+            rules = [x for x, t in zip(rules, touched) if not t]
+            back = tuple(_reverse(new.steps))
+            for a, b, steps in rules:
+                # coprime left sides need no pair: both ends rewrite to r + b
+                if any(map(min, l, a)):
+                    top = tuple(map(max, l, a))
+                    left, right = vec_add(vec_sub(top, l), r), vec_add(vec_sub(top, a), b)
+                    if left != right:
+                        self.stats["critical_pairs"] += 1
+                        work.append(Rule(left, right, back + steps))
+            rules.append(new)
+        return rules
+
+    def _reduce(self, v: Vec, rules: Sequence[Rule]) -> Tuple[Vec, List[Tuple[int, int]]]:
+        """The normal form of v under `rules`, and relation steps from v to
+        it: a rule applied at x >= lhs replays its steps from x, shifted by
+        x - lhs, so no step leaves N^n.  A rule that applies k times in a
+        row is applied k times at once."""
+        steps: List[Tuple[int, int]] = []
+        while True:
+            for lhs, rhs, path in rules:
+                if all(map(operator.ge, v, lhs)):
+                    k = min(x // a for x, a in zip(v, lhs) if a)
+                    v = tuple(x + k * (b - a) for x, a, b in zip(v, lhs, rhs))
+                    steps.extend(path * k)
+                    break
+            else:
+                return v, steps
+
+    def _loop_free(self, start: Vec, steps: Sequence[Tuple[int, int]]) -> List[Tuple[int, int]]:
+        """steps from start with every loop cut out: from each vector the
+        walk goes on from its last visit.  Every path a rule, a monomial or
+        a witness carries is made here, and stats counts the longest."""
+        if len(steps) < 2:
+            return list(steps)
+        seen = [start]
+        for step in steps:
+            seen.append(vec_add(seen[-1], self._deltas[step]))
+        last = {x: i for i, x in enumerate(seen)}
+        out, i = [], last[start]
+        while i < len(steps):
+            out.append(steps[i])
+            i = last[seen[i + 1]]
+        self.stats["longest_path"] = max(self.stats["longest_path"], len(out))
+        return out
+
+    def _order_ideal(self, u: Vec, rules: List[Rule]) -> Optional[List[Tuple[Vec, Vec, List]]]:
+        """The minimal monomials of I + <x^u>, each as (m, c, p) with
+        u + c -> m by the relation steps p, or None when the closure took
+        more than max_rules additions.  Memoized per u.
+
+        It starts from NF(u).  Each (monomial m, rule a -> b) pair gives
+        NF(max(m, a) - a + b), which is added unless a monomial already
+        lies below it, and drops the monomials it lies below.
         """
-        start = tuple(start)
-        stats = self.stats
+        if u in self._ideals:
+            return self._ideals[u]
+        first, path = self._reduce(u, rules)
+        mons: Dict[Vec, Tuple[Vec, List]] = {first: (zero_vec(self.n), path)}
+        queue = deque((first, rule) for rule in rules)
+        added = 0
+        while queue:
+            m, (a, b, steps) = queue.popleft()
+            # a coprime overlap m + b lies above m
+            if m not in mons or not any(map(min, m, a)):
+                continue
+            top = tuple(map(max, m, a))
+            nf, to_nf = self._reduce(vec_add(vec_sub(top, a), b), rules)
+            if any(vec_geq(nf, x) for x in mons):
+                continue
+            if added == self.budget.max_rules:
+                self._ideals[u] = None
+                return None
+            added += 1
+            self.stats["monomials_added"] += 1
+            c, p = mons[m]
+            c = vec_add(c, vec_sub(top, m))
+            mons = {x: cp for x, cp in mons.items() if not vec_geq(x, nf)}
+            mons[nf] = (c, self._loop_free(vec_add(u, c), p + list(steps) + to_nf))
+            queue.extend((nf, rule) for rule in rules)
+        self._ideals[u] = [(m, c, p) for m, (c, p) in sorted(mons.items())]
+        return self._ideals[u]
+
+    def _assert_complete(self) -> None:
+        """Check the completed rules: each replays its steps from lhs to
+        rhs and decreases in the degree-lex order, both sides of every
+        relation reach one normal form, and every critical pair joins.
+        The order is well founded, so by Newman's lemma normal forms are
+        unique and decide the congruence.  Nothing here is memoized: the
+        audit runs it in full."""
+        rules = self._rules
+        assert rules is not None, "relations were not completed"
+        for lhs, rhs, steps in rules:
+            assert self.replay_path(lhs, steps) == rhs, "rule does not replay"
+            assert (sum(lhs), lhs) > (sum(rhs), rhs), "rule does not decrease"
+        for l, r in self.relations:
+            assert self._reduce(l, rules)[0] == self._reduce(r, rules)[0], "relation does not join"
+        for i, (l1, r1, _) in enumerate(rules):
+            for l2, r2, _ in rules[i + 1:]:
+                top = tuple(map(max, l1, l2))
+                left = self._reduce(vec_add(vec_sub(top, l1), r1), rules)[0]
+                right = self._reduce(vec_add(vec_sub(top, l2), r2), rules)[0]
+                assert left == right, "critical pair does not join"
+
+    def _assert_normal_form(self, order: bool, w: dict) -> None:
+        """Check a normal_form witness against the completed rules, which
+        `_assert_complete` has checked; the caller replays its paths.  Both
+        ends are irreducible, and for equality they differ.  For order,
+        NF(u) lies above a monomial, NF(v) above none, and every (monomial,
+        rule) overlap reduces to a normal form above a monomial: the
+        vectors whose normal form lies above a monomial are then closed
+        under the congruence and under addition (by induction along the
+        order), so they hold every w >= u, and v is not among them."""
+        rules = self._rules
+        for side in ("left", "right"):
+            assert not any(vec_geq(w[side], a) for a, _, _ in rules), f"{side} end is reducible"
+        if not order:
+            assert w["left"] != w["right"], "normal forms agree"
+            return
+
+        def covered(x: Vec) -> bool:
+            return any(vec_geq(x, m) for m in w["monomials"])
+
+        assert covered(w["left"]), "left normal form above no monomial"
+        assert not covered(w["right"]), "right normal form above a monomial"
+        for m in w["monomials"]:
+            for a, b, _ in rules:
+                top = tuple(map(max, m, a))
+                nf = self._reduce(vec_add(vec_sub(top, a), b), rules)[0]
+                assert covered(nf), "an overlap leaves the monomials"
+
+    # ----- class closure ------------------------------------------------------
+
+    def class_closure(self, start: Vec, max_members: int = 10000) -> ClassRecord:
+        """The class of `start`, searched breadth first up to max_members
+        members and memoized per start.  No decision uses it."""
         rec = self._closures.get(start)
         if rec is None:
-            rec = ClassRecord(members={start: None}, frontier=deque([start]))
-            self._closures[start] = rec
-            stats["records_created"] += 1
-            if goal is not None and goal(start):
-                stats["goal_exits"] += 1
-                return rec
-        elif rec.complete:
-            return rec
-        members, queue = rec.members, rec.frontier
-        max_states = self.budget.max_states
-        rng = range(self.n)
-        expanded = 0
-        hit = overflow = False
-        while queue and (limit is None or expanded < limit):
-            u = queue.popleft()
-            expanded += 1
-            for needed, delta, idx, direction in self._steps:
-                applicable = True
-                for i in rng:
-                    if u[i] < needed[i]:
-                        applicable = False
-                        break
-                if not applicable:
-                    continue
-                v = tuple(u[i] + delta[i] for i in rng)
-                if v not in members:
-                    if len(members) >= max_states:
-                        overflow = True
-                        break
-                    members[v] = (u, idx, direction)
-                    queue.append(v)
-                    if goal is not None and not hit and goal(v):
-                        hit = True
-            if overflow or hit:
-                break
-        rec.overflow = overflow
-        stats["states_expanded"] += expanded
-        if hit:
-            stats["goal_exits"] += 1
+            members: Dict[Vec, Optional[Tuple[Vec, int, int]]] = {start: None}
+            queue = deque([start])
+            while queue and len(members) < max_members:
+                u = queue.popleft()
+                for (idx, direction), delta in self._deltas.items():
+                    if vec_geq(u, self.relations[idx][direction < 0]):
+                        v = vec_add(u, delta)
+                        if v not in members:
+                            members[v] = (u, idx, direction)
+                            queue.append(v)
+            rec = self._closures[start] = ClassRecord(members, not queue)
         return rec
-
-    def _path_from(self, rec: ClassRecord, target: Vec) -> List[Tuple[int, int]]:
-        """Steps (relation index, direction) from the closure root to target."""
-        steps: List[Tuple[int, int]] = []
-        cur = target
-        while rec.members[cur] is not None:
-            parent, idx, direction = rec.members[cur]  # type: ignore[misc]
-            steps.append((idx, direction))
-            cur = parent
-        steps.reverse()
-        return steps
 
     def replay_path(self, start: Vec, steps: Sequence[Tuple[int, int]]) -> Vec:
         """Apply steps to start, raising if any step is inapplicable."""
@@ -591,11 +701,9 @@ class Congruence:
         u, v = tuple(u), tuple(v)
         if u == v:
             return Decision(EQUAL, {"kind": "syntactic"}, self.budget)
-        key = ("eqf", u, v)
-        hit = self._decision_memo.get(key)
+        hit = self._decision_memo.get(key := ("eqf", u, v))
         if hit is None:
-            hit = self._eq_finite_impl(u, v)
-            self._decision_memo[key] = hit
+            hit = self._decision_memo[key] = self._eq_finite_impl(u, v)
         return hit
 
     def _eq_finite_impl(self, u: Vec, v: Vec) -> Decision:
@@ -608,66 +716,28 @@ class Congruence:
                     {"kind": "functional", "y": f.y, "separation": Fraction(val, f.den)},
                     self.budget,
                 )
-        # the members of each record so far, its root from the start: the
-        # classes are equal once the two share a member
-        seen_u, seen_v = {u}, {v}
-        found: List[Vec] = []
-
-        def meets(mine: set, other: set) -> Callable[[Vec], bool]:
-            def goal(m: Vec) -> bool:
-                mine.add(m)
-                if m in other:
-                    found.append(m)
-                    return True
-                return False
-            return goal
-
-        rec_u, rec_v = self._search_pair(
-            u, v, meets(seen_u, seen_v), meets(seen_v, seen_u),
-            lambda rec: bool(found) or rec.saturated,
-        )
-        if found:
-            m = found[0]
-            # a side's record is not made when the other met its root first
-            ahead = [] if m == u else self._path_from(rec_u, m)
-            back = [] if m == v else self._path_from(rec_v, m)
-            steps = ahead + [(i, -d) for i, d in reversed(back)]
+        rules = self._rules
+        if rules is None:
+            return self._unknown()
+        left, to_left = self._reduce(u, rules)
+        right, to_right = self._reduce(v, rules)
+        if left == right:
+            steps = self._loop_free(u, to_left + _reverse(to_right))
             assert self.replay_path(u, steps) == v
-            return Decision(
-                EQUAL,
-                {"kind": "path", "start": u, "end": v, "steps": steps},
-                self.budget,
-            )
-        # u's record first: v's is not made when u's saturated at once
-        rec = rec_u if rec_u.saturated else rec_v
-        if rec.saturated:
-            return Decision(
-                NOT_EQUAL,
-                {"kind": "saturation", "class_size": len(rec.members)},
-                self.budget,
-            )
-        return self._budget_unknown()
+            return Decision(EQUAL, {"kind": "path", "start": u, "end": v, "steps": steps},
+                            self.budget)
+        return Decision(NOT_EQUAL, {
+            "kind": "normal_form", "left": left, "right": right,
+            "path_left": self._loop_free(u, to_left), "path_right": self._loop_free(v, to_right),
+        }, self.budget)
 
     def leq_finite(self, u: Vec, v: Vec) -> Decision:
         u, v = tuple(u), tuple(v)
         if vec_geq(v, u):
-            return Decision(
-                LEQ,
-                {
-                    "kind": "domination",
-                    "u": u,
-                    "w": v,
-                    "gamma": vec_sub(v, u),
-                    "path_left": [],
-                    "path_right": [],
-                },
-                self.budget,
-            )
-        key = ("leqf", u, v)
-        hit = self._decision_memo.get(key)
+            return self._domination(u, v, [])
+        hit = self._decision_memo.get(key := ("leqf", u, v))
         if hit is None:
-            hit = self._leq_finite_impl(u, v)
-            self._decision_memo[key] = hit
+            hit = self._decision_memo[key] = self._leq_finite_impl(u, v)
         return hit
 
     def _leq_finite_impl(self, u: Vec, v: Vec) -> Decision:
@@ -676,130 +746,40 @@ class Congruence:
             return Decision(
                 NOT_LEQ, {"kind": "functional", "y": f.y, "nonnegative": True}, self.budget
             )
-        # mins: the minimal u-side members found so far; tops: every v-side
-        # member.  A pair is compared when the later of the two is found.
-        # A u-side member above a min adds nothing, and a min dropped for a
-        # smaller one is covered by it: a top above the old is above the new.
-        mins: List[Vec] = []
-        tops: List[Vec] = []
-        found: List[Tuple[Vec, Vec]] = []
+        rules = self._rules
+        ideal = None if rules is None else self._order_ideal(u, rules)
+        if ideal is None:
+            return self._unknown()
+        top, to_top = self._reduce(v, rules)
+        for m, c, p in ideal:
+            if vec_geq(top, m):
+                # v -> top = m + (top - m), and back along p to u + c + (top - m)
+                return self._domination(u, v, to_top + _reverse(p))
+        left, to_left = self._reduce(u, rules)
+        return Decision(NOT_LEQ, {
+            "kind": "normal_form", "monomials": [m for m, _, _ in ideal], "left": left,
+            "right": top, "path_left": self._loop_free(u, to_left),
+            "path_right": self._loop_free(v, to_top),
+        }, self.budget)
 
-        def left(m: Vec) -> bool:
-            if any(vec_geq(m, x) for x in mins):
-                return False
-            mins[:] = [x for x in mins if not vec_geq(x, m)]
-            mins.append(m)
-            for w in tops:
-                if vec_geq(w, m):
-                    found.append((m, w))
-                    return True
-            return False
+    def _domination(self, u: Vec, v: Vec, steps: List[Tuple[int, int]]) -> Decision:
+        """u <= v by steps from v to u + gamma, gamma >= 0, loops cut out."""
+        path = self._loop_free(v, steps)
+        w = self.replay_path(v, path)
+        gamma = vec_sub(w, u)
+        assert min(gamma, default=0) >= 0
+        return Decision(LEQ, {"kind": "domination", "u": u, "w": w, "gamma": gamma,
+                              "path_left": [], "path_right": path}, self.budget)
 
-        def right(w: Vec) -> bool:
-            tops.append(w)
-            for m in mins:
-                if vec_geq(w, m):
-                    found.append((m, w))
-                    return True
-            return False
-
-        rec_u, rec_v = self._search_pair(
-            u, v, left, right, lambda rec: bool(found)
-        )
-        if found:
-            m, w = found[0]
-            dec = Decision(
-                LEQ,
-                {
-                    "kind": "domination",
-                    "u": m,
-                    "w": w,
-                    "gamma": vec_sub(w, m),
-                    "path_left": self._path_from(rec_u, m),
-                    "path_right": self._path_from(rec_v, w),
-                },
-                self.budget,
-            )
-            assert self.replay_path(u, dec.witness["path_left"]) == m
-            assert self.replay_path(v, dec.witness["path_right"]) == w
-            return dec
-        if rec_u.saturated and rec_v.saturated:
-            return Decision(
-                NOT_LEQ,
-                {
-                    "kind": "saturation",
-                    "class_sizes": (len(rec_u.members), len(rec_v.members)),
-                },
-                self.budget,
-            )
-        return self._budget_unknown()
-
-    def _search_pair(
-        self,
-        u: Vec,
-        v: Vec,
-        left: Callable[[Vec], bool],
-        right: Callable[[Vec], bool],
-        stop: Callable[[ClassRecord], bool],
-    ) -> List[Optional[ClassRecord]]:
-        """The class records of u and v, expanded in turn until `stop`
-        holds or both are complete.
-
-        `left` and `right` are the goals of u's and v's records: each is
-        called on the members already memoized, then on every member its
-        record adds.  A goal met by a memoized member ends the search at
-        once; after that, `stop` is asked of the record just expanded and
-        must hold once a goal is met.  The records take doubling batches
-        of 8, 16, ... states.  A record is None when the search ended
-        before it was made.  A memoized record still unfinished counts
-        once in stats["records_resumed"] when the search expands it.
-        """
-        sides = ((u, left), (v, right))
-        recs = [self._closures.get(start) for start, _ in sides]
-        for rec, (_, goal) in zip(recs, sides):
-            if rec is not None and any(map(goal, rec.members)):
-                return recs
-        unfinished = [rec is not None and not rec.complete for rec in recs]
-        batch = 8
-        while True:
-            for i, (start, goal) in enumerate(sides):
-                self.stats["records_resumed"] += unfinished[i]
-                unfinished[i] = False
-                recs[i] = self.class_closure(start, goal=goal, limit=batch)
-                if stop(recs[i]):
-                    return recs
-            if recs[0].complete and recs[1].complete:
-                return recs
-            batch *= 2
-
-    def _budget_unknown(self) -> Decision:
-        """Unknown from complete but unsaturated records: max_states cut
-        one of them off."""
-        return Decision(
-            UNKNOWN,
-            {
-                "kind": "budget",
-                "max_states": self.budget.max_states,
-                "exhausted": self._exhausted(True),
-            },
-            self.budget,
-        )
-
-    def _omega_unknown(self, overflowed: bool = False) -> Decision:
-        """Unknown from the omega layer, naming max_states when its finite
-        decision ran out of it."""
-        return Decision(
-            UNKNOWN,
-            {"kind": "budget", "omega": True, "exhausted": self._exhausted(overflowed)},
-            self.budget,
-        )
-
-    def _exhausted(self, overflowed: bool) -> List[str]:
-        """["max_states"] when a search overflowed, counted once; else []."""
-        if not overflowed:
-            return []
-        self.stats["exhausted_max_states"] += 1
-        return ["max_states"]
+    def _unknown(self, exhausted: bool = True, omega: bool = False) -> Decision:
+        """Unknown, naming max_rules (counted once) when the budget ran out:
+        always for a finite decision, for an omega query when its finite
+        decision did."""
+        w = {"kind": "budget", "omega": True} if omega else {
+            "kind": "budget", "max_rules": self.budget.max_rules}
+        w["exhausted"] = ["max_rules"] if exhausted else []
+        self.stats["exhausted_max_rules"] += exhausted
+        return Decision(UNKNOWN, w, self.budget)
 
     def _assert_functional(self, y, nonneg: bool = False) -> Tuple[List[int], int]:
         """Check y.(lhs - rhs) = 0 for every relation, and y >= 0 if asked;
@@ -914,11 +894,9 @@ class Congruence:
     def decide_eq(self, p: ExtVec, q: ExtVec) -> Decision:
         if p.n != self.n or q.n != self.n:
             raise SpaceMismatchError("dimension mismatch")
-        key = ("eq", p, q)
-        hit = self._decision_memo.get(key)
+        hit = self._decision_memo.get(key := ("eq", p, q))
         if hit is None:
-            hit = self._decide_eq_impl(p, q)
-            self._decision_memo[key] = hit
+            hit = self._decision_memo[key] = self._decide_eq_impl(p, q)
         return hit
 
     def _decide_eq_impl(self, p: ExtVec, q: ExtVec) -> Decision:
@@ -935,11 +913,11 @@ class Congruence:
         # a finite side's omega set is empty, not closed: compare closures
         U = self.support_closure(pn.omega)[0]
         if U != self.support_closure(qn.omega)[0]:
-            return self._omega_unknown()
+            return self._unknown(False, omega=True)
         pf, qf = zero_on(pn.finite, U), zero_on(qn.finite, U)
         fin = self._quotient(U).eq_finite(pf, qf)
         if fin.verdict != EQUAL:
-            return self._omega_unknown(fin.verdict == UNKNOWN)
+            return self._unknown(fin.verdict == UNKNOWN, omega=True)
         steps = fin.witness.get("steps", [])
         start, end = self._lift(pf, steps, U)
         return Decision(
@@ -955,11 +933,9 @@ class Congruence:
     def decide_leq(self, p: ExtVec, q: ExtVec) -> Decision:
         if p.n != self.n or q.n != self.n:
             raise SpaceMismatchError("dimension mismatch")
-        key = ("leq", p, q)
-        hit = self._decision_memo.get(key)
+        hit = self._decision_memo.get(key := ("leq", p, q))
         if hit is None:
-            hit = self._decide_leq_impl(p, q)
-            self._decision_memo[key] = hit
+            hit = self._decision_memo[key] = self._decide_leq_impl(p, q)
         return hit
 
     def _decide_leq_impl(self, p: ExtVec, q: ExtVec) -> Decision:
@@ -978,13 +954,13 @@ class Congruence:
         V = qn.omega
         U = self.support_closure(V)[0]
         if not pn.omega <= U:
-            return self._omega_unknown()
+            return self._unknown(False, omega=True)
         # the finite mass of p under omega on the right is absorbed outright
         under = {i: pn.finite[i] for i in sorted(V) if pn.finite[i]}
         pf = zero_on(pn.finite, V)
         fin = self._quotient(V).leq_finite(pf, qn.finite)
         if fin.verdict != LEQ:
-            return self._omega_unknown(fin.verdict == UNKNOWN)
+            return self._unknown(fin.verdict == UNKNOWN, omega=True)
         w = fin.witness
         start_left, m = self._lift(pf, w["path_left"], V)
         start_right, top = self._lift(qn.finite, w["path_right"], V)

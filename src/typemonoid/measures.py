@@ -68,6 +68,7 @@ from .congruence import (
     LEQ,
     NOT_EQUAL,
     NOT_LEQ,
+    UNKNOWN,
     Budget,
     Congruence,
     Decision,
@@ -216,7 +217,8 @@ def synthesize_classical_measure(
     k <= PARADOX_LIMIT for which (k+1)[E] <= k[E] decides `leq`, with
     that decision (method "paradox").  If no k up to the bound decides
     `leq`, the stage has k None and names PARADOX_LIMIT under
-    `exhausted`.
+    `exhausted`; the search stops at the first k decided `unknown`, and
+    the stage names the budget that decision names instead.
     """
     e_set = frozenset(atoms)
     if not e_set:
@@ -235,6 +237,9 @@ def synthesize_classical_measure(
             if d.verdict == LEQ:
                 stage = {"infinite": [], "feasible": False, "method": "paradox",
                          "k": k, "witness": d.to_json()}
+                break
+            if d.verdict == UNKNOWN:
+                stage["exhausted"] = d.witness["exhausted"][0]
                 break
         return SynthesisReport(None, [stage]) if want_report else None
     y = d.witness["y"]

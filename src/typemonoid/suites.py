@@ -1,7 +1,7 @@
 """Corpus-wide property suites.
 
 Each runner replays one of the headline structure theorems over a
-family of spaces, under the search budget given as `budget` to every
+family of spaces, under the decision budget given as `budget` to every
 engine it builds, and returns a plain report dict with stable keys:
 `checks` (decisions attempted), `failures` (human-readable strings,
 empty on success), `unknown` (indefinite verdicts), `unknown_rate`,

@@ -33,6 +33,8 @@ On representatives this is equivalent to: some member of beta's class
 dominates some member of alpha's class componentwise. (If u + g is
 congruent to v then v's class contains the dominating member u + g;
 conversely domination w >= m with m ~ u, w ~ v exhibits gamma = [w - m].)
+The congruence decides both exactly, from its completed relations; a
+domination witness it gives has m = u and a path from v to w.
 
 One caveat on semantics: actions here are total point maps, and for
 idempotents acting as retractions the preimage of A need not equal the
@@ -178,8 +180,8 @@ class RealizationReport:
 
 # Witness kinds audit_decisions counts; "other" is the kinds it cannot re-check.
 AUDIT_KINDS = (
-    "functional", "path", "domination", "support", "syntactic", "syntactic-normalized",
-    "zero-bottom", "other",
+    "functional", "path", "domination", "normal_form", "support", "syntactic",
+    "syntactic-normalized", "zero-bottom", "other",
 )
 
 
@@ -196,8 +198,8 @@ class TypeEngine:
 
     Every definite verdict this engine hands out is remembered so the
     soundness audit can replay positive witnesses through
-    verify_realization and re-check negative functionals against the
-    relation differences.
+    verify_realization, and re-check negative functionals against the
+    relation differences and normal forms against the completed rules.
     """
 
     def __init__(self, statspace: StatSpace, budget: Budget = Budget()):
@@ -395,7 +397,11 @@ class TypeEngine:
         rest.  A syntactic equality needs two equal finite sides, a
         normalized one two sides with omega mass and the same normal form,
         and a zero-bottom order a left side that normalizes to zero.  Every
-        support closure these use is checked by `_checked_closure`.
+        support closure these use is checked by `_checked_closure`.  The
+        first normal-form witness checks the congruence's completed rules
+        by `_assert_complete`, once per call; each such witness then
+        replays its two paths to the normal forms it names, and
+        `_assert_normal_form` checks those against the rules.
         """
         counts = dict.fromkeys(AUDIT_KINDS, 0)
         for entry in self.audit_log:
@@ -413,6 +419,13 @@ class TypeEngine:
             elif kind == "domination":
                 self._audit_domination(w, entry.left.finite, entry.right.finite)
                 counts["domination"] += 1
+            elif kind == "normal_form":
+                if not counts["normal_form"]:
+                    self.congruence._assert_complete()
+                self._audit_path(entry.left.finite, w["path_left"], w["left"])
+                self._audit_path(entry.right.finite, w["path_right"], w["right"])
+                self.congruence._assert_normal_form(entry.op == "leq", w)
+                counts["normal_form"] += 1
             elif kind == "support":
                 self._audit_support(entry)
                 counts["support"] += 1

@@ -298,3 +298,4 @@ def test_criterion_10():
     assert summary["failures"] == []
     assert summary["ok"]
     assert sum(summary["witnesses"].values()) > 0
+    assert summary["witnesses"]["other"] == 0

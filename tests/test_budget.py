@@ -54,15 +54,15 @@ def test_only_constructors_take_a_budget():
 
 def test_omega_quotient_decision_names_the_engine_budget():
     # e0 + omega on the odds equals e2 + omega on the odds by one swap in
-    # the quotient by {1, 3}; a one-member class record cannot take it
+    # the quotient by {1, 3}, whose completion needs one rule
     ss = parity_space()
-    tight = TypeEngine(ss, Budget(max_states=1))
+    tight = TypeEngine(ss, Budget(max_rules=0))
     p, q = tight.abar((1, 0, 0, 0), omega={1}), tight.abar((0, 0, 1, 0), omega={3})
     d = tight.decide_equal(p, q)
     assert (d.verdict, d.witness["kind"]) == (UNKNOWN, "budget")
-    assert d.witness["exhausted"] == ["max_states"]
+    assert d.witness["exhausted"] == ["max_rules"]
     assert d.budget is tight.budget
-    assert d.to_json()["budget"] == {"max_states": 1}
+    assert d.to_json()["budget"] == {"max_rules": 0}
     U = frozenset({1, 3})
     assert tight.congruence._quotient(U).budget is tight.budget
     full = TypeEngine(ss)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from typemonoid import measures
 from typemonoid.cli import main
 from typemonoid.corpus import fixture_spaces
 from typemonoid.serial import (
@@ -167,11 +168,11 @@ class TestSpaceCheck:
     def test_json_report_fields(self, files, capsys):
         code, doc, _ = run_json(capsys, ["space-check", files["parity"]])
         assert code == 0
-        assert doc["schema_version"] == 4
+        assert doc["schema_version"] == 5
         assert doc["command"] == "space-check"
         assert doc["monoid"]["valid"] is True
         assert doc["action"]["valid"] is True
-        assert doc["budget"] == {"max_states": 40000}
+        assert doc["budget"] == {"max_rules": 100}
 
 
 class TestType:
@@ -220,10 +221,11 @@ class TestEqui:
 
     def test_starved_budget_exits_2(self, files, capsys):
         code, doc, _ = run_json(
-            capsys, ["--max-states", "1", "equi", files["parity"], "0", "2"]
+            capsys, ["--max-rules", "0", "equi", files["parity"], "0", "2"]
         )
         assert code == 2
         assert doc["decision"]["verdict"] == "unknown"
+        assert doc["decision"]["witness"]["exhausted"] == ["max_rules"]
 
 
 class TestParadox:
@@ -267,9 +269,10 @@ class TestMeasure:
         code, out, _ = run(capsys, ["measure", files["parity"], "0,1,2,3"])
         assert out.splitlines()[-1].startswith("audit replayed: ")
 
-    def test_paradox_limit_exhausted_exits_2(self, files, capsys):
-        # one class member per search decides no (k+1)[E] <= k[E]
-        argv = ["--max-states", "1", "measure", files["collapse"], "1"]
+    def test_paradox_limit_exhausted_exits_2(self, files, capsys, monkeypatch):
+        # with no copies allowed, no (k+1)[E] <= k[E] is asked past k = 1
+        monkeypatch.setattr(measures, "PARADOX_LIMIT", 0)
+        argv = ["measure", files["collapse"], "1"]
         code, doc, _ = run_json(capsys, argv)
         assert code == 2
         assert "measure" not in doc
@@ -278,7 +281,20 @@ class TestMeasure:
         assert {"name": "measure_exists", "verdict": "definite"} in doc["verdicts"]
         assert {"name": "paradox_certificate", "verdict": "unknown"} in doc["verdicts"]
         code, out, _ = run(capsys, argv)
-        assert code == 2 and "PARADOX_LIMIT" in out.splitlines()[0]
+        assert code == 2 and "PARADOX_LIMIT exhausted" in out.splitlines()[0]
+
+    def test_max_rules_exhausted_exits_2(self, files, capsys):
+        # the collapse congruence needs one rule: its first paradox
+        # decision is unknown, and the search stops there
+        argv = ["--max-rules", "0", "measure", files["collapse"], "1"]
+        code, doc, _ = run_json(capsys, argv)
+        assert code == 2
+        assert doc["budget"] == {"max_rules": 0}
+        (st,) = doc["stages"]
+        assert st["k"] is None and st["exhausted"] == "max_rules"
+        assert {"name": "paradox_certificate", "verdict": "unknown"} in doc["verdicts"]
+        code, out, _ = run(capsys, argv)
+        assert code == 2 and "max_rules exhausted" in out.splitlines()[0]
 
     def test_empty_set_rejected(self, files, capsys):
         code, _, err = run(capsys, ["measure", files["parity"], ""])
@@ -387,12 +403,12 @@ class TestCorpus:
         assert code == 0
         assert doc["summary"]["agreements"] > 0
 
-    def test_max_states_reaches_the_suites(self, capsys):
-        # one member per class record: the audit's class searches run out
+    def test_max_rules_reaches_the_suites(self, capsys):
+        # no rule may be added: the audit's completions run out
         code, doc, _ = run_json(
-            capsys, ["--max-states", "1", "corpus", "--suite", "soundness", "--count", "0"]
+            capsys, ["--max-rules", "0", "corpus", "--suite", "soundness", "--count", "0"]
         )
-        assert doc["budget"] == {"max_states": 1}
+        assert doc["budget"] == {"max_rules": 0}
         assert doc["summary"]["unknown"] > 0
         assert doc["verdicts"] == [{"name": "soundness", "verdict": "unknown"}]
 
@@ -432,7 +448,8 @@ class TestUsage:
     def test_help_exits_0(self, capsys):
         code, out, _ = run(capsys, ["--help"])
         assert code == 0
-        assert "--max-states" in out and "--coordinate-cap" not in out
+        assert "--max-rules" in out
+        assert "--max-states" not in out and "--coordinate-cap" not in out
 
 
 class TestSerialEdges:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from typemonoid import congruence
+from typemonoid import congruence, measures
 from typemonoid.congruence import (
     EQUAL,
     LEQ,
@@ -42,7 +42,6 @@ from typemonoid.lattice import (
 )
 from typemonoid.measures import (
     INF,
-    PARADOX_LIMIT,
     ExtendedRationalTarget,
     FPMonoidTarget,
     HierarchicalValue,
@@ -543,15 +542,28 @@ class TestSynthesisCertificates:
                     assert rep.measure.value(e_set) == 1 and not rep.measure.check()
         assert calls
 
-    def test_paradox_limit_exhausted_names_the_bound(self):
-        # one class member per search decides no (k+1)[E] <= k[E]
-        eng = TypeEngine(collapse_space(), Budget(max_states=1))
+    def test_paradox_limit_exhausted_names_the_bound(self, monkeypatch):
+        # with no copies allowed, no (k+1)[E] <= k[E] is asked past k = 1
+        monkeypatch.setattr(measures, "PARADOX_LIMIT", 0)
+        eng = TypeEngine(collapse_space())
         rep = synthesize_classical_measure(eng, frozenset({1}), want_report=True)
         assert rep.measure is None
         assert rep.stages == [{"infinite": [], "feasible": False, "method": "paradox",
                                "k": None, "witness": None, "exhausted": "PARADOX_LIMIT"}]
-        assert all(e.decision.verdict == "unknown" for e in eng.audit_log)
-        assert len(eng.audit_log) == PARADOX_LIMIT
+        assert [e.decision.verdict for e in eng.audit_log] == ["leq"]
+
+    def test_first_unknown_stops_the_paradox_search(self):
+        # the collapse congruence needs one rule, and none may be added:
+        # 2[E] <= [E] is unknown, so is every k after it, and the stage
+        # names the budget that decision names
+        eng = TypeEngine(collapse_space(), Budget(max_rules=0))
+        rep = synthesize_classical_measure(eng, frozenset({1}), want_report=True)
+        assert rep.measure is None
+        assert rep.stages == [{"infinite": [], "feasible": False, "method": "paradox",
+                               "k": None, "witness": None, "exhausted": "max_rules"}]
+        (entry,) = eng.audit_log
+        assert entry.decision.witness["exhausted"] == ["max_rules"]
+        assert eng.congruence.stats["exhausted_max_rules"] == 1
         # existence is still decided: the measure exists off the budget
         assert synthesize_classical_measure(eng, frozenset({0})) is not None
 
@@ -771,7 +783,7 @@ def test_decisions_made_without_search_serialize():
     decisions = [quantity_eq(eng, x, y), ExtendedRationalTarget().eq(Fraction(1), INF)]
     for d in decisions:
         assert d.verdict == NOT_EQUAL
-        assert d.to_json()["budget"]["max_states"] == Budget().max_states
+        assert d.to_json()["budget"] == {"max_rules": Budget().max_rules}
 
 
 def _hierarchical_by_order(eng, e, x):

@@ -30,7 +30,7 @@ def test_check_formats_only_on_failure():
 
 @pytest.mark.parametrize("name", sorted(suites.SUITES))
 def test_every_engine_runs_under_the_given_budget(monkeypatch, name):
-    budget = Budget(max_states=123)
+    budget = Budget(max_rules=123)
     seen = []
 
     class Recording(suites.TypeEngine):

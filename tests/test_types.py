@@ -3,7 +3,9 @@ import itertools
 
 import pytest
 
-from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, UNKNOWN, Budget, Decision, ExtVec
+from typemonoid.congruence import (
+    EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, UNKNOWN, Budget, Congruence, Decision, ExtVec,
+)
 from typemonoid.corpus import (
     collapse_space,
     cyclic4_space,
@@ -522,6 +524,74 @@ class TestAudit:
             eng.audit_log[:] = [AuditEntry(op, p, q, dec)]
             with pytest.raises(AssertionError, match="derivation"):
                 eng.audit_decisions()
+
+    def test_audit_normal_form_witnesses(self, monkeypatch):
+        # on these spaces a conserved functional refutes first, so switch
+        # the functionals off: the completed rules e0 -> e2 and e1 -> e3
+        # then refute by themselves
+        eng = parity_engine()
+        cong = eng.congruence
+        monkeypatch.setattr(cong, "_basis_functionals", lambda: [])
+        monkeypatch.setattr(cong, "_nonneg_conserved", lambda *args, **kw: None)
+        p, q = eng.abar((1, 0, 0, 0)).vec, eng.abar((0, 1, 0, 0)).vec
+        eq, leq = eng.decide_equal(p, q), eng.decide_leq(p, q)
+        assert eq.witness == {
+            "kind": "normal_form", "left": (0, 0, 1, 0), "right": (0, 0, 0, 1),
+            "path_left": [(1, -1)], "path_right": [(3, -1)],
+        }
+        assert leq.witness == {**eq.witness, "monomials": [(0, 0, 1, 0)]}
+        counts = eng.audit_decisions()
+        assert (counts["normal_form"], counts["other"]) == (2, 0)
+        rules = cong._rules
+        for i in range(len(rules)):
+            # a rule system with one rule dropped
+            cong._rules = rules[:i] + rules[i + 1:]
+            with pytest.raises(AssertionError, match="does not join"):
+                eng.audit_decisions()
+        # a rule whose steps walk out and back again, and one turned round
+        lhs, rhs, steps = rules[0]
+        back = tuple((i, -d) for i, d in reversed(steps))
+        for forged, message in (((lhs, rhs, steps + back), "does not replay"),
+                                ((rhs, lhs, back), "does not decrease")):
+            cong._rules = [forged] + rules[1:]
+            with pytest.raises(AssertionError, match=message):
+                eng.audit_decisions()
+        cong._rules = rules
+        # 3e0 -> 2e0 comes from a critical pair alone: without it both
+        # relations still join, and the overlap e0 + 3e1 of the other two
+        # rules does not
+        pair = Congruence(2, [((0, 2), (1, 1)), ((2, 0), (1, 2))])
+        pair._assert_complete()
+        assert pair._rules[2][:2] == ((3, 0), (2, 0))
+        pair._rules = pair._rules[:2]
+        with pytest.raises(AssertionError, match="critical pair does not join"):
+            pair._assert_complete()
+        for op, d in (("eq", eq), ("leq", leq)):
+            w = d.witness
+            for tampered in (
+                {**w, "left": w["right"], "right": w["left"]},  # swapped normal forms
+                {**w, "left": (1, 0, 0, 0), "path_left": []},  # not a normal form
+            ):
+                eng.audit_log[:] = [AuditEntry(op, p, q, Decision(d.verdict, tampered, Budget()))]
+                with pytest.raises(AssertionError):
+                    eng.audit_decisions()
+        # equal normal forms refute nothing
+        eng.audit_log[:] = [AuditEntry("eq", p, p, Decision(NOT_EQUAL, {
+            **eq.witness, "right": (0, 0, 1, 0), "path_right": [(1, -1)]}, Budget()))]
+        with pytest.raises(AssertionError, match="agree"):
+            eng.audit_decisions()
+        # no space gives an order ideal of more than one monomial, so the
+        # x -> 2x congruence stands in: the ideal of e1 is {e1, e0}, e0
+        # from 2e1 -> e0, and without e0 that overlap leaves the monomials
+        two = Congruence(2, [((1, 0), (0, 2)), ((0, 1), (2, 0))])
+        w = two.leq_finite((0, 1), (0, 0)).witness
+        assert w["monomials"] == [(0, 1), (1, 0)]
+        two._assert_complete()
+        two._assert_normal_form(True, w)
+        with pytest.raises(AssertionError, match="overlap leaves"):
+            two._assert_normal_form(True, {**w, "monomials": [(0, 1)]})
+        with pytest.raises(AssertionError, match="above a monomial"):
+            two._assert_normal_form(True, {**w, "right": (1, 1)})
 
     def test_audit_omega_witnesses(self):
         # in the quotient by the odd atoms U({1}) = {1, 3}, e0 and e2 are
