@@ -1131,6 +1131,35 @@ class TestCompletionCounters:
             assert first == backwards[::-1]
 
 
+class TestGoalDirectedClosure:
+    """A decision reduces its own pair to normal forms and stops at the
+    witness: it builds no class, and its path is shorter than the class
+    that a breadth-first search would walk."""
+
+    def test_equal_stops_at_witness(self):
+        full = cyclic_congruence(4).class_closure((6, 0, 0, 0))
+        cong = cyclic_congruence(4)
+        u, v = (6, 0, 0, 0), (5, 1, 0, 0)
+        d = cong.eq_finite(u, v)
+        assert d.verdict == EQUAL and d.witness["kind"] == "path"
+        assert cong.replay_path(u, d.witness["steps"]) == v
+        assert len(d.witness["steps"]) < len(full.members)
+        # a later query on the same class reuses the completed relations
+        assert cong.eq_finite(u, (0, 0, 3, 3)).verdict == EQUAL
+        assert cong.stats["rules_added"] == 3
+        assert list(cong._closures) == []
+
+    def test_leq_stops_at_domination(self):
+        cong = cyclic_congruence(4)
+        u, v = (0, 0, 0, 3), (5, 0, 0, 0)
+        d = cong.leq_finite(u, v)
+        assert d.verdict == LEQ and d.witness["kind"] == "domination"
+        _check_witness(cong, u, v, d)
+        full = cyclic_congruence(4).class_closure(v)
+        assert len(d.witness["path_right"]) < len(full.members)
+        assert list(cong._closures) == []
+
+
 def _check_witness(cong, u, v, d):
     w = d.witness
     if w["kind"] == "path":
@@ -1146,15 +1175,16 @@ def _check_witness(cong, u, v, d):
         cong._assert_normal_form("monomials" in w, w)
 
 
-def _differential_congruences():
-    """The engines' congruences on every fixture and on a seeded sample of
-    small corpus spaces, plus two whose negatives no functional sees:
-    one with finite classes and one with infinite classes."""
+def _differential_congruences(budget=Budget()):
+    """The engines' congruences under `budget` on every fixture and on a
+    seeded sample of small corpus spaces, plus two whose negatives no
+    functional sees: one with finite classes and one with infinite
+    classes."""
     small = [e.statspace for e in random_corpus(seed=5, count=12) if e.statspace.n_atoms <= 3]
     spaces = list(fixture_spaces().values()) + small[:6]
-    return [TypeEngine(ss).congruence for ss in spaces] + [
-        Congruence(3, [((2, 0, 0), (0, 2, 0)), ((0, 2, 0), (0, 0, 2))]),
-        Congruence(2, [((1, 0), (0, 2)), ((0, 1), (2, 0))]),
+    return [TypeEngine(ss, budget).congruence for ss in spaces] + [
+        Congruence(3, [((2, 0, 0), (0, 2, 0)), ((0, 2, 0), (0, 0, 2))], budget),
+        Congruence(2, [((1, 0), (0, 2)), ((0, 1), (2, 0))], budget),
     ]
 
 
@@ -1255,6 +1285,33 @@ class TestCompletionOracle:
 
 def _hard_sample():
     return random_corpus(seed=12, count=60, max_atoms=8, max_order=60, small_count=0)
+
+
+@pytest.mark.parametrize("budget", [Budget(), Budget(max_rules=1)])
+def test_goal_directed_matches_complete_closure(budget):
+    """Wherever a decision under `budget` is definite, it is the verdict
+    read off complete class closures, and its witness replays.  A budget
+    too small to complete the relations gives unknowns that name
+    max_rules, never a wrong verdict; the default budget gives none."""
+    rng = random.Random(11)
+    verdicts = {"definite": 0, "unknown": 0}
+    for cong in _differential_congruences(budget):
+        ref = Congruence(cong.n, cong.relations)
+        for _ in range(40):
+            u = tuple(rng.randint(0, 2) for _ in range(cong.n))
+            v = tuple(rng.randint(0, 2) for _ in range(cong.n))
+            for op in ("eq_finite", "leq_finite"):
+                d = getattr(cong, op)(u, v)
+                if d.verdict == UNKNOWN:
+                    assert d.witness["exhausted"] == ["max_rules"]
+                    verdicts["unknown"] += 1
+                    continue
+                expected = _closure_reference(ref, op, u, v)
+                assert expected in (UNKNOWN, d.verdict), (cong.relations, op, u, v)
+                _check_witness(cong, u, v, d)
+                verdicts["definite"] += 1
+    assert verdicts["definite"] > 0
+    assert (verdicts["unknown"] > 0) == (budget.max_rules < Budget().max_rules)
 
 
 class TestHardSample:
