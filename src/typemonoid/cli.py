@@ -343,6 +343,13 @@ def cmd_corpus(args) -> int:
 # parser
 
 
+def _nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {n}")
+    return n
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -356,10 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument(
         "--max-rules",
-        type=int,
+        type=_nonnegative_int,
         default=Budget().max_rules,
         metavar="N",
-        help="most rules one completion adds, and monomials one order closure adds",
+        help="most rules one completion adds beyond one per relation, and "
+        "monomials one order closure adds",
     )
     sub = ap.add_subparsers(dest="subcommand", required=True)
 

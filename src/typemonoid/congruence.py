@@ -75,8 +75,9 @@ of the monoid algebra, that is, when NF(v) lies above one of its
 minimal monomials.  Rules and monomials carry the relation steps that
 derive them, so a positive verdict is a replayable path; a negative one
 names normal forms, which the audit checks with the rules.  Completion
-can take exponential space: max_rules bounds the rules it adds, and
-separately the monomials one order closure adds.
+can take exponential space: max_rules bounds the rules it adds beyond
+one per distinct relation, and separately the monomials one order
+closure adds.
 """
 
 from __future__ import annotations
@@ -87,8 +88,9 @@ from collections import deque
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import compress
-from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from .errors import SpaceMismatchError
 from .lp import exact_lp_feasible, integer_scaling, rational_kernel_basis
@@ -108,15 +110,15 @@ RAY_LIMIT = 256
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(map(operator.add, u, v))
+    return tuple(a + b for a, b in zip(u, v))
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(map(operator.sub, u, v))
+    return tuple(a - b for a, b in zip(u, v))
 
 
 def vec_geq(u: Vec, v: Vec) -> bool:
-    return all(map(operator.ge, u, v))
+    return all(a >= b for a, b in zip(u, v))
 
 
 def vec_scale(k: int, u: Vec) -> Vec:
@@ -141,7 +143,7 @@ def zero_on(v: Vec, coords: FrozenSet[int]) -> Vec:
 
 
 def _supp(v: Vec) -> FrozenSet[int]:
-    return frozenset(compress(range(len(v)), v))
+    return frozenset(i for i, c in enumerate(v) if c)
 
 
 def _primitive(v: Vec) -> Vec:
@@ -255,12 +257,17 @@ class Functional(NamedTuple):
 @dataclass(frozen=True)
 class Budget:
     """The one limit of the finite layer, set once per congruence: the
-    completion of the relations adds at most max_rules rules, and the order
-    closure of one left side at most max_rules monomials.  Both counts
-    depend on the input alone, never on the order of the queries.  An
-    omega query runs one finite decision, in the quotient, under it."""
+    completion of the relations adds at most max_rules rules beyond one per
+    distinct relation, and the order closure of one left side at most
+    max_rules monomials.  Both counts depend on the input alone, never on
+    the order of the queries.  An omega query runs one finite decision, in
+    the quotient, under it."""
 
     max_rules: int = 100
+
+    def __post_init__(self):
+        if self.max_rules < 0:
+            raise ValueError(f"max_rules must be nonnegative, got {self.max_rules}")
 
 
 @dataclass
@@ -506,18 +513,23 @@ class Congruence:
     @cached_property
     def _rules(self) -> Optional[List[Rule]]:
         """The relations completed under the degree-lex order, or None past
-        max_rules additions; built on the first finite query that no
-        functional refutes.
+        max_rules additions beyond one per distinct relation; built on the
+        first finite query that no functional refutes.
 
         A pair is reduced to normal forms on both sides and, if they
-        differ, oriented into a rule; the rules whose sides it reduces go
-        back to work, and its critical pair with each rule (both rewrite
-        max(l1, l2)) is queued.  A pair carries relation steps from its
-        first side to its second: a critical pair the reversed steps of one
-        parent, then the other's; a reduced pair the normal-form steps of
-        its sides around its own."""
+        differ, oriented into a rule; the rules whose left sides it reduces
+        go back to work, those whose right sides it reduces have them
+        reduced in place, and its critical pair with each rule (both
+        rewrite max(l1, l2)) is queued.  A pair carries relation steps from
+        its first side to its second: a critical pair the reversed steps of
+        one parent, then the other's; a reduced pair the normal-form steps
+        of its sides around its own."""
         rules: List[Rule] = []
-        work = [Rule(l, r, ((idx, 1),)) for idx, (l, r) in enumerate(self.relations) if l != r]
+        # one pair per distinct relation, from the last index that states it;
+        # each may add a rule free of the cap, so the cap grows with the input
+        last = {frozenset(rel): idx for idx, rel in enumerate(self.relations) if rel[0] != rel[1]}
+        work = [Rule(*self.relations[idx], ((idx, 1),)) for idx in sorted(last.values())]
+        cap = self.budget.max_rules + len(work)
         while work:
             l, r, path = work.pop()
             l, to_l = self._reduce(l, rules)
@@ -527,13 +539,20 @@ class Congruence:
             path = _reverse(to_l) + list(path) + to_r
             if (sum(l), l) < (sum(r), r):  # the degree-lex order
                 l, r, path = r, l, _reverse(path)
-            if self.stats["rules_added"] == self.budget.max_rules:
+            if self.stats["rules_added"] >= cap:
                 return None
             self.stats["rules_added"] += 1
             new = Rule(l, r, tuple(self._loop_free(l, path)))
-            touched = [vec_geq(x.lhs, l) or vec_geq(x.rhs, l) for x in rules]
-            work += [x for x, t in zip(rules, touched) if t]
-            rules = [x for x, t in zip(rules, touched) if not t]
+            kept, both = [], rules + [new]
+            for a, b, steps in rules:
+                if all(map(operator.ge, a, l)):
+                    work.append(Rule(a, b, steps))
+                    continue
+                if all(map(operator.ge, b, l)):
+                    b, to_b = self._reduce(b, both)
+                    steps = tuple(self._loop_free(a, list(steps) + to_b))
+                kept.append(Rule(a, b, steps))
+            rules = kept
             back = tuple(_reverse(new.steps))
             for a, b, steps in rules:
                 # coprime left sides need no pair: both ends rewrite to r + b
@@ -570,7 +589,7 @@ class Congruence:
             return list(steps)
         seen = [start]
         for step in steps:
-            seen.append(vec_add(seen[-1], self._deltas[step]))
+            seen.append(tuple(map(operator.add, seen[-1], self._deltas[step])))
         last = {x: i for i, x in enumerate(seen)}
         out, i = [], last[start]
         while i < len(steps):
@@ -603,7 +622,7 @@ class Congruence:
             nf, to_nf = self._reduce(vec_add(vec_sub(top, a), b), rules)
             if any(vec_geq(nf, x) for x in mons):
                 continue
-            if added == self.budget.max_rules:
+            if added >= self.budget.max_rules:
                 self._ideals[u] = None
                 return None
             added += 1
@@ -701,9 +720,11 @@ class Congruence:
         u, v = tuple(u), tuple(v)
         if u == v:
             return Decision(EQUAL, {"kind": "syntactic"}, self.budget)
-        hit = self._decision_memo.get(key := ("eqf", u, v))
+        key = ("eqf", u, v)
+        hit = self._decision_memo.get(key)
         if hit is None:
-            hit = self._decision_memo[key] = self._eq_finite_impl(u, v)
+            hit = self._eq_finite_impl(u, v)
+            self._decision_memo[key] = hit
         return hit
 
     def _eq_finite_impl(self, u: Vec, v: Vec) -> Decision:
@@ -719,8 +740,14 @@ class Congruence:
         rules = self._rules
         if rules is None:
             return self._unknown()
-        left, to_left = self._reduce(u, rules)
-        right, to_right = self._reduce(v, rules)
+        # the common part rides along, so the walks meet sooner; the monoid
+        # need not cancel, so only u and v themselves can refute
+        common = tuple(map(min, u, v))
+        left, to_left = self._reduce(vec_sub(u, common), rules)
+        right, to_right = self._reduce(vec_sub(v, common), rules)
+        if left != right:
+            left, to_left = self._reduce(u, rules)
+            right, to_right = self._reduce(v, rules)
         if left == right:
             steps = self._loop_free(u, to_left + _reverse(to_right))
             assert self.replay_path(u, steps) == v
@@ -735,9 +762,11 @@ class Congruence:
         u, v = tuple(u), tuple(v)
         if vec_geq(v, u):
             return self._domination(u, v, [])
-        hit = self._decision_memo.get(key := ("leqf", u, v))
+        key = ("leqf", u, v)
+        hit = self._decision_memo.get(key)
         if hit is None:
-            hit = self._decision_memo[key] = self._leq_finite_impl(u, v)
+            hit = self._leq_finite_impl(u, v)
+            self._decision_memo[key] = hit
         return hit
 
     def _leq_finite_impl(self, u: Vec, v: Vec) -> Decision:
@@ -747,15 +776,20 @@ class Congruence:
                 NOT_LEQ, {"kind": "functional", "y": f.y, "nonnegative": True}, self.budget
             )
         rules = self._rules
-        ideal = None if rules is None else self._order_ideal(u, rules)
-        if ideal is None:
+        if rules is None:
             return self._unknown()
         top, to_top = self._reduce(v, rules)
+        left, to_left = self._reduce(u, rules)
+        # NF(u) lies in the ideal: the closure is needed only when top is not above it
+        if vec_geq(top, left):
+            return self._domination(u, v, to_top + _reverse(to_left))
+        ideal = self._order_ideal(u, rules)
+        if ideal is None:
+            return self._unknown()
         for m, c, p in ideal:
             if vec_geq(top, m):
                 # v -> top = m + (top - m), and back along p to u + c + (top - m)
                 return self._domination(u, v, to_top + _reverse(p))
-        left, to_left = self._reduce(u, rules)
         return Decision(NOT_LEQ, {
             "kind": "normal_form", "monomials": [m for m, _, _ in ideal], "left": left,
             "right": top, "path_left": self._loop_free(u, to_left),
@@ -894,9 +928,11 @@ class Congruence:
     def decide_eq(self, p: ExtVec, q: ExtVec) -> Decision:
         if p.n != self.n or q.n != self.n:
             raise SpaceMismatchError("dimension mismatch")
-        hit = self._decision_memo.get(key := ("eq", p, q))
+        key = ("eq", p, q)
+        hit = self._decision_memo.get(key)
         if hit is None:
-            hit = self._decision_memo[key] = self._decide_eq_impl(p, q)
+            hit = self._decide_eq_impl(p, q)
+            self._decision_memo[key] = hit
         return hit
 
     def _decide_eq_impl(self, p: ExtVec, q: ExtVec) -> Decision:
@@ -933,9 +969,11 @@ class Congruence:
     def decide_leq(self, p: ExtVec, q: ExtVec) -> Decision:
         if p.n != self.n or q.n != self.n:
             raise SpaceMismatchError("dimension mismatch")
-        hit = self._decision_memo.get(key := ("leq", p, q))
+        key = ("leq", p, q)
+        hit = self._decision_memo.get(key)
         if hit is None:
-            hit = self._decision_memo[key] = self._decide_leq_impl(p, q)
+            hit = self._decide_leq_impl(p, q)
+            self._decision_memo[key] = hit
         return hit
 
     def _decide_leq_impl(self, p: ExtVec, q: ExtVec) -> Decision:

@@ -60,6 +60,18 @@ def files(tmp_path_factory):
     p.write_text(json.dumps(gens))
     out["parity_gens"] = str(p)
 
+    # every point retracts onto point 2: e2 ~ e0 + e1 + e2 and e0, e1 ~ 0.
+    # Completion adds e0 + e1 + e2 -> e2 first; e1 -> 0 turns it into
+    # e0 + e2 -> e2 before e0 -> 0 removes it: four additions, three relations
+    retraction = {
+        "points": ["0", "1", "2"],
+        "atoms": [[0], [1], [2]],
+        "generators": [{"0": 2, "1": 2, "2": 2}],
+    }
+    p = root / "retraction.json"
+    p.write_text(json.dumps(retraction))
+    out["retraction"] = str(p)
+
     partial = {
         "points": ["a", "b", "sink"],
         "atoms": [[0], [1], [2]],
@@ -221,11 +233,18 @@ class TestEqui:
 
     def test_starved_budget_exits_2(self, files, capsys):
         code, doc, _ = run_json(
-            capsys, ["--max-rules", "0", "equi", files["parity"], "0", "2"]
+            capsys, ["--max-rules", "0", "equi", files["retraction"], "0", "1"]
         )
         assert code == 2
         assert doc["decision"]["verdict"] == "unknown"
         assert doc["decision"]["witness"]["exhausted"] == ["max_rules"]
+        code, doc, _ = run_json(capsys, ["equi", files["retraction"], "0", "1"])
+        assert code == 0 and doc["decision"]["verdict"] == "equal"
+
+    def test_negative_budget_is_a_usage_error(self, files, capsys):
+        code, _, err = run(capsys, ["--max-rules", "-1", "equi", files["parity"], "0", "2"])
+        assert code == 1
+        assert "must be nonnegative" in err
 
 
 class TestParadox:
@@ -284,9 +303,9 @@ class TestMeasure:
         assert code == 2 and "PARADOX_LIMIT exhausted" in out.splitlines()[0]
 
     def test_max_rules_exhausted_exits_2(self, files, capsys):
-        # the collapse congruence needs one rule: its first paradox
-        # decision is unknown, and the search stops there
-        argv = ["--max-rules", "0", "measure", files["collapse"], "1"]
+        # the retraction congruence needs one rule past its relations: its
+        # first paradox decision is unknown, and the search stops there
+        argv = ["--max-rules", "0", "measure", files["retraction"], "0"]
         code, doc, _ = run_json(capsys, argv)
         assert code == 2
         assert doc["budget"] == {"max_rules": 0}
@@ -404,10 +423,11 @@ class TestCorpus:
         assert doc["summary"]["agreements"] > 0
 
     def test_max_rules_reaches_the_suites(self, capsys):
-        # no rule may be added: the audit's completions run out
-        code, doc, _ = run_json(
-            capsys, ["--max-rules", "0", "corpus", "--suite", "soundness", "--count", "0"]
-        )
+        # no rule may be added past the relations: the completion of
+        # retraction_9, the 3-point retraction space, runs out
+        code, doc, _ = run_json(capsys, [
+            "--max-rules", "0", "corpus", "--suite", "soundness", "--seed", "1", "--count", "10",
+        ])
         assert doc["budget"] == {"max_rules": 0}
         assert doc["summary"]["unknown"] > 0
         assert doc["verdicts"] == [{"name": "soundness", "verdict": "unknown"}]

@@ -62,6 +62,7 @@ from typemonoid.measures import (
 )
 from typemonoid.lp import exact_lp_feasible
 from typemonoid.partial_bijection import PartialBijection
+from typemonoid.serial import space_from_dict
 from typemonoid.spaces import build_space, pullback, with_trivial_symmetry
 from typemonoid.types import TypeEngine, relation_basis
 
@@ -553,11 +554,14 @@ class TestSynthesisCertificates:
         assert [e.decision.verdict for e in eng.audit_log] == ["leq"]
 
     def test_first_unknown_stops_the_paradox_search(self):
-        # the collapse congruence needs one rule, and none may be added:
-        # 2[E] <= [E] is unknown, so is every k after it, and the stage
-        # names the budget that decision names
-        eng = TypeEngine(collapse_space(), Budget(max_rules=0))
-        rep = synthesize_classical_measure(eng, frozenset({1}), want_report=True)
+        # every point retracts onto point 2; completing the three relations
+        # takes four additions (tests/test_cli.py), and none may be added
+        # past them: 2[E] <= [E] is unknown, so is every k after it, and the
+        # stage names the budget that decision names
+        retraction = {"points": ["0", "1", "2"], "atoms": [[0], [1], [2]],
+                      "generators": [{"0": 2, "1": 2, "2": 2}]}
+        eng = TypeEngine(space_from_dict(retraction), Budget(max_rules=0))
+        rep = synthesize_classical_measure(eng, frozenset({0}), want_report=True)
         assert rep.measure is None
         assert rep.stages == [{"infinite": [], "feasible": False, "method": "paradox",
                                "k": None, "witness": None, "exhausted": "max_rules"}]
@@ -565,7 +569,7 @@ class TestSynthesisCertificates:
         assert entry.decision.witness["exhausted"] == ["max_rules"]
         assert eng.congruence.stats["exhausted_max_rules"] == 1
         # existence is still decided: the measure exists off the budget
-        assert synthesize_classical_measure(eng, frozenset({0})) is not None
+        assert synthesize_classical_measure(eng, frozenset({2})) is not None
 
 
 class TestTarskiCrossCheck:
