@@ -404,7 +404,11 @@ def verify_certificate(
     checks plus the pointwise replay (integer window of `replay_size`,
     default 40; reduced words up to length `replay_size`, default 5).
     Schema certificates get their catalog checker with the [-window,
-    window] validation."""
+    window] validation.  A negative window or replay_size raises
+    ValueError: it would check nothing."""
+    if window < 0 or (replay_size is not None and replay_size < 0):
+        raise ValueError(f"window and replay_size must be nonnegative, "
+                         f"got {window} and {replay_size}")
     report = CertificateReport()
     if cert.is_schema:
         _verify_schema(cert, report, window)

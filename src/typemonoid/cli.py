@@ -4,8 +4,8 @@ Every subcommand builds a report dict with stable field names
 (`schema_version`, `command`, `budget`, `verdicts`, plus per-command
 payload) and prints it as text, or as JSON under `--json`.  Exit codes:
 0 all verdicts definite, 2 an Unknown verdict or exhausted budget,
-1 input error (usage error, parse failure, invalid space, rejected
-certificate).
+1 input error (usage error, unreadable file, parse failure, invalid
+space, rejected certificate).
 Output is deterministic for fixed inputs and flags; wall-clock timings
 appear only under `--timings`.
 """
@@ -43,7 +43,7 @@ from .spaces import validate_action
 from .suites import SUITES, corpus_with_fixtures
 from .types import TypeEngine
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -408,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="verify a certificate file, builtin:galileo, or builtin:f2",
     )
     p.add_argument("certificate")
-    p.add_argument("--window", type=int, default=1000, metavar="N")
+    p.add_argument("--window", type=_nonnegative_int, default=1000, metavar="N")
     p.set_defaults(func=cmd_cert_verify)
 
     p = sub.add_parser("corpus", help="run a property suite over the corpus")
@@ -432,18 +432,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     args.budget = Budget(max_rules=args.max_rules)
     try:
         return args.func(args)
-    except (SpaceFormatError, MalformedCertificateError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except NormalizationImpossibleError as exc:
+    except (SpaceFormatError, MalformedCertificateError, NormalizationImpossibleError,
+            OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BudgetExhaustedError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_UNKNOWN
-    except FileNotFoundError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except TypemonoidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

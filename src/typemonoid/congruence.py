@@ -34,11 +34,16 @@ step apply here, so an omega witness replays against the original
 relations.  A negative quotient verdict is no refutation of the omega
 query, which then ends in Unknown.
 
-Verdicts are three valued.  Positive answers carry replayable rewrite
-paths; negative answers carry a conserved functional (a rational vector
-annihilating every relation difference, nonnegative for order queries,
-evaluated with saturation on omega coordinates), a closed support, or
-normal forms under the completed relations; budget exhaustion yields
+Verdicts are three valued.  Every positive answer carries one
+replayable path of relation steps: a `path` from u to v for equality, a
+`domination` from v to w = u + gamma, gamma >= 0, for order, and for an
+omega query the same lifted from the quotient, inside an `omega_equal`
+or `omega_leq`.  Equal sides, and a right side that dominates the left
+one coordinatewise, give a path with no steps.  Negative answers carry
+a conserved functional (a rational vector annihilating every relation
+difference, nonnegative for order queries, evaluated with saturation on
+omega coordinates), a closed support, or normal forms under the
+completed relations; budget exhaustion yields
 Unknown, never a guess, and names the budget that ran out.  An omega
 Unknown names max_rules when its finite decision ran out of it, and
 nothing when the supports do not match or the quotient refuted.
@@ -719,7 +724,8 @@ class Congruence:
     def eq_finite(self, u: Vec, v: Vec) -> Decision:
         u, v = tuple(u), tuple(v)
         if u == v:
-            return Decision(EQUAL, {"kind": "syntactic"}, self.budget)
+            return Decision(EQUAL, {"kind": "path", "start": u, "end": v, "steps": []},
+                            self.budget)
         key = ("eqf", u, v)
         hit = self._decision_memo.get(key)
         if hit is None:
@@ -797,13 +803,13 @@ class Congruence:
         }, self.budget)
 
     def _domination(self, u: Vec, v: Vec, steps: List[Tuple[int, int]]) -> Decision:
-        """u <= v by steps from v to u + gamma, gamma >= 0, loops cut out."""
+        """u <= v by a path from v to w = u + gamma, gamma >= 0, loops cut out."""
         path = self._loop_free(v, steps)
         w = self.replay_path(v, path)
         gamma = vec_sub(w, u)
         assert min(gamma, default=0) >= 0
-        return Decision(LEQ, {"kind": "domination", "u": u, "w": w, "gamma": gamma,
-                              "path_left": [], "path_right": path}, self.budget)
+        return Decision(LEQ, {"kind": "domination", "w": w, "gamma": gamma, "path": path},
+                        self.budget)
 
     def _unknown(self, exhausted: bool = True, omega: bool = False) -> Decision:
         """Unknown, naming max_rules (counted once) when the budget ran out:
@@ -940,7 +946,7 @@ class Congruence:
         if pn.is_finite() and qn.is_finite():
             return self.eq_finite(pn.finite, qn.finite)
         if pn == qn:
-            return Decision(EQUAL, {"kind": "syntactic-normalized"}, self.budget)
+            return self._omega_equal(pn.omega, pn.finite, [])
         sep = self._saturating_separation(pn, qn, order=False)
         if sep is None:
             sep = self._support_refutation(p, q, order=False)
@@ -954,17 +960,16 @@ class Congruence:
         fin = self._quotient(U).eq_finite(pf, qf)
         if fin.verdict != EQUAL:
             return self._unknown(fin.verdict == UNKNOWN, omega=True)
-        steps = fin.witness.get("steps", [])
-        start, end = self._lift(pf, steps, U)
-        return Decision(
-            EQUAL,
-            {
-                "kind": "omega_equal",
-                "support": U,
-                "finite": {"kind": "path", "start": start, "end": end, "steps": steps},
-            },
-            self.budget,
-        )
+        return self._omega_equal(U, pf, fin.witness["steps"])
+
+    def _omega_equal(self, U: FrozenSet[int], start: Vec, steps: Sequence) -> Decision:
+        """Equal under omega on the closed support U, by a path of the
+        quotient by U from start, lifted here."""
+        start, end = self._lift(start, steps, U)
+        return Decision(EQUAL, {
+            "kind": "omega_equal", "support": U,
+            "finite": {"kind": "path", "start": start, "end": end, "steps": steps},
+        }, self.budget)
 
     def decide_leq(self, p: ExtVec, q: ExtVec) -> Decision:
         if p.n != self.n or q.n != self.n:
@@ -978,8 +983,6 @@ class Congruence:
 
     def _decide_leq_impl(self, p: ExtVec, q: ExtVec) -> Decision:
         pn, qn = self.normalize(p), self.normalize(q)
-        if pn.is_zero():
-            return Decision(LEQ, {"kind": "zero-bottom"}, self.budget)
         if pn.is_finite() and qn.is_finite():
             return self.leq_finite(pn.finite, qn.finite)
         sep = self._saturating_separation(pn, qn, order=True)
@@ -999,28 +1002,13 @@ class Congruence:
         fin = self._quotient(V).leq_finite(pf, qn.finite)
         if fin.verdict != LEQ:
             return self._unknown(fin.verdict == UNKNOWN, omega=True)
-        w = fin.witness
-        start_left, m = self._lift(pf, w["path_left"], V)
-        start_right, top = self._lift(qn.finite, w["path_right"], V)
-        return Decision(
-            LEQ,
-            {
-                "kind": "omega_leq",
-                "support": U,
-                "under_omega": under,
-                "finite": {
-                    "kind": "domination",
-                    "start_left": start_left,
-                    "start_right": start_right,
-                    "u": m,
-                    "w": top,
-                    "gamma": vec_sub(zero_on(top, U), zero_on(m, U)),
-                    "path_left": w["path_left"],
-                    "path_right": w["path_right"],
-                },
-            },
-            self.budget,
-        )
+        path = fin.witness["path"]
+        start, top = self._lift(qn.finite, path, V)
+        return Decision(LEQ, {
+            "kind": "omega_leq", "support": U, "under_omega": under,
+            "finite": {"kind": "domination", "start": start, "w": top,
+                       "gamma": vec_sub(zero_on(top, U), zero_on(pf, U)), "path": path},
+        }, self.budget)
 
     def _support_refutation(self, p: ExtVec, q: ExtVec, order: bool) -> Optional[Decision]:
         """A closed support U = U(supp q) with an atom of p outside it.

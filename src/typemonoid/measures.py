@@ -420,7 +420,7 @@ def _definite(d: Decision, what: str) -> str:
 def _unit_witness(spec: TMeasureSpec, a: int) -> dict:
     """A zero combination of atom values that uses atom a, whose value is
     a unit.  Under the identity assignment the domination witness of
-    x_a <= 0 gives it: e_a + gamma ~ u + gamma = w ~ 0."""
+    x_a <= 0 gives it: e_a + gamma = w ~ 0."""
     n, t = spec.statspace.n_atoms, spec.target
     identity = tuple(ExtVec.from_vec(unit_vec(n, b)) for b in range(n))
     if not isinstance(t, FPMonoidTarget) or spec.assignment != identity:

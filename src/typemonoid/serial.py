@@ -170,15 +170,20 @@ def space_from_dict(doc: Dict) -> StatSpace:
     )
 
 
+def _read_json(path: str, error: type):
+    """The JSON document in the file at path; text that is not UTF-8 or
+    not JSON raises `error`, naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 at byte {exc.start}: {exc.reason}") from exc
+
+
 def load_space(path: str) -> StatSpace:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpaceFormatError(
-                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    return space_from_dict(doc)
+    return space_from_dict(_read_json(path, SpaceFormatError))
 
 
 def parse_set_expr(ss: StatSpace, expr: str):
@@ -300,14 +305,7 @@ def certificate_from_dict(doc: Dict) -> Certificate:
 
 
 def load_certificate(path: str) -> Certificate:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MalformedCertificateError(
-                f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-    return certificate_from_dict(doc)
+    return certificate_from_dict(_read_json(path, MalformedCertificateError))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,8 @@ dominates some member of alpha's class componentwise. (If u + g is
 congruent to v then v's class contains the dominating member u + g;
 conversely domination w >= m with m ~ u, w ~ v exhibits gamma = [w - m].)
 The congruence decides both exactly, from its completed relations; a
-domination witness it gives has m = u and a path from v to w.
+domination witness it gives takes m = u and is one path from v to
+w = u + gamma.
 
 One caveat on semantics: actions here are total point maps, and for
 idempotents acting as retractions the preimage of A need not equal the
@@ -178,11 +179,9 @@ class RealizationReport:
         return self.ok
 
 
-# Witness kinds audit_decisions counts; "other" is the kinds it cannot re-check.
-AUDIT_KINDS = (
-    "functional", "path", "domination", "normal_form", "support", "syntactic",
-    "syntactic-normalized", "zero-bottom", "other",
-)
+# Witness kinds audit_decisions counts: an omega_equal witness counts as a
+# path and an omega_leq one as a domination.
+AUDIT_KINDS = ("functional", "path", "domination", "normal_form", "support")
 
 
 @dataclass
@@ -382,29 +381,36 @@ class TypeEngine:
     def audit_decisions(self) -> Dict[str, int]:
         """Re-verify every logged definite decision; raises on any violation.
 
+        An unknown decision claims nothing and is skipped.  A definite one
+        is counted under one of AUDIT_KINDS, so the counts sum to the
+        number of definite decisions; any other witness kind raises.
+
         Functional witnesses must annihilate all relation differences (the
         congruence's integer check, run here in full on every logged
         witness although the congruence ran it once when it built the
         functional) and, between finite sides, separate
         them: y.left != y.right for equality (equal to the recorded
-        separation), y.left > y.right for order.  Path and domination
-        witnesses must replay into realizations that verify
-        syntactically.  Support witnesses must name a closed support that
+        separation), y.left > y.right for order.  Every positive witness
+        is one path, possibly with no steps, that must replay into
+        realizations that verify syntactically: a path runs from the left
+        side to the right one, and a domination, for order only, from the
+        right side to the left one plus a nonnegative gamma; these need
+        finite sides.  Support witnesses must name a closed support that
         contains one side and misses the listed atoms of the other.  Omega
         witnesses must name the closed support that omega on the sides
-        spans, and a lifted path or domination whose ends match the two
-        finite parts off that support: omega on the support absorbs the
-        rest.  A syntactic equality needs two equal finite sides, a
-        normalized one two sides with omega mass and the same normal form,
-        and a zero-bottom order a left side that normalizes to zero.  Every
-        support closure these use is checked by `_checked_closure`.  The
-        first normal-form witness checks the congruence's completed rules
-        by `_assert_complete`, once per call; each such witness then
-        replays its two paths to the normal forms it names, and
+        spans, and a lifted path (omega_equal) or domination (omega_leq)
+        whose ends match the finite parts off that support: omega on the
+        support absorbs the rest.  Every support closure these use is
+        checked by `_checked_closure`.  The first normal-form witness
+        checks the congruence's completed rules by `_assert_complete`,
+        once per call; each such witness then replays its two paths, from
+        finite sides, to the normal forms it names, and
         `_assert_normal_form` checks those against the rules.
         """
         counts = dict.fromkeys(AUDIT_KINDS, 0)
         for entry in self.audit_log:
+            if not entry.decision.is_definite():
+                continue
             w = entry.decision.witness
             kind = w.get("kind")
             if kind == "functional":
@@ -414,16 +420,19 @@ class TypeEngine:
                     _audit_separation(entry)
                 counts["functional"] += 1
             elif kind == "path":
-                self._audit_path(w["start"], w["steps"], w["end"])
+                left, right = _finite_sides(entry)
+                assert (w["start"], w["end"]) == (left, right), "path ends are not the sides"
+                self._audit_path(left, w["steps"], right)
                 counts["path"] += 1
             elif kind == "domination":
-                self._audit_domination(w, entry.left.finite, entry.right.finite)
+                self._audit_domination(entry, w, _finite_sides(entry)[1])
                 counts["domination"] += 1
             elif kind == "normal_form":
                 if not counts["normal_form"]:
                     self.congruence._assert_complete()
-                self._audit_path(entry.left.finite, w["path_left"], w["left"])
-                self._audit_path(entry.right.finite, w["path_right"], w["right"])
+                left, right = _finite_sides(entry)
+                self._audit_path(left, w["path_left"], w["left"])
+                self._audit_path(right, w["path_right"], w["right"])
                 self.congruence._assert_normal_form(entry.op == "leq", w)
                 counts["normal_form"] += 1
             elif kind == "support":
@@ -435,27 +444,12 @@ class TypeEngine:
                 self._audit_path(inner["start"], inner["steps"], inner["end"])
                 counts["path"] += 1
             elif kind == "omega_leq":
-                inner = w["finite"]
-                left, right = inner["start_left"], inner["start_right"]
-                support = self._audit_omega_support(entry, left, right)
-                self._audit_domination(inner, left, right, support)
+                start = w["finite"]["start"]
+                support = self._audit_omega_support(entry, entry.left.finite, start)
+                self._audit_domination(entry, w["finite"], start, support)
                 counts["domination"] += 1
-            elif kind == "syntactic":
-                assert entry.left.is_finite() and entry.left == entry.right, "sides differ"
-                counts["syntactic"] += 1
-            elif kind == "syntactic-normalized":
-                left, right = entry.left, entry.right
-                assert entry.op == "eq" and left.omega and right.omega, "a side is finite"
-                U = self._checked_closure(left.omega)
-                assert self._checked_closure(right.omega) == U, "omega closures differ"
-                assert zero_on(left.finite, U) == zero_on(right.finite, U), "finite parts differ"
-                counts["syntactic-normalized"] += 1
-            elif kind == "zero-bottom":
-                left = self.congruence.normalize(entry.left)
-                assert entry.op == "leq" and left.is_zero(), "left side is not zero"
-                counts["zero-bottom"] += 1
             else:
-                counts["other"] += 1
+                raise AssertionError(f"unrecognised witness kind {kind!r}")
         return counts
 
     def _assert_closed(self, closed: FrozenSet[int]) -> None:
@@ -514,14 +508,16 @@ class TypeEngine:
         assert zero_on(right, support) == zero_on(entry.right.finite, support), "right start is off"
         return support
 
-    def _audit_domination(self, w: dict, left: Vec, right: Vec, support=frozenset()) -> None:
-        """Both paths replay from `left` and `right`, and off `support` the
-        right member is the left one plus a nonnegative gamma."""
-        m, top = zero_on(w["u"], support), zero_on(w["w"], support)
+    def _audit_domination(
+        self, entry: AuditEntry, w: dict, right: Vec, support=frozenset()
+    ) -> None:
+        """An order: the path replays from `right` to w, and off `support`
+        w is the left finite part plus a nonnegative gamma."""
+        assert entry.op == "leq", "an order witness for an equality"
+        m, top = zero_on(entry.left.finite, support), zero_on(w["w"], support)
         assert vec_geq(top, m), "dominating member does not dominate"
         assert vec_add(m, w["gamma"]) == top, "gamma mismatch"
-        self._audit_path(left, w["path_left"], w["u"])
-        self._audit_path(right, w["path_right"], w["w"])
+        self._audit_path(right, w["path"], w["w"])
 
     def _audit_path(self, start, steps, end) -> None:
         cur = tuple(start)
@@ -531,6 +527,12 @@ class TypeEngine:
             assert r.left_whole.finite == cur
             cur = r.right_whole.finite
         assert cur == tuple(end), "path does not reach its claimed endpoint"
+
+
+def _finite_sides(entry: AuditEntry) -> Tuple[Vec, Vec]:
+    """The two sides of an entry whose witness speaks of finite vectors."""
+    assert entry.left.is_finite() and entry.right.is_finite(), "a side is not finite"
+    return entry.left.finite, entry.right.finite
 
 
 def _audit_separation(entry: AuditEntry) -> None:

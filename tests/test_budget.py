@@ -68,4 +68,4 @@ def test_omega_quotient_decision_names_the_engine_budget():
     assert quotient.stats["rules_added"] == 1
     # a quotient that runs out names max_rules: tests/test_congruence.py,
     # TestOmega::test_omega_unknown_adds_inner_causes
-    assert tight.audit_decisions()["other"] == 0
+    assert tight.audit_decisions()["path"] == 1

@@ -177,6 +177,12 @@ class TestGalileo:
         rep = verify_certificate(builtin_galileo(), window=10)
         assert rep.ok and rep.details["window_covered"] == 21
 
+    def test_negative_window_or_replay_size_is_refused(self):
+        # a negative window covers nothing, so it would verify unchecked
+        for kw in ({"window": -3}, {"replay_size": -1}):
+            with pytest.raises(ValueError, match="must be nonnegative"):
+                verify_certificate(builtin_galileo(), **kw)
+
 
 class TestTailShift:
     def test_halfline_shift(self):

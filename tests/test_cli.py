@@ -1,16 +1,19 @@
 """Command-line surface: exit codes, report schema, determinism."""
 
 import json
+import re
 
 import pytest
 
 from typemonoid import measures
 from typemonoid.cli import main
 from typemonoid.corpus import fixture_spaces
+from typemonoid.errors import MalformedCertificateError
 from typemonoid.serial import (
     SpaceFormatError,
     certificate_from_dict,
     fixture_space_dict,
+    load_certificate,
     load_space,
     parse_set_expr,
 )
@@ -177,10 +180,22 @@ class TestSpaceCheck:
         code, _, err = run(capsys, ["space-check", files["root"] + "/nope.json"])
         assert code == 1
 
+    def test_directory_is_an_input_error(self, files, capsys, tmp_path):
+        code, _, err = run(capsys, ["equi", str(tmp_path), "0", "1"])
+        assert code == 1
+        assert err.startswith("input error:") and "Traceback" not in err
+
+    def test_non_utf8_file_is_an_input_error(self, capsys, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"points": ["\xe9"]}')
+        code, _, err = run(capsys, ["space-check", str(p)])
+        assert code == 1
+        assert err.startswith(f"input error: {p}: not UTF-8")
+
     def test_json_report_fields(self, files, capsys):
         code, doc, _ = run_json(capsys, ["space-check", files["parity"]])
         assert code == 0
-        assert doc["schema_version"] == 5
+        assert doc["schema_version"] == 6
         assert doc["command"] == "space-check"
         assert doc["monoid"]["valid"] is True
         assert doc["action"]["valid"] is True
@@ -284,7 +299,8 @@ class TestMeasure:
     def test_feasible_measure_has_an_audit_block(self, files, capsys):
         code, doc, _ = run_json(capsys, ["measure", files["parity"], "0,1,2,3"])
         assert code == 0
-        assert doc["audit"]["functional"] == 1 and doc["audit"]["other"] == 0
+        assert doc["audit"] == {
+            "functional": 1, "path": 0, "domination": 0, "normal_form": 0, "support": 0}
         code, out, _ = run(capsys, ["measure", files["parity"], "0,1,2,3"])
         assert out.splitlines()[-1].startswith("audit replayed: ")
 
@@ -335,6 +351,11 @@ class TestLattice:
         text = dot.read_text()
         assert text.startswith("digraph")
         assert '"bot"' in text
+
+    def test_dot_into_a_directory_is_an_input_error(self, files, capsys, tmp_path):
+        code, _, err = run(capsys, ["lattice", files["parity"], "--dot", str(tmp_path)])
+        assert code == 1
+        assert err.startswith("input error:")
 
     @staticmethod
     def trivial20(tmp_path):
@@ -404,6 +425,18 @@ class TestCertVerify:
         code, _, err = run(capsys, ["cert-verify", str(p)])
         assert code == 1
         assert "input error" in err
+
+    def test_non_utf8_certificate_is_an_input_error(self, capsys, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"backend": "\xff"}')
+        code, _, err = run(capsys, ["cert-verify", str(p)])
+        assert code == 1
+        assert err.startswith(f"input error: {p}: not UTF-8")
+
+    def test_negative_window_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, ["cert-verify", "builtin:galileo", "--window", "-3"])
+        assert code == 1
+        assert out == "" and "must be nonnegative" in err
 
 
 class TestCorpus:
@@ -516,6 +549,14 @@ class TestSerialEdges:
     def test_certificate_requires_backend(self):
         with pytest.raises(Exception, match="backend"):
             certificate_from_dict({"left": [], "right": []})
+
+    def test_non_utf8_files_name_their_path(self, tmp_path):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"points": ["caf\xe9"]}')
+        with pytest.raises(SpaceFormatError, match="not UTF-8 at byte 16"):
+            load_space(str(p))
+        with pytest.raises(MalformedCertificateError, match=re.escape(f"{p}: not UTF-8")):
+            load_certificate(str(p))
 
 
 def load_space_from(tmp_path, doc):

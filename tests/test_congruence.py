@@ -255,7 +255,8 @@ class TestEqFinite:
     def test_syntactic(self):
         cong = parity_congruence()
         d = cong.eq_finite((1, 2, 0, 0), (1, 2, 0, 0))
-        assert d.verdict == EQUAL and d.witness["kind"] == "syntactic"
+        assert d.verdict == EQUAL
+        assert d.witness == {"kind": "path", "start": (1, 2, 0, 0), "end": (1, 2, 0, 0), "steps": []}
 
     def test_parity_one_move(self):
         cong = parity_congruence()
@@ -669,12 +670,10 @@ def _check_lifted(cong, op, p, q, d):
         assert cong.replay_path(inner["start"], inner["steps"]) == inner["end"]
     else:
         assert w["kind"] == "omega_leq"
-        assert off(inner["start_left"]) == off(p.finite)
-        assert off(inner["start_right"]) == off(q.finite)
-        assert cong.replay_path(inner["start_left"], inner["path_left"]) == inner["u"]
-        assert cong.replay_path(inner["start_right"], inner["path_right"]) == inner["w"]
-        assert vec_add(off(inner["u"]), inner["gamma"]) == off(inner["w"])
-        assert vec_geq(off(inner["w"]), off(inner["u"]))
+        assert off(inner["start"]) == off(q.finite)
+        assert cong.replay_path(inner["start"], inner["path"]) == inner["w"]
+        assert vec_add(off(p.finite), inner["gamma"]) == off(inner["w"])
+        assert vec_geq(off(inner["w"]), off(p.finite))
 
 
 def _random_omega_pair(rng, n):
@@ -1135,7 +1134,7 @@ class TestCompletionCounters:
             # the completed system is reduced: no right side is reducible
             rules = eng.congruence._rules
             assert not any(vec_geq(r.rhs, x.lhs) for r in rules for x in rules)
-            assert eng.audit_decisions()["other"] == 0
+            assert sum(eng.audit_decisions().values()) == len(eng.audit_log) == 3
 
     def test_negative_budget_is_refused(self):
         with pytest.raises(ValueError, match="nonnegative"):
@@ -1186,7 +1185,7 @@ class TestGoalDirectedClosure:
         assert d.verdict == LEQ and d.witness["kind"] == "domination"
         _check_witness(cong, u, v, d)
         full = cyclic_congruence(4).class_closure(v)
-        assert len(d.witness["path_right"]) < len(full.members)
+        assert len(d.witness["path"]) < len(full.members)
         assert _counters(cong) == {
             "rules_added": 3, "critical_pairs": 0, "monomials_added": 0,
             "longest_path": 5, "exhausted_max_rules": 0,
@@ -1199,9 +1198,9 @@ def _check_witness(cong, u, v, d):
     if w["kind"] == "path":
         assert cong.replay_path(u, w["steps"]) == v
     elif w["kind"] == "domination":
-        assert cong.replay_path(u, w["path_left"]) == w["u"]
-        assert cong.replay_path(v, w["path_right"]) == w["w"]
-        assert vec_geq(w["w"], w["u"])
+        assert cong.replay_path(v, w["path"]) == w["w"]
+        assert vec_add(u, w["gamma"]) == w["w"]
+        assert vec_geq(w["w"], u)
     elif w["kind"] == "normal_form":
         assert cong.replay_path(u, w["path_left"]) == w["left"]
         assert cong.replay_path(v, w["path_right"]) == w["right"]
@@ -1367,7 +1366,7 @@ class TestHardSample:
             assert oracle_for_space(sample[i].statspace).eq(u, v)
         for eng in engines.values():
             counts = eng.audit_decisions()
-            assert counts["path"] == len(eng.audit_log) and counts["other"] == 0
+            assert counts["path"] == sum(counts.values()) == len(eng.audit_log)
 
     def test_whole_sample_is_decided(self):
         rng = random.Random(12)

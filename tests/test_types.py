@@ -450,46 +450,89 @@ class TestAudit:
                 eng.audit_decisions()
 
     def test_audit_trivial_witnesses(self):
+        # equal sides and a zero left side are paths with no steps
         eng = collapse_engine()
         one, null = eng.abar((1, 0)).vec, eng.abar((0, 0), omega={1}).vec
-        assert eng.decide_equal(one, one).witness == {"kind": "syntactic"}
-        assert eng.decide_leq(eng.abar_zero(), one).witness == {"kind": "zero-bottom"}
+        two, zero = eng.abar((2, 0)).vec, eng.abar_zero().vec
+        same = {"kind": "path", "start": (1, 0), "end": (1, 0), "steps": []}
+        below = {"kind": "domination", "w": (1, 0), "gamma": (1, 0), "path": []}
+        assert eng.decide_equal(one, one).witness == same
+        assert eng.decide_leq(zero, one).witness == below
         counts = eng.audit_decisions()
-        assert (counts["syntactic"], counts["zero-bottom"], counts["other"]) == (1, 1, 0)
-        syntactic, zero = {"kind": "syntactic"}, {"kind": "zero-bottom"}
+        assert (counts["path"], counts["domination"], sum(counts.values())) == (1, 1, 2)
         for op, left, right, verdict, tampered in (
-            ("eq", one, eng.abar((2, 0)).vec, EQUAL, syntactic),  # sides differ
-            ("eq", null, null, EQUAL, syntactic),  # equal, but not finite
-            ("leq", one, one, LEQ, zero),  # left side is not zero
-            ("leq", null, one, LEQ, zero),  # omega on the null atom stays omega
-            ("eq", eng.abar_zero().vec, eng.abar_zero().vec, EQUAL, zero),  # not an order
+            ("eq", one, two, EQUAL, {**same, "end": (2, 0)}),  # sides differ
+            ("eq", one, two, EQUAL, same),  # ends are not the sides
+            ("eq", null, null, EQUAL, {**same, "start": (0, 0), "end": (0, 0)}),  # not finite
+            # the right side does not dominate the left
+            ("leq", two, one, LEQ, {**below, "gamma": (-1, 0)}),
+            ("leq", zero, one, LEQ, {**below, "w": (2, 0), "gamma": (2, 0)}),  # no such path
+            ("leq", null, one, LEQ, below),  # omega on the null atom stays omega
+            ("eq", zero, one, EQUAL, below),  # an order proves no equality
         ):
             eng.audit_log[:] = [AuditEntry(op, left, right, Decision(verdict, tampered, Budget()))]
             with pytest.raises(AssertionError):
                 eng.audit_decisions()
+
+    def test_audit_refuses_unrecognised_kinds(self):
+        eng = collapse_engine()
+        one = eng.abar((1, 0)).vec
+        eng.audit_log.append(AuditEntry("eq", one, one, Decision(EQUAL, {"kind": "bogus"}, Budget())))
+        with pytest.raises(AssertionError, match="unrecognised witness kind 'bogus'"):
+            eng.audit_decisions()
+
+    def test_audit_skips_unknown_decisions(self):
+        # an unknown verdict claims nothing, so there is nothing to check
+        eng = collapse_engine()
+        one, two = eng.abar((1, 0)).vec, eng.abar((2, 0)).vec
+        unknown = {"kind": "budget", "max_rules": 0, "exhausted": ["max_rules"]}
+        eng.audit_log.append(AuditEntry("eq", one, two, Decision(UNKNOWN, unknown, Budget())))
+        eng.audit_log.append(AuditEntry("leq", two, one, Decision(UNKNOWN, {"kind": "bogus"}, Budget())))
+        eng.decide_equal(one, one)
+        assert eng.audit_decisions() == {
+            "functional": 0, "path": 1, "domination": 0, "normal_form": 0, "support": 0}
+
+    def test_zero_below_omega_replays(self):
+        # 0 <= omega on the odd atoms by a domination with no steps
+        eng = parity_engine()
+        d = eng.decide_leq(eng.abar_zero(), eng.abar((0,) * 4, omega={1, 3}))
+        assert d.verdict == LEQ
+        assert d.witness == {
+            "kind": "omega_leq", "support": frozenset({1, 3}), "under_omega": {},
+            "finite": {"kind": "domination", "start": (0,) * 4, "w": (0,) * 4,
+                       "gamma": (0,) * 4, "path": []},
+        }
+        assert eng.audit_decisions()["domination"] == 1
 
     def test_audit_syntactic_normalized(self):
         # omega on the even atoms absorbs finite even mass: both sides
         # normalize to omega on {0, 2}
         eng = parity_engine()
         p, q = eng.abar((0,) * 4, omega={0}).vec, eng.abar((0, 0, 2, 0), omega={0}).vec
-        assert eng.decide_equal(p, q).witness == {"kind": "syntactic-normalized"}
+        witness = {
+            "kind": "omega_equal", "support": frozenset({0, 2}),
+            "finite": {"kind": "path", "start": (0,) * 4, "end": (0,) * 4, "steps": []},
+        }
+        assert eng.decide_equal(p, q).witness == witness
         counts = eng.audit_decisions()
-        assert (counts["syntactic-normalized"], counts["other"]) == (1, 0)
-        odd, witness = eng.abar((0,) * 4, omega={1}).vec, {"kind": "syntactic-normalized"}
-        null = collapse_engine().abar((0, 0), omega={1}).vec
-        for engine, op, left, right in (
-            (eng, "eq", p, odd),  # different closures
-            (eng, "eq", eng.abar((0, 1, 0, 0), omega={0}).vec, q),  # odd mass stays
-            (eng, "leq", p, q),  # not an equality
-            (eng, "eq", eng.abar((1, 0, 0, 0)).vec, eng.abar((1, 0, 0, 0)).vec),  # finite
-            # omega on the null atom is the zero type, but the zero vector
-            # is finite and normalizes to itself
-            (collapse_engine(), "eq", null, ExtVec((0, 0))),
+        assert (counts["path"], sum(counts.values())) == (1, 1)
+        # omega on the null atom is the zero type, which the zero vector
+        # is: a finite side's support is the closure of the empty set
+        collapse = collapse_engine()
+        null = collapse.abar((0, 0), omega={1}).vec
+        assert collapse.decide_equal(null, ExtVec((0, 0))).witness["kind"] == "omega_equal"
+        assert collapse.audit_decisions()["path"] == 1
+        odd = eng.abar((0,) * 4, omega={1}).vec
+        for op, left, right, tampered in (
+            ("eq", p, odd, witness),  # different closures
+            ("eq", eng.abar((0, 1, 0, 0), omega={0}).vec, q, witness),  # odd mass stays
+            ("eq", p, q, {**witness, "support": frozenset({0})}),  # inside the closure
+            ("eq", p, q, {**witness, "support": frozenset({0, 1, 2, 3})}),  # past the closure
+            ("eq", eng.abar((1, 0, 0, 0)).vec, eng.abar((1, 0, 0, 0)).vec, witness),  # finite
         ):
-            engine.audit_log[:] = [AuditEntry(op, left, right, Decision(EQUAL, witness, Budget()))]
+            eng.audit_log[:] = [AuditEntry(op, left, right, Decision(EQUAL, tampered, Budget()))]
             with pytest.raises(AssertionError):
-                engine.audit_decisions()
+                eng.audit_decisions()
 
     def test_audit_rejects_forged_closure_derivations(self):
         # U({0}) = {0, 2} in the parity space, derived by one swap move
@@ -541,7 +584,7 @@ class TestAudit:
         }
         assert leq.witness == {**eq.witness, "monomials": [(0, 0, 1, 0)]}
         counts = eng.audit_decisions()
-        assert (counts["normal_form"], counts["other"]) == (2, 0)
+        assert (counts["normal_form"], sum(counts.values())) == (2, 2)
         rules = cong._rules
         for i in range(len(rules)):
             # a rule system with one rule dropped
@@ -604,7 +647,7 @@ class TestAudit:
         assert eq.witness["support"] == leq.witness["support"] == frozenset({1, 3})
         assert eq.witness["finite"]["steps"]
         counts = eng.audit_decisions()
-        assert (counts["path"], counts["domination"], counts["other"]) == (1, 1, 0)
+        assert (counts["path"], counts["domination"], sum(counts.values())) == (1, 1, 2)
         inner = leq.witness["finite"]
         for op, d, tampered in (
             ("eq", eq, {**eq.witness, "support": frozenset({1})}),  # not closed
@@ -613,7 +656,8 @@ class TestAudit:
             ("eq", eq, {**eq.witness, "support": frozenset({0, 1, 2, 3})}),
             ("leq", leq, {**leq.witness, "support": frozenset({0, 1, 2, 3})}),
             ("eq", eq, {**eq.witness, "finite": {**eq.witness["finite"], "start": (0, 0, 1, 0)}}),
-            ("leq", leq, {**leq.witness, "finite": {**inner, "start_right": (1, 0, 0, 0)}}),
+            ("leq", leq, {**leq.witness, "finite": {**inner, "start": (1, 0, 0, 0)}}),
+            ("leq", leq, {**leq.witness, "finite": {**inner, "w": (1, 0, 1, 0)}}),
             ("leq", leq, {**leq.witness, "finite": {**inner, "gamma": (1, 0, 0, 0)}}),
         ):
             eng.audit_log[:] = [AuditEntry(op, p, q, Decision(d.verdict, tampered, Budget()))]
