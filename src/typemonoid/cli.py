@@ -43,7 +43,7 @@ from .spaces import validate_action
 from .suites import SUITES, corpus_with_fixtures
 from .types import TypeEngine
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -238,31 +238,29 @@ def cmd_measure(args) -> int:
     ss = load_space(args.space)
     aset = parse_set_expr(ss, args.set)
     eng = TypeEngine(ss, args.budget)
-    syn = synthesize_classical_measure(eng, aset, want_report=True)
+    syn = synthesize_classical_measure(eng, aset)
     audit = eng.audit_decisions()
-    report["stages"] = syn.stages
+    cert = syn.certificate.to_json() if syn.certificate is not None else None
+    report["synthesis"] = {"method": syn.method, "k": syn.k,
+                           "exhausted": syn.exhausted, "certificate": cert}
     report["audit"] = audit
+    _set_verdict(report, "measure_exists", "definite")
     if syn.measure is not None:
         m = syn.measure
         report["measure"] = m.to_json()
         report["invariants"] = "checked"
-        _set_verdict(report, "measure_exists", "definite")
         lines = ["feasible, invariant-checked"]
         for a in range(ss.n_atoms):
             label = ss.space.atom_labels[a] if ss.space.atom_labels else str(a)
             val = "inf" if a in m.infinite_atoms else str(m.finite_values[a])
             lines.append(f"  mu({label}) = {val}")
+    elif cert is None:
+        _set_verdict(report, "paradox_certificate", UNKNOWN)
+        lines = [f"infeasible: no paradox certificate, {syn.exhausted} exhausted "
+                 f"(PARADOX_LIMIT = {PARADOX_LIMIT} copies)"]
     else:
-        _set_verdict(report, "measure_exists", "definite")
-        (st,) = syn.stages
-        if st["k"] is None:
-            _set_verdict(report, "paradox_certificate", UNKNOWN)
-            lines = [f"infeasible: no paradox certificate, {st['exhausted']} exhausted "
-                     f"(PARADOX_LIMIT = {PARADOX_LIMIT} copies)"]
-        else:
-            k = st["k"]
-            lines = [f"infeasible: paradox certificate {k + 1}[E] <= {k}[E]",
-                     f"witness {st['witness']['witness']}"]
+        lines = [f"infeasible: paradox certificate {syn.k + 1}[E] <= {syn.k}[E]",
+                 f"witness {cert['witness']}"]
     lines.append(f"audit replayed: {audit}")
     return _emit(args, report, lines, started)
 

@@ -90,7 +90,7 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import (
@@ -107,6 +107,9 @@ NOT_EQUAL = "not_equal"
 LEQ = "leq"
 NOT_LEQ = "not_leq"
 UNKNOWN = "unknown"
+
+# the saturated value of a functional that weighs an omega atom
+INF = "inf"
 
 # Most extreme rays the conserved cone may have.  The double-description
 # walk is exponential in the worst case; a congruence whose cone passes
@@ -287,21 +290,29 @@ class Decision:
     def to_json(self) -> dict:
         return {
             "verdict": self.verdict,
-            "witness": _json_witness(self.witness),
+            "witness": jsonable(self.witness),
             "budget": asdict(self.budget),
         }
 
 
-def _json_witness(w):
-    if isinstance(w, dict):
-        return {k: _json_witness(v) for k, v in w.items()}
-    if isinstance(w, (list, tuple)):
-        return [_json_witness(v) for v in w]
-    if isinstance(w, frozenset):
-        return sorted(w)
-    if isinstance(w, Fraction):
-        return f"{w.numerator}/{w.denominator}"
-    return w
+def jsonable(value):
+    """`value` as plain JSON data, for witnesses and reports alike: a
+    Fraction as "n/d", a set sorted, a tuple as a list, dict keys as
+    strings, a dataclass as its fields.  Any other object is written as
+    its str."""
+    if isinstance(value, (str, int, float)) or value is None:
+        return value
+    if isinstance(value, (tuple, list, set)):
+        return [jsonable(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): jsonable(v) for k, v in value.items()}
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if is_dataclass(value) and not isinstance(value, type):
+        return jsonable(asdict(value))
+    return str(value)
 
 
 class Rule(NamedTuple):
@@ -420,11 +431,11 @@ class Congruence:
         return Functional(tuple(y), tuple(z), den)
 
     def functional_value(self, f: Functional, v: ExtVec):
-        """Saturating evaluation; returns a Fraction or the string 'inf'.
+        """Saturating evaluation; returns a Fraction or INF.
         A finite value is summed in ints over the carried scaling z / den."""
         y = f.y
         if any(y[i] != 0 for i in v.omega):
-            return "inf"
+            return INF
         return Fraction(sum(a * b for a, b in zip(f.z, v.finite)), f.den)
 
     def conserved_rays(self) -> Optional[List[Vec]]:

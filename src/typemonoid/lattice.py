@@ -15,11 +15,13 @@ which lie in every closed support) is written as the empty support.
 The scale of a value, the largest idempotent below it, is read off the
 support closure of its omega support and certified by order queries
 against the upper covers of that scale.  A cover of a closed set e is a
-minimal one-atom step U(e + {b}), so a scale and its certificate need
-U(e) and at most n steps, never the whole lattice.  The engine keeps
-every scale certificate it has checked, by vector, so the quantity
-arithmetic, which certifies each operand and result, repeats no order
-query.  Every order query runs under the engine's budget.
+minimal one-atom step U(e + {b}), so certifying a scale needs U(e) and
+at most n steps, never the whole lattice.  The certifying decisions run
+through the engine's `decide_leq`, under its budget, so they sit in its
+audit log and the audit replays them; no certificate object exists.
+The engine keeps every scale it has certified, by vector, so the
+quantity arithmetic, which certifies each operand and result, repeats
+no order query.
 
 IdempotentLattice enumerates every scale, for the code that ranges over
 all of them.  Closed sets are closed under intersection, so meet is
@@ -41,7 +43,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from .congruence import LEQ, NOT_EQUAL, NOT_LEQ, Decision, ExtVec
 from .errors import BudgetExhaustedError, ContractError, TypemonoidError
-from .types import TarskiType, TypeEngine
+from .types import TypeEngine
 
 Closure = Callable[[FrozenSet[int]], FrozenSet[int]]
 
@@ -53,7 +55,7 @@ LATTICE_LIMIT = 256
 
 class LatticeError(TypemonoidError):
     """A scale lattice with more than LATTICE_LIMIT closed sets, or a
-    scale certificate that fails its checks."""
+    scale whose certifying decisions fail."""
 
 
 @dataclass(frozen=True)
@@ -231,48 +233,23 @@ def check_distributive(lattice: IdempotentLattice) -> Tuple[bool, Optional[dict]
 
 
 def idempotent_of(engine: TypeEngine, alpha) -> IdempotentElement:
-    """The unique maximal idempotent below alpha: the scale that
-    isotropy_decompose certifies."""
-    return isotropy_decompose(engine, alpha)[0]
-
-
-@dataclass
-class IsotropyCertificate:
-    """Membership evidence: alpha sits at scale e and at no finer one.
-    `excluded` refutes each upper cover of e below alpha."""
-
-    scale: IdempotentElement
-    alpha: TarskiType
-    above_scale: Decision
-    excluded: List[Tuple[IdempotentElement, Decision]]
-
-    @property
-    def ok(self) -> bool:
-        return self.above_scale.verdict == LEQ and all(
-            d.verdict == NOT_LEQ for _, d in self.excluded
-        )
-
-
-def isotropy_decompose(
-    engine: TypeEngine, alpha
-) -> Tuple[IdempotentElement, IsotropyCertificate]:
-    """Locate alpha's scale: the idempotent e with e <= alpha and no
+    """The scale of alpha: the idempotent e with e <= alpha and no
     strictly larger idempotent below alpha.
 
     e is the canonical idempotent of the closed omega support of
-    alpha's normal form.  The certificate checks e <= alpha and that no
-    upper cover of e is below alpha.  That excludes every f strictly
-    above e: some cover g of e lies inside f (see upper_covers), and
-    g <= f <= alpha would contradict g's exclusion.  And it is enough
+    alpha's normal form.  It is certified by deciding e <= alpha and
+    that no upper cover of e is below alpha.  That excludes every f
+    strictly above e: some cover g of e lies inside f (see upper_covers),
+    and g <= f <= alpha would contradict g's exclusion.  And it is enough
     for e to be the largest idempotent below alpha: if g <= alpha too,
     then alpha + e + g = alpha, so the join e + g is below alpha, and it
     is not strictly above e, so g <= e.  Only U(e) and the one-atom
     steps from it are computed, so no lattice is needed.
 
-    The certificate is built and checked once per vector, under the
-    engine's budget, and kept on the engine; a repeated call is a lookup,
-    counted in engine.stats.  A certificate that fails its checks is
-    never stored.
+    The scale is certified once per vector and kept on the engine; a
+    repeated call is a lookup, counted in engine.stats.  A cover left
+    undecided raises BudgetExhaustedError and a failed check LatticeError;
+    neither stores a scale.
     """
     vec = engine._vec(alpha)
     hit = engine._scales.get(vec)
@@ -281,19 +258,17 @@ def isotropy_decompose(
         return hit
     t = engine.type_of_abar(vec)
     e = canonical_idempotent(engine, t.rep.omega)
-    above = engine.decide_leq(engine.type_of_abar(e.vec), t)
-    excluded = []
+    ok = engine.decide_leq(engine.type_of_abar(e.vec), t).verdict == LEQ
     for f in scale_covers(engine, e):
         d = engine.decide_leq(engine.type_of_abar(f.vec), t)
         if not d.is_definite():
             raise BudgetExhaustedError(f"membership against {f} undecided")
-        excluded.append((f, d))
-    cert = IsotropyCertificate(e, t, above, excluded)
-    if not cert.ok:
+        ok = ok and d.verdict == NOT_LEQ
+    if not ok:
         raise LatticeError("isotropy membership certificate failed")
-    engine._scales[vec] = (e, cert)
+    engine._scales[vec] = e
     engine.stats["scale_certificates"] += 1
-    return e, cert
+    return e
 
 
 # ----- quantity groups ------------------------------------------------------
@@ -312,20 +287,13 @@ class QuantityElement:
         return f"{self.scale} | {self.plus} - {self.minus}"
 
 
-def _certify_scale(engine: TypeEngine, v: ExtVec, e: IdempotentElement) -> None:
-    got, _ = isotropy_decompose(engine, v)
-    if got != e:
-        raise ContractError(f"operand has scale {got}, expected {e}")
-
-
 def grothendieck_diff(engine: TypeEngine, a, b) -> QuantityElement:
     """Form the difference a - b in the quantity group of their shared
     scale.  Both operands must certify membership in the same isotropy
     monoid."""
     va = engine.omega_normalize(a)
     vb = engine.omega_normalize(b)
-    ea, _ = isotropy_decompose(engine, va)
-    eb, _ = isotropy_decompose(engine, vb)
+    ea, eb = idempotent_of(engine, va), idempotent_of(engine, vb)
     if ea != eb:
         raise ContractError(f"operands live at different scales {ea} vs {eb}")
     return QuantityElement(ea, va, vb)
@@ -335,7 +303,7 @@ def embed(engine: TypeEngine, alpha) -> QuantityElement:
     """The additive embedding of types into the quantity space: alpha at
     scale e maps to the pair (alpha, e)."""
     v = engine.omega_normalize(alpha)
-    e, _ = isotropy_decompose(engine, v)
+    e = idempotent_of(engine, v)
     return QuantityElement(e, v, e.vec)
 
 
@@ -359,12 +327,14 @@ def quantity_add(
     Coarsening each operand to g first gives the same sums, since
     normalizing commutes with addition and g + g = g, and no other
     failure: an idempotent strictly above g below x.plus + g is below
-    the sum too, so the sum's certificate fails as well."""
+    the sum too, so the sum is not at scale g either."""
     g = canonical_idempotent(engine, x.scale.omega_support | y.scale.omega_support)
     plus = engine.omega_normalize(x.plus.add(y.plus).add(g.vec))
     minus = engine.omega_normalize(x.minus.add(y.minus).add(g.vec))
-    _certify_scale(engine, plus, g)
-    _certify_scale(engine, minus, g)
+    for v in (plus, minus):
+        got = idempotent_of(engine, v)
+        if got != g:
+            raise ContractError(f"operand has scale {got}, expected {g}")
     return QuantityElement(g, plus, minus)
 
 

@@ -14,6 +14,7 @@ measure exists, and the certificate is the domination witness of the
 least k <= PARADOX_LIMIT with (k+1)[E] <= k[E] (Tarski's theorem: a set
 carries a normalized measure exactly when no k+1 copies of it fit in k).
 It is sound on its own: a measure with mu(E) = 1 would give k+1 <= k.
+The answer is one flat `Synthesis`: the measure, or that decision.
 
 Infinite values never help.  Suppose a measure is infinite on a set I
 of atoms outside E and finite on the rest, J.  Stationarity forces I
@@ -55,16 +56,21 @@ each flag by an exact rule:
   when each term is zero or absorbs the top and every atom value, so
   does the sum, since absorption by one summand is absorption by the
   sum.  Some set fails exactly when some single atom does.
+
+The hierarchical measure and the limit laws read scales from
+`lattice.idempotent_of`.  A scale is certified by order decisions that
+the engine logs and the audit replays; no certificate object exists.
 """
 
 import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .congruence import (
     EQUAL,
+    INF,
     LEQ,
     NOT_EQUAL,
     NOT_LEQ,
@@ -89,14 +95,12 @@ from .lattice import (
     IdempotentElement,
     IdempotentLattice,
     canonical_idempotent,
-    isotropy_decompose,
+    idempotent_of,
     scale_covers,
 )
 from .monoid import generating_set
 from .spaces import AtomSet, StatSpace, pullback
 from .types import AbarElement, TarskiType, TypeEngine
-
-INF = "inf"
 
 # Most copies the paradox certificate of a set without a measure may use:
 # synthesis looks for the least k <= PARADOX_LIMIT with (k+1)[E] <= k[E].
@@ -192,15 +196,24 @@ def is_paradoxical(engine: TypeEngine, atoms: AtomSet) -> Decision:
     return d
 
 
-@dataclass
-class SynthesisReport:
+@dataclass(frozen=True)
+class Synthesis:
+    """The answer of `synthesize_classical_measure`.  `measure` is the
+    synthesized measure, or None when none exists; `method` is the route
+    that decided ("cone", "lp" or "paradox").  Without a measure,
+    `certificate` is the decision of (k+1)[E] <= k[E] at the least
+    k <= PARADOX_LIMIT that decides `leq`; when no such k was found, k and
+    the certificate are None and `exhausted` names the bound or budget
+    that ran out."""
+
     measure: Optional[RationalStationaryMeasure]
-    stages: List[dict] = field(default_factory=list)
+    method: str
+    k: Optional[int] = None
+    certificate: Optional[Decision] = None
+    exhausted: Optional[str] = None
 
 
-def synthesize_classical_measure(
-    engine: TypeEngine, atoms: AtomSet, want_report: bool = False
-) -> Union[Optional[RationalStationaryMeasure], SynthesisReport]:
+def synthesize_classical_measure(engine: TypeEngine, atoms: AtomSet) -> Synthesis:
     """Search for a stationary measure on the engine's space with value
     exactly 1 on the given set.
 
@@ -208,17 +221,16 @@ def synthesize_classical_measure(
     is logged and audited.  A `functional` refutation y is a nonnegative
     conserved functional with y(E) >= 1, and the measure is y / y(E): on
     the conserved cone y comes from the first ray r with r(E) > 0, so the
-    measure is r / r(E); past RAY_LIMIT it is the simplex's point.  The
-    report has one stage, with the method that decided it ("cone" or
-    "lp").  A returned measure has passed `check`.
+    measure is r / r(E) (method "cone"); past RAY_LIMIT it is the
+    simplex's point (method "lp").  A returned measure has passed `check`.
 
-    Without such a y no measure exists, and the function returns None,
-    or a report whose stage carries the paradox certificate: the least
-    k <= PARADOX_LIMIT for which (k+1)[E] <= k[E] decides `leq`, with
-    that decision (method "paradox").  If no k up to the bound decides
-    `leq`, the stage has k None and names PARADOX_LIMIT under
-    `exhausted`; the search stops at the first k decided `unknown`, and
-    the stage names the budget that decision names instead.
+    Without such a y no measure exists, and the result carries the
+    paradox certificate (method "paradox"): the least k <= PARADOX_LIMIT
+    for which (k+1)[E] <= k[E] decides `leq`, with that decision.  If no
+    k up to the bound decides `leq`, k is None and `exhausted` names
+    PARADOX_LIMIT; the search stops at the first k decided `unknown`, and
+    `exhausted` names the budget that decision names instead.  Every
+    decision stays in the engine's audit log, which replays it.
     """
     e_set = frozenset(atoms)
     if not e_set:
@@ -229,29 +241,21 @@ def synthesize_classical_measure(
     t = engine.type_of(e_set)
     d = engine.decide_leq(engine.type_scale(2, t), t)
     if d.witness.get("kind") != "functional":
-        stage = {"infinite": [], "feasible": False, "method": "paradox",
-                 "k": None, "witness": None, "exhausted": "PARADOX_LIMIT"}
         for k in range(1, PARADOX_LIMIT + 1):
             if k > 1:
                 d = engine.decide_leq(engine.type_scale(k + 1, t), engine.type_scale(k, t))
             if d.verdict == LEQ:
-                stage = {"infinite": [], "feasible": False, "method": "paradox",
-                         "k": k, "witness": d.to_json()}
-                break
+                return Synthesis(None, "paradox", k, d)
             if d.verdict == UNKNOWN:
-                stage["exhausted"] = d.witness["exhausted"][0]
-                break
-        return SynthesisReport(None, [stage]) if want_report else None
+                return Synthesis(None, "paradox", exhausted=d.witness["exhausted"][0])
+        return Synthesis(None, "paradox", exhausted="PARADOX_LIMIT")
     y = d.witness["y"]
     mass = sum(y[a] for a in e_set)
     m = RationalStationaryMeasure(ss, tuple(c / mass for c in y), frozenset())
     bad = m.check()
     if bad:
         raise ContractError(f"synthesized measure fails invariants: {bad}")
-    if want_report:
-        method = "lp" if engine.congruence.conserved_rays() is None else "cone"
-        return SynthesisReport(m, [{"infinite": [], "feasible": True, "method": method}])
-    return m
+    return Synthesis(m, "lp" if engine.congruence.conserved_rays() is None else "cone")
 
 
 @dataclass
@@ -282,7 +286,7 @@ def cross_check_tarski(engine: TypeEngine, atoms: AtomSet) -> TarskiCrossCheck:
             note="normalization impossible: set has null type",
         )
     d = is_paradoxical(engine, e_set)
-    m = synthesize_classical_measure(engine, e_set)
+    m = synthesize_classical_measure(engine, e_set).measure
     if not d.is_definite():
         return TarskiCrossCheck(e_set, False, d, m, None, note="paradox verdict unknown")
     consistent = (m is not None) == (d.verdict == NOT_LEQ)
@@ -321,9 +325,6 @@ class FPMonoidTarget:
         """x + y ~ 0 for some y: every atom of x lies in U(empty)."""
         return x.support() <= self.congruence.support_closure(frozenset())[0]
 
-    def describe(self) -> str:
-        return f"fp-monoid({self.congruence.n} generators)"
-
 
 class ExtendedRationalTarget:
     """Measure values in the nonnegative rationals with an absorbing
@@ -355,9 +356,6 @@ class ExtendedRationalTarget:
 
     def is_unit(self, x) -> bool:
         return x == 0
-
-    def describe(self) -> str:
-        return "extended-rationals"
 
 
 @dataclass
@@ -523,16 +521,16 @@ def hierarchical_measure(
     the engine's space, in canonical form, is refused.
 
     The infinity points below the shift are the covers of e inside its
-    certified scale s: a cover f below the shift has f + s below it too,
-    so f + s = s by the certificate, and s, strictly above e, holds at
-    least one cover.  Covers form an antichain, so the value exists
+    scale s: a cover f below the shift has f + s below it too, so
+    f + s = s, as s is the largest idempotent there, and s, strictly
+    above e, holds at least one cover.  Covers form an antichain, so the value exists
     exactly when one cover lies inside s, and AmbiguousMaximumError is
     raised otherwise."""
     in_range = all(0 <= a < engine.n for a in e.omega_support)
     if not in_range or canonical_idempotent(engine, e.omega_support) != e:
         raise ContractError(f"{e} is not a scale of the space")
     shifted = engine.omega_normalize(engine._vec(atoms_or_vec).add(e.vec))
-    s, _ = isotropy_decompose(engine, shifted)
+    s = idempotent_of(engine, shifted)
     if s == e:
         return HierarchicalValue(e, "member", member=shifted)
     below = [f for f in scale_covers(engine, e) if f.omega_support <= s.omega_support]
@@ -746,7 +744,7 @@ def decreasing_limit_with_scale(
         if d.verdict != LEQ:
             raise ContractError("chain is not decreasing")
     tail_vec = vecs[-1]
-    e, _ = isotropy_decompose(engine, tail_vec)
+    e = idempotent_of(engine, tail_vec)
     limit_plus_e = engine.omega_normalize(tail_vec.add(e.vec))
     d = engine.decide_equal(limit_plus_e, tail_vec)
     if d.verdict != EQUAL:

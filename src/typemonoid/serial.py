@@ -15,11 +15,10 @@ Certificate files mirror the symbolic backends: integer sets as
 """
 
 import json
-from dataclasses import asdict, is_dataclass
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .certificates import Certificate, HalfLine
+from .congruence import jsonable
 from .corpus import statspace_from_maps, statspace_from_partial_maps
 from .errors import MalformedCertificateError, TypemonoidError
 from .monoid import InverseMonoidTable
@@ -312,26 +311,8 @@ def load_certificate(path: str) -> Certificate:
 # Reports and fixtures
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, frozenset):
-        return sorted(value)
-    if isinstance(value, (set, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, list):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if is_dataclass(value) and not isinstance(value, type):
-        return _jsonable(asdict(value))
-    if isinstance(value, (str, int, float, bool)) or value is None:
-        return value
-    return str(value)
-
-
 def report_to_json(report: Dict) -> str:
-    return json.dumps(_jsonable(report), indent=2, sort_keys=True)
+    return json.dumps(jsonable(report), indent=2, sort_keys=True)
 
 
 def fixture_space_dict(ss: StatSpace) -> Dict:

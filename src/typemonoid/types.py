@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .congruence import (
+    INF,
     Budget,
     Congruence,
     Decision,
@@ -210,8 +211,8 @@ class TypeEngine:
         )
         self.audit_log: List[AuditEntry] = []
         self._set_elements: Dict[FrozenSet[int], AbarElement] = {}
-        # scale certificates by vector; see lattice.isotropy_decompose
-        self._scales: Dict[ExtVec, tuple] = {}
+        # certified scales by vector; see lattice.idempotent_of
+        self._scales: Dict[ExtVec, object] = {}
         self.stats: Dict[str, int] = {"scale_certificates": 0, "scale_lookups": 0}
 
     @property
@@ -388,14 +389,16 @@ class TypeEngine:
         Functional witnesses must annihilate all relation differences (the
         congruence's integer check, run here in full on every logged
         witness although the congruence ran it once when it built the
-        functional) and, between finite sides, separate
-        them: y.left != y.right for equality (equal to the recorded
-        separation), y.left > y.right for order.  Every positive witness
-        is one path, possibly with no steps, that must replay into
-        realizations that verify syntactically: a path runs from the left
-        side to the right one, and a domination, for order only, from the
-        right side to the left one plus a nonnegative gamma; these need
-        finite sides.  Support witnesses must name a closed support that
+        functional), be nonnegative for order and whenever a side has
+        omega mass, whatever the witness says, and separate the sides
+        under saturation (y is INF on a side whose omega atoms it weighs):
+        y.left != y.right for equality, y.left > y.right for order.  A
+        recorded separation or value must equal the one computed.  Every
+        positive witness is one path, possibly with no steps, that must
+        replay into realizations that verify syntactically: a path runs
+        from the left side to the right one, and a domination, for order
+        only, from the right side to the left one plus a nonnegative gamma;
+        these need finite sides.  Support witnesses must name a closed support that
         contains one side and misses the listed atoms of the other.  Omega
         witnesses must name the closed support that omega on the sides
         spans, and a lifted path (omega_equal) or domination (omega_leq)
@@ -414,10 +417,10 @@ class TypeEngine:
             w = entry.decision.witness
             kind = w.get("kind")
             if kind == "functional":
-                nonneg = bool(w.get("nonnegative"))
+                finite = entry.left.is_finite() and entry.right.is_finite()
+                nonneg = entry.op == "leq" or not finite
                 self.congruence._assert_functional(w["y"], nonneg=nonneg)
-                if entry.left.is_finite() and entry.right.is_finite():
-                    _audit_separation(entry)
+                _audit_separation(entry)
                 counts["functional"] += 1
             elif kind == "path":
                 left, right = _finite_sides(entry)
@@ -536,16 +539,28 @@ def _finite_sides(entry: AuditEntry) -> Tuple[Vec, Vec]:
 
 
 def _audit_separation(entry: AuditEntry) -> None:
-    """A functional witness between finite sides tells them apart."""
+    """A functional witness tells the sides apart: its values on them,
+    INF where y weighs an omega atom, differ for equality, and the left
+    one is the larger for order.  Recorded values must be these."""
     w = entry.decision.witness
-    pairs = zip(w["y"], entry.left.finite, entry.right.finite)
-    sep = sum(c * (l - r) for c, l, r in pairs if c and l != r)
+    left, right = _saturating_value(w["y"], entry.left), _saturating_value(w["y"], entry.right)
     if entry.op == "eq":
-        assert sep != 0, "functional does not separate the classes"
-        if "separation" in w:
-            assert sep == w["separation"], "separation does not match"
+        separated = left != right
     else:
-        assert sep > 0, "functional does not separate the classes"
+        separated = right != INF and (left == INF or left > right)
+    assert separated, "functional does not separate the classes"
+    if "separation" in w:
+        assert INF not in (left, right) and w["separation"] == left - right, (
+            "separation does not match")
+    assert (w.get("value_left", left), w.get("value_right", right)) == (left, right), (
+        "recorded values do not match")
+
+
+def _saturating_value(y, v: ExtVec):
+    """y on v, or INF when y weighs an atom of v's omega set."""
+    if any(y[i] for i in v.omega):
+        return INF
+    return sum(c * x for c, x in zip(y, v.finite) if c and x)
 
 
 def morphism_type_map(

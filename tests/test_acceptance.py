@@ -185,7 +185,7 @@ def test_criterion_5():
     ideal = null_ideal(eng, lat.bottom)
     assert sorted(ideal, key=sorted) == [frozenset(), frozenset({1})]
 
-    m = synthesize_classical_measure(eng, frozenset({0, 1}))
+    m = synthesize_classical_measure(eng, frozenset({0, 1})).measure
     assert m is not None
     assert m.finite_values == (1, 0)
     assert m.infinite_atoms == frozenset()

@@ -2,10 +2,11 @@
 
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
-from typemonoid import measures
+from typemonoid import congruence, measures, serial
 from typemonoid.cli import main
 from typemonoid.corpus import fixture_spaces
 from typemonoid.errors import MalformedCertificateError
@@ -195,7 +196,7 @@ class TestSpaceCheck:
     def test_json_report_fields(self, files, capsys):
         code, doc, _ = run_json(capsys, ["space-check", files["parity"]])
         assert code == 0
-        assert doc["schema_version"] == 6
+        assert doc["schema_version"] == 7
         assert doc["command"] == "space-check"
         assert doc["monoid"]["valid"] is True
         assert doc["action"]["valid"] is True
@@ -281,16 +282,17 @@ class TestMeasure:
         assert code == 0
         assert doc["invariants"] == "checked"
         assert doc["measure"]["finite"]["0"] == "1/2"
-        assert doc["stages"] == [{"infinite": [], "feasible": True, "method": "cone"}]
+        assert doc["synthesis"] == {
+            "method": "cone", "k": None, "exhausted": None, "certificate": None}
 
     def test_collapse_null_atom_infeasible(self, files, capsys):
         code, doc, _ = run_json(capsys, ["measure", files["collapse"], "1"])
         assert code == 0
         assert "measure" not in doc
-        assert len(doc["stages"]) == 1
-        (st,) = doc["stages"]
-        assert st["infinite"] == [] and not st["feasible"] and st["method"] == "paradox"
-        assert st["k"] == 1 and st["witness"]["verdict"] == "leq"
+        syn = doc["synthesis"]
+        assert (syn["method"], syn["k"], syn["exhausted"]) == ("paradox", 1, None)
+        assert syn["certificate"]["verdict"] == "leq"
+        assert syn["certificate"]["witness"]["kind"] == "domination"
         assert doc["audit"]["domination"] == 1
         code, out, _ = run(capsys, ["measure", files["collapse"], "1"])
         assert code == 0
@@ -311,8 +313,8 @@ class TestMeasure:
         code, doc, _ = run_json(capsys, argv)
         assert code == 2
         assert "measure" not in doc
-        (st,) = doc["stages"]
-        assert st["k"] is None and st["exhausted"] == "PARADOX_LIMIT"
+        assert doc["synthesis"] == {
+            "method": "paradox", "k": None, "exhausted": "PARADOX_LIMIT", "certificate": None}
         assert {"name": "measure_exists", "verdict": "definite"} in doc["verdicts"]
         assert {"name": "paradox_certificate", "verdict": "unknown"} in doc["verdicts"]
         code, out, _ = run(capsys, argv)
@@ -325,8 +327,8 @@ class TestMeasure:
         code, doc, _ = run_json(capsys, argv)
         assert code == 2
         assert doc["budget"] == {"max_rules": 0}
-        (st,) = doc["stages"]
-        assert st["k"] is None and st["exhausted"] == "max_rules"
+        assert doc["synthesis"] == {
+            "method": "paradox", "k": None, "exhausted": "max_rules", "certificate": None}
         assert {"name": "paradox_certificate", "verdict": "unknown"} in doc["verdicts"]
         code, out, _ = run(capsys, argv)
         assert code == 2 and "max_rules exhausted" in out.splitlines()[0]
@@ -565,3 +567,46 @@ def load_space_from(tmp_path, doc):
     p = tmp_path / f"space_{len(os.listdir(tmp_path))}.json"
     p.write_text(json.dumps(doc))
     return load_space(str(p))
+
+
+class TestJsonLeaves:
+    """Every leaf of a --json report is written on purpose: the converter
+    never falls back to the str of an object it does not know."""
+
+    def test_no_report_falls_back_to_str(self, files, capsys, monkeypatch, tmp_path):
+        convert = congruence.jsonable
+        fallbacks = []
+
+        def checked(value):
+            out = convert(value)
+            # a Fraction is written as "n/d" on purpose; any other object
+            # that comes out a string took the fallback
+            if isinstance(out, str) and not isinstance(value, (str, Fraction)):
+                fallbacks.append(type(value).__name__)
+            return out
+
+        monkeypatch.setattr(congruence, "jsonable", checked)
+        monkeypatch.setattr(serial, "jsonable", checked)
+        spaces = {name: files[name] for name in ("parity_gens", "retraction", "partial")}
+        for name, ss in fixture_spaces().items():
+            p = tmp_path / f"{name}.json"
+            p.write_text(json.dumps(fixture_space_dict(ss)))
+            spaces[name] = str(p)
+        runs = [["--max-rules", "0", "measure", files["retraction"], "0"]]
+        for f in spaces.values():
+            whole = ",".join(map(str, range(load_space(f).n_atoms)))
+            runs += [["space-check", f], ["lattice", f], ["type", f, "0"],
+                     ["equi", f, "0", whole], ["paradox", f, whole],
+                     ["measure", f, "0"], ["measure", f, whole]]
+        runs += [["cert-verify", c] for c in ("builtin:galileo", "builtin:f2")]
+        runs += [["cert-verify", files[c]] for c in ("galileo", "f2_id", "evens")]
+        runs += [["corpus", "--suite", suite, "--count", "1"]
+                 for suite in ("theorem1", "theorem2", "theorem3", "tarski", "soundness")]
+        commands = set()
+        for argv in runs:
+            code, doc, _ = run_json(capsys, argv)
+            assert code in (0, 2), argv
+            commands.add(doc["command"])
+        assert len(commands) == 8
+        assert fallbacks == []
+

@@ -25,7 +25,6 @@ from typemonoid.lattice import (
     enumerate_idempotents,
     grothendieck_diff,
     idempotent_of,
-    isotropy_decompose,
     quantity_add,
     quantity_eq,
     quantity_neg,
@@ -46,6 +45,21 @@ def engine_and_lattice(ss):
 
 def by_support(lat, *atoms):
     return next(e for e in lat if e.omega_support == frozenset(atoms))
+
+
+def certify(eng, v):
+    """The scale e of a vector the engine has not yet certified, and the
+    audit entries that certify it: e <= v decided leq, then each upper
+    cover of e in order, decided not_leq."""
+    before = len(eng.audit_log)
+    e = idempotent_of(eng, v)
+    covers = scale_covers(eng, e)
+    tail = eng.audit_log[before:]
+    rep = eng.type_of_abar(v).rep
+    assert [(x.op, x.left, x.right, x.decision.verdict) for x in tail] == [
+        ("leq", f.vec, rep, LEQ if f is e else NOT_LEQ) for f in [e] + covers
+    ]
+    return e, tail
 
 
 class TestEnumerate:
@@ -219,16 +233,16 @@ def _scanned_scale(eng, lat, alpha):
 class TestIsotropy:
     def test_zero(self):
         eng, lat = engine_and_lattice(parity_space())
-        e, cert = isotropy_decompose(eng, eng.abar_zero())
-        assert e == lat.bottom and cert.ok
+        e, tail = certify(eng, eng.abar_zero())
+        assert e == lat.bottom and len(tail) == 1 + len(lat.minimal_above(e))
 
     def test_parity_cells(self):
         eng, lat = engine_and_lattice(parity_space())
         e_even = by_support(lat, 0, 2)
-        e, cert = isotropy_decompose(eng, eng.abar((0, 1, 0, 0), omega={0, 2}))
-        assert e == e_even and cert.ok
-        e, _ = isotropy_decompose(eng, eng.abar((0,) * 4, omega=range(4)))
-        assert e == lat.top
+        e, _ = certify(eng, eng.abar((0, 1, 0, 0), omega={0, 2}))
+        assert e == e_even
+        e, tail = certify(eng, eng.abar((0,) * 4, omega=range(4)))
+        assert e == lat.top and len(tail) == 1  # the top has no cover
 
     def test_every_type_lands_in_exactly_one_cell(self):
         eng, lat = engine_and_lattice(parity_space())
@@ -248,7 +262,7 @@ class TestIsotropy:
                 if above and not finer:
                     cells.append(e)
             assert len(cells) == 1
-            assert cells[0] == isotropy_decompose(eng, p)[0]
+            assert cells[0] == idempotent_of(eng, p)
 
     def test_cancellativity_within_cell(self):
         eng, lat = engine_and_lattice(parity_space())
@@ -305,7 +319,7 @@ class TestScaleCertificateCache:
         calls = vecs + [rng.choice(vecs) for _ in range(50 - k)]
         for i, v in enumerate(calls):
             # the ExtVec and AbarElement forms of a vector are one key
-            isotropy_decompose(eng, v if i % 2 else eng.abar(v.finite, v.omega))
+            idempotent_of(eng, v if i % 2 else eng.abar(v.finite, v.omega))
         assert eng.stats == {"scale_certificates": k, "scale_lookups": 50 - k}
         # quantity arithmetic asks through the same certificates
         x, y = embed(eng, vecs[0]), embed(eng, vecs[1])
@@ -321,22 +335,19 @@ class TestScaleCertificateCache:
         lookups = 0
         for ss in spaces:
             eng = TypeEngine(ss)
-            vecs = _seeded_vectors(rng, eng.n, 6)
-            for v in vecs + vecs[::-1]:
-                isotropy_decompose(eng, v)
+            vecs = list(dict.fromkeys(_seeded_vectors(rng, eng.n, 6)))
+            first = {v: certify(eng, v) for v in vecs}
+            for v in vecs[::-1]:
+                idempotent_of(eng, v)
             for v in vecs:
                 embed(eng, v)
             lookups += eng.stats["scale_lookups"]
             for v in vecs:
-                e, cert = isotropy_decompose(eng, v)
-                fresh_eng = TypeEngine(ss)
-                fe, fcert = isotropy_decompose(fresh_eng, v)
-                assert e == fe and cert.scale == fcert.scale
-                assert cert.ok and fcert.ok
-                assert cert.alpha.rep == fcert.alpha.rep
-                assert cert.above_scale.verdict == fcert.above_scale.verdict
-                assert [(f, d.verdict) for f, d in cert.excluded] == [
-                    (f, d.verdict) for f, d in fcert.excluded
+                e, tail = first[v]
+                fe, fresh = certify(TypeEngine(ss), v)
+                assert idempotent_of(eng, v) == e == fe
+                assert [(x.left, x.right, x.decision.verdict) for x in tail] == [
+                    (x.left, x.right, x.decision.verdict) for x in fresh
                 ]
         assert lookups > 0
 
@@ -344,12 +355,12 @@ class TestScaleCertificateCache:
         eng = TypeEngine(collapse_space())
         other = TypeEngine(two_point_space())
         v = ExtVec((1, 0))
-        isotropy_decompose(eng, v)
+        idempotent_of(eng, v)
         with pytest.raises(SpaceMismatchError):
-            isotropy_decompose(eng, other.abar(v.finite))
+            idempotent_of(eng, other.abar(v.finite))
         with pytest.raises(SpaceMismatchError):
-            isotropy_decompose(eng, other.type_of_abar(v))
-        isotropy_decompose(eng, eng.abar(v.finite))
+            idempotent_of(eng, other.type_of_abar(v))
+        idempotent_of(eng, eng.abar(v.finite))
         assert eng.stats == {"scale_certificates": 1, "scale_lookups": 1}
 
 
@@ -463,7 +474,7 @@ def _coarsened_add(eng, x, y):
     g = canonical_idempotent(eng, x.scale.omega_support | y.scale.omega_support)
 
     def at_g(v):
-        got, _ = isotropy_decompose(eng, v)
+        got = idempotent_of(eng, v)
         if got != g:
             raise ContractError(f"operand has scale {got}, expected {g}")
         return v
@@ -602,9 +613,9 @@ class TestClosureWalk:
         for ss in spaces:
             eng, lat = engine_and_lattice(ss)
             vecs = _seeded_vectors(rng, eng.n, 6) + [e.vec for e in lat]
-            for v in vecs:
-                e, cert = isotropy_decompose(eng, v)
-                assert [f for f, _ in cert.excluded] == lat.minimal_above(e)
+            for v in dict.fromkeys(vecs):
+                e, tail = certify(eng, v)
+                assert [x.left for x in tail[1:]] == [f.vec for f in lat.minimal_above(e)]
 
     def test_scale_covers_and_joins_match_the_lattice(self):
         # what one scale needs is read off the support closure alone
@@ -623,11 +634,11 @@ class TestClosureWalk:
     def test_scale_needs_no_lattice(self):
         # 2^20 closed supports, yet a scale is certified against at most 20 covers
         eng = TypeEngine(trivial_space(20))
-        e, cert = isotropy_decompose(eng, eng.abar_of_set({0}))
-        assert e.omega_support == frozenset() and len(cert.excluded) == 20
-        e, cert = isotropy_decompose(eng, eng.abar((1,) + (0,) * 19, omega={3, 5}))
-        assert e.omega_support == frozenset({3, 5}) and cert.ok
-        assert [f.omega_support for f, _ in cert.excluded] == [
+        e, tail = certify(eng, eng.abar_of_set({0}))
+        assert e.omega_support == frozenset() and len(tail) == 1 + 20
+        e, tail = certify(eng, eng.abar((1,) + (0,) * 19, omega={3, 5}))
+        assert e.omega_support == frozenset({3, 5})
+        assert [x.left.omega for x in tail[1:]] == [
             frozenset({3, 5, b}) for b in range(20) if b not in (3, 5)
         ]
 

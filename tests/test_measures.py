@@ -36,7 +36,7 @@ from typemonoid.lattice import (
     IdempotentElement,
     embed,
     enumerate_idempotents,
-    isotropy_decompose,
+    idempotent_of,
     quantity_eq,
     scale_covers,
 )
@@ -46,6 +46,7 @@ from typemonoid.measures import (
     FPMonoidTarget,
     HierarchicalValue,
     RationalStationaryMeasure,
+    Synthesis,
     TMeasureSpec,
     classify_T_measure,
     colimit_increasing,
@@ -131,7 +132,7 @@ class TestSynthesize:
 
     def test_parity_whole_space(self):
         ss = parity_space()
-        m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(4)))
+        m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(4))).measure
         assert m is not None
         assert not m.check()
         assert m.value(frozenset(range(4))) == 1
@@ -141,7 +142,7 @@ class TestSynthesize:
 
     def test_collapse_main_atom(self):
         ss = collapse_space()
-        m = synthesize_classical_measure(TypeEngine(ss), frozenset({0}))
+        m = synthesize_classical_measure(TypeEngine(ss), frozenset({0})).measure
         assert m is not None
         assert m.finite_values == (Fraction(1), Fraction(0))
         assert m.infinite_atoms == frozenset()
@@ -149,12 +150,11 @@ class TestSynthesize:
     def test_collapse_null_atom_fails(self):
         ss = collapse_space()
         eng = TypeEngine(ss)
-        rep = synthesize_classical_measure(eng, frozenset({1}), want_report=True)
-        assert rep.measure is None
-        (st,) = rep.stages
-        assert not st["feasible"] and st["method"] == "paradox" and st["k"] == 1
-        assert st["witness"]["verdict"] == LEQ
-        assert st["witness"]["witness"]["kind"] == "domination"
+        syn = synthesize_classical_measure(eng, frozenset({1}))
+        assert (syn.measure, syn.method, syn.k, syn.exhausted) == (None, "paradox", 1, None)
+        assert syn.certificate.verdict == LEQ
+        assert syn.certificate.witness["kind"] == "domination"
+        assert eng.audit_log[-1].decision is syn.certificate
         assert eng.audit_decisions()["domination"] == 1
 
     def test_measure_value_inf(self):
@@ -171,7 +171,7 @@ class TestSynthesize:
         # 1 fails; on {0, 1} the null atom takes 0 and atom 0 takes 1,
         # all finite
         ss = collapse_space()
-        m = synthesize_classical_measure(TypeEngine(ss), frozenset({0, 1}))
+        m = synthesize_classical_measure(TypeEngine(ss), frozenset({0, 1})).measure
         assert m is not None and m.value(frozenset({0, 1})) == 1
         assert m.infinite_atoms == frozenset()
 
@@ -180,14 +180,14 @@ class TestSynthesize:
         # walks none of them
         n = 20
         ss = with_trivial_symmetry(build_space([str(i) for i in range(n)], [[i] for i in range(n)]))
-        rep = synthesize_classical_measure(TypeEngine(ss), frozenset({0}), want_report=True)
-        assert rep.measure.value(frozenset({0})) == 1
-        assert rep.stages == [{"infinite": [], "feasible": True, "method": "cone"}]
+        syn = synthesize_classical_measure(TypeEngine(ss), frozenset({0}))
+        assert syn.measure.value(frozenset({0})) == 1
+        assert (syn.method, syn.k, syn.certificate, syn.exhausted) == ("cone", None, None, None)
 
     def test_invariants_on_corpus_samples(self):
         for entry in random_corpus(count=12):
             ss = entry.statspace
-            m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(ss.n_atoms)))
+            m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(ss.n_atoms))).measure
             if m is not None:
                 assert not m.check(), entry.name
 
@@ -246,7 +246,7 @@ def _differential_spaces():
 class TestCheck:
     def test_perturbed_value_flagged(self):
         ss = parity_space()
-        m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(4)))
+        m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(4))).measure
         vals = m.finite_values
         bad = RationalStationaryMeasure(
             ss, (vals[0] + Fraction(1, 7),) + vals[1:], m.infinite_atoms
@@ -266,7 +266,7 @@ class TestCheck:
             measures = set()
             eng = TypeEngine(ss)
             for e_set in _nonempty_sets(ss):
-                m = synthesize_classical_measure(eng, e_set)
+                m = synthesize_classical_measure(eng, e_set).measure
                 if m is not None:
                     measures.add(m)
             for m in measures:
@@ -285,7 +285,7 @@ class TestCheck:
         stationary, flagged = [], 0
         for ss in _differential_spaces():
             n = ss.n_atoms
-            m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(n)))
+            m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(n))).measure
             if m is not None:
                 stationary.append(m)
             for _ in range(4):
@@ -311,33 +311,29 @@ class TestConeStage:
             for ss in _differential_spaces():
                 eng = TypeEngine(ss)
                 for e_set in _nonempty_sets(ss):
-                    rep = synthesize_classical_measure(eng, e_set, want_report=True)
-                    if rep.measure is not None:
-                        assert rep.measure.value(e_set) == 1
-                        assert not rep.measure.check()
-                    stages = [
-                        {k: v for k, v in st.items() if k != "method"}
-                        for st in rep.stages
-                    ]
-                    out.append((rep.measure is not None, stages))
+                    syn = synthesize_classical_measure(eng, e_set)
+                    if syn.measure is not None:
+                        assert syn.measure.value(e_set) == 1
+                        assert not syn.measure.check()
+                    cert = syn.certificate and syn.certificate.to_json()
+                    out.append((syn.measure is not None, syn.k, cert, syn.exhausted))
             return out
 
         by_cone = run_all()
         monkeypatch.setattr(congruence, "RAY_LIMIT", 0)
         by_lp = run_all()
         assert by_cone == by_lp
-        assert any(exists for exists, _ in by_cone)
-        assert not all(exists for exists, _ in by_cone)
+        assert any(exists for exists, *_ in by_cone)
+        assert not all(exists for exists, *_ in by_cone)
 
     def test_stage_methods(self, monkeypatch):
-        rep = synthesize_classical_measure(TypeEngine(parity_space()), frozenset(range(4)), True)
-        assert rep.stages == [{"infinite": [], "feasible": True, "method": "cone"}]
-        rep = synthesize_classical_measure(TypeEngine(collapse_space()), frozenset({1}), True)
-        assert rep.measure is None
-        assert {st["method"] for st in rep.stages} == {"paradox"}
+        syn = synthesize_classical_measure(TypeEngine(parity_space()), frozenset(range(4)))
+        assert syn.measure is not None and syn.method == "cone"
+        syn = synthesize_classical_measure(TypeEngine(collapse_space()), frozenset({1}))
+        assert syn.measure is None and syn.method == "paradox"
         monkeypatch.setattr(congruence, "RAY_LIMIT", 0)
-        rep = synthesize_classical_measure(TypeEngine(parity_space()), frozenset(range(4)), True)
-        assert rep.stages == [{"infinite": [], "feasible": True, "method": "lp"}]
+        syn = synthesize_classical_measure(TypeEngine(parity_space()), frozenset(range(4)))
+        assert syn.measure is not None and syn.method == "lp"
 
     def test_one_lp_past_ray_limit(self, monkeypatch):
         calls = []
@@ -348,13 +344,13 @@ class TestConeStage:
 
         monkeypatch.setattr(congruence, "RAY_LIMIT", 0)
         monkeypatch.setattr(congruence, "exact_lp_feasible", counting)
-        rep = synthesize_classical_measure(TypeEngine(collapse_space()), frozenset({1}), True)
-        assert rep.measure is None and rep.stages[0]["method"] == "paradox"
+        syn = synthesize_classical_measure(TypeEngine(collapse_space()), frozenset({1}))
+        assert syn.measure is None and syn.method == "paradox"
         assert len(calls) == 1
         # a feasible LP's point is the measure
         e_set = frozenset({0, 1})
-        rep = synthesize_classical_measure(TypeEngine(parity_space()), e_set, True)
-        assert rep.measure.value(e_set) == 1 and not rep.measure.check()
+        m = synthesize_classical_measure(TypeEngine(parity_space()), e_set).measure
+        assert m.value(e_set) == 1 and not m.check()
         assert len(calls) == 2
 
 
@@ -439,20 +435,18 @@ class TestStagedOracle:
             eng = TypeEngine(ss)
             for e_set in _nonempty_sets(ss):
                 want, old_stages = _staged_synthesis(ss, e_set)
-                rep = synthesize_classical_measure(eng, e_set, want_report=True)
-                assert (rep.measure is None) == (want is None)
+                syn = synthesize_classical_measure(eng, e_set)
+                assert (syn.measure is None) == (want is None)
                 if want is not None:
-                    assert rep.measure.finite_values == want.finite_values
-                    assert rep.measure.infinite_atoms == want.infinite_atoms == frozenset()
+                    assert syn.measure.finite_values == want.finite_values
+                    assert syn.measure.infinite_atoms == want.infinite_atoms == frozenset()
                 # the reference certifies a set without a measure by a
                 # Farkas vector, synthesis by a paradox witness
-                (st,) = rep.stages
                 if want is not None:
-                    assert st == old_stages[0]
+                    assert old_stages[0] == {"infinite": [], "feasible": True,
+                                             "method": syn.method}
                 else:
-                    assert {k: st[k] for k in ("infinite", "feasible")} == {
-                        k: old_stages[0][k] for k in ("infinite", "feasible")
-                    }
+                    assert old_stages[0]["infinite"] == [] and not old_stages[0]["feasible"]
                     assert "farkas" in old_stages[0]
                 # the eligible infinite supports are the complements of the
                 # closed supports containing E
@@ -462,7 +456,7 @@ class TestStagedOracle:
                 if want is None:
                     failed += 1
                     infinite_tried += len(old_stages) > 1
-                    assert st["method"] == "paradox" and st["k"] is not None
+                    assert syn.method == "paradox" and syn.k is not None
             # every paradox witness replays
             definite = sum(e.decision.is_definite() for e in eng.audit_log)
             assert sum(eng.audit_decisions().values()) == definite
@@ -496,22 +490,21 @@ class TestSynthesisCertificates:
             eng = TypeEngine(ss)
             rays = eng.congruence.conserved_rays()
             for e_set in _certificate_sets(ss):
-                rep = synthesize_classical_measure(eng, e_set, want_report=True)
-                (st,) = rep.stages
+                syn = synthesize_classical_measure(eng, e_set)
                 ray = next((r for r in rays if sum(r[a] for a in e_set) > 0), None)
-                assert (rep.measure is None) == (ray is None)
-                if rep.measure is not None:
+                assert (syn.measure is None) == (ray is None)
+                if syn.measure is not None:
                     mass = sum(ray[a] for a in e_set)
-                    assert rep.measure.finite_values == tuple(Fraction(c, mass) for c in ray)
-                    assert st == {"infinite": [], "feasible": True, "method": "cone"}
+                    assert syn.measure.finite_values == tuple(Fraction(c, mass) for c in ray)
+                    assert (syn.method, syn.k, syn.certificate) == ("cone", None, None)
                     measures += 1
                 else:
-                    assert st["method"] == "paradox" and not st["feasible"]
-                    k = st["k"]
-                    assert st["witness"]["verdict"] == LEQ
+                    assert syn.method == "paradox" and syn.exhausted is None
+                    k = syn.k
+                    assert syn.certificate.verdict == LEQ
                     t = eng.type_of(e_set)
                     d = eng.decide_leq(eng.type_scale(k + 1, t), eng.type_scale(k, t))
-                    assert d.to_json() == st["witness"]
+                    assert d.to_json() == syn.certificate.to_json()
                     paradoxes += 1
             definite = sum(e.decision.is_definite() for e in eng.audit_log)
             assert sum(eng.audit_decisions().values()) == definite
@@ -523,7 +516,7 @@ class TestSynthesisCertificates:
         for i, ss in enumerate(spaces):
             eng = TypeEngine(ss)
             for e_set in _certificate_sets(ss):
-                by_cone[i, e_set] = synthesize_classical_measure(eng, e_set) is not None
+                by_cone[i, e_set] = synthesize_classical_measure(eng, e_set).measure is not None
         calls = []
 
         def counting(*args, **kwargs):
@@ -536,22 +529,20 @@ class TestSynthesisCertificates:
             eng = TypeEngine(ss)
             for e_set in _certificate_sets(ss):
                 before = len(calls)
-                rep = synthesize_classical_measure(eng, e_set, want_report=True)
+                syn = synthesize_classical_measure(eng, e_set)
                 assert len(calls) - before <= 1
-                assert (rep.measure is not None) == by_cone[i, e_set]
-                if rep.measure is not None:
-                    assert rep.stages[0]["method"] == "lp"
-                    assert rep.measure.value(e_set) == 1 and not rep.measure.check()
+                assert (syn.measure is not None) == by_cone[i, e_set]
+                if syn.measure is not None:
+                    assert syn.method == "lp"
+                    assert syn.measure.value(e_set) == 1 and not syn.measure.check()
         assert calls
 
     def test_paradox_limit_exhausted_names_the_bound(self, monkeypatch):
         # with no copies allowed, no (k+1)[E] <= k[E] is asked past k = 1
         monkeypatch.setattr(measures, "PARADOX_LIMIT", 0)
         eng = TypeEngine(collapse_space())
-        rep = synthesize_classical_measure(eng, frozenset({1}), want_report=True)
-        assert rep.measure is None
-        assert rep.stages == [{"infinite": [], "feasible": False, "method": "paradox",
-                               "k": None, "witness": None, "exhausted": "PARADOX_LIMIT"}]
+        syn = synthesize_classical_measure(eng, frozenset({1}))
+        assert syn == Synthesis(None, "paradox", None, None, "PARADOX_LIMIT")
         assert [e.decision.verdict for e in eng.audit_log] == ["leq"]
 
     def test_first_unknown_stops_the_paradox_search(self):
@@ -562,15 +553,13 @@ class TestSynthesisCertificates:
         retraction = {"points": ["0", "1", "2"], "atoms": [[0], [1], [2]],
                       "generators": [{"0": 2, "1": 2, "2": 2}]}
         eng = TypeEngine(space_from_dict(retraction), Budget(max_rules=0))
-        rep = synthesize_classical_measure(eng, frozenset({0}), want_report=True)
-        assert rep.measure is None
-        assert rep.stages == [{"infinite": [], "feasible": False, "method": "paradox",
-                               "k": None, "witness": None, "exhausted": "max_rules"}]
+        syn = synthesize_classical_measure(eng, frozenset({0}))
+        assert syn == Synthesis(None, "paradox", None, None, "max_rules")
         (entry,) = eng.audit_log
         assert entry.decision.witness["exhausted"] == ["max_rules"]
         assert eng.congruence.stats["exhausted_max_rules"] == 1
         # existence is still decided: the measure exists off the budget
-        assert synthesize_classical_measure(eng, frozenset({2})) is not None
+        assert synthesize_classical_measure(eng, frozenset({2})).measure is not None
 
 
 class TestTarskiCrossCheck:
@@ -589,7 +578,7 @@ class TestTarskiCrossCheck:
             eng = TypeEngine(ss)
             sets = [s for s in ss.space.all_measurable_sets() if s]
             fresh = TypeEngine(ss)
-            expected = {s: synthesize_classical_measure(fresh, s) for s in sets}
+            expected = {s: synthesize_classical_measure(fresh, s).measure for s in sets}
             # a rebuilt congruence would fail here
             monkeypatch.setattr("typemonoid.measures.Congruence", None)
             for s in sets:
@@ -694,7 +683,7 @@ class TestClassify:
 
     def test_rational_measure_always_aparadoxical(self):
         ss = parity_space()
-        m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(4)))
+        m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(4))).measure
         flags = classify_T_measure(measure_to_T_spec(m))
         assert flags.stationary and flags.monotone and flags.aparadoxical
 
@@ -723,7 +712,7 @@ class TestClassify:
                 continue
             eng = TypeEngine(ss)
             specs.append(tarski_T_measure(eng))
-            m = synthesize_classical_measure(eng, frozenset(range(ss.n_atoms)))
+            m = synthesize_classical_measure(eng, frozenset(range(ss.n_atoms))).measure
             if m is not None:
                 specs.append(measure_to_T_spec(m))
             specs.append(measure_to_T_spec(
@@ -795,7 +784,7 @@ def _hierarchical_by_order(eng, e, x):
     """hierarchical_measure with the infinity point found by ordering
     every cover of e against the shift and keeping the greatest."""
     shifted = eng.omega_normalize(eng._vec(x).add(e.vec))
-    if isotropy_decompose(eng, shifted)[0] == e:
+    if idempotent_of(eng, shifted) == e:
         return HierarchicalValue(e, "member", member=shifted)
     t = eng.type_of_abar(shifted)
     below = []
@@ -956,7 +945,7 @@ class TestExtension:
     def test_collapse_factorization(self):
         ss = collapse_space()
         eng, lat = setup_space(ss)
-        m = synthesize_classical_measure(TypeEngine(ss), frozenset({0}))
+        m = synthesize_classical_measure(TypeEngine(ss), frozenset({0})).measure
         ext = extend_T_measure(eng, lat, measure_to_T_spec(m))
         assert ext.scale == lat.bottom
         assert ext.factorization_checked == 4
@@ -977,7 +966,7 @@ class TestExtension:
         # complement
         ss = parity_space()
         eng, lat = setup_space(ss)
-        m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(4)))
+        m = synthesize_classical_measure(TypeEngine(ss), frozenset(range(4))).measure
         nulls = frozenset(a for a in range(4) if m.finite_values[a] == 0)
         ext = extend_T_measure(eng, lat, measure_to_T_spec(m))
         assert ext.scale.omega_support == nulls
@@ -1009,11 +998,12 @@ class TestExtension:
         ss, copy = collapse_space(), collapse_space()
         assert ss is not copy and ss == copy
         eng, lat = setup_space(ss)
-        m = synthesize_classical_measure(TypeEngine(ss), frozenset({0}))
-        m_copy = synthesize_classical_measure(TypeEngine(copy), frozenset({0}))
+        m = synthesize_classical_measure(TypeEngine(ss), frozenset({0})).measure
+        m_copy = synthesize_classical_measure(TypeEngine(copy), frozenset({0})).measure
         ext = extend_T_measure(eng, lat, measure_to_T_spec(m))
         assert extend_T_measure(eng, lat, measure_to_T_spec(m_copy)) == ext
-        other = synthesize_classical_measure(TypeEngine(parity_space()), frozenset(range(4)))
+        parity = TypeEngine(parity_space())
+        other = synthesize_classical_measure(parity, frozenset(range(4))).measure
         with pytest.raises(SpaceMismatchError):
             extend_T_measure(eng, lat, measure_to_T_spec(other))
 

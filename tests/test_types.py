@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -472,6 +473,47 @@ class TestAudit:
         ):
             eng.audit_log[:] = [AuditEntry(op, left, right, Decision(verdict, tampered, Budget()))]
             with pytest.raises(AssertionError):
+                eng.audit_decisions()
+
+    def test_signed_functional_refutes_no_order(self):
+        # y = (1, -1, 1, -1) is conserved and puts e0 above e0 + e1, yet
+        # e0 <= e0 + e1: an order refutation needs y >= 0, and so does any
+        # refutation with omega on a side, whatever the witness says
+        eng = parity_engine()
+        e0, e01 = eng.abar((1, 0, 0, 0)).vec, eng.abar((1, 1, 0, 0)).vec
+        odd, zero = eng.abar((0,) * 4, omega={1, 3}).vec, eng.abar_zero().vec
+        assert eng.decide_leq(e0, e01).verdict == LEQ
+        signed = {"kind": "functional", "y": (1, -1, 1, -1)}
+        for op, left, right, verdict in (
+            ("leq", e0, e01, NOT_LEQ),
+            ("eq", odd, zero, NOT_EQUAL),
+        ):
+            eng.audit_log[:] = [AuditEntry(op, left, right, Decision(verdict, signed, Budget()))]
+            with pytest.raises(AssertionError, match="not nonnegative"):
+                eng.audit_decisions()
+
+    def test_omega_functional_must_separate(self):
+        # the refutation of omega{0} <= e0 weighs atom 0: inf against 1/2
+        eng = parity_engine()
+        w0, e0 = eng.abar((0,) * 4, omega={0}).vec, eng.abar((1, 0, 0, 0)).vec
+        leq, eq = eng.decide_leq(w0, e0), eng.decide_equal(w0, e0)
+        good = leq.witness
+        assert good["kind"] == eq.witness["kind"] == "functional"
+        assert (good["value_left"], good["value_right"]) == ("inf", Fraction(1, 2))
+        assert eng.audit_decisions()["functional"] == 2
+        zero_y = {**good, "y": (0,) * 4}
+        for op, left, right, tampered, message in (
+            ("leq", w0, w0, good, "does not separate"),  # inf against inf
+            ("eq", w0, w0, good, "does not separate"),
+            ("leq", e0, w0, good, "does not separate"),  # the wrong way round
+            ("leq", w0, e0, zero_y, "does not separate"),  # 0 against 0
+            ("eq", w0, e0, zero_y, "does not separate"),
+            ("leq", w0, e0, {**good, "value_right": Fraction(1)}, "recorded values"),
+            ("eq", w0, e0, {**good, "value_left": Fraction(1)}, "recorded values"),
+        ):
+            verdict = NOT_LEQ if op == "leq" else NOT_EQUAL
+            eng.audit_log[:] = [AuditEntry(op, left, right, Decision(verdict, tampered, Budget()))]
+            with pytest.raises(AssertionError, match=message):
                 eng.audit_decisions()
 
     def test_audit_refuses_unrecognised_kinds(self):
