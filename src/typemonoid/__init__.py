@@ -63,12 +63,12 @@ from .monoid import (
     InverseMonoidTable,
     check_inverse_monoid,
     natural_partial_order,
-    wagner_preston,
 )
 from .partial_bijection import (
     PartialBijection,
     closure,
     symmetric_inverse_monoid,
+    wagner_preston,
 )
 from .spaces import (
     FiniteMeasurableSpace,

@@ -184,8 +184,7 @@ def cmd_type(args) -> int:
             f"order_vs_atom_{a}",
             "unknown" if rel == "unknown" else "definite",
         )
-        label = ss.space.atom_labels[a] if ss.space.atom_labels else str(a)
-        lines.append(f"  vs atom {label}: {rel}")
+        lines.append(f"  vs atom {ss.space.atom_labels[a]}: {rel}")
     report["atom_relations"] = relations
     return _emit(args, report, lines, started)
 
@@ -251,9 +250,8 @@ def cmd_measure(args) -> int:
         report["invariants"] = "checked"
         lines = ["feasible, invariant-checked"]
         for a in range(ss.n_atoms):
-            label = ss.space.atom_labels[a] if ss.space.atom_labels else str(a)
             val = "inf" if a in m.infinite_atoms else str(m.finite_values[a])
-            lines.append(f"  mu({label}) = {val}")
+            lines.append(f"  mu({ss.space.atom_labels[a]}) = {val}")
     elif cert is None:
         _set_verdict(report, "paradox_certificate", UNKNOWN)
         lines = [f"infeasible: no paradox certificate, {syn.exhausted} exhausted "

@@ -13,14 +13,13 @@ idempotents).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import ClosureCapError
-from .monoid import InverseMonoidTable, check_inverse_monoid
+from .monoid import InverseMonoidTable
 from .partial_bijection import PartialBijection, closure, monoid_closure
 from .spaces import (
-    FiniteMeasurableSpace,
     StatMorphism,
     StatSpace,
     build_space,
@@ -40,25 +39,24 @@ def transformation_closure(
     is itself the action.
     """
     seed = [tuple(range(n_points))] + [tuple(g) for g in generators]
-    data, elems = monoid_closure(seed, lambda f, g: tuple(f[x] for x in g), cap)
-    return InverseMonoidTable(order=data.order, unit=data.unit, mul=data.mul), elems
+    return monoid_closure(seed, lambda f, g: tuple(f[x] for x in g), cap)
 
 
-def _labelled_table(data, elems: Sequence, generators: Sequence,
+def _labelled_table(table: InverseMonoidTable, elems: Sequence, generators: Sequence,
                     gen_labels: Sequence[str]) -> InverseMonoidTable:
     """The closed monoid with labels: "1" for the unit, gen_labels[k] for
     generator k (unless an earlier label took its element), and "s<i>"
     for every other element i."""
-    labels = ["s%d" % i for i in range(data.order)]
-    labels[data.unit] = "1"
+    if gen_labels and len(gen_labels) != len(generators):
+        raise ValueError("one label per generator required")
+    labels = ["s%d" % i for i in range(table.order)]
+    labels[table.unit] = "1"
     if gen_labels:
         for k, g in enumerate(generators):
             gi = elems.index(g)
             if labels[gi] == "s%d" % gi:
                 labels[gi] = gen_labels[k]
-    return InverseMonoidTable(
-        order=data.order, unit=data.unit, mul=data.mul, labels=tuple(labels)
-    )
+    return replace(table, labels=tuple(labels))
 
 
 def statspace_from_maps(
@@ -98,8 +96,8 @@ def statspace_from_partial_maps(
         if sink in g.domain or sink in g.image:
             raise ValueError("sink point must avoid generator domains and images")
     space = build_space(points, atoms)
-    data, elems = closure(list(generators), len(points), cap=cap)
-    table = _labelled_table(data, elems, generators, gen_labels)
+    table, elems = closure(list(generators), len(points), cap=cap)
+    table = _labelled_table(table, elems, generators, gen_labels)
     action = tuple(totalize(f, sink) for f in elems)
     return StatSpace(space=space, monoid=table, action=action)
 
@@ -245,25 +243,16 @@ def _random_atoms(rng: random.Random, n_points: int) -> List[List[int]]:
 
 
 def _try_space(
-    points: int,
-    atoms: List[List[int]],
-    generators: List[Tuple[int, ...]],
-    max_order: int,
+    max_order: int, build, n: int, atoms: List[List[int]], *args
 ) -> Optional[StatSpace]:
+    """build(points, atoms, *args) on points "0".."n-1", closing the
+    monoid under a cap just past max_order; None when that fails or the
+    result is not a valid action."""
     try:
-        ss = statspace_from_maps(
-            points=[str(i) for i in range(points)],
-            atoms=atoms,
-            generators=generators,
-            cap=max_order + 1,
-        )
+        ss = build([str(i) for i in range(n)], atoms, *args, cap=max_order + 1)
     except (ClosureCapError, ValueError):
         return None
-    if ss.monoid.order > max_order:
-        return None
-    if not check_inverse_monoid(ss.monoid).valid:
-        return None
-    if not validate_action(ss).valid:
+    if ss.monoid.order > max_order or not validate_action(ss).valid:
         return None
     return ss
 
@@ -277,7 +266,7 @@ def _random_group_space(
     atoms = [[i] for i in range(n)]
     if rng.random() < 0.4:
         atoms = _random_atoms(rng, n)
-    return _try_space(n, atoms, gens, max_order)
+    return _try_space(max_order, statspace_from_maps, n, atoms, gens)
 
 
 def _random_retraction_space(
@@ -294,7 +283,7 @@ def _random_retraction_space(
     if rng.random() < 0.5:
         gens.append(_random_permutation(rng, n))
     atoms = [[i] for i in range(n)]
-    return _try_space(n, atoms, gens, max_order)
+    return _try_space(max_order, statspace_from_maps, n, atoms, gens)
 
 
 def _random_partial_space(
@@ -309,21 +298,8 @@ def _random_partial_space(
         dom = rng.sample(active, k)
         img = rng.sample(active, k)
         gens.append(PartialBijection.from_dict(n, dict(zip(dom, img))))
-    try:
-        ss = statspace_from_partial_maps(
-            points=[str(i) for i in range(n)],
-            atoms=[[i] for i in range(n)],
-            generators=gens,
-            sink=sink,
-            cap=max_order + 1,
-        )
-    except (ClosureCapError, ValueError):
-        return None
-    if ss.monoid.order > max_order:
-        return None
-    if not validate_action(ss).valid:
-        return None
-    return ss
+    atoms = [[i] for i in range(n)]
+    return _try_space(max_order, statspace_from_partial_maps, n, atoms, gens, sink)
 
 
 def random_corpus(
@@ -341,15 +317,15 @@ def random_corpus(
         ("retraction", _random_retraction_space),
         ("partial", _random_partial_space),
     ]
-    k = 0
+    k = small = 0
     while len(out) < count:
-        want_small = sum(1 for e in out if e.statspace.n_atoms <= 3) < small_count
-        cap_atoms = 3 if want_small else max_atoms
+        cap_atoms = 3 if small < small_count else max_atoms
         kind, maker = makers[k % len(makers)]
         k += 1
         ss = maker(rng, cap_atoms, max_order)
         if ss is None:
             continue
+        small += ss.n_atoms <= 3
         out.append(CorpusEntry(name=f"{kind}_{len(out)}", statspace=ss, kind=kind))
     return out
 

@@ -23,7 +23,11 @@ class InvalidTableError(TypemonoidError):
 
 
 class NotMeasurableError(TypemonoidError):
-    """A point set is not a union of atoms."""
+    """A point map splits an atom: the atom's points land in two atoms."""
+
+    def __init__(self, name: str, atom: int, label: str):
+        super().__init__(f"{name} splits atom {label}")
+        self.atom = atom
 
 
 class SpaceMismatchError(TypemonoidError):

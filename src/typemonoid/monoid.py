@@ -1,17 +1,18 @@
 """Abstract inverse monoids as multiplication tables.
 
-Elements are dense integers 0..order-1.  Validation never raises on bad
-algebra; it returns a report with witnesses so callers can show *why* a
-table fails.
+Elements are dense integers 0..order-1.  `InverseMonoidTable` is the one
+table type: `partial_bijection.monoid_closure` builds every closed table,
+and a table read from a file or written by hand is the same object.
+Validation never raises on bad algebra; it returns a report with
+witnesses so callers can show *why* a table fails.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .errors import InvalidTableError
-from .partial_bijection import PartialBijection
 
 
 @dataclass(frozen=True)
@@ -26,14 +27,14 @@ class InverseMonoidTable:
             object.__setattr__(
                 self, "labels", tuple(f"s{i}" for i in range(self.order))
             )
-        if len(self.labels) != self.order or len(self.mul) != self.order:
-            raise ValueError("table shape does not match order")
-        for row in self.mul:
-            if len(row) != self.order or any(
-                not (0 <= x < self.order) for x in row
-            ):
-                raise ValueError("multiplication entries out of range")
-        if not (0 <= self.unit < self.order):
+        n = self.order
+        if len(self.mul) != n or any(len(row) != n for row in self.mul):
+            raise ValueError(f"table must be square, {n} by {n}")
+        if any(not (0 <= x < n) for row in self.mul for x in row):
+            raise ValueError("multiplication entries out of range")
+        if len(self.labels) != n:
+            raise ValueError("one label per element required")
+        if not (0 <= self.unit < n):
             raise ValueError("unit index out of range")
 
 
@@ -154,24 +155,6 @@ def natural_partial_order(table: InverseMonoidTable) -> Tuple[Tuple[bool, ...], 
         for e in rep.idempotents:
             leq[mul[t][e]][t] = True
     return tuple(tuple(row) for row in leq)
-
-
-def wagner_preston(table: InverseMonoidTable) -> Dict[int, PartialBijection]:
-    """Faithful representation by partial bijections of the carrier 0..order-1.
-
-    Element s is sent to left multiplication x -> s x restricted to the
-    domain s* S.  With the composition convention "apply f first, then g"
-    this is a homomorphism: (s t) x = s (t x), and the domains compose the
-    right way; the classical right-handed construction is its mirror image.
-    """
-    rep = require_valid(table)
-    assert rep.star is not None
-    n, mul = table.order, table.mul
-    out: Dict[int, PartialBijection] = {}
-    for s in range(n):
-        dom = sorted({mul[rep.star[s]][u] for u in range(n)})
-        out[s] = PartialBijection(n, tuple((x, mul[s][x]) for x in dom))
-    return out
 
 
 def trivial_monoid() -> InverseMonoidTable:

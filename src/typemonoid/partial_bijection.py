@@ -4,6 +4,9 @@ A partial bijection is an injective map defined on a subset of
 {0, ..., carrier-1}.  Under composition and inversion these form the
 symmetric inverse monoid I(carrier); any set of them generates an inverse
 submonoid, which `closure` materializes as a multiplication table.
+`monoid_closure` builds every table from elements and their product, total
+point maps in `corpus` included.  `wagner_preston` runs the other way: it
+represents any inverse monoid table by partial bijections.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from itertools import combinations, permutations
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from .errors import CarrierMismatchError, ClosureCapError
+from .monoid import InverseMonoidTable, require_valid
 
 Pairs = Tuple[Tuple[int, int], ...]
 
@@ -113,7 +117,7 @@ def monoid_closure(
     seed: Sequence[Hashable],
     product: Callable[[Hashable, Hashable], Hashable],
     cap: int,
-) -> Tuple["InverseMonoidTableData", List]:
+) -> Tuple[InverseMonoidTable, List]:
     """Close `seed` under `product`, as a multiplication table.
 
     seed[0] must be the unit; repeats in the seed are dropped.  Elements
@@ -153,17 +157,16 @@ def monoid_closure(
             meet(j, i)
     order = len(elements)
     mul = tuple(tuple(table[i, j] for j in range(order)) for i in range(order))
-    return InverseMonoidTableData(order=order, unit=0, mul=mul), elements
+    return InverseMonoidTable(order=order, unit=0, mul=mul), elements
 
 
 def closure(
     generators: Sequence[PartialBijection], carrier: int, cap: int = 10000
-) -> Tuple["InverseMonoidTableData", List[PartialBijection]]:
+) -> Tuple[InverseMonoidTable, List[PartialBijection]]:
     """Close generators under composition and inversion, with the identity.
 
-    Returns raw table data (order, unit, mul) plus the element list; the
-    caller wraps it into a table object.  Raises ClosureCapError beyond
-    `cap` elements.
+    Returns the table, elements labelled s0, s1, ..., and the element
+    list.  Raises ClosureCapError beyond `cap` elements.
     """
     for f in generators:
         if f.carrier != carrier:
@@ -172,15 +175,6 @@ def closure(
     for f in generators:
         seed += [f, invert(f)]
     return monoid_closure(seed, compose, cap)
-
-
-@dataclass(frozen=True)
-class InverseMonoidTableData:
-    """Plain multiplication-table payload produced by closures."""
-
-    order: int
-    unit: int
-    mul: Tuple[Tuple[int, ...], ...]
 
 
 def all_partial_bijections(n: int) -> List[PartialBijection]:
@@ -197,20 +191,31 @@ def all_partial_bijections(n: int) -> List[PartialBijection]:
 
 def symmetric_inverse_monoid(
     n: int, cap: int = 10000
-) -> Tuple[InverseMonoidTableData, List[PartialBijection]]:
-    """The full symmetric inverse monoid I(n) as a table."""
+) -> Tuple[InverseMonoidTable, List[PartialBijection]]:
+    """The full symmetric inverse monoid I(n) as a table: the identity,
+    then the other elements by falling domain size and by their pairs."""
     elements = all_partial_bijections(n)
     if len(elements) > cap:
         raise ClosureCapError(cap, len(elements))
     elements.sort(key=lambda f: (-len(f.pairs), f.pairs))
-    # identity sorts inside the total maps; move it to index 0
     ident = PartialBijection.identity(n)
     elements.remove(ident)
-    elements.insert(0, ident)
-    index = {f: i for i, f in enumerate(elements)}
-    order = len(elements)
-    mul = tuple(
-        tuple(index[compose(elements[i], elements[j])] for j in range(order))
-        for i in range(order)
-    )
-    return InverseMonoidTableData(order=order, unit=0, mul=mul), elements
+    return monoid_closure([ident] + elements, compose, cap)
+
+
+def wagner_preston(table: InverseMonoidTable) -> Dict[int, PartialBijection]:
+    """Faithful representation by partial bijections of the carrier 0..order-1.
+
+    Element s is sent to left multiplication x -> s x restricted to the
+    domain s* S.  With the composition convention "apply f first, then g"
+    this is a homomorphism: (s t) x = s (t x), and the domains compose the
+    right way; the classical right-handed construction is its mirror image.
+    """
+    rep = require_valid(table)
+    assert rep.star is not None
+    n, mul = table.order, table.mul
+    out: Dict[int, PartialBijection] = {}
+    for s in range(n):
+        dom = sorted({mul[rep.star[s]][u] for u in range(n)})
+        out[s] = PartialBijection(n, tuple((x, mul[s][x]) for x in dom))
+    return out

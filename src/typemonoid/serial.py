@@ -15,6 +15,7 @@ Certificate files mirror the symbolic backends: integer sets as
 """
 
 import json
+from contextlib import contextmanager
 from typing import Dict, List, Tuple
 
 from .certificates import Certificate, HalfLine
@@ -47,6 +48,16 @@ def _fail(where: str, why: str):
     raise SpaceFormatError(f"{where}: {why}")
 
 
+@contextmanager
+def _field(where: str, error: type = SpaceFormatError):
+    """Report a ValueError or TypeError that a constructor or conversion
+    raises on the document's values as `error` at `where`."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise error(f"{where}: {exc}") from exc
+
+
 def space_from_dict(doc: Dict) -> StatSpace:
     if not isinstance(doc, dict):
         _fail("document", "expected a JSON object")
@@ -77,6 +88,8 @@ def space_from_dict(doc: Dict) -> StatSpace:
         [point_ref(p, f"atoms[{i}]") for p in block]
         for i, block in enumerate(atoms_doc)
     ]
+    with _field("atoms"):
+        space = build_space(points, atoms)
 
     has_table = "monoid" in doc and "action" in doc
     has_generators = "generators" in doc
@@ -99,7 +112,8 @@ def space_from_dict(doc: Dict) -> StatSpace:
                     for a, b in g.items()
                 }
             )
-        labels = doc.get("generator_labels", [])
+        with _field("generator_labels"):
+            labels = [str(x) for x in doc.get("generator_labels", [])]
         if "sink" not in doc:
             for k, m in enumerate(maps):
                 if len(m) != len(points):
@@ -107,19 +121,22 @@ def space_from_dict(doc: Dict) -> StatSpace:
                         f"generators[{k}]",
                         "map is partial; give a sink point or make it total",
                     )
-            return statspace_from_maps(
-                points,
-                atoms,
-                [tuple(m[i] for i in range(len(points))) for m in maps],
-                gen_labels=[str(x) for x in labels],
-            )
+            with _field("generators"):
+                return statspace_from_maps(
+                    points,
+                    atoms,
+                    [tuple(m[i] for i in range(len(points))) for m in maps],
+                    gen_labels=labels,
+                )
         sink = point_ref(doc["sink"], "sink")
-        gens = [
-            PartialBijection(len(points), tuple(sorted(m.items()))) for m in maps
-        ]
-        return statspace_from_partial_maps(
-            points, atoms, gens, sink=sink, gen_labels=[str(x) for x in labels]
-        )
+        gens = []
+        for k, m in enumerate(maps):
+            with _field(f"generators[{k}]"):
+                gens.append(PartialBijection(len(points), tuple(sorted(m.items()))))
+        with _field("generators"):
+            return statspace_from_partial_maps(
+                points, atoms, gens, sink=sink, gen_labels=labels
+            )
 
     mon_doc = doc["monoid"]
     if not isinstance(mon_doc, dict):
@@ -128,18 +145,14 @@ def space_from_dict(doc: Dict) -> StatSpace:
     if not isinstance(mul, list):
         _fail("monoid.table", "expected a multiplication table")
     order = len(mul)
-    if any(not isinstance(row, list) or len(row) != order for row in mul):
-        _fail("monoid.table", "table must be square")
-    unit = mon_doc.get("unit", 0)
-    labels = [str(x) for x in mon_doc.get("labels", [str(i) for i in range(order)])]
-    if len(labels) != order:
-        _fail("monoid.labels", "one label per element")
-    table = InverseMonoidTable(
-        order=order,
-        unit=unit,
-        mul=tuple(tuple(row) for row in mul),
-        labels=tuple(labels),
-    )
+    with _field("monoid"):
+        table = InverseMonoidTable(
+            order=order,
+            unit=mon_doc.get("unit", 0),
+            mul=tuple(tuple(row) for row in mul),
+            labels=tuple(str(x) for x in mon_doc.get("labels", range(order))),
+        )
+    labels = table.labels
     action_doc = doc["action"]
     if not isinstance(action_doc, dict):
         _fail("action", "expected an object keyed by monoid element")
@@ -160,13 +173,13 @@ def space_from_dict(doc: Dict) -> StatSpace:
         row = [None] * len(points)
         for a, b in pm.items():
             row[point_ref(a, f"action[{key}]")] = point_ref(b, f"action[{key}]")
+        if None in row:
+            _fail(f"action[{key}]", "expected a total point map")
         action[s] = tuple(row)
     missing = [labels[s] for s in range(order) if action[s] is None]
     if missing:
         _fail("action", f"missing point maps for {missing}")
-    return StatSpace(
-        space=build_space(points, atoms), monoid=table, action=tuple(action)
-    )
+    return StatSpace(space=space, monoid=table, action=tuple(action))
 
 
 def _read_json(path: str, error: type):
@@ -212,18 +225,19 @@ def parse_set_expr(ss: StatSpace, expr: str):
 
 
 def _zset_from_doc(doc, where: str):
-    if isinstance(doc, dict) and "halfline" in doc:
-        return HalfLine(int(doc["halfline"]))
-    if not isinstance(doc, dict) or "mod" not in doc:
+    if not isinstance(doc, dict) or not {"mod", "halfline"} & doc.keys():
         raise MalformedCertificateError(
             f"{where}: integer sets need mod/residues/add/remove or halfline"
         )
-    return ep_set(
-        int(doc["mod"]),
-        [int(r) for r in doc.get("residues", [])],
-        add=[int(x) for x in doc.get("add", [])],
-        remove=[int(x) for x in doc.get("remove", [])],
-    )
+    with _field(where, MalformedCertificateError):
+        if "halfline" in doc:
+            return HalfLine(int(doc["halfline"]))
+        return ep_set(
+            int(doc["mod"]),
+            [int(r) for r in doc.get("residues", [])],
+            add=[int(x) for x in doc.get("add", [])],
+            remove=[int(x) for x in doc.get("remove", [])],
+        )
 
 
 _F2_OPS = {
@@ -282,9 +296,9 @@ def certificate_from_dict(doc: Dict) -> Certificate:
     for i, p in enumerate(pieces_doc):
         if not isinstance(p, dict):
             raise MalformedCertificateError(f"pieces[{i}]: expected an object")
-        pieces.append(
-            (int(p.get("copy", 0)), parse(p.get("set"), f"pieces[{i}].set"))
-        )
+        with _field(f"pieces[{i}].copy", MalformedCertificateError):
+            copy = int(p.get("copy", 0))
+        pieces.append((copy, parse(p.get("set"), f"pieces[{i}].set")))
     moves_doc = doc.get("moves", [])
     if not isinstance(moves_doc, list):
         raise MalformedCertificateError("certificate: moves must be a list")
@@ -293,10 +307,11 @@ def certificate_from_dict(doc: Dict) -> Certificate:
         if not isinstance(m, dict):
             raise MalformedCertificateError(f"moves[{i}]: expected an object")
         mover = m.get("mover")
-        if backend == "zperiodic":
-            mover = int(mover)
+        with _field(f"moves[{i}]", MalformedCertificateError):
+            if backend == "zperiodic":
+                mover = int(mover)
+            entry = (mover, int(m.get("to", 0)))
         image = m.get("image")
-        entry = (mover, int(m.get("to", 0)))
         if image is not None:
             entry = entry + (parse(image, f"moves[{i}].image"),)
         moves.append(entry)

@@ -4,14 +4,16 @@ A space is a finite point set with an atom partition; measurable sets are
 exactly the unions of atoms and are represented as frozensets of atom
 indices.  An action assigns to every monoid element a total point map such
 that preimages of atoms are measurable; equivalently every element induces
-a map on atoms, which is what the type machinery consumes.
+a map on atoms, which is what the type machinery consumes.  One routine,
+`induced_atom_map`, induces the atom maps of actions and morphisms alike,
+and refuses a point map that splits an atom.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .errors import NotMeasurableError, SpaceMismatchError
 from .monoid import (
@@ -25,22 +27,27 @@ AtomSet = FrozenSet[int]
 
 @dataclass(frozen=True)
 class FiniteMeasurableSpace:
-    """Points with an atom partition; atoms indexed densely."""
+    """Points with an atom partition; atoms indexed densely, and
+    `point_atoms[p]` the atom holding point p."""
 
     points: Tuple[str, ...]
     atoms: Tuple[FrozenSet[int], ...]
     atom_labels: Tuple[str, ...] = ()
+    point_atoms: Tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        covered: set = set()
-        for a in self.atoms:
+        owner: Dict[int, int] = {}
+        for i, a in enumerate(self.atoms):
             if not a:
                 raise ValueError("empty atom")
-            if covered & a:
-                raise ValueError("atoms overlap")
-            covered |= a
-        if covered != set(range(len(self.points))):
+            for p in a:
+                if p in owner:
+                    raise ValueError("atoms overlap")
+                owner[p] = i
+        n = len(self.points)
+        if owner.keys() != set(range(n)):
             raise ValueError("atoms do not partition the points")
+        object.__setattr__(self, "point_atoms", tuple(owner[p] for p in range(n)))
         if not self.atom_labels:
             labels = tuple(
                 "+".join(self.points[p] for p in sorted(a)) for a in self.atoms
@@ -54,10 +61,9 @@ class FiniteMeasurableSpace:
         return len(self.atoms)
 
     def atom_of_point(self, p: int) -> int:
-        for i, a in enumerate(self.atoms):
-            if p in a:
-                return i
-        raise ValueError(f"point {p} not in any atom")
+        if not 0 <= p < len(self.point_atoms):
+            raise ValueError(f"point {p} not in any atom")
+        return self.point_atoms[p]
 
     def all_measurable_sets(self) -> List[AtomSet]:
         n = self.n_atoms
@@ -77,6 +83,30 @@ def build_space(
         tuple(frozenset(a) for a in atoms),
         tuple(atom_labels),
     )
+
+
+def induced_atom_map(
+    point_map: Sequence[int],
+    source: FiniteMeasurableSpace,
+    target: FiniteMeasurableSpace,
+    name: str,
+) -> Tuple[int, ...]:
+    """The atom map of a point map from source to target: source atom a
+    lands inside target atom out[a].  At the first atom whose points land
+    in two atoms, raises NotMeasurableError naming the map and carrying
+    the atom's index."""
+    out = []
+    for a, atom in enumerate(source.atoms):
+        images = {target.atom_of_point(point_map[p]) for p in atom}
+        if len(images) != 1:
+            raise NotMeasurableError(name, a, source.atom_labels[a])
+        out.append(images.pop())
+    return tuple(out)
+
+
+def _preimage(atom_map: Tuple[int, ...], aset: AtomSet) -> AtomSet:
+    """Source atoms an atom map sends into aset."""
+    return frozenset(a for a, b in enumerate(atom_map) if b in aset)
 
 
 @dataclass
@@ -125,16 +155,9 @@ class StatSpace:
 
     def atom_map(self, s: int) -> Tuple[int, ...]:
         """The induced map on atoms: atom b lands inside atom_map[b]."""
-        out = []
-        for b, atom in enumerate(self.space.atoms):
-            images = {self.space.atom_of_point(self.action[s][p]) for p in atom}
-            if len(images) != 1:
-                raise NotMeasurableError(
-                    f"element {self.monoid.labels[s]} splits atom "
-                    f"{self.space.atom_labels[b]}"
-                )
-            out.append(next(iter(images)))
-        return tuple(out)
+        return induced_atom_map(
+            self.action[s], self.space, self.space, f"element {self.monoid.labels[s]}"
+        )
 
 
 def validate_action(ss: StatSpace) -> ActionReport:
@@ -160,21 +183,18 @@ def validate_action(ss: StatSpace) -> ActionReport:
         if not rep.homomorphism:
             break
     for s in range(ss.monoid.order):
-        for b in range(ss.space.n_atoms):
-            images = {
-                ss.space.atom_of_point(ss.action[s][p]) for p in ss.space.atoms[b]
-            }
-            if len(images) != 1:
-                rep.measurable = False
-                rep.measurability_witness = (s, b)
-                return rep
+        try:
+            ss.atom_map(s)
+        except NotMeasurableError as exc:
+            rep.measurable = False
+            rep.measurability_witness = (s, exc.atom)
+            return rep
     return rep
 
 
 def pullback(ss: StatSpace, s: int, aset: AtomSet) -> AtomSet:
     """Atoms of the preimage of a measurable set under element s."""
-    amap = ss.atom_maps[s]
-    return frozenset(b for b in range(ss.n_atoms) if amap[b] in aset)
+    return _preimage(ss.atom_maps[s], aset)
 
 
 def with_trivial_symmetry(space: FiniteMeasurableSpace) -> StatSpace:
@@ -224,24 +244,19 @@ class StatMorphism:
     point_map: Tuple[int, ...]
     fstar: Tuple[int, ...]
 
+    @cached_property
+    def atom_map(self) -> Tuple[int, ...]:
+        """Source atom a lands inside target atom atom_map[a]."""
+        return induced_atom_map(
+            self.point_map, self.source.space, self.target.space, "morphism"
+        )
+
     def preimage_atoms(self, target_atom: int) -> AtomSet:
         """Source atoms mapping into a given target atom (f measurable)."""
-        out = set()
-        for a, atom in enumerate(self.source.space.atoms):
-            tgt = {
-                self.target.space.atom_of_point(self.point_map[p]) for p in atom
-            }
-            if len(tgt) != 1:
-                raise NotMeasurableError(f"morphism splits atom {a}")
-            if next(iter(tgt)) == target_atom:
-                out.add(a)
-        return frozenset(out)
+        return _preimage(self.atom_map, {target_atom})
 
     def preimage_atomset(self, bset: AtomSet) -> AtomSet:
-        out: set = set()
-        for b in bset:
-            out |= self.preimage_atoms(b)
-        return frozenset(out)
+        return _preimage(self.atom_map, bset)
 
 
 def validate_morphism(m: StatMorphism) -> MorphismReport:
@@ -253,12 +268,12 @@ def validate_morphism(m: StatMorphism) -> MorphismReport:
     ):
         rep.point_map_total = False
         return rep
-    for a, atom in enumerate(m.source.space.atoms):
-        tgt = {m.target.space.atom_of_point(m.point_map[p]) for p in atom}
-        if len(tgt) != 1:
-            rep.measurable = False
-            rep.measurability_witness = a
-            return rep
+    try:
+        m.atom_map
+    except NotMeasurableError as exc:
+        rep.measurable = False
+        rep.measurability_witness = exc.atom
+        return rep
     T, S = m.target.monoid, m.source.monoid
     if len(m.fstar) != T.order or any(not (0 <= s < S.order) for s in m.fstar):
         rep.fstar_homomorphism = False

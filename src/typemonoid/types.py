@@ -568,13 +568,12 @@ def morphism_type_map(
     source_engine: TypeEngine,
     target_engine: TypeEngine,
 ) -> Callable[[TarskiType], TarskiType]:
-    """The contravariant map on types induced by taking preimages."""
+    """The contravariant map on types induced by taking preimages.
+
+    Raises NotMeasurableError when m splits a source atom."""
     if m.source != source_engine.statspace or m.target != target_engine.statspace:
         raise SpaceMismatchError("engines do not match the morphism endpoints")
-    tgt_atom = tuple(
-        m.target.space.atom_of_point(m.point_map[next(iter(m.source.space.atoms[a]))])
-        for a in range(source_engine.n)
-    )
+    tgt_atom = m.atom_map
 
     def on_types(beta: TarskiType) -> TarskiType:
         return source_engine.type_of_abar(_pull_back(target_engine._vec(beta), tgt_atom))

@@ -11,7 +11,7 @@ import inspect
 import pkgutil
 
 import typemonoid
-from typemonoid.congruence import EQUAL, UNKNOWN, Budget, Congruence
+from typemonoid.congruence import EQUAL, Budget
 from typemonoid.corpus import parity_space
 from typemonoid.types import TypeEngine
 

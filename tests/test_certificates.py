@@ -21,7 +21,7 @@ from typemonoid.words import (
     reduce_word,
     reduced_words_upto,
 )
-from typemonoid.zsets import ep_all, ep_evens, ep_odds, ep_set, ep_translate
+from typemonoid.zsets import ep_all, ep_evens, ep_odds, ep_set
 
 
 class TestFiniteCertificates:

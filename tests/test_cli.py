@@ -23,6 +23,56 @@ Z_ALL = {"mod": 1, "residues": [0]}
 F2_ALL = "%|(a|A|b|B)(a|A|b|B)*"
 
 
+def _table_doc(**monoid):
+    """A two-point space with the collapse table, edited by `monoid`."""
+    return {
+        "points": ["a", "b"],
+        "atoms": [[0], [1]],
+        "monoid": {"table": [[0, 1], [1, 1]], "unit": 0, "labels": ["1", "e"], **monoid},
+        "action": {"1": {"0": 0, "1": 1}, "e": {"0": 0, "1": 0}},
+    }
+
+
+# documents whose values a constructor refuses; each must be an input
+# error naming its field, never a traceback
+MALFORMED_SPACES = {
+    "overlapping atoms": {**_table_doc(), "atoms": [[0, 1], [1]]},
+    "table entry out of range": _table_doc(table=[[0, 1], [1, 5]]),
+    "unit out of range": _table_doc(unit=7),
+    "unit not an index": _table_doc(unit="x"),
+    "sink in a generator's domain": {
+        "points": ["a", "b", "s"],
+        "atoms": [[0], [1], [2]],
+        "generators": [{"a": "s"}],
+        "sink": "s",
+    },
+    "non-injective partial generator": {
+        "points": ["a", "b", "c", "s"],
+        "atoms": [[0], [1], [2], [3]],
+        "generators": [{"a": "c", "b": "c"}],
+        "sink": "s",
+    },
+    "generator labels not a list": {
+        "points": ["a", "b"],
+        "atoms": [[0], [1]],
+        "generators": [{"a": "b", "b": "a"}],
+        "generator_labels": 5,
+    },
+    "fewer generator labels than generators": {
+        "points": ["a", "b"],
+        "atoms": [[0], [1]],
+        "generators": [{"a": "b", "b": "a"}, {"a": "a", "b": "a"}],
+        "generator_labels": ["swap"],
+    },
+    "action names one point twice": {
+        **_table_doc(),
+        "action": {"1": {"0": 0, "a": 1}, "e": {"0": 0, "1": 0}},
+    },
+}
+
+MALFORMED_MODULI = {"not a number": "x", "null": None, "zero": 0}
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("spaces")
@@ -551,6 +601,28 @@ class TestSerialEdges:
     def test_certificate_requires_backend(self):
         with pytest.raises(Exception, match="backend"):
             certificate_from_dict({"left": [], "right": []})
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SPACES))
+    def test_malformed_space_is_an_input_error(self, tmp_path, capsys, case):
+        with pytest.raises(SpaceFormatError):
+            load_space_from(tmp_path, MALFORMED_SPACES[case])
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(MALFORMED_SPACES[case]))
+        code, _, err = run(capsys, ["space-check", str(p)])
+        assert code == 1
+        assert err.startswith("input error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MODULI))
+    def test_malformed_modulus_is_an_input_error(self, tmp_path, capsys, case):
+        doc = {"backend": "zperiodic", "left": [{"mod": MALFORMED_MODULI[case]}],
+               "right": [Z_ALL], "pieces": [], "moves": []}
+        with pytest.raises(MalformedCertificateError, match=r"left\[0\]: "):
+            certificate_from_dict(doc)
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["cert-verify", str(p)])
+        assert code == 1
+        assert err.startswith("input error: left[0]: ") and "Traceback" not in err
 
     def test_non_utf8_files_name_their_path(self, tmp_path):
         p = tmp_path / "latin1.json"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, Budget, ExtVec
+from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, ExtVec
 from typemonoid.corpus import (
     collapse_space,
     cyclic4_space,

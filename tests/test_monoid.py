@@ -1,6 +1,4 @@
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from typemonoid.errors import InvalidTableError
 from typemonoid.monoid import (
@@ -9,7 +7,6 @@ from typemonoid.monoid import (
     generating_set,
     natural_partial_order,
     trivial_monoid,
-    wagner_preston,
 )
 from typemonoid.partial_bijection import (
     PartialBijection,
@@ -18,16 +15,8 @@ from typemonoid.partial_bijection import (
     compose,
     invert,
     symmetric_inverse_monoid,
+    wagner_preston,
 )
-
-
-def table_of(data):
-    return InverseMonoidTable(data.order, data.unit, data.mul)
-
-
-def table_of_closure(gens, carrier):
-    data, elems = closure(gens, carrier)
-    return table_of(data), elems
 
 
 def cyclic_group(n):
@@ -55,11 +44,11 @@ def random_closure_tables(seed=7, count=20, carrier=3):
     while len(tables) < count:
         gens = rng.sample(pool, rng.randint(1, 2))
         try:
-            data, elems = closure(gens, carrier, cap=40)
+            table, elems = closure(gens, carrier, cap=40)
         except Exception:
             continue
-        if data.order <= 16:
-            tables.append((table_of(data), elems))
+        if table.order <= 16:
+            tables.append((table, elems))
     return tables
 
 
@@ -84,8 +73,8 @@ class TestCheck:
         assert rep.star is None
 
     def test_symmetric_inverse_monoid_valid(self):
-        data, elems = symmetric_inverse_monoid(3)
-        rep = check_inverse_monoid(table_of(data))
+        table, elems = symmetric_inverse_monoid(3)
+        rep = check_inverse_monoid(table)
         assert rep.valid
         # star must be the map-level inversion
         for i, f in enumerate(elems):
@@ -139,9 +128,9 @@ class TestGeneratingSet:
             tuple((i + j) % 5 for j in range(5)) for i in range(5)))
         assert generating_set(cyclic) == [1]
         assert generating_set(trivial_monoid()) == []
-        tables = [cyclic, table_of(symmetric_inverse_monoid(3)[0])]
-        tables += [table_of_closure([PartialBijection(3, ((0, 1),)),
-                                     PartialBijection(3, ((1, 2), (2, 0)))], 3)[0]]
+        tables = [cyclic, symmetric_inverse_monoid(3)[0]]
+        tables += [closure([PartialBijection(3, ((0, 1),)),
+                            PartialBijection(3, ((1, 2), (2, 0)))], 3)[0]]
         for table in tables:
             gens = generating_set(table)
             assert table.unit not in gens and gens == sorted(gens)
@@ -156,8 +145,7 @@ class TestNaturalPartialOrder:
             natural_partial_order(flip_flop())
 
     def test_i2_examples(self):
-        data, elems = symmetric_inverse_monoid(2)
-        table = table_of(data)
+        table, elems = symmetric_inverse_monoid(2)
         leq = natural_partial_order(table)
         empty = elems.index(PartialBijection.empty(2))
         swap = elems.index(PartialBijection.from_dict(2, {0: 1, 1: 0}))
@@ -168,8 +156,7 @@ class TestNaturalPartialOrder:
         assert not leq[swap][below]
 
     def test_order_is_graph_inclusion_in_i3(self):
-        data, elems = symmetric_inverse_monoid(3)
-        table = table_of(data)
+        table, elems = symmetric_inverse_monoid(3)
         leq = natural_partial_order(table)
         for i, f in enumerate(elems):
             for j, g in enumerate(elems):
@@ -242,8 +229,7 @@ class TestWagnerPreston:
     def test_fixture_tables(self):
         self.check_representation(two_element_semilattice())
         self.check_representation(cyclic_group(3))
-        data, _ = symmetric_inverse_monoid(2)
-        self.check_representation(table_of(data))
+        self.check_representation(symmetric_inverse_monoid(2)[0])
 
     def test_random_tables(self):
         for table, _ in random_closure_tables(seed=17, count=10):

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import differential_spaces
 from oracle_kb import CongruenceOracle, OracleError, oracle_for_space, relations_from_space
-from typemonoid.congruence import EQUAL, NOT_EQUAL, Congruence
+from typemonoid.congruence import EQUAL, Congruence
 from typemonoid.corpus import fixture_spaces, random_corpus
 from typemonoid.types import TypeEngine
 

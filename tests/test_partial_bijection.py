@@ -1,14 +1,14 @@
 from collections import deque
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import differential_spaces
 from typemonoid import corpus, partial_bijection
 from typemonoid.errors import CarrierMismatchError, ClosureCapError
+from typemonoid.monoid import InverseMonoidTable
 from typemonoid.partial_bijection import (
-    InverseMonoidTableData,
     PartialBijection,
     all_partial_bijections,
     closure,
@@ -61,7 +61,7 @@ def _pairwise_closure(seed, product, cap):
         tuple(index[product(elements[i], elements[j])] for j in range(order))
         for i in range(order)
     )
-    return InverseMonoidTableData(order=order, unit=0, mul=mul), elements
+    return InverseMonoidTable(order=order, unit=0, mul=mul), elements
 
 
 def partial_bijections(carrier=3):
@@ -132,15 +132,15 @@ class TestCompatibility:
 
 class TestClosure:
     def test_empty_generators_give_identity_monoid(self):
-        data, elems = closure([], carrier=3)
-        assert data.order == 1
+        table, elems = closure([], carrier=3)
+        assert table.order == 1
         assert elems == [PartialBijection.identity(3)]
 
     def test_single_transposition(self):
         t = pb(2, {0: 1, 1: 0})
-        data, elems = closure([t], carrier=2)
-        assert data.order == 2
-        assert data.mul[1][1] == 0
+        table, elems = closure([t], carrier=2)
+        assert table.order == 2
+        assert table.mul[1][1] == 0
 
     def test_cap_exceeded(self):
         t = pb(3, {0: 1})
@@ -148,7 +148,7 @@ class TestClosure:
             closure([t, pb(3, {1: 2}), pb(3, {2: 0})], carrier=3, cap=3)
 
     def test_closure_is_star_closed(self):
-        data, elems = closure([pb(3, {0: 1}), pb(3, {1: 2, 2: 1})], carrier=3)
+        _, elems = closure([pb(3, {0: 1}), pb(3, {1: 2, 2: 1})], carrier=3)
         index = {f: i for i, f in enumerate(elems)}
         for f in elems:
             assert invert(f) in index
@@ -182,17 +182,17 @@ class TestClosure:
 class TestSymmetricInverseMonoid:
     @pytest.mark.parametrize("n,expected", [(1, 2), (2, 7), (3, 34)])
     def test_orders(self, n, expected):
-        data, elems = symmetric_inverse_monoid(n)
-        assert data.order == expected
+        table, elems = symmetric_inverse_monoid(n)
+        assert table.order == expected
         assert len(set(elems)) == expected
 
     def test_unit_is_identity_map(self):
-        data, elems = symmetric_inverse_monoid(2)
-        assert elems[data.unit] == PartialBijection.identity(2)
+        table, elems = symmetric_inverse_monoid(2)
+        assert elems[table.unit] == PartialBijection.identity(2)
 
     def test_table_agrees_with_composition(self):
-        data, elems = symmetric_inverse_monoid(2)
+        table, elems = symmetric_inverse_monoid(2)
         index = {f: i for i, f in enumerate(elems)}
         for i, f in enumerate(elems):
             for j, g in enumerate(elems):
-                assert data.mul[i][j] == index[compose(f, g)]
+                assert table.mul[i][j] == index[compose(f, g)]

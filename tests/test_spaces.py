@@ -14,7 +14,7 @@ from typemonoid.corpus import (
     statspace_from_maps,
     two_point_space,
 )
-from typemonoid.errors import SpaceMismatchError
+from typemonoid.errors import NotMeasurableError, SpaceMismatchError
 from typemonoid.monoid import InverseMonoidTable
 from typemonoid.spaces import (
     StatMorphism,
@@ -62,6 +62,14 @@ class TestBuildSpace:
         sp = build_space(["0", "1"], [[0], [1]])
         assert len(sp.all_measurable_sets()) == 4
 
+    def test_atom_of_point(self):
+        sp = build_space(["0", "1", "2"], [[2], [0, 1]])
+        assert [sp.atom_of_point(p) for p in range(3)] == [1, 1, 0]
+        # no wrap-around from the end of the points
+        for p in (-1, 3):
+            with pytest.raises(ValueError, match="not in any atom"):
+                sp.atom_of_point(p)
+
 
 class TestValidateAction:
     def test_fixtures_valid(self):
@@ -105,6 +113,9 @@ class TestValidateAction:
         rep = validate_action(ss)
         assert not rep.measurable
         assert rep.measurability_witness == (1, 0)
+        with pytest.raises(NotMeasurableError, match=r"element s splits atom 0\+1") as err:
+            ss.atom_map(1)
+        assert err.value.atom == 0
 
     def test_totality_violation(self):
         space = build_space(["0"], [[0]])
@@ -206,6 +217,9 @@ class TestMorphisms:
         rep = validate_morphism(m)
         assert not rep.measurable
         assert rep.measurability_witness == 0
+        for b in range(2):
+            with pytest.raises(NotMeasurableError, match="morphism splits atom 0\\+1"):
+                m.preimage_atoms(b)
 
     def test_compose_to_constant(self):
         m1 = parity_to_two_point_morphism()

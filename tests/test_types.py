@@ -15,10 +15,18 @@ from typemonoid.corpus import (
     parity_to_two_point_morphism,
     two_point_space,
 )
-from typemonoid.errors import MalformedCertificateError, SpaceMismatchError
+from typemonoid.errors import MalformedCertificateError, NotMeasurableError, SpaceMismatchError
 from typemonoid.lattice import enumerate_idempotents, idempotent_of
 from typemonoid.measures import hierarchical_measure
-from typemonoid.spaces import StatMorphism, compose_morphisms, identity_morphism, pullback
+from typemonoid.spaces import (
+    StatMorphism,
+    build_space,
+    compose_morphisms,
+    identity_morphism,
+    pullback,
+    validate_morphism,
+    with_trivial_symmetry,
+)
 from typemonoid.types import (
     AbarElement,
     AuditEntry,
@@ -737,6 +745,14 @@ class TestMorphismTypeMap:
         assert src_eng.decide_equal(lhs, rhs).verdict == EQUAL
         if tgt_eng.decide_leq(a, b).verdict == LEQ:
             assert src_eng.decide_leq(tmap(a), tmap(b)).verdict == LEQ
+
+    def test_non_measurable_morphism_refused(self):
+        # one source atom {a, b} sent onto both atoms of the target
+        src = with_trivial_symmetry(build_space(["a", "b"], [[0, 1]]))
+        m = StatMorphism(source=src, target=two_point_space(), point_map=(0, 1), fstar=(0,))
+        assert validate_morphism(m).measurability_witness == 0
+        with pytest.raises(NotMeasurableError, match=r"morphism splits atom a\+b"):
+            morphism_type_map(m, TypeEngine(m.source), TypeEngine(m.target))
 
     def test_cofunctor_composition(self):
         m1 = parity_to_two_point_morphism()
