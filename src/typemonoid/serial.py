@@ -146,10 +146,14 @@ def space_from_dict(doc: Dict) -> StatSpace:
         _fail("monoid.table", "expected a multiplication table")
     order = len(mul)
     with _field("monoid"):
+        rows = tuple(tuple(row) for row in mul)
+        unit = mon_doc.get("unit", 0)
+        if any(type(x) is not int for x in (unit, *(x for row in rows for x in row))):
+            raise TypeError("table entries and the unit must be integers")
         table = InverseMonoidTable(
             order=order,
-            unit=mon_doc.get("unit", 0),
-            mul=tuple(tuple(row) for row in mul),
+            unit=unit,
+            mul=rows,
             labels=tuple(str(x) for x in mon_doc.get("labels", range(order))),
         )
     labels = table.labels
@@ -240,6 +244,12 @@ def _zset_from_doc(doc, where: str):
         )
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise MalformedCertificateError(f"{where}: expected a list")
+    return value
+
+
 _F2_OPS = {
     "union": dfa_union,
     "inter": dfa_intersect,
@@ -257,7 +267,7 @@ def _f2_from_doc(doc, where: str):
         op = doc["op"]
         args = [
             _f2_from_doc(a, f"{where}.args[{i}]")
-            for i, a in enumerate(doc.get("args", []))
+            for i, a in enumerate(_list(doc.get("args", []), f"{where}.args"))
         ]
         if op == "complement":
             if len(args) != 1:
@@ -279,11 +289,9 @@ def certificate_from_dict(doc: Dict) -> Certificate:
     if backend not in ("zperiodic", "f2"):
         raise MalformedCertificateError(f"certificate: unknown backend {backend!r}")
     parse = _zset_from_doc if backend == "zperiodic" else _f2_from_doc
-    left = tuple(
-        parse(w, f"left[{i}]") for i, w in enumerate(doc.get("left", []))
-    )
-    right = tuple(
-        parse(w, f"right[{i}]") for i, w in enumerate(doc.get("right", []))
+    left, right = (
+        tuple(parse(w, f"{side}[{i}]") for i, w in enumerate(_list(doc.get(side, []), side)))
+        for side in ("left", "right")
     )
     if not left or not right:
         raise MalformedCertificateError("certificate: left and right required")
@@ -299,11 +307,8 @@ def certificate_from_dict(doc: Dict) -> Certificate:
         with _field(f"pieces[{i}].copy", MalformedCertificateError):
             copy = int(p.get("copy", 0))
         pieces.append((copy, parse(p.get("set"), f"pieces[{i}].set")))
-    moves_doc = doc.get("moves", [])
-    if not isinstance(moves_doc, list):
-        raise MalformedCertificateError("certificate: moves must be a list")
     moves = []
-    for i, m in enumerate(moves_doc):
+    for i, m in enumerate(_list(doc.get("moves", []), "moves")):
         if not isinstance(m, dict):
             raise MalformedCertificateError(f"moves[{i}]: expected an object")
         mover = m.get("mover")

@@ -8,6 +8,13 @@ empty on success), `unknown` (indefinite verdicts), `unknown_rate`,
 and `fixture_unknown` (indefinite verdicts on the named fixtures,
 which are expected to be decided exactly).  The command-line corpus
 runner and the acceptance tests share these implementations.
+
+Laws of the canonical measure A -> [A] are checked on the few cases that
+imply them, each by an argument exact in any commutative monoid with its
+algebraic preorder: additivity on one-atom splits and stationarity on
+generators times atoms (`run_theorem1_suite`), monotonicity and
+subadditivity on one-atom steps (`measures.continuity_suite`).  The
+exhaustive loops over pairs of sets are the reference tests.
 """
 
 import random
@@ -36,6 +43,7 @@ from .measures import (
     colimit_increasing,
     cross_check_tarski,
 )
+from .monoid import generating_set
 from .spaces import compose_morphisms, identity_morphism, pullback
 from .types import AUDIT_KINDS, TypeEngine, morphism_type_map
 
@@ -134,6 +142,17 @@ def run_theorem1_suite(
     *,
     budget: Budget = Budget(),
 ) -> Dict:
+    """The measure-target laws of the type monoid on every space, and the
+    cofunctor laws on composable morphism pairs.
+
+    With mu(A) = [A], additivity is checked as mu(A) = mu(A - {max A}) +
+    mu({max A}) for each nonempty A: by induction on |A| that gives
+    mu(A) = sum of mu({a}) over a in A, and so mu(A) + mu(B) = mu(A | B)
+    for every disjoint pair.  Stationarity is checked as mu(pre_g({a})) =
+    mu({a}) for each generator g of the monoid and each atom a: the
+    preimages of disjoint atoms are disjoint, so additivity extends it to
+    every set, and pre_st = pre_t o pre_s extends it to every element.
+    """
     tally = _Tally("theorem1")
     rng = random.Random(seed)
     entries = corpus_with_fixtures() if entries is None else list(entries)
@@ -155,17 +174,13 @@ def run_theorem1_suite(
             v = tally.saw(eng.decide_equal(p + q, q + p), f"{name}: commutativity")
             tally.check(v == EQUAL, f"{name}: commutativity")
 
-        for i, a in enumerate(sets):
-            # unordered pairs only; commutativity covers the mirror image
-            for b in sets[i:]:
-                if a & b:
-                    continue
-                d = eng.decide_equal(
-                    eng.abar_of_set(a) + eng.abar_of_set(b),
-                    eng.abar_of_set(a | b),
-                )
-                tally.saw(d, f"{name}: additivity")
-                tally.check(d.verdict == EQUAL, "{}: additivity {} {}", name, a, b)
+        for a in sets[1:]:
+            top = frozenset({max(a)})
+            d = eng.decide_equal(
+                eng.abar_of_set(a - top) + eng.abar_of_set(top), eng.abar_of_set(a)
+            )
+            tally.saw(d, f"{name}: additivity")
+            tally.check(d.verdict == EQUAL, "{}: additivity {} {}", name, a - top, top)
 
         for a in sets[: pair_cap // 4]:
             p = eng.abar_of_set(a)
@@ -179,15 +194,15 @@ def run_theorem1_suite(
                 d.verdict == EQUAL, "{}: omega-fold absorbs a summand {}", name, a
             )
 
-        for s in range(eng.statspace.monoid.order):
-            for a in sets:
+        for g in generating_set(eng.statspace.monoid):
+            for x in range(eng.n):
+                a = frozenset({x})
                 d = eng.decide_equal(
-                    eng.abar_of_set(pullback(eng.statspace, s, a)),
-                    eng.abar_of_set(a),
+                    eng.abar_of_set(pullback(eng.statspace, g, a)), eng.abar_of_set(a)
                 )
                 tally.saw(d, f"{name}: stationarity")
                 tally.check(
-                    d.verdict == EQUAL, "{}: stationarity s={} A={}", name, s, sorted(a)
+                    d.verdict == EQUAL, "{}: stationarity s={} A={}", name, g, sorted(a)
                 )
 
         pairs = [

@@ -205,9 +205,10 @@ def test_criterion_6():
 
 
 def test_criterion_7():
-    """Limit laws on every fixture: monotone and subadditive on all
-    measurable pairs, continuous from below on 20 increasing schemas,
-    continuous from above with the scale-unit correction."""
+    """Limit laws on every fixture: monotone and subadditive on every
+    one-atom step, which implies both laws on all measurable pairs,
+    continuous from below on 20 increasing schemas, continuous from
+    above with the scale-unit correction."""
     summary = run_theorem3_suite(schemas_below=20)
     assert summary["failures"] == []
     assert summary["unknown"] == 0

@@ -64,6 +64,10 @@ MALFORMED_SPACES = {
         "generators": [{"a": "b", "b": "a"}, {"a": "a", "b": "a"}],
         "generator_labels": ["swap"],
     },
+    "table entry not an integer": {
+        "points": ["a"], "atoms": [[0]], "monoid": {"table": [[0.0]]}, "action": {"0": {"0": 0}},
+    },
+    "unit not an integer": _table_doc(unit=0.0),
     "action names one point twice": {
         **_table_doc(),
         "action": {"1": {"0": 0, "a": 1}, "e": {"0": 0, "1": 0}},
@@ -71,6 +75,16 @@ MALFORMED_SPACES = {
 }
 
 MALFORMED_MODULI = {"not a number": "x", "null": None, "zero": 0}
+
+# certificate fields that must be lists, by the name the error gives
+MALFORMED_LISTS = {
+    "left": {"backend": "zperiodic", "left": 5, "right": [Z_ALL], "pieces": []},
+    "right": {"backend": "zperiodic", "left": [Z_ALL], "right": 5, "pieces": []},
+    "moves": {"backend": "zperiodic", "left": [Z_ALL], "right": [Z_ALL], "pieces": [],
+              "moves": 5},
+    "left[0].args": {"backend": "f2", "left": [{"op": "union", "args": 5}],
+                     "right": [F2_ALL], "pieces": []},
+}
 
 
 @pytest.fixture(scope="module")
@@ -623,6 +637,17 @@ class TestSerialEdges:
         code, _, err = run(capsys, ["cert-verify", str(p)])
         assert code == 1
         assert err.startswith("input error: left[0]: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", sorted(MALFORMED_LISTS))
+    def test_non_list_field_is_an_input_error(self, tmp_path, capsys, where):
+        doc = MALFORMED_LISTS[where]
+        with pytest.raises(MalformedCertificateError, match=re.escape(f"{where}: ")):
+            certificate_from_dict(doc)
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["cert-verify", str(p)])
+        assert code == 1
+        assert err.startswith(f"input error: {where}: ") and "Traceback" not in err
 
     def test_non_utf8_files_name_their_path(self, tmp_path):
         p = tmp_path / "latin1.json"

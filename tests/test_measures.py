@@ -65,6 +65,7 @@ from typemonoid.lp import exact_lp_feasible
 from typemonoid.partial_bijection import PartialBijection
 from typemonoid.serial import space_from_dict
 from typemonoid.spaces import build_space, pullback, with_trivial_symmetry
+from typemonoid.suites import corpus_with_fixtures
 from typemonoid.types import TypeEngine, relation_basis
 
 
@@ -88,6 +89,18 @@ def measure_to_T_spec(measure):
 
 def zero_T_measure(ss):
     return TMeasureSpec(ss, ExtendedRationalTarget(), (Fraction(0),) * ss.n_atoms)
+
+
+def reference_null_ideal(engine, e):
+    """The walk `null_ideal` replaced: every measurable set whose
+    hierarchical value at e is decided equal to the scale zero."""
+    zero = HierarchicalValue(e, "member", member=ExtVec((0,) * engine.n, e.omega_support))
+    out = []
+    for aset in engine.statspace.space.all_measurable_sets():
+        val = hierarchical_measure(engine, e, aset)
+        if val.kind == "member" and hierarchical_eq(engine, val, zero):
+            out.append(aset)
+    return out
 
 
 def check_null_ideal_closure(ideal):
@@ -939,6 +952,21 @@ class TestNullIdeal:
             for e in lat:
                 ideal = null_ideal(eng, e)
                 assert not check_null_ideal_closure(ideal), (ss, e)
+
+    def test_agrees_with_the_hierarchical_walk(self):
+        entries = corpus_with_fixtures(2024) + random_corpus(seed=7)
+        scales = 0
+        for entry in entries:
+            eng, lat = setup_space(entry.statspace)
+            for e in lat:
+                assert null_ideal(eng, e) == reference_null_ideal(eng, e), (entry.name, e)
+                scales += 1
+        assert scales > len(entries)
+
+    def test_non_scale_refused(self):
+        eng, _ = setup_space(parity_space())
+        with pytest.raises(ContractError):
+            null_ideal(eng, IdempotentElement(4, frozenset({0})))
 
 
 class TestExtension:

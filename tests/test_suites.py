@@ -1,9 +1,11 @@
 import pytest
 
 from typemonoid import suites
-from typemonoid.congruence import Budget
-from typemonoid.corpus import CorpusEntry, parity_space
+from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, Budget, Decision
+from typemonoid.corpus import CorpusEntry, fixture_spaces, parity_space, statspace_from_maps
+from typemonoid.spaces import pullback
 from typemonoid.suites import _Tally
+from typemonoid.types import TypeEngine
 
 
 class _NoFormat:
@@ -43,3 +45,118 @@ def test_every_engine_runs_under_the_given_budget(monkeypatch, name):
     suites.SUITES[name]([entry], budget=budget)
     # theorem1 also builds an engine per end of each morphism pair
     assert seen and all(b is budget for b in seen)
+
+
+# ---------------------------------------------------------------------------
+# The exhaustive law loops, kept as references for the reduced checks of
+# run_theorem1_suite and measures.continuity_suite
+
+
+def reference_additivity(eng):
+    """[A] + [B] = [A | B] over every unordered disjoint pair (3^n)."""
+    sets = eng.statspace.space.all_measurable_sets()
+    failures = []
+    for i, a in enumerate(sets):
+        for b in sets[i:]:
+            if a & b:
+                continue
+            d = eng.decide_equal(eng.abar_of_set(a) + eng.abar_of_set(b), eng.abar_of_set(a | b))
+            if d.verdict != EQUAL:
+                failures.append(("additivity", a, b, d.verdict))
+    return failures
+
+
+def reference_stationarity(eng):
+    """[pre_s(A)] = [A] over every element s and set A (|M| 2^n)."""
+    failures = []
+    for s in range(eng.statspace.monoid.order):
+        for a in eng.statspace.space.all_measurable_sets():
+            d = eng.decide_equal(eng.abar_of_set(pullback(eng.statspace, s, a)), eng.abar_of_set(a))
+            if d.verdict != EQUAL:
+                failures.append(("stationarity", s, a, d.verdict))
+    return failures
+
+
+def reference_monotone_subadditive(eng):
+    """[A] <= [B] for A inside B, and [A | B] <= [A] + [B], over every
+    ordered pair of sets (4^n)."""
+    sets = eng.statspace.space.all_measurable_sets()
+    failures = []
+    for a in sets:
+        for b in sets:
+            if a <= b:
+                d = eng.decide_leq(eng.type_of(a), eng.type_of(b))
+                if d.verdict != LEQ:
+                    failures.append(("monotone", a, b, d.verdict))
+            bound = eng.type_add(eng.type_of(a), eng.type_of(b))
+            d = eng.decide_leq(eng.type_of(a | b), bound)
+            if d.verdict != LEQ:
+                failures.append(("subadditive", a, b, d.verdict))
+    return failures
+
+
+def test_reduced_laws_agree_with_the_references():
+    small = [e for e in suites.corpus_with_fixtures(2024) if e.statspace.n_atoms <= 4]
+    assert {e.name for e in small} >= {f"fixture_{name}" for name in fixture_spaces()}
+    for run in (suites.run_theorem1_suite, suites.run_theorem3_suite):
+        rep = run(small)
+        assert rep["failures"] == [] and rep["unknown"] == 0
+    for entry in small:
+        eng = TypeEngine(entry.statspace)
+        for reference in (reference_additivity, reference_stationarity,
+                          reference_monotone_subadditive):
+            assert reference(eng) == [], (entry.name, reference.__name__)
+
+
+PARITY = [CorpusEntry(name="parity", statspace=parity_space(), kind="random")]
+
+
+def test_tampered_set_vector_is_caught(monkeypatch):
+    """abar_of_set({0, 1}) answering the vector of atom 0 breaks
+    additivity, in the reference loop and in the one-atom splits."""
+    original = TypeEngine.abar_of_set
+
+    def tampered(self, atoms):
+        return original(self, frozenset({0}) if atoms == {0, 1} else atoms)
+
+    monkeypatch.setattr(TypeEngine, "abar_of_set", tampered)
+    assert ("additivity", frozenset({0}), frozenset({1}), NOT_EQUAL) in reference_additivity(
+        TypeEngine(parity_space())
+    )
+    failures = suites.run_theorem1_suite(PARITY)["failures"]
+    assert f"parity: additivity {frozenset({0})} {frozenset({1})}" in failures
+
+
+def test_tampered_one_atom_step_is_caught(monkeypatch):
+    """decide_leq answering not_leq for [{0}] <= [{0, 1}] breaks
+    monotonicity, in the reference loop and in the one-atom steps."""
+    original = TypeEngine.decide_leq
+
+    def tampered(self, p, q):
+        d = original(self, p, q)
+        if (self._vec(p), self._vec(q)) == (self._vec({0}), self._vec({0, 1})):
+            return Decision(NOT_LEQ, {}, d.budget)
+        return d
+
+    monkeypatch.setattr(TypeEngine, "decide_leq", tampered)
+    step = ("monotone", frozenset({0}), frozenset({0, 1}), NOT_LEQ)
+    assert step in reference_monotone_subadditive(TypeEngine(parity_space()))
+    failures = suites.run_theorem3_suite(PARITY)["failures"]
+    assert f"parity: {step}" in failures
+
+
+def test_twelve_atom_cycle_runs_every_law_suite():
+    """One rotation of 12 points: the one-atom reductions keep theorem1
+    and theorem3 to n 2^n decisions, where the references walk 4^12
+    pairs."""
+    n = 12
+    rotation = tuple((i + 1) % n for i in range(n))
+    ss = statspace_from_maps([str(i) for i in range(n)], [[i] for i in range(n)], [rotation])
+    entries = [CorpusEntry(name="cyclic12", statspace=ss, kind="random")]
+    reports = [run(entries) for run in (
+        suites.run_theorem1_suite, suites.run_theorem3_suite, suites.run_soundness_audit
+    )]
+    for rep in reports:
+        assert rep["failures"] == [] and rep["unknown"] == 0, rep["suite"]
+    # a monotone and a subadditive check per one-atom step
+    assert reports[1]["checks"] >= 2 * n * 2 ** (n - 1)
