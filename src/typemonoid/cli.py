@@ -31,7 +31,6 @@ from .errors import (
 )
 from .lattice import enumerate_idempotents, idempotent_of
 from .measures import PARADOX_LIMIT, is_paradoxical, synthesize_classical_measure
-from .monoid import check_inverse_monoid
 from .serial import (
     SpaceFormatError,
     load_certificate,
@@ -94,8 +93,8 @@ def cmd_space_check(args) -> int:
     started = time.perf_counter()
     report = _base_report(args, "space-check")
     ss = load_space(args.space)
-    mon = check_inverse_monoid(ss.monoid)
     act = validate_action(ss)
+    mon = act.monoid
     report["monoid"] = {
         "order": ss.monoid.order,
         "valid": mon.valid,
@@ -414,7 +413,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["theorem1", "theorem2", "theorem3", "tarski", "soundness"],
     )
     p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--count", type=int, default=60, help="random spaces to generate")
+    p.add_argument(
+        "--count", type=_nonnegative_int, default=60, help="random spaces to generate"
+    )
     p.set_defaults(func=cmd_corpus)
     return ap
 

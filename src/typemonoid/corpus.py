@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from .errors import ClosureCapError
+from .errors import CarrierMismatchError, ClosureCapError
 from .monoid import InverseMonoidTable
-from .partial_bijection import PartialBijection, closure, monoid_closure
+from .partial_bijection import PartialBijection, closure, invert, monoid_closure
 from .spaces import (
     StatMorphism,
     StatSpace,
@@ -42,21 +42,47 @@ def transformation_closure(
     return monoid_closure(seed, lambda f, g: tuple(f[x] for x in g), cap)
 
 
-def _labelled_table(table: InverseMonoidTable, elems: Sequence, generators: Sequence,
-                    gen_labels: Sequence[str]) -> InverseMonoidTable:
-    """The closed monoid with labels: "1" for the unit, gen_labels[k] for
-    generator k (unless an earlier label took its element), and "s<i>"
-    for every other element i."""
+def _presented_space(
+    points: Sequence[str],
+    atoms: Sequence[Sequence[int]],
+    seed: Sequence[Hashable],
+    generators: Sequence[Hashable],
+    gen_labels: Sequence[str],
+    point_map: Callable[[Hashable], Tuple[int, ...]],
+    close: Callable[[], Tuple[InverseMonoidTable, List]],
+) -> StatSpace:
+    """The space of a closure seed: the unit, then the generators.
+
+    Its elements are numbered as `monoid_closure` numbers a seed, repeats
+    dropped, and labelled "1" for the unit, gen_labels[k] for generator k
+    (unless an earlier label took its element), and "s<i>" for every other
+    element i.  `close()` builds the whole table when it is first read.
+    """
     if gen_labels and len(gen_labels) != len(generators):
         raise ValueError("one label per generator required")
-    labels = ["s%d" % i for i in range(table.order)]
-    labels[table.unit] = "1"
-    if gen_labels:
-        for k, g in enumerate(generators):
-            gi = elems.index(g)
-            if labels[gi] == "s%d" % gi:
-                labels[gi] = gen_labels[k]
-    return replace(table, labels=tuple(labels))
+    elems = list(dict.fromkeys(seed))
+    labels = ["1"] + ["s%d" % i for i in range(1, len(elems))]
+    for g, label in zip(generators, gen_labels):
+        gi = elems.index(g)
+        if labels[gi] == "s%d" % gi:
+            labels[gi] = label
+    labelled_maps = tuple(zip(labels, map(point_map, elems)))
+
+    def closed():
+        table, all_elems = close()
+        k = len(labelled_maps)
+        labels_all = [label for label, _ in labelled_maps]
+        labels_all += ["s%d" % i for i in range(k, table.order)]
+        action = [row for _, row in labelled_maps]
+        action += [point_map(f) for f in all_elems[k:]]
+        return replace(table, labels=tuple(labels_all)), tuple(action)
+
+    return StatSpace(
+        space=build_space(points, atoms),
+        given=tuple(elems),
+        close=closed,
+        seed=labelled_maps,
+    )
 
 
 def statspace_from_maps(
@@ -66,11 +92,14 @@ def statspace_from_maps(
     gen_labels: Sequence[str] = (),
     cap: int = 64,
 ) -> StatSpace:
-    """Build a StatSpace from total generator maps, closing the monoid."""
-    space = build_space(points, atoms)
-    table, elems = transformation_closure(generators, len(points), cap=cap)
-    table = _labelled_table(table, elems, [tuple(g) for g in generators], gen_labels)
-    return StatSpace(space=space, monoid=table, action=tuple(elems))
+    """A StatSpace of total generator maps; the monoid is closed under
+    `cap` when its table is first read."""
+    gens = [tuple(g) for g in generators]
+    n = len(points)
+    return _presented_space(
+        points, atoms, [tuple(range(n))] + gens, gens, gen_labels, tuple,
+        lambda: transformation_closure(gens, n, cap=cap),
+    )
 
 
 def totalize(f: PartialBijection, sink: int) -> Tuple[int, ...]:
@@ -90,16 +119,23 @@ def statspace_from_partial_maps(
 
     The sink must avoid every generator's domain and image; undefined
     points are sent to it, which turns the abstract closure table into a
-    genuine action by total maps.
+    genuine action by total maps.  The generators of the space are each
+    generator and its inverse, totalized; the monoid is closed under
+    `cap` when its table is first read.
     """
-    for g in generators:
+    gens = list(generators)
+    n = len(points)
+    seed = [PartialBijection.identity(n)]
+    for g in gens:
+        if g.carrier != n:
+            raise CarrierMismatchError("generator carrier mismatch")
         if sink in g.domain or sink in g.image:
             raise ValueError("sink point must avoid generator domains and images")
-    space = build_space(points, atoms)
-    table, elems = closure(list(generators), len(points), cap=cap)
-    table = _labelled_table(table, elems, generators, gen_labels)
-    action = tuple(totalize(f, sink) for f in elems)
-    return StatSpace(space=space, monoid=table, action=action)
+        seed += [g, invert(g)]
+    return _presented_space(
+        points, atoms, seed, gens, gen_labels, lambda f: totalize(f, sink),
+        lambda: closure(gens, n, cap=cap),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +166,7 @@ def collapse_space() -> StatSpace:
     table = InverseMonoidTable(
         order=2, unit=0, mul=((0, 1), (1, 1)), labels=("1", "e")
     )
-    return StatSpace(space=space, monoid=table, action=((0, 1), (0, 0)))
+    return StatSpace.from_table(space, table, ((0, 1), (0, 0)))
 
 
 def cyclic4_space() -> StatSpace:
@@ -173,7 +209,7 @@ def parity_to_two_point_morphism() -> StatMorphism:
         source=src,
         target=tgt,
         point_map=(0, 1, 0, 1),
-        fstar=(src.monoid.unit,),
+        fstar=(src.unit,),
     )
 
 
@@ -182,10 +218,8 @@ def parity_shadow_space() -> StatSpace:
     src = parity_space()
     space = build_space(["even", "odd"], [[0], [1]])
     ident = (0, 1)
-    return StatSpace(
-        space=space,
-        monoid=src.monoid,
-        action=tuple(ident for _ in range(src.monoid.order)),
+    return StatSpace.from_table(
+        space, src.monoid, tuple(ident for _ in range(src.monoid.order))
     )
 
 
@@ -250,11 +284,11 @@ def _try_space(
     result is not a valid action."""
     try:
         ss = build([str(i) for i in range(n)], atoms, *args, cap=max_order + 1)
+        if ss.monoid.order > max_order:
+            return None
     except (ClosureCapError, ValueError):
         return None
-    if ss.monoid.order > max_order or not validate_action(ss).valid:
-        return None
-    return ss
+    return ss if validate_action(ss).valid else None
 
 
 def _random_group_space(
@@ -351,7 +385,7 @@ def corpus_morphism_pairs(
         source=m3.target,
         target=with_trivial_symmetry(m3.target.space),
         point_map=(0, 1),
-        fstar=(m3.target.monoid.unit,),
+        fstar=(m3.target.unit,),
     )
     pairs.append((m4, m3))
     for e in entries:
@@ -363,7 +397,7 @@ def corpus_morphism_pairs(
             source=ss,
             target=trivialized,
             point_map=tuple(range(len(ss.space.points))),
-            fstar=(ss.monoid.unit,),
+            fstar=(ss.unit,),
         )
         to_point = StatMorphism(
             source=trivialized,

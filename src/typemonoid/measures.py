@@ -35,12 +35,11 @@ monotone / aparadoxical) and the extension of a measure through the
 hierarchical measure at its null scale both reduce to target decisions,
 each flag by an exact rule:
 
-- Stationarity is checked on a generating set of the monoid.  The action
+- Stationarity is checked on the space's generators.  The action
   composes, pre_st = pre_t o pre_s, and the preimages under t of the
   disjoint atoms of pre_s(a) are disjoint, so a measure stationary under
-  s and t is stationary under st.  Every element before the first
-  failing one is generated by passing generators, so the first failing
-  element is itself a generator.
+  s and t is stationary under st, and one stationary under every
+  generator is stationary under every element.
 - Monotonicity.  A combination of atom values that sums to zero uses
   only unit values (x + y = 0 makes x a unit), so a measure whose
   non-null atoms have no unit value is monotone.  `is_unit` is exact on
@@ -98,7 +97,6 @@ from .lattice import (
     idempotent_of,
     scale_covers,
 )
-from .monoid import generating_set
 from .spaces import AtomSet, StatSpace, pullback
 from .types import AbarElement, TarskiType, TypeEngine
 
@@ -133,21 +131,24 @@ class RationalStationaryMeasure:
         return sum((self.finite_values[a] for a in atoms), Fraction(0))
 
     def check(self) -> List[str]:
-        """Stationarity for every symmetry, checked on single atoms.
+        """Stationarity for every symmetry, checked on the unit and the
+        space's generators and on single atoms.
 
-        This is the check over every measurable set: preimages of
-        disjoint atoms are disjoint, so finite values add up, and the
-        preimage of A meets the infinite atoms exactly when the preimage
-        of some atom of A does.  The values are scaled once to integers
-        over their common denominator, and one pass over each atom map
-        sums the preimage of every atom.
+        This is the check over every element and every measurable set:
+        stationarity under the generators gives it under their products
+        (the module docstring), preimages of disjoint atoms are disjoint,
+        so finite values add up, and the preimage of A meets the infinite
+        atoms exactly when the preimage of some atom of A does.  The
+        values are scaled once to integers over their common denominator,
+        and one pass over each atom map sums the preimage of every atom.
         """
         ss = self.statspace
         n, inf = ss.n_atoms, self.infinite_atoms
         den = math.lcm(*(v.denominator for v in self.finite_values))
         ints = [v.numerator * (den // v.denominator) for v in self.finite_values]
         problems = []
-        for s, amap in enumerate(ss.atom_maps):
+        for s in (ss.unit, *ss.generators):
+            amap = ss.atom_map(s)
             sums = [0] * n
             meets_inf = [False] * n
             for b, a in enumerate(amap):
@@ -437,7 +438,7 @@ def _unit_witness(spec: TMeasureSpec, a: int) -> dict:
 
 
 def classify_T_measure(spec: TMeasureSpec) -> TMeasureFlags:
-    """Stationarity on a generating set of the monoid; monotonicity from
+    """Stationarity on the space's generators; monotonicity from
     the units of the target; aparadoxicality as extremality of the
     idempotent each single atom reaches by countable self-sums.  The
     module docstring gives the argument for each rule.
@@ -447,7 +448,7 @@ def classify_T_measure(spec: TMeasureSpec) -> TMeasureFlags:
     n = ss.n_atoms
     details: Dict[str, object] = {}
     stationary = True
-    for s in generating_set(ss.monoid):
+    for s in ss.generators:
         for a in range(n):
             pre = pullback(ss, s, frozenset({a}))
             d = t.eq(spec.value_of_atoms(pre), spec.assignment[a])

@@ -2,8 +2,10 @@
 
 Space files are JSON: `points` (labels), `atoms` (lists of point
 indices or labels), and either an explicit `monoid` table with an
-`action` map, or `generators` given as partial point maps that get
-closed into an inverse monoid acting through a designated sink point.
+`action` map, or `generators` given as point maps, total or partial
+with a designated sink point that undefined points go to.  A space keeps
+its generators, and closes them into a table only where every element
+is needed (`spaces.StatSpace`).
 Set expressions on the command line are comma-separated atom indices
 or atom labels; the empty string is the empty set.
 
@@ -183,7 +185,7 @@ def space_from_dict(doc: Dict) -> StatSpace:
     missing = [labels[s] for s in range(order) if action[s] is None]
     if missing:
         _fail("action", f"missing point maps for {missing}")
-    return StatSpace(space=space, monoid=table, action=tuple(action))
+    return StatSpace.from_table(space, table, action)
 
 
 def _read_json(path: str, error: type):

@@ -4,21 +4,24 @@ A space is a finite point set with an atom partition; measurable sets are
 exactly the unions of atoms and are represented as frozensets of atom
 indices.  An action assigns to every monoid element a total point map such
 that preimages of atoms are measurable; equivalently every element induces
-a map on atoms, which is what the type machinery consumes.  One routine,
-`induced_atom_map`, induces the atom maps of actions and morphisms alike,
-and refuses a point map that splits an atom.
+a map on atoms, which is what the type machinery consumes, for the unit
+and the space's generators only.  One routine, `induced_atom_map`,
+induces the atom maps of actions and morphisms alike, and refuses a point
+map that splits an atom.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
 
 from .errors import NotMeasurableError, SpaceMismatchError
 from .monoid import (
+    InverseMonoidReport,
     InverseMonoidTable,
     check_inverse_monoid,
+    generating_set,
     trivial_monoid,
 )
 
@@ -111,7 +114,7 @@ def _preimage(atom_map: Tuple[int, ...], aset: AtomSet) -> AtomSet:
 
 @dataclass
 class ActionReport:
-    monoid_valid: bool = True
+    monoid: InverseMonoidReport = field(default_factory=InverseMonoidReport)
     unit_acts_as_identity: bool = True
     homomorphism: bool = True
     homomorphism_witness: Optional[Tuple[int, int]] = None
@@ -122,12 +125,15 @@ class ActionReport:
     @property
     def valid(self) -> bool:
         return (
-            self.monoid_valid
+            self.monoid.valid
             and self.unit_acts_as_identity
             and self.homomorphism
             and self.measurable
             and self.total
         )
+
+
+PointMap = Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -138,53 +144,108 @@ class StatSpace:
     (checked by `validate_action`) requires action(unit) = id,
     action(s t) = action(s) ∘ action(t), and measurability of every
     preimage of an atom.
+
+    A space keeps the generators it was given; the decisions, laws and
+    audit read only the unit and them, since their moves generate every
+    move (the `types` docstring).  Built from point maps
+    (`corpus.statspace_from_maps`, `statspace_from_partial_maps`), `seed`
+    holds the label and point map of the unit, element 0, and of each
+    generator, elements 1..k, numbered as the closure numbers its seed.
+    `close` builds the whole table, under the builder's cap, when
+    `monoid` or `action` is first read.  Given by a table (`from_table`),
+    `seed` is empty and the generators are `generating_set(monoid)`.
+    Equality and hashing read `space`, `given` (the seed elements, or the
+    table and action) and `seed`, never the closed table.
     """
 
     space: FiniteMeasurableSpace
-    monoid: InverseMonoidTable
-    action: Tuple[Tuple[int, ...], ...]
+    given: Hashable
+    close: Callable[[], Tuple[InverseMonoidTable, Tuple[PointMap, ...]]] = field(
+        compare=False, repr=False
+    )
+    seed: Tuple[Tuple[str, PointMap], ...] = field(default=(), repr=False)
+    _atom_maps: Dict[int, PointMap] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
+
+    @classmethod
+    def from_table(
+        cls, space: FiniteMeasurableSpace, monoid: InverseMonoidTable,
+        action: Sequence[PointMap],
+    ) -> "StatSpace":
+        closed = (monoid, tuple(action))
+        return cls(space, closed, lambda: closed)
 
     @property
     def n_atoms(self) -> int:
         return self.space.n_atoms
 
     @cached_property
-    def atom_maps(self) -> Tuple[Tuple[int, ...], ...]:
-        """`atom_map(s)` for every element s, computed once per space."""
-        return tuple(self.atom_map(s) for s in range(self.monoid.order))
+    def _closed(self) -> Tuple[InverseMonoidTable, Tuple[PointMap, ...]]:
+        return self.close()
+
+    @property
+    def monoid(self) -> InverseMonoidTable:
+        return self._closed[0]
+
+    @property
+    def action(self) -> Tuple[PointMap, ...]:
+        return self._closed[1]
+
+    @property
+    def unit(self) -> int:
+        return 0 if self.seed else self.monoid.unit
+
+    @cached_property
+    def generators(self) -> Tuple[int, ...]:
+        if self.seed:
+            return tuple(range(1, len(self.seed)))
+        return tuple(generating_set(self.monoid))
+
+    def has_element(self, s: int) -> bool:
+        """Whether s numbers an element; past the unit and the generators
+        this closes the table."""
+        return 0 <= s < len(self.seed) or 0 <= s < self.monoid.order
 
     def atom_map(self, s: int) -> Tuple[int, ...]:
-        """The induced map on atoms: atom b lands inside atom_map[b]."""
-        return induced_atom_map(
-            self.action[s], self.space, self.space, f"element {self.monoid.labels[s]}"
-        )
+        """The induced map on atoms: atom b lands inside atom_map(s)[b].
+        The unit and the generators need no table; any other element
+        closes it."""
+        amap = self._atom_maps.get(s)
+        if amap is None:
+            if 0 <= s < len(self.seed):
+                label, row = self.seed[s]
+            else:
+                label, row = self.monoid.labels[s], self.action[s]
+            amap = induced_atom_map(row, self.space, self.space, f"element {label}")
+            self._atom_maps[s] = amap
+        return amap
 
 
 def validate_action(ss: StatSpace) -> ActionReport:
-    rep = ActionReport()
-    rep.monoid_valid = check_inverse_monoid(ss.monoid).valid
+    mon, action = ss.monoid, ss.action
+    rep = ActionReport(monoid=check_inverse_monoid(mon))
     n_pts = len(ss.space.points)
-    if len(ss.action) != ss.monoid.order or any(
+    if len(action) != mon.order or any(
         len(row) != n_pts or any(not (0 <= q < n_pts) for q in row)
-        for row in ss.action
+        for row in action
     ):
         rep.total = False
         return rep
-    if ss.action[ss.monoid.unit] != tuple(range(n_pts)):
+    if action[mon.unit] != tuple(range(n_pts)):
         rep.unit_acts_as_identity = False
-    for s in range(ss.monoid.order):
-        for t in range(ss.monoid.order):
-            st = ss.monoid.mul[s][t]
-            composed = tuple(ss.action[s][ss.action[t][p]] for p in range(n_pts))
-            if ss.action[st] != composed:
+    for s in range(mon.order):
+        for t in range(mon.order):
+            composed = tuple(action[s][q] for q in action[t])
+            if action[mon.mul[s][t]] != composed:
                 rep.homomorphism = False
                 rep.homomorphism_witness = (s, t)
                 break
         if not rep.homomorphism:
             break
-    for s in range(ss.monoid.order):
+    for s, row in enumerate(action):
         try:
-            ss.atom_map(s)
+            induced_atom_map(row, ss.space, ss.space, f"element {mon.labels[s]}")
         except NotMeasurableError as exc:
             rep.measurable = False
             rep.measurability_witness = (s, exc.atom)
@@ -194,16 +255,12 @@ def validate_action(ss: StatSpace) -> ActionReport:
 
 def pullback(ss: StatSpace, s: int, aset: AtomSet) -> AtomSet:
     """Atoms of the preimage of a measurable set under element s."""
-    return _preimage(ss.atom_maps[s], aset)
+    return _preimage(ss.atom_map(s), aset)
 
 
 def with_trivial_symmetry(space: FiniteMeasurableSpace) -> StatSpace:
     """The same space acted on by the one-element monoid."""
-    return StatSpace(
-        space=space,
-        monoid=trivial_monoid(),
-        action=(tuple(range(len(space.points))),),
-    )
+    return StatSpace.from_table(space, trivial_monoid(), (tuple(range(len(space.points))),))
 
 
 @dataclass

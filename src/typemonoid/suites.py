@@ -43,7 +43,6 @@ from .measures import (
     colimit_increasing,
     cross_check_tarski,
 )
-from .monoid import generating_set
 from .spaces import compose_morphisms, identity_morphism, pullback
 from .types import AUDIT_KINDS, TypeEngine, morphism_type_map
 
@@ -149,7 +148,7 @@ def run_theorem1_suite(
     mu({max A}) for each nonempty A: by induction on |A| that gives
     mu(A) = sum of mu({a}) over a in A, and so mu(A) + mu(B) = mu(A | B)
     for every disjoint pair.  Stationarity is checked as mu(pre_g({a})) =
-    mu({a}) for each generator g of the monoid and each atom a: the
+    mu({a}) for each of the space's generators g and each atom a: the
     preimages of disjoint atoms are disjoint, so additivity extends it to
     every set, and pre_st = pre_t o pre_s extends it to every element.
     """
@@ -194,7 +193,7 @@ def run_theorem1_suite(
                 d.verdict == EQUAL, "{}: omega-fold absorbs a summand {}", name, a
             )
 
-        for g in generating_set(eng.statspace.monoid):
+        for g in eng.statspace.generators:
             for x in range(eng.n):
                 a = frozenset({x})
                 d = eng.decide_equal(

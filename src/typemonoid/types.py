@@ -18,7 +18,7 @@ relations suffice; sums and chains of realizations are realizations.
 Hence the reflexive-transitive-additive closure of the atomic moves and
 the full equidecomposability relation agree wherever both are defined.
 
-Why the moves of a generating set are enough: the action composes, so
+Why the moves of the space's generators suffice: the action composes, so
 pre_st(a) = pre_t(pre_s(a)), and the preimages under t of the disjoint
 atoms of pre_s(a) are disjoint.  Hence [a] ~ [pre_s(a)] followed by the
 move by t of each atom of pre_s(a) reaches [pre_st(a)], and by induction
@@ -64,7 +64,6 @@ from .congruence import (
     zero_vec,
 )
 from .errors import MalformedCertificateError, SpaceMismatchError
-from .monoid import generating_set
 from .spaces import AtomSet, StatMorphism, StatSpace
 
 
@@ -79,21 +78,21 @@ class MoveRelation:
 
 
 def relation_basis(ss: StatSpace) -> List[MoveRelation]:
-    """The distinct nontrivial moves of a generating set of the monoid.
+    """The distinct nontrivial moves of the space's generators.
 
-    For each generator g in `generating_set` order and each atom a, in
-    order, the move [a] ~ [pre_g(a)] is kept unless its two sides agree or
-    an earlier generator gave the same pair.  Path witnesses name these
-    moves by their index.
+    For each generator g, in order, and each atom a, in order, the move
+    [a] ~ [pre_g(a)] is kept unless its two sides agree or an earlier
+    generator gave the same pair.  Path witnesses name these moves by
+    their index.
     """
     out: List[MoveRelation] = []
     seen = set()
     n = ss.n_atoms
     units = [unit_vec(n, a) for a in range(n)]
-    for g in generating_set(ss.monoid):
+    for g in ss.generators:
         # one pass over the atom map: b lies in the preimage of amap[b]
         pre = [[0] * n for _ in range(n)]
-        for b, a in enumerate(ss.atom_maps[g]):
+        for b, a in enumerate(ss.atom_map(g)):
             pre[a][b] = 1
         for a in range(n):
             rhs = tuple(pre[a])
@@ -314,9 +313,9 @@ class TypeEngine:
             raise MalformedCertificateError("realization for a different space")
         if not (len(r.left_pieces) == len(r.right_pieces) == len(r.moves)):
             raise MalformedCertificateError("piece and move counts differ")
-        order = self.statspace.monoid.order
+        ss = self.statspace
         for s, t in r.moves:
-            if not (0 <= s < order and 0 <= t < order):
+            if not (ss.has_element(s) and ss.has_element(t)):
                 raise MalformedCertificateError(f"mover ({s},{t}) out of range")
         for v in (r.left_whole, r.right_whole) + r.left_pieces + r.right_pieces:
             if v.n != self.n:
@@ -335,8 +334,8 @@ class TypeEngine:
         for j, ((s, t), pj, qj) in enumerate(
             zip(r.moves, r.left_pieces, r.right_pieces)
         ):
-            lhs = _pull_back(pj, self.statspace.atom_maps[s])
-            rhs = _pull_back(qj, self.statspace.atom_maps[t])
+            lhs = _pull_back(pj, ss.atom_map(s))
+            rhs = _pull_back(qj, ss.atom_map(t))
             if lhs != rhs:
                 problems.append(
                     f"move equation fails at piece {j}: "
@@ -348,7 +347,7 @@ class TypeEngine:
         """The two-piece realization of a single rewrite step: direction 1
         rewrites lhs to rhs, -1 rhs to lhs."""
         rel = self.relations[rel_index]
-        unit = self.statspace.monoid.unit
+        unit = self.statspace.unit
         if direction == 1:
             src, dst, movers = rel.lhs, rel.rhs, (rel.mover, unit)
         else:

@@ -230,6 +230,22 @@ class TestSpaceCheck:
         code, out, _ = run(capsys, ["space-check", files["partial"]])
         assert code == 0
 
+    @pytest.mark.parametrize("name", ["parity", "badmonoid"])
+    def test_monoid_axioms_checked_once(self, files, capsys, monkeypatch, name):
+        from typemonoid import cli, monoid, spaces
+
+        calls = []
+        check = monoid.check_inverse_monoid
+
+        def counted(table):
+            calls.append(table)
+            return check(table)
+
+        for mod in (monoid, spaces, cli):
+            monkeypatch.setattr(mod, "check_inverse_monoid", counted, raising=False)
+        run(capsys, ["space-check", files[name]])
+        assert len(calls) == 1
+
     def test_noncommuting_idempotents_invalid(self, files, capsys):
         code, out, _ = run(capsys, ["space-check", files["badmonoid"]])
         assert code == 1
@@ -555,8 +571,10 @@ class TestUsage:
             ["--coordinate-cap", "3", "lattice", "f.json"],
             ["no-such-command"],
             ["equi", "f.json", "0"],
+            ["corpus", "--suite", "theorem1", "--count", "-3"],
         ],
-        ids=["unknown-flag", "removed-flag", "unknown-subcommand", "missing-argument"],
+        ids=["unknown-flag", "removed-flag", "unknown-subcommand", "missing-argument",
+             "negative-count"],
     )
     def test_usage_error_exits_1(self, capsys, argv):
         code, out, err = run(capsys, argv)

@@ -231,12 +231,12 @@ def _tampered(m):
     return out
 
 
-def _per_pair_problems(m):
+def _per_pair_problems(m, elements):
     """Reference for the text of RationalStationaryMeasure.check: one
-    pullback and one Fraction sum per (s, atom)."""
+    pullback and one Fraction sum per (s, atom), for s in elements."""
     ss = m.statspace
     out = []
-    for s in range(ss.monoid.order):
+    for s in elements:
         for a in range(ss.n_atoms):
             atom = frozenset({a})
             pre = pullback(ss, s, atom)
@@ -269,7 +269,7 @@ class TestCheck:
     def test_non_invariant_infinite_atom_flagged(self):
         ss = parity_space()
         # the swap moves atom 0, so {0} alone is not forward invariant
-        assert any(amap[0] != 0 for amap in ss.atom_maps)
+        assert any(amap[0] != 0 for amap in map(ss.atom_map, range(ss.monoid.order)))
         bad = RationalStationaryMeasure(ss, (Fraction(0),) * 4, frozenset({0}))
         assert bad.check()
 
@@ -306,7 +306,10 @@ class TestCheck:
                 inf = frozenset(a for a in range(n) if rng.random() < 0.25)
                 t = RationalStationaryMeasure(ss, vals, inf)
                 problems = t.check()
-                assert problems == _per_pair_problems(t), (ss, vals, inf)
+                assert problems == _per_pair_problems(t, (ss.unit, *ss.generators))
+                # stationary under the generators exactly when under every element
+                every = _per_pair_problems(t, range(ss.monoid.order))
+                assert (problems == []) == (every == []), (ss, vals, inf)
                 flagged += bool(problems)
         assert flagged > 0 and stationary
 
@@ -381,7 +384,7 @@ def _valid_infinite_supports(ss, forbidden):
             if all(
                 all(any(amap[b] == a and b in i_set for b in range(n)) for a in i_set)
                 and all(amap[b] in i_set for b in i_set)
-                for amap in ss.atom_maps
+                for amap in map(ss.atom_map, range(ss.monoid.order))
             ):
                 out.append(i_set)
     return out

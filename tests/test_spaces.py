@@ -12,10 +12,12 @@ from typemonoid.corpus import (
     parity_to_two_point_morphism,
     sink_space,
     statspace_from_maps,
+    statspace_from_partial_maps,
     two_point_space,
 )
 from typemonoid.errors import NotMeasurableError, SpaceMismatchError
 from typemonoid.monoid import InverseMonoidTable
+from typemonoid.partial_bijection import PartialBijection
 from typemonoid.spaces import (
     StatMorphism,
     StatSpace,
@@ -90,7 +92,7 @@ class TestValidateAction:
         bad_table = InverseMonoidTable(
             order=2, unit=0, mul=((0, 1), (1, 0)), labels=("1", "e")
         )
-        ss = StatSpace(space=space, monoid=bad_table, action=((0, 1), (0, 0)))
+        ss = StatSpace.from_table(space, bad_table, ((0, 1), (0, 0)))
         rep = validate_action(ss)
         assert not rep.homomorphism
         assert rep.homomorphism_witness == (1, 1)
@@ -99,7 +101,7 @@ class TestValidateAction:
     def test_unit_violation(self):
         space = build_space(["0", "1"], [[0], [1]])
         table = InverseMonoidTable(order=1, unit=0, mul=((0,),))
-        ss = StatSpace(space=space, monoid=table, action=((0, 0),))
+        ss = StatSpace.from_table(space, table, ((0, 0),))
         rep = validate_action(ss)
         assert not rep.unit_acts_as_identity
 
@@ -109,7 +111,7 @@ class TestValidateAction:
             order=2, unit=0, mul=((0, 1), (1, 1)), labels=("1", "s")
         )
         # s fixes 0 but moves 1 into the other atom: preimage of atom 0 is {0}
-        ss = StatSpace(space=space, monoid=table, action=((0, 1, 2), (0, 2, 2)))
+        ss = StatSpace.from_table(space, table, ((0, 1, 2), (0, 2, 2)))
         rep = validate_action(ss)
         assert not rep.measurable
         assert rep.measurability_witness == (1, 0)
@@ -120,8 +122,35 @@ class TestValidateAction:
     def test_totality_violation(self):
         space = build_space(["0"], [[0]])
         table = InverseMonoidTable(order=1, unit=0, mul=((0,),))
-        ss = StatSpace(space=space, monoid=table, action=((5,),))
+        ss = StatSpace.from_table(space, table, ((5,),))
         assert not validate_action(ss).valid
+
+
+class TestPresentation:
+    def test_generators_are_the_first_elements(self):
+        # the closure numbers its seed first, so generator k is element k
+        # before and after the table is closed
+        ss = parity_space()
+        assert ss.unit == 0 and ss.generators == (1, 2)
+        maps = [ss.atom_map(s) for s in (0, 1, 2)]
+        assert "_closed" not in vars(ss)
+        assert ss.action[:3] == ((0, 1, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1))
+        assert ss.monoid.labels[:3] == ("1", "g1", "g2")
+        assert maps == [ss.atom_map(s) for s in (0, 1, 2)]
+
+    def test_equality_reads_the_input(self):
+        def shift(partial, sink=2):
+            if partial:
+                f = PartialBijection.from_dict(3, {0: 1})
+                return statspace_from_partial_maps(["0", "1", "s"], [[0], [1], [2]], [f], sink)
+            return statspace_from_maps(["0", "1", "s"], [[0], [1], [2]], [(1, 2, 2)])
+
+        a, b, total = shift(True), shift(True), shift(False)
+        assert a == b and hash(a) == hash(b) and total != a
+        assert all("_closed" not in vars(ss) for ss in (a, b, total))
+        # the same totalized map closes to a different table: the partial
+        # one closes the map with its inverse
+        assert (total.monoid.order, a.monoid.order) == (3, 6)
 
 
 class TestPullback:
