@@ -17,6 +17,7 @@ Certificate files mirror the symbolic backends: integer sets as
 """
 
 import json
+from collections import Counter
 from contextlib import contextmanager
 from typing import Dict, List, Tuple
 
@@ -60,13 +61,30 @@ def _field(where: str, error: type = SpaceFormatError):
         raise error(f"{where}: {exc}") from exc
 
 
+def _list(value, where: str, error: type = SpaceFormatError) -> list:
+    """A list-valued field; anything else, a string included, raises
+    `error` at `where`."""
+    if not isinstance(value, list):
+        raise error(f"{where}: expected a list")
+    return value
+
+
+def _labels(value, where: str) -> List[str]:
+    """The labels of a list-valued field, as strings; a repeated label
+    is refused, naming it."""
+    labels = [str(x) for x in _list(value, where)]
+    repeated = [x for x, k in Counter(labels).items() if k > 1]
+    if repeated:
+        _fail(where, f"repeated label {repeated[0]!r}")
+    return labels
+
+
 def space_from_dict(doc: Dict) -> StatSpace:
     if not isinstance(doc, dict):
         _fail("document", "expected a JSON object")
-    points = doc.get("points")
-    if not isinstance(points, list) or not points:
+    points = _labels(doc.get("points"), "points")
+    if not points:
         _fail("points", "expected a nonempty list of labels")
-    points = [str(p) for p in points]
     index = {p: i for i, p in enumerate(points)}
 
     def point_ref(v, where):
@@ -83,11 +101,11 @@ def space_from_dict(doc: Dict) -> StatSpace:
             _fail(where, f"point index {v} out of range")
         return v
 
-    atoms_doc = doc.get("atoms")
-    if not isinstance(atoms_doc, list) or not atoms_doc:
+    atoms_doc = _list(doc.get("atoms"), "atoms")
+    if not atoms_doc:
         _fail("atoms", "expected a nonempty list of point lists")
     atoms = [
-        [point_ref(p, f"atoms[{i}]") for p in block]
+        [point_ref(p, f"atoms[{i}]") for p in _list(block, f"atoms[{i}]")]
         for i, block in enumerate(atoms_doc)
     ]
     with _field("atoms"):
@@ -99,8 +117,8 @@ def space_from_dict(doc: Dict) -> StatSpace:
         _fail("monoid", "give either monoid+action or generators, not both")
 
     if has_generators:
-        gens_doc = doc["generators"]
-        if not isinstance(gens_doc, list) or not gens_doc:
+        gens_doc = _list(doc["generators"], "generators")
+        if not gens_doc:
             _fail("generators", "expected a nonempty list of point maps")
         maps = []
         for k, g in enumerate(gens_doc):
@@ -114,8 +132,7 @@ def space_from_dict(doc: Dict) -> StatSpace:
                     for a, b in g.items()
                 }
             )
-        with _field("generator_labels"):
-            labels = [str(x) for x in doc.get("generator_labels", [])]
+        labels = [str(x) for x in _list(doc.get("generator_labels", []), "generator_labels")]
         if "sink" not in doc:
             for k, m in enumerate(maps):
                 if len(m) != len(points):
@@ -143,12 +160,10 @@ def space_from_dict(doc: Dict) -> StatSpace:
     mon_doc = doc["monoid"]
     if not isinstance(mon_doc, dict):
         _fail("monoid", "expected an object")
-    mul = mon_doc.get("table")
-    if not isinstance(mul, list):
-        _fail("monoid.table", "expected a multiplication table")
+    mul = _list(mon_doc.get("table"), "monoid.table")
     order = len(mul)
+    rows = tuple(tuple(_list(row, f"monoid.table[{i}]")) for i, row in enumerate(mul))
     with _field("monoid"):
-        rows = tuple(tuple(row) for row in mul)
         unit = mon_doc.get("unit", 0)
         if any(type(x) is not int for x in (unit, *(x for row in rows for x in row))):
             raise TypeError("table entries and the unit must be integers")
@@ -156,7 +171,7 @@ def space_from_dict(doc: Dict) -> StatSpace:
             order=order,
             unit=unit,
             mul=rows,
-            labels=tuple(str(x) for x in mon_doc.get("labels", range(order))),
+            labels=tuple(_labels(mon_doc.get("labels", list(range(order))), "monoid.labels")),
         )
     labels = table.labels
     action_doc = doc["action"]
@@ -238,18 +253,11 @@ def _zset_from_doc(doc, where: str):
     with _field(where, MalformedCertificateError):
         if "halfline" in doc:
             return HalfLine(int(doc["halfline"]))
-        return ep_set(
-            int(doc["mod"]),
-            [int(r) for r in doc.get("residues", [])],
-            add=[int(x) for x in doc.get("add", [])],
-            remove=[int(x) for x in doc.get("remove", [])],
+        residues, add, remove = (
+            [int(x) for x in _list(doc.get(key, []), f"{where}.{key}", MalformedCertificateError)]
+            for key in ("residues", "add", "remove")
         )
-
-
-def _list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise MalformedCertificateError(f"{where}: expected a list")
-    return value
+        return ep_set(int(doc["mod"]), residues, add=add, remove=remove)
 
 
 _F2_OPS = {
@@ -267,10 +275,8 @@ def _f2_from_doc(doc, where: str):
             raise MalformedCertificateError(f"{where}: {exc}") from exc
     if isinstance(doc, dict) and "op" in doc:
         op = doc["op"]
-        args = [
-            _f2_from_doc(a, f"{where}.args[{i}]")
-            for i, a in enumerate(_list(doc.get("args", []), f"{where}.args"))
-        ]
+        items = _list(doc.get("args", []), f"{where}.args", MalformedCertificateError)
+        args = [_f2_from_doc(a, f"{where}.args[{i}]") for i, a in enumerate(items)]
         if op == "complement":
             if len(args) != 1:
                 raise MalformedCertificateError(f"{where}: complement takes one set")
@@ -292,7 +298,8 @@ def certificate_from_dict(doc: Dict) -> Certificate:
         raise MalformedCertificateError(f"certificate: unknown backend {backend!r}")
     parse = _zset_from_doc if backend == "zperiodic" else _f2_from_doc
     left, right = (
-        tuple(parse(w, f"{side}[{i}]") for i, w in enumerate(_list(doc.get(side, []), side)))
+        tuple(parse(w, f"{side}[{i}]") for i, w in enumerate(
+            _list(doc.get(side, []), side, MalformedCertificateError)))
         for side in ("left", "right")
     )
     if not left or not right:
@@ -310,7 +317,7 @@ def certificate_from_dict(doc: Dict) -> Certificate:
             copy = int(p.get("copy", 0))
         pieces.append((copy, parse(p.get("set"), f"pieces[{i}].set")))
     moves = []
-    for i, m in enumerate(_list(doc.get("moves", []), "moves")):
+    for i, m in enumerate(_list(doc.get("moves", []), "moves", MalformedCertificateError)):
         if not isinstance(m, dict):
             raise MalformedCertificateError(f"moves[{i}]: expected an object")
         mover = m.get("mover")

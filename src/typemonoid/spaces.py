@@ -223,6 +223,20 @@ class StatSpace:
 
 
 def validate_action(ss: StatSpace) -> ActionReport:
+    """Check the monoid table, then the action laws on the generators.
+
+    The action laws are stated over a monoid, so the report stops after
+    the monoid's when associativity or the unit law fails, as it does
+    when the action is not total.  Then action(s g) = action(s) ∘
+    action(g) is checked for every s and every g in `ss.generators`.
+    Given action(unit) = id, that is exact: every t is reached from the
+    unit by right multiplication by generators, and by induction on that
+    word action(s (t' g)) = action((s t') g) = action(s t') ∘ action(g)
+    = action(s) ∘ action(t') ∘ action(g) = action(s) ∘ action(t' g).
+    Measurability is checked on the generators, through `ss.atom_map`,
+    the cached atom maps the engine reads: every other element then acts
+    as a composite of measurable maps.
+    """
     mon, action = ss.monoid, ss.action
     rep = ActionReport(monoid=check_inverse_monoid(mon))
     n_pts = len(ss.space.points)
@@ -232,23 +246,21 @@ def validate_action(ss: StatSpace) -> ActionReport:
     ):
         rep.total = False
         return rep
+    if not (rep.monoid.associative and rep.monoid.unit_ok):
+        return rep
     if action[mon.unit] != tuple(range(n_pts)):
         rep.unit_acts_as_identity = False
-    for s in range(mon.order):
-        for t in range(mon.order):
-            composed = tuple(action[s][q] for q in action[t])
-            if action[mon.mul[s][t]] != composed:
-                rep.homomorphism = False
-                rep.homomorphism_witness = (s, t)
-                break
-        if not rep.homomorphism:
-            break
-    for s, row in enumerate(action):
+    rep.homomorphism_witness = next((
+        (s, g) for s in range(mon.order) for g in ss.generators
+        if action[mon.mul[s][g]] != tuple(action[s][q] for q in action[g])
+    ), None)
+    rep.homomorphism = rep.homomorphism_witness is None
+    for g in ss.generators:
         try:
-            induced_atom_map(row, ss.space, ss.space, f"element {mon.labels[s]}")
+            ss.atom_map(g)
         except NotMeasurableError as exc:
             rep.measurable = False
-            rep.measurability_witness = (s, exc.atom)
+            rep.measurability_witness = (g, exc.atom)
             return rep
     return rep
 
@@ -293,7 +305,10 @@ class StatMorphism:
     f-preimages intertwines the two actions:
     f^{-1}(t^{-1} B) = fstar(t)^{-1}(f^{-1} B) for all t and measurable B.
     Checking this on atoms B suffices: both sides are preimage operators,
-    so they commute with unions of atoms.
+    so they commute with unions of atoms.  Both ends are valid spaces (a
+    morphism of spaces presupposes them), so the homomorphism law of
+    fstar and equivariance hold for every t once they hold for the
+    target's generators (`validate_morphism`).
     """
 
     source: StatSpace
@@ -317,6 +332,20 @@ class StatMorphism:
 
 
 def validate_morphism(m: StatMorphism) -> MorphismReport:
+    """Check the point map, then fstar and equivariance on the target's
+    generators.
+
+    This is exact between valid spaces, which a morphism of spaces
+    presupposes.  Every t is reached from the unit by right
+    multiplication by generators g.  Given fstar(unit) = unit and the law
+    on T × generators, fstar(t (t' g)) = fstar((t t') g)
+    = fstar(t) fstar(t') fstar(g) = fstar(t) fstar(t' g) by induction on
+    the word.  Preimages compose as pre_{t g} = pre_g ∘ pre_t in both
+    spaces, and f^{-1} and both preimages commute with unions of atoms,
+    so equivariance at t and at g gives it at t g:
+    f^{-1} pre_g pre_t B = pre_{fstar(g)} pre_{fstar(t)} f^{-1} B
+    = pre_{fstar(t) fstar(g)} f^{-1} B = pre_{fstar(t g)} f^{-1} B.
+    """
     rep = MorphismReport()
     n_src = len(m.source.space.points)
     n_tgt = len(m.target.space.points)
@@ -337,21 +366,18 @@ def validate_morphism(m: StatMorphism) -> MorphismReport:
         return rep
     if m.fstar[T.unit] != S.unit:
         rep.fstar_unit = False
-    for t1 in range(T.order):
-        for t2 in range(T.order):
-            if m.fstar[T.mul[t1][t2]] != S.mul[m.fstar[t1]][m.fstar[t2]]:
-                rep.fstar_homomorphism = False
-                rep.fstar_witness = (t1, t2)
-                break
-        if rep.fstar_witness:
-            break
-    for t in range(T.order):
+    rep.fstar_witness = next((
+        (t, g) for t in range(T.order) for g in m.target.generators
+        if m.fstar[T.mul[t][g]] != S.mul[m.fstar[t]][m.fstar[g]]
+    ), None)
+    rep.fstar_homomorphism = rep.fstar_witness is None
+    for g in m.target.generators:
         for b in range(m.target.n_atoms):
-            lhs = m.preimage_atomset(pullback(m.target, t, frozenset([b])))
-            rhs = pullback(m.source, m.fstar[t], m.preimage_atoms(b))
+            lhs = m.preimage_atomset(pullback(m.target, g, frozenset([b])))
+            rhs = pullback(m.source, m.fstar[g], m.preimage_atoms(b))
             if lhs != rhs:
                 rep.equivariant = False
-                rep.equivariance_witness = (t, b)
+                rep.equivariance_witness = (g, b)
                 return rep
     return rep
 

@@ -41,6 +41,20 @@ def differential_spaces():
     return out
 
 
+def structure_spaces():
+    """(name, StatSpace) for `corpus_with_fixtures` at seeds 2024 and 7 and
+    the hard-finite sample: up to 8 atoms and monoids of up to 60
+    elements."""
+    from typemonoid.corpus import random_corpus
+    from typemonoid.suites import corpus_with_fixtures
+
+    out = []
+    for seed in (2024, 7):
+        out += [(f"seed {seed} {e.name}", e.statspace) for e in corpus_with_fixtures(seed)]
+    hard = random_corpus(seed=12, count=60, max_atoms=8, max_order=60, small_count=0)
+    return out + [(f"hard {e.name}", e.statspace) for e in hard]
+
+
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     results = {}
     for outcome in ("failed", "error", "passed"):

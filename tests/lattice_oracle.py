@@ -5,9 +5,11 @@ of the support closure and reads order, meet and join off the sets.
 Here the elements are the canonical idempotents of all 2^n atom subsets,
 the order is given as pairs and transitively closed, and meet and join
 are found as the unique greatest lower and least upper bounds.  Also
-here: a meet by maximizing intersection types over representatives, and
-a join checked to be the sum.  All of it is exponential; small spaces
-only.
+here: a meet by maximizing intersection types over representatives, a
+join checked to be the sum, and distributivity tested by both laws and
+both absorption laws on every triple of closed sets, the reference for
+`lattice.check_distributive`.  All of it is exponential or cubic; small
+spaces only.
 """
 
 from itertools import combinations
@@ -17,6 +19,7 @@ from typemonoid.congruence import EQUAL, LEQ, ExtVec
 from typemonoid.errors import AmbiguousMaximumError, BudgetExhaustedError
 from typemonoid.lattice import (
     IdempotentElement,
+    IdempotentLattice,
     LatticeError,
     canonical_idempotent,
 )
@@ -230,3 +233,56 @@ def _idempotent_representatives(
             if engine.decide_equal(cand, target).verdict == EQUAL:
                 out.append(cand)
     return out
+
+
+def reference_distributive(lattice):
+    """Both distributive laws and both absorption laws on every pair and
+    triple of closed sets (4 L^3 closures): (ok, counterexample), the
+    counterexample naming lattice elements."""
+    close = lattice.closure
+    element = dict(zip(lattice.closed, lattice.elements))
+    for a in lattice.closed:
+        for b in lattice.closed:
+            ab = close(a | b)
+            if a & ab != a:
+                return False, {"law": "absorption-meet", "a": element[a], "b": element[b]}
+            if close(a | (a & b)) != a:
+                return False, {"law": "absorption-join", "a": element[a], "b": element[b]}
+            for c in lattice.closed:
+                lhs = a & close(b | c)
+                rhs = close((a & b) | (a & c))
+                if lhs != rhs:
+                    return False, {"law": "meet-over-join", "a": element[a], "b": element[b],
+                                   "c": element[c], "lhs": element[lhs], "rhs": element[rhs]}
+                lhs = close(a | (b & c))
+                rhs = ab & close(a | c)
+                if lhs != rhs:
+                    return False, {"law": "join-over-meet", "a": element[a], "b": element[b],
+                                   "c": element[c], "lhs": element[lhs], "rhs": element[rhs]}
+    return True, None
+
+
+def is_meet_over_join_failure(lattice, why) -> bool:
+    """Whether a counterexample of `check_distributive` is a real one:
+    a ^ (b v c) is lhs, (a ^ b) v (a ^ c) is rhs, and they differ."""
+    closed = dict(zip(lattice.elements, lattice.closed))
+    a, b, c = (closed[why[k]] for k in "abc")
+    close = lattice.closure
+    return (
+        why["law"] == "meet-over-join"
+        and a & close(b | c) == closed[why["lhs"]]
+        and close((a & b) | (a & c)) == closed[why["rhs"]]
+        and why["lhs"] != why["rhs"]
+    )
+
+
+def random_closure_lattice(rng, n: int):
+    """The lattice of a seeded random closure system on n points: a few
+    random sets, the whole set, and every intersection of them."""
+    closed = {frozenset(range(n))}
+    for _ in range(rng.randint(1, 2 * n)):
+        new = frozenset(x for x in range(n) if rng.random() < 0.5)
+        closed |= {new} | {new & c for c in closed}
+    return IdempotentLattice(
+        n, lambda s: frozenset.intersection(*(c for c in closed if s <= c))
+    )

@@ -33,45 +33,73 @@ def _table_doc(**monoid):
     }
 
 
-# documents whose values a constructor refuses; each must be an input
-# error naming its field, never a traceback
+# documents whose values a constructor refuses, by the field the error
+# names; each must be an input error naming its field, never a traceback
 MALFORMED_SPACES = {
-    "overlapping atoms": {**_table_doc(), "atoms": [[0, 1], [1]]},
-    "table entry out of range": _table_doc(table=[[0, 1], [1, 5]]),
-    "unit out of range": _table_doc(unit=7),
-    "unit not an index": _table_doc(unit="x"),
-    "sink in a generator's domain": {
+    "overlapping atoms": ("atoms", {**_table_doc(), "atoms": [[0, 1], [1]]}),
+    "table entry out of range": ("monoid", _table_doc(table=[[0, 1], [1, 5]])),
+    "unit out of range": ("monoid", _table_doc(unit=7)),
+    "unit not an index": ("monoid", _table_doc(unit="x")),
+    "sink in a generator's domain": ("generators", {
         "points": ["a", "b", "s"],
         "atoms": [[0], [1], [2]],
         "generators": [{"a": "s"}],
         "sink": "s",
-    },
-    "non-injective partial generator": {
+    }),
+    "non-injective partial generator": ("generators[0]", {
         "points": ["a", "b", "c", "s"],
         "atoms": [[0], [1], [2], [3]],
         "generators": [{"a": "c", "b": "c"}],
         "sink": "s",
-    },
-    "generator labels not a list": {
+    }),
+    "generator labels not a list": ("generator_labels", {
         "points": ["a", "b"],
         "atoms": [[0], [1]],
         "generators": [{"a": "b", "b": "a"}],
         "generator_labels": 5,
-    },
-    "fewer generator labels than generators": {
+    }),
+    "fewer generator labels than generators": ("generators", {
         "points": ["a", "b"],
         "atoms": [[0], [1]],
         "generators": [{"a": "b", "b": "a"}, {"a": "a", "b": "a"}],
         "generator_labels": ["swap"],
-    },
-    "table entry not an integer": {
+    }),
+    "table entry not an integer": ("monoid", {
         "points": ["a"], "atoms": [[0]], "monoid": {"table": [[0.0]]}, "action": {"0": {"0": 0}},
-    },
-    "unit not an integer": _table_doc(unit=0.0),
-    "action names one point twice": {
+    }),
+    "unit not an integer": ("monoid", _table_doc(unit=0.0)),
+    "action names one point twice": ("action[1]", {
         **_table_doc(),
         "action": {"1": {"0": 0, "a": 1}, "e": {"0": 0, "1": 0}},
-    },
+    }),
+    # a JSON string where a list is expected is not read character by
+    # character
+    "atom given as a string": ("atoms[0]", {
+        "points": ["0", "1", "2"],
+        "atoms": ["01", [2]],
+        "generators": [{"0": "0", "1": "1", "2": "2"}],
+    }),
+    "generator labels given as a string": ("generator_labels", {
+        "points": ["a", "b"],
+        "atoms": [[0], [1]],
+        "generators": [{"a": "b", "b": "a"}, {"a": "a", "b": "b"}],
+        "generator_labels": "ab",
+    }),
+    "monoid labels given as a string": ("monoid.labels", {
+        **_table_doc(labels="xy"),
+        "action": {"x": {"0": 0, "1": 1}, "y": {"0": 0, "1": 0}},
+    }),
+    "table row given as a string": ("monoid.table[0]", _table_doc(table=["01", [1, 1]])),
+    # a repeated label would resolve to its last occurrence
+    "repeated point label": ("points", {
+        "points": ["x", "x", "y"],
+        "atoms": [["x"], [1], ["y"]],
+        "generators": [{"0": 0, "1": 1, "2": 2}],
+    }),
+    "repeated monoid label": ("monoid.labels", {
+        **_table_doc(labels=["a", "a"]),
+        "action": {"0": {"0": 0, "1": 1}, "1": {"0": 0, "1": 0}},
+    }),
 }
 
 MALFORMED_MODULI = {"not a number": "x", "null": None, "zero": 0}
@@ -84,6 +112,10 @@ MALFORMED_LISTS = {
               "moves": 5},
     "left[0].args": {"backend": "f2", "left": [{"op": "union", "args": 5}],
                      "right": [F2_ALL], "pieces": []},
+    "left[0].residues": {"backend": "zperiodic", "left": [{"mod": 1, "residues": "0"}],
+                         "right": [Z_ALL], "pieces": []},
+    "left[0].add": {"backend": "zperiodic", "left": [{"mod": 1, "residues": [0], "add": "5"}],
+                    "right": [Z_ALL], "pieces": []},
 }
 
 
@@ -636,13 +668,14 @@ class TestSerialEdges:
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_SPACES))
     def test_malformed_space_is_an_input_error(self, tmp_path, capsys, case):
-        with pytest.raises(SpaceFormatError):
-            load_space_from(tmp_path, MALFORMED_SPACES[case])
+        where, doc = MALFORMED_SPACES[case]
+        with pytest.raises(SpaceFormatError, match="^" + re.escape(f"{where}: ")):
+            load_space_from(tmp_path, doc)
         p = tmp_path / "malformed.json"
-        p.write_text(json.dumps(MALFORMED_SPACES[case]))
+        p.write_text(json.dumps(doc))
         code, _, err = run(capsys, ["space-check", str(p)])
         assert code == 1
-        assert err.startswith("input error: ") and "Traceback" not in err
+        assert err.startswith(f"input error: {where}: ") and "Traceback" not in err
 
     @pytest.mark.parametrize("case", sorted(MALFORMED_MODULI))
     def test_malformed_modulus_is_an_input_error(self, tmp_path, capsys, case):

@@ -1,9 +1,11 @@
-"""Every imported name is used.
+"""Every imported name is used, and every private definition is read.
 
 Each module of the package and of the tests is parsed with `ast`.  An
 imported name passes when the module reads it, lists it in `__all__`, or
 imports it on a line marked `# noqa: F401`; `from __future__` imports
-are exempt.
+are exempt.  A module-level function or class of the package whose name
+starts with `_` passes when some module of the package or the tests
+reads it, by name or as an attribute.
 """
 
 import ast
@@ -71,3 +73,28 @@ def test_every_import_is_used(path):
         if name not in used and "# noqa: F401" not in lines[line - 1]
     ]
     assert not unused, f"unused imports in {path.name}: {', '.join(unused)}"
+
+
+PACKAGE = sorted((ROOT / "src" / "typemonoid").glob("*.py"))
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                yield node.name, node.lineno
+
+
+def test_every_private_definition_is_read():
+    read = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read |= _read(tree)
+        read |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    unread = [
+        f"{path.name}: {name} (line {line})"
+        for path in PACKAGE
+        for name, line in _private_definitions(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in read
+    ]
+    assert not unread, f"private definitions nothing reads: {', '.join(unread)}"

@@ -35,7 +35,15 @@ from typemonoid.serial import space_from_dict
 from typemonoid.spaces import build_space, with_trivial_symmetry
 from typemonoid.types import TypeEngine
 
-from lattice_oracle import enumerate_by_subsets, join_idempotents, meet_by_realizations
+from conftest import structure_spaces
+from lattice_oracle import (
+    enumerate_by_subsets,
+    is_meet_over_join_failure,
+    join_idempotents,
+    meet_by_realizations,
+    random_closure_lattice,
+    reference_distributive,
+)
 
 
 def engine_and_lattice(ss):
@@ -158,7 +166,9 @@ class TestDistributive:
 
     def test_each_law_pair_reports_its_own_counterexample(self):
         # the pentagon N5 as closed sets: {1} closes to {0, 1}, so the
-        # step to w[0,1] from the bottom is no cover
+        # step to w[0,1] from the bottom is no cover.  Both lattices fail
+        # meet-over-join at their first join-irreducible that is not
+        # join-prime: w[0,1] lies below w[0] v w[2] but below neither
         closed = [frozenset(), frozenset({0}), frozenset({2}), frozenset({0, 1}), frozenset({0, 1, 2})]
         n5 = IdempotentLattice(3, lambda s: min((c for c in closed if s <= c), key=len))
         assert [str(e) for e in n5.minimal_above(n5.bottom)] == ["w[0]", "w[2]"]
@@ -166,8 +176,8 @@ class TestDistributive:
         ok, why = check_distributive(n5)
         assert not ok
         assert {k: str(v) for k, v in why.items()} == {
-            "law": "join-over-meet", "a": "w[0]", "b": "w[2]", "c": "w[0,1]",
-            "lhs": "w[0]", "rhs": "w[0,1]",
+            "law": "meet-over-join", "a": "w[0,1]", "b": "w[0]", "c": "w[2]",
+            "lhs": "w[0,1]", "rhs": "w[0]",
         }
         m3 = IdempotentLattice(3, lambda s: s if len(s) <= 1 else frozenset(range(3)))
         ok, why = check_distributive(m3)
@@ -176,6 +186,36 @@ class TestDistributive:
             "law": "meet-over-join", "a": "w[0]", "b": "w[1]", "c": "w[2]",
             "lhs": "w[0]", "rhs": "bot",
         }
+
+    def test_agrees_with_the_four_law_reference_on_the_corpora(self):
+        for name, ss in structure_spaces():
+            lat = enumerate_idempotents(TypeEngine(ss))
+            assert check_distributive(lat) == reference_distributive(lat) == (True, None), name
+
+    def test_agrees_with_the_four_law_reference_on_random_closure_systems(self):
+        rng = random.Random(28)
+        verdicts = []
+        for _ in range(400):
+            lat = random_closure_lattice(rng, rng.randint(2, 5))
+            ok, why = check_distributive(lat)
+            assert ok == reference_distributive(lat)[0], lat.closed
+            assert ok or is_meet_over_join_failure(lat, why), (lat.closed, why)
+            verdicts.append(ok)
+        assert 50 < verdicts.count(False) < 350
+
+    def test_256_elements_within_j_times_l_closures(self):
+        # trivial symmetry on 8 atoms: every atom set is closed, and the
+        # 8 singletons are the join-irreducibles
+        lat = enumerate_idempotents(TypeEngine(with_trivial_symmetry(
+            build_space([str(i) for i in range(8)], [[i] for i in range(8)]))))
+        lower = [b for _, b in lat.covers()]
+        irreducible = [e for e in lat if lower.count(e) == 1]
+        assert (len(lat), len(irreducible)) == (256, 8)
+        calls = []
+        close = lat.closure
+        lat.closure = lambda s: calls.append(s) or close(s)
+        assert check_distributive(lat) == (True, None)
+        assert 0 < len(calls) <= len(irreducible) * len(lat)
 
     def test_dot_export(self):
         eng, lat = engine_and_lattice(parity_space())

@@ -1,5 +1,9 @@
+import random
+
 import pytest
 
+from conftest import structure_spaces
+from structure_oracle import reference_associative, tampered_table
 from typemonoid.errors import InvalidTableError
 from typemonoid.monoid import (
     InverseMonoidTable,
@@ -90,6 +94,37 @@ class TestCheck:
         assert rep.assoc_witness is not None
         a, b, c = rep.assoc_witness
         assert mul[mul[a][b]][c] != mul[a][mul[b][c]]
+
+    def test_light_test_agrees_with_the_triple_loop(self):
+        rng = random.Random(28)
+        tables = []
+        for _ in range(2000):
+            n = rng.randint(1, 5)
+            mul = tuple(tuple(rng.randrange(n) for _ in range(n)) for _ in range(n))
+            tables.append(InverseMonoidTable(n, rng.randrange(n), mul))
+        for _, ss in structure_spaces():
+            tables.append(ss.monoid)
+            if ss.monoid.order > 1:
+                tables.append(tampered_table(ss.monoid, rng))
+        verdicts = []
+        for table in tables:
+            rep = check_inverse_monoid(table)
+            assert rep.associative == reference_associative(table), table
+            if not rep.associative:
+                a, b, c = rep.assoc_witness
+                assert table.mul[table.mul[a][b]][c] != table.mul[a][table.mul[b][c]]
+            verdicts.append(rep.associative)
+        assert verdicts.count(True) > 500 and verdicts.count(False) > 1000
+
+    def test_tampered_product_is_caught(self):
+        # cyclic group of order 4 with 1 * 1 = 3: (1 1) 3 = 2 but 1 (1 3) = 1
+        table = cyclic_group(4)
+        mul = [list(row) for row in table.mul]
+        mul[1][1] = 3
+        bad = InverseMonoidTable(4, 0, tuple(map(tuple, mul)))
+        assert not reference_associative(bad)
+        rep = check_inverse_monoid(bad)
+        assert not rep.associative and not rep.valid
 
     def test_idempotent_of_star(self):
         # e* = e for idempotents; (s*)* = s for all s

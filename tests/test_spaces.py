@@ -1,15 +1,26 @@
 import itertools
+import random
 
 import pytest
 
+from conftest import structure_spaces
+from structure_oracle import (
+    reference_action,
+    reference_morphism,
+    tampered_action,
+    tampered_fstar,
+    tampered_table,
+)
 from typemonoid.corpus import (
     collapse_space,
+    corpus_morphism_pairs,
     cyclic4_space,
     fixture_spaces,
     one_point_space,
     parity_shadow_morphism,
     parity_space,
     parity_to_two_point_morphism,
+    random_corpus,
     sink_space,
     statspace_from_maps,
     statspace_from_partial_maps,
@@ -124,6 +135,83 @@ class TestValidateAction:
         table = InverseMonoidTable(order=1, unit=0, mul=((0,),))
         ss = StatSpace.from_table(space, table, ((5,),))
         assert not validate_action(ss).valid
+
+
+def assert_action_agrees(ss):
+    """validate_action against the reference: validity always, each law
+    wherever its reduction applies.  Returns the new report."""
+    got, want = validate_action(ss), reference_action(ss)
+    assert got.valid == want.valid and got.total == want.total
+    assert got.monoid == want.monoid
+    if want.total and want.monoid.associative and want.monoid.unit_ok:
+        assert got.unit_acts_as_identity == want.unit_acts_as_identity
+        if want.unit_acts_as_identity:
+            assert got.homomorphism == want.homomorphism
+            if want.homomorphism:
+                assert got.measurable == want.measurable
+    return got
+
+
+def coarsened(ss):
+    """A table-given copy of ss with atoms 0 and 1 merged."""
+    atoms = [ss.space.atoms[0] | ss.space.atoms[1], *ss.space.atoms[2:]]
+    space = build_space(ss.space.points, atoms)
+    return StatSpace.from_table(space, ss.monoid, ss.action)
+
+
+class TestActionReference:
+    """validate_action checks the laws on generators; the reference
+    checks every pair and every element."""
+
+    def test_corpora_agree(self):
+        for name, ss in structure_spaces():
+            assert assert_action_agrees(ss).valid, name
+
+    def test_tampered_copies_agree(self):
+        rng = random.Random(28)
+        failed = {"monoid": 0, "homomorphism": 0, "measurable": 0}
+        for name, ss in structure_spaces():
+            copies = []
+            if len(ss.space.points) > 1:
+                copies += [tampered_action(ss, rng) for _ in range(3)]
+            if ss.monoid.order > 1:
+                copies += [StatSpace.from_table(ss.space, tampered_table(ss.monoid, rng), ss.action)
+                           for _ in range(3)]
+            if ss.n_atoms > 1:
+                copies.append(coarsened(ss))
+            for copy in copies:
+                rep = assert_action_agrees(copy)
+                failed["monoid"] += not rep.monoid.valid
+                failed["homomorphism"] += not rep.homomorphism
+                failed["measurable"] += not rep.measurable
+        assert min(failed.values()) > 50, failed
+
+    def test_tampered_product_stops_after_the_monoid_report(self):
+        # parity's table with g1 * g1 = g1 instead of the unit: the action
+        # laws are stated over a monoid, so only the reference goes on to
+        # report the product's action
+        ss = parity_space()
+        mul = [list(row) for row in ss.monoid.mul]
+        mul[1][1] = 1
+        bad = InverseMonoidTable(4, 0, tuple(map(tuple, mul)), ss.monoid.labels)
+        copy = StatSpace.from_table(ss.space, bad, ss.action)
+        got, want = validate_action(copy), reference_action(copy)
+        assert not got.valid and not got.monoid.associative and got.homomorphism
+        assert not want.valid and want.homomorphism_witness == (1, 1)
+
+    def test_tampered_image_is_caught(self):
+        # collapse with e acting as the swap: the table says e e = e,
+        # but the swap twice is the identity
+        ss = collapse_space()
+        copy = StatSpace.from_table(ss.space, ss.monoid, ((0, 1), (1, 0)))
+        for rep in (validate_action(copy), reference_action(copy)):
+            assert not rep.valid and rep.monoid.valid and not rep.homomorphism
+
+    def test_split_atom_is_caught(self):
+        # parity with atoms 0 and 1 merged: the swap of 0 and 2 splits it
+        copy = coarsened(parity_space())
+        for rep in (validate_action(copy), reference_action(copy)):
+            assert not rep.valid and rep.homomorphism and not rep.measurable
 
 
 class TestPresentation:
@@ -271,6 +359,67 @@ class TestMorphisms:
         m = parity_to_two_point_morphism()
         with pytest.raises(SpaceMismatchError):
             compose_morphisms(m, m)
+
+
+def assert_morphism_agrees(m):
+    """validate_morphism against the reference: validity always, each law
+    wherever its reduction applies.  Returns the new report."""
+    got, want = validate_morphism(m), reference_morphism(m)
+    assert got.valid == want.valid
+    assert (got.point_map_total, got.measurable, got.fstar_unit) == (
+        want.point_map_total, want.measurable, want.fstar_unit)
+    if want.fstar_unit:
+        assert got.fstar_homomorphism == want.fstar_homomorphism
+        if want.fstar_homomorphism:
+            assert got.equivariant == want.equivariant
+    return got
+
+
+class TestMorphismReference:
+    """validate_morphism checks fstar and equivariance on the target's
+    generators; the reference checks every pair and every element."""
+
+    @staticmethod
+    def _morphisms():
+        out = [parity_to_two_point_morphism(), parity_shadow_morphism()]
+        for m2, m1 in corpus_morphism_pairs(random_corpus(seed=7)):
+            out += [m1, m2, compose_morphisms(m2, m1)]
+        return out + [identity_morphism(ss) for _, ss in structure_spaces()]
+
+    def test_fixtures_and_identities_agree(self):
+        for m in self._morphisms():
+            assert assert_morphism_agrees(m).valid
+
+    def test_tampered_fstar_agrees(self):
+        rng = random.Random(28)
+        failed = {"unit": 0, "homomorphism": 0, "equivariant": 0}
+        for m in self._morphisms():
+            if m.source.monoid.order == 1:
+                continue
+            for _ in range(4):
+                rep = assert_morphism_agrees(tampered_fstar(m, rng))
+                failed["unit"] += not rep.fstar_unit
+                failed["homomorphism"] += not rep.fstar_homomorphism
+                failed["equivariant"] += not rep.equivariant
+        assert min(failed.values()) > 50, failed
+
+    def test_tampered_fstar_product_is_caught(self):
+        # the parity shadow with fstar(s3) = g1: g1 g2 = s3 in the
+        # target, but fstar(g1) fstar(g2) = s3 in the source
+        m = parity_shadow_morphism()
+        fstar = list(m.fstar)
+        fstar[3] = fstar[1]
+        bad = StatMorphism(m.source, m.target, m.point_map, tuple(fstar))
+        for rep in (validate_morphism(bad), reference_morphism(bad)):
+            assert not rep.valid and rep.fstar_unit and not rep.fstar_homomorphism
+
+    def test_equivariance_failure_is_caught(self):
+        # onto the swap of two points with fstar constant at the unit: a
+        # homomorphism, but preimages do not swap
+        src = parity_space()
+        m = StatMorphism(src, swap_two_point_space(), (0, 1, 0, 1), (0, 0))
+        for rep in (validate_morphism(m), reference_morphism(m)):
+            assert not rep.valid and rep.fstar_homomorphism and not rep.equivariant
 
 
 class TestTrivialSymmetry:
