@@ -13,6 +13,7 @@ idempotents).
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
@@ -56,10 +57,19 @@ def _presented_space(
     Its elements are numbered as `monoid_closure` numbers a seed, repeats
     dropped, and labelled "1" for the unit, gen_labels[k] for generator k
     (unless an earlier label took its element), and "s<i>" for every other
-    element i.  `close()` builds the whole table when it is first read.
+    element i.  So a generator label may not repeat, nor be "1" or
+    "s<digits>": element labels key the action of a written table.
+    `close()` builds the whole table when it is first read.
     """
     if gen_labels and len(gen_labels) != len(generators):
         raise ValueError("one label per generator required")
+    for k, label in enumerate(gen_labels):
+        if label in gen_labels[:k]:
+            raise ValueError(f"generator label {label!r} repeats")
+        if label == "1" or re.fullmatch(r"s\d+", label):
+            raise ValueError(
+                f"generator label {label!r} is reserved: the closure labels elements 1 and s<i>"
+            )
     elems = list(dict.fromkeys(seed))
     labels = ["1"] + ["s%d" % i for i in range(1, len(elems))]
     for g, label in zip(generators, gen_labels):
@@ -364,10 +374,16 @@ def random_corpus(
     return out
 
 
+# Most pairs `corpus_morphism_pairs` builds: the two fixture pairs, then
+# one pair per corpus space.
+MORPHISM_PAIRS = 12
+
+
 def corpus_morphism_pairs(
-    entries: Sequence[CorpusEntry], limit: int = 12
+    entries: Sequence[CorpusEntry],
 ) -> List[Tuple[StatMorphism, StatMorphism]]:
-    """Composable morphism pairs built from fixtures and corpus spaces.
+    """At most MORPHISM_PAIRS composable morphism pairs built from
+    fixtures and corpus spaces.
 
     The parity chain contributes genuinely non-identity composites; each
     corpus space contributes its trivialization followed by the collapse
@@ -389,7 +405,7 @@ def corpus_morphism_pairs(
     )
     pairs.append((m4, m3))
     for e in entries:
-        if len(pairs) >= limit:
+        if len(pairs) >= MORPHISM_PAIRS:
             break
         ss = e.statspace
         trivialized = with_trivial_symmetry(ss.space)

@@ -106,6 +106,9 @@ from .types import AbarElement, TarskiType, TypeEngine
 # certificate needs more says so in its report instead of guessing.
 PARADOX_LIMIT = 8
 
+# Increasing schemas `continuity_suite` checks continuity from below on.
+SCHEMAS_BELOW = 20
+
 
 # ----- classical rational measures -------------------------------------------
 
@@ -759,11 +762,7 @@ def decreasing_limit_with_scale(
     return engine.type_of_abar(limit_plus_e), {"scale": e}
 
 
-def continuity_suite(
-    engine: TypeEngine,
-    lattice: IdempotentLattice,
-    schemas_below: int = 20,
-) -> dict:
+def continuity_suite(engine: TypeEngine, lattice: IdempotentLattice) -> dict:
     """The four limit laws of the canonical measure mu(A) = [A] on one
     space.
 
@@ -776,8 +775,8 @@ def continuity_suite(
     is <= mu(A) + mu(B') + mu({x}) by induction, as the order is kept by
     adding to both sides, and that is mu(A) + mu(B) by additivity; when
     B lies inside A, mu(A) <= mu(A) + mu(B) by the algebraic order.
-    Continuity from below runs over generated increasing schemas;
-    continuity from above over stabilizing chains through each
+    Continuity from below runs over SCHEMAS_BELOW generated increasing
+    schemas; continuity from above over stabilizing chains through each
     nontrivial scale, asserting the eventual value plus the scale unit
     equals the limit.
     """
@@ -802,7 +801,7 @@ def continuity_suite(
                 report["failures"].append(("subadditive", a_set, atom, d.verdict))
     atom_cycle = itertools.cycle(range(engine.n))
     made = 0
-    while made < schemas_below:
+    while made < SCHEMAS_BELOW:
         a = next(atom_cycle)
         base = engine.abar_of_set(frozenset({a}))
         inc = unit_vec(engine.n, (a + made) % engine.n)

@@ -132,7 +132,7 @@ def space_from_dict(doc: Dict) -> StatSpace:
                     for a, b in g.items()
                 }
             )
-        labels = [str(x) for x in _list(doc.get("generator_labels", []), "generator_labels")]
+        labels = _labels(doc.get("generator_labels", []), "generator_labels")
         if "sink" not in doc:
             for k, m in enumerate(maps):
                 if len(m) != len(points):
@@ -245,6 +245,15 @@ def parse_set_expr(ss: StatSpace, expr: str):
 # Certificates
 
 
+def _int(value, what: str) -> int:
+    """A JSON integer; anything else, a float, a bool or a numeric string
+    included, raises TypeError naming `what`, where int() would truncate
+    or parse it."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _zset_from_doc(doc, where: str):
     if not isinstance(doc, dict) or not {"mod", "halfline"} & doc.keys():
         raise MalformedCertificateError(
@@ -252,12 +261,13 @@ def _zset_from_doc(doc, where: str):
         )
     with _field(where, MalformedCertificateError):
         if "halfline" in doc:
-            return HalfLine(int(doc["halfline"]))
+            return HalfLine(_int(doc["halfline"], "halfline"))
         residues, add, remove = (
-            [int(x) for x in _list(doc.get(key, []), f"{where}.{key}", MalformedCertificateError)]
+            [_int(x, f"{key}[{j}]") for j, x in enumerate(
+                _list(doc.get(key, []), f"{where}.{key}", MalformedCertificateError))]
             for key in ("residues", "add", "remove")
         )
-        return ep_set(int(doc["mod"]), residues, add=add, remove=remove)
+        return ep_set(_int(doc["mod"], "mod"), residues, add=add, remove=remove)
 
 
 _F2_OPS = {
@@ -313,8 +323,8 @@ def certificate_from_dict(doc: Dict) -> Certificate:
     for i, p in enumerate(pieces_doc):
         if not isinstance(p, dict):
             raise MalformedCertificateError(f"pieces[{i}]: expected an object")
-        with _field(f"pieces[{i}].copy", MalformedCertificateError):
-            copy = int(p.get("copy", 0))
+        with _field(f"pieces[{i}]", MalformedCertificateError):
+            copy = _int(p.get("copy", 0), "copy")
         pieces.append((copy, parse(p.get("set"), f"pieces[{i}].set")))
     moves = []
     for i, m in enumerate(_list(doc.get("moves", []), "moves", MalformedCertificateError)):
@@ -323,8 +333,8 @@ def certificate_from_dict(doc: Dict) -> Certificate:
         mover = m.get("mover")
         with _field(f"moves[{i}]", MalformedCertificateError):
             if backend == "zperiodic":
-                mover = int(mover)
-            entry = (mover, int(m.get("to", 0)))
+                mover = _int(mover, "mover")
+            entry = (mover, _int(m.get("to", 0), "to"))
         image = m.get("image")
         if image is not None:
             entry = entry + (parse(image, f"moves[{i}].image"),)

@@ -13,8 +13,13 @@ Laws of the canonical measure A -> [A] are checked on the few cases that
 imply them, each by an argument exact in any commutative monoid with its
 algebraic preorder: additivity on one-atom splits and stationarity on
 generators times atoms (`run_theorem1_suite`), monotonicity and
-subadditivity on one-atom steps (`measures.continuity_suite`).  The
-exhaustive loops over pairs of sets are the reference tests.
+subadditivity on one-atom steps (`measures.continuity_suite`), and
+Tarski's dichotomy on single atoms (`run_tarski_suite`).  The exhaustive
+loops over sets and pairs of sets are the reference tests.
+
+Every runner takes its spaces and a budget and nothing else: the seeds
+and sample sizes of the sampled checks are the constants below, so a
+report is a function of its spaces and budget.
 """
 
 import random
@@ -39,6 +44,7 @@ from .lattice import (
     quantity_zero,
 )
 from .measures import (
+    SCHEMAS_BELOW,
     continuity_suite,
     colimit_increasing,
     cross_check_tarski,
@@ -57,6 +63,11 @@ __all__ = [
 ]
 
 _DEFINITE = {EQUAL, NOT_EQUAL, LEQ, NOT_LEQ}
+
+# seed and sample size of each sampled battery
+_THEOREM1_SEED, _THEOREM1_PAIRS = 5, 40
+_THEOREM2_SEED, _THEOREM2_PAIRS = 9, 100
+_SOUNDNESS_SEED, _SOUNDNESS_QUERIES = 13, 20
 
 
 def corpus_with_fixtures(
@@ -82,20 +93,31 @@ class _Tally:
             "fixture_unknown": 0,
             "failures": [],
         }
-        self._fixture = False
+        self.fixture = False
 
-    def enter_space(self, entry: CorpusEntry):
-        self.report["spaces"] += 1
-        self._fixture = entry.kind == "fixture"
+    def spaces(self, entries: Sequence[CorpusEntry], budget: Budget):
+        """Each entry with an engine on its space under `budget`, counted."""
+        for entry in entries:
+            self.report["spaces"] += 1
+            self.fixture = entry.kind == "fixture"
+            yield entry, TypeEngine(entry.statspace, budget)
 
-    def saw(self, decision, where: str) -> str:
+    def saw(self, decision, where: str, *args) -> str:
+        """Count a decision; an unknown one on a fixture is a failure at
+        `where`, formatted as in `check`."""
         self.report["checks"] += 1
         if decision.verdict == UNKNOWN:
             self.report["unknown"] += 1
-            if self._fixture:
+            if self.fixture:
                 self.report["fixture_unknown"] += 1
+                where = where.format(*args) if args else where
                 self.report["failures"].append(f"{where}: unknown on a fixture")
         return decision.verdict
+
+    def expect(self, decision, verdict: str, where: str, *args):
+        """`saw` the decision, then `check` that it is `verdict`: two checks."""
+        self.saw(decision, where, *args)
+        self.check(decision.verdict == verdict, where, *args)
 
     def check(self, ok: bool, where: str, *args):
         """Count a check; on failure record `where`, formatted with `args`
@@ -134,12 +156,7 @@ def _sample_vectors(engine: TypeEngine, rng: random.Random, extra: int = 6):
 
 
 def run_theorem1_suite(
-    entries: Optional[Sequence[CorpusEntry]] = None,
-    seed: int = 5,
-    pair_cap: int = 40,
-    morphism_limit: int = 12,
-    *,
-    budget: Budget = Budget(),
+    entries: Optional[Sequence[CorpusEntry]] = None, *, budget: Budget = Budget()
 ) -> Dict:
     """The measure-target laws of the type monoid on every space, and the
     cofunctor laws on composable morphism pairs.
@@ -153,45 +170,36 @@ def run_theorem1_suite(
     every set, and pre_st = pre_t o pre_s extends it to every element.
     """
     tally = _Tally("theorem1")
-    rng = random.Random(seed)
+    rng = random.Random(_THEOREM1_SEED)
     entries = corpus_with_fixtures() if entries is None else list(entries)
-    for entry in entries:
-        tally.enter_space(entry)
-        eng = TypeEngine(entry.statspace, budget)
+    for entry, eng in tally.spaces(entries, budget):
         sets = eng.statspace.space.all_measurable_sets()
         name = entry.name
 
         d = eng.decide_equal(eng.abar_of_set(frozenset()), eng.abar_zero())
-        tally.saw(d, f"{name}: empty set measures to zero")
-        tally.check(d.verdict == EQUAL, f"{name}: empty set measures to zero")
+        tally.expect(d, EQUAL, "{}: empty set measures to zero", name)
 
         vectors = _sample_vectors(eng, rng)
         # commutativity and disjoint additivity are identities of the
         # vector representation; the decision procedure must see them
         for _ in range(6):
             p, q = rng.choice(vectors), rng.choice(vectors)
-            v = tally.saw(eng.decide_equal(p + q, q + p), f"{name}: commutativity")
-            tally.check(v == EQUAL, f"{name}: commutativity")
+            tally.expect(eng.decide_equal(p + q, q + p), EQUAL, "{}: commutativity", name)
 
         for a in sets[1:]:
             top = frozenset({max(a)})
             d = eng.decide_equal(
                 eng.abar_of_set(a - top) + eng.abar_of_set(top), eng.abar_of_set(a)
             )
-            tally.saw(d, f"{name}: additivity")
-            tally.check(d.verdict == EQUAL, "{}: additivity {} {}", name, a - top, top)
+            tally.expect(d, EQUAL, "{}: additivity {} {}", name, a - top, top)
 
-        for a in sets[: pair_cap // 4]:
+        for a in sets[: _THEOREM1_PAIRS // 4]:
             p = eng.abar_of_set(a)
             fold = eng.omega_fold(p)
             d = eng.decide_equal(fold + fold, fold)
-            tally.saw(d, f"{name}: omega-fold absorbs itself")
-            tally.check(d.verdict == EQUAL, "{}: omega-fold absorbs itself {}", name, a)
+            tally.expect(d, EQUAL, "{}: omega-fold absorbs itself {}", name, a)
             d = eng.decide_equal(fold + p, fold)
-            tally.saw(d, f"{name}: omega-fold absorbs a summand")
-            tally.check(
-                d.verdict == EQUAL, "{}: omega-fold absorbs a summand {}", name, a
-            )
+            tally.expect(d, EQUAL, "{}: omega-fold absorbs a summand {}", name, a)
 
         for g in eng.statspace.generators:
             for x in range(eng.n):
@@ -199,13 +207,10 @@ def run_theorem1_suite(
                 d = eng.decide_equal(
                     eng.abar_of_set(pullback(eng.statspace, g, a)), eng.abar_of_set(a)
                 )
-                tally.saw(d, f"{name}: stationarity")
-                tally.check(
-                    d.verdict == EQUAL, "{}: stationarity s={} A={}", name, g, sorted(a)
-                )
+                tally.expect(d, EQUAL, "{}: stationarity s={} A={}", name, g, sorted(a))
 
         pairs = [
-            (rng.choice(vectors), rng.choice(vectors)) for _ in range(pair_cap)
+            (rng.choice(vectors), rng.choice(vectors)) for _ in range(_THEOREM1_PAIRS)
         ]
         for p, q in pairs:
             lo = eng.decide_leq(p, q)
@@ -219,7 +224,7 @@ def run_theorem1_suite(
                     v != NOT_EQUAL, "{}: antisymmetry broken at {}, {}", name, p, q
                 )
 
-        for p, q in pairs[: pair_cap // 3]:
+        for p, q in pairs[: _THEOREM1_PAIRS // 3]:
             base = eng.decide_equal(p, q)
             for k in (2, 3):
                 scaled = eng.decide_equal(p.scale(k), q.scale(k))
@@ -231,7 +236,7 @@ def run_theorem1_suite(
                     )
 
     # cofunctor laws over composable morphism pairs
-    pairs = corpus_morphism_pairs(entries, limit=morphism_limit)
+    pairs = corpus_morphism_pairs(entries)
     for m2, m1 in pairs:
         src = TypeEngine(m1.source, budget)
         mid = TypeEngine(m1.target, budget)
@@ -242,24 +247,18 @@ def run_theorem1_suite(
         composed = morphism_type_map(compose_morphisms(m2, m1), src, tgt)
         for batom in range(tgt.n):
             t = tgt.type_of(frozenset({batom}))
-            via_pair = f1(f2(t))
-            via_composite = composed(t)
-            d = src.decide_equal(via_pair, via_composite)
-            tally.saw(d, "cofunctor composition")
-            tally.check(d.verdict == EQUAL, "cofunctor composition")
+            d = src.decide_equal(f1(f2(t)), composed(t))
+            tally.expect(d, EQUAL, "cofunctor composition")
         for batom in range(src.n):
             t = src.type_of(frozenset({batom}))
-            d = src.decide_equal(ident(t), t)
-            tally.saw(d, "cofunctor identity")
-            tally.check(d.verdict == EQUAL, "cofunctor identity")
+            tally.expect(src.decide_equal(ident(t), t), EQUAL, "cofunctor identity")
         # measuring a pulled-back set equals mapping the measured type
         for batom in range(mid.n):
             pulled = m1.preimage_atoms(batom)
             d = src.decide_equal(
                 src.type_of(pulled), f1(mid.type_of(frozenset({batom})))
             )
-            tally.saw(d, "measurement commutes with pullback")
-            tally.check(d.verdict == EQUAL, "measurement commutes with pullback")
+            tally.expect(d, EQUAL, "measurement commutes with pullback")
     tally.report["morphism_pairs"] = len(pairs)
     return tally.finish()
 
@@ -269,18 +268,12 @@ def run_theorem1_suite(
 
 
 def run_theorem2_suite(
-    entries: Optional[Sequence[CorpusEntry]] = None,
-    seed: int = 9,
-    pairs_per_space: int = 100,
-    *,
-    budget: Budget = Budget(),
+    entries: Optional[Sequence[CorpusEntry]] = None, *, budget: Budget = Budget()
 ) -> Dict:
     tally = _Tally("theorem2")
-    rng = random.Random(seed)
+    rng = random.Random(_THEOREM2_SEED)
     entries = corpus_with_fixtures() if entries is None else list(entries)
-    for entry in entries:
-        tally.enter_space(entry)
-        eng = TypeEngine(entry.statspace, budget)
+    for entry, eng in tally.spaces(entries, budget):
         name = entry.name
         try:
             lat = enumerate_idempotents(eng)
@@ -293,7 +286,7 @@ def run_theorem2_suite(
 
         vectors = _sample_vectors(eng, rng, extra=8)
         scales = list(lat)
-        for _ in range(pairs_per_space):
+        for _ in range(_THEOREM2_PAIRS):
             e = rng.choice(scales)
             u = rng.choice(vectors).vec.add(e.vec)
             v = rng.choice(vectors).vec.add(e.vec)
@@ -337,19 +330,15 @@ def run_theorem2_suite(
                 y = xs[(i + 1) % len(xs)]
                 w = xs[(i + 2) % len(xs)]
                 d = quantity_eq(eng, quantity_add(eng, x, y), quantity_add(eng, y, x))
-                tally.saw(d, f"{name}: quantity commutativity")
-                tally.check(d.verdict == EQUAL, f"{name}: quantity commutativity")
+                tally.expect(d, EQUAL, "{}: quantity commutativity", name)
                 lhs = quantity_add(eng, quantity_add(eng, x, y), w)
                 rhs = quantity_add(eng, x, quantity_add(eng, y, w))
                 d = quantity_eq(eng, lhs, rhs)
-                tally.saw(d, f"{name}: quantity associativity")
-                tally.check(d.verdict == EQUAL, f"{name}: quantity associativity")
+                tally.expect(d, EQUAL, "{}: quantity associativity", name)
                 d = quantity_eq(eng, quantity_add(eng, x, z), x)
-                tally.saw(d, f"{name}: quantity unit")
-                tally.check(d.verdict == EQUAL, f"{name}: quantity unit")
+                tally.expect(d, EQUAL, "{}: quantity unit", name)
                 d = quantity_eq(eng, quantity_add(eng, x, quantity_neg(x)), z)
-                tally.saw(d, f"{name}: quantity inverse")
-                tally.check(d.verdict == EQUAL, f"{name}: quantity inverse")
+                tally.expect(d, EQUAL, "{}: quantity inverse", name)
     return tally.finish()
 
 
@@ -358,10 +347,7 @@ def run_theorem2_suite(
 
 
 def run_theorem3_suite(
-    entries: Optional[Sequence[CorpusEntry]] = None,
-    schemas_below: int = 20,
-    *,
-    budget: Budget = Budget(),
+    entries: Optional[Sequence[CorpusEntry]] = None, *, budget: Budget = Budget()
 ) -> Dict:
     tally = _Tally("theorem3")
     if entries is None:
@@ -369,29 +355,25 @@ def run_theorem3_suite(
             CorpusEntry(name=f"fixture_{name}", statspace=ss, kind="fixture")
             for name, ss in fixture_spaces().items()
         ]
-    for entry in entries:
-        tally.enter_space(entry)
-        eng = TypeEngine(entry.statspace, budget)
+    for entry, eng in tally.spaces(entries, budget):
         name = entry.name
         try:
             lat = enumerate_idempotents(eng)
         except TypemonoidError as exc:
             tally.report["failures"].append(f"{name}: lattice unavailable: {exc}")
             continue
-        rep = continuity_suite(eng, lat, schemas_below=schemas_below)
+        rep = continuity_suite(eng, lat)
         for key in ("monotone", "subadditive", "below", "above"):
             tally.report["checks"] += rep[key]
         for failure in rep["failures"]:
             tally.report["failures"].append(f"{name}: {failure}")
-        tally.check(rep["below"] >= schemas_below, f"{name}: below-schema count")
+        tally.check(rep["below"] >= SCHEMAS_BELOW, f"{name}: below-schema count")
 
         # a colimit of an eventually constant chain is its own supremum
         p = eng.abar_of_set(frozenset(range(min(1, eng.n))))
         t, info = colimit_increasing(eng, [p], ("constant",))
-        tally.check(
-            eng.decide_equal(t, eng.type_of_abar(p)).verdict == EQUAL,
-            f"{name}: constant colimit",
-        )
+        d = eng.decide_equal(t, eng.type_of_abar(p))
+        tally.expect(d, EQUAL, "{}: constant colimit", name)
         tally.report["checks"] += info["upper_bound_checks"]
     return tally.finish()
 
@@ -401,35 +383,50 @@ def run_theorem3_suite(
 
 
 def run_tarski_suite(
-    entries: Optional[Sequence[CorpusEntry]] = None,
-    *,
-    budget: Budget = Budget(),
+    entries: Optional[Sequence[CorpusEntry]] = None, *, budget: Budget = Budget()
 ) -> Dict:
+    """Tarski's dichotomy, checked by `cross_check_tarski` on each atom.
+
+    The biconditional on every nonempty set E follows from the
+    biconditional on E's atoms:
+
+    - [E] = 0 exactly when every atom of E is null.  This is the support
+      closure theorem: E lies inside U(empty).
+    - A stationary measure normalized on E exists exactly when one exists
+      normalized on some non-null atom a of E.  (<=) Take mu(a) = 1.
+      Synthesized measures are finite, so mu(E) lies in [1, oo), and
+      mu / mu(E) is normalized on E.  (=>) If mu(E) = 1, some atom a has
+      mu(a) > 0, and mu / mu(a) is normalized on a.
+    - 2[E] <= [E] exactly when 2[a] <= [a] for every atom a of E.
+      (<=) Add the orders of the atoms; the order is compatible with
+      addition.  (=>) If an atom a of E had a measure with mu(a) = 1,
+      then 2 mu(E) <= mu(E) with 1 <= mu(E) < oo, which is impossible.
+      So no non-null atom of E has a measure, and by that atom's own
+      checked biconditional, 2[a] <= [a].  Null atoms satisfy
+      2[a] <= [a] trivially.
+
+    So `checks`, `agreements` and `null_type_sets` count atoms.
+    """
     tally = _Tally("tarski")
     entries = corpus_with_fixtures() if entries is None else list(entries)
     tally.report["agreements"] = 0
     tally.report["null_type_sets"] = 0
-    for entry in entries:
-        tally.enter_space(entry)
-        eng = TypeEngine(entry.statspace, budget)
-        for aset in eng.statspace.space.all_measurable_sets():
-            if not aset:
-                continue
-            rep = cross_check_tarski(eng, aset)
+    for entry, eng in tally.spaces(entries, budget):
+        for x in range(eng.n):
+            rep = cross_check_tarski(eng, {x})
             tally.report["checks"] += 1
             if rep.null_type:
                 tally.report["null_type_sets"] += 1
-                continue
-            if rep.paradox.verdict == UNKNOWN:
+            elif rep.paradox.verdict == UNKNOWN:
                 tally.report["unknown"] += 1
-                if entry.kind == "fixture":
-                    tally.report["fixture_unknown"] += 1
-                continue
-            if rep.consistent:
+                tally.report["fixture_unknown"] += tally.fixture
+            elif rep.consistent:
                 tally.report["agreements"] += 1
             else:
+                found = "a measure" if rep.measure else "no measure"
                 tally.report["failures"].append(
-                    f"{entry.name}: biconditional fails on {sorted(aset)}: {rep.note}"
+                    f"{entry.name}: biconditional fails on atom {x}: "
+                    f"{rep.paradox.verdict}, but {found}"
                 )
     return tally.finish()
 
@@ -439,21 +436,15 @@ def run_tarski_suite(
 
 
 def run_soundness_audit(
-    entries: Optional[Sequence[CorpusEntry]] = None,
-    seed: int = 13,
-    queries_per_space: int = 20,
-    *,
-    budget: Budget = Budget(),
+    entries: Optional[Sequence[CorpusEntry]] = None, *, budget: Budget = Budget()
 ) -> Dict:
     tally = _Tally("soundness")
-    rng = random.Random(seed)
+    rng = random.Random(_SOUNDNESS_SEED)
     entries = corpus_with_fixtures() if entries is None else list(entries)
     totals = dict.fromkeys(AUDIT_KINDS, 0)
-    for entry in entries:
-        tally.enter_space(entry)
-        eng = TypeEngine(entry.statspace, budget)
+    for entry, eng in tally.spaces(entries, budget):
         vectors = _sample_vectors(eng, rng)
-        for _ in range(queries_per_space):
+        for _ in range(_SOUNDNESS_QUERIES):
             p, q = rng.choice(vectors), rng.choice(vectors)
             tally.saw(eng.decide_equal(p, q), f"{entry.name}: query")
             tally.saw(eng.decide_leq(p, q), f"{entry.name}: query")

@@ -198,7 +198,7 @@ def test_criterion_6():
     """Scale decomposition across the corpus: the per-scale embedding
     is injective on sampled pairs, the quantity spaces satisfy the
     abelian-group laws, and every idempotent lattice is distributive."""
-    summary = run_theorem2_suite(pairs_per_space=100)
+    summary = run_theorem2_suite()
     assert summary["failures"] == []
     assert summary["unknown"] == 0
     assert summary["ok"]
@@ -209,7 +209,7 @@ def test_criterion_7():
     one-atom step, which implies both laws on all measurable pairs,
     continuous from below on 20 increasing schemas, continuous from
     above with the scale-unit correction."""
-    summary = run_theorem3_suite(schemas_below=20)
+    summary = run_theorem3_suite()
     assert summary["failures"] == []
     assert summary["unknown"] == 0
     assert summary["ok"]

@@ -33,6 +33,13 @@ def _table_doc(**monoid):
     }
 
 
+# a rotation and a swap of three points: a six-element monoid
+_ROTATE_AND_SWAP = {
+    "points": ["a", "b", "c"],
+    "atoms": [[0], [1], [2]],
+    "generators": [{"a": "b", "b": "c", "c": "a"}, {"a": "b", "b": "a", "c": "c"}],
+}
+
 # documents whose values a constructor refuses, by the field the error
 # names; each must be an input error naming its field, never a traceback
 MALFORMED_SPACES = {
@@ -100,9 +107,40 @@ MALFORMED_SPACES = {
         **_table_doc(labels=["a", "a"]),
         "action": {"0": {"0": 0, "1": 1}, "1": {"0": 0, "1": 0}},
     }),
+    # element labels key the action of a written table, so a generator
+    # label may neither repeat nor take a label the closure gives
+    "repeated generator label": ("generator_labels", {
+        **_ROTATE_AND_SWAP, "generator_labels": ["s", "s"],
+    }),
+    "generator label of a closure-made element": ("generators", {
+        **_ROTATE_AND_SWAP, "generator_labels": ["s3", "t"],
+    }),
+    "generator label of the unit": ("generators", {
+        **_ROTATE_AND_SWAP, "generator_labels": ["r", "1"],
+    }),
 }
 
-MALFORMED_MODULI = {"not a number": "x", "null": None, "zero": 0}
+MALFORMED_MODULI = {"not a number": "x", "null": None, "zero": 0, "float": 2.5, "bool": True}
+
+# certificate integer fields given a float, which int() would truncate,
+# by the prefix the error gives
+MALFORMED_INTEGERS = {
+    "residue": ("left[0]", {"backend": "zperiodic", "left": [{"mod": 2, "residues": [0.9]}],
+                            "right": [Z_ALL], "pieces": []}),
+    "added point": ("left[0]", {"backend": "zperiodic",
+                                "left": [{"mod": 2, "residues": [0], "add": [1.5]}],
+                                "right": [Z_ALL], "pieces": []}),
+    "halfline": ("left[0]", {"backend": "zperiodic", "left": [{"halfline": 1.5}],
+                             "right": [Z_ALL], "pieces": []}),
+    "copy": ("pieces[0]", {"backend": "zperiodic", "left": [Z_ALL], "right": [Z_ALL],
+                           "pieces": [{"copy": 0.5, "set": Z_ALL}]}),
+    "move target": ("moves[0]", {"backend": "zperiodic", "left": [Z_ALL], "right": [Z_ALL],
+                                 "pieces": [{"copy": 0, "set": Z_ALL}],
+                                 "moves": [{"mover": 1, "to": 0.5}]}),
+    "mover": ("moves[0]", {"backend": "zperiodic", "left": [Z_ALL], "right": [Z_ALL],
+                           "pieces": [{"copy": 0, "set": Z_ALL}],
+                           "moves": [{"mover": 1.5, "to": 0}]}),
+}
 
 # certificate fields that must be lists, by the name the error gives
 MALFORMED_LISTS = {
@@ -688,6 +726,23 @@ class TestSerialEdges:
         code, _, err = run(capsys, ["cert-verify", str(p)])
         assert code == 1
         assert err.startswith("input error: left[0]: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_INTEGERS))
+    def test_non_integer_field_is_an_input_error(self, tmp_path, capsys, case):
+        where, doc = MALFORMED_INTEGERS[case]
+        with pytest.raises(MalformedCertificateError, match="^" + re.escape(f"{where}: ")):
+            certificate_from_dict(doc)
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run(capsys, ["cert-verify", str(p)])
+        assert code == 1
+        assert err.startswith(f"input error: {where}: ") and "must be an integer" in err
+
+    def test_labelled_generator_space_round_trips(self, tmp_path):
+        ss = load_space_from(tmp_path, {**_ROTATE_AND_SWAP, "generator_labels": ["r", "f"]})
+        back = load_space_from(tmp_path, fixture_space_dict(ss))
+        assert back.monoid.labels == ss.monoid.labels == ("1", "r", "f", "s3", "s4", "s5")
+        assert back.action == ss.action
 
     @pytest.mark.parametrize("where", sorted(MALFORMED_LISTS))
     def test_non_list_field_is_an_input_error(self, tmp_path, capsys, where):

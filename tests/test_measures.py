@@ -1117,5 +1117,5 @@ class TestContinuitySuite:
     def test_collapse_and_cyclic(self):
         for ss in (collapse_space(), cyclic4_space(), one_point_space()):
             eng, lat = setup_space(ss)
-            rep = continuity_suite(eng, lat, schemas_below=8)
+            rep = continuity_suite(eng, lat)
             assert not rep["failures"], (ss, rep["failures"])

@@ -1,8 +1,17 @@
+import inspect
+
 import pytest
 
-from typemonoid import suites
+from typemonoid import measures, suites
 from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, Budget, Decision
-from typemonoid.corpus import CorpusEntry, fixture_spaces, parity_space, statspace_from_maps
+from typemonoid.corpus import (
+    CorpusEntry,
+    corpus_morphism_pairs,
+    fixture_spaces,
+    parity_space,
+    statspace_from_maps,
+)
+from typemonoid.measures import Synthesis, continuity_suite, cross_check_tarski
 from typemonoid.spaces import pullback
 from typemonoid.suites import _Tally
 from typemonoid.types import TypeEngine
@@ -148,15 +157,99 @@ def test_tampered_one_atom_step_is_caught(monkeypatch):
 def test_twelve_atom_cycle_runs_every_law_suite():
     """One rotation of 12 points: the one-atom reductions keep theorem1
     and theorem3 to n 2^n decisions, where the references walk 4^12
-    pairs."""
+    pairs, and tarski to one cross-check per atom, where its reference
+    walks 2^12 - 1 sets."""
     n = 12
     rotation = tuple((i + 1) % n for i in range(n))
     ss = statspace_from_maps([str(i) for i in range(n)], [[i] for i in range(n)], [rotation])
     entries = [CorpusEntry(name="cyclic12", statspace=ss, kind="random")]
     reports = [run(entries) for run in (
-        suites.run_theorem1_suite, suites.run_theorem3_suite, suites.run_soundness_audit
+        suites.run_theorem1_suite, suites.run_theorem3_suite, suites.run_soundness_audit,
+        suites.run_tarski_suite,
     )]
     for rep in reports:
         assert rep["failures"] == [] and rep["unknown"] == 0, rep["suite"]
     # a monotone and a subadditive check per one-atom step
     assert reports[1]["checks"] >= 2 * n * 2 ** (n - 1)
+    assert reports[3]["checks"] == reports[3]["agreements"] == n
+
+
+# ---------------------------------------------------------------------------
+# The per-set Tarski loop, kept as the reference for the per-atom suite
+
+
+def reference_tarski(eng):
+    """cross_check_tarski on every nonempty measurable set (2^n - 1): each
+    set's cross-check, and the sets where the biconditional fails."""
+    checks = {a: cross_check_tarski(eng, a)
+              for a in eng.statspace.space.all_measurable_sets() if a}
+    return checks, [a for a, rep in checks.items() if rep.consistent is False]
+
+
+def derived_from_atoms(checks, e_set):
+    """What the three rules of `run_tarski_suite` predict for a set from
+    the cross-checks of its atoms: (null type, a normalized measure
+    exists, 2[E] <= [E]); the last two are None for a null-type set."""
+    atoms = [checks[frozenset({x})] for x in e_set]
+    if all(a.null_type for a in atoms):
+        return True, None, None
+    live = [a for a in atoms if not a.null_type]
+    return (False, any(a.measure is not None for a in live),
+            all(a.paradox.verdict == LEQ for a in live))
+
+
+def test_per_atom_tarski_agrees_with_the_per_set_reference():
+    small = [e for e in suites.corpus_with_fixtures(2024) if e.statspace.n_atoms <= 4]
+    rep = suites.run_tarski_suite(small)
+    assert rep["failures"] == [] and rep["unknown"] == 0
+    assert rep["checks"] == sum(e.statspace.n_atoms for e in small)
+    multi = 0
+    for entry in small:
+        checks, failures = reference_tarski(TypeEngine(entry.statspace))
+        assert failures == [], entry.name
+        for e_set, check in checks.items():
+            seen = (check.null_type,
+                    None if check.null_type else check.measure is not None,
+                    None if check.null_type else check.paradox.verdict == LEQ)
+            assert seen == derived_from_atoms(checks, e_set), (entry.name, sorted(e_set))
+            multi += len(e_set) > 1
+    assert multi > 100
+
+
+def test_dropped_singleton_measure_is_caught(monkeypatch):
+    """Synthesis losing the measure of the non-paradoxical atom {0} of the
+    parity space breaks the biconditional, in the reference loop and in
+    the per-atom suite."""
+    original = measures.synthesize_classical_measure
+
+    def tampered(engine, atoms):
+        if frozenset(atoms) == {0}:
+            return Synthesis(None, "paradox")
+        return original(engine, atoms)
+
+    monkeypatch.setattr(measures, "synthesize_classical_measure", tampered)
+    eng = TypeEngine(parity_space())
+    assert measures.is_paradoxical(eng, {0}).verdict == NOT_LEQ
+    _, failures = reference_tarski(eng)
+    assert frozenset({0}) in failures
+    rep = suites.run_tarski_suite(PARITY)
+    assert rep["failures"] == [
+        "parity: biconditional fails on atom 0: not_leq, but no measure"
+    ]
+
+
+# ---------------------------------------------------------------------------
+# The runners take their spaces and a budget, nothing else
+
+
+def test_runners_take_entries_and_a_budget_only():
+    for name, run in suites.SUITES.items():
+        params = list(inspect.signature(run).parameters.values())
+        assert [(p.name, p.kind, p.default) for p in params[:1]] == [
+            ("entries", inspect.Parameter.POSITIONAL_OR_KEYWORD, None)
+        ], name
+        assert [(p.name, p.kind) for p in params[1:]] == [
+            ("budget", inspect.Parameter.KEYWORD_ONLY)
+        ], name
+    assert list(inspect.signature(continuity_suite).parameters) == ["engine", "lattice"]
+    assert list(inspect.signature(corpus_morphism_pairs).parameters) == ["entries"]
