@@ -11,11 +11,13 @@ runner and the acceptance tests share these implementations.
 
 Laws of the canonical measure A -> [A] are checked on the few cases that
 imply them, each by an argument exact in any commutative monoid with its
-algebraic preorder: additivity on one-atom splits and stationarity on
-generators times atoms (`run_theorem1_suite`), monotonicity and
-subadditivity on one-atom steps (`measures.continuity_suite`), and
-Tarski's dichotomy on single atoms (`run_tarski_suite`).  The exhaustive
-loops over sets and pairs of sets are the reference tests.
+algebraic preorder: additivity along one chain of atoms and stationarity
+on generators times atoms (`run_theorem1_suite`), monotonicity and
+subadditivity along the same chain (`measures.continuity_suite`), and
+Tarski's dichotomy on single atoms (`run_tarski_suite`).  The sampled
+batteries draw from the set vectors by index (`_SampleVectors`), so no
+runner walks the 2^n measurable sets; the exhaustive loops over sets and
+pairs of sets are the reference tests.
 
 Every runner takes its spaces and a budget and nothing else: the seeds
 and sample sizes of the sampled checks are the constants below, so a
@@ -34,6 +36,7 @@ from .corpus import (
 )
 from .errors import TypemonoidError
 from .lattice import (
+    LatticeError,
     check_distributive,
     embed,
     enumerate_idempotents,
@@ -107,12 +110,27 @@ class _Tally:
         `where`, formatted as in `check`."""
         self.report["checks"] += 1
         if decision.verdict == UNKNOWN:
-            self.report["unknown"] += 1
-            if self.fixture:
-                self.report["fixture_unknown"] += 1
-                where = where.format(*args) if args else where
-                self.report["failures"].append(f"{where}: unknown on a fixture")
+            self._unknown(where.format(*args) if args else where)
         return decision.verdict
+
+    def _unknown(self, where: str):
+        self.report["unknown"] += 1
+        if self.fixture:
+            self.report["fixture_unknown"] += 1
+            self.report["failures"].append(f"{where}: unknown on a fixture")
+
+    def lattice(self, engine: TypeEngine, name: str):
+        """The scale lattice of the engine's space, or None when it has more
+        than LATTICE_LIMIT closed supports: a named limit, counted as one
+        unknown check and under `limits`, not a law failure."""
+        try:
+            return enumerate_idempotents(engine)
+        except LatticeError as exc:
+            limits = self.report.setdefault("limits", {})
+            limits["LATTICE_LIMIT"] = limits.get("LATTICE_LIMIT", 0) + 1
+            self.report["checks"] += 1
+            self._unknown(f"{name}: lattice unavailable: {exc}")
+            return None
 
     def expect(self, decision, verdict: str, where: str, *args):
         """`saw` the decision, then `check` that it is `verdict`: two checks."""
@@ -135,20 +153,36 @@ class _Tally:
         return self.report
 
 
+class _SampleVectors:
+    """The vector of each measurable set, in mask order and built only when
+    read, then the extra vectors.  `rng.choice` reads only the length and
+    one index, so a draw costs one set vector, not 2^n of them; iteration
+    reads the indices in order until the extras run out."""
+
+    def __init__(self, engine: TypeEngine, extras: List):
+        self.engine, self.extras, self.sets = engine, extras, 1 << engine.n
+
+    def __len__(self) -> int:
+        return self.sets + len(self.extras)
+
+    def __getitem__(self, i: int):
+        if i >= self.sets:
+            return self.extras[i - self.sets]
+        return self.engine.abar_of_set(frozenset(x for x in range(self.engine.n) if i >> x & 1))
+
+
 def _sample_vectors(engine: TypeEngine, rng: random.Random, extra: int = 6):
     """Measurable-set vectors plus a few random multiplicity and
     omega-bearing vectors, the decision inputs for the law batteries."""
-    out = [engine.abar_of_set(a) for a in engine.statspace.space.all_measurable_sets()]
+    out = []
     for _ in range(extra):
         fin = tuple(rng.randrange(0, 3) for _ in range(engine.n))
         out.append(engine.abar(fin))
     for _ in range(max(2, extra // 2)):
-        om = frozenset(
-            i for i in range(engine.n) if rng.random() < 0.4
-        )
+        om = frozenset(i for i in range(engine.n) if rng.random() < 0.4)
         fin = tuple(0 if i in om else rng.randrange(0, 2) for i in range(engine.n))
         out.append(engine.abar(fin, om))
-    return out
+    return _SampleVectors(engine, out)
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +195,24 @@ def run_theorem1_suite(
     """The measure-target laws of the type monoid on every space, and the
     cofunctor laws on composable morphism pairs.
 
-    With mu(A) = [A], additivity is checked as mu(A) = mu(A - {max A}) +
-    mu({max A}) for each nonempty A: by induction on |A| that gives
-    mu(A) = sum of mu({a}) over a in A, and so mu(A) + mu(B) = mu(A | B)
-    for every disjoint pair.  Stationarity is checked as mu(pre_g({a})) =
-    mu({a}) for each of the space's generators g and each atom a: the
-    preimages of disjoint atoms are disjoint, so additivity extends it to
-    every set, and pre_st = pre_t o pre_s extends it to every element.
+    The measure is mu(A) = [1_A]: `TypeEngine` turns a set into its
+    indicator vector, and 1_(A | B) = 1_A + 1_B for disjoint A and B, so
+    additivity over every disjoint pair is an identity of the
+    representation.  The decision procedure must still see it, and it is
+    checked along one chain C_k = {0, ..., k-1}, as mu(C_k) = mu(C_(k-1))
+    + mu({k-1}) for k = 1..n, with omega-fold absorption on C_0..C_n.  On
+    any other set each query compares a vector with itself or with one
+    that dominates it, which the decision answers before any congruence
+    work, so the chain checks each law at every set size.  Stationarity
+    is checked as mu(pre_g({a})) = mu({a}) for each of the space's
+    generators g and each atom a: the preimages of disjoint atoms are
+    disjoint, so additivity extends it to every set, and pre_st = pre_t o
+    pre_s extends it to every element.
     """
     tally = _Tally("theorem1")
     rng = random.Random(_THEOREM1_SEED)
     entries = corpus_with_fixtures() if entries is None else list(entries)
     for entry, eng in tally.spaces(entries, budget):
-        sets = eng.statspace.space.all_measurable_sets()
         name = entry.name
 
         d = eng.decide_equal(eng.abar_of_set(frozenset()), eng.abar_zero())
@@ -186,14 +225,15 @@ def run_theorem1_suite(
             p, q = rng.choice(vectors), rng.choice(vectors)
             tally.expect(eng.decide_equal(p + q, q + p), EQUAL, "{}: commutativity", name)
 
-        for a in sets[1:]:
-            top = frozenset({max(a)})
+        chain = [frozenset(range(k)) for k in range(eng.n + 1)]
+        for k in range(eng.n):
+            a, top = chain[k], frozenset({k})
             d = eng.decide_equal(
-                eng.abar_of_set(a - top) + eng.abar_of_set(top), eng.abar_of_set(a)
+                eng.abar_of_set(a) + eng.abar_of_set(top), eng.abar_of_set(chain[k + 1])
             )
-            tally.expect(d, EQUAL, "{}: additivity {} {}", name, a - top, top)
+            tally.expect(d, EQUAL, "{}: additivity {} {}", name, a, top)
 
-        for a in sets[: _THEOREM1_PAIRS // 4]:
+        for a in chain:
             p = eng.abar_of_set(a)
             fold = eng.omega_fold(p)
             d = eng.decide_equal(fold + fold, fold)
@@ -237,7 +277,10 @@ def run_theorem1_suite(
 
     # cofunctor laws over composable morphism pairs
     pairs = corpus_morphism_pairs(entries)
-    for m2, m1 in pairs:
+    for i, (m2, m1) in enumerate(pairs):
+        # the first two pairs are built from named fixtures, each later one
+        # from the entry of the same rank
+        tally.fixture = i < 2 or entries[i - 2].kind == "fixture"
         src = TypeEngine(m1.source, budget)
         mid = TypeEngine(m1.target, budget)
         tgt = TypeEngine(m2.target, budget)
@@ -275,10 +318,8 @@ def run_theorem2_suite(
     entries = corpus_with_fixtures() if entries is None else list(entries)
     for entry, eng in tally.spaces(entries, budget):
         name = entry.name
-        try:
-            lat = enumerate_idempotents(eng)
-        except TypemonoidError as exc:
-            tally.report["failures"].append(f"{name}: lattice unavailable: {exc}")
+        lat = tally.lattice(eng, name)
+        if lat is None:
             continue
 
         distributive, counterexample = check_distributive(lat)
@@ -357,10 +398,8 @@ def run_theorem3_suite(
         ]
     for entry, eng in tally.spaces(entries, budget):
         name = entry.name
-        try:
-            lat = enumerate_idempotents(eng)
-        except TypemonoidError as exc:
-            tally.report["failures"].append(f"{name}: lattice unavailable: {exc}")
+        lat = tally.lattice(eng, name)
+        if lat is None:
             continue
         rep = continuity_suite(eng, lat)
         for key in ("monotone", "subadditive", "below", "above"):

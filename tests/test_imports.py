@@ -5,7 +5,8 @@ imported name passes when the module reads it, lists it in `__all__`, or
 imports it on a line marked `# noqa: F401`; `from __future__` imports
 are exempt.  A module-level function or class of the package whose name
 starts with `_` passes when some module of the package or the tests
-reads it, by name or as an attribute.
+reads it, by name or as an attribute.  No function of the package walks
+the power set through `all_measurable_sets`; only the tests do.
 """
 
 import ast
@@ -98,3 +99,14 @@ def test_every_private_definition_is_read():
         if name not in read
     ]
     assert not unread, f"private definitions nothing reads: {', '.join(unread)}"
+
+
+def test_no_package_function_walks_the_power_set():
+    calls = [
+        f"{path.name}: line {node.lineno}"
+        for path in PACKAGE
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) == "all_measurable_sets"
+    ]
+    assert not calls, f"all_measurable_sets called in {', '.join(calls)}"

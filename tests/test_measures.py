@@ -53,6 +53,7 @@ from typemonoid.measures import (
     continuity_suite,
     cross_check_tarski,
     decreasing_limit_with_scale,
+    evaluate_extension,
     extend_T_measure,
     hierarchical_eq,
     hierarchical_measure,
@@ -972,14 +973,72 @@ class TestNullIdeal:
             null_ideal(eng, IdempotentElement(4, frozenset({0})))
 
 
+def reference_factorization(engine, scale, spec):
+    """The per-set loop `extend_T_measure` replaced: the factorization
+    through the hierarchical measure at `scale` on every measurable set,
+    raising ContractError on the first set where it fails."""
+    for aset in engine.statspace.space.all_measurable_sets():
+        lhs = evaluate_extension(spec, measures.hierarchical_measure(engine, scale, aset))
+        if spec.target.eq(lhs, spec.value_of_atoms(aset)).verdict != EQUAL:
+            raise ContractError(f"factorization fails on {sorted(aset)}")
+
+
+def factorization_cases():
+    """(engine, lattice, spec) for the collapse and parity extensions; the
+    synthesized parity measure has a null scale above the bottom."""
+    collapse, parity = collapse_space(), parity_space()
+    classical = synthesize_classical_measure(TypeEngine(collapse), frozenset({0})).measure
+    uniform = RationalStationaryMeasure(parity, (Fraction(1, 4),) * 4, frozenset())
+    infinite = RationalStationaryMeasure(
+        parity, (Fraction(0), Fraction(1, 2), Fraction(0), Fraction(1, 2)), frozenset({0, 2})
+    )
+    one_class = synthesize_classical_measure(TypeEngine(parity), frozenset(range(4))).measure
+    for m in (classical, uniform, infinite, one_class):
+        yield (*setup_space(m.statspace), measure_to_T_spec(m))
+
+
 class TestExtension:
+    def test_singletons_agree_with_the_per_set_reference(self):
+        scales = []
+        for eng, lat, spec in factorization_cases():
+            ext = extend_T_measure(eng, lat, spec)
+            assert ext.factorization_checked == eng.n + 1
+            reference_factorization(eng, ext.scale, spec)
+            scales.append(ext.scale == lat.bottom)
+        assert scales == [True, True, True, False]
+
+    def test_shifted_singleton_is_caught(self, monkeypatch):
+        """hierarchical_measure answering the value of {a} shifted by one
+        more atom a, for an atom of finite nonzero measure, breaks the
+        factorization, in the reference and in the extension."""
+        original = measures.hierarchical_measure
+
+        for eng, lat, spec in factorization_cases():
+            a = next(a for a, x in enumerate(spec.assignment) if x not in (0, INF))
+
+            def shifted(engine, e, atoms):
+                value = original(engine, e, atoms)
+                if atoms != {a}:
+                    return value
+                return HierarchicalValue(
+                    e, "member", member=value.member.add(ExtVec.from_vec(unit_vec(engine.n, a)))
+                )
+
+            scale = extend_T_measure(eng, lat, spec).scale
+            with monkeypatch.context() as m:
+                m.setattr(measures, "hierarchical_measure", shifted)
+                with pytest.raises(ContractError):
+                    reference_factorization(eng, scale, spec)
+                with pytest.raises(ContractError):
+                    extend_T_measure(eng, lat, spec)
+
     def test_collapse_factorization(self):
         ss = collapse_space()
         eng, lat = setup_space(ss)
         m = synthesize_classical_measure(TypeEngine(ss), frozenset({0})).measure
         ext = extend_T_measure(eng, lat, measure_to_T_spec(m))
         assert ext.scale == lat.bottom
-        assert ext.factorization_checked == 4
+        assert ext.factorization_checked == 3
         assert "atom 0" in ext.uniqueness_probe
 
     def test_parity_factorization(self):
@@ -989,7 +1048,7 @@ class TestExtension:
         assert not m.check()
         ext = extend_T_measure(eng, lat, measure_to_T_spec(m))
         assert ext.scale == lat.bottom
-        assert ext.factorization_checked == 16
+        assert ext.factorization_checked == 5
 
     def test_parity_synthesized_lands_on_one_class(self):
         # the maps never mix parity classes, so the solver may put all

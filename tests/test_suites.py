@@ -1,9 +1,10 @@
 import inspect
+import random
 
 import pytest
 
 from typemonoid import measures, suites
-from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, Budget, Decision
+from typemonoid.congruence import EQUAL, LEQ, NOT_EQUAL, NOT_LEQ, UNKNOWN, Budget, Decision
 from typemonoid.corpus import (
     CorpusEntry,
     corpus_morphism_pairs,
@@ -12,7 +13,7 @@ from typemonoid.corpus import (
     statspace_from_maps,
 )
 from typemonoid.measures import Synthesis, continuity_suite, cross_check_tarski
-from typemonoid.spaces import pullback
+from typemonoid.spaces import build_space, pullback, with_trivial_symmetry
 from typemonoid.suites import _Tally
 from typemonoid.types import TypeEngine
 
@@ -154,24 +155,117 @@ def test_tampered_one_atom_step_is_caught(monkeypatch):
     assert f"parity: {step}" in failures
 
 
-def test_twelve_atom_cycle_runs_every_law_suite():
-    """One rotation of 12 points: the one-atom reductions keep theorem1
-    and theorem3 to n 2^n decisions, where the references walk 4^12
-    pairs, and tarski to one cross-check per atom, where its reference
-    walks 2^12 - 1 sets."""
-    n = 12
+def cycle_entry(n):
+    """One rotation of n points, each point an atom."""
     rotation = tuple((i + 1) % n for i in range(n))
     ss = statspace_from_maps([str(i) for i in range(n)], [[i] for i in range(n)], [rotation])
-    entries = [CorpusEntry(name="cyclic12", statspace=ss, kind="random")]
+    return CorpusEntry(name=f"cyclic{n}", statspace=ss, kind="random")
+
+
+def theorem3_chain_checks(n, scales):
+    """theorem3's checks on a space of n atoms and `scales` scales: a
+    monotone and a subadditive check per chain step, the continuity
+    schemas from below and one chain per scale from above, the
+    below-schema count, and the constant colimit (a decision, its check
+    and three upper-bound checks)."""
+    return 2 * n + measures.SCHEMAS_BELOW + scales + 1 + 2 + 3
+
+
+def test_twelve_atom_cycle_runs_every_law_suite():
+    """One rotation of 12 points: the chain keeps theorem1 and theorem3
+    to a few decisions per atom, where the references walk 4^12 pairs,
+    and tarski to one cross-check per atom, where its reference walks
+    2^12 - 1 sets."""
+    n = 12
+    entries = [cycle_entry(n)]
     reports = [run(entries) for run in (
         suites.run_theorem1_suite, suites.run_theorem3_suite, suites.run_soundness_audit,
         suites.run_tarski_suite,
     )]
     for rep in reports:
         assert rep["failures"] == [] and rep["unknown"] == 0, rep["suite"]
-    # a monotone and a subadditive check per one-atom step
-    assert reports[1]["checks"] >= 2 * n * 2 ** (n - 1)
+    # one rotation has two scales: the bottom and every atom
+    assert reports[0]["checks"] == 340
+    assert reports[1]["checks"] == theorem3_chain_checks(n, 2) == 52
     assert reports[3]["checks"] == reports[3]["agreements"] == n
+
+
+def test_twenty_four_atom_cycle_runs_all_five_suites():
+    """A 24-atom cycle, 2^24 measurable sets: no suite walks them."""
+    n = 24
+    reports = {name: run([cycle_entry(n)]) for name, run in suites.SUITES.items()}
+    for name, rep in reports.items():
+        assert rep["failures"] == [] and rep["unknown"] == 0, name
+    assert reports["theorem1"]["checks"] == 484
+    assert reports["theorem3"]["checks"] == theorem3_chain_checks(n, 2) == 76
+
+
+def materialized_sample(eng, rng, extra=6):
+    """The sample of `suites._sample_vectors` as a list: every set vector in
+    mask order, then the extras drawn the same way."""
+    out = [eng.abar_of_set(a) for a in eng.statspace.space.all_measurable_sets()]
+    for _ in range(extra):
+        out.append(eng.abar(tuple(rng.randrange(0, 3) for _ in range(eng.n))))
+    for _ in range(max(2, extra // 2)):
+        om = frozenset(i for i in range(eng.n) if rng.random() < 0.4)
+        fin = tuple(0 if i in om else rng.randrange(0, 2) for i in range(eng.n))
+        out.append(eng.abar(fin, om))
+    return out
+
+
+@pytest.mark.parametrize("seed, extra", [(5, 6), (9, 8), (13, 6)])
+def test_indexed_sample_draws_as_the_materialized_list(seed, extra):
+    spaces = list(fixture_spaces().values()) + [cycle_entry(10).statspace]
+    for ss in spaces:
+        eng = TypeEngine(ss)
+        rng, ref_rng = random.Random(seed), random.Random(seed)
+        sample = suites._sample_vectors(eng, rng, extra)
+        reference = materialized_sample(eng, ref_rng, extra)
+        assert len(sample) == len(reference)
+        for _ in range(50):
+            assert rng.choice(sample) == ref_rng.choice(reference)
+        assert list(sample) == reference
+
+
+def test_fixture_flag_is_set_per_morphism_pair(monkeypatch):
+    """The parity pair is built from named fixtures, so its unknown
+    verdicts are fixture unknowns whichever kind of entry comes last."""
+    original = suites.corpus_morphism_pairs
+
+    def undecided(self, p, q):
+        return Decision(UNKNOWN, {}, Budget())
+
+    entries = suites.corpus_with_fixtures(2024, count=1)
+    assert entries[0].kind == "fixture" and entries[-1].kind != "fixture"
+    for order in (entries, entries[::-1]):
+        with monkeypatch.context() as m:
+            def parity_pair_only(es):
+                m.setattr(TypeEngine, "decide_equal", undecided)
+                return original(es)[:1]
+
+            m.setattr(suites, "corpus_morphism_pairs", parity_pair_only)
+            rep = suites.run_theorem1_suite(order)
+        # a composition per target atom, an identity per source atom and a
+        # pullback per middle atom: 1 + 4 + 2
+        assert rep["unknown"] == rep["fixture_unknown"] == 7
+
+
+def test_lattice_limit_is_an_unknown_not_a_failure():
+    """Nine atoms with trivial symmetry have 2^9 closed supports, past
+    LATTICE_LIMIT: one unknown check under `limits`, a failure only on a
+    fixture."""
+    space = build_space([str(i) for i in range(9)], [[i] for i in range(9)])
+    ss = with_trivial_symmetry(space)
+    for run in (suites.run_theorem2_suite, suites.run_theorem3_suite):
+        rep = run([CorpusEntry(name="trivial9", statspace=ss, kind="random")])
+        assert rep["failures"] == [] and rep["unknown"] == rep["checks"] == 1, rep["suite"]
+        assert rep["limits"] == {"LATTICE_LIMIT": 1} and rep["fixture_unknown"] == 0
+        rep = run([CorpusEntry(name="trivial9", statspace=ss, kind="fixture")])
+        assert not rep["ok"] and rep["fixture_unknown"] == 1, rep["suite"]
+        assert rep["failures"] == [
+            "trivial9: lattice unavailable: more than LATTICE_LIMIT = 256 closed "
+            "supports: unknown on a fixture"
+        ]
 
 
 # ---------------------------------------------------------------------------
