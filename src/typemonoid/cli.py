@@ -1,14 +1,17 @@
 """Command-line surface.
 
-Every subcommand builds a report dict with stable field names
-(`schema_version`, `command`, `budget`, `verdicts`, plus per-command
-payload) and prints it as text, or as JSON under `--json`.  Exit codes:
-0 all verdicts definite, 2 an Unknown verdict or exhausted budget,
-1 input error (usage error, unreadable file, parse failure, invalid
-space, rejected certificate).
-Output is deterministic for fixed inputs and flags; wall-clock timings
-appear only under `--timings`.
-"""
+`main` is the one pipeline every subcommand runs through: it parses the
+arguments, sets the decision budget, starts the clock, builds the base
+report (`schema_version`, `command`, `budget`, `verdicts`), calls the
+subcommand, and prints the report as text, or as JSON under `--json`.
+A subcommand `cmd_*(args, report)` only adds its payload and verdicts to
+the report and returns its text lines.  Exit codes: 0 all verdicts
+definite, 2 an Unknown verdict or exhausted budget, 1 input error (usage
+error, unreadable file, parse failure, invalid space, rejected
+certificate); `main` maps raised errors to them.
+Output is deterministic for fixed inputs and flags.  Wall-clock timings
+appear only under `--timings`, which `main` applies after the subcommand
+returns: a `timings` key in the JSON report, or a final `elapsed` line."""
 
 import argparse
 import functools
@@ -48,34 +51,22 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_UNKNOWN = 2
 
-
-def _base_report(args, command: str) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "budget": asdict(args.budget),
-        "verdicts": [],
-    }
-
-
-def _emit(args, report: dict, lines: List[str], started: float) -> int:
-    code = report.get("exit_code", EXIT_OK)
-    if args.timings:
-        report["timings"] = {"seconds": round(time.perf_counter() - started, 3)}
-    if args.json:
-        print(report_to_json(report))
-    else:
-        for line in lines:
-            print(line)
-        if args.timings:
-            print(f"elapsed {report['timings']['seconds']}s")
-    return code
+BUILTIN_CERTIFICATES = {
+    "builtin:galileo": builtin_galileo,
+    "builtin:f2": builtin_f2_duplication,
+}
 
 
 def _set_verdict(report: dict, name: str, verdict: str):
     report["verdicts"].append({"name": name, "verdict": verdict})
     if verdict == UNKNOWN and report.get("exit_code", EXIT_OK) == EXIT_OK:
         report["exit_code"] = EXIT_UNKNOWN
+
+
+def _audit(eng: TypeEngine, report: dict, lines: List[str]):
+    """Replay the engine's logged decisions into `report` and the last line."""
+    report["audit"] = eng.audit_decisions()
+    lines.append(f"audit replayed: {report['audit']}")
 
 
 def _vec_str(v) -> str:
@@ -89,9 +80,7 @@ def _vec_str(v) -> str:
 # subcommands
 
 
-def cmd_space_check(args) -> int:
-    started = time.perf_counter()
-    report = _base_report(args, "space-check")
+def cmd_space_check(args, report: dict) -> List[str]:
     ss = load_space(args.space)
     act = validate_action(ss)
     mon = act.monoid
@@ -140,12 +129,10 @@ def cmd_space_check(args) -> int:
     else:
         lines.append("valid")
     _set_verdict(report, "space_valid", "definite")
-    return _emit(args, report, lines, started)
+    return lines
 
 
-def cmd_type(args) -> int:
-    started = time.perf_counter()
-    report = _base_report(args, "type")
+def cmd_type(args, report: dict) -> List[str]:
     ss = load_space(args.space)
     eng = TypeEngine(ss, args.budget)
     aset = parse_set_expr(ss, args.set)
@@ -185,38 +172,30 @@ def cmd_type(args) -> int:
         )
         lines.append(f"  vs atom {ss.space.atom_labels[a]}: {rel}")
     report["atom_relations"] = relations
-    return _emit(args, report, lines, started)
+    return lines
 
 
-def cmd_equi(args) -> int:
-    started = time.perf_counter()
-    report = _base_report(args, "equi")
+def cmd_equi(args, report: dict) -> List[str]:
     ss = load_space(args.space)
     eng = TypeEngine(ss, args.budget)
     p = eng.type_of(parse_set_expr(ss, args.left))
     q = eng.type_of(parse_set_expr(ss, args.right))
     d = eng.decide_equal(p, q)
-    audit = eng.audit_decisions()
     report["decision"] = d.to_json()
-    report["audit"] = audit
     _set_verdict(report, "equidecomposable", d.verdict)
     lines = [f"verdict {d.verdict}", f"witness {d.to_json()['witness']}"]
-    lines.append(f"audit replayed: {audit}")
-    return _emit(args, report, lines, started)
+    _audit(eng, report, lines)
+    return lines
 
 
-def cmd_paradox(args) -> int:
-    started = time.perf_counter()
-    report = _base_report(args, "paradox")
+def cmd_paradox(args, report: dict) -> List[str]:
     ss = load_space(args.space)
     eng = TypeEngine(ss, args.budget)
     aset = parse_set_expr(ss, args.set)
     d = is_paradoxical(eng, aset)
     null = eng.decide_equal(eng.type_of(aset), eng.type_zero())
-    audit = eng.audit_decisions()
     report["decision"] = d.to_json()
     report["null_type"] = null.verdict
-    report["audit"] = audit
     _set_verdict(report, "paradoxical", d.verdict)
     if d.verdict == LEQ:
         head = "paradoxical (two copies fit inside one)"
@@ -226,22 +205,19 @@ def cmd_paradox(args) -> int:
         head = "not paradoxical"
     else:
         head = "unknown at this budget"
-    lines = [head, f"witness {d.to_json()['witness']}", f"audit replayed: {audit}"]
-    return _emit(args, report, lines, started)
+    lines = [head, f"witness {d.to_json()['witness']}"]
+    _audit(eng, report, lines)
+    return lines
 
 
-def cmd_measure(args) -> int:
-    started = time.perf_counter()
-    report = _base_report(args, "measure")
+def cmd_measure(args, report: dict) -> List[str]:
     ss = load_space(args.space)
     aset = parse_set_expr(ss, args.set)
     eng = TypeEngine(ss, args.budget)
     syn = synthesize_classical_measure(eng, aset)
-    audit = eng.audit_decisions()
     cert = syn.certificate.to_json() if syn.certificate is not None else None
     report["synthesis"] = {"method": syn.method, "k": syn.k,
                            "exhausted": syn.exhausted, "certificate": cert}
-    report["audit"] = audit
     _set_verdict(report, "measure_exists", "definite")
     if syn.measure is not None:
         m = syn.measure
@@ -258,13 +234,11 @@ def cmd_measure(args) -> int:
     else:
         lines = [f"infeasible: paradox certificate {syn.k + 1}[E] <= {syn.k}[E]",
                  f"witness {cert['witness']}"]
-    lines.append(f"audit replayed: {audit}")
-    return _emit(args, report, lines, started)
+    _audit(eng, report, lines)
+    return lines
 
 
-def cmd_lattice(args) -> int:
-    started = time.perf_counter()
-    report = _base_report(args, "lattice")
+def cmd_lattice(args, report: dict) -> List[str]:
     ss = load_space(args.space)
     eng = TypeEngine(ss, args.budget)
     lat = enumerate_idempotents(eng)
@@ -284,18 +258,12 @@ def cmd_lattice(args) -> int:
                 fh.write(dot + "\n")
             lines.append(f"wrote {args.dot}")
         report["dot"] = dot
-    return _emit(args, report, lines, started)
+    return lines
 
 
-def cmd_cert_verify(args) -> int:
-    started = time.perf_counter()
-    report = _base_report(args, "cert-verify")
-    if args.certificate == "builtin:galileo":
-        cert = builtin_galileo()
-    elif args.certificate == "builtin:f2":
-        cert = builtin_f2_duplication()
-    else:
-        cert = load_certificate(args.certificate)
+def cmd_cert_verify(args, report: dict) -> List[str]:
+    builtin = BUILTIN_CERTIFICATES.get(args.certificate)
+    cert = builtin() if builtin else load_certificate(args.certificate)
     res = verify_certificate(cert, window=args.window)
     report["certificate"] = args.certificate
     report["ok"] = res.ok
@@ -310,12 +278,10 @@ def cmd_cert_verify(args) -> int:
         report["exit_code"] = EXIT_INPUT
         lines = ["REJECTED"]
         lines.extend("  " + p for p in res.problems)
-    return _emit(args, report, lines, started)
+    return lines
 
 
-def cmd_corpus(args) -> int:
-    started = time.perf_counter()
-    report = _base_report(args, "corpus")
+def cmd_corpus(args, report: dict) -> List[str]:
     entries = corpus_with_fixtures(seed=args.seed, count=args.count)
     summary = SUITES[args.suite](entries, budget=args.budget)
     report["summary"] = summary
@@ -331,7 +297,7 @@ def cmd_corpus(args) -> int:
     ]
     for f in summary["failures"][:10]:
         lines.append(f"  FAIL {f}")
-    return _emit(args, report, lines, started)
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -407,11 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cert_verify)
 
     p = sub.add_parser("corpus", help="run a property suite over the corpus")
-    p.add_argument(
-        "--suite",
-        required=True,
-        choices=["theorem1", "theorem2", "theorem3", "tarski", "soundness"],
-    )
+    p.add_argument("--suite", required=True, choices=list(SUITES))
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument(
         "--count", type=_nonnegative_int, default=60, help="random spaces to generate"
@@ -427,8 +389,24 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse has printed its help (code 0) or a usage error
         return EXIT_INPUT if exc.code else EXIT_OK
     args.budget = Budget(max_rules=args.max_rules)
+    started = time.perf_counter()
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "command": args.subcommand,
+        "budget": asdict(args.budget),
+        "verdicts": [],
+    }
     try:
-        return args.func(args)
+        lines = args.func(args, report)
+        if args.timings:
+            report["timings"] = {"seconds": round(time.perf_counter() - started, 3)}
+            lines.append(f"elapsed {report['timings']['seconds']}s")
+        if args.json:
+            print(report_to_json(report))
+        else:
+            for line in lines:
+                print(line)
+        return report.get("exit_code", EXIT_OK)
     except (SpaceFormatError, MalformedCertificateError, NormalizationImpossibleError,
             OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

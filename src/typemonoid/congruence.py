@@ -737,14 +737,6 @@ class Congruence:
         if u == v:
             return Decision(EQUAL, {"kind": "path", "start": u, "end": v, "steps": []},
                             self.budget)
-        key = ("eqf", u, v)
-        hit = self._decision_memo.get(key)
-        if hit is None:
-            hit = self._eq_finite_impl(u, v)
-            self._decision_memo[key] = hit
-        return hit
-
-    def _eq_finite_impl(self, u: Vec, v: Vec) -> Decision:
         diff = vec_sub(u, v)
         for f in self._basis_functionals():
             val = sum(a * b for a, b in zip(f.z, diff))
@@ -779,14 +771,6 @@ class Congruence:
         u, v = tuple(u), tuple(v)
         if vec_geq(v, u):
             return self._domination(u, v, [])
-        key = ("leqf", u, v)
-        hit = self._decision_memo.get(key)
-        if hit is None:
-            hit = self._leq_finite_impl(u, v)
-            self._decision_memo[key] = hit
-        return hit
-
-    def _leq_finite_impl(self, u: Vec, v: Vec) -> Decision:
         f = self._nonneg_conserved(vec_sub(u, v))
         if f is not None:
             return Decision(

@@ -155,15 +155,17 @@ class _Tally:
 
 class _SampleVectors:
     """The vector of each measurable set, in mask order and built only when
-    read, then the extra vectors.  `rng.choice` reads only the length and
-    one index, so a draw costs one set vector, not 2^n of them; iteration
-    reads the indices in order until the extras run out."""
+    read, then the extra vectors.  A draw reads one index, so it costs one
+    set vector, not 2^n of them; iteration reads the indices in order until
+    the extras run out.  There is no `len`: from 63 atoms on it would not
+    fit a C ssize_t."""
 
     def __init__(self, engine: TypeEngine, extras: List):
         self.engine, self.extras, self.sets = engine, extras, 1 << engine.n
 
-    def __len__(self) -> int:
-        return self.sets + len(self.extras)
+    def draw(self, rng: random.Random):
+        """One vector, uniformly: `rng.choice` on a sequence this long."""
+        return self[rng.randrange(self.sets + len(self.extras))]
 
     def __getitem__(self, i: int):
         if i >= self.sets:
@@ -222,7 +224,7 @@ def run_theorem1_suite(
         # commutativity and disjoint additivity are identities of the
         # vector representation; the decision procedure must see them
         for _ in range(6):
-            p, q = rng.choice(vectors), rng.choice(vectors)
+            p, q = vectors.draw(rng), vectors.draw(rng)
             tally.expect(eng.decide_equal(p + q, q + p), EQUAL, "{}: commutativity", name)
 
         chain = [frozenset(range(k)) for k in range(eng.n + 1)]
@@ -250,7 +252,7 @@ def run_theorem1_suite(
                 tally.expect(d, EQUAL, "{}: stationarity s={} A={}", name, g, sorted(a))
 
         pairs = [
-            (rng.choice(vectors), rng.choice(vectors)) for _ in range(_THEOREM1_PAIRS)
+            (vectors.draw(rng), vectors.draw(rng)) for _ in range(_THEOREM1_PAIRS)
         ]
         for p, q in pairs:
             lo = eng.decide_leq(p, q)
@@ -329,8 +331,8 @@ def run_theorem2_suite(
         scales = list(lat)
         for _ in range(_THEOREM2_PAIRS):
             e = rng.choice(scales)
-            u = rng.choice(vectors).vec.add(e.vec)
-            v = rng.choice(vectors).vec.add(e.vec)
+            u = vectors.draw(rng).vec.add(e.vec)
+            v = vectors.draw(rng).vec.add(e.vec)
             # same-scale pairs; embedding must reflect type equality
             if eng.omega_normalize(u).omega != e.omega_support:
                 continue
@@ -392,10 +394,7 @@ def run_theorem3_suite(
 ) -> Dict:
     tally = _Tally("theorem3")
     if entries is None:
-        entries = [
-            CorpusEntry(name=f"fixture_{name}", statspace=ss, kind="fixture")
-            for name, ss in fixture_spaces().items()
-        ]
+        entries = corpus_with_fixtures(count=0)
     for entry, eng in tally.spaces(entries, budget):
         name = entry.name
         lat = tally.lattice(eng, name)
@@ -457,8 +456,7 @@ def run_tarski_suite(
             if rep.null_type:
                 tally.report["null_type_sets"] += 1
             elif rep.paradox.verdict == UNKNOWN:
-                tally.report["unknown"] += 1
-                tally.report["fixture_unknown"] += tally.fixture
+                tally._unknown(f"{entry.name}: paradox of atom {x}")
             elif rep.consistent:
                 tally.report["agreements"] += 1
             else:
@@ -484,7 +482,7 @@ def run_soundness_audit(
     for entry, eng in tally.spaces(entries, budget):
         vectors = _sample_vectors(eng, rng)
         for _ in range(_SOUNDNESS_QUERIES):
-            p, q = rng.choice(vectors), rng.choice(vectors)
+            p, q = vectors.draw(rng), vectors.draw(rng)
             tally.saw(eng.decide_equal(p, q), f"{entry.name}: query")
             tally.saw(eng.decide_leq(p, q), f"{entry.name}: query")
         try:

@@ -631,6 +631,53 @@ class TestDeterminism:
         assert out1 == out2
 
 
+def subcommand_argv(files, command):
+    """One invocation of `command` on a fixture."""
+    return {
+        "space-check": ["space-check", files["parity"]],
+        "type": ["type", files["parity"], "0,1"],
+        "equi": ["equi", files["parity"], "0", "1"],
+        "paradox": ["paradox", files["collapse"], "0"],
+        "measure": ["measure", files["parity"], "0"],
+        "lattice": ["lattice", files["collapse"]],
+        "cert-verify": ["cert-verify", "builtin:f2"],
+        "corpus": ["corpus", "--suite", "tarski", "--count", "0"],
+    }[command]
+
+
+SUBCOMMANDS = ["space-check", "type", "equi", "paradox", "measure", "lattice",
+               "cert-verify", "corpus"]
+
+
+class TestTimings:
+    """`main` applies --timings after the subcommand: it adds a `timings`
+    key to the JSON report, or a final `elapsed` line, and nothing else."""
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_json_adds_only_the_timings_key(self, files, capsys, command):
+        argv = subcommand_argv(files, command)
+        code, plain, _ = run_json(capsys, argv)
+        assert plain["command"] == command and "timings" not in plain
+        timed_code, timed, _ = run_json(capsys, ["--timings"] + argv)
+        seconds = timed.pop("timings")["seconds"]
+        assert isinstance(seconds, float) and seconds >= 0
+        assert (timed_code, timed) == (code, plain)
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_text_adds_only_the_elapsed_line(self, files, capsys, command):
+        argv = subcommand_argv(files, command)
+        code, plain, _ = run(capsys, argv)
+        timed_code, timed, _ = run(capsys, ["--timings"] + argv)
+        assert timed_code == code and timed.startswith(plain)
+        assert re.fullmatch(r"elapsed \d+\.\d+s\n", timed[len(plain):])
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    @pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+    def test_untimed_runs_are_byte_identical(self, files, capsys, command, mode):
+        argv = mode + subcommand_argv(files, command)
+        assert run(capsys, argv) == run(capsys, argv)
+
+
 class TestUsage:
     """A usage error is an input error (exit 1), never the Unknown exit 2."""
 

@@ -221,10 +221,17 @@ def test_indexed_sample_draws_as_the_materialized_list(seed, extra):
         rng, ref_rng = random.Random(seed), random.Random(seed)
         sample = suites._sample_vectors(eng, rng, extra)
         reference = materialized_sample(eng, ref_rng, extra)
-        assert len(sample) == len(reference)
         for _ in range(50):
-            assert rng.choice(sample) == ref_rng.choice(reference)
+            assert sample.draw(rng) == ref_rng.choice(reference)
         assert list(sample) == reference
+
+
+def test_sixty_three_atom_cycle_runs_all_five_suites():
+    """A 63-atom cycle: 2^63 set vectors would not fit a C ssize_t as a
+    length, so the sample is drawn by index and has no len()."""
+    reports = {name: run([cycle_entry(63)]) for name, run in suites.SUITES.items()}
+    for name, rep in reports.items():
+        assert rep["failures"] == [] and rep["unknown"] == 0, name
 
 
 def test_fixture_flag_is_set_per_morphism_pair(monkeypatch):
@@ -329,6 +336,21 @@ def test_dropped_singleton_measure_is_caught(monkeypatch):
     rep = suites.run_tarski_suite(PARITY)
     assert rep["failures"] == [
         "parity: biconditional fails on atom 0: not_leq, but no measure"
+    ]
+
+
+def test_tarski_unknown_on_a_fixture_is_a_failure(monkeypatch):
+    """An unknown paradox verdict is an unknown check everywhere, and on a
+    fixture also a failure naming the space and the atom."""
+    monkeypatch.setattr(measures, "is_paradoxical",
+                        lambda engine, atoms: Decision(UNKNOWN, {}, Budget()))
+    rep = suites.run_tarski_suite(PARITY)
+    assert rep["ok"] and rep["unknown"] == 4 and rep["fixture_unknown"] == 0
+    fixture = CorpusEntry(name="fixture_parity", statspace=parity_space(), kind="fixture")
+    rep = suites.run_tarski_suite([fixture])
+    assert not rep["ok"] and rep["unknown"] == rep["fixture_unknown"] == 4
+    assert rep["failures"] == [
+        f"fixture_parity: paradox of atom {x}: unknown on a fixture" for x in range(4)
     ]
 
 
