@@ -232,9 +232,11 @@ class ExtVec:
         a, b = self.finite, other.finite
         if len(a) != len(b):
             raise SpaceMismatchError("dimension mismatch")
-        om = self.omega | other.omega
-        if not om:
-            return ExtVec(tuple(map(operator.add, a, b)))
+        om = self.omega
+        if om == other.omega:
+            # each side is 0 on the shared omega set, and so is the sum
+            return ExtVec(tuple(map(operator.add, a, b)), om)
+        om = om | other.omega
         fin = list(map(operator.add, a, b))
         for i in om:
             fin[i] = 0
@@ -490,9 +492,13 @@ class Congruence:
         and then returned from a memo; the rays themselves were checked
         when the cone was built.  Past RAY_LIMIT each call solves the
         simplex and checks its point.  `TypeEngine.audit_decisions` checks
-        every logged witness again.
+        every logged witness again.  When `positive` is <= 0 off the zero
+        set, every y >= 0 zero there has y.positive <= 0, so there is none,
+        and neither the rays nor the simplex are consulted.
         """
         zero = tuple(zero_coords)
+        if not any(c > 0 and i not in zero for i, c in enumerate(positive)):
+            return None
         rays = self.conserved_rays()
         if rays is None:
             self.stats["lp_fallbacks"] += 1
@@ -980,6 +986,18 @@ class Congruence:
         pn, qn = self.normalize(p), self.normalize(q)
         if pn.is_finite() and qn.is_finite():
             return self.leq_finite(pn.finite, qn.finite)
+        # the finite mass of p under omega on the right is absorbed outright
+        V = qn.omega
+        pf = zero_on(pn.finite, V)
+        # Domination first.  With p's omega set inside V and pf at most
+        # q's finite part, p <= q, so no functional or support separates
+        # them, U(V) = V holds p's omega set, and the route below reaches
+        # the quotient's `leq_finite`, whose first test is this same
+        # domination: an empty path, lifted to itself.  So the witness is
+        # the one that route gives, without its separation searches or the
+        # quotient.  V is not empty here, as p and q are not both finite.
+        if pn.omega <= V and vec_geq(qn.finite, pf):
+            return self._omega_leq(pn, qn, pf, [])
         sep = self._saturating_separation(pn, qn, order=True)
         if sep is None:
             sep = self._support_refutation(p, q, order=True)
@@ -987,17 +1005,19 @@ class Congruence:
             return sep
         # V is closed when q has omega mass; when q is finite, U(V) = U(empty)
         # holds the atoms worth nothing, and p's omega set must lie inside it
-        V = qn.omega
-        U = self.support_closure(V)[0]
-        if not pn.omega <= U:
+        if not pn.omega <= self.support_closure(V)[0]:
             return self._unknown(False, omega=True)
-        # the finite mass of p under omega on the right is absorbed outright
-        under = {i: pn.finite[i] for i in sorted(V) if pn.finite[i]}
-        pf = zero_on(pn.finite, V)
         fin = self._quotient(V).leq_finite(pf, qn.finite)
         if fin.verdict != LEQ:
             return self._unknown(fin.verdict == UNKNOWN, omega=True)
-        path = fin.witness["path"]
+        return self._omega_leq(pn, qn, pf, fin.witness["path"])
+
+    def _omega_leq(self, pn: ExtVec, qn: ExtVec, pf: Vec, path: List) -> Decision:
+        """pn <= qn under omega on V = qn.omega, by a domination path of the
+        quotient by V from qn's finite part above pf, lifted here."""
+        V = qn.omega
+        U = self.support_closure(V)[0]
+        under = {i: pn.finite[i] for i in sorted(V) if pn.finite[i]}
         start, top = self._lift(qn.finite, path, V)
         return Decision(LEQ, {
             "kind": "omega_leq", "support": U, "under_omega": under,

@@ -211,9 +211,10 @@ def sink_space() -> StatSpace:
     )
 
 
-def parity_to_two_point_morphism() -> StatMorphism:
-    """Send each point of the parity space to its parity class."""
-    src = parity_space()
+def parity_to_two_point_morphism(src: Optional[StatSpace] = None) -> StatMorphism:
+    """Send each point of the parity space `src` (a new one when None) to
+    its parity class."""
+    src = parity_space() if src is None else src
     tgt = two_point_space()
     return StatMorphism(
         source=src,
@@ -223,9 +224,10 @@ def parity_to_two_point_morphism() -> StatMorphism:
     )
 
 
-def parity_shadow_space() -> StatSpace:
-    """Two parity classes acted on trivially by the parity-space monoid."""
-    src = parity_space()
+def parity_shadow_space(src: Optional[StatSpace] = None) -> StatSpace:
+    """Two parity classes acted on trivially by the monoid of the parity
+    space `src` (a new one when None)."""
+    src = parity_space() if src is None else src
     space = build_space(["even", "odd"], [[0], [1]])
     ident = (0, 1)
     return StatSpace.from_table(
@@ -233,11 +235,12 @@ def parity_shadow_space() -> StatSpace:
     )
 
 
-def parity_shadow_morphism() -> StatMorphism:
-    """Parity map with the identity monoid comparison; equivariant because
-    every symmetry preserves both parity classes setwise."""
-    src = parity_space()
-    tgt = parity_shadow_space()
+def parity_shadow_morphism(src: Optional[StatSpace] = None) -> StatMorphism:
+    """Parity map from the parity space `src` (a new one when None) with
+    the identity monoid comparison; equivariant because every symmetry
+    preserves both parity classes setwise."""
+    src = parity_space() if src is None else src
+    tgt = parity_shadow_space(src)
     return StatMorphism(
         source=src,
         target=tgt,
@@ -387,16 +390,18 @@ def corpus_morphism_pairs(
 
     The parity chain contributes genuinely non-identity composites; each
     corpus space contributes its trivialization followed by the collapse
-    onto a single point.
+    onto a single point.  Both parity pairs start at one parity space, so
+    its table is closed once.
     """
     pairs: List[Tuple[StatMorphism, StatMorphism]] = []
     one = one_point_space()
-    m1 = parity_to_two_point_morphism()
+    parity = parity_space()
+    m1 = parity_to_two_point_morphism(parity)
     m2 = StatMorphism(
         source=m1.target, target=one, point_map=(0, 0), fstar=(0,)
     )
     pairs.append((m2, m1))
-    m3 = parity_shadow_morphism()
+    m3 = parity_shadow_morphism(parity)
     m4 = StatMorphism(
         source=m3.target,
         target=with_trivial_symmetry(m3.target.space),

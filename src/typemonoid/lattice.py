@@ -21,7 +21,10 @@ through the engine's `decide_leq`, under its budget, so they sit in its
 audit log and the audit replays them; no certificate object exists.
 The engine keeps every scale it has certified, by vector, so the
 quantity arithmetic, which certifies each operand and result, repeats
-no order query.
+no order query.  It also keeps the canonical idempotent of each support
+and the upper covers of each closed support, so a certification builds
+no idempotent, and no idempotent's vector, twice.  These memos live and
+die with the engine.
 
 IdempotentLattice enumerates every scale, for the code that ranges over
 all of them.  Closed sets are closed under intersection, so meet is
@@ -102,8 +105,13 @@ def _support_closure(engine: TypeEngine) -> Closure:
 
 
 def scale_covers(engine: TypeEngine, e: IdempotentElement) -> List[IdempotentElement]:
-    """The upper covers of scale e under the engine's support closure."""
-    return upper_covers(engine.n, _support_closure(engine), e)
+    """The upper covers of scale e under the engine's support closure,
+    found once per support and kept on the engine."""
+    hit = engine._covers.get(e.omega_support)
+    if hit is None:
+        hit = tuple(upper_covers(engine.n, _support_closure(engine), e))
+        engine._covers[e.omega_support] = hit
+    return list(hit)
 
 
 class IdempotentLattice:
@@ -198,12 +206,17 @@ def enumerate_idempotents(engine: TypeEngine) -> IdempotentLattice:
 def canonical_idempotent(engine: TypeEngine, support: FrozenSet[int]) -> IdempotentElement:
     """The idempotent equal to omega over `support`: omega over its
     support closure, with the closure of the empty support written as
-    the empty support (the bottom)."""
-    cong = engine.congruence
-    closed, _ = cong.support_closure(support)
-    if closed == cong.support_closure(frozenset())[0]:
-        closed = frozenset()
-    return IdempotentElement(engine.n, closed)
+    the empty support (the bottom).  Found once per support and kept on
+    the engine, so its vector is built once too."""
+    support = frozenset(support)
+    hit = engine._canonical.get(support)
+    if hit is None:
+        cong = engine.congruence
+        closed, _ = cong.support_closure(support)
+        if closed == cong.support_closure(frozenset())[0]:
+            closed = frozenset()
+        hit = engine._canonical[support] = IdempotentElement(engine.n, closed)
+    return hit
 
 
 def check_distributive(lattice: IdempotentLattice) -> Tuple[bool, Optional[dict]]:
@@ -331,20 +344,31 @@ def quantity_add(
 ) -> QuantityElement:
     """Add two quantity elements at the join g of their scales, the
     canonical idempotent of the union of the supports: plus is
-    x.plus + y.plus + g and minus the same, each certified at scale g.
+    x.plus + y.plus + g and minus the same, each formed as one vector
+    and certified at scale g.
 
     Coarsening each operand to g first gives the same sums, since
     normalizing commutes with addition and g + g = g, and no other
     failure: an idempotent strictly above g below x.plus + g is below
     the sum too, so the sum is not at scale g either."""
     g = canonical_idempotent(engine, x.scale.omega_support | y.scale.omega_support)
-    plus = engine.omega_normalize(x.plus.add(y.plus).add(g.vec))
-    minus = engine.omega_normalize(x.minus.add(y.minus).add(g.vec))
+    plus = _sum_at(engine, x.plus, y.plus, g)
+    minus = _sum_at(engine, x.minus, y.minus, g)
     for v in (plus, minus):
         got = idempotent_of(engine, v)
         if got != g:
             raise ContractError(f"operand has scale {got}, expected {g}")
     return QuantityElement(g, plus, minus)
+
+
+def _sum_at(engine: TypeEngine, a: ExtVec, b: ExtVec, g: IdempotentElement) -> ExtVec:
+    """a + b + g, normalized: one vector with omega on the union of the
+    three omega sets and the finite sum off it."""
+    omega = a.omega | b.omega | g.omega_support
+    fin = [x + y for x, y in zip(a.finite, b.finite)]
+    for i in omega:
+        fin[i] = 0
+    return engine.omega_normalize(ExtVec(tuple(fin), omega))
 
 
 def quantity_neg(x: QuantityElement) -> QuantityElement:

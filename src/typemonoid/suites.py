@@ -156,12 +156,13 @@ class _Tally:
 class _SampleVectors:
     """The vector of each measurable set, in mask order and built only when
     read, then the extra vectors.  A draw reads one index, so it costs one
-    set vector, not 2^n of them; iteration reads the indices in order until
-    the extras run out.  There is no `len`: from 63 atoms on it would not
-    fit a C ssize_t."""
+    set vector, not 2^n of them, and a set vector once built is kept;
+    iteration reads the indices in order until the extras run out.  There
+    is no `len`: from 63 atoms on it would not fit a C ssize_t."""
 
     def __init__(self, engine: TypeEngine, extras: List):
         self.engine, self.extras, self.sets = engine, extras, 1 << engine.n
+        self.built: Dict[int, object] = {}
 
     def draw(self, rng: random.Random):
         """One vector, uniformly: `rng.choice` on a sequence this long."""
@@ -170,7 +171,11 @@ class _SampleVectors:
     def __getitem__(self, i: int):
         if i >= self.sets:
             return self.extras[i - self.sets]
-        return self.engine.abar_of_set(frozenset(x for x in range(self.engine.n) if i >> x & 1))
+        hit = self.built.get(i)
+        if hit is None:
+            atoms = frozenset(x for x in range(self.engine.n) if i >> x & 1)
+            hit = self.built[i] = self.engine.abar_of_set(atoms)
+        return hit
 
 
 def _sample_vectors(engine: TypeEngine, rng: random.Random, extra: int = 6):
@@ -329,23 +334,44 @@ def run_theorem2_suite(
 
         vectors = _sample_vectors(eng, rng, extra=8)
         scales = list(lat)
+        # each shifted vector, each embedding made and each pair decided is
+        # kept for the space
+        shifted: Dict = {}
+        embedded: Dict = {}
+        decided: Dict = {}
+
+        def shift(p, e):
+            """p + e, or None when that is not at scale e."""
+            key = (p.vec, e.omega_support)
+            if key not in shifted:
+                u = p.vec.add(e.vec)
+                at_e = eng.omega_normalize(u).omega == e.omega_support
+                shifted[key] = u if at_e else None
+            return shifted[key]
+
+        def embedding(u):
+            hit = embedded.get(u)
+            if hit is None:
+                hit = embedded[u] = embed(eng, u)
+            return hit
+
         for _ in range(_THEOREM2_PAIRS):
             e = rng.choice(scales)
-            u = vectors.draw(rng).vec.add(e.vec)
-            v = vectors.draw(rng).vec.add(e.vec)
+            u = shift(vectors.draw(rng), e)
+            v = shift(vectors.draw(rng), e)
             # same-scale pairs; embedding must reflect type equality
-            if eng.omega_normalize(u).omega != e.omega_support:
-                continue
-            if eng.omega_normalize(v).omega != e.omega_support:
+            if u is None or v is None:
                 continue
             try:
-                qu = embed(eng, u)
-                qv = embed(eng, v)
+                qu = embedding(u)
+                qv = embedding(v)
             except TypemonoidError as exc:
                 tally.report["failures"].append(f"{name}: embed failed: {exc}")
                 continue
-            qd = quantity_eq(eng, qu, qv)
-            td = eng.decide_equal(u, v)
+            pair = decided.get((u, v))
+            if pair is None:
+                pair = decided[u, v] = quantity_eq(eng, qu, qv), eng.decide_equal(u, v)
+            qd, td = pair
             tally.saw(qd, f"{name}: embed")
             tally.saw(td, f"{name}: embed")
             if qd.verdict in _DEFINITE and td.verdict in _DEFINITE:
@@ -357,25 +383,26 @@ def run_theorem2_suite(
         for e in scales:
             at_scale = []
             for p in vectors:
-                q = p.vec.add(e.vec)
-                if eng.omega_normalize(q).omega == e.omega_support:
+                q = shift(p, e)
+                if q is not None:
                     at_scale.append(q)
                 if len(at_scale) >= 4:
                     break
-            if len(at_scale) < 2:
+            k = len(at_scale)
+            if k < 2:
                 continue
-            xs = [
-                grothendieck_diff(eng, at_scale[i], at_scale[(i + 1) % len(at_scale)])
-                for i in range(len(at_scale))
-            ]
+            xs = [grothendieck_diff(eng, at_scale[i], at_scale[(i + 1) % k]) for i in range(k)]
+            # sums[i] = xs[i] + xs[i + 1], read both as x + y and as y + w
+            sums = [quantity_add(eng, xs[i], xs[(i + 1) % k]) for i in range(k)]
             z = quantity_zero(eng, e)
             for i, x in enumerate(xs):
-                y = xs[(i + 1) % len(xs)]
-                w = xs[(i + 2) % len(xs)]
-                d = quantity_eq(eng, quantity_add(eng, x, y), quantity_add(eng, y, x))
+                y = xs[(i + 1) % k]
+                w = xs[(i + 2) % k]
+                xy, yw = sums[i], sums[(i + 1) % k]
+                d = quantity_eq(eng, xy, quantity_add(eng, y, x))
                 tally.expect(d, EQUAL, "{}: quantity commutativity", name)
-                lhs = quantity_add(eng, quantity_add(eng, x, y), w)
-                rhs = quantity_add(eng, x, quantity_add(eng, y, w))
+                lhs = quantity_add(eng, xy, w)
+                rhs = quantity_add(eng, x, yw)
                 d = quantity_eq(eng, lhs, rhs)
                 tally.expect(d, EQUAL, "{}: quantity associativity", name)
                 d = quantity_eq(eng, quantity_add(eng, x, z), x)

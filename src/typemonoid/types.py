@@ -210,8 +210,11 @@ class TypeEngine:
         )
         self.audit_log: List[AuditEntry] = []
         self._set_elements: Dict[FrozenSet[int], AbarElement] = {}
-        # certified scales by vector; see lattice.idempotent_of
+        # certified scales by vector, canonical idempotents by support, and
+        # upper covers by closed support; see lattice.idempotent_of
         self._scales: Dict[ExtVec, object] = {}
+        self._canonical: Dict[FrozenSet[int], object] = {}
+        self._covers: Dict[FrozenSet[int], tuple] = {}
         self.stats: Dict[str, int] = {"scale_certificates": 0, "scale_lookups": 0}
 
     @property

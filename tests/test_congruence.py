@@ -18,12 +18,15 @@ from typemonoid.congruence import (
     UNKNOWN,
     Budget,
     Congruence,
+    Decision,
     ExtVec,
     _primitive,
     indicator,
     unit_vec,
     vec_add,
     vec_geq,
+    vec_sub,
+    zero_on,
     zero_vec,
 )
 from typemonoid.corpus import collapse_space, fixture_spaces, random_corpus, statspace_from_maps
@@ -736,6 +739,83 @@ class TestShiftOracle:
         assert tally["eq"] > 0 and tally["leq"] > 0
 
 
+def _separation_first_leq(cong, p, q):
+    """The omega order by the separation-first route: the functional and
+    support refutations, then the finite order of the quotient by q's
+    omega set, lifted.  `Congruence.decide_leq` tests domination first; on
+    every query the two must give the same decision."""
+    pn, qn = cong.normalize(p), cong.normalize(q)
+    if pn.is_finite() and qn.is_finite():
+        return cong.leq_finite(pn.finite, qn.finite)
+    sep = cong._saturating_separation(pn, qn, order=True)
+    if sep is None:
+        sep = cong._support_refutation(p, q, order=True)
+    if sep is not None:
+        return sep
+    V = qn.omega
+    U = cong.support_closure(V)[0]
+    if not pn.omega <= U:
+        return cong._unknown(False, omega=True)
+    under = {i: pn.finite[i] for i in sorted(V) if pn.finite[i]}
+    pf = zero_on(pn.finite, V)
+    fin = cong._quotient(V).leq_finite(pf, qn.finite)
+    if fin.verdict != LEQ:
+        return cong._unknown(fin.verdict == UNKNOWN, omega=True)
+    path = fin.witness["path"]
+    start, top = cong._lift(qn.finite, path, V)
+    return Decision(LEQ, {
+        "kind": "omega_leq", "support": U, "under_omega": under,
+        "finite": {"kind": "domination", "start": start, "w": top,
+                   "gamma": vec_sub(zero_on(top, U), zero_on(pf, U)), "path": path},
+    }, cong.budget)
+
+
+def _dominated(rng, p):
+    """p plus random finite mass and, at random, omega on one more atom."""
+    n = p.n
+    extra = [rng.randint(0, 1) for _ in range(n)]
+    omega = frozenset({rng.randrange(n)}) if rng.random() < 0.5 else frozenset()
+    return p.add(_with_omega(extra, omega))
+
+
+class TestDominationFirst:
+    """Omega order tests domination before any separation search; its
+    decision is the separation-first route's, byte for byte."""
+
+    def test_spaces(self):
+        rng = random.Random(34)
+        spaces = list(fixture_spaces().values()) + [
+            e.statspace for e in random_corpus(seed=5) if e.statspace.n_atoms <= 4
+        ]
+        dominated = through_quotient = 0
+        for ss in spaces:
+            eng = TypeEngine(ss)
+            ref = TypeEngine(ss).congruence
+            pairs = [_random_omega_pair(rng, eng.n) for _ in range(8)]
+            pairs += [(p, _dominated(rng, p)) for p, _ in pairs]
+            for p, q in pairs:
+                d = eng.decide_leq(p, q)
+                r = _separation_first_leq(ref, p, q)
+                assert d.verdict == r.verdict, (ss, p, q)
+                assert repr(d.witness) == repr(r.witness), (ss, p, q)
+                assert json.dumps(d.to_json()) == json.dumps(r.to_json())
+                pn, qn = eng.congruence.normalize(p), eng.congruence.normalize(q)
+                pf = zero_on(pn.finite, qn.omega)
+                if qn.omega and pn.omega <= qn.omega and vec_geq(qn.finite, pf):
+                    dominated += 1
+                elif d.witness["kind"] == "omega_leq":
+                    through_quotient += 1
+            eng.audit_decisions()
+        assert dominated > 100 and through_quotient > 0
+
+    def test_domination_skips_the_searches_and_the_quotient(self):
+        cong = parity_congruence()
+        p, q = _with_omega((1, 0, 0, 2), {0}), _with_omega((0, 1, 0, 3), {0, 2})
+        d = cong.decide_leq(p, q)
+        assert d.witness["kind"] == "omega_leq" and d.witness["finite"]["path"] == []
+        assert cong.stats["ray_separations"] == 0 and cong._quotients == {}
+
+
 def _one_sided_eq(cong, u, v, max_members=400):
     """Finite equality by the one-sided search: a conserved vector of the
     Fraction basis with y.u != y.v refutes; otherwise u's class is
@@ -864,8 +944,8 @@ class TestConservedCone:
             assert len(set(rays)) == len(rays)
             assert Congruence(cong.n, cong.relations).conserved_rays() == rays
 
-    def test_feasibility_matches_simplex(self):
-        rng = random.Random(23)
+    @staticmethod
+    def _feasibility_congruences(rng):
         congs = [TypeEngine(ss).congruence for ss in fixture_spaces().values()]
         congs += [
             TypeEngine(e.statspace).congruence
@@ -884,12 +964,30 @@ class TestConservedCone:
                     ],
                 )
             )
+        return congs
+
+    @staticmethod
+    def _rejected_patterns(rng, n):
+        """10 (positive, zero) draws whose positive is <= 0 off the zero
+        set, which no y >= 0 zero there can meet."""
+        for _ in range(10):
+            zero = [i for i in range(n) if rng.random() < 0.3]
+            p = tuple(rng.randint(-2, 2 if i in zero else 0) for i in range(n))
+            yield p, zero
+
+    def test_feasibility_matches_simplex(self):
+        rng = random.Random(23)
+        rejected_rng = random.Random(24)
+        congs = self._feasibility_congruences(rng)
         found = 0
         for cong in congs:
             n = cong.n
-            for _ in range(25):
-                p = tuple(rng.randint(-2, 2) for _ in range(n))
-                zero = [i for i in range(n) if rng.random() < 0.3]
+            draws = [
+                (tuple(rng.randint(-2, 2) for _ in range(n)),
+                 [i for i in range(n) if rng.random() < 0.3])
+                for _ in range(25)
+            ]
+            for p, zero in draws + list(self._rejected_patterns(rejected_rng, n)):
                 f = cong._nonneg_conserved(p, zero)
                 assert (f is not None) == _lp_feasible(cong, p, zero)
                 if f is not None:
@@ -901,6 +999,28 @@ class TestConservedCone:
                     assert sum(a * b for a, b in zip(y, p)) == 1
                     assert all(y[i] == 0 for i in zero)
             assert cong.stats["lp_fallbacks"] == 0
+        assert found > 0
+
+    def test_rejected_sign_patterns_past_ray_limit(self, monkeypatch):
+        # the simplex agrees with the LP reference, and a positive that is
+        # <= 0 off the zero set is refused before the rays or the simplex
+        rng = random.Random(29)
+        monkeypatch.setattr(congruence, "RAY_LIMIT", 0)
+        found = 0
+        for cong in self._feasibility_congruences(rng):
+            n = cong.n
+            draws = [
+                (tuple(rng.randint(-2, 2) for _ in range(n)),
+                 [i for i in range(n) if rng.random() < 0.3])
+                for _ in range(15)
+            ]
+            for p, zero in draws + list(self._rejected_patterns(rng, n)):
+                before = dict(cong.stats)
+                f = cong._nonneg_conserved(p, zero)
+                assert (f is not None) == _lp_feasible(cong, p, zero)
+                found += f is not None
+                if not any(c > 0 and i not in zero for i, c in enumerate(p)):
+                    assert f is None and cong.stats == before
         assert found > 0
 
     def test_each_functional_is_built_once(self):

@@ -16,6 +16,7 @@ from typemonoid.corpus import (
 from typemonoid.errors import ContractError, SpaceMismatchError
 from typemonoid.lattice import (
     LATTICE_LIMIT,
+    IdempotentElement,
     IdempotentLattice,
     LatticeError,
     QuantityElement,
@@ -30,6 +31,7 @@ from typemonoid.lattice import (
     quantity_neg,
     quantity_zero,
     scale_covers,
+    upper_covers,
 )
 from typemonoid.serial import space_from_dict
 from typemonoid.spaces import build_space, with_trivial_symmetry
@@ -402,6 +404,38 @@ class TestScaleCertificateCache:
             idempotent_of(eng, other.type_of_abar(v))
         idempotent_of(eng, eng.abar(v.finite))
         assert eng.stats == {"scale_certificates": 1, "scale_lookups": 1}
+
+
+class TestScaleMemos:
+    def test_memos_match_fresh_covers_on_every_closed_support(self):
+        again = 0
+        for ss in fixture_spaces().values():
+            eng, lat = engine_and_lattice(ss)
+            fresh = TypeEngine(ss).congruence
+
+            def closure(support):
+                return fresh.support_closure(support)[0]
+
+            for closed in lat.closed:
+                e, tail = certify(eng, eng.abar((0,) * eng.n, omega=closed))
+                assert len(tail) == 1 + len(scale_covers(eng, e))
+                # the certified scale is the memoized element, vector and all
+                assert canonical_idempotent(eng, closed) is eng._canonical[closed] is e
+                bottom = closed == lat.closed[0]
+                assert e == IdempotentElement(eng.n, frozenset() if bottom else closed)
+                closed_e = IdempotentElement(eng.n, closure(e.omega_support))
+                covers = upper_covers(eng.n, closure, closed_e)
+                assert scale_covers(eng, e) == list(eng._covers[e.omega_support]) == covers
+                # a second vector at the same scale is certified from the
+                # memos, by the same number of decisions
+                if closed and closed != frozenset(range(eng.n)):
+                    b = min(set(range(eng.n)) - closed)
+                    v = eng.abar(tuple(int(i == b) for i in range(eng.n)), omega=closed)
+                    if idempotent_of(TypeEngine(ss), v) == e:
+                        e2, tail2 = certify(eng, v)
+                        assert e2 is e and len(tail2) == 1 + len(covers)
+                        again += 1
+        assert again > 0
 
 
 class TestCompleteIsotropy:

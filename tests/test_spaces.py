@@ -18,6 +18,7 @@ from typemonoid.corpus import (
     fixture_spaces,
     one_point_space,
     parity_shadow_morphism,
+    parity_shadow_space,
     parity_space,
     parity_to_two_point_morphism,
     random_corpus,
@@ -300,6 +301,14 @@ class TestMorphisms:
         rep = validate_morphism(m)
         assert rep.valid
         assert len(set(m.fstar)) == 4
+
+    def test_morphism_pairs_share_one_parity_space(self):
+        # the two parity pairs start at one space, whose table is closed once
+        (_, m1), (_, m3) = corpus_morphism_pairs([])
+        assert m1.source is m3.source
+        assert m3.target.monoid is m1.source.monoid
+        assert m1.source == parity_space() and m3.target == parity_shadow_space()
+        assert validate_morphism(m1).valid and validate_morphism(m3).valid
 
     def test_broken_equivariance_reported(self):
         # target carries the honest swap action but fstar maps it to a
